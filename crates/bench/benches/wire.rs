@@ -1,12 +1,16 @@
 //! Microbenchmarks of the wire codec the socket transport frames every
 //! message through: encode and decode across the size spectrum the
 //! protocol actually produces, from 5-byte heartbeats to full parameter
-//! payloads.
+//! payloads, and one 4 MiB parameter frame sealed, opened, and carried
+//! over a loopback TCP hop.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
-use hadfl::wire::Message;
+use hadfl::transport::Port;
+use hadfl::wire::{self, CausalStamp, Message};
+use hadfl_net::cluster::ClusterConfig;
+use hadfl_net::tcp::{BoundNode, TcpOptions};
 
 /// The quick-profile MLP moves ~26k parameters; the experiment-scale
 /// models move hundreds of thousands. Cover both ends.
@@ -131,11 +135,70 @@ fn bench_per_float_reference(c: &mut Criterion) {
     group.finish();
 }
 
+/// The ring's unit of work at the round benchmark's size: one 1 Mi-f32
+/// (4 MiB) parameter frame sealed and opened whole — what a channel hop
+/// pays per side — and carried across a loopback `TcpPort` pair, send
+/// start to receive return, where the split frame path applies.
+fn bench_param_hop(c: &mut Criterion) {
+    const N: usize = 1 << 20;
+    let stamp = CausalStamp {
+        origin: 1,
+        lamport: 7,
+    };
+    let msg = Message::ParamAccum {
+        round: 3,
+        hops: 2,
+        params: param_vec(N),
+    };
+
+    let mut group = c.benchmark_group("wire");
+    group.bench_function("seal_param_1m", |b| {
+        b.iter(|| black_box(wire::seal(stamp, black_box(&msg))));
+    });
+    let sealed = wire::seal(stamp, &msg);
+    group.bench_function("open_param_1m", |b| {
+        b.iter(|| black_box(wire::open(black_box(&sealed)).expect("valid frame")));
+    });
+    group.finish();
+
+    let nodes: Vec<BoundNode> = (0..3)
+        .map(|id| BoundNode::bind(id, "127.0.0.1:0").expect("loopback bind"))
+        .collect();
+    let addrs: Vec<String> = nodes
+        .iter()
+        .map(|n| n.local_addr().expect("bound").to_string())
+        .collect();
+    let cluster = ClusterConfig::from_addrs(&addrs).expect("three loopback nodes");
+    let mut ports: Vec<_> = nodes
+        .into_iter()
+        .map(|n| {
+            n.into_port(&cluster, TcpOptions::default())
+                .expect("loopback port")
+        })
+        .collect();
+    let (senders, receivers) = ports.split_at_mut(1);
+    let (a, b_port) = (&mut senders[0], &mut receivers[0]);
+    let mut group = c.benchmark_group("tcp");
+    group.bench_function("hop_4mib", |b| {
+        b.iter(|| {
+            a.send(1, black_box(&msg)).expect("loopback send");
+            black_box(
+                b_port
+                    .recv_timeout(std::time::Duration::from_secs(20))
+                    .expect("loopback receive")
+                    .expect("frame arrives"),
+            )
+        });
+    });
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_encode,
     bench_decode,
     bench_roundtrip,
-    bench_per_float_reference
+    bench_per_float_reference,
+    bench_param_hop
 );
 criterion_main!(benches);

@@ -92,6 +92,28 @@ pub fn scale_params(params: &mut [f32], k: f32) {
     });
 }
 
+/// Elementwise `acc[i] = (acc[i] + src[i]) * k` — the ring reduce's
+/// closing hop in one pass over the model instead of
+/// [`accumulate_params`] then [`scale_params`]. Each element takes the
+/// same two separately rounded `f32` operations in the same order (Rust
+/// never contracts them into a fused multiply-add), so the result is
+/// bit-identical to the two-pass form at any thread count.
+///
+/// # Panics
+///
+/// Panics if the slices differ in length.
+pub fn accumulate_scaled_params(acc: &mut [f32], src: &[f32], k: f32) {
+    assert_eq!(acc.len(), src.len(), "accumulate length mismatch");
+    let _prof = hadfl_prof::scope_bytes("accumulate_scaled_params", 8 * acc.len() as u64);
+    hadfl_par::par_chunks_mut(acc, hadfl_par::F32_CHUNK, |chunk, achunk| {
+        let base = chunk * hadfl_par::F32_CHUNK;
+        let schunk = &src[base..base + achunk.len()];
+        for (a, &s) in achunk.iter_mut().zip(schunk) {
+            *a = (*a + s) * k;
+        }
+    });
+}
+
 /// Weighted elementwise average of parameter vectors — the Eq. (2)
 /// `n_k / N` weighting for non-IID shards (the paper's future-work
 /// "data distribution" optimization).

@@ -448,7 +448,8 @@ fn send_ring<P: Port>(port: &mut P, run: &mut RingRun, to: usize, msg: Message) 
     run.last_sent = Some((to, msg));
 }
 
-/// Finishes the reduce half: installs the mean, starts the distribute
+/// Finishes the reduce half: installs `merged` (the mean — the caller
+/// has already applied the `1/hops` scale), starts the distribute
 /// half, and broadcasts to the unselected if this member is the
 /// round's broadcaster.
 #[allow(clippy::too_many_arguments)]
@@ -457,14 +458,13 @@ fn finish_reduce<P: Port, T: TrainState>(
     train: &mut T,
     run: &mut RingRun,
     me: usize,
-    mut params: Vec<f32>,
+    merged: Vec<f32>,
     hops: u32,
     tel: &Telemetry,
     now: Duration,
 ) -> Result<(), HadflError> {
     let _prof = hadfl_prof::scope("ring_merge");
-    crate::aggregate::scale_params(&mut params, 1.0 / hops as f32);
-    train.set_params(&params)?;
+    train.set_params(&merged)?;
     run.merged_done = true;
     tel.emit(
         now,
@@ -473,26 +473,33 @@ fn finish_reduce<P: Port, T: TrainState>(
             participants: hops,
         },
     );
-    if run.live.len() > 1 {
-        let downstream = run.downstream(me);
-        send_ring(
-            port,
-            run,
-            downstream,
-            Message::MergedParams {
-                round: run.round,
-                ttl: (run.live.len() - 1) as u32,
-                params: params.clone(),
-            },
-        );
-    }
-    broadcast_if_mine(port, run, me, &params);
+    let ttl = run.live.len().saturating_sub(1) as u32;
+    pass_merged(port, run, me, ttl, merged, |_| {});
     Ok(())
 }
 
-/// Sends the merged model to every unselected device if `me` is (or has
-/// replaced) the broadcaster.
-fn broadcast_if_mine<P: Port>(port: &mut P, run: &RingRun, me: usize, params: &[f32]) {
+/// Passes the merged model on without copying it: a
+/// [`Message::MergedParams`] to the downstream member while forwards
+/// remain (`ttl > 0`), kept as the re-sendable last frame; then, if
+/// `me` is (or has replaced) the broadcaster, one
+/// [`Message::ParamSync`] — the same buffer under another tag, sent by
+/// reference — to every unselected device. `around_broadcast` is told
+/// `true` before and `false` after a broadcast that takes place, for
+/// the caller's span bookkeeping.
+fn pass_merged<P: Port>(
+    port: &mut P,
+    run: &mut RingRun,
+    me: usize,
+    ttl: u32,
+    params: Vec<f32>,
+    mut around_broadcast: impl FnMut(bool),
+) {
+    let round = run.round;
+    let downstream = (ttl > 0).then(|| run.downstream(me));
+    let mut merged = Message::MergedParams { round, ttl, params };
+    if let Some(to) = downstream {
+        let _ = port.send(to, &merged);
+    }
     // If the planned broadcaster died, the first live member inherits
     // the role so the unselected still hear about the round.
     let effective = if run.live.contains(&run.broadcaster) {
@@ -500,17 +507,24 @@ fn broadcast_if_mine<P: Port>(port: &mut P, run: &RingRun, me: usize, params: &[
     } else {
         run.live[0]
     };
-    if effective != me {
-        return;
+    if effective == me && !run.unselected.is_empty() {
+        if let Message::MergedParams { params, .. } = &mut merged {
+            around_broadcast(true);
+            let sync = Message::ParamSync {
+                round,
+                params: std::mem::take(params),
+            };
+            for &u in &run.unselected {
+                let _ = port.send(u, &sync);
+            }
+            if let Message::ParamSync { params: lent, .. } = sync {
+                *params = lent;
+            }
+            around_broadcast(false);
+        }
     }
-    for &u in &run.unselected {
-        let _ = port.send(
-            u,
-            &Message::ParamSync {
-                round: run.round,
-                params: params.to_vec(),
-            },
-        );
+    if let Some(to) = downstream {
+        run.last_sent = Some((to, merged));
     }
 }
 
@@ -1307,6 +1321,7 @@ impl<T: TrainState> DeviceActor<T> {
                         let parent = self.spans.ring_parent();
                         let round = ring.run.round;
                         self.spans.start(&self.tel, now, "merge", parent, round, me);
+                        crate::aggregate::scale_params(&mut params, 1.0 / hops as f32);
                         finish_reduce(
                             port,
                             &mut self.train,
@@ -1321,11 +1336,23 @@ impl<T: TrainState> DeviceActor<T> {
                     }
                 } else {
                     ring.run.contributed = true;
+                    let hops = hops + 1;
+                    let closes = hops as usize >= ring.run.live.len();
                     let prof = hadfl_prof::scope("ring_accumulate");
                     let mine = self.train.params();
-                    crate::aggregate::accumulate_params(&mut params, &mine);
+                    if closes {
+                        // The closing hop folds the `1/hops` scale into
+                        // its accumulate: one pass over the model, not
+                        // two, and the same two roundings per element.
+                        crate::aggregate::accumulate_scaled_params(
+                            &mut params,
+                            &mine,
+                            1.0 / hops as f32,
+                        );
+                    } else {
+                        crate::aggregate::accumulate_params(&mut params, &mine);
+                    }
                     drop(prof);
-                    let hops = hops + 1;
                     self.tel.emit(
                         now,
                         EventKind::Accumulate {
@@ -1333,7 +1360,7 @@ impl<T: TrainState> DeviceActor<T> {
                             hops,
                         },
                     );
-                    if hops as usize >= ring.run.live.len() {
+                    if closes {
                         // This member closes the reduce: merge nests
                         // under its reduce half, which ends here.
                         let parent = self.spans.ring_parent();
@@ -1384,36 +1411,24 @@ impl<T: TrainState> DeviceActor<T> {
                 ring.probe = None;
                 self.train.set_params(&params)?;
                 ring.run.merged_done = true;
-                if ttl > 1 {
-                    let downstream = ring.run.downstream(me);
-                    let round = ring.run.round;
-                    send_ring(
-                        port,
-                        &mut ring.run,
-                        downstream,
-                        Message::MergedParams {
-                            round,
-                            ttl: ttl - 1,
-                            params: params.clone(),
-                        },
-                    );
-                }
                 // The effective broadcaster's fan-out to the unselected
                 // is the round's `broadcast_blend` segment.
-                let effective = if ring.run.live.contains(&ring.run.broadcaster) {
-                    ring.run.broadcaster
-                } else {
-                    ring.run.live[0]
-                };
-                if effective == me && !ring.run.unselected.is_empty() {
-                    let parent = self.spans.ring_parent();
-                    self.spans
-                        .start(&self.tel, now, "broadcast_blend", parent, round, me);
-                    broadcast_if_mine(port, &ring.run, me, &params);
-                    self.spans.end(&self.tel, now, "broadcast_blend", me);
-                } else {
-                    broadcast_if_mine(port, &ring.run, me, &params);
-                }
+                let (spans, tel) = (&mut self.spans, &self.tel);
+                pass_merged(
+                    port,
+                    &mut ring.run,
+                    me,
+                    ttl.saturating_sub(1),
+                    params,
+                    |starting| {
+                        if starting {
+                            let parent = spans.ring_parent();
+                            spans.start(tel, now, "broadcast_blend", parent, round, me);
+                        } else {
+                            spans.end(tel, now, "broadcast_blend", me);
+                        }
+                    },
+                );
             }
             Message::Handshake { from } => {
                 let _ = port.send(from as usize, &Message::HandshakeAck { from: me as u32 });

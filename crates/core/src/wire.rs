@@ -15,6 +15,17 @@
 //! in the transport and actor sources. The stamp is transport
 //! overhead, like the length prefix: the payload ledger
 //! (`NetStats`) keeps charging exactly [`Message::encoded_len`].
+//!
+//! A frame has one definition, split at the payload boundary: a small
+//! *head* (stamp, tag, fixed fields and — for the parameter variants —
+//! the element count) followed by a *body* that is the parameter
+//! slice's own little-endian bytes. [`seal`] and [`open`] build and
+//! parse `head ‖ body` in one buffer; [`seal_split`] and
+//! [`split_frame`] (with the [`ParamFrame`] it returns) hand a socket
+//! transport the two halves, so a model goes from the message's
+//! `Vec<f32>` to the socket and from the socket into the next
+//! message's `Vec<f32>` without an intermediate frame buffer. Every
+//! other variant is all head.
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 
@@ -43,10 +54,45 @@ pub struct CausalStamp {
 /// encoding. The inverse is [`open`].
 pub fn seal(stamp: CausalStamp, msg: &Message) -> Bytes {
     let mut buf = BytesMut::with_capacity(STAMP_LEN + msg.encoded_len());
-    buf.put_u32_le(stamp.origin);
-    buf.put_u64_le(stamp.lamport);
-    msg.encode_into(&mut buf);
+    let body = seal_split(stamp, msg, &mut buf);
+    buf.extend_from_slice(body);
     buf.freeze()
+}
+
+/// [`seal`], split at the payload boundary: appends the frame's head
+/// to `head` and returns its body, borrowed from `msg`'s own parameter
+/// vector. `head ‖ body` is byte for byte the frame [`seal`] builds.
+/// The body is empty for every variant without parameters — and, on
+/// big-endian targets, always: there the in-memory floats are not the
+/// wire bytes, so the whole frame is converted into `head`.
+pub fn seal_split<'m>(stamp: CausalStamp, msg: &'m Message, head: &mut BytesMut) -> &'m [u8] {
+    head.put_u32_le(stamp.origin);
+    head.put_u64_le(stamp.lamport);
+    let params = msg.encode_head(head);
+    #[cfg(target_endian = "little")]
+    {
+        f32_bytes(params)
+    }
+    #[cfg(not(target_endian = "little"))]
+    {
+        put_f32s(head, params);
+        &[]
+    }
+}
+
+fn split_stamp(frame: &[u8]) -> Result<(CausalStamp, &[u8]), HadflError> {
+    if frame.len() < STAMP_LEN {
+        return Err(HadflError::InvalidConfig(format!(
+            "frame too short for causal stamp: {} bytes",
+            frame.len()
+        )));
+    }
+    let (mut head, rest) = frame.split_at(STAMP_LEN);
+    let stamp = CausalStamp {
+        origin: head.get_u32_le(),
+        lamport: head.get_u64_le(),
+    };
+    Ok((stamp, rest))
 }
 
 /// Opens a frame produced by [`seal`], returning the stamp and the
@@ -57,19 +103,126 @@ pub fn seal(stamp: CausalStamp, msg: &Message) -> Bytes {
 /// Returns [`HadflError::InvalidConfig`] when the frame is shorter
 /// than the stamp header or the payload does not decode.
 pub fn open(frame: &[u8]) -> Result<(CausalStamp, Message), HadflError> {
-    if frame.len() < STAMP_LEN {
+    let (stamp, encoded) = split_stamp(frame)?;
+    Ok((stamp, Message::decode(encoded)?))
+}
+
+/// Longest head of a parameter frame: the stamp, the tag, two fixed
+/// `u32` fields and the element count. A transport that holds this
+/// many bytes of a frame (or all of a shorter one) can [`split_frame`]
+/// it.
+pub const MAX_PARAM_HEAD: usize = STAMP_LEN + 1 + 4 + 4 + 4;
+
+/// A parameter frame being received in place: its head is parsed and
+/// checked, and its payload lands directly in the `Vec<f32>` the
+/// opened [`Message`] will own. Made by [`split_frame`].
+#[derive(Debug)]
+pub struct ParamFrame {
+    stamp: CausalStamp,
+    tag: u8,
+    /// The head's fixed fields, between tag and element count (the
+    /// first 4 or 8 bytes are used, by `tag`).
+    fields: [u8; 8],
+    params: Vec<f32>,
+    /// Payload bytes already in `params`: those that came with the head.
+    filled: usize,
+}
+
+impl ParamFrame {
+    /// The part of the payload still to be received. Fill all of it
+    /// from the transport, then [`open`](Self::open).
+    pub fn unfilled_mut(&mut self) -> &mut [u8] {
+        let filled = self.filled;
+        // SAFETY: the view covers exactly the vector's `4 * len`
+        // initialized bytes for the lifetime of the borrow; `u8` has no
+        // alignment requirement and every bit pattern written through
+        // it is a valid `f32`.
+        let body = unsafe {
+            std::slice::from_raw_parts_mut(
+                self.params.as_mut_ptr().cast::<u8>(),
+                4 * self.params.len(),
+            )
+        };
+        &mut body[filled..]
+    }
+
+    /// The stamp and message, exactly as [`open`] returns them for the
+    /// same frame received whole.
+    pub fn open(self) -> (CausalStamp, Message) {
+        #[allow(unused_mut)]
+        let mut params = self.params;
+        // The payload arrived as raw little-endian bytes; elsewhere
+        // they still have to become native floats.
+        #[cfg(not(target_endian = "little"))]
+        for p in &mut params {
+            *p = f32::from_bits(u32::from_le(p.to_bits()));
+        }
+        (self.stamp, param_message(self.tag, &self.fields, params))
+    }
+}
+
+/// Decides how to receive a frame of `frame_len` bytes from `first`,
+/// any prefix of it at least `min(frame_len, MAX_PARAM_HEAD)` long.
+/// `Some` is a parameter frame to be received in place; `None` is any
+/// other frame (including one too short or too odd to tell): receive
+/// it whole and [`open`] it.
+///
+/// The parameter buffer is allocated here, *after* the head's element
+/// count has been checked against `frame_len` — a transport that has
+/// bounded `frame_len` never allocates by an unchecked peer-supplied
+/// count.
+///
+/// # Errors
+///
+/// Returns [`HadflError::InvalidConfig`] for a parameter frame cut
+/// short inside its head, or whose element count disagrees with
+/// `frame_len` (a truncated payload or trailing bytes) — the frames
+/// [`open`] rejects for the same reasons.
+pub fn split_frame(first: &[u8], frame_len: usize) -> Result<Option<ParamFrame>, HadflError> {
+    let Some(&tag) = first.get(STAMP_LEN) else {
+        return Ok(None);
+    };
+    let Some(head_len) = param_head_len(tag) else {
+        return Ok(None);
+    };
+    if first.len() < head_len || first.len() > frame_len {
         return Err(HadflError::InvalidConfig(format!(
-            "frame too short for causal stamp: {} bytes",
-            frame.len()
+            "truncated frame: {} bytes of a {frame_len}-byte frame do not hold its \
+             {head_len}-byte parameter head",
+            first.len()
         )));
     }
-    let mut head = &frame[..STAMP_LEN];
-    let stamp = CausalStamp {
-        origin: head.get_u32_le(),
-        lamport: head.get_u64_le(),
+    let (stamp, _) = split_stamp(first)?;
+    let (head, surplus) = first.split_at(head_len);
+    let (fixed, mut count) = head[STAMP_LEN + 1..].split_at(head_len - STAMP_LEN - 5);
+    let count = count.get_u32_le() as usize;
+    if head_len as u64 + 4 * count as u64 != frame_len as u64 {
+        return Err(HadflError::InvalidConfig(format!(
+            "frame of {frame_len} bytes does not hold a {head_len}-byte head and {count} parameters"
+        )));
+    }
+    let mut fields = [0u8; 8];
+    fields[..fixed.len()].copy_from_slice(fixed);
+    let mut frame = ParamFrame {
+        stamp,
+        tag,
+        fields,
+        params: vec![0.0; count],
+        filled: 0,
     };
-    let msg = Message::decode(&frame[STAMP_LEN..])?;
-    Ok((stamp, msg))
+    frame.unfilled_mut()[..surplus.len()].copy_from_slice(surplus);
+    frame.filled = surplus.len();
+    Ok(Some(frame))
+}
+
+/// The wire bytes of `params`, in place: on a little-endian target the
+/// in-memory float slice already *is* its wire representation.
+#[cfg(target_endian = "little")]
+fn f32_bytes(params: &[f32]) -> &[u8] {
+    // SAFETY: `params` is an initialized `&[f32]`; every f32 bit
+    // pattern is a valid group of 4 bytes, so viewing the slice as
+    // `4 * len` bytes is sound.
+    unsafe { std::slice::from_raw_parts(params.as_ptr().cast::<u8>(), 4 * params.len()) }
 }
 
 /// A message between HADFL participants (devices and the coordinator).
@@ -209,9 +362,48 @@ const TAG_HELLO: u8 = 13;
 const TAG_FINAL_PARAMS: u8 = 14;
 const TAG_TELEMETRY_BATCH: u8 = 15;
 
-fn put_params(buf: &mut BytesMut, params: &[f32]) {
+/// Head length (stamp included) of the parameter variant `tag` names;
+/// `None` for every other tag.
+fn param_head_len(tag: u8) -> Option<usize> {
+    match tag {
+        TAG_PARAM_SYNC | TAG_FINAL_PARAMS => Some(STAMP_LEN + 1 + 4 + 4),
+        TAG_PARAM_ACCUM | TAG_MERGED_PARAMS => Some(MAX_PARAM_HEAD),
+        _ => None,
+    }
+}
+
+/// Builds the parameter variant `tag` names from its fixed `fields`
+/// (the head bytes between tag and element count) and its payload.
+/// Callers pass only tags [`param_head_len`] knows.
+fn param_message(tag: u8, mut fields: &[u8], params: Vec<f32>) -> Message {
+    let first = fields.get_u32_le();
+    match tag {
+        TAG_PARAM_SYNC => Message::ParamSync {
+            round: first,
+            params,
+        },
+        TAG_FINAL_PARAMS => Message::FinalParams {
+            device: first,
+            params,
+        },
+        TAG_PARAM_ACCUM => Message::ParamAccum {
+            round: first,
+            hops: fields.get_u32_le(),
+            params,
+        },
+        _ => Message::MergedParams {
+            round: first,
+            ttl: fields.get_u32_le(),
+            params,
+        },
+    }
+}
+
+/// Ends a parameter head with the element count, handing the slice
+/// back as the body still to be written.
+fn put_count<'m>(buf: &mut BytesMut, params: &'m [f32]) -> &'m [f32] {
     buf.put_u32_le(params.len() as u32);
-    put_f32s(buf, params);
+    params
 }
 
 /// Appends the raw little-endian `f32` payload in one bulk copy. On
@@ -223,15 +415,7 @@ fn put_params(buf: &mut BytesMut, params: &[f32]) {
 fn put_f32s(buf: &mut BytesMut, params: &[f32]) {
     buf.reserve(4 * params.len());
     #[cfg(target_endian = "little")]
-    {
-        // SAFETY: `params` is an initialized `&[f32]`; every f32 bit
-        // pattern is a valid group of 4 bytes, so viewing the slice as
-        // `4 * len` bytes is sound. On a little-endian target those
-        // bytes are exactly the wire encoding.
-        let raw =
-            unsafe { std::slice::from_raw_parts(params.as_ptr().cast::<u8>(), 4 * params.len()) };
-        buf.extend_from_slice(raw);
-    }
+    buf.extend_from_slice(f32_bytes(params));
     #[cfg(not(target_endian = "little"))]
     for &p in params {
         buf.put_f32_le(p);
@@ -291,14 +475,22 @@ impl Message {
         buf.freeze()
     }
 
-    /// Appends the message encoding to `buf` (the body [`seal`] writes
-    /// after the stamp header).
+    /// Appends the message encoding to `buf`: head, then body.
     fn encode_into(&self, buf: &mut BytesMut) {
+        let params = self.encode_head(buf);
+        put_f32s(buf, params);
+    }
+
+    /// Appends the encoding up to the payload boundary — tag, fixed
+    /// fields and, for the parameter variants, the element count — and
+    /// returns the parameter slice whose little-endian bytes complete
+    /// it. Every other variant is written whole and returns `&[]`.
+    fn encode_head(&self, buf: &mut BytesMut) -> &[f32] {
         match self {
             Message::ParamSync { round, params } => {
                 buf.put_u8(TAG_PARAM_SYNC);
                 buf.put_u32_le(*round);
-                put_params(buf, params);
+                return put_count(buf, params);
             }
             Message::VersionReport {
                 device,
@@ -340,13 +532,13 @@ impl Message {
                 buf.put_u8(TAG_PARAM_ACCUM);
                 buf.put_u32_le(*round);
                 buf.put_u32_le(*hops);
-                put_params(buf, params);
+                return put_count(buf, params);
             }
             Message::MergedParams { round, ttl, params } => {
                 buf.put_u8(TAG_MERGED_PARAMS);
                 buf.put_u32_le(*round);
                 buf.put_u32_le(*ttl);
-                put_params(buf, params);
+                return put_count(buf, params);
             }
             Message::RoundPlan {
                 round,
@@ -378,7 +570,7 @@ impl Message {
             Message::FinalParams { device, params } => {
                 buf.put_u8(TAG_FINAL_PARAMS);
                 buf.put_u32_le(*device);
-                put_params(buf, params);
+                return put_count(buf, params);
             }
             Message::TelemetryBatch {
                 node,
@@ -392,6 +584,7 @@ impl Message {
                 buf.put_slice(payload);
             }
         }
+        &[]
     }
 
     /// Short stable label for the message kind, used as the telemetry
@@ -464,14 +657,22 @@ impl Message {
         need(frame, 1)?;
         let tag = frame.get_u8();
         let msg = match tag {
-            TAG_PARAM_SYNC => {
-                need(frame, 8)?;
-                let round = frame.get_u32_le();
+            TAG_PARAM_SYNC | TAG_FINAL_PARAMS | TAG_PARAM_ACCUM | TAG_MERGED_PARAMS => {
+                // Head, then body — the same split a `ParamFrame`
+                // receives in two parts.
+                let fixed = if matches!(tag, TAG_PARAM_SYNC | TAG_FINAL_PARAMS) {
+                    4
+                } else {
+                    8
+                };
+                need(frame, fixed + 4)?;
+                let (fields, rest) = frame.split_at(fixed);
+                frame = rest;
                 let len = frame.get_u32_le() as usize;
                 need(frame, 4 * len)?;
                 let _prof = hadfl_prof::scope_bytes("wire_decode", (4 * len) as u64);
                 let params = get_f32s(&mut frame, len);
-                Message::ParamSync { round, params }
+                param_message(tag, fields, params)
             }
             TAG_VERSION_REPORT => {
                 need(frame, 16)?;
@@ -505,28 +706,6 @@ impl Message {
                     lr: frame.get_f32_le(),
                     local_steps: frame.get_u32_le(),
                     window_ms: frame.get_u32_le(),
-                }
-            }
-            TAG_PARAM_ACCUM | TAG_MERGED_PARAMS => {
-                need(frame, 12)?;
-                let round = frame.get_u32_le();
-                let head = frame.get_u32_le();
-                let len = frame.get_u32_le() as usize;
-                need(frame, 4 * len)?;
-                let _prof = hadfl_prof::scope_bytes("wire_decode", (4 * len) as u64);
-                let params = get_f32s(&mut frame, len);
-                if tag == TAG_PARAM_ACCUM {
-                    Message::ParamAccum {
-                        round,
-                        hops: head,
-                        params,
-                    }
-                } else {
-                    Message::MergedParams {
-                        round,
-                        ttl: head,
-                        params,
-                    }
                 }
             }
             TAG_ROUND_PLAN => {
@@ -567,15 +746,6 @@ impl Message {
                 Message::Hello {
                     from: frame.get_u32_le(),
                 }
-            }
-            TAG_FINAL_PARAMS => {
-                need(frame, 8)?;
-                let device = frame.get_u32_le();
-                let len = frame.get_u32_le() as usize;
-                need(frame, 4 * len)?;
-                let _prof = hadfl_prof::scope_bytes("wire_decode", (4 * len) as u64);
-                let params = get_f32s(&mut frame, len);
-                Message::FinalParams { device, params }
             }
             TAG_TELEMETRY_BATCH => {
                 need(frame, 12)?;

@@ -8,9 +8,12 @@
 
 use bytes::{BufMut, BytesMut};
 use hadfl::aggregate::{
-    accumulate_params, average_params, blend_params, scale_params, weighted_average_params,
+    accumulate_params, accumulate_scaled_params, average_params, blend_params, scale_params,
+    weighted_average_params,
 };
-use hadfl::wire::{open, seal, CausalStamp, Message, STAMP_LEN};
+use hadfl::wire::{
+    open, seal, seal_split, split_frame, CausalStamp, Message, MAX_PARAM_HEAD, STAMP_LEN,
+};
 use hadfl_par::with_threads;
 use proptest::prelude::*;
 
@@ -80,6 +83,82 @@ fn with_specials(mut v: Vec<f32>) -> Vec<f32> {
     v
 }
 
+/// One message of every variant, built from the drawn ingredients.
+fn every_variant(a: u32, b: u32, params: &[f32], ids: &[u32], bytes: &[u8]) -> Vec<Message> {
+    let params = params.to_vec();
+    vec![
+        Message::ParamSync {
+            round: a,
+            params: params.clone(),
+        },
+        Message::VersionReport {
+            device: a,
+            round: b,
+            version: f64::from(a) + 0.5,
+        },
+        Message::Handshake { from: a },
+        Message::HandshakeAck { from: b },
+        Message::BypassWarning { dead: a },
+        Message::TrainingConfig {
+            lr: 0.05,
+            local_steps: a,
+            window_ms: b,
+        },
+        Message::ParamAccum {
+            round: a,
+            hops: b,
+            params: params.clone(),
+        },
+        Message::MergedParams {
+            round: a,
+            ttl: b,
+            params: params.clone(),
+        },
+        Message::RoundPlan {
+            round: a,
+            ring: ids.to_vec(),
+            broadcaster: b,
+            unselected: ids.iter().rev().copied().collect(),
+        },
+        Message::ReportRequest { round: a },
+        Message::Shutdown,
+        Message::Heartbeat { from: a },
+        Message::Hello { from: b },
+        Message::FinalParams { device: a, params },
+        Message::TelemetryBatch {
+            node: a,
+            dropped: b,
+            payload: bytes.to_vec(),
+        },
+    ]
+}
+
+fn carries_params(msg: &Message) -> bool {
+    matches!(
+        msg,
+        Message::ParamSync { .. }
+            | Message::ParamAccum { .. }
+            | Message::MergedParams { .. }
+            | Message::FinalParams { .. }
+    )
+}
+
+/// Receives `frame` the way a socket transport does — `first` bytes in
+/// hand, the rest streamed — and returns what it opens to, re-sealed
+/// (bytes compare where NaN payloads would not).
+fn streamed(frame: &[u8], first: usize) -> Result<Vec<u8>, hadfl::HadflError> {
+    let (stamp, msg) = match split_frame(&frame[..first], frame.len())? {
+        Some(mut parts) => {
+            let rest = &frame[first..];
+            assert_eq!(parts.unfilled_mut().len(), rest.len());
+            parts.unfilled_mut().copy_from_slice(rest);
+            parts.open()
+        }
+        None => open(frame)?,
+    };
+    Ok(seal(stamp, &msg).to_vec())
+}
+
 fn assert_param_bits_eq(a: &[f32], b: &[f32]) {
     assert_eq!(a.len(), b.len());
     for (x, y) in a.iter().zip(b) {
@@ -133,6 +212,85 @@ proptest! {
         let (back_stamp, back_msg) = open(&frame).unwrap();
         prop_assert_eq!(back_stamp, stamp);
         prop_assert_eq!(back_msg, msg);
+    }
+
+    #[test]
+    fn split_seal_is_the_sealed_frame_and_streaming_open_is_open(
+        a in 0u32..1 << 20, b in 0u32..64, origin in 0u32..64, lamport in 0u64..1 << 40,
+        params in param_strategy(),
+        ids in proptest::collection::vec(0u32..64, 0..9),
+        bytes in proptest::collection::vec(0u8..255, 0..200),
+    ) {
+        let stamp = CausalStamp { origin, lamport };
+        for params in [Vec::new(), with_specials(params)] {
+            for msg in every_variant(a, b, &params, &ids, &bytes) {
+                let sealed = seal(stamp, &msg);
+                prop_assert_eq!(sealed.len(), STAMP_LEN + msg.encoded_len());
+
+                // Sending: head, then the parameter slice's own bytes.
+                let mut head = bytes::BytesMut::new();
+                let body = seal_split(stamp, &msg, &mut head);
+                prop_assert_eq!(&[&head[..], body].concat()[..], &sealed[..], "{:?}", msg);
+                if cfg!(target_endian = "little") {
+                    prop_assert_eq!(body.len(), if carries_params(&msg) { 4 * params.len() } else { 0 });
+                    prop_assert!(head.len() <= MAX_PARAM_HEAD || !carries_params(&msg));
+                }
+
+                // Receiving: what the transport has when it must decide
+                // (the first MAX_PARAM_HEAD bytes, or a short frame
+                // whole), any later cut, and the whole frame.
+                prop_assert_eq!(&seal(stamp, &open(&sealed).unwrap().1)[..], &sealed[..]);
+                let decide = sealed.len().min(MAX_PARAM_HEAD);
+                for first in [decide, (decide + 7).min(sealed.len()), sealed.len()] {
+                    prop_assert_eq!(&streamed(&sealed, first).unwrap()[..], &sealed[..], "{:?}", msg);
+                }
+                let in_place = split_frame(&sealed[..decide], sealed.len()).unwrap().is_some();
+                prop_assert_eq!(in_place, carries_params(&msg) && cfg!(target_endian = "little"));
+            }
+        }
+    }
+
+    #[test]
+    fn streaming_open_rejects_what_open_rejects(
+        a in 0u32..1 << 20, b in 0u32..64, params in param_strategy(), cut in 1usize..64, extra in 1usize..9,
+    ) {
+        let stamp = CausalStamp { origin: 1, lamport: 2 };
+        for msg in every_variant(a, b, &with_specials(params), &[3, 1, 2], b"{}\n") {
+            let sealed = seal(stamp, &msg).to_vec();
+
+            // Trailing garbage: the frame is longer than its message.
+            let mut long = sealed.clone();
+            long.resize(long.len() + extra, 0xA5);
+            // A truncated payload (or, cut further, a truncated head).
+            let short = &sealed[..sealed.len().saturating_sub(cut)];
+            // A count that disagrees with the frame length.
+            let mut recount = sealed.clone();
+            if carries_params(&msg) {
+                let at = recount.len() - 4 * match &msg {
+                    Message::ParamSync { params, .. }
+                    | Message::ParamAccum { params, .. }
+                    | Message::MergedParams { params, .. }
+                    | Message::FinalParams { params, .. } => params.len(),
+                    _ => unreachable!(),
+                } - 4;
+                let count = u32::from_le_bytes(recount[at..at + 4].try_into().unwrap());
+                recount[at..at + 4].copy_from_slice(&(count + extra as u32).to_le_bytes());
+            }
+
+            for bad in [&long[..], short, &recount[..]] {
+                if bad == &sealed[..] {
+                    continue; // a non-param message has no count to spoil
+                }
+                let whole = open(bad);
+                let decide = bad.len().min(MAX_PARAM_HEAD);
+                match streamed(bad, decide) {
+                    Ok(_) => prop_assert!(whole.is_ok(), "streaming accepted what open rejects: {:?}", msg),
+                    Err(_) => prop_assert!(whole.is_err(), "streaming rejected what open accepts: {:?}", msg),
+                }
+                // Every frame here is damaged; `open` must say so.
+                prop_assert!(whole.is_err(), "{:?}", msg);
+            }
+        }
     }
 
     #[test]
@@ -211,5 +369,13 @@ fn ring_helpers_match_inline_loops() {
             acc
         });
         assert_param_bits_eq(&got, &want);
+        // The closing hop's fused pass is the same two roundings per
+        // element, so the merged model does not move by a bit.
+        let fused = with_threads(t, || {
+            let mut acc = a.clone();
+            accumulate_scaled_params(&mut acc, &b, scale);
+            acc
+        });
+        assert_param_bits_eq(&fused, &want);
     }
 }

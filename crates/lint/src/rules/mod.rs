@@ -112,14 +112,16 @@ static RULES: [Rule; 11] = [
     },
     Rule {
         id: "raw-frame",
-        summary: "no Message::encode()/decode() outside wire::seal/wire::open — every \
-                  on-wire frame must carry a causal stamp",
+        summary: "no Message::encode()/decode() (or their encode_head/encode_into halves) \
+                  outside wire::seal/wire::open and the split forms seal_split/split_frame \
+                  — every on-wire frame must carry a causal stamp",
         scope: Scope {
             dirs: &["crates/core/src/", "crates/net/src/"],
             files: &[],
             excludes: &[(
                 "crates/core/src/wire.rs",
-                "the defining module: seal/open are built from encode/decode here",
+                "the defining module: seal/open and their split forms are built from \
+                 encode/decode here",
             )],
         },
         run: raw_frame::run,

@@ -3,6 +3,11 @@
 //! Every on-wire frame carries a causal stamp (origin + Lamport
 //! clock); a transport that calls `Message::encode`/`decode` directly
 //! ships an unstamped frame the causal merge cannot order. The
+//! sanctioned surface is `wire::seal` / `wire::open` and their split
+//! forms for socket transports — `wire::seal_split`,
+//! `wire::split_frame` and the `ParamFrame` it returns — all of which
+//! stamp; the halves they are built from (`encode_head`,
+//! `encode_into`) are as raw as `encode` and flagged the same way. The
 //! per-file symbol table supplies the one principled exemption: the
 //! body of `fn digest_msg` (a model-checker digest, not a wire
 //! frame). `encoded_len` never matches — the match is on exact
@@ -22,6 +27,10 @@ pub fn run(cx: &FileCx) -> Vec<Finding> {
             && src.is_punct(i + 3, ')')
         {
             Some("encode")
+        } else if let Some(half) = ["encode_head", "encode_into"].into_iter().find(|half| {
+            src.is_punct(i, '.') && src.is_ident(i + 1, half) && src.is_punct(i + 2, '(')
+        }) {
+            Some(half)
         } else if src.is_ident(i + 1, "decode")
             && src.is_punct(i + 2, '(')
             && (src.is_punct(i, '.') || (i > 0 && src.is_path_sep(i - 1)))

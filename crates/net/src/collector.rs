@@ -34,11 +34,13 @@ use parking_lot::Mutex;
 use serde::Serialize;
 
 use hadfl::clock::Clock;
-use hadfl::wire::{self, Message};
+use hadfl::wire::Message;
 use hadfl_telemetry::health::{Alert, HealthEngine, HealthOptions, HealthReport};
 use hadfl_telemetry::ship::ShipBatch;
 use hadfl_telemetry::sink::Sink;
 use hadfl_telemetry::{Event, MetricsRegistry, MetricsSink};
+
+use crate::frame::read_frame;
 
 /// Collector tuning.
 #[derive(Debug, Clone)]
@@ -408,57 +410,18 @@ fn ingest_conn(
     max_frame_bytes: usize,
 ) {
     let _ = stream.set_read_timeout(Some(Duration::from_millis(200)));
-    let mut len_buf = [0u8; 4];
-    let mut pending = 0usize;
-    'conn: while !stop.load(Ordering::SeqCst) {
-        // Read the 4-byte length, tolerating timeouts between frames.
-        while pending < 4 {
-            match stream.read(&mut len_buf[pending..]) {
-                Ok(0) => return,
-                Ok(n) => pending += n,
-                Err(e) if e.kind() == ErrorKind::WouldBlock || e.kind() == ErrorKind::TimedOut => {
-                    if stop.load(Ordering::SeqCst) {
-                        return;
-                    }
-                }
-                Err(_) => return,
-            }
-        }
-        pending = 0;
-        let len = u32::from_le_bytes(len_buf) as usize;
-        if len == 0 || len > max_frame_bytes {
-            return;
-        }
-        let mut frame = vec![0u8; len];
-        let mut read = 0usize;
-        while read < len {
-            match stream.read(&mut frame[read..]) {
-                Ok(0) => return,
-                Ok(n) => read += n,
-                Err(e) if e.kind() == ErrorKind::WouldBlock || e.kind() == ErrorKind::TimedOut => {
-                    if stop.load(Ordering::SeqCst) {
-                        return;
-                    }
-                }
-                Err(_) => return,
-            }
-        }
-        let Ok((stamp, msg)) = wire::open(&frame) else {
-            return;
-        };
-        match msg {
-            Message::TelemetryBatch {
-                node,
-                dropped,
-                payload,
-            } => {
-                collector
-                    .lock()
-                    .ingest_batch(stamp.origin, node, dropped, &payload);
-            }
-            // Ignore anything else (a misdirected protocol peer);
-            // keep the connection in case batches follow.
-            _ => continue 'conn,
+    while let Some((stamp, msg, _)) = read_frame(&mut stream, max_frame_bytes, &stop) {
+        // Anything else is ignored (a misdirected protocol peer); the
+        // connection is kept in case batches follow.
+        if let Message::TelemetryBatch {
+            node,
+            dropped,
+            payload,
+        } = msg
+        {
+            collector
+                .lock()
+                .ingest_batch(stamp.origin, node, dropped, &payload);
         }
     }
 }

@@ -23,6 +23,7 @@
 
 pub mod cluster;
 pub mod collector;
+mod frame;
 pub mod ship;
 pub mod tcp;
 

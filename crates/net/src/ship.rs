@@ -3,7 +3,7 @@
 //! [`TcpShipper`] is the [`BatchShipper`] the `ShipSink`'s background
 //! thread drains into: each batch becomes one
 //! [`Message::TelemetryBatch`] sealed with the node's own Lamport
-//! clock ([`wire::seal`]), so collector-side merges put telemetry
+//! clock ([`hadfl::wire::seal`]), so collector-side merges put telemetry
 //! frames on the same causal scale as every protocol frame. Framing is
 //! the transport's usual 4-byte LE length prefix.
 //!
@@ -21,9 +21,11 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use hadfl::wire::{self, CausalStamp, Message};
+use hadfl::wire::{CausalStamp, Message};
 use hadfl_telemetry::ship::{BatchShipper, ShipBatch};
 use hadfl_telemetry::LamportClock;
+
+use crate::frame::{seal_frame, write_frame};
 
 /// Shared read handle onto a shipper's byte ledger.
 #[derive(Debug, Clone, Default)]
@@ -99,15 +101,12 @@ impl TcpShipper {
         Ok(())
     }
 
-    fn write_once(&mut self, frame: &[u8]) -> Result<(), String> {
+    fn write_once(&mut self, head: &[u8], body: &[u8]) -> Result<(), String> {
         self.connect()?;
         let Some(stream) = self.stream.as_mut() else {
             return Err("no connection".into());
         };
-        let write = stream
-            .write_all(&(frame.len() as u32).to_le_bytes())
-            .and_then(|()| stream.write_all(frame));
-        if let Err(e) = write {
+        if let Err(e) = write_frame(stream, head, body) {
             self.stream = None;
             return Err(format!("write {}: {e}", self.addr));
         }
@@ -122,20 +121,20 @@ impl BatchShipper for TcpShipper {
             dropped: batch.dropped,
             payload: batch.to_jsonl(),
         };
-        let frame = wire::seal(
-            CausalStamp {
-                origin: self.node,
-                lamport: self.lamport.tick(),
-            },
-            &msg,
-        );
+        let stamp = CausalStamp {
+            origin: self.node,
+            lamport: self.lamport.tick(),
+        };
+        let (head, body) = seal_frame(stamp, &msg);
         // One retry across a fresh connection: the collector may have
         // restarted between batches.
-        let result = self.write_once(&frame).or_else(|_| self.write_once(&frame));
+        let result = self
+            .write_once(&head, body)
+            .or_else(|_| self.write_once(&head, body));
         if result.is_ok() {
             self.ledger
                 .payload_bytes
-                .fetch_add((frame.len() - wire::STAMP_LEN) as u64, Ordering::SeqCst);
+                .fetch_add(msg.encoded_len() as u64, Ordering::SeqCst);
             self.ledger.frames.fetch_add(1, Ordering::SeqCst);
         }
         result
@@ -154,6 +153,8 @@ mod tests {
     use super::*;
     use std::io::Read;
     use std::net::TcpListener;
+
+    use hadfl::wire;
 
     use hadfl_telemetry::{Event, EventKind, SCHEMA_VERSION};
 

@@ -1,7 +1,11 @@
 //! TCP implementation of [`hadfl::transport::Port`].
 //!
 //! Frames are the untouched [`Message`] wire encoding behind a 4-byte
-//! little-endian length prefix. Each pair of participants uses one
+//! little-endian length prefix. A parameter frame is never assembled in
+//! user space: the sender writes prefix and head, then the payload
+//! straight from the message's `Vec<f32>`, and the reader receives it
+//! straight into the vector the delivered message owns (`frame.rs`,
+//! shared with the collector). Each pair of participants uses one
 //! lazily-dialed connection per direction: the sender dials on first
 //! send (with bounded exponential backoff, so nodes can start in any
 //! order), identifies itself with [`Message::Hello`], and keeps the
@@ -26,7 +30,7 @@
 #![warn(clippy::unwrap_used, clippy::expect_used)]
 
 use std::collections::BTreeMap;
-use std::io::{ErrorKind, Read, Write};
+use std::io::ErrorKind;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -43,6 +47,7 @@ use hadfl_telemetry::{EventKind, LamportClock, Telemetry};
 use parking_lot::Mutex;
 
 use crate::cluster::ClusterConfig;
+use crate::frame::{read_frame, seal_frame, write_frame};
 
 /// Socket-level knobs of a [`TcpPort`].
 #[derive(Debug, Clone)]
@@ -113,18 +118,15 @@ struct Shared {
 }
 
 impl Shared {
-    /// Seals `msg` for the wire under a fresh tick of this node's
-    /// Lamport clock, returning the frame and its stamp.
-    fn seal(&self, msg: &Message) -> (bytes::Bytes, CausalStamp) {
-        let stamp = CausalStamp {
+    /// A fresh tick of this node's Lamport clock, as the stamp of the
+    /// next outbound frame.
+    fn stamp(&self) -> CausalStamp {
+        CausalStamp {
             origin: self.me as u32,
             lamport: self.lamport.tick(),
-        };
-        (wire::seal(stamp, msg), stamp)
+        }
     }
-}
 
-impl Shared {
     fn note_seen(&self, peer: usize) {
         let now = self.clock.now();
         self.last_seen.lock().insert(peer, now);
@@ -346,16 +348,17 @@ impl TcpPort {
                     stream
                         .set_write_timeout(Some(opts.write_timeout))
                         .map_err(|e| HadflError::InvalidConfig(format!("write timeout: {e}")))?;
-                    let (hello, _) = self.shared.seal(&Message::Hello {
+                    let hello = Message::Hello {
                         from: self.shared.me as u32,
-                    });
-                    if let Err(e) = write_frame(&mut stream, &hello) {
+                    };
+                    let (head, body) = seal_frame(self.shared.stamp(), &hello);
+                    if let Err(e) = write_frame(&mut stream, &head, body) {
                         last_err = format!("hello to {to}: {e}");
                         continue;
                     }
                     self.shared
                         .raw_bytes
-                        .fetch_add(4 + hello.len() as u64, Ordering::Relaxed);
+                        .fetch_add((head.len() + body.len()) as u64, Ordering::Relaxed);
                     return Ok(stream);
                 }
                 Err(e) => last_err = format!("dial {addr}: {e}"),
@@ -370,18 +373,13 @@ impl TcpPort {
     /// Post-write bookkeeping for a delivered frame: the raw-byte and
     /// payload ledgers, the `FrameSent` telemetry event, and returning
     /// the live stream to the connection cache.
-    fn record_send(
-        &self,
-        to: usize,
-        stream: TcpStream,
-        frame: &[u8],
-        payload: u64,
-        msg: &Message,
-        stamp: &CausalStamp,
-    ) {
+    fn record_send(&self, to: usize, stream: TcpStream, msg: &Message, stamp: &CausalStamp) {
+        // The ledger charges the payload only; the stamp header is
+        // transport overhead like the length prefix.
+        let payload = msg.encoded_len() as u64;
         self.shared
             .raw_bytes
-            .fetch_add(4 + frame.len() as u64, Ordering::Relaxed);
+            .fetch_add(4 + wire::STAMP_LEN as u64 + payload, Ordering::Relaxed);
         self.shared.stats.lock().record(
             endpoint_of(self.shared.me, self.shared.devices),
             endpoint_of(to, self.shared.devices),
@@ -449,10 +447,10 @@ impl Port for TcpPort {
     }
 
     fn send(&mut self, to: usize, msg: &Message) -> Result<(), HadflError> {
-        let (frame, stamp) = self.shared.seal(msg);
-        // The ledger charges the payload only; the stamp header is
-        // transport overhead like the length prefix.
-        let payload = (frame.len() - wire::STAMP_LEN) as u64;
+        // Prefix and head go out in one small write, then the model
+        // straight from the message's own vector — no frame is built.
+        let stamp = self.shared.stamp();
+        let (head, body) = seal_frame(stamp, msg);
         // The stream is taken *out* of the map for the duration of the
         // write, so the `conns` lock is never held across `dial` (which
         // sleeps through backoff) or `write_all` (which can block on a
@@ -466,15 +464,15 @@ impl Port for TcpPort {
             // A cached connection may have died since the last send;
             // a failed write drops it and falls through to a fresh
             // dial (which has its own backoff budget).
-            if write_frame(&mut stream, &frame).is_ok() {
-                self.record_send(to, stream, &frame, payload, msg, &stamp);
+            if write_frame(&mut stream, &head, body).is_ok() {
+                self.record_send(to, stream, msg, &stamp);
                 return Ok(());
             }
         }
         let mut stream = self.dial(to)?;
-        write_frame(&mut stream, &frame)
+        write_frame(&mut stream, &head, body)
             .map_err(|e| HadflError::InvalidConfig(format!("send to {to}: {e}")))?;
-        self.record_send(to, stream, &frame, payload, msg, &stamp);
+        self.record_send(to, stream, msg, &stamp);
         Ok(())
     }
 
@@ -509,11 +507,6 @@ impl Drop for TcpPort {
     }
 }
 
-fn write_frame(stream: &mut TcpStream, frame: &[u8]) -> std::io::Result<()> {
-    stream.write_all(&(frame.len() as u32).to_le_bytes())?;
-    stream.write_all(frame)
-}
-
 fn accept_loop(listener: TcpListener, shared: Arc<Shared>) {
     while !shared.shutdown.load(Ordering::SeqCst) {
         match listener.accept() {
@@ -531,71 +524,17 @@ fn accept_loop(listener: TcpListener, shared: Arc<Shared>) {
 
 fn reader_loop(mut stream: TcpStream, shared: Arc<Shared>) {
     let _ = stream.set_read_timeout(Some(shared.opts.read_timeout));
+    let max_frame_bytes = shared.opts.max_frame_bytes as usize;
     // The connection is anonymous until its Hello arrives.
     let mut from: Option<usize> = None;
-    // A frame mid-read when the timeout fires must resume, not restart:
-    // buffer the partial read.
-    let mut pending: Vec<u8> = Vec::new();
-    let mut want: Option<usize> = None;
-    loop {
-        if shared.shutdown.load(Ordering::SeqCst) {
-            return;
-        }
-        // Phase 1: length prefix.
-        if want.is_none() {
-            let mut len_buf = [0u8; 4];
-            if pending.len() < 4 {
-                let mut byte = [0u8; 1];
-                match stream.read(&mut byte) {
-                    Ok(0) => return,
-                    // A non-zero read into a one-byte buffer is one byte.
-                    Ok(_) => {
-                        pending.push(byte[0]);
-                        continue;
-                    }
-                    Err(e)
-                        if e.kind() == ErrorKind::WouldBlock || e.kind() == ErrorKind::TimedOut =>
-                    {
-                        continue;
-                    }
-                    Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-                    Err(_) => return,
-                }
-            }
-            len_buf.copy_from_slice(&pending[..4]);
-            pending.clear();
-            let len = u32::from_le_bytes(len_buf);
-            if len > shared.opts.max_frame_bytes {
-                return; // corrupt or hostile peer: drop the connection
-            }
-            want = Some(len as usize);
-        }
-        // Phase 2: frame body. Phase 1 always leaves `want` set; the
-        // `else` arm is dead but keeps the hot loop panic-free.
-        let Some(need) = want else { continue };
-        while pending.len() < need {
-            let mut chunk = vec![0u8; (need - pending.len()).min(64 << 10)];
-            match stream.read(&mut chunk) {
-                Ok(0) => return,
-                Ok(n) => pending.extend_from_slice(&chunk[..n]),
-                Err(e) if e.kind() == ErrorKind::WouldBlock || e.kind() == ErrorKind::TimedOut => {
-                    if shared.shutdown.load(Ordering::SeqCst) {
-                        return;
-                    }
-                }
-                Err(e) if e.kind() == ErrorKind::Interrupted => {}
-                Err(_) => return,
-            }
-        }
-        let frame = std::mem::take(&mut pending);
-        want = None;
+    // `None`: the peer hung up or sent something corrupt or hostile, or
+    // the port is shutting down — either way the connection is dropped.
+    while let Some((stamp, msg, frame_len)) =
+        read_frame(&mut stream, max_frame_bytes, &shared.shutdown)
+    {
         shared
             .raw_bytes
-            .fetch_add(4 + frame.len() as u64, Ordering::Relaxed);
-        let (stamp, msg) = match wire::open(&frame) {
-            Ok(opened) => opened,
-            Err(_) => return, // undecodable peer: drop the connection
-        };
+            .fetch_add(4 + frame_len as u64, Ordering::Relaxed);
         // Max-merge every inbound stamp — heartbeats and hellos too —
         // so the node's clock dominates everything it has heard.
         shared.lamport.observe(stamp.lamport);
@@ -611,7 +550,7 @@ fn reader_loop(mut stream: TcpStream, shared: Arc<Shared>) {
                 let Some(peer) = from else {
                     return; // protocol violation: frames before Hello
                 };
-                let payload = (frame.len() - wire::STAMP_LEN) as u64;
+                let payload = (frame_len - wire::STAMP_LEN) as u64;
                 shared.note_seen(peer);
                 shared.stats.lock().record(
                     endpoint_of(peer, shared.devices),
@@ -650,15 +589,15 @@ fn heartbeat_loop(
         shared.clock.sleep(interval);
         // Sealed per tick: each beat carries a fresh stamp, keeping
         // the per-sender lamport sequence strictly increasing.
-        let (beat, _) = shared.seal(&msg);
+        let (beat, body) = seal_frame(shared.stamp(), &msg);
         let mut conns = conns.lock();
         let mut dead = Vec::new();
         for (&peer, stream) in conns.iter_mut() {
-            match write_frame(stream, &beat) {
+            match write_frame(stream, &beat, body) {
                 Ok(()) => {
                     shared
                         .raw_bytes
-                        .fetch_add(4 + beat.len() as u64, Ordering::Relaxed);
+                        .fetch_add((beat.len() + body.len()) as u64, Ordering::Relaxed);
                 }
                 Err(_) => dead.push(peer),
             }

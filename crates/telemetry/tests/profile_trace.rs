@@ -148,19 +148,20 @@ fn scripted_two_device_run_matches_the_hand_computed_tree() {
     // Device 0: three 1 ms training steps, then the ring close. The
     // aggregate kernels run at a frozen clock, so their durations are
     // exactly zero; byte counts follow the scope_bytes formulas
-    // (accumulate touches 8 bytes per f32 pair, scale 4).
+    // (accumulate touches 8 bytes per f32 pair). Device 0 closes the
+    // ring, so its accumulate is the fused accumulate-and-scale and
+    // `ring_merge` has no kernel of its own left.
     assert_eq!(
         dump0.stacks,
         vec![
             row("local_step", 3, 3_000_000, 0),
             row("ring_accumulate", 1, 0, 0),
-            row("ring_accumulate;accumulate_params", 1, 0, 16),
+            row("ring_accumulate;accumulate_scaled_params", 1, 0, 16),
             row("ring_merge", 1, 0, 0),
-            row("ring_merge;scale_params", 1, 0, 8),
         ],
         "device 0 call tree"
     );
-    // The 2-element vectors stay under the par threshold, so each
+    // The 2-element vectors stay under the par threshold, so the
     // kernel's pool region is one serial dispatch: one worker (the
     // dispatcher), one chunk, zero elapsed at a frozen clock. The
     // region key is the dispatching scope's path.
@@ -179,10 +180,7 @@ fn scripted_two_device_run_matches_the_hand_computed_tree() {
     };
     assert_eq!(
         dump0.pools,
-        vec![
-            serial_region("ring_accumulate;accumulate_params"),
-            serial_region("ring_merge;scale_params"),
-        ],
+        vec![serial_region("ring_accumulate;accumulate_scaled_params")],
         "device 0 pool regions"
     );
 
@@ -207,9 +205,8 @@ fn scripted_two_device_run_matches_the_hand_computed_tree() {
             "broadcast_blend;blend_params",
             "local_step",
             "ring_accumulate",
-            "ring_accumulate;accumulate_params",
+            "ring_accumulate;accumulate_scaled_params",
             "ring_merge",
-            "ring_merge;scale_params",
         ]
     );
     let local = merged
