@@ -13,7 +13,10 @@ use hadfl::strategy::hyperperiod;
 use hadfl::topology::Ring;
 use hadfl_nn::{models, Dataset, LrSchedule, Sgd, SyntheticSpec};
 use hadfl_simnet::{DeviceId, LinkModel};
-use hadfl_tensor::{im2col, matmul, Conv2dGeometry, SeedStream, Tensor};
+use hadfl_tensor::{
+    conv_backward_input, conv_backward_weight, conv_forward, im2col, matmul, Conv2dGeometry,
+    SeedStream, Tensor,
+};
 
 /// Machine-speed yardstick for `hadfl-bench-diff`: a fixed
 /// single-threaded fused-multiply-add sweep over 1M floats, immune to
@@ -55,6 +58,49 @@ fn bench_tensor(c: &mut Criterion) {
     let img = Tensor::zeros(&[8, 3, 16, 16]);
     group.bench_function("im2col_8x3x16x16_k3", |bch| {
         bch.iter(|| black_box(im2col(&img, &geom).expect("shapes agree")));
+    });
+    group.finish();
+}
+
+/// The three products of one convolution layer at the shape the round
+/// benchmark's workload spends most of a step in (`resnet18_lite` on
+/// `Workload::quick`: batch 16, 8 → 8 channels at 8×8, so 1024 patch
+/// rows × 8 filters × 72 patch columns), plus its gather. The backward
+/// products have k = 8; `tensor/matmul_64x128x64` (k = 128) says
+/// nothing about them.
+fn bench_conv(c: &mut Criterion) {
+    let mut group = c.benchmark_group("conv");
+    let mut rng = SeedStream::new(4);
+    let mut random = |dims: &[usize]| {
+        let mut t = Tensor::zeros(dims);
+        for v in t.as_mut_slice() {
+            *v = rng.normal();
+        }
+        t
+    };
+    let geom = Conv2dGeometry::new(8, 8, 8, 3, 1, 1).expect("valid");
+    let x = random(&[16, 8, 8, 8]);
+    let weight = random(&[8, 72]);
+    let bias = random(&[8]);
+    let grad_out = random(&[16, 8, 8, 8]);
+    let cols = im2col(&x, &geom).expect("shapes agree");
+    group.bench_function("im2col_16x8x8x8_k3", |bch| {
+        bch.iter(|| black_box(im2col(&x, &geom).expect("shapes agree")));
+    });
+    group.bench_function("fwd_1024x8x72", |bch| {
+        bch.iter(|| black_box(conv_forward(&cols, &weight, &bias, &geom).expect("shapes agree")));
+    });
+    let mut grad_weight = Tensor::zeros(&[8, 72]);
+    group.bench_function("bwd_weight_1024x8x72", |bch| {
+        bch.iter(|| {
+            conv_backward_weight(&grad_out, &cols, &geom, &mut grad_weight).expect("shapes agree");
+            grad_weight.fill_zero();
+        });
+    });
+    group.bench_function("bwd_input_1024x8x72", |bch| {
+        bch.iter(|| {
+            black_box(conv_backward_input(&grad_out, &weight, &geom).expect("shapes agree"))
+        });
     });
     group.finish();
 }
@@ -192,6 +238,7 @@ criterion_group!(
     benches,
     bench_calibration,
     bench_tensor,
+    bench_conv,
     bench_train_step,
     bench_algorithms,
     bench_scaling

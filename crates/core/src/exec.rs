@@ -46,7 +46,7 @@ use std::mem;
 use std::thread;
 use std::time::Duration;
 
-use hadfl_nn::LrSchedule;
+use hadfl_nn::{Dataset, LrSchedule, Metrics};
 
 use crate::aggregate::blend_params;
 use crate::clock::{Clock, ManualClock, WallClock};
@@ -57,7 +57,7 @@ use crate::predict::VersionPredictor;
 use crate::trace::CommSummary;
 use crate::transport::{coordinator_id, ChannelTransport, Port};
 use crate::wire::Message;
-use crate::workload::{DeviceRuntime, Workload};
+use crate::workload::{evaluate_with, DeviceRuntime, Workload};
 use hadfl_simnet::DeviceId;
 use hadfl_telemetry::{EventKind, Telemetry};
 
@@ -2324,16 +2324,7 @@ pub fn run_threaded(
         Ok(run)
     })?;
 
-    // Consensus evaluation: average the collected final models.
-    if outcome.final_models.is_empty() {
-        return Err(HadflError::InvalidConfig(
-            "no device uploaded final parameters".into(),
-        ));
-    }
-    let refs: Vec<&[f32]> = outcome.final_models.values().map(Vec::as_slice).collect();
-    let consensus = crate::aggregate::average_params(&refs)?;
-    let mut built_eval = workload.build(k)?;
-    let metrics = built_eval.evaluate_params(&consensus)?;
+    let metrics = evaluate_consensus(workload, &built.test, &outcome)?;
 
     let stats = hub.net_stats();
     Ok(ThreadedReport {
@@ -2344,6 +2335,25 @@ pub fn run_threaded(
         dropped: outcome.dropped,
         wall: wall_clock.now(),
     })
+}
+
+/// Consensus evaluation: averages the collected final models and tests
+/// the mean on a freshly initialised model — not on a trained replica,
+/// whose BatchNorm running statistics are not part of the parameter
+/// vector and differ from device to device.
+fn evaluate_consensus(
+    workload: &Workload,
+    test: &Dataset,
+    outcome: &CoordinatorRun,
+) -> Result<Metrics, HadflError> {
+    if outcome.final_models.is_empty() {
+        return Err(HadflError::InvalidConfig(
+            "no device uploaded final parameters".into(),
+        ));
+    }
+    let refs: Vec<&[f32]> = outcome.final_models.values().map(Vec::as_slice).collect();
+    let consensus = crate::aggregate::average_params(&refs)?;
+    evaluate_with(&mut workload.model()?, test, &consensus)
 }
 
 fn validate_threaded(opts: &ThreadedOptions) -> Result<usize, HadflError> {
@@ -2511,15 +2521,7 @@ pub fn run_virtual(
         }
     };
 
-    if outcome.final_models.is_empty() {
-        return Err(HadflError::InvalidConfig(
-            "no device uploaded final parameters".into(),
-        ));
-    }
-    let refs: Vec<&[f32]> = outcome.final_models.values().map(Vec::as_slice).collect();
-    let consensus = crate::aggregate::average_params(&refs)?;
-    let mut built_eval = workload.build(k)?;
-    let metrics = built_eval.evaluate_params(&consensus)?;
+    let metrics = evaluate_consensus(workload, &built.test, &outcome)?;
 
     let stats = hub.net_stats();
     Ok(ThreadedReport {

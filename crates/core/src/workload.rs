@@ -95,6 +95,22 @@ impl Workload {
         }
     }
 
+    /// A freshly initialised model of this workload's architecture: the
+    /// `w₀` every device starts from, with untouched BatchNorm running
+    /// statistics.
+    ///
+    /// # Errors
+    ///
+    /// Returns a configuration error for an unknown model.
+    pub fn model(&self) -> Result<Model, HadflError> {
+        Ok(models::by_name(
+            &self.model_name,
+            &self.data_spec.sample_dims(),
+            self.data_spec.classes,
+            self.seed,
+        )?)
+    }
+
     /// Materializes the workload for `k` devices.
     ///
     /// All device models start from identical parameters (the paper's
@@ -109,22 +125,11 @@ impl Workload {
         let test =
             Dataset::synthetic_cifar(self.test_size, &self.data_spec, self.seed ^ 0x7E57_0000)?;
         let shards = train.shard(k, self.shard.into(), self.seed ^ 0x5A)?;
-        let reference = models::by_name(
-            &self.model_name,
-            &self.data_spec.sample_dims(),
-            self.data_spec.classes,
-            self.seed,
-        )?;
-        let init = reference.param_vector();
+        let init = self.model()?.param_vector();
         let model_bytes = (init.len() * std::mem::size_of::<f32>()) as u64;
         let mut runtimes = Vec::with_capacity(k);
         for (i, shard) in shards.iter().enumerate() {
-            let mut model = models::by_name(
-                &self.model_name,
-                &self.data_spec.sample_dims(),
-                self.data_spec.classes,
-                self.seed,
-            )?;
+            let mut model = self.model()?;
             model.set_param_vector(&init)?;
             runtimes.push(DeviceRuntime::new(
                 model,
@@ -184,12 +189,22 @@ impl BuiltWorkload {
             .runtimes
             .first_mut()
             .ok_or_else(|| HadflError::InvalidConfig("workload has no devices".into()))?;
-        let saved = rt.model.param_vector();
-        rt.model.set_param_vector(params)?;
-        let metrics = rt.model.evaluate(&self.test, 64)?;
-        rt.model.set_param_vector(&saved)?;
-        Ok(metrics)
+        evaluate_with(&mut rt.model, &self.test, params)
     }
+}
+
+/// Evaluates a parameter vector on `test` using `model` as scratch (its
+/// parameters are restored afterwards).
+pub(crate) fn evaluate_with(
+    model: &mut Model,
+    test: &Dataset,
+    params: &[f32],
+) -> Result<Metrics, HadflError> {
+    let saved = model.param_vector();
+    model.set_param_vector(params)?;
+    let metrics = model.evaluate(test, 64)?;
+    model.set_param_vector(&saved)?;
+    Ok(metrics)
 }
 
 /// One device's training state: model replica, optimizer, and a shard

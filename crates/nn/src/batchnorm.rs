@@ -91,9 +91,10 @@ impl Layer for BatchNorm2d {
         let m = (n * plane) as f32;
         let c = self.channels;
         let src = input.as_slice();
-        let mut out = input.clone();
-        let gamma = self.gamma.as_slice().to_vec();
-        let beta = self.beta.as_slice().to_vec();
+        let (gamma, beta) = (self.gamma.as_slice(), self.beta.as_slice());
+        // Every element is written exactly once, in storage order, so
+        // the outputs are built by appending — no fill to overwrite.
+        let mut out = Vec::with_capacity(src.len());
 
         if train {
             if n * plane < 2 {
@@ -101,8 +102,8 @@ impl Layer for BatchNorm2d {
                     "batchnorm training needs at least 2 values per channel".into(),
                 ));
             }
-            let mut xhat = Tensor::zeros(input.dims());
-            let mut inv_std = vec![0.0f32; c];
+            let mut means = Vec::with_capacity(c);
+            let mut inv_std = Vec::with_capacity(c);
             for ch in 0..c {
                 let mut mean = 0.0f32;
                 for img in 0..n {
@@ -119,41 +120,36 @@ impl Layer for BatchNorm2d {
                         .sum::<f32>();
                 }
                 var /= m;
-                let istd = 1.0 / (var + self.eps).sqrt();
-                inv_std[ch] = istd;
+                means.push(mean);
+                inv_std.push(1.0 / (var + self.eps).sqrt());
                 self.running_mean[ch] =
                     (1.0 - self.momentum) * self.running_mean[ch] + self.momentum * mean;
                 self.running_var[ch] =
                     (1.0 - self.momentum) * self.running_var[ch] + self.momentum * var;
-                let (xh, ov) = (xhat.as_mut_slice(), out.as_mut_slice());
-                for img in 0..n {
-                    let base = (img * c + ch) * plane;
-                    for i in base..base + plane {
-                        let h = (src[i] - mean) * istd;
-                        xh[i] = h;
-                        ov[i] = gamma[ch] * h + beta[ch];
-                    }
-                }
+            }
+            let mut xhat = Vec::with_capacity(src.len());
+            for (i, xs) in src.chunks(plane).enumerate() {
+                let ch = i % c;
+                let (mean, istd) = (means[ch], inv_std[ch]);
+                xhat.extend(xs.iter().map(|&x| (x - mean) * istd));
+                let hs = &xhat[i * plane..];
+                out.extend(hs.iter().map(|&h| gamma[ch] * h + beta[ch]));
             }
             self.cached = Some(BnCache {
-                xhat,
+                xhat: Tensor::from_vec(xhat, input.dims())?,
                 inv_std,
                 dims: input.dims().to_vec(),
             });
         } else {
-            let ov = out.as_mut_slice();
-            for ch in 0..c {
+            // `max(1)`: an empty plane means an empty `src`, not a panic.
+            for (i, xs) in src.chunks(plane.max(1)).enumerate() {
+                let ch = i % c;
                 let istd = 1.0 / (self.running_var[ch] + self.eps).sqrt();
                 let mean = self.running_mean[ch];
-                for img in 0..n {
-                    let base = (img * c + ch) * plane;
-                    for i in base..base + plane {
-                        ov[i] = gamma[ch] * (src[i] - mean) * istd + beta[ch];
-                    }
-                }
+                out.extend(xs.iter().map(|&x| gamma[ch] * (x - mean) * istd + beta[ch]));
             }
         }
-        Ok(out)
+        Ok(Tensor::from_vec(out, input.dims())?)
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Result<Tensor, NnError> {
@@ -174,14 +170,15 @@ impl Layer for BatchNorm2d {
         let m = (n * plane) as f32;
         let gy = grad_out.as_slice();
         let xh = cache.xhat.as_slice();
-        let mut gx = Tensor::zeros(&cache.dims);
-        let gxv = gx.as_mut_slice();
-        let gamma = self.gamma.as_slice().to_vec();
+        let gamma = self.gamma.as_slice();
         let (gg, gb) = (
             self.grad_gamma.as_mut_slice(),
             self.grad_beta.as_mut_slice(),
         );
 
+        // Per channel: (k, mean_gy, mean_gy_xh), the three scalars of
+        // the input gradient.
+        let mut coeffs = Vec::with_capacity(c);
         for ch in 0..c {
             let mut sum_gy = 0.0f32;
             let mut sum_gy_xh = 0.0f32;
@@ -194,17 +191,18 @@ impl Layer for BatchNorm2d {
             }
             gg[ch] += sum_gy_xh;
             gb[ch] += sum_gy;
-            let k = gamma[ch] * cache.inv_std[ch];
-            let mean_gy = sum_gy / m;
-            let mean_gy_xh = sum_gy_xh / m;
-            for img in 0..n {
-                let base = (img * c + ch) * plane;
-                for i in base..base + plane {
-                    gxv[i] = k * (gy[i] - mean_gy - xh[i] * mean_gy_xh);
-                }
-            }
+            coeffs.push((gamma[ch] * cache.inv_std[ch], sum_gy / m, sum_gy_xh / m));
         }
-        Ok(gx)
+        let mut gx = Vec::with_capacity(gy.len());
+        for (i, (gs, hs)) in gy.chunks(plane).zip(xh.chunks(plane)).enumerate() {
+            let (k, mean_gy, mean_gy_xh) = coeffs[i % c];
+            gx.extend(
+                gs.iter()
+                    .zip(hs)
+                    .map(|(&g, &h)| k * (g - mean_gy - h * mean_gy_xh)),
+            );
+        }
+        Ok(Tensor::from_vec(gx, &cache.dims)?)
     }
 
     fn visit_params(&self, f: &mut dyn FnMut(&Tensor)) {

@@ -1,16 +1,18 @@
 use hadfl_tensor::{
-    col2im, im2col, matmul_a_bt, matmul_at_b, Conv2dGeometry, Initializer, SeedStream, Tensor,
+    conv_backward_input, conv_backward_weight, conv_forward, im2col_into, Conv2dGeometry,
+    Initializer, SeedStream, Tensor,
 };
 
 use crate::error::NnError;
 use crate::layer::Layer;
 
 /// A 2-D convolution over NCHW batches, lowered to a matrix product via
-/// [`im2col`].
+/// [`im2col_into`].
 ///
 /// The filter bank is stored as a `(out_channels, C·kh·kw)` matrix; forward
-/// computes `patches · Wᵀ + b` and reshapes to `(N, out_channels, out_h,
-/// out_w)`.
+/// computes `patches · Wᵀ + b` straight into `(N, out_channels, out_h,
+/// out_w)`. The patch matrix lives in one buffer the layer keeps for its
+/// whole life, so a training step allocates nothing of that size.
 ///
 /// # Example
 ///
@@ -33,8 +35,11 @@ pub struct Conv2d {
     bias: Tensor,
     grad_weight: Tensor,
     grad_bias: Tensor,
-    cached_cols: Option<Tensor>,
-    cached_batch: usize,
+    /// The patch matrix of the latest forward pass (any mode).
+    cols: Tensor,
+    /// Whether `cols` came from a training-mode forward, i.e. whether
+    /// `backward` may use it.
+    cols_for_backward: bool,
 }
 
 impl Conv2d {
@@ -70,8 +75,8 @@ impl Conv2d {
             bias: Tensor::zeros(&[out_channels]),
             grad_weight: Tensor::zeros(&[out_channels, fan_in]),
             grad_bias: Tensor::zeros(&[out_channels]),
-            cached_cols: None,
-            cached_batch: 0,
+            cols: Tensor::default(),
+            cols_for_backward: false,
         })
     }
 
@@ -90,76 +95,13 @@ impl Conv2d {
         [self.out_channels, self.geom.out_h, self.geom.out_w]
     }
 
-    /// Transposes the `(rows, oc)` patch-major product into NCHW layout.
-    ///
-    /// Each image owns a disjoint `oc·ppi` window of the output, so
-    /// images parallelize with chunk boundaries fixed by the batch
-    /// layout alone — bit-identical at any thread count.
-    fn patches_to_nchw(&self, prod: &Tensor, batch: usize) -> Tensor {
-        let ppi = self.geom.patches_per_image();
-        let oc = self.out_channels;
-        let mut out = Tensor::zeros(&[batch, oc, self.geom.out_h, self.geom.out_w]);
-        let src = prod.as_slice();
-        let bias = self.bias.as_slice();
-        let img_stride = oc * ppi;
-        let work = (batch as u64) * (img_stride as u64);
-        hadfl_par::plan(work).chunks_mut(out.as_mut_slice(), img_stride.max(1), |img, dimg| {
-            for p in 0..ppi {
-                let row = (img * ppi + p) * oc;
-                for c in 0..oc {
-                    dimg[c * ppi + p] = src[row + c] + bias[c];
-                }
-            }
-        });
-        out
-    }
-
-    /// Transposes an NCHW gradient into the `(rows, oc)` patch-major
-    /// layout. Image-parallel like [`Conv2d::patches_to_nchw`].
-    fn nchw_to_patches(&self, grad: &Tensor, batch: usize) -> Tensor {
-        let ppi = self.geom.patches_per_image();
-        let oc = self.out_channels;
-        let mut out = Tensor::zeros(&[batch * ppi, oc]);
-        let src = grad.as_slice();
-        let img_stride = oc * ppi;
-        let work = (batch as u64) * (img_stride as u64);
-        hadfl_par::plan(work).chunks_mut(out.as_mut_slice(), img_stride.max(1), |img, dimg| {
-            let sbase = img * img_stride;
-            for c in 0..oc {
-                for p in 0..ppi {
-                    dimg[p * oc + c] = src[sbase + c * ppi + p];
-                }
-            }
-        });
-        out
-    }
-}
-
-impl Layer for Conv2d {
-    fn forward(&mut self, input: &Tensor, train: bool) -> Result<Tensor, NnError> {
-        let _prof = hadfl_prof::scope("conv2d_fwd");
-        let batch = *input
-            .dims()
-            .first()
-            .ok_or_else(|| NnError::BatchMismatch("conv input must be rank 4".into()))?;
-        let cols = im2col(input, &self.geom)?;
-        // (rows, patch_len) · (oc, patch_len)ᵀ -> (rows, oc)
-        let prod = matmul_a_bt(&cols, &self.weight)?;
-        let out = self.patches_to_nchw(&prod, batch);
-        if train {
-            self.cached_cols = Some(cols);
-            self.cached_batch = batch;
+    /// Accumulates `dW` and `db` from the cached patch matrix.
+    fn accumulate_param_grads(&mut self, grad_out: &Tensor) -> Result<(), NnError> {
+        if !self.cols_for_backward {
+            return Err(NnError::BackwardBeforeForward("Conv2d"));
         }
-        Ok(out)
-    }
-
-    fn backward(&mut self, grad_out: &Tensor) -> Result<Tensor, NnError> {
-        let _prof = hadfl_prof::scope("conv2d_bwd");
-        let cols = self
-            .cached_cols
-            .as_ref()
-            .ok_or(NnError::BackwardBeforeForward("Conv2d"))?;
-        let batch = self.cached_batch;
+        let ppi = self.geom.patches_per_image();
+        let batch = self.cols.dims()[0] / ppi;
         let want = [batch, self.out_channels, self.geom.out_h, self.geom.out_w];
         if grad_out.dims() != want {
             return Err(NnError::BatchMismatch(format!(
@@ -168,12 +110,9 @@ impl Layer for Conv2d {
                 want
             )));
         }
-        let gp = self.nchw_to_patches(grad_out, batch); // (rows, oc)
-                                                        // dW += gpᵀ · cols  : (oc, patch_len)
-        let gw = matmul_at_b(&gp, cols)?;
-        self.grad_weight.add_assign_t(&gw)?;
+        // dW += gpᵀ · cols  : (oc, patch_len)
+        conv_backward_weight(grad_out, &self.cols, &self.geom, &mut self.grad_weight)?;
         // db += per-channel sums of grad_out
-        let ppi = self.geom.patches_per_image();
         let gov = grad_out.as_slice();
         let gb = self.grad_bias.as_mut_slice();
         for img in 0..batch {
@@ -182,9 +121,35 @@ impl Layer for Conv2d {
                 *g += gov[base..base + ppi].iter().sum::<f32>();
             }
         }
-        // dx = col2im(gp · W)
-        let gcols = hadfl_tensor::matmul(&gp, &self.weight)?;
-        Ok(col2im(&gcols, &self.geom, batch)?)
+        Ok(())
+    }
+}
+
+impl Layer for Conv2d {
+    fn forward(&mut self, input: &Tensor, train: bool) -> Result<Tensor, NnError> {
+        let _prof = hadfl_prof::scope("conv2d_fwd");
+        // A rejected input leaves `cols` (and so the flag) as they were.
+        im2col_into(input, &self.geom, &mut self.cols)?;
+        self.cols_for_backward = train;
+        // (rows, patch_len) · (oc, patch_len)ᵀ + b -> NCHW
+        Ok(conv_forward(
+            &self.cols,
+            &self.weight,
+            &self.bias,
+            &self.geom,
+        )?)
+    }
+
+    fn backward(&mut self, grad_out: &Tensor) -> Result<Tensor, NnError> {
+        let _prof = hadfl_prof::scope("conv2d_bwd");
+        self.accumulate_param_grads(grad_out)?;
+        // dx = im2col*(gp · W)
+        Ok(conv_backward_input(grad_out, &self.weight, &self.geom)?)
+    }
+
+    fn backward_params(&mut self, grad_out: &Tensor) -> Result<(), NnError> {
+        let _prof = hadfl_prof::scope("conv2d_bwd");
+        self.accumulate_param_grads(grad_out)
     }
 
     fn visit_params(&self, f: &mut dyn FnMut(&Tensor)) {
@@ -326,6 +291,45 @@ mod tests {
                 "x[{i}]: {num} vs {ana}"
             );
         }
+    }
+
+    fn grads(conv: &mut Conv2d) -> Vec<u32> {
+        let mut out = Vec::new();
+        conv.visit_params_grads_mut(&mut |_, g| {
+            out.extend(g.as_slice().iter().map(|v| v.to_bits()))
+        });
+        out
+    }
+
+    #[test]
+    fn backward_params_leaves_parameter_gradients_bit_identical() {
+        let mut x = Tensor::zeros(&[3, 2, 5, 4]);
+        let mut gy = Tensor::zeros(&[3, 4, 3, 2]);
+        let mut rng = SeedStream::new(11);
+        for v in x.as_mut_slice().iter_mut().chain(gy.as_mut_slice()) {
+            *v = rng.normal();
+        }
+        let mut full = Conv2d::new(2, 4, 5, 4, 3, 2, 1, &mut SeedStream::new(5)).unwrap();
+        let mut params_only = Conv2d::new(2, 4, 5, 4, 3, 2, 1, &mut SeedStream::new(5)).unwrap();
+        for _ in 0..2 {
+            // Twice: the second pass accumulates onto non-zero gradients.
+            full.forward(&x, true).unwrap();
+            full.backward(&gy).unwrap();
+            params_only.forward(&x, true).unwrap();
+            params_only.backward_params(&gy).unwrap();
+        }
+        assert_eq!(grads(&mut full), grads(&mut params_only));
+    }
+
+    #[test]
+    fn eval_forward_invalidates_the_training_cache() {
+        let mut conv = Conv2d::new(1, 1, 3, 3, 3, 1, 1, &mut SeedStream::new(0)).unwrap();
+        conv.forward(&Tensor::ones(&[2, 1, 3, 3]), true).unwrap();
+        conv.forward(&Tensor::ones(&[4, 1, 3, 3]), false).unwrap();
+        assert!(matches!(
+            conv.backward(&Tensor::zeros(&[2, 1, 3, 3])),
+            Err(NnError::BackwardBeforeForward("Conv2d"))
+        ));
     }
 
     #[test]

@@ -46,6 +46,19 @@ pub trait Layer: Send {
     /// `grad_out` does not match the cached output shape.
     fn backward(&mut self, grad_out: &Tensor) -> Result<Tensor, NnError>;
 
+    /// [`backward`](Layer::backward) for a caller with no use for the
+    /// input gradient — a network's first layer, whose input is data.
+    /// Parameter gradients accumulate exactly as in `backward`; layers
+    /// whose input gradient is a separate piece of work override this
+    /// to leave it out.
+    ///
+    /// # Errors
+    ///
+    /// As [`backward`](Layer::backward).
+    fn backward_params(&mut self, grad_out: &Tensor) -> Result<(), NnError> {
+        self.backward(grad_out).map(drop)
+    }
+
     /// Visits each parameter tensor in deterministic order.
     fn visit_params(&self, f: &mut dyn FnMut(&Tensor));
 

@@ -146,7 +146,7 @@ impl Model {
         if !loss.is_finite() {
             return Err(NnError::NonFinite("training loss"));
         }
-        self.net.backward(&grad)?;
+        self.net.backward_params(&grad)?;
         opt.step(&mut self.net)?;
         Ok(loss)
     }
@@ -161,7 +161,7 @@ impl Model {
     pub fn accumulate_grads(&mut self, x: &Tensor, labels: &[usize]) -> Result<f32, NnError> {
         let logits = self.net.forward(x, true)?;
         let (loss, grad) = softmax_cross_entropy(&logits, labels)?;
-        self.net.backward(&grad)?;
+        self.net.backward_params(&grad)?;
         Ok(loss)
     }
 

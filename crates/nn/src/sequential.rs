@@ -91,6 +91,17 @@ impl Layer for Sequential {
         Ok(g)
     }
 
+    fn backward_params(&mut self, grad_out: &Tensor) -> Result<(), NnError> {
+        let Some((first, rest)) = self.layers.split_first_mut() else {
+            return Ok(());
+        };
+        let mut g = grad_out.clone();
+        for layer in rest.iter_mut().rev() {
+            g = layer.backward(&g)?;
+        }
+        first.backward_params(&g)
+    }
+
     fn visit_params(&self, f: &mut dyn FnMut(&Tensor)) {
         for layer in &self.layers {
             layer.visit_params(f);
@@ -168,6 +179,31 @@ mod tests {
         let mut total = 0.0;
         s.visit_params_grads_mut(&mut |_, g| total += g.norm_l2());
         assert_eq!(total, 0.0);
+    }
+
+    #[test]
+    fn backward_params_matches_backward_on_every_parameter() {
+        let build = || {
+            let mut rng = SeedStream::new(3);
+            let mut s = Sequential::new();
+            s.push(Dense::new(4, 5, &mut rng));
+            s.push(Dense::new(5, 2, &mut rng));
+            s
+        };
+        let (mut full, mut params_only) = (build(), build());
+        let x = Tensor::from_vec((0..8).map(|i| i as f32 * 0.25 - 1.0).collect(), &[2, 4]).unwrap();
+        let gy = Tensor::from_vec(vec![0.5, -1.0, 2.0, 0.25], &[2, 2]).unwrap();
+        full.forward(&x, true).unwrap();
+        full.backward(&gy).unwrap();
+        params_only.forward(&x, true).unwrap();
+        params_only.backward_params(&gy).unwrap();
+        let grads = |s: &mut Sequential| {
+            let mut out = Vec::new();
+            s.visit_params_grads_mut(&mut |_, g| out.extend_from_slice(g.as_slice()));
+            out
+        };
+        assert_eq!(grads(&mut full), grads(&mut params_only));
+        Sequential::new().backward_params(&gy).unwrap();
     }
 
     #[test]

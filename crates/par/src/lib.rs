@@ -200,7 +200,7 @@ pub fn chunk_count(len: usize, chunk_len: usize) -> usize {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum OpClass {
     /// Disjoint per-element writes: `axpy`, scaling, parameter merges,
-    /// `im2col`/`col2im`. Memory-bandwidth-bound, so threads help the
+    /// `im2col`. Memory-bandwidth-bound, so threads help the
     /// least — the most conservative cutoff.
     Elementwise,
     /// Chunked sums (`dot`, `sum`, `norm_l2`): bandwidth-bound reads

@@ -1,13 +1,20 @@
-//! `im2col`/`col2im` lowering for 2-D convolution.
+//! `im2col` lowering for 2-D convolution, and the three products a
+//! convolution layer is made of.
 //!
 //! Convolution layers in the `nn` crate are computed as a matrix product
 //! over patches: the NCHW input is unrolled into a `(N·out_h·out_w) ×
-//! (C·kh·kw)` patch matrix ([`im2col`]), multiplied against the reshaped
-//! filter bank, and gradients flow back through [`col2im`].
+//! (C·kh·kw)` patch matrix ([`im2col_into`]) and multiplied against the
+//! reshaped filter bank ([`conv_forward`]); gradients flow back through
+//! [`conv_backward_weight`] and [`conv_backward_input`]. The products
+//! read and write activations in NCHW directly — the patch-major ↔ NCHW
+//! transposes, the bias add and the patch scatter are the prologue and
+//! epilogue of the product they belong to, not passes of their own.
 
+use hadfl_par::OpClass;
 use serde::{Deserialize, Serialize};
 
 use crate::error::TensorError;
+use crate::linalg::{block_product, rows_a_bt, Strided, ROW_BAND, ROW_BLOCK};
 use crate::tensor::Tensor;
 
 /// Static geometry of a 2-D convolution: input extents, kernel, stride and
@@ -99,6 +106,57 @@ impl Conv2dGeometry {
     }
 }
 
+/// Fixed patch rows per parallel chunk in [`im2col_into`] — a constant
+/// of the kernel, never derived from the thread count.
+const ROW_CHUNK: usize = 32;
+
+/// Calls `run(col, offset, len)` for every kernel row of the patch at
+/// `(oy, ox)` that overlaps the image: `len` consecutive patch columns
+/// starting at `col` correspond to `len` consecutive pixels starting at
+/// `offset` within one image. Within a patch row, `x` advances by
+/// exactly 1 per `kx` (the stride applies to `ox`, not `kx`), so the
+/// part of a kernel row that is not clipped by padding is always one
+/// contiguous run; runs come in ascending `col` order.
+///
+/// `k` is `geom.kernel`, passed separately so a caller can hand in a
+/// literal: an unclipped run then has a compile-time length and its
+/// copy is a fixed-size move instead of a `memcpy` call.
+#[inline(always)]
+fn for_each_patch_run(
+    geom: &Conv2dGeometry,
+    k: usize,
+    oy: usize,
+    ox: usize,
+    mut run: impl FnMut(usize, usize, usize),
+) {
+    let (ih, iw, s, p) = (geom.in_h, geom.in_w, geom.stride, geom.padding);
+    let (y0, x0) = (oy * s, ox * s);
+    // Pixel (y0 + ky - p, x0 + kx - p) is inside the image for
+    // ky_lo <= ky < ky_hi and kx_lo <= kx < kx_hi.
+    let (ky_lo, ky_hi) = (p.saturating_sub(y0), k.min((ih + p).saturating_sub(y0)));
+    let (kx_lo, kx_hi) = (p.saturating_sub(x0), k.min((iw + p).saturating_sub(x0)));
+    if kx_lo >= kx_hi {
+        return;
+    }
+    // The first run of channel 0; every later one is a fixed step away.
+    let (len, col0) = (kx_hi - kx_lo, ky_lo * k + kx_lo);
+    let off0 = (y0 + ky_lo - p) * iw + x0 + kx_lo - p;
+    for c in 0..geom.in_channels {
+        let (mut col, mut off) = (c * k * k + col0, c * ih * iw + off0);
+        for _ in ky_lo..ky_hi {
+            // Unclipped runs are `k` long; saying so lets a literal
+            // `k` reach the callback.
+            if len == k {
+                run(col, off, k);
+            } else {
+                run(col, off, len);
+            }
+            col += k;
+            off += iw;
+        }
+    }
+}
+
 /// Unrolls an NCHW batch into a patch matrix of shape
 /// `(N·out_h·out_w) × (C·kh·kw)`.
 ///
@@ -107,6 +165,30 @@ impl Conv2dGeometry {
 /// Returns [`TensorError::ShapeMismatch`] if `input` is not
 /// `(N, C, H, W)` matching `geom`.
 pub fn im2col(input: &Tensor, geom: &Conv2dGeometry) -> Result<Tensor, TensorError> {
+    let mut cols = Tensor::default();
+    im2col_into(input, geom, &mut cols)?;
+    Ok(cols)
+}
+
+/// [`im2col`] into a buffer the caller keeps between calls.
+///
+/// Only cells that correspond to a pixel are written; padding cells are
+/// left alone. Which cells are padding depends on `geom` and the row
+/// count alone, so a buffer that starts as zeros and is only ever
+/// filled for one geometry keeps its padding cells zero for free. A
+/// `cols` of any other shape (a new buffer, or a changed batch size) is
+/// replaced by fresh zeros first; reusing one buffer across *different*
+/// geometries of equal shape is the caller's error.
+///
+/// # Errors
+///
+/// Returns [`TensorError::ShapeMismatch`] if `input` is not
+/// `(N, C, H, W)` matching `geom`.
+pub fn im2col_into(
+    input: &Tensor,
+    geom: &Conv2dGeometry,
+    cols: &mut Tensor,
+) -> Result<(), TensorError> {
     let dims = input.dims();
     if dims.len() != 4
         || dims[1] != geom.in_channels
@@ -119,63 +201,114 @@ pub fn im2col(input: &Tensor, geom: &Conv2dGeometry) -> Result<Tensor, TensorErr
             rhs: vec![0, geom.in_channels, geom.in_h, geom.in_w],
         });
     }
-    let n = dims[0];
     let ppi = geom.patches_per_image();
-    let rows = n * ppi;
-    let cols = geom.patch_len();
-    let _prof = hadfl_prof::scope_bytes("im2col", 4 * (input.len() + rows * cols) as u64);
-    let mut out = Tensor::zeros(&[rows, cols]);
+    let rows = dims[0] * ppi;
+    let width = geom.patch_len();
+    if cols.dims() != [rows, width] {
+        *cols = Tensor::zeros(&[rows, width]);
+    }
+    let _prof = hadfl_prof::scope_bytes("im2col", 4 * (input.len() + rows * width) as u64);
     let src = input.as_slice();
-    let (ih, iw, k, s, p) = (geom.in_h, geom.in_w, geom.kernel, geom.stride, geom.padding);
-    let chan_stride = ih * iw;
-    let img_stride = geom.in_channels * chan_stride;
+    let img_stride = geom.in_channels * geom.in_h * geom.in_w;
     let ow = geom.out_w;
 
     // Patch rows are disjoint output windows, so they split into fixed
     // row chunks (boundaries independent of the thread count) whose
     // fills commute — bit-identical at any parallelism.
-    let work = (rows as u64) * (cols as u64);
-    hadfl_par::plan(work).chunks_mut(
+    let work = (rows as u64) * (width as u64);
+    hadfl_par::plan(work).chunks_mut(cols.as_mut_slice(), ROW_CHUNK * width, |chunk, dchunk| {
+        for (r, drow) in dchunk.chunks_mut(width).enumerate() {
+            let row = chunk * ROW_CHUNK + r;
+            let (img, patch) = (row / ppi, row % ppi);
+            let simg = &src[img * img_stride..(img + 1) * img_stride];
+            let copy = |col: usize, off: usize, len: usize| {
+                drow[col..col + len].copy_from_slice(&simg[off..off + len]);
+            };
+            // One routine; the literal only fixes the copy length.
+            if geom.kernel == 3 {
+                for_each_patch_run(geom, 3, patch / ow, patch % ow, copy);
+            } else {
+                for_each_patch_run(geom, geom.kernel, patch / ow, patch % ow, copy);
+            }
+        }
+    });
+    Ok(())
+}
+
+/// Checks an NCHW activation gradient against `geom`'s output extents
+/// and returns `(batch, out_channels)`.
+fn check_grad_out(
+    grad_out: &Tensor,
+    geom: &Conv2dGeometry,
+    op: &'static str,
+) -> Result<(usize, usize), TensorError> {
+    let dims = grad_out.dims();
+    if dims.len() != 4 || dims[2] != geom.out_h || dims[3] != geom.out_w {
+        return Err(TensorError::ShapeMismatch {
+            op,
+            lhs: dims.to_vec(),
+            rhs: vec![0, 0, geom.out_h, geom.out_w],
+        });
+    }
+    Ok((dims[0], dims[1]))
+}
+
+fn check_dims(op: &'static str, t: &Tensor, want: &[usize]) -> Result<(), TensorError> {
+    if t.dims() != want {
+        return Err(TensorError::ShapeMismatch {
+            op,
+            lhs: t.dims().to_vec(),
+            rhs: want.to_vec(),
+        });
+    }
+    Ok(())
+}
+
+/// The forward product `cols · weightᵀ + bias`, written straight into
+/// NCHW: `out[img, c, p] = dot8(cols[img·ppi + p, ·], weight[c, ·]) +
+/// bias[c]`.
+///
+/// `cols` is the `(N·ppi) × patch_len` patch matrix, `weight` the
+/// `oc × patch_len` filter bank, `bias` has `oc` entries.
+///
+/// # Errors
+///
+/// Returns [`TensorError::ShapeMismatch`] if the operands disagree with
+/// each other or with `geom`.
+pub fn conv_forward(
+    cols: &Tensor,
+    weight: &Tensor,
+    bias: &Tensor,
+    geom: &Conv2dGeometry,
+) -> Result<Tensor, TensorError> {
+    let (ppi, width) = (geom.patches_per_image(), geom.patch_len());
+    let rows = cols.dims().first().copied().unwrap_or(0);
+    let batch = rows / ppi;
+    check_dims("conv_forward", cols, &[batch * ppi, width])?;
+    let oc = bias.len();
+    check_dims("conv_forward", weight, &[oc, width])?;
+    check_dims("conv_forward", bias, &[oc])?;
+    let _prof = hadfl_prof::scope_bytes(
+        "conv_forward",
+        4 * (cols.len() + weight.len() + rows * oc) as u64,
+    );
+    let mut out = Tensor::zeros(&[batch, oc, geom.out_h, geom.out_w]);
+    let (cv, wv, bv) = (cols.as_slice(), weight.as_slice(), bias.as_slice());
+    // Each image owns a disjoint `oc·ppi` window of the output and every
+    // element is one fixed-association dot — bit-identical at any
+    // thread count.
+    let work = (rows as u64) * (width as u64) * (oc as u64);
+    hadfl_par::plan_for(OpClass::Matmul, work).chunks_mut(
         out.as_mut_slice(),
-        ROW_CHUNK * cols.max(1),
-        |chunk, dchunk| {
-            let row0 = chunk * ROW_CHUNK;
-            for (r, drow) in dchunk.chunks_mut(cols).enumerate() {
-                let row = row0 + r;
-                let (img, patch) = (row / ppi, row % ppi);
-                let (oy, ox) = (patch / ow, patch % ow);
-                // Within a patch row, `x` advances by exactly 1 per
-                // `kx` (the stride applies to `ox`, not `kx`), so a
-                // fully in-bounds kernel row is one contiguous source
-                // run: bulk-copy it and fall back to the per-element
-                // bounds-checked walk only on rows clipped by padding.
-                // A copy is a copy — the fast path is bit-exact.
-                let x0 = (ox * s) as isize - p as isize;
-                let row_in_bounds = x0 >= 0 && x0 as usize + k <= iw;
-                let mut col = 0;
-                for c in 0..geom.in_channels {
-                    let cbase = img * img_stride + c * chan_stride;
-                    for ky in 0..k {
-                        let y = (oy * s + ky) as isize - p as isize;
-                        if y >= 0 && (y as usize) < ih {
-                            let rbase = cbase + y as usize * iw;
-                            if row_in_bounds {
-                                let start = rbase + x0 as usize;
-                                drow[col..col + k].copy_from_slice(&src[start..start + k]);
-                                col += k;
-                                continue;
-                            }
-                            for kx in 0..k {
-                                let x = x0 + kx as isize;
-                                if x >= 0 && (x as usize) < iw {
-                                    drow[col] = src[rbase + x as usize];
-                                }
-                                col += 1;
-                            }
-                        } else {
-                            col += k;
-                        }
-                    }
+        (oc * ppi).max(1),
+        |img, dimg| {
+            // The image's `ppi × oc` product, then its transpose plus
+            // bias into the NCHW window — both in cache.
+            let mut prod = vec![0.0f32; ppi * oc];
+            rows_a_bt(&cv[img * ppi * width..], wv, width, oc, &mut prod);
+            for (c, (plane, &b)) in dimg.chunks_mut(ppi).zip(bv).enumerate() {
+                for (p, o) in plane.iter_mut().enumerate() {
+                    *o = prod[p * oc + c] + b;
                 }
             }
         },
@@ -183,80 +316,125 @@ pub fn im2col(input: &Tensor, geom: &Conv2dGeometry) -> Result<Tensor, TensorErr
     Ok(out)
 }
 
-/// Fixed patch rows per parallel chunk in [`im2col`] — a constant of
-/// the kernel, never derived from the thread count.
-const ROW_CHUNK: usize = 32;
-
-/// Folds a patch-matrix gradient back onto the NCHW input gradient —
-/// the adjoint of [`im2col`]. Overlapping patches accumulate.
+/// Accumulates the weight gradient `grad_weight += gpᵀ · cols`, where
+/// `gp` is `grad_out` in patch-major `(N·ppi) × oc` layout — read in
+/// place from NCHW, one image per `k` segment, never transposed.
+///
+/// Per element the product is summed from zero in ascending patch-row
+/// order with the `gp == 0.0` skip and then added to `grad_weight` once:
+/// the bits of [`crate::matmul_at_b`] followed by `add_assign_t`.
 ///
 /// # Errors
 ///
-/// Returns [`TensorError::ShapeMismatch`] if `cols` is not
-/// `(N·out_h·out_w) × (C·kh·kw)` for the given `geom` and `batch`.
-pub fn col2im(cols: &Tensor, geom: &Conv2dGeometry, batch: usize) -> Result<Tensor, TensorError> {
-    let want_rows = batch * geom.patches_per_image();
-    let want_cols = geom.patch_len();
-    if cols.dims() != [want_rows, want_cols] {
-        return Err(TensorError::ShapeMismatch {
-            op: "col2im",
-            lhs: cols.dims().to_vec(),
-            rhs: vec![want_rows, want_cols],
-        });
-    }
-    let _prof = hadfl_prof::scope_bytes("col2im", 4 * cols.len() as u64);
+/// Returns [`TensorError::ShapeMismatch`] if the operands disagree with
+/// each other or with `geom`.
+pub fn conv_backward_weight(
+    grad_out: &Tensor,
+    cols: &Tensor,
+    geom: &Conv2dGeometry,
+    grad_weight: &mut Tensor,
+) -> Result<(), TensorError> {
+    let (batch, oc) = check_grad_out(grad_out, geom, "conv_backward_weight")?;
+    let (ppi, width) = (geom.patches_per_image(), geom.patch_len());
+    check_dims("conv_backward_weight", cols, &[batch * ppi, width])?;
+    check_dims("conv_backward_weight", grad_weight, &[oc, width])?;
+    let _prof = hadfl_prof::scope_bytes(
+        "conv_backward_weight",
+        4 * (grad_out.len() + cols.len() + oc * width) as u64,
+    );
+    let (gv, cv) = (grad_out.as_slice(), cols.as_slice());
+    let work = (batch * ppi) as u64 * (width as u64) * (oc as u64);
+    hadfl_par::plan_for(OpClass::Matmul, work).chunks_mut(
+        grad_weight.as_mut_slice(),
+        ROW_BAND * width,
+        |band, gband| {
+            for (blk, gblock) in gband.chunks_mut(ROW_BLOCK * width).enumerate() {
+                let c0 = band * ROW_BAND + blk * ROW_BLOCK;
+                // Filter rows c0.. of gpᵀ: the patch axis is contiguous
+                // within an image and restarts `oc·ppi` further on.
+                let lhs = Strided {
+                    a: gv,
+                    row_stride: ppi,
+                    k_stride: 1,
+                    depth: ppi,
+                    seg_stride: oc * ppi,
+                    segments: batch,
+                }
+                .skip_rows(c0);
+                block_product(lhs, cv, width, gblock.len() / width, |r, jt, vals| {
+                    for (g, &v) in gblock[r * width + jt..].iter_mut().zip(vals) {
+                        *g += v;
+                    }
+                });
+            }
+        },
+    );
+    Ok(())
+}
+
+/// The input gradient: `gp · weight` scattered back onto NCHW — the
+/// adjoint of [`im2col`] applied to a product that is never stored.
+///
+/// Each image computes [`ROW_BLOCK`] patch rows of `gp · weight` at a
+/// time into a small tile (ascending `k`, `gp == 0.0` skipped) and
+/// scatter-adds them immediately, patch by patch in ascending order.
+/// An input pixel receives at most one column of any patch, so
+/// ascending patch order fixes its additions completely: the bits are
+/// those of the full product followed by a patch-major scatter.
+///
+/// # Errors
+///
+/// Returns [`TensorError::ShapeMismatch`] if the operands disagree with
+/// each other or with `geom`.
+pub fn conv_backward_input(
+    grad_out: &Tensor,
+    weight: &Tensor,
+    geom: &Conv2dGeometry,
+) -> Result<Tensor, TensorError> {
+    let (batch, oc) = check_grad_out(grad_out, geom, "conv_backward_input")?;
+    let (ppi, width) = (geom.patches_per_image(), geom.patch_len());
+    check_dims("conv_backward_input", weight, &[oc, width])?;
+    let _prof = hadfl_prof::scope_bytes(
+        "conv_backward_input",
+        4 * (grad_out.len() + weight.len()) as u64,
+    );
     let mut out = Tensor::zeros(&[batch, geom.in_channels, geom.in_h, geom.in_w]);
-    let src = cols.as_slice();
-    let (ih, iw, k, s, p) = (geom.in_h, geom.in_w, geom.kernel, geom.stride, geom.padding);
-    let chan_stride = ih * iw;
-    let img_stride = geom.in_channels * chan_stride;
-    let ppi = geom.patches_per_image();
+    let (gv, wv) = (grad_out.as_slice(), weight.as_slice());
+    let img_stride = geom.in_channels * geom.in_h * geom.in_w;
     let ow = geom.out_w;
 
     // Overlapping patches accumulate *within* an image but never
     // across images, so the image is the natural disjoint chunk; the
     // per-image accumulation order (patch-major, ascending) is the
     // scalar reference order regardless of thread count.
-    let work = (batch as u64) * (ppi as u64) * (want_cols as u64);
-    hadfl_par::plan(work).chunks_mut(out.as_mut_slice(), img_stride, |img, dimg| {
-        for patch in 0..ppi {
-            let (oy, ox) = (patch / ow, patch % ow);
-            let base = (img * ppi + patch) * want_cols;
-            // Same contiguous-run structure as the im2col gather: a
-            // fully in-bounds kernel row accumulates element-by-element
-            // in ascending `kx` either way, so the vector-friendly zip
-            // adds the same floats in the same order — bit-identical.
-            let x0 = (ox * s) as isize - p as isize;
-            let row_in_bounds = x0 >= 0 && x0 as usize + k <= iw;
-            let mut col = 0;
-            for c in 0..geom.in_channels {
-                let cbase = c * chan_stride;
-                for ky in 0..k {
-                    let y = (oy * s + ky) as isize - p as isize;
-                    if y < 0 || (y as usize) >= ih {
-                        col += k;
-                        continue;
-                    }
-                    let rbase = cbase + y as usize * iw;
-                    if row_in_bounds {
-                        let dst = &mut dimg[rbase + x0 as usize..rbase + x0 as usize + k];
-                        for (d, &v) in dst.iter_mut().zip(&src[base + col..base + col + k]) {
+    let work = (batch * ppi) as u64 * (width as u64) * (oc as u64);
+    hadfl_par::plan_for(OpClass::Matmul, work).chunks_mut(
+        out.as_mut_slice(),
+        img_stride,
+        |img, dimg| {
+            let mut tile = vec![0.0f32; ROW_BLOCK * width];
+            for p0 in (0..ppi).step_by(ROW_BLOCK) {
+                let rows = (ppi - p0).min(ROW_BLOCK);
+                let lhs = Strided::new(&gv[img * oc * ppi..], 1, ppi, oc).skip_rows(p0);
+                block_product(lhs, wv, width, rows, |r, jt, vals| {
+                    tile[r * width + jt..r * width + jt + vals.len()].copy_from_slice(vals);
+                });
+                for (r, trow) in tile.chunks(width).take(rows).enumerate() {
+                    let patch = p0 + r;
+                    let add = |col: usize, off: usize, len: usize| {
+                        for (d, &v) in dimg[off..off + len].iter_mut().zip(&trow[col..col + len]) {
                             *d += v;
                         }
-                        col += k;
-                        continue;
-                    }
-                    for kx in 0..k {
-                        let x = x0 + kx as isize;
-                        if x >= 0 && (x as usize) < iw {
-                            dimg[rbase + x as usize] += src[base + col];
-                        }
-                        col += 1;
+                    };
+                    if geom.kernel == 3 {
+                        for_each_patch_run(geom, 3, patch / ow, patch % ow, add);
+                    } else {
+                        for_each_patch_run(geom, geom.kernel, patch / ow, patch % ow, add);
                     }
                 }
             }
-        }
-    });
+        },
+    );
     Ok(out)
 }
 
@@ -316,24 +494,47 @@ mod tests {
         assert!(im2col(&Tensor::zeros(&[3, 4, 4]), &g).is_err());
     }
 
-    #[test]
-    fn col2im_is_adjoint_of_im2col() {
-        // <im2col(x), y> == <x, col2im(y)> for random x, y — the defining
-        // property of the adjoint, which is exactly what backprop needs.
-        use crate::init::SeedStream;
-        let g = Conv2dGeometry::new(2, 5, 4, 3, 2, 1).unwrap();
-        let mut rng = SeedStream::new(1234);
-        let mut x = Tensor::zeros(&[2, 2, 5, 4]);
-        for v in x.as_mut_slice() {
+    fn random(dims: &[usize], rng: &mut crate::init::SeedStream) -> Tensor {
+        let mut t = Tensor::zeros(dims);
+        for v in t.as_mut_slice() {
             *v = rng.normal();
         }
-        let cols_rows = 2 * g.patches_per_image();
-        let mut y = Tensor::zeros(&[cols_rows, g.patch_len()]);
-        for v in y.as_mut_slice() {
-            *v = rng.normal();
+        t
+    }
+
+    #[test]
+    fn im2col_into_reuses_a_buffer_and_rezeroes_on_batch_change() {
+        let g = Conv2dGeometry::new(2, 5, 4, 3, 2, 1).unwrap();
+        let mut rng = crate::init::SeedStream::new(9);
+        let mut cols = Tensor::default();
+        for batch in [2, 2, 3, 1] {
+            let x = random(&[batch, 2, 5, 4], &mut rng);
+            im2col_into(&x, &g, &mut cols).unwrap();
+            assert_eq!(cols, im2col(&x, &g).unwrap(), "batch {batch}");
+        }
+    }
+
+    #[test]
+    fn backward_input_is_adjoint_of_im2col() {
+        // <im2col(x), y> == <x, im2col*(y)> for random x, y — the defining
+        // property of the adjoint, which is exactly what backprop needs.
+        // With an identity filter bank, gp · W is gp itself.
+        let g = Conv2dGeometry::new(2, 5, 4, 3, 2, 1).unwrap();
+        let (ppi, width) = (g.patches_per_image(), g.patch_len());
+        let mut rng = crate::init::SeedStream::new(1234);
+        let x = random(&[2, 2, 5, 4], &mut rng);
+        let gy = random(&[2, width, g.out_h, g.out_w], &mut rng);
+        let mut y = Tensor::zeros(&[2 * ppi, width]);
+        for img in 0..2 {
+            for c in 0..width {
+                for p in 0..ppi {
+                    y.as_mut_slice()[(img * ppi + p) * width + c] =
+                        gy.as_slice()[(img * width + c) * ppi + p];
+                }
+            }
         }
         let ax = im2col(&x, &g).unwrap();
-        let aty = col2im(&y, &g, 2).unwrap();
+        let aty = conv_backward_input(&gy, &Tensor::eye(width), &g).unwrap();
         let lhs = ax.dot(&y).unwrap();
         let rhs = x.dot(&aty).unwrap();
         assert!(
@@ -343,8 +544,20 @@ mod tests {
     }
 
     #[test]
-    fn col2im_rejects_wrong_shape() {
+    fn conv_products_reject_wrong_shapes() {
         let g = Conv2dGeometry::new(1, 4, 4, 3, 1, 1).unwrap();
-        assert!(col2im(&Tensor::zeros(&[3, 3]), &g, 1).is_err());
+        let (w, b) = (Tensor::zeros(&[2, 9]), Tensor::zeros(&[2]));
+        let cols = Tensor::zeros(&[16, 9]);
+        let gy = Tensor::zeros(&[1, 2, 4, 4]);
+        assert!(conv_forward(&cols, &w, &b, &g).is_ok());
+        assert!(conv_forward(&Tensor::zeros(&[15, 9]), &w, &b, &g).is_err());
+        assert!(conv_forward(&cols, &Tensor::zeros(&[2, 8]), &b, &g).is_err());
+        assert!(conv_backward_input(&gy, &w, &g).is_ok());
+        assert!(conv_backward_input(&Tensor::zeros(&[1, 2, 3, 4]), &w, &g).is_err());
+        assert!(conv_backward_input(&gy, &Tensor::zeros(&[3, 9]), &g).is_err());
+        let mut gw = Tensor::zeros(&[2, 9]);
+        assert!(conv_backward_weight(&gy, &cols, &g, &mut gw).is_ok());
+        assert!(conv_backward_weight(&gy, &Tensor::zeros(&[8, 9]), &g, &mut gw).is_err());
+        assert!(conv_backward_weight(&gy, &cols, &g, &mut Tensor::zeros(&[9, 2])).is_err());
     }
 }

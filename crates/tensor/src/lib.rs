@@ -3,9 +3,10 @@
 //! This crate deliberately implements only what the federated-learning
 //! substrates above it need — dense row-major tensors, the handful of
 //! linear-algebra kernels used by dense and convolutional layers
-//! ([`matmul`], [`im2col`]), reductions, and seeded random initialization —
-//! rather than binding to an external BLAS. Everything is deterministic
-//! given a seed, which the experiment harness relies on.
+//! ([`matmul`], [`im2col`], the [`conv_forward`] family), reductions, and
+//! seeded random initialization — rather than binding to an external
+//! BLAS. Everything is deterministic given a seed, which the experiment
+//! harness relies on.
 //!
 //! # Example
 //!
@@ -33,7 +34,9 @@ mod shape;
 pub mod simd;
 mod tensor;
 
-pub use conv::{col2im, im2col, Conv2dGeometry};
+pub use conv::{
+    conv_backward_input, conv_backward_weight, conv_forward, im2col, im2col_into, Conv2dGeometry,
+};
 pub use error::TensorError;
 pub use init::{Initializer, SeedStream};
 pub use linalg::{matmul, matmul_a_bt, matmul_at_b, outer};

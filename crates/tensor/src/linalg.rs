@@ -2,16 +2,19 @@
 //!
 //! The kernels are register-blocked and row-parallel: output rows are
 //! split into fixed [`ROW_BAND`]-row bands dispatched through
-//! `hadfl-par` (sized with the measured [`OpClass::Matmul`] cutoff),
-//! and within a row the inner product accumulates into a register tile
-//! instead of round-tripping the output row through memory on every
-//! `k`. Per output element [`matmul`] and [`matmul_at_b`] add in
-//! strictly increasing `k` order — the same association as the naive
-//! ikj scalar loop — while [`matmul_a_bt`]'s row-dot uses the fixed
-//! eight-lane association of [`crate::simd`]. Both associations are
-//! pure functions of the problem shape, so results are bit-identical
-//! to the scalar reference at any thread count (the determinism
-//! contract of DESIGN.md §10).
+//! `hadfl-par` (sized with the measured [`OpClass::Matmul`] cutoff).
+//! Within a band, [`matmul`] and [`matmul_at_b`] share one micro-kernel
+//! ([`block_product`]) that holds a [`ROW_BLOCK`]×[`COL_TILE`]
+//! accumulator block in registers across all of `k`, so each loaded
+//! `b` tile feeds every row of the block and no output element touches
+//! memory before it is final. Per output element the additions still
+//! occur in strictly increasing `k` order with the `a == 0.0` skip —
+//! the same association as the naive ikj scalar loop — while
+//! [`matmul_a_bt`]'s row-dot uses the fixed eight-lane association of
+//! [`crate::simd`]. Both associations are pure functions of the
+//! problem shape, so results are bit-identical to the scalar reference
+//! at any thread count and any blocking (the determinism contract of
+//! DESIGN.md §10).
 
 use hadfl_par::OpClass;
 
@@ -21,33 +24,137 @@ use crate::tensor::Tensor;
 /// Fixed number of output rows per parallel band. A function of the
 /// problem shape only — never of the thread count — so the work
 /// decomposition (and thus the result) is independent of parallelism.
-const ROW_BAND: usize = 8;
+pub(crate) const ROW_BAND: usize = 8;
 
 /// Register-tile width: output columns accumulated in registers at a
-/// time within one row.
-const COL_TILE: usize = 16;
+/// time.
+pub(crate) const COL_TILE: usize = 16;
 
-/// `out_row[j_tile] = Σ_k a[i,k]·b[k,j]` for one output row, with the
-/// accumulators held in a [`COL_TILE`]-wide register tile. Additions
-/// per element occur in ascending `k`, skipping `a[i,k] == 0.0` — the
-/// exact operation sequence of the scalar ikj reference.
+/// Register-tile height: output rows that share each loaded `b` tile.
+pub(crate) const ROW_BLOCK: usize = 2;
+
+/// A strided view of a left operand's rows: element `(r, k)` of the
+/// block is `a[r * row_stride + k * k_stride]`, for `k < depth`.
+/// Row-major `a` has `k_stride == 1`; a transposed or channel-major
+/// operand has `row_stride == 1` instead, which is how [`matmul_at_b`]
+/// and the convolution gradients read their operand in place.
+///
+/// An operand that is only piecewise strided — an NCHW gradient, whose
+/// patch axis restarts with every image — is `segments` such pieces
+/// `seg_stride` apart; `k` then runs over `segments * depth` values in
+/// order.
+#[derive(Clone, Copy)]
+pub(crate) struct Strided<'a> {
+    pub a: &'a [f32],
+    pub row_stride: usize,
+    pub k_stride: usize,
+    pub depth: usize,
+    pub seg_stride: usize,
+    pub segments: usize,
+}
+
+impl<'a> Strided<'a> {
+    /// A single-segment view.
+    pub fn new(a: &'a [f32], row_stride: usize, k_stride: usize, depth: usize) -> Self {
+        Strided {
+            a,
+            row_stride,
+            k_stride,
+            depth,
+            seg_stride: 0,
+            segments: 1,
+        }
+    }
+
+    /// The same view starting `rows` rows further down. An operand with
+    /// no `k` extent is empty however many rows it has, hence the
+    /// saturating slice.
+    pub fn skip_rows(self, rows: usize) -> Self {
+        Strided {
+            a: self.a.get(rows * self.row_stride..).unwrap_or(&[]),
+            ..self
+        }
+    }
+}
+
+/// One register block of accumulators.
+type Block = [[f32; COL_TILE]; ROW_BLOCK];
+
+/// `acc[r][j] = Σ_k a(r,k)·b[k, jt + j]` over the leading `rows × tile`
+/// corner of a block. For every element the additions run in ascending
+/// `k`, and a row whose `a(r,k)` is exactly zero skips that `k` — so a
+/// non-finite `b[k, ·]` under a zero stays masked, row by row.
+///
+/// `rows` and `tile` are plain arguments so that ragged edges take the
+/// same code; the caller passes the constants for a full block, which
+/// the forced inlining propagates into fixed trip counts. The block is
+/// a local returned by value: behind a `&mut` parameter it is not
+/// promoted to registers (measured 3× slower).
+#[inline(always)]
+fn tile_product(
+    lhs: Strided<'_>,
+    b: &[f32],
+    n: usize,
+    jt: usize,
+    rows: usize,
+    tile: usize,
+) -> Block {
+    let mut acc = [[0.0f32; COL_TILE]; ROW_BLOCK];
+    for s in 0..lhs.segments {
+        let a = &lhs.a[s * lhs.seg_stride..];
+        for k in 0..lhs.depth {
+            let at = (s * lhs.depth + k) * n + jt;
+            let brow = &b[at..at + tile];
+            for (r, arow) in acc[..rows].iter_mut().enumerate() {
+                let v = a[r * lhs.row_stride + k * lhs.k_stride];
+                if v == 0.0 {
+                    continue;
+                }
+                for (x, &bkj) in arow[..tile].iter_mut().zip(brow) {
+                    *x += v * bkj;
+                }
+            }
+        }
+    }
+    acc
+}
+
+/// The shared micro-kernel driver: computes the `rows × n` block
+/// `A · B` (`rows ≤ ROW_BLOCK`) one [`COL_TILE`] at a time and hands
+/// each finished tile row to `emit(r, jt, values)`. `b` is row-major
+/// with `n` columns and one row per `k` of `lhs`.
 #[inline]
-fn row_times_matrix(arow: &[f32], bv: &[f32], orow: &mut [f32], n: usize) {
+pub(crate) fn block_product(
+    lhs: Strided<'_>,
+    b: &[f32],
+    n: usize,
+    rows: usize,
+    mut emit: impl FnMut(usize, usize, &[f32]),
+) {
+    debug_assert!(rows <= ROW_BLOCK);
     let mut jt = 0;
     while jt < n {
         let tile = (n - jt).min(COL_TILE);
-        let mut acc = [0.0f32; COL_TILE];
-        for (k, &aik) in arow.iter().enumerate() {
-            if aik == 0.0 {
-                continue;
-            }
-            let brow = &bv[k * n + jt..k * n + jt + tile];
-            for (a, &bkj) in acc[..tile].iter_mut().zip(brow) {
-                *a += aik * bkj;
-            }
+        let acc = if rows == ROW_BLOCK && tile == COL_TILE {
+            tile_product(lhs, b, n, jt, ROW_BLOCK, COL_TILE)
+        } else {
+            tile_product(lhs, b, n, jt, rows, tile)
+        };
+        for (r, arow) in acc[..rows].iter().enumerate() {
+            emit(r, jt, &arow[..tile]);
         }
-        orow[jt..jt + tile].copy_from_slice(&acc[..tile]);
         jt += tile;
+    }
+}
+
+/// Fills one output band (`oband`, row-major with `n` columns) with
+/// `A · B`, where `lhs` views the band's rows of `A`.
+fn band_product(lhs: Strided<'_>, b: &[f32], n: usize, oband: &mut [f32]) {
+    for (blk, oblock) in oband.chunks_mut(ROW_BLOCK * n).enumerate() {
+        let view = lhs.skip_rows(blk * ROW_BLOCK);
+        block_product(view, b, n, oblock.len() / n, |r, jt, vals| {
+            oblock[r * n + jt..r * n + jt + vals.len()].copy_from_slice(vals);
+        });
     }
 }
 
@@ -100,11 +207,8 @@ pub fn matmul(a: &Tensor, b: &Tensor) -> Result<Tensor, TensorError> {
         out.as_mut_slice(),
         ROW_BAND * n.max(1),
         |band, oband| {
-            let i0 = band * ROW_BAND;
-            for (r, orow) in oband.chunks_mut(n).enumerate() {
-                let i = i0 + r;
-                row_times_matrix(&av[i * ka..(i + 1) * ka], bv, orow, n);
-            }
+            let lhs = Strided::new(av, ka, 1, ka).skip_rows(band * ROW_BAND);
+            band_product(lhs, bv, n, oband);
         },
     );
     Ok(out)
@@ -135,21 +239,8 @@ pub fn matmul_at_b(a: &Tensor, b: &Tensor) -> Result<Tensor, TensorError> {
     let work = (m as u64) * (ka as u64) * (n as u64);
     let plan = hadfl_par::plan_for(OpClass::Matmul, work);
     plan.chunks_mut(out.as_mut_slice(), ROW_BAND * n.max(1), |band, oband| {
-        let i0 = band * ROW_BAND;
-        let rows = oband.len() / n.max(1);
-        for k in 0..ka {
-            let arow = &av[k * m + i0..k * m + i0 + rows];
-            let brow = &bv[k * n..(k + 1) * n];
-            for (r, &aki) in arow.iter().enumerate() {
-                if aki == 0.0 {
-                    continue;
-                }
-                let orow = &mut oband[r * n..(r + 1) * n];
-                for (o, &bkj) in orow.iter_mut().zip(brow) {
-                    *o += aki * bkj;
-                }
-            }
-        }
+        let lhs = Strided::new(av, 1, m, ka).skip_rows(band * ROW_BAND);
+        band_product(lhs, bv, n, oband);
     });
     Ok(out)
 }
@@ -179,20 +270,28 @@ pub fn matmul_a_bt(a: &Tensor, b: &Tensor) -> Result<Tensor, TensorError> {
     hadfl_par::plan_for(OpClass::Matmul, work).chunks_mut(
         out.as_mut_slice(),
         ROW_BAND * n.max(1),
-        |band, oband| {
-            let i0 = band * ROW_BAND;
-            for (r, orow) in oband.chunks_mut(n).enumerate() {
-                let arow = &av[(i0 + r) * ka..(i0 + r + 1) * ka];
-                for (j, o) in orow.iter_mut().enumerate() {
-                    // Both operands walk k contiguously, so the fixed
-                    // eight-lane dot vectorizes this — the association
-                    // depends only on ka.
-                    *o = crate::simd::dot8(arow, &bv[j * ka..(j + 1) * ka]);
-                }
-            }
-        },
+        |band, oband| rows_a_bt(&av[band * ROW_BAND * ka..], bv, ka, n, oband),
     );
     Ok(out)
+}
+
+/// `out[r, j] = dot8(a[r, ·], b[j, ·])` for the rows of `out` (row-major,
+/// `n` columns); `a` and `b` are row-major with `ka` columns. Both
+/// operands walk `k` contiguously, so the fixed eight-lane dot
+/// vectorizes this — the association depends only on `ka`.
+///
+/// Kept out of line on purpose: [`matmul_a_bt`] and
+/// [`crate::conv_forward`] then run one compiled body. Inlined, the same
+/// source came out with the dot's chunk loop unrolled at one call site
+/// and not at the other (a measured 20–30 % apart).
+#[inline(never)]
+pub(crate) fn rows_a_bt(a: &[f32], b: &[f32], ka: usize, n: usize, out: &mut [f32]) {
+    for (r, orow) in out.chunks_mut(n).enumerate() {
+        let arow = &a[r * ka..(r + 1) * ka];
+        for (j, o) in orow.iter_mut().enumerate() {
+            *o = crate::simd::dot8(arow, &b[j * ka..(j + 1) * ka]);
+        }
+    }
 }
 
 /// Outer product of two vectors: `a (m) ⊗ b (n) → (m×n)`.

@@ -9,10 +9,9 @@
 //! lane `i % 8` (the ragged tail included), and the lanes combine in a
 //! fixed pairwise tree. That association is a pure function of the
 //! slice length — never of the thread count, the chunking, or the
-//! instruction set — so serial, parallel, portable, and
-//! explicitly-vectorized builds all produce identical bits, and the
-//! compiler is free to map the eight lanes onto whatever vector width
-//! the target has.
+//! instruction set — so serial and parallel builds for any target
+//! produce identical bits, and the compiler is free to map the eight
+//! lanes onto whatever vector width the target has.
 //!
 //! Multiplies and adds are kept as separate IEEE operations (no
 //! `mul_add`): Rust never contracts `a + x * y` into an FMA on its
@@ -38,49 +37,15 @@ fn combine(acc: [f32; LANES]) -> f32 {
 #[inline]
 pub fn dot8(a: &[f32], b: &[f32]) -> f32 {
     debug_assert_eq!(a.len(), b.len());
-    #[cfg(all(target_arch = "x86_64", target_feature = "avx2"))]
-    {
-        // SAFETY: compiled only when the whole binary targets AVX2.
-        return unsafe { dot8_avx2(a, b) };
-    }
-    #[cfg(not(all(target_arch = "x86_64", target_feature = "avx2")))]
-    {
-        let mut acc = [0.0f32; LANES];
-        let mut ac = a.chunks_exact(LANES);
-        let mut bc = b.chunks_exact(LANES);
-        for (xs, ys) in ac.by_ref().zip(bc.by_ref()) {
-            for ((l, &x), &y) in acc.iter_mut().zip(xs).zip(ys) {
-                *l += x * y;
-            }
-        }
-        for ((l, &x), &y) in acc.iter_mut().zip(ac.remainder()).zip(bc.remainder()) {
+    let mut acc = [0.0f32; LANES];
+    let mut ac = a.chunks_exact(LANES);
+    let mut bc = b.chunks_exact(LANES);
+    for (xs, ys) in ac.by_ref().zip(bc.by_ref()) {
+        for ((l, &x), &y) in acc.iter_mut().zip(xs).zip(ys) {
             *l += x * y;
         }
-        combine(acc)
     }
-}
-
-/// [`dot8`] on explicit AVX2 intrinsics: lane-wise multiply then add,
-/// the exact operation sequence of the portable path, so the bits are
-/// identical — this path only pins the vectorization the portable loop
-/// already invites.
-#[cfg(all(target_arch = "x86_64", target_feature = "avx2"))]
-#[inline]
-unsafe fn dot8_avx2(a: &[f32], b: &[f32]) -> f32 {
-    use std::arch::x86_64::*;
-    let mut vacc = _mm256_setzero_ps();
-    let body = a.len() / LANES * LANES;
-    let mut i = 0;
-    while i < body {
-        let x = _mm256_loadu_ps(a.as_ptr().add(i));
-        let y = _mm256_loadu_ps(b.as_ptr().add(i));
-        // No FMA: contraction would change the bits vs. the portable path.
-        vacc = _mm256_add_ps(vacc, _mm256_mul_ps(x, y));
-        i += LANES;
-    }
-    let mut acc = [0.0f32; LANES];
-    _mm256_storeu_ps(acc.as_mut_ptr(), vacc);
-    for ((l, &x), &y) in acc.iter_mut().zip(&a[body..]).zip(&b[body..]) {
+    for ((l, &x), &y) in acc.iter_mut().zip(ac.remainder()).zip(bc.remainder()) {
         *l += x * y;
     }
     combine(acc)

@@ -10,9 +10,13 @@
 //! worker pool — including pool reuse across dispatches and thread
 //! count transitions mid-process.
 
+mod common;
+
+use common::*;
 use hadfl_par::with_threads_forced as with_threads;
 use hadfl_tensor::{
-    col2im, im2col, log_softmax_rows, matmul, matmul_a_bt, matmul_at_b, sum, Conv2dGeometry, Tensor,
+    conv_backward_input, conv_backward_weight, conv_forward, im2col, im2col_into, log_softmax_rows,
+    matmul, matmul_a_bt, matmul_at_b, sum, Conv2dGeometry, Tensor,
 };
 use proptest::prelude::*;
 
@@ -20,73 +24,6 @@ use proptest::prelude::*;
 /// reference path, the rest exercise real worker dispatch (8 exceeds
 /// any CI runner's core count, so oversubscription is covered too).
 const THREADS: [usize; 4] = [1, 2, 4, 8];
-
-fn bits(t: &Tensor) -> Vec<u32> {
-    t.as_slice().iter().map(|v| v.to_bits()).collect()
-}
-
-/// Naive scalar matmul: per output element, additions in ascending `k`
-/// with the `a[i,k] == 0` skip — the reference operation order the
-/// parallel kernel must reproduce exactly.
-fn matmul_ref(av: &[f32], bv: &[f32], m: usize, ka: usize, n: usize) -> Vec<f32> {
-    let mut out = vec![0.0f32; m * n];
-    for i in 0..m {
-        for j in 0..n {
-            let mut acc = 0.0f32;
-            for k in 0..ka {
-                let aik = av[i * ka + k];
-                if aik == 0.0 {
-                    continue;
-                }
-                acc += aik * bv[k * n + j];
-            }
-            out[i * n + j] = acc;
-        }
-    }
-    out
-}
-
-fn matmul_at_b_ref(av: &[f32], bv: &[f32], ka: usize, m: usize, n: usize) -> Vec<f32> {
-    let mut out = vec![0.0f32; m * n];
-    for i in 0..m {
-        for j in 0..n {
-            let mut acc = 0.0f32;
-            for k in 0..ka {
-                let aki = av[k * m + i];
-                if aki == 0.0 {
-                    continue;
-                }
-                acc += aki * bv[k * n + j];
-            }
-            out[i * n + j] = acc;
-        }
-    }
-    out
-}
-
-/// The fixed eight-lane association of `hadfl_tensor::simd`, written
-/// independently: element `k` joins lane `k % 8`, lanes combine in the
-/// pairwise tree. `matmul_a_bt`'s inner row-dot must reproduce this
-/// bit-for-bit.
-fn dot8_ref(a: &[f32], b: &[f32]) -> f32 {
-    let mut acc = [0.0f32; 8];
-    for (k, (&x, &y)) in a.iter().zip(b).enumerate() {
-        acc[k % 8] += x * y;
-    }
-    let (s0, s1) = (acc[0] + acc[4], acc[1] + acc[5]);
-    let (s2, s3) = (acc[2] + acc[6], acc[3] + acc[7]);
-    (s0 + s2) + (s1 + s3)
-}
-
-fn matmul_a_bt_ref(av: &[f32], bv: &[f32], m: usize, ka: usize, n: usize) -> Vec<f32> {
-    let mut out = vec![0.0f32; m * n];
-    for i in 0..m {
-        for j in 0..n {
-            out[i * n + j] = dot8_ref(&av[i * ka..(i + 1) * ka], &bv[j * ka..(j + 1) * ka]);
-        }
-    }
-    out
-}
 
 fn vals(len: usize) -> impl Strategy<Value = Vec<f32>> {
     proptest::collection::vec(-8.0f32..8.0, len)
@@ -152,29 +89,37 @@ proptest! {
     }
 
     #[test]
-    fn im2col_col2im_bit_identical_across_threads(
-        batch in 1usize..4, k in 1usize..4, s in 1usize..3, p in 0usize..2, seed in 0u64..1 << 16,
+    fn conv_kernels_bit_identical_across_threads(
+        batch in 1usize..4, oc in 1usize..12, k in 1usize..4, s in 1usize..3, p in 0usize..2,
+        seed in 0u64..1 << 16,
     ) {
         let geom = match Conv2dGeometry::new(2, 6, 5, k, s, p) {
             Ok(g) => g,
             Err(_) => return Ok(()),
         };
         let mut rng = hadfl_tensor::SeedStream::new(seed);
-        let mut x = Tensor::zeros(&[batch, 2, 6, 5]);
-        for v in x.as_mut_slice() {
-            *v = rng.normal();
-        }
-        let mut g = Tensor::zeros(&[batch * geom.patches_per_image(), geom.patch_len()]);
-        for v in g.as_mut_slice() {
-            *v = rng.normal();
-        }
-        let want_cols = with_threads(1, || im2col(&x, &geom).unwrap());
-        let want_img = with_threads(1, || col2im(&g, &geom, batch).unwrap());
+        let x = random(&[batch, 2, 6, 5], &mut rng);
+        let w = random(&[oc, geom.patch_len()], &mut rng);
+        let bias = random(&[oc], &mut rng);
+        let gy = random(&[batch, oc, geom.out_h, geom.out_w], &mut rng);
+        let gw0 = random(&[oc, geom.patch_len()], &mut rng);
+        let want_cols = im2col_ref(&x, &geom);
+        let cols = im2col(&x, &geom).unwrap();
+        let want_y = conv_forward_ref(&cols, &w, &bias, &geom);
+        let want_gw = conv_backward_weight_ref(&gy, &cols, &gw0);
+        let want_dx = conv_backward_input_ref(&gy, &w, &geom);
+        // One retained buffer across all thread counts, as a layer has.
+        let mut reused = Tensor::default();
         for t in THREADS {
-            let cols = with_threads(t, || im2col(&x, &geom).unwrap());
-            prop_assert_eq!(bits(&cols), bits(&want_cols), "im2col at {} threads", t);
-            let img = with_threads(t, || col2im(&g, &geom, batch).unwrap());
-            prop_assert_eq!(bits(&img), bits(&want_img), "col2im at {} threads", t);
+            with_threads(t, || im2col_into(&x, &geom, &mut reused).unwrap());
+            prop_assert!(same_floats(reused.as_slice(), &want_cols), "im2col at {} threads", t);
+            let y = with_threads(t, || conv_forward(&cols, &w, &bias, &geom).unwrap());
+            prop_assert!(same_floats(y.as_slice(), &want_y), "conv_forward at {} threads", t);
+            let mut gw = gw0.clone();
+            with_threads(t, || conv_backward_weight(&gy, &cols, &geom, &mut gw).unwrap());
+            prop_assert!(same_floats(gw.as_slice(), &want_gw), "backward_weight at {} threads", t);
+            let dx = with_threads(t, || conv_backward_input(&gy, &w, &geom).unwrap());
+            prop_assert!(same_floats(dx.as_slice(), &want_dx), "backward_input at {} threads", t);
         }
     }
 

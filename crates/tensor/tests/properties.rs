@@ -1,8 +1,11 @@
 //! Property-based tests for the tensor kernels.
 
+mod common;
+
+use common::*;
 use hadfl_tensor::{
-    argmax, col2im, im2col, matmul, matmul_a_bt, matmul_at_b, softmax_rows, Conv2dGeometry,
-    SeedStream, Tensor,
+    argmax, conv_backward_input, conv_backward_weight, conv_forward, im2col, im2col_into, matmul,
+    matmul_a_bt, matmul_at_b, softmax_rows, Conv2dGeometry, SeedStream, Tensor,
 };
 use proptest::prelude::*;
 
@@ -99,18 +102,138 @@ proptest! {
     }
 
     #[test]
-    fn im2col_col2im_adjoint(seed in 0u64..1000, k in 1usize..4, s in 1usize..3, p in 0usize..2) {
+    fn im2col_backward_input_adjoint(seed in 0u64..1000, k in 1usize..4, s in 1usize..3, p in 0usize..2) {
+        // <im2col(x), y> == <x, im2col*(y)>; with an identity filter
+        // bank `gp · W` is `gp`, so backward-input is the bare adjoint.
         let geom = match Conv2dGeometry::new(2, 6, 5, k, s, p) {
             Ok(g) => g,
             Err(_) => return Ok(()),
         };
+        let width = geom.patch_len();
         let mut rng = SeedStream::new(seed);
-        let mut x = Tensor::zeros(&[1, 2, 6, 5]);
-        for v in x.as_mut_slice() { *v = rng.normal(); }
-        let mut y = Tensor::zeros(&[geom.patches_per_image(), geom.patch_len()]);
-        for v in y.as_mut_slice() { *v = rng.normal(); }
+        let x = random(&[1, 2, 6, 5], &mut rng);
+        let gy = random(&[1, width, geom.out_h, geom.out_w], &mut rng);
+        let y = Tensor::from_vec(patch_major(&gy), &[geom.patches_per_image(), width]).unwrap();
         let lhs = im2col(&x, &geom).unwrap().dot(&y).unwrap();
-        let rhs = x.dot(&col2im(&y, &geom, 1).unwrap()).unwrap();
+        let aty = conv_backward_input(&gy, &Tensor::eye(width), &geom).unwrap();
+        let rhs = x.dot(&aty).unwrap();
         prop_assert!((lhs - rhs).abs() < 1e-2 * lhs.abs().max(1.0));
+    }
+}
+
+/// Values with exact zeros of both signs sprinkled in, so the zero-skip
+/// (and its ±0.0 edge) is exercised.
+fn with_zeros(dims: &[usize], rng: &mut SeedStream) -> Tensor {
+    let mut t = random(dims, rng);
+    for (i, v) in t.as_mut_slice().iter_mut().enumerate() {
+        match i % 7 {
+            0 => *v = 0.0,
+            3 => *v = -0.0,
+            _ => {}
+        }
+    }
+    t
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// The register-tile kernels against the scalar ikj loop, over
+    /// shapes that leave ragged row blocks, ragged column tiles, and
+    /// empty or single-step inner dimensions.
+    #[test]
+    fn blocked_matmuls_equal_the_scalar_reference(
+        m in 0usize..11, ka in 0usize..6, n in 0usize..37, seed in 0u64..1 << 16,
+    ) {
+        let mut rng = SeedStream::new(seed);
+        let a = with_zeros(&[m, ka], &mut rng);
+        let b = random(&[ka, n], &mut rng);
+        let got = matmul(&a, &b).unwrap();
+        prop_assert!(same_floats(got.as_slice(), &matmul_ref(a.as_slice(), b.as_slice(), m, ka, n)));
+        let at = with_zeros(&[ka, m], &mut rng);
+        let got = matmul_at_b(&at, &b).unwrap();
+        prop_assert!(same_floats(got.as_slice(), &matmul_at_b_ref(at.as_slice(), b.as_slice(), ka, m, n)));
+    }
+
+    /// A non-finite `b` row is masked exactly where `a` is zero — row
+    /// by row of the block, not block by block.
+    #[test]
+    fn a_zero_masks_a_non_finite_b_per_row(
+        m in 1usize..9, ka in 1usize..6, n in 1usize..35, seed in 0u64..1 << 16, bad in 0usize..3,
+    ) {
+        let mut rng = SeedStream::new(seed);
+        let mut a = random(&[m, ka], &mut rng);
+        let mut b = random(&[ka, n], &mut rng);
+        let k = seed as usize % ka;
+        let poison = [f32::INFINITY, f32::NEG_INFINITY, f32::NAN][bad];
+        b.as_mut_slice()[k * n..(k + 1) * n].fill(poison);
+        // Every other row of `a` is zero under the poisoned `k`.
+        for i in (0..m).step_by(2) {
+            a.as_mut_slice()[i * ka + k] = 0.0;
+        }
+        let got = matmul(&a, &b).unwrap();
+        prop_assert!(same_floats(got.as_slice(), &matmul_ref(a.as_slice(), b.as_slice(), m, ka, n)));
+        for i in (0..m).step_by(2) {
+            prop_assert!(got.as_slice()[i * n..(i + 1) * n].iter().all(|v| v.is_finite()));
+        }
+        // The same operand read column-wise through `matmul_at_b`.
+        let mut at = Tensor::zeros(&[ka, m]);
+        for i in 0..m {
+            for kk in 0..ka {
+                at.as_mut_slice()[kk * m + i] = a.as_slice()[i * ka + kk];
+            }
+        }
+        prop_assert_eq!(bits(&matmul_at_b(&at, &b).unwrap()), bits(&got));
+    }
+
+    /// The three convolution products against their unfused definitions.
+    #[test]
+    fn conv_products_equal_their_unfused_references(
+        batch in 1usize..4, cin in 1usize..4, oc in 1usize..7,
+        k in 1usize..4, s in 1usize..3, p in 0usize..2, seed in 0u64..1 << 16,
+    ) {
+        let geom = match Conv2dGeometry::new(cin, 6, 5, k, s, p) {
+            Ok(g) => g,
+            Err(_) => return Ok(()),
+        };
+        let mut rng = SeedStream::new(seed);
+        let x = random(&[batch, cin, 6, 5], &mut rng);
+        let w = random(&[oc, geom.patch_len()], &mut rng);
+        let bias = random(&[oc], &mut rng);
+        let gy = with_zeros(&[batch, oc, geom.out_h, geom.out_w], &mut rng);
+        let cols = im2col(&x, &geom).unwrap();
+
+        let y = conv_forward(&cols, &w, &bias, &geom).unwrap();
+        prop_assert_eq!(y.dims(), &[batch, oc, geom.out_h, geom.out_w][..]);
+        prop_assert!(same_floats(y.as_slice(), &conv_forward_ref(&cols, &w, &bias, &geom)));
+
+        let mut gw = random(&[oc, geom.patch_len()], &mut rng);
+        let want = conv_backward_weight_ref(&gy, &cols, &gw);
+        conv_backward_weight(&gy, &cols, &geom, &mut gw).unwrap();
+        prop_assert!(same_floats(gw.as_slice(), &want));
+
+        let dx = conv_backward_input(&gy, &w, &geom).unwrap();
+        prop_assert_eq!(dx.dims(), x.dims());
+        prop_assert!(same_floats(dx.as_slice(), &conv_backward_input_ref(&gy, &w, &geom)));
+    }
+
+    /// A buffer last filled from a different input (same geometry) ends
+    /// up exactly as a fresh `im2col`: stale pixels are overwritten and
+    /// padding cells were never anything but zero.
+    #[test]
+    fn im2col_into_a_dirty_buffer_equals_im2col(
+        batch in 1usize..4, ki in 0usize..3, s in 1usize..3, p in 0usize..3, seed in 0u64..1 << 16,
+    ) {
+        let geom = match Conv2dGeometry::new(2, 7, 6, [1, 3, 5][ki], s, p) {
+            Ok(g) => g,
+            Err(_) => return Ok(()),
+        };
+        let mut rng = SeedStream::new(seed);
+        let mut cols = Tensor::default();
+        im2col_into(&random(&[batch, 2, 7, 6], &mut rng), &geom, &mut cols).unwrap();
+        let x = random(&[batch, 2, 7, 6], &mut rng);
+        im2col_into(&x, &geom, &mut cols).unwrap();
+        prop_assert_eq!(bits(&cols), bits(&im2col(&x, &geom).unwrap()));
+        prop_assert!(same_floats(cols.as_slice(), &im2col_ref(&x, &geom)));
     }
 }

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Runs the kernel, wire, telemetry, and profiler criterion benches and
 # distills every measurement into a BENCH file at the repo root (first
-# argument, default BENCH_13.json): one record per benchmark with the
+# argument, default BENCH_15.json): one record per benchmark with the
 # op name, the worker-thread count it ran at, and the measured ns/iter.
 # The `calibration/serial_fma_1m` row is the machine-speed yardstick
 # `hadfl-bench-diff` divides out when comparing two BENCH files, so
@@ -10,12 +10,14 @@
 # 4 threads (encoded as an `_tN` name suffix), so the file is the
 # recorded evidence for the parallel substrate's scaling; the `wire_*`
 # vs `wire_reference/*_per_float_*` rows are the bulk codec's
-# before/after; `wire/seal_param_1m`, `wire/open_param_1m` and
-# `tcp/hop_4mib` are one 4 MiB ring frame per layer (codec, then a
-# loopback `TcpPort` hop); the `span_emission/*` rows bound the telemetry hot
-# path; and the `prof/*` + `prof_parity/*` rows bound the compute
-# profiler (disabled scope vs enabled pair, instrumented kernel with
-# and without a profiler installed).
+# before/after; the `conv/*` rows are the gather and the three products
+# of the round benchmark's widest convolution layer (k = 8);
+# `wire/seal_param_1m`, `wire/open_param_1m` and `tcp/hop_4mib` are one
+# 4 MiB ring frame per layer (codec, then a loopback `TcpPort` hop); the
+# `span_emission/*` rows bound the telemetry hot path; and the `prof/*`
+# + `prof_parity/*` rows bound the compute profiler (disabled scope vs
+# enabled pair, instrumented kernel with and without a profiler
+# installed).
 #
 # DESIGN.md §13 methodology: the script runs HADFL_BENCH_PASSES full
 # passes (default 5) and keeps the per-op MINIMUM — noise only ever
@@ -29,7 +31,7 @@ set -euo pipefail
 
 cd "$(dirname "$0")/.."
 
-out=${1:-BENCH_13.json}
+out=${1:-BENCH_15.json}
 passes=${HADFL_BENCH_PASSES:-5}
 raw=$(mktemp)
 trap 'rm -f "$raw"' EXIT
