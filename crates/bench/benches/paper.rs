@@ -9,7 +9,6 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
 use hadfl::driver::{run_hadfl, SimOptions};
-use hadfl::group::run_hadfl_grouped;
 use hadfl::schedule::{distributed_timeline, fedavg_timeline, hadfl_timeline};
 use hadfl::select::SelectionPolicy;
 use hadfl::{HadflConfig, Workload};
@@ -146,7 +145,7 @@ fn bench_grouped(c: &mut Criterion) {
         let mut opts = SimOptions::quick(&[2.0, 1.0, 2.0, 1.0]);
         opts.epochs_total = 3.0;
         b.iter(|| {
-            let run = run_hadfl_grouped(&Workload::quick("mlp", 5), &config, &opts).expect("runs");
+            let run = run_hadfl(&Workload::quick("mlp", 5), &config, &opts).expect("runs");
             black_box(run.trace.max_accuracy())
         });
     });

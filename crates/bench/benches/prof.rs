@@ -1,6 +1,6 @@
 //! Overhead bounds for the `hadfl-prof` compute profiler.
 //!
-//! Three claims, each a recorded row in BENCH_9.json:
+//! Three claims, each a recorded row in the committed `BENCH_*.json`:
 //!
 //! - `prof/scope_disabled` — a scope on a thread with no profiler
 //!   installed is one thread-local `Cell` read: a few ns, the price

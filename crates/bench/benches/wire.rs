@@ -93,48 +93,6 @@ fn bench_roundtrip(c: &mut Criterion) {
     group.finish();
 }
 
-/// The pre-bulk-codec baselines: a `ParamSync`-shaped payload encoded
-/// and decoded one `f32` at a time, exactly as `wire.rs` used to. The
-/// `wire_encode`/`wire_decode` groups above measure the bulk codec on
-/// the same sizes, so the before/after improvement is directly
-/// readable from one bench run (and from `BENCH_5.json`).
-fn bench_per_float_reference(c: &mut Criterion) {
-    use bytes::{Buf, BufMut, BytesMut};
-
-    let mut group = c.benchmark_group("wire_reference");
-    for n in PARAM_SIZES {
-        let params = param_vec(n);
-        group.bench_function(&format!("encode_per_float_{n}"), |b| {
-            b.iter(|| {
-                let params = black_box(&params);
-                let mut buf = BytesMut::with_capacity(1 + 4 + 4 + 4 * params.len());
-                buf.put_u8(1);
-                buf.put_u32_le(9);
-                buf.put_u32_le(params.len() as u32);
-                for &p in params {
-                    buf.put_f32_le(p);
-                }
-                black_box(buf.freeze())
-            });
-        });
-        let frame = Message::ParamSync { round: 9, params }.encode();
-        group.bench_function(&format!("decode_per_float_{n}"), |b| {
-            b.iter(|| {
-                let mut cur: &[u8] = black_box(&frame);
-                let _tag = cur.get_u8();
-                let round = cur.get_u32_le();
-                let len = cur.get_u32_le() as usize;
-                let mut params = Vec::with_capacity(len);
-                for _ in 0..len {
-                    params.push(cur.get_f32_le());
-                }
-                black_box(Message::ParamSync { round, params })
-            });
-        });
-    }
-    group.finish();
-}
-
 /// The ring's unit of work at the round benchmark's size: one 1 Mi-f32
 /// (4 MiB) parameter frame sealed and opened whole — what a channel hop
 /// pays per side — and carried across a loopback `TcpPort` pair, send
@@ -198,7 +156,6 @@ criterion_group!(
     bench_encode,
     bench_decode,
     bench_roundtrip,
-    bench_per_float_reference,
     bench_param_hop
 );
 criterion_main!(benches);

@@ -1,7 +1,7 @@
 //! Compares two `BENCH_*.json` files with noise normalization.
 //!
 //! ```text
-//! hadfl-bench-diff BENCH_8.json BENCH_9.json
+//! hadfl-bench-diff BENCH_13.json BENCH_15.json
 //! hadfl-bench-diff --threshold 0.25 --min-ns 50 --fail-on-regressed old.json new.json
 //! ```
 //!

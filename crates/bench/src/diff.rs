@@ -8,7 +8,8 @@
 //! single-threaded workload whose speed depends only on the machine —
 //! and the diff divides it out: the baseline's numbers are rescaled by
 //! `new_calibration / old_calibration` before comparing. Files
-//! predating the calibration row (BENCH_8 and earlier) fall back to
+//! predating the calibration row (BENCH_8 and earlier, now only in
+//! git history) fall back to
 //! the median of per-op ratios over shared ops, which assumes *most*
 //! ops did not change — exactly the regression-hunting situation.
 //!

@@ -18,14 +18,20 @@ use crate::aggregate::blend_params;
 use crate::config::HadflConfig;
 use crate::coordinator::{LivenessMonitor, ModelManager, RuntimeSupervisor, StrategyGenerator};
 use crate::error::HadflError;
-use crate::gossip::run_partial_sync_instrumented;
+use crate::gossip::{analytical_frame, run_partial_sync, SyncOutcome};
+use crate::group::partition_groups;
 use crate::strategy::Strategy;
+use crate::topology::Ring;
 use crate::trace::{CommSummary, RoundRecord, Trace};
-use crate::workload::{BuiltWorkload, Workload};
+use crate::workload::Workload;
 
 /// Size of a control-plane message (liveness ping, version report,
 /// training configuration), bytes. Tiny next to the model.
 const CONTROL_MSG_BYTES: u64 = 16;
+
+/// Spreads group indices over the seed space (the 64-bit golden ratio),
+/// so neighbouring groups do not share neighbouring seeds' streams.
+const GROUP_SEED_STRIDE: u64 = 0x9E37_79B9_7F4A_7C15;
 
 /// Simulation options shared by HADFL and the baseline drivers.
 ///
@@ -137,6 +143,11 @@ pub struct HadflRun {
     /// Devices bypassed by the fault-tolerance mechanism, per round
     /// (round index → bypassed devices), only rounds with bypasses.
     pub bypass_log: Vec<(usize, Vec<usize>)>,
+    /// The group partition used (one group of every device unless
+    /// `HadflConfig::group_size` is set).
+    pub groups: Vec<Vec<usize>>,
+    /// Rounds at which the inter-group ring ran.
+    pub inter_sync_rounds: Vec<usize>,
 }
 
 /// Runs the full HADFL workflow over a workload and returns the run.
@@ -148,11 +159,20 @@ pub struct HadflRun {
 /// non-blocking broadcast to the unselected, runtime version prediction →
 /// periodic model backup.
 ///
+/// With `config.group_size` set (§III-C, Fig. 2a) the devices are
+/// partitioned by [`partition_groups`] and the per-round part above runs
+/// once per group; every `config.inter_group_every` rounds one device per
+/// group — whoever broadcast its group's merge — joins a second ring,
+/// and tells its group the consensus. `None` is one group of every
+/// device, for which that second ring never forms. The trace evaluates
+/// the most recent merge: the consensus on inter-group rounds, the last
+/// group's model otherwise.
+///
 /// # Errors
 ///
-/// Returns configuration errors for inconsistent options, substrate
-/// errors from training, and [`HadflError::ClusterDead`] if every device
-/// dies.
+/// Returns configuration errors for inconsistent options or a group of
+/// fewer than two devices, substrate errors from training, and
+/// [`HadflError::ClusterDead`] if every device dies.
 ///
 /// # Example
 ///
@@ -194,12 +214,19 @@ pub fn run_hadfl_with_telemetry(
 ) -> Result<HadflRun, HadflError> {
     opts.validate()?;
     let k = opts.powers.len();
+    let groups = partition_groups(k, config.group_size.unwrap_or(k))?;
+    if groups.iter().any(|g| g.len() < 2) {
+        return Err(HadflError::InvalidConfig(
+            "every group needs at least 2 devices (adjust group_size)".into(),
+        ));
+    }
     let mut built = workload.build(k)?;
     let wire_bytes = opts.wire_model_bytes.unwrap_or(built.model_bytes);
     let compute = ComputeModel::new(opts.base_step_secs, &opts.powers)?.with_jitter(opts.jitter);
     let monitor = LivenessMonitor::new(opts.faults.clone());
     let master_rng = SeedStream::new(config.seed ^ 0xD21E_2E00);
     let mut device_rngs: Vec<SeedStream> = (0..k).map(|i| master_rng.fork(i as u64)).collect();
+    let mut rep_ring_rng = master_rng.fork(u64::MAX);
 
     let mut setup_stats = NetStats::new();
     let mut train_stats = NetStats::new();
@@ -235,7 +262,20 @@ pub fn run_hadfl_with_telemetry(
         .map(|i| built.runtimes[i].steps_done as f64 + strategy.local_steps[i] as f64)
         .collect();
     let mut supervisor = RuntimeSupervisor::new(config.smoothing_alpha, &priors)?;
-    let mut generator = StrategyGenerator::new(config);
+    // One selection stream per group; group 0's is the configured seed's.
+    let mut generators: Vec<StrategyGenerator> = (0..groups.len() as u64)
+        .map(|gi| {
+            StrategyGenerator::new(&HadflConfig {
+                seed: config.seed ^ gi.wrapping_mul(GROUP_SEED_STRIDE),
+                ..config.clone()
+            })
+        })
+        .collect();
+    let shard_samples: Vec<f64> = built
+        .runtimes
+        .iter()
+        .map(|rt| rt.shard_len() as f64)
+        .collect();
     let mut manager = opts.backup_every.map(ModelManager::new);
     for rt in &mut built.runtimes {
         rt.set_optimizer(LrSchedule::constant(config.lr), config.momentum);
@@ -243,6 +283,7 @@ pub fn run_hadfl_with_telemetry(
 
     let mut trace = Trace::new("hadfl", k, wire_bytes);
     let mut bypass_log = Vec::new();
+    let mut inter_sync_rounds = Vec::new();
     let mut backups_taken = 0usize;
     let mut device_free: Vec<VirtualTime> = vec![warmup_end; k];
     let mut window_start = warmup_end;
@@ -283,20 +324,33 @@ pub fn run_hadfl_with_telemetry(
             .map(|rt| rt.steps_done as f64)
             .collect();
 
-        // --- Coordinator: liveness at round start, plan, control traffic. ---
+        // --- Coordinator: liveness at round start, one plan per group,
+        // control traffic. ---
         let available = monitor.available(k, window_start);
         if available.is_empty() {
             return Err(HadflError::ClusterDead { round });
         }
-        let mut sync_end = window_end;
-        let mut selected_indices: Vec<usize> = Vec::new();
-        if available.len() >= 2 {
-            let t_end = Duration::from_secs_f64(window_end.as_secs());
-            let predicted = supervisor.predicted_versions();
-            let predicted_avail: Vec<f64> =
-                available.iter().map(|d| predicted[d.index()]).collect();
+        let t_end = Duration::from_secs_f64(window_end.as_secs());
+        let predicted = supervisor.predicted_versions();
+        let mut plans = Vec::new();
+        // Group index → the device holding that group's freshest model:
+        // its lone live member, or (below) whoever broadcast its merge.
+        let mut heads: BTreeMap<usize, DeviceId> = BTreeMap::new();
+        for (gi, group) in groups.iter().enumerate() {
+            let live: Vec<DeviceId> = group
+                .iter()
+                .copied()
+                .filter(|&d| monitor.is_up(d, window_start))
+                .collect();
+            if live.len() < 2 {
+                if let Some(&only) = live.first() {
+                    heads.insert(gi, only);
+                }
+                continue;
+            }
+            let predicted_live: Vec<f64> = live.iter().map(|d| predicted[d.index()]).collect();
             if tel.enabled() {
-                for d in &available {
+                for d in &live {
                     tel.emit(
                         t_end,
                         EventKind::Prediction {
@@ -308,15 +362,15 @@ pub fn run_hadfl_with_telemetry(
                     );
                 }
             }
-            let plan = generator.plan_round(&available, &predicted_avail)?;
+            let plan = generators[gi].plan_round(&live, &predicted_live)?;
             if tel.enabled() {
                 tel.emit(
                     t_end,
                     EventKind::RoundPlanned {
                         round: round as u32,
-                        available: available.iter().map(|d| d.index() as u32).collect(),
-                        versions: predicted_avail.clone(),
-                        probabilities: generator
+                        available: live.iter().map(|d| d.index() as u32).collect(),
+                        versions: predicted_live.clone(),
+                        probabilities: generators[gi]
                             .last_probabilities()
                             .map(<[f64]>::to_vec)
                             .unwrap_or_default(),
@@ -326,58 +380,39 @@ pub fn run_hadfl_with_telemetry(
                     },
                 );
             }
-            for d in &available {
+            for d in &live {
                 // version report up, training configuration down
                 train_stats.record(Endpoint::Device(*d), Endpoint::Server, CONTROL_MSG_BYTES);
                 train_stats.record(Endpoint::Server, Endpoint::Device(*d), CONTROL_MSG_BYTES);
                 if tel.enabled() {
-                    tel.emit(
-                        t_end,
-                        EventKind::FrameSent {
-                            src: d.index() as u32,
-                            dst: k as u32,
-                            bytes: CONTROL_MSG_BYTES,
-                            kind: "version_report".to_string(),
-                            lamport: 0, // analytical frame: nothing crossed a transport
-                        },
-                    );
-                    tel.emit(
-                        t_end,
-                        EventKind::FrameSent {
-                            src: k as u32,
-                            dst: d.index() as u32,
-                            bytes: CONTROL_MSG_BYTES,
-                            kind: "training_config".to_string(),
-                            lamport: 0, // analytical frame: nothing crossed a transport
-                        },
-                    );
+                    let frame =
+                        |src, dst, kind| analytical_frame(src, dst, CONTROL_MSG_BYTES, kind);
+                    tel.emit(t_end, frame(d.index(), k, "version_report"));
+                    tel.emit(t_end, frame(k, d.index(), "training_config"));
                 }
             }
+            plans.push((gi, plan));
+        }
 
-            // --- Partial synchronization over the random ring. ---
-            let params: BTreeMap<DeviceId, Vec<f32>> = plan
-                .ring
+        // --- One partial synchronization: the ring merge at `at`, then
+        // each audience hears the merged model from its preferred
+        // speaker. Both tiers run exactly this. ---
+        let mut sync = |ring: &Ring,
+                        weights: Option<BTreeMap<DeviceId, f64>>,
+                        at: VirtualTime,
+                        audiences: &[(DeviceId, Vec<DeviceId>)]|
+         -> Result<Option<SyncOutcome>, HadflError> {
+            let params: BTreeMap<DeviceId, Vec<f32>> = ring
                 .members()
                 .iter()
                 .map(|&d| (d, built.runtimes[d.index()].model.param_vector()))
                 .collect();
-            let weights = if config.weight_by_samples {
-                Some(
-                    plan.ring
-                        .members()
-                        .iter()
-                        .map(|&d| (d, built.runtimes[d.index()].shard_len() as f64))
-                        .collect::<BTreeMap<_, _>>(),
-                )
-            } else {
-                None
-            };
-            let outcome = match run_partial_sync_instrumented(
-                &plan.ring,
+            let outcome = match run_partial_sync(
+                ring,
                 &params,
                 weights.as_ref(),
                 &opts.faults,
-                window_end,
+                at,
                 &opts.link,
                 config.handshake_timeout_secs,
                 built.model_bytes,
@@ -387,63 +422,102 @@ pub fn run_hadfl_with_telemetry(
                 round as u32,
             ) {
                 Ok(outcome) => outcome,
+                // Every member died inside the window. That is fatal only
+                // if nobody else is left; otherwise the ring's devices
+                // sit this synchronization out.
                 Err(HadflError::ClusterDead { .. }) => {
-                    return Err(HadflError::ClusterDead { round })
+                    if monitor.available(k, at).is_empty() {
+                        return Err(HadflError::ClusterDead { round });
+                    }
+                    bypass_log.push((round, ring.members().iter().map(|d| d.index()).collect()));
+                    return Ok(None);
                 }
                 Err(e) => return Err(e),
             };
             if !outcome.bypassed.is_empty() {
                 bypass_log.push((round, outcome.bypassed.iter().map(|d| d.index()).collect()));
             }
+            let done = at.after(outcome.comm_secs);
             for d in &outcome.participants {
                 built.runtimes[d.index()]
                     .model
                     .set_param_vector(&outcome.merged)?;
-                device_free[d.index()] = window_end.after(outcome.comm_secs);
+                device_free[d.index()] = done;
             }
-            sync_end = window_end.after(outcome.comm_secs);
 
-            // --- Non-blocking broadcast to the unselected devices. ---
-            let broadcaster = if outcome.participants.contains(&plan.broadcaster) {
-                plan.broadcaster
-            } else {
-                outcome.participants[0]
-            };
-            for u in &plan.unselected {
-                if !opts.faults.is_up(*u, window_end) {
-                    continue;
+            // --- Non-blocking broadcast to the devices outside the ring. ---
+            for (preferred, listeners) in audiences {
+                let from = speaker(*preferred, &outcome.participants);
+                for u in listeners {
+                    if !opts.faults.is_up(*u, at) {
+                        continue;
+                    }
+                    train_stats.record(Endpoint::Device(from), Endpoint::Device(*u), wire_bytes);
+                    tel.emit(
+                        Duration::from_secs_f64(done.as_secs()),
+                        analytical_frame(from.index(), u.index(), wire_bytes, "param_sync"),
+                    );
+                    let mut local = built.runtimes[u.index()].model.param_vector();
+                    blend_params(&mut local, &outcome.merged, config.blend_beta)?;
+                    built.runtimes[u.index()].model.set_param_vector(&local)?;
+                    // Non-blocking: the receiver keeps training; the sender
+                    // does not wait either.
                 }
-                train_stats.record(
-                    Endpoint::Device(broadcaster),
-                    Endpoint::Device(*u),
-                    wire_bytes,
-                );
-                tel.emit(
-                    Duration::from_secs_f64(sync_end.as_secs()),
-                    EventKind::FrameSent {
-                        src: broadcaster.index() as u32,
-                        dst: u.index() as u32,
-                        bytes: wire_bytes,
-                        kind: "param_sync".to_string(),
-                        lamport: 0, // analytical frame: nothing crossed a transport
-                    },
-                );
-                let mut local = built.runtimes[u.index()].model.param_vector();
-                blend_params(&mut local, &outcome.merged, config.blend_beta)?;
-                built.runtimes[u.index()].model.set_param_vector(&local)?;
-                // Non-blocking: the receiver keeps training; the sender
-                // does not wait either.
             }
             if config.reset_momentum_on_sync {
                 // Momentum accumulated against pre-merge parameters is
                 // stale once weights change under the optimizer.
-                for d in &available {
+                let listeners = audiences.iter().flat_map(|(_, listeners)| listeners);
+                for d in ring.members().iter().chain(listeners) {
                     built.runtimes[d.index()]
                         .set_optimizer(LrSchedule::constant(config.lr), config.momentum);
                 }
             }
-            selected_indices = plan.selected.iter().map(|d| d.index()).collect();
-            last_merged = outcome.merged;
+            Ok(Some(outcome))
+        };
+
+        // --- Intra-group: every planned ring runs as the window closes. ---
+        let mut sync_end = window_end;
+        let mut selected_indices: Vec<usize> = Vec::new();
+        for (gi, plan) in plans {
+            selected_indices.extend(plan.selected.iter().map(|d| d.index()));
+            let weights = config.weight_by_samples.then(|| {
+                let members = plan.ring.members().iter();
+                members.map(|&d| (d, shard_samples[d.index()])).collect()
+            });
+            let audience = [(plan.broadcaster, plan.unselected)];
+            if let Some(outcome) = sync(&plan.ring, weights, window_end, &audience)? {
+                sync_end = sync_end.max(window_end.after(outcome.comm_secs));
+                heads.insert(gi, speaker(plan.broadcaster, &outcome.participants));
+                last_merged = outcome.merged;
+            }
+        }
+
+        // --- Inter-group (§III-C): every `inter_group_every` rounds the
+        // group heads form a ring of their own once the intra-group
+        // rings are done, and each tells its group the consensus. ---
+        if round % config.inter_group_every as usize == 0 && heads.len() >= 2 {
+            let reps: Vec<DeviceId> = heads.values().copied().collect();
+            let ring = Ring::random(&reps, &mut rep_ring_rng)?;
+            let weights = config.weight_by_samples.then(|| {
+                let group_samples = |gi: usize| groups[gi].iter().map(|d| shard_samples[d.index()]);
+                heads
+                    .iter()
+                    .map(|(&gi, &rep)| (rep, group_samples(gi).sum()))
+                    .collect()
+            });
+            let audiences: Vec<(DeviceId, Vec<DeviceId>)> = heads
+                .iter()
+                .map(|(&gi, &rep)| {
+                    let mates = groups[gi].iter().copied().filter(|&d| d != rep);
+                    (rep, mates.collect())
+                })
+                .collect();
+            if let Some(outcome) = sync(&ring, weights, sync_end, &audiences)? {
+                inter_sync_rounds.push(round);
+                sync_end = sync_end.after(outcome.comm_secs);
+                last_merged = outcome.merged;
+            }
         }
         tel.emit(
             Duration::from_secs_f64(sync_end.as_secs()),
@@ -504,17 +578,22 @@ pub fn run_hadfl_with_telemetry(
         backups_taken,
         strategy,
         bypass_log,
+        groups: groups
+            .iter()
+            .map(|g| g.iter().map(|d| d.index()).collect())
+            .collect(),
+        inter_sync_rounds,
     })
 }
 
-/// Convenience: builds a workload once and exposes it for schemes that
-/// need the raw pieces (used by the baselines crate and tests).
-///
-/// # Errors
-///
-/// Propagates workload-construction errors.
-pub fn build_workload(workload: &Workload, devices: usize) -> Result<BuiltWorkload, HadflError> {
-    workload.build(devices)
+/// Who tells an audience the merged model: the planned device if it
+/// survived the ring, else the first survivor.
+fn speaker(preferred: DeviceId, participants: &[DeviceId]) -> DeviceId {
+    if participants.contains(&preferred) {
+        preferred
+    } else {
+        participants[0]
+    }
 }
 
 #[cfg(test)]
@@ -759,5 +838,55 @@ mod tests {
         let mut bad = SimOptions::quick(&[1.0, 1.0]);
         bad.backup_every = Some(0);
         assert!(run_hadfl(&w, &c, &bad).is_err());
+
+        // Grouped runs go through the same validation.
+        let grouped = HadflConfig::builder().group_size(Some(2)).build().unwrap();
+        let good = SimOptions::quick(&[1.0, 1.0, 1.0, 1.0]);
+        for bad in [
+            SimOptions {
+                eval_every: 0,
+                ..good.clone()
+            },
+            SimOptions {
+                max_rounds: 0,
+                ..good.clone()
+            },
+            SimOptions {
+                backup_every: Some(0),
+                ..good.clone()
+            },
+            // 5 devices into groups of 2 leaves a singleton.
+            SimOptions::quick(&[1.0, 1.0, 1.0, 1.0, 1.0]),
+        ] {
+            let err = run_hadfl(&w, &grouped, &bad).unwrap_err();
+            assert!(matches!(err, HadflError::InvalidConfig(_)), "{err}");
+        }
+    }
+
+    #[test]
+    fn grouped_run_trains_and_inter_syncs() {
+        let config = HadflConfig::builder()
+            .group_size(Some(2))
+            .inter_group_every(2)
+            .seed(3)
+            .build()
+            .unwrap();
+        let opts = SimOptions::quick(&[2.0, 1.0, 2.0, 1.0]);
+        let run = run_hadfl(&Workload::quick("mlp", 2), &config, &opts).unwrap();
+        assert_eq!(run.groups, vec![vec![0, 1], vec![2, 3]]);
+        assert!(!run.inter_sync_rounds.is_empty());
+        assert!(run.inter_sync_rounds.iter().all(|r| r % 2 == 0));
+        let last = run.trace.records.last().unwrap();
+        assert!(last.epoch_equiv >= opts.epochs_total);
+        assert!(last.test_accuracy > 0.2, "accuracy {}", last.test_accuracy);
+        // Both groups' selections are on the record.
+        assert_eq!(last.selected.len(), 4);
+        // Decentralized at both tiers: the server sees control traffic only.
+        assert!(run.trace.comm.server_bytes < run.trace.model_bytes / 2);
+
+        // One group is the flat framework: no second tier ever forms.
+        let flat = run_hadfl(&Workload::quick("mlp", 2), &quick_config(3), &opts).unwrap();
+        assert_eq!(flat.groups, vec![vec![0, 1, 2, 3]]);
+        assert!(flat.inter_sync_rounds.is_empty());
     }
 }

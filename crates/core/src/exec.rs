@@ -5,7 +5,7 @@
 //! paper deploys it — one participant per thread or process,
 //! heterogeneity emulated with `sleep()` (exactly the paper's method),
 //! parameters moving as encoded [`crate::wire::Message`] frames over a
-//! [`Port`](crate::transport::Port), and the ring reduce/distribute
+//! [`Port`], and the ring reduce/distribute
 //! executed hop by hop between devices. The coordinator only ever sees
 //! control-plane messages plus the final parameter uploads.
 //!
@@ -26,8 +26,12 @@
 //! through every message ordering.
 //!
 //! [`run_threaded`] wires the loops to the in-process
-//! [`ChannelTransport`]; `hadfl-net` wires the same loops to TCP
-//! sockets for multi-process clusters.
+//! [`ChannelTransport`]; [`run_virtual`] steps the same actors over the
+//! same hub from one thread on a [`ManualClock`]; `hadfl-net` wires the
+//! loops to TCP sockets for multi-process clusters. [`run_device`] and
+//! [`run_coordinator`] each have exactly one other form,
+//! [`run_device_instrumented`] / [`run_coordinator_instrumented`],
+//! which takes the clock and a telemetry handle.
 //!
 //! Fault tolerance follows §III-D: a ring member that goes silent is
 //! probed with [`Message::Handshake`]; absent an ack, the prober
@@ -46,7 +50,7 @@ use std::mem;
 use std::thread;
 use std::time::Duration;
 
-use hadfl_nn::{Dataset, LrSchedule, Metrics};
+use hadfl_nn::{Dataset, LrSchedule};
 
 use crate::aggregate::blend_params;
 use crate::clock::{Clock, ManualClock, WallClock};
@@ -55,9 +59,9 @@ use crate::coordinator::{RoundPlan, StrategyGenerator};
 use crate::error::HadflError;
 use crate::predict::VersionPredictor;
 use crate::trace::CommSummary;
-use crate::transport::{coordinator_id, ChannelTransport, Port};
+use crate::transport::{coordinator_id, ChannelPort, ChannelTransport, Port};
 use crate::wire::Message;
-use crate::workload::{evaluate_with, DeviceRuntime, Workload};
+use crate::workload::{evaluate_with, BuiltWorkload, DeviceRuntime, Workload};
 use hadfl_simnet::DeviceId;
 use hadfl_telemetry::{EventKind, Telemetry};
 
@@ -1540,7 +1544,7 @@ fn digest_opt_ring(out: &mut Vec<u8>, run: Option<&RingRun>) {
 /// Runs one device's protocol loop over `port` until the coordinator
 /// sends [`Message::Shutdown`]; the device then uploads its final
 /// parameters and returns. Timing comes from a fresh [`WallClock`];
-/// see [`run_device_with_clock`] for an injected clock.
+/// see [`run_device_instrumented`] for an injected clock.
 ///
 /// The loop trains one heterogeneity-aware local step at a time
 /// (sleeping `step_sleep` per step to emulate compute power), answers
@@ -1560,36 +1564,21 @@ pub fn run_device<P: Port>(
     step_sleep: Duration,
     timing: &ProtocolTiming,
 ) -> Result<(), HadflError> {
-    run_device_with_clock(port, rt, config, step_sleep, timing, &WallClock::new())
-}
-
-/// [`run_device`] with an injected [`Clock`] (deterministic tests).
-///
-/// # Errors
-///
-/// As [`run_device`].
-pub fn run_device_with_clock<P: Port>(
-    port: P,
-    rt: DeviceRuntime,
-    config: &HadflConfig,
-    step_sleep: Duration,
-    timing: &ProtocolTiming,
-    clock: &dyn Clock,
-) -> Result<(), HadflError> {
     run_device_instrumented(
         port,
         rt,
         config,
         step_sleep,
         timing,
-        clock,
+        &WallClock::new(),
         Telemetry::disabled(),
     )
 }
 
-/// [`run_device_with_clock`] with a telemetry handle: emits the device
-/// lifecycle, local-step batches, and ring events, all timestamped from
-/// `clock` so [`crate::clock::ManualClock`] runs are deterministic.
+/// [`run_device`] with an injected [`Clock`] and a telemetry handle:
+/// emits the device lifecycle, local-step batches, and ring events, all
+/// timestamped from `clock` so [`crate::clock::ManualClock`] runs are
+/// deterministic.
 ///
 /// # Errors
 ///
@@ -2184,7 +2173,7 @@ impl<Pl: Planner> CoordinatorActor<Pl> {
 
 /// Runs the coordinator's protocol loop over `port` (see
 /// [`CoordinatorActor`] for the script). Timing comes from a fresh
-/// [`WallClock`]; see [`run_coordinator_with_clock`] for an injected
+/// [`WallClock`]; see [`run_coordinator_instrumented`] for an injected
 /// clock.
 ///
 /// # Errors
@@ -2198,37 +2187,21 @@ pub fn run_coordinator<P: Port>(
     rounds: usize,
     timing: &ProtocolTiming,
 ) -> Result<CoordinatorRun, HadflError> {
-    run_coordinator_with_clock(port, config, window, rounds, timing, &WallClock::new())
-}
-
-/// [`run_coordinator`] with an injected [`Clock`] (deterministic
-/// tests).
-///
-/// # Errors
-///
-/// As [`run_coordinator`].
-pub fn run_coordinator_with_clock<P: Port>(
-    port: P,
-    config: &HadflConfig,
-    window: Duration,
-    rounds: usize,
-    timing: &ProtocolTiming,
-    clock: &dyn Clock,
-) -> Result<CoordinatorRun, HadflError> {
     run_coordinator_instrumented(
         port,
         config,
         window,
         rounds,
         timing,
-        clock,
+        &WallClock::new(),
         Telemetry::disabled(),
     )
 }
 
-/// [`run_coordinator_with_clock`] with a telemetry handle: emits round
-/// plans with their Eq. (8) selection probabilities, Eq. (7)
-/// prediction-vs-actual versions, device drops, and round latencies.
+/// [`run_coordinator`] with an injected [`Clock`] and a telemetry
+/// handle: emits round plans with their Eq. (8) selection probabilities,
+/// Eq. (7) prediction-vs-actual versions, device drops, and round
+/// latencies.
 ///
 /// # Errors
 ///
@@ -2291,16 +2264,9 @@ pub fn run_threaded(
     config: &HadflConfig,
     opts: &ThreadedOptions,
 ) -> Result<ThreadedReport, HadflError> {
-    let k = validate_threaded(opts)?;
-    let built = workload.build(k)?;
+    let (built, hub, coordinator_port, mut device_ports) = open_cluster(workload, opts)?;
+    let k = device_ports.len();
     let wall_clock = WallClock::new();
-
-    let mut hub = ChannelTransport::hub(k + 1);
-    let coordinator_port = hub.claim(coordinator_id(k))?;
-    let mut device_ports = Vec::with_capacity(k);
-    for i in 0..k {
-        device_ports.push(hub.claim(i)?);
-    }
 
     let outcome = thread::scope(|scope| -> Result<CoordinatorRun, HadflError> {
         let mut handles = Vec::with_capacity(k);
@@ -2324,39 +2290,24 @@ pub fn run_threaded(
         Ok(run)
     })?;
 
-    let metrics = evaluate_consensus(workload, &built.test, &outcome)?;
-
-    let stats = hub.net_stats();
-    Ok(ThreadedReport {
-        rounds: outcome.rounds,
-        final_accuracy: metrics.accuracy,
-        peer_bytes: stats.total_bytes() - stats.server_bytes(),
-        comm: CommSummary::from_stats(&stats, k),
-        dropped: outcome.dropped,
-        wall: wall_clock.now(),
-    })
+    close_cluster(workload, &built.test, &hub, k, outcome, wall_clock.now())
 }
 
-/// Consensus evaluation: averages the collected final models and tests
-/// the mean on a freshly initialised model — not on a trained replica,
-/// whose BatchNorm running statistics are not part of the parameter
-/// vector and differ from device to device.
-fn evaluate_consensus(
+/// The opening [`run_threaded`] and [`run_virtual`] share: validated
+/// options, the built workload, and a channel hub with the
+/// coordinator's port and one port per device claimed.
+fn open_cluster(
     workload: &Workload,
-    test: &Dataset,
-    outcome: &CoordinatorRun,
-) -> Result<Metrics, HadflError> {
-    if outcome.final_models.is_empty() {
-        return Err(HadflError::InvalidConfig(
-            "no device uploaded final parameters".into(),
-        ));
-    }
-    let refs: Vec<&[f32]> = outcome.final_models.values().map(Vec::as_slice).collect();
-    let consensus = crate::aggregate::average_params(&refs)?;
-    evaluate_with(&mut workload.model()?, test, &consensus)
-}
-
-fn validate_threaded(opts: &ThreadedOptions) -> Result<usize, HadflError> {
+    opts: &ThreadedOptions,
+) -> Result<
+    (
+        BuiltWorkload,
+        ChannelTransport,
+        ChannelPort,
+        Vec<ChannelPort>,
+    ),
+    HadflError,
+> {
     let k = opts.powers.len();
     if k < 2 {
         return Err(HadflError::InvalidConfig("need at least 2 devices".into()));
@@ -2370,7 +2321,43 @@ fn validate_threaded(opts: &ThreadedOptions) -> Result<usize, HadflError> {
             opts.powers
         )));
     }
-    Ok(k)
+    let built = workload.build(k)?;
+    let mut hub = ChannelTransport::hub(k + 1);
+    let coordinator_port = hub.claim(coordinator_id(k))?;
+    let device_ports = (0..k).map(|i| hub.claim(i)).collect::<Result<_, _>>()?;
+    Ok((built, hub, coordinator_port, device_ports))
+}
+
+/// The close they share: averages the collected final models, tests
+/// the mean on a freshly initialised model — not on a trained replica,
+/// whose BatchNorm running statistics are not part of the parameter
+/// vector and differ from device to device — and reads the byte
+/// ledger off the hub.
+fn close_cluster(
+    workload: &Workload,
+    test: &Dataset,
+    hub: &ChannelTransport,
+    k: usize,
+    outcome: CoordinatorRun,
+    wall: Duration,
+) -> Result<ThreadedReport, HadflError> {
+    if outcome.final_models.is_empty() {
+        return Err(HadflError::InvalidConfig(
+            "no device uploaded final parameters".into(),
+        ));
+    }
+    let refs: Vec<&[f32]> = outcome.final_models.values().map(Vec::as_slice).collect();
+    let consensus = crate::aggregate::average_params(&refs)?;
+    let metrics = evaluate_with(&mut workload.model()?, test, &consensus)?;
+    let stats = hub.net_stats();
+    Ok(ThreadedReport {
+        rounds: outcome.rounds,
+        final_accuracy: metrics.accuracy,
+        peer_bytes: stats.total_bytes() - stats.server_bytes(),
+        comm: CommSummary::from_stats(&stats, k),
+        dropped: outcome.dropped,
+        wall,
+    })
 }
 
 /// [`run_threaded`] in virtual time: the same actors over the same
@@ -2400,16 +2387,9 @@ pub fn run_virtual(
     config: &HadflConfig,
     opts: &ThreadedOptions,
 ) -> Result<ThreadedReport, HadflError> {
-    let k = validate_threaded(opts)?;
-    let built = workload.build(k)?;
+    let (built, hub, mut coord_port, mut device_ports) = open_cluster(workload, opts)?;
+    let k = device_ports.len();
     let clock = ManualClock::new();
-
-    let mut hub = ChannelTransport::hub(k + 1);
-    let mut coord_port = hub.claim(coordinator_id(k))?;
-    let mut device_ports = Vec::with_capacity(k);
-    for i in 0..k {
-        device_ports.push(hub.claim(i)?);
-    }
 
     let planner = StrategyGenerator::new(config);
     let mut coord = CoordinatorActor::new(
@@ -2521,17 +2501,7 @@ pub fn run_virtual(
         }
     };
 
-    let metrics = evaluate_consensus(workload, &built.test, &outcome)?;
-
-    let stats = hub.net_stats();
-    Ok(ThreadedReport {
-        rounds: outcome.rounds,
-        final_accuracy: metrics.accuracy,
-        peer_bytes: stats.total_bytes() - stats.server_bytes(),
-        comm: CommSummary::from_stats(&stats, k),
-        dropped: outcome.dropped,
-        wall: clock.now(),
-    })
+    close_cluster(workload, &built.test, &hub, k, outcome, clock.now())
 }
 
 #[cfg(test)]
@@ -3495,13 +3465,14 @@ mod tests {
                     }
                 });
             }
-            run_coordinator_with_clock(
+            run_coordinator_instrumented(
                 coordinator_port,
                 &config,
                 Duration::from_millis(50),
                 2,
                 &timing,
                 &clock,
+                Telemetry::disabled(),
             )
         })
         .unwrap();

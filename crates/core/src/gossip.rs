@@ -59,47 +59,16 @@ pub struct SyncOutcome {
 /// `params` or parameter lengths disagree, and
 /// [`HadflError::ClusterDead`] (round 0 placeholder, re-tagged by the
 /// driver) if *no* member survives.
+///
+/// # Telemetry
+///
+/// `tel` receives ring enter/exit, per-bypass declarations and repairs,
+/// the merge, and one `FrameSent` event per ledger entry
+/// `record_gossip_traffic` charges to `stats` — so the event stream and
+/// the [`NetStats`] ledger agree byte for byte. `round` tags the emitted
+/// events; pass [`Telemetry::disabled`] (and any round) to run silent.
 #[allow(clippy::too_many_arguments)]
 pub fn run_partial_sync(
-    ring: &Ring,
-    params: &BTreeMap<DeviceId, Vec<f32>>,
-    weights: Option<&BTreeMap<DeviceId, f64>>,
-    faults: &FaultPlan,
-    at: VirtualTime,
-    link: &LinkModel,
-    handshake_timeout_secs: f64,
-    model_bytes: u64,
-    wire_bytes: u64,
-    stats: &mut NetStats,
-) -> Result<SyncOutcome, HadflError> {
-    run_partial_sync_instrumented(
-        ring,
-        params,
-        weights,
-        faults,
-        at,
-        link,
-        handshake_timeout_secs,
-        model_bytes,
-        wire_bytes,
-        stats,
-        &Telemetry::disabled(),
-        0,
-    )
-}
-
-/// [`run_partial_sync`] with a telemetry handle: emits ring
-/// enter/exit, per-bypass declarations and repairs, the merge, and one
-/// `FrameSent` event per ledger entry `record_gossip_traffic` charges
-/// to `stats` — so the event stream and the [`NetStats`] ledger agree
-/// byte for byte. `round` tags the emitted events; a disabled handle
-/// makes this identical to [`run_partial_sync`].
-///
-/// # Errors
-///
-/// As [`run_partial_sync`].
-#[allow(clippy::too_many_arguments)]
-pub fn run_partial_sync_instrumented(
     ring: &Ring,
     params: &BTreeMap<DeviceId, Vec<f32>>,
     weights: Option<&BTreeMap<DeviceId, f64>>,
@@ -159,9 +128,6 @@ pub fn run_partial_sync_instrumented(
                     .iter()
                     .copied()
                     .find(|&d| faults.is_up(d, at));
-                let Some(survivor) = survivor else {
-                    return Err(HadflError::ClusterDead { round: 0 });
-                };
                 tel.emit(
                     t_bypass,
                     EventKind::RingExit {
@@ -169,6 +135,9 @@ pub fn run_partial_sync_instrumented(
                         dissolved: true,
                     },
                 );
+                let Some(survivor) = survivor else {
+                    return Err(HadflError::ClusterDead { round: 0 });
+                };
                 return Ok(SyncOutcome {
                     merged: params[&survivor].clone(),
                     participants: vec![survivor],
@@ -196,17 +165,12 @@ pub fn run_partial_sync_instrumented(
     if tel.enabled() {
         // Mirror exactly what `record_gossip_traffic` charged to the
         // ledger: one frame per directed ring hop.
+        let bytes = wire_cost.bytes_per_member;
         for (i, &from) in live.members().iter().enumerate() {
             let to = live.members()[(i + 1) % live.members().len()];
             tel.emit(
                 t_done,
-                EventKind::FrameSent {
-                    src: from.index() as u32,
-                    dst: to.index() as u32,
-                    bytes: wire_cost.bytes_per_member,
-                    kind: "ring_gossip".to_string(),
-                    lamport: 0, // analytical frame: nothing crossed a transport
-                },
+                analytical_frame(from.index(), to.index(), bytes, "ring_gossip"),
             );
         }
         tel.emit(
@@ -251,6 +215,19 @@ pub fn run_partial_sync_instrumented(
     })
 }
 
+/// The `FrameSent` event mirroring one ledger entry the closed-form
+/// simulation charges. Nothing crossed a transport, so it carries no
+/// causal stamp.
+pub(crate) fn analytical_frame(src: usize, dst: usize, bytes: u64, kind: &str) -> EventKind {
+    EventKind::FrameSent {
+        src: src as u32,
+        dst: dst as u32,
+        bytes,
+        kind: kind.to_string(),
+        lamport: 0,
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -288,6 +265,8 @@ mod tests {
             12,
             12,
             &mut stats,
+            &Telemetry::disabled(),
+            0,
         )
         .unwrap();
         assert_eq!(out.merged, vec![1.0; 3]);
@@ -319,6 +298,8 @@ mod tests {
             8,
             8,
             &mut stats,
+            &Telemetry::disabled(),
+            0,
         )
         .unwrap();
         // 0.75·0 + 0.25·4 = 1
@@ -344,6 +325,8 @@ mod tests {
             100,
             100,
             &mut stats,
+            &Telemetry::disabled(),
+            0,
         )
         .unwrap();
         assert_eq!(out.bypassed, vec![DeviceId(2)]);
@@ -373,6 +356,8 @@ mod tests {
             100,
             100,
             &mut stats,
+            &Telemetry::disabled(),
+            0,
         )
         .unwrap();
         assert!(out.dissolved);
@@ -402,6 +387,8 @@ mod tests {
             100,
             100,
             &mut stats,
+            &Telemetry::disabled(),
+            0,
         )
         .unwrap_err();
         assert!(matches!(err, HadflError::ClusterDead { .. }));
@@ -423,6 +410,8 @@ mod tests {
             100,
             100,
             &mut stats,
+            &Telemetry::disabled(),
+            0,
         )
         .is_err());
     }
@@ -449,6 +438,8 @@ mod tests {
             100,
             100,
             &mut stats,
+            &Telemetry::disabled(),
+            0,
         )
         .unwrap();
         assert_eq!(out.bypassed.len(), 2);

@@ -1,29 +1,14 @@
-//! Hierarchical device grouping (paper §III-C, Fig. 2a).
+//! Hierarchical device grouping (paper §III-C, Fig. 2a): the partition.
 //!
-//! With many devices the coordinator splits them into groups. Intra-group
-//! partial synchronization runs every round exactly as in the flat
-//! framework; *inter-group* synchronization runs every
-//! `inter_group_every` rounds: one representative per group forms a ring,
-//! the representatives' (already group-merged) models are averaged, and
-//! each representative broadcasts the result back into its group.
+//! With many devices the coordinator splits them into groups. What the
+//! groups then do — a ring per group every round, a ring of one
+//! representative per group every `inter_group_every` rounds — is the
+//! same round loop as the flat framework and lives in
+//! [`crate::driver::run_hadfl`]; `HadflConfig::group_size` selects it.
 
-use std::collections::BTreeMap;
+use hadfl_simnet::DeviceId;
 
-use hadfl_nn::LrSchedule;
-use hadfl_simnet::{ComputeModel, DeviceId, Endpoint, NetStats, VirtualTime};
-use hadfl_tensor::SeedStream;
-use serde::{Deserialize, Serialize};
-
-use crate::aggregate::blend_params;
-use crate::config::HadflConfig;
-use crate::coordinator::{LivenessMonitor, RuntimeSupervisor, StrategyGenerator};
-use crate::driver::SimOptions;
 use crate::error::HadflError;
-use crate::gossip::run_partial_sync;
-use crate::strategy::Strategy;
-use crate::topology::Ring;
-use crate::trace::{RoundRecord, Trace};
-use crate::workload::Workload;
 
 /// A partition of `0..devices` into contiguous groups of at most
 /// `group_size` members.
@@ -61,282 +46,6 @@ pub fn partition_groups(
         .collect())
 }
 
-/// Result of a grouped HADFL run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct GroupedRun {
-    /// The per-round trace (evaluates the inter-group consensus model,
-    /// or group 0's model between inter-group syncs).
-    pub trace: Trace,
-    /// The group partition used.
-    pub groups: Vec<Vec<usize>>,
-    /// Rounds at which inter-group synchronization fired.
-    pub inter_sync_rounds: Vec<usize>,
-}
-
-/// Runs HADFL with hierarchical grouping.
-///
-/// Devices are partitioned into groups of at most `config.group_size`
-/// (which must be `Some`); each group runs the heterogeneity-aware local
-/// training + intra-group probabilistic ring sync every round, and every
-/// `config.inter_group_every` rounds the group representatives average
-/// across groups.
-///
-/// # Errors
-///
-/// Returns [`HadflError::InvalidConfig`] when `config.group_size` is
-/// `None` or any group would have fewer than 2 devices available, plus
-/// the usual substrate errors.
-pub fn run_hadfl_grouped(
-    workload: &Workload,
-    config: &HadflConfig,
-    opts: &SimOptions,
-) -> Result<GroupedRun, HadflError> {
-    let group_size = config.group_size.ok_or_else(|| {
-        HadflError::InvalidConfig("run_hadfl_grouped requires config.group_size".into())
-    })?;
-    let k = opts.powers.len();
-    let groups = partition_groups(k, group_size)?;
-    if groups.iter().any(|g| g.len() < 2) {
-        return Err(HadflError::InvalidConfig(
-            "every group needs at least 2 devices (adjust group_size)".into(),
-        ));
-    }
-
-    let mut built = workload.build(k)?;
-    let wire_bytes = opts.wire_model_bytes.unwrap_or(built.model_bytes);
-    let compute = ComputeModel::new(opts.base_step_secs, &opts.powers)?.with_jitter(opts.jitter);
-    let monitor = LivenessMonitor::new(opts.faults.clone());
-    let master_rng = SeedStream::new(config.seed ^ 0x6208_6208);
-    let mut device_rngs: Vec<SeedStream> = (0..k).map(|i| master_rng.fork(i as u64)).collect();
-    let mut ring_rng = master_rng.fork(0xF00D);
-    let mut stats = NetStats::new();
-
-    // Warm-up (same mutual negotiation as the flat driver).
-    let batches = built.batches_per_epoch();
-    let mut warmup_end = VirtualTime::ZERO;
-    for (i, rt) in built.runtimes.iter_mut().enumerate() {
-        rt.set_optimizer(LrSchedule::constant(config.warmup_lr), config.momentum);
-        let steps = config.warmup_epochs as usize * batches[i];
-        rt.train_steps(steps)?;
-        let secs = compute.steps_time(DeviceId(i), steps, Some(&mut device_rngs[i]))?;
-        warmup_end = warmup_end.max(VirtualTime::ZERO.after(secs));
-    }
-    let strategy = Strategy::derive(&compute, &batches, config.t_sync)?;
-    let window = strategy.window_secs;
-    let priors: Vec<f64> = (0..k)
-        .map(|i| built.runtimes[i].steps_done as f64 + strategy.local_steps[i] as f64)
-        .collect();
-    let mut supervisor = RuntimeSupervisor::new(config.smoothing_alpha, &priors)?;
-    // One strategy generator per group keeps selection streams independent.
-    let mut generators: Vec<StrategyGenerator> = groups
-        .iter()
-        .enumerate()
-        .map(|(gi, _)| {
-            let mut cfg = config.clone();
-            cfg.seed = config.seed ^ (0x6209 + gi as u64);
-            StrategyGenerator::new(&cfg)
-        })
-        .collect();
-    for rt in &mut built.runtimes {
-        rt.set_optimizer(LrSchedule::constant(config.lr), config.momentum);
-    }
-
-    let mut trace = Trace::new("hadfl_grouped", k, wire_bytes);
-    let mut inter_sync_rounds = Vec::new();
-    let mut device_free = vec![warmup_end; k];
-    let mut window_start = warmup_end;
-    let mut group_merged: Vec<Vec<f32>> =
-        vec![built.runtimes[0].model.param_vector(); groups.len()];
-
-    for round in 1..=opts.max_rounds {
-        let window_end = window_start.after(window);
-
-        // Local training (identical to the flat driver).
-        let mut losses = Vec::new();
-        for i in 0..k {
-            let dev = DeviceId(i);
-            if !(monitor.is_up(dev, window_start) && monitor.is_up(dev, window_end)) {
-                device_free[i] = device_free[i].max(window_end);
-                continue;
-            }
-            let mut budget = window_end.elapsed_since(device_free[i]);
-            let mut steps = 0usize;
-            while budget > 0.0 {
-                let dt = compute.step_time(dev, Some(&mut device_rngs[i]))?;
-                if dt > budget {
-                    break;
-                }
-                budget -= dt;
-                steps += 1;
-            }
-            let loss = built.runtimes[i].train_steps(steps)?;
-            if steps > 0 {
-                losses.push(loss);
-            }
-            device_free[i] = window_end;
-        }
-        let versions: Vec<f64> = built
-            .runtimes
-            .iter()
-            .map(|rt| rt.steps_done as f64)
-            .collect();
-        let predicted = supervisor.predicted_versions();
-
-        // Intra-group sync, per group.
-        let mut sync_end = window_end;
-        for (gi, group) in groups.iter().enumerate() {
-            let available: Vec<DeviceId> = group
-                .iter()
-                .copied()
-                .filter(|&d| monitor.is_up(d, window_start))
-                .collect();
-            if available.len() < 2 {
-                continue;
-            }
-            let pred: Vec<f64> = available.iter().map(|d| predicted[d.index()]).collect();
-            let plan = generators[gi].plan_round(&available, &pred)?;
-            let params: BTreeMap<DeviceId, Vec<f32>> = plan
-                .ring
-                .members()
-                .iter()
-                .map(|&d| (d, built.runtimes[d.index()].model.param_vector()))
-                .collect();
-            let outcome = run_partial_sync(
-                &plan.ring,
-                &params,
-                None,
-                &opts.faults,
-                window_end,
-                &opts.link,
-                config.handshake_timeout_secs,
-                built.model_bytes,
-                wire_bytes,
-                &mut stats,
-            )?;
-            for d in &outcome.participants {
-                built.runtimes[d.index()]
-                    .model
-                    .set_param_vector(&outcome.merged)?;
-            }
-            let broadcaster = if outcome.participants.contains(&plan.broadcaster) {
-                plan.broadcaster
-            } else {
-                outcome.participants[0]
-            };
-            for u in &plan.unselected {
-                stats.record(
-                    Endpoint::Device(broadcaster),
-                    Endpoint::Device(*u),
-                    wire_bytes,
-                );
-                let mut local = built.runtimes[u.index()].model.param_vector();
-                blend_params(&mut local, &outcome.merged, config.blend_beta)?;
-                built.runtimes[u.index()].model.set_param_vector(&local)?;
-            }
-            group_merged[gi] = outcome.merged;
-            sync_end = sync_end.max(window_end.after(outcome.comm_secs));
-        }
-
-        // Inter-group sync on the configured period.
-        let mut eval_model = group_merged[0].clone();
-        if round % config.inter_group_every as usize == 0 && groups.len() >= 2 {
-            inter_sync_rounds.push(round);
-            // One live representative per group.
-            let mut reps = Vec::new();
-            for group in &groups {
-                if let Some(&rep) = group.iter().find(|&&d| monitor.is_up(d, window_end)) {
-                    reps.push(rep);
-                }
-            }
-            if reps.len() >= 2 {
-                let ring = Ring::random(&reps, &mut ring_rng)?;
-                let params: BTreeMap<DeviceId, Vec<f32>> = reps
-                    .iter()
-                    .enumerate()
-                    .map(|(gi, &d)| (d, group_merged[gi].clone()))
-                    .collect();
-                let outcome = run_partial_sync(
-                    &ring,
-                    &params,
-                    None,
-                    &opts.faults,
-                    window_end,
-                    &opts.link,
-                    config.handshake_timeout_secs,
-                    built.model_bytes,
-                    wire_bytes,
-                    &mut stats,
-                )?;
-                // Representatives broadcast the consensus into their groups.
-                for (gi, group) in groups.iter().enumerate() {
-                    group_merged[gi] = outcome.merged.clone();
-                    let rep = reps.get(gi).copied();
-                    for &d in group {
-                        if !monitor.is_up(d, window_end) {
-                            continue;
-                        }
-                        if let Some(rep) = rep {
-                            if rep != d {
-                                stats.record(
-                                    Endpoint::Device(rep),
-                                    Endpoint::Device(d),
-                                    wire_bytes,
-                                );
-                            }
-                        }
-                        let mut local = built.runtimes[d.index()].model.param_vector();
-                        blend_params(&mut local, &outcome.merged, config.blend_beta)?;
-                        built.runtimes[d.index()].model.set_param_vector(&local)?;
-                    }
-                }
-                sync_end = sync_end.max(window_end.after(outcome.comm_secs));
-                eval_model = outcome.merged;
-            }
-        }
-
-        if config.reset_momentum_on_sync {
-            for rt in &mut built.runtimes {
-                rt.set_optimizer(LrSchedule::constant(config.lr), config.momentum);
-            }
-        }
-        supervisor.observe_round(&versions)?;
-
-        let samples: u64 = built.runtimes.iter().map(|rt| rt.samples_seen).sum();
-        let epoch_equiv = samples as f64 / built.train_size as f64;
-        let done = epoch_equiv >= opts.epochs_total || round == opts.max_rounds;
-        if round % opts.eval_every == 0 || done {
-            let metrics = built.evaluate_params(&eval_model)?;
-            trace.push(RoundRecord {
-                round,
-                time_secs: sync_end.as_secs(),
-                epoch_equiv,
-                train_loss: if losses.is_empty() {
-                    f32::NAN
-                } else {
-                    losses.iter().sum::<f32>() / losses.len() as f32
-                },
-                test_accuracy: metrics.accuracy,
-                selected: Vec::new(),
-                versions,
-            });
-        }
-        if done {
-            break;
-        }
-        window_start = window_end;
-    }
-
-    trace.set_comm(&stats);
-    Ok(GroupedRun {
-        trace,
-        groups: groups
-            .iter()
-            .map(|g| g.iter().map(|d| d.index()).collect())
-            .collect(),
-        inter_sync_rounds,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -353,40 +62,5 @@ mod tests {
     fn partition_validates() {
         assert!(partition_groups(0, 2).is_err());
         assert!(partition_groups(4, 0).is_err());
-    }
-
-    #[test]
-    fn grouped_run_trains_and_inter_syncs() {
-        let config = HadflConfig::builder()
-            .group_size(Some(2))
-            .inter_group_every(2)
-            .seed(3)
-            .build()
-            .unwrap();
-        let opts = SimOptions::quick(&[2.0, 1.0, 2.0, 1.0]);
-        let run = run_hadfl_grouped(&Workload::quick("mlp", 2), &config, &opts).unwrap();
-        assert_eq!(run.groups, vec![vec![0, 1], vec![2, 3]]);
-        assert!(!run.inter_sync_rounds.is_empty());
-        assert!(run.inter_sync_rounds.iter().all(|r| r % 2 == 0));
-        let last = run.trace.records.last().unwrap();
-        assert!(last.epoch_equiv >= opts.epochs_total);
-        assert!(last.test_accuracy > 0.2, "accuracy {}", last.test_accuracy);
-        // Decentralized: no server model traffic at all in the grouped run.
-        assert_eq!(run.trace.comm.server_bytes, 0);
-    }
-
-    #[test]
-    fn grouped_requires_group_size() {
-        let config = HadflConfig::builder().build().unwrap();
-        let opts = SimOptions::quick(&[1.0, 1.0]);
-        assert!(run_hadfl_grouped(&Workload::quick("mlp", 0), &config, &opts).is_err());
-    }
-
-    #[test]
-    fn grouped_rejects_singleton_groups() {
-        let config = HadflConfig::builder().group_size(Some(2)).build().unwrap();
-        // 5 devices into groups of 2 leaves a singleton.
-        let opts = SimOptions::quick(&[1.0, 1.0, 1.0, 1.0, 1.0]);
-        assert!(run_hadfl_grouped(&Workload::quick("mlp", 0), &config, &opts).is_err());
     }
 }

@@ -19,12 +19,17 @@
 //! - **Fault tolerance** — dead ring members are detected by timeout,
 //!   confirmed by handshake, and bypassed ([`gossip`]).
 //! - **Grouping** — hierarchical intra-/inter-group synchronization for
-//!   larger clusters ([`group`]).
+//!   larger clusters: [`group`] partitions the devices and
+//!   `HadflConfig::group_size` turns it on.
 //!
 //! The [`driver`] module wires everything into a deterministic
 //! virtual-time simulation (the paper itself emulates heterogeneity with
 //! `sleep()`; see `DESIGN.md`) and emits [`trace::Trace`]s from which the
-//! paper's tables and figures are regenerated.
+//! paper's tables and figures are regenerated. [`driver::run_hadfl`] is
+//! the only closed-form round loop — flat and grouped runs differ in
+//! configuration, not in entry point. The [`exec`] module runs the
+//! protocol as message-passing actors over real threads, sockets, or a
+//! virtual clock.
 //!
 //! # Quick start
 //!

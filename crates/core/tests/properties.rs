@@ -180,6 +180,8 @@ proptest! {
             100,
             100,
             &mut stats,
+            &hadfl_telemetry::Telemetry::disabled(),
+            0,
         )
         .unwrap();
         let expected = (0..n).map(|i| i as f32).sum::<f32>() / n as f32;

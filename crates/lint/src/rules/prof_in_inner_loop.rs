@@ -1,6 +1,6 @@
 //! `prof-in-inner-loop`: no profiler scopes inside kernel loops.
 //!
-//! A [`hadfl_prof::scope`] guard is a few nanoseconds when a profiler
+//! A `hadfl_prof::scope` guard is a few nanoseconds when a profiler
 //! is installed and a call-tree row per distinct stack — cheap once
 //! per kernel invocation, ruinous once per element. A scope opened
 //! inside a `for`/`while`/`loop` body multiplies the guard cost by the

@@ -8,7 +8,7 @@
 //! the transport's usual 4-byte LE length prefix.
 //!
 //! Telemetry bytes are ledgered by the shipper's own counter
-//! ([`TcpShipper::wire_bytes`]), never by `NetStats` and never as
+//! ([`TcpShipper::ledger`]), never by `NetStats` and never as
 //! `FrameSent` events: the paper's `2·K·M` accounting must see only
 //! protocol traffic, and a telemetry `FrameSent` event describing a
 //! telemetry frame would feed the queue it reports on.

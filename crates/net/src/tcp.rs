@@ -178,28 +178,15 @@ impl BoundNode {
         cluster: &ClusterConfig,
         opts: TcpOptions,
     ) -> Result<TcpPort, HadflError> {
-        self.into_port_with_clock(cluster, opts, WallClock::shared())
+        self.into_port_instrumented(cluster, opts, WallClock::shared(), Telemetry::disabled())
     }
 
     /// [`Self::into_port`] with an injected [`Clock`] — deterministic
-    /// tests drive liveness horizons and dial backoff on virtual time.
-    ///
-    /// # Errors
-    ///
-    /// As [`Self::into_port`].
-    pub fn into_port_with_clock(
-        self,
-        cluster: &ClusterConfig,
-        opts: TcpOptions,
-        clock: Arc<dyn Clock>,
-    ) -> Result<TcpPort, HadflError> {
-        self.into_port_instrumented(cluster, opts, clock, Telemetry::disabled())
-    }
-
-    /// [`Self::into_port_with_clock`] with a [`Telemetry`] handle: the
-    /// port emits one `FrameSent` per outbound payload frame and one
-    /// `FrameReceived` per inbound payload frame, mirroring its
-    /// [`Port::stats`] ledger entry for entry.
+    /// tests drive liveness horizons and dial backoff on virtual time —
+    /// and a [`Telemetry`] handle: the port emits one `FrameSent` per
+    /// outbound payload frame and one `FrameReceived` per inbound
+    /// payload frame, mirroring its [`Port::stats`] ledger entry for
+    /// entry.
     ///
     /// # Errors
     ///
@@ -272,27 +259,6 @@ impl TcpPort {
     ) -> Result<Self, HadflError> {
         cluster.validate()?;
         BoundNode::bind(id, &cluster.node(id)?.addr)?.into_port(cluster, opts)
-    }
-
-    /// [`Self::connect`] with a [`Telemetry`] handle (see
-    /// [`BoundNode::into_port_instrumented`]).
-    ///
-    /// # Errors
-    ///
-    /// As [`Self::connect`].
-    pub fn connect_instrumented(
-        cluster: &ClusterConfig,
-        id: usize,
-        opts: TcpOptions,
-        tel: Telemetry,
-    ) -> Result<Self, HadflError> {
-        cluster.validate()?;
-        BoundNode::bind(id, &cluster.node(id)?.addr)?.into_port_instrumented(
-            cluster,
-            opts,
-            WallClock::shared(),
-            tel,
-        )
     }
 
     /// Whether `peer` produced any traffic (frames or heartbeats)

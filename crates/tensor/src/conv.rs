@@ -375,7 +375,7 @@ pub fn conv_backward_weight(
 /// The input gradient: `gp · weight` scattered back onto NCHW — the
 /// adjoint of [`im2col`] applied to a product that is never stored.
 ///
-/// Each image computes [`ROW_BLOCK`] patch rows of `gp · weight` at a
+/// Each image computes `ROW_BLOCK` patch rows of `gp · weight` at a
 /// time into a small tile (ascending `k`, `gp == 0.0` skipped) and
 /// scatter-adds them immediately, patch by patch in ascending order.
 /// An input pixel receives at most one column of any patch, so

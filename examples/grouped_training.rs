@@ -4,8 +4,7 @@
 //!
 //! Run: `cargo run --release --example grouped_training`
 
-use hadfl::driver::SimOptions;
-use hadfl::group::run_hadfl_grouped;
+use hadfl::driver::{run_hadfl, SimOptions};
 use hadfl::{HadflConfig, Workload};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -24,7 +23,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .seed(11)
         .build()?;
 
-    let run = run_hadfl_grouped(&workload, &config, &opts)?;
+    // `group_size` is all it takes: `run_hadfl` partitions the devices.
+    let run = run_hadfl(&workload, &config, &opts)?;
     println!("groups: {:?}", run.groups);
     println!(
         "inter-group synchronizations fired at rounds {:?} (period 2)",
@@ -38,7 +38,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         last.time_secs
     );
     println!(
-        "server model traffic: {} bytes — fully decentralized at both tiers",
+        "server traffic: {} bytes of version reports and plans, no model — decentralized at both tiers",
         run.trace.comm.server_bytes
     );
     Ok(())

@@ -1,8 +1,15 @@
 //! End-to-end integration tests of the full HADFL workflow across the
 //! workspace crates.
 
-use hadfl::driver::{run_hadfl, SimOptions};
+use hadfl::driver::{run_hadfl, HadflRun, SimOptions};
+use hadfl::workload::ShardKind;
 use hadfl::{HadflConfig, Workload};
+use hadfl_simnet::{DeviceId, FaultPlan, Outage, VirtualTime};
+
+const GOLDEN_PLAIN: u64 = 0x8dba_5cee_9181_3e7f;
+const GOLDEN_FAULTED: u64 = 0xe046_fbb8_c0ae_8560;
+const GOLDEN_WEIGHTED: u64 = 0x2217_a70a_879b_8b5a;
+const GOLDEN_BACKUP: u64 = 0xebc9_ba16_0faa_e2f2;
 
 fn quick_opts(powers: &[f64], epochs: f64) -> SimOptions {
     let mut opts = SimOptions::quick(powers);
@@ -121,4 +128,88 @@ fn umbrella_crate_reexports_compile() {
     let _d = hadfl_suite::simnet::DeviceId(0);
     let _c = hadfl_suite::hadfl::HadflConfig::builder().build().unwrap();
     let _b = hadfl_suite::baselines::BaselineConfig::default();
+}
+
+/// FNV-1a over the JSON of the `HadflRun` fields that predate grouping
+/// folding into `run_hadfl`; `groups` and `inter_sync_rounds` are left
+/// out, so the constants below are the parent commit's.
+fn fingerprint(run: &HadflRun) -> u64 {
+    let json = serde_json::to_string(&(
+        (&run.trace, &run.setup_comm, &run.backup_comm),
+        (run.backups_taken, &run.strategy, &run.bypass_log),
+    ))
+    .expect("finite run serializes");
+    json.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// Flat runs are bit-identical to the loop that existed before grouped
+/// and flat HADFL shared one driver: four configurations covering the
+/// plain path, bypass + rejoin, the weighted merge, and backup with an
+/// overridden wire size, pinned to fingerprints taken at that commit.
+#[test]
+fn flat_runs_match_pre_fold_fingerprints() {
+    let seeded = |seed| HadflConfig::builder().seed(seed);
+
+    let plain = run_hadfl(
+        &Workload::quick("mlp", 31),
+        &seeded(31).build().unwrap(),
+        &quick_opts(&[3.0, 3.0, 1.0, 1.0], 6.0),
+    )
+    .unwrap();
+    assert_eq!(fingerprint(&plain), GOLDEN_PLAIN, "plain [3,3,1,1]");
+
+    // Every device is always selected, so the crashed device 3 and the
+    // briefly absent device 1 are both planned into rings they miss.
+    let mut opts = quick_opts(&[3.0, 3.0, 1.0, 1.0], 10.0);
+    opts.faults = FaultPlan::new(vec![
+        Outage::crash(DeviceId(3), VirtualTime::from_secs(0.20)),
+        Outage::window(
+            DeviceId(1),
+            VirtualTime::from_secs(0.15),
+            VirtualTime::from_secs(0.30),
+        ),
+    ])
+    .unwrap();
+    let faulted = run_hadfl(
+        &Workload::quick("mlp", 32),
+        &seeded(32).num_selected(4).build().unwrap(),
+        &opts,
+    )
+    .unwrap();
+    let bypassed: Vec<usize> = faulted
+        .bypass_log
+        .iter()
+        .flat_map(|(_, devs)| devs.iter().copied())
+        .collect();
+    assert!(
+        bypassed.contains(&1) && bypassed.contains(&3),
+        "{bypassed:?}"
+    );
+    let last = faulted.trace.records.last().unwrap();
+    assert!(last.selected.contains(&1), "device 1 rejoined");
+    assert_eq!(fingerprint(&faulted), GOLDEN_FAULTED, "crash + outage");
+
+    let mut noniid = Workload::quick("mlp", 33);
+    noniid.shard = ShardKind::Dirichlet { alpha: 0.3 };
+    let weighted = run_hadfl(
+        &noniid,
+        &seeded(33).weight_by_samples(true).build().unwrap(),
+        &quick_opts(&[2.0, 1.0, 2.0, 1.0], 6.0),
+    )
+    .unwrap();
+    assert_eq!(fingerprint(&weighted), GOLDEN_WEIGHTED, "weighted non-IID");
+
+    let mut opts = quick_opts(&[2.0, 1.0, 1.0], 6.0);
+    opts.backup_every = Some(2);
+    opts.wire_model_bytes = Some(46_000_000);
+    let backed_up = run_hadfl(
+        &Workload::quick("mlp", 34),
+        &seeded(34).build().unwrap(),
+        &opts,
+    )
+    .unwrap();
+    assert!(backed_up.backups_taken >= 1);
+    assert_eq!(fingerprint(&backed_up), GOLDEN_BACKUP, "backup + wire size");
 }

@@ -9,8 +9,8 @@
 # comparable. The `scaling/` group runs the same workload at 1, 2, and
 # 4 threads (encoded as an `_tN` name suffix), so the file is the
 # recorded evidence for the parallel substrate's scaling; the `wire_*`
-# vs `wire_reference/*_per_float_*` rows are the bulk codec's
-# before/after; the `conv/*` rows are the gather and the three products
+# rows are the bulk codec across the protocol's frame sizes; the
+# `conv/*` rows are the gather and the three products
 # of the round benchmark's widest convolution layer (k = 8);
 # `wire/seal_param_1m`, `wire/open_param_1m` and `tcp/hop_4mib` are one
 # 4 MiB ring frame per layer (codec, then a loopback `TcpPort` hop); the
