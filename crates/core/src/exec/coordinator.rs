@@ -1,0 +1,565 @@
+use std::collections::{BTreeMap, BTreeSet};
+use std::mem;
+use std::time::Duration;
+
+use hadfl_simnet::DeviceId;
+use hadfl_telemetry::{EventKind, Telemetry};
+
+use super::{seeded, CoordinatorRun, Planner, ProtocolTiming, ThreadedRound};
+use crate::error::HadflError;
+use crate::predict::VersionPredictor;
+use crate::transport::Port;
+use crate::wire::Message;
+
+/// Where the coordinator is in its round script.
+#[derive(Debug, Clone)]
+enum CoordPhase {
+    /// Letting devices train until the window closes.
+    Window { round: usize, until: Duration },
+    /// Collecting version reports for `round` until the deadline.
+    Collect {
+        round: usize,
+        versions: BTreeMap<usize, f64>,
+        deadline: Duration,
+    },
+    /// Shutdown sent; collecting final parameter uploads.
+    Final { deadline: Duration },
+    /// Run complete.
+    Done,
+}
+
+/// Which phase a [`CoordinatorActor`] is in (checker introspection).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum CoordPhaseKind {
+    /// Training window open.
+    Window,
+    /// Collecting version reports.
+    Collect,
+    /// Collecting final parameters.
+    Final,
+    /// Run complete.
+    Done,
+}
+
+/// What the blocking driver should do next for a [`CoordinatorActor`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum CoordHint {
+    /// Sleep this long, then call [`CoordinatorActor::on_timer`].
+    Sleep(Duration),
+    /// Block up to this long for a message; on timeout call
+    /// [`CoordinatorActor::on_timer`].
+    Recv(Duration),
+    /// A deadline already passed: call [`CoordinatorActor::on_timer`]
+    /// immediately.
+    Timer,
+    /// The run is complete; collect it with
+    /// [`CoordinatorActor::into_run`].
+    Done,
+}
+
+/// The coordinator's protocol state machine, advanced one event at a
+/// time: per round, wait out the window, collect version reports
+/// (dropping devices that miss the deadline or are reported dead by a
+/// ring), plan the ring via a [`Planner`], distribute the plan; after
+/// the last round shut the cluster down and collect final parameters.
+#[derive(Debug, Clone)]
+pub struct CoordinatorActor<Pl: Planner> {
+    k: usize,
+    rounds: usize,
+    window: Duration,
+    timing: ProtocolTiming,
+    planner: Pl,
+    alive: BTreeSet<usize>,
+    dropped: Vec<(usize, usize)>,
+    rounds_log: Vec<ThreadedRound>,
+    final_models: BTreeMap<usize, Vec<f32>>,
+    phase: CoordPhase,
+    /// Structured-event emitter; disabled by default. Never part of
+    /// [`digest_into`](Self::digest_into) — observability must not
+    /// split model-checker states.
+    tel: Telemetry,
+    /// Eq. (7) shadow predictors, one per device, maintained only while
+    /// telemetry is enabled so prediction-vs-actual error can be
+    /// logged per round. Planning behavior is untouched: the deployed
+    /// coordinator plans from *reported* versions either way.
+    predictors: Option<Vec<VersionPredictor>>,
+    /// When the current round's window opened (round-latency metric).
+    round_opened: Duration,
+}
+
+/// Smoothing factor of the telemetry-only Eq. (7) shadow predictors.
+const TELEMETRY_PREDICTOR_ALPHA: f64 = 0.3;
+
+impl<Pl: Planner> CoordinatorActor<Pl> {
+    /// An actor for a `k`-device cluster starting its first window at
+    /// `now`.
+    pub fn new(
+        k: usize,
+        planner: Pl,
+        window: Duration,
+        rounds: usize,
+        timing: ProtocolTiming,
+        now: Duration,
+    ) -> Self {
+        CoordinatorActor {
+            k,
+            rounds,
+            window,
+            timing,
+            planner,
+            alive: (0..k).collect(),
+            dropped: Vec::new(),
+            rounds_log: Vec::new(),
+            final_models: BTreeMap::new(),
+            phase: CoordPhase::Window {
+                round: 1,
+                until: now + window,
+            },
+            tel: Telemetry::disabled(),
+            predictors: None,
+            round_opened: now,
+        }
+    }
+
+    /// Attaches a telemetry handle; a disabled handle is a no-op. An
+    /// enabled handle also switches on the per-device Eq. (7) shadow
+    /// predictors behind the round's prediction-error events.
+    #[must_use]
+    pub fn with_telemetry(mut self, tel: Telemetry) -> Self {
+        if tel.enabled() {
+            self.predictors = (0..self.k)
+                .map(|_| VersionPredictor::new(TELEMETRY_PREDICTOR_ALPHA, 0.0))
+                .collect::<Result<Vec<_>, _>>()
+                .ok();
+        }
+        self.tel = tel;
+        self
+    }
+
+    /// Devices still considered alive.
+    pub fn alive(&self) -> &BTreeSet<usize> {
+        &self.alive
+    }
+
+    /// Which phase the coordinator is in.
+    pub fn phase_kind(&self) -> CoordPhaseKind {
+        match self.phase {
+            CoordPhase::Window { .. } => CoordPhaseKind::Window,
+            CoordPhase::Collect { .. } => CoordPhaseKind::Collect,
+            CoordPhase::Final { .. } => CoordPhaseKind::Final,
+            CoordPhase::Done => CoordPhaseKind::Done,
+        }
+    }
+
+    /// Is the run complete?
+    pub fn is_done(&self) -> bool {
+        matches!(self.phase, CoordPhase::Done)
+    }
+
+    /// Alive devices whose report (Collect) or final upload (Final)
+    /// has not arrived yet — empty in other phases. The checker uses
+    /// this to decide when a deadline may legitimately elapse: under
+    /// correctly-tuned production timeouts a deadline only fires for
+    /// devices that are really gone.
+    pub fn awaiting(&self) -> Vec<usize> {
+        match &self.phase {
+            CoordPhase::Collect { versions, .. } => self
+                .alive
+                .iter()
+                .copied()
+                .filter(|d| !versions.contains_key(d))
+                .collect(),
+            CoordPhase::Final { .. } => self
+                .alive
+                .iter()
+                .copied()
+                .filter(|d| !self.final_models.contains_key(d))
+                .collect(),
+            CoordPhase::Window { .. } | CoordPhase::Done => Vec::new(),
+        }
+    }
+
+    /// The round currently being windowed or collected, if any
+    /// (checker introspection: round tags must be monotone).
+    pub fn current_round(&self) -> Option<usize> {
+        match &self.phase {
+            CoordPhase::Window { round, .. } | CoordPhase::Collect { round, .. } => Some(*round),
+            CoordPhase::Final { .. } | CoordPhase::Done => None,
+        }
+    }
+
+    /// What the blocking driver should do next.
+    pub fn hint(&self, now: Duration) -> CoordHint {
+        match &self.phase {
+            CoordPhase::Window { until, .. } => CoordHint::Sleep(until.saturating_sub(now)),
+            CoordPhase::Collect { deadline, .. } | CoordPhase::Final { deadline } => {
+                let left = deadline.saturating_sub(now);
+                if left.is_zero() {
+                    CoordHint::Timer
+                } else {
+                    CoordHint::Recv(left)
+                }
+            }
+            CoordPhase::Done => CoordHint::Done,
+        }
+    }
+
+    /// The run's outcome. Meaningful once [`is_done`](Self::is_done).
+    pub fn into_run(self) -> CoordinatorRun {
+        self.tel.flush();
+        CoordinatorRun {
+            rounds: self.rounds_log,
+            final_models: self.final_models,
+            dropped: self.dropped,
+        }
+    }
+
+    /// Delivers one message to the actor.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`HadflError::ClusterDead`] when a report collection
+    /// this message completes leaves fewer than two devices, and
+    /// planner errors.
+    pub fn on_message<P: Port>(
+        &mut self,
+        port: &mut P,
+        msg: Message,
+        now: Duration,
+    ) -> Result<(), HadflError> {
+        let mut collect_full = false;
+        let mut final_full = false;
+        match &mut self.phase {
+            CoordPhase::Collect {
+                round, versions, ..
+            } => {
+                let round = *round;
+                match msg {
+                    Message::VersionReport {
+                        device, version, ..
+                    } => {
+                        let device = device as usize;
+                        if self.alive.contains(&device) {
+                            versions.insert(device, version);
+                        }
+                    }
+                    Message::BypassWarning { dead } => {
+                        let dead = dead as usize;
+                        if self.alive.remove(&dead) {
+                            self.dropped.push((dead, round));
+                            versions.remove(&dead);
+                            self.tel.emit(
+                                now,
+                                EventKind::DeviceDropped {
+                                    round: round as u32,
+                                    device: dead as u32,
+                                },
+                            );
+                        }
+                    }
+                    _ => {}
+                }
+                collect_full = versions.len() >= self.alive.len();
+            }
+            CoordPhase::Final { .. } => {
+                match msg {
+                    Message::FinalParams { device, params } => {
+                        let device = device as usize;
+                        if self.alive.contains(&device) {
+                            self.final_models.insert(device, params);
+                        }
+                    }
+                    Message::BypassWarning { dead } => {
+                        let dead = dead as usize;
+                        if self.alive.remove(&dead) {
+                            self.dropped.push((dead, self.rounds));
+                            self.tel.emit(
+                                now,
+                                EventKind::DeviceDropped {
+                                    round: self.rounds as u32,
+                                    device: dead as u32,
+                                },
+                            );
+                        }
+                    }
+                    _ => {}
+                }
+                final_full = self.final_models.len() >= self.alive.len();
+            }
+            // The blocking driver never polls during a window (it
+            // sleeps); under the checker, deliveries are gated off.
+            // Anything that does land here is dropped, matching a
+            // message the blocking coordinator would only have read
+            // later from its mailbox.
+            CoordPhase::Window { .. } | CoordPhase::Done => {}
+        }
+        if collect_full {
+            self.finish_collect(port, now)?;
+        }
+        if final_full {
+            self.phase = CoordPhase::Done;
+        }
+        Ok(())
+    }
+
+    /// An elapsed deadline: close the window, the report collection, or
+    /// the final-upload collection — whichever is pending.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`HadflError::ClusterDead`] when a closed report
+    /// collection leaves fewer than two devices, and planner errors.
+    pub fn on_timer<P: Port>(&mut self, port: &mut P, now: Duration) -> Result<(), HadflError> {
+        match &self.phase {
+            CoordPhase::Window { round, until } if now >= *until => {
+                let round = *round;
+                for &d in &self.alive {
+                    let _ = port.send(
+                        d,
+                        &Message::ReportRequest {
+                            round: round as u32,
+                        },
+                    );
+                }
+                self.phase = CoordPhase::Collect {
+                    round,
+                    versions: BTreeMap::new(),
+                    deadline: now + self.timing.report_deadline,
+                };
+                Ok(())
+            }
+            CoordPhase::Collect { deadline, .. } if now >= *deadline => {
+                self.finish_collect(port, now)
+            }
+            CoordPhase::Final { deadline } if now >= *deadline => {
+                self.phase = CoordPhase::Done;
+                Ok(())
+            }
+            _ => Ok(()),
+        }
+    }
+
+    /// Canonical bytes of the actor's full state (model-checker
+    /// deduplication).
+    pub fn digest_into(&self, out: &mut Vec<u8>) {
+        out.extend_from_slice(&(self.k as u64).to_le_bytes());
+        out.extend_from_slice(&(self.alive.len() as u64).to_le_bytes());
+        for &d in &self.alive {
+            out.extend_from_slice(&(d as u64).to_le_bytes());
+        }
+        out.extend_from_slice(&(self.dropped.len() as u64).to_le_bytes());
+        for &(d, r) in &self.dropped {
+            out.extend_from_slice(&(d as u64).to_le_bytes());
+            out.extend_from_slice(&(r as u64).to_le_bytes());
+        }
+        out.extend_from_slice(&(self.rounds_log.len() as u64).to_le_bytes());
+        for entry in &self.rounds_log {
+            out.extend_from_slice(&(entry.round as u64).to_le_bytes());
+            for &v in &entry.versions {
+                out.extend_from_slice(&v.to_le_bytes());
+            }
+            for &s in &entry.selected {
+                out.extend_from_slice(&(s as u64).to_le_bytes());
+            }
+        }
+        out.extend_from_slice(&(self.final_models.len() as u64).to_le_bytes());
+        for (&d, params) in &self.final_models {
+            out.extend_from_slice(&(d as u64).to_le_bytes());
+            for p in params {
+                out.extend_from_slice(&p.to_bits().to_le_bytes());
+            }
+        }
+        match &self.phase {
+            CoordPhase::Window { round, until } => {
+                out.push(0);
+                out.extend_from_slice(&(*round as u64).to_le_bytes());
+                out.extend_from_slice(&(until.as_nanos() as u64).to_le_bytes());
+            }
+            CoordPhase::Collect {
+                round,
+                versions,
+                deadline,
+            } => {
+                out.push(1);
+                out.extend_from_slice(&(*round as u64).to_le_bytes());
+                out.extend_from_slice(&(versions.len() as u64).to_le_bytes());
+                for (&d, &v) in versions {
+                    out.extend_from_slice(&(d as u64).to_le_bytes());
+                    out.extend_from_slice(&v.to_bits().to_le_bytes());
+                }
+                out.extend_from_slice(&(deadline.as_nanos() as u64).to_le_bytes());
+            }
+            CoordPhase::Final { deadline } => {
+                out.push(2);
+                out.extend_from_slice(&(deadline.as_nanos() as u64).to_le_bytes());
+            }
+            CoordPhase::Done => out.push(3),
+        }
+        self.planner.digest(out);
+    }
+
+    /// Closes the round's report collection: drops devices that missed
+    /// the deadline, plans and distributes the next ring — or, after
+    /// the last round, shuts the cluster down.
+    fn finish_collect<P: Port>(&mut self, port: &mut P, now: Duration) -> Result<(), HadflError> {
+        let CoordPhase::Collect {
+            round, versions, ..
+        } = mem::replace(&mut self.phase, CoordPhase::Done)
+        else {
+            return Ok(());
+        };
+        // §III-D, coordinator side: missing the deadline means dead.
+        let missing: Vec<usize> = self
+            .alive
+            .iter()
+            .copied()
+            .filter(|d| !versions.contains_key(d))
+            .collect();
+        for d in missing {
+            self.alive.remove(&d);
+            self.dropped.push((d, round));
+            self.tel.emit(
+                now,
+                EventKind::DeviceDropped {
+                    round: round as u32,
+                    device: d as u32,
+                },
+            );
+        }
+        if self.alive.len() < 2 {
+            // Best-effort shutdown of *every* device, dropped included:
+            // a device the coordinator dropped may well still be
+            // running, and without a Shutdown it would train forever
+            // (and a threaded harness would never join its thread).
+            for d in self.shutdown_targets() {
+                let _ = port.send(d, &Message::Shutdown);
+            }
+            self.tel.emit(
+                now,
+                EventKind::ShutdownSent {
+                    round: round as u32,
+                },
+            );
+            self.tel.flush();
+            return Err(HadflError::ClusterDead { round });
+        }
+
+        let available: Vec<DeviceId> = self.alive.iter().map(|&d| DeviceId(d)).collect();
+        let avail_versions: Vec<f64> = available.iter().map(|d| versions[&d.index()]).collect();
+        if let Some(predictors) = self.predictors.as_mut() {
+            // Eq. (7) shadow forecast: predicted-vs-actual *before* the
+            // round's observation updates the smoother.
+            for (d, &actual) in available.iter().zip(&avail_versions) {
+                if let Some(p) = predictors.get_mut(d.index()) {
+                    let predicted = p.forecast(1);
+                    self.tel.emit(
+                        now,
+                        EventKind::Prediction {
+                            round: round as u32,
+                            device: d.index() as u32,
+                            predicted,
+                            actual,
+                        },
+                    );
+                    p.observe(actual);
+                }
+            }
+        }
+        let plan = self.planner.plan(&available, &avail_versions)?;
+        let ring: Vec<u32> = plan
+            .ring
+            .members()
+            .iter()
+            .map(|d| d.index() as u32)
+            .collect();
+        let unselected: Vec<u32> = plan.unselected.iter().map(|d| d.index() as u32).collect();
+        // The decision is logged before its frames go out: RoundPlanned
+        // is the causal source of the round's critical path, so it must
+        // happen-before every RoundPlan send in the merged timeline.
+        if self.tel.enabled() {
+            self.tel.emit(
+                now,
+                EventKind::RoundPlanned {
+                    round: round as u32,
+                    available: available.iter().map(|d| d.index() as u32).collect(),
+                    versions: avail_versions.clone(),
+                    probabilities: self
+                        .planner
+                        .last_probabilities()
+                        .map(<[f64]>::to_vec)
+                        .unwrap_or_default(),
+                    selected: plan.selected.iter().map(|d| d.index() as u32).collect(),
+                    unselected: unselected.clone(),
+                    broadcaster: plan.broadcaster.index() as u32,
+                },
+            );
+        }
+        for &member in plan.ring.members() {
+            let _ = port.send(
+                member.index(),
+                &Message::RoundPlan {
+                    round: round as u32,
+                    ring: ring.clone(),
+                    broadcaster: plan.broadcaster.index() as u32,
+                    unselected: unselected.clone(),
+                },
+            );
+        }
+        let mut version_row = vec![0u64; self.k];
+        for (&d, &v) in &versions {
+            version_row[d] = v as u64;
+        }
+        self.rounds_log.push(ThreadedRound {
+            round,
+            versions: version_row,
+            selected: plan.selected.iter().map(|d| d.index()).collect(),
+        });
+        if self.tel.enabled() {
+            self.tel.emit(
+                now,
+                EventKind::RoundComplete {
+                    round: round as u32,
+                    duration_us: now.saturating_sub(self.round_opened).as_micros() as u64,
+                },
+            );
+        }
+
+        if round >= self.rounds {
+            // Shutdown goes to every device, dropped ones included —
+            // being dropped from planning does not stop a device's
+            // training loop, so it must still hear that the run is
+            // over. Only live devices' final parameters are collected.
+            for d in self.shutdown_targets() {
+                let _ = port.send(d, &Message::Shutdown);
+            }
+            self.tel.emit(
+                now,
+                EventKind::ShutdownSent {
+                    round: round as u32,
+                },
+            );
+            self.tel.flush();
+            self.phase = CoordPhase::Final {
+                deadline: now + self.timing.final_deadline,
+            };
+        } else {
+            self.round_opened = now;
+            self.phase = CoordPhase::Window {
+                round: round + 1,
+                until: now + self.window,
+            };
+        }
+        Ok(())
+    }
+
+    /// Who a cluster shutdown is addressed to: every device — unless
+    /// the seeded PR-1 bug narrows it to the alive set, stranding
+    /// dropped-but-running devices.
+    fn shutdown_targets(&self) -> Vec<usize> {
+        if seeded::shutdown_alive_only() {
+            self.alive.iter().copied().collect()
+        } else {
+            (0..self.k).collect()
+        }
+    }
+}

@@ -1,0 +1,379 @@
+//! Deployed executor: HADFL over a real message fabric.
+//!
+//! The virtual-time [`crate::driver`] is what the experiments use; this
+//! module runs the same protocol with *actual concurrency*, the way the
+//! paper deploys it — one participant per thread or process,
+//! heterogeneity emulated with `sleep()` (exactly the paper's method),
+//! parameters moving as encoded [`crate::wire::Message`] frames over a
+//! [`Port`], and the ring reduce/distribute
+//! executed hop by hop between devices. The coordinator only ever sees
+//! control-plane messages plus the final parameter uploads.
+//!
+//! # Actors and drivers
+//!
+//! The protocol logic lives in two *single-steppable actors* —
+//! [`DeviceActor`] and [`CoordinatorActor`] — whose only side effects
+//! are sends on the [`Port`] they are handed. Each actor advances one
+//! event at a time: [`DeviceActor::on_message`] /
+//! [`CoordinatorActor::on_message`] for a delivered frame,
+//! [`DeviceActor::on_timer`] / [`CoordinatorActor::on_timer`] for an
+//! elapsed deadline, [`DeviceActor::on_idle`] for a local training
+//! step. The blocking entry points — [`run_device`] and
+//! [`run_coordinator`] — are thin drivers that pump a real port into
+//! the actor, sleeping and timing via the [`Clock`] seam
+//! ([`crate::clock`]): wall clock in production, virtual time under
+//! `hadfl-check`, which schedules the very same actors exhaustively
+//! through every message ordering.
+//!
+//! [`run_threaded`] wires the loops to the in-process
+//! [`ChannelTransport`]; [`run_virtual`] steps the same actors over the
+//! same hub from one thread on a [`ManualClock`]; `hadfl-net` wires the
+//! loops to TCP sockets for multi-process clusters. [`run_device`] and
+//! [`run_coordinator`] each have exactly one other form,
+//! [`run_device_instrumented`] / [`run_coordinator_instrumented`],
+//! which takes the clock and a telemetry handle.
+//!
+//! Fault tolerance follows §III-D: a ring member that goes silent is
+//! probed with [`Message::Handshake`]; absent an ack, the prober
+//! broadcasts [`Message::BypassWarning`] and the ring closes around the
+//! dead device, the dead device's upstream re-sending its last frame to
+//! its new downstream. The coordinator also drops devices that miss a
+//! report deadline and excludes them from later plans.
+
+// Protocol hot path: panicking on a malformed peer frame or a poisoned
+// invariant would take down a device thread silently. Every unwrap that
+// remains must be an `#[allow]` with its invariant spelled out.
+#![warn(clippy::unwrap_used, clippy::expect_used)]
+
+use std::collections::BTreeMap;
+use std::time::Duration;
+
+use crate::coordinator::{RoundPlan, StrategyGenerator};
+use crate::error::HadflError;
+use crate::trace::CommSummary;
+use crate::workload::DeviceRuntime;
+use hadfl_simnet::DeviceId;
+
+mod coordinator;
+mod device;
+mod run;
+#[cfg(test)]
+#[allow(clippy::unwrap_used, clippy::expect_used)]
+mod tests;
+
+pub use coordinator::{CoordHint, CoordPhaseKind, CoordinatorActor};
+pub use device::{DeviceActor, DeviceHint};
+pub use run::{
+    run_coordinator, run_coordinator_instrumented, run_device, run_device_instrumented,
+    run_threaded, run_virtual,
+};
+
+pub mod seeded {
+    //! Seeded re-introductions of the three interleaving bugs PR 1's
+    //! review caught by hand, used by `hadfl-check` to prove the model
+    //! checker would have found them mechanically.
+    //!
+    //! Without the `seeded-bugs` cargo feature every query compiles to
+    //! a constant `false` and the protocol is unchanged. With the
+    //! feature, each bug is an `AtomicBool` the checker flips per run:
+    //!
+    //! * [`drop_early_ring_frames`] — ring frames that overtake their
+    //!   `RoundPlan` are dropped instead of held in the backlog
+    //!   (PR-1 bug: round-tag overtake loses an accumulation).
+    //! * [`double_count_on_resend`] — the `contributed` guard is
+    //!   skipped, so a bypass re-send adds a member's parameters twice
+    //!   (PR-1 bug: bypass double-count skews the merged mean).
+    //! * [`shutdown_alive_only`] — the coordinator shuts down only the
+    //!   devices it still considers alive, stranding dropped-but-running
+    //!   devices in their training loops (PR-1 bug: missing shutdown).
+
+    #[cfg(feature = "seeded-bugs")]
+    use std::sync::atomic::{AtomicBool, Ordering};
+
+    #[cfg(feature = "seeded-bugs")]
+    static DROP_EARLY_RING_FRAMES: AtomicBool = AtomicBool::new(false);
+    #[cfg(feature = "seeded-bugs")]
+    static DOUBLE_COUNT_ON_RESEND: AtomicBool = AtomicBool::new(false);
+    #[cfg(feature = "seeded-bugs")]
+    static SHUTDOWN_ALIVE_ONLY: AtomicBool = AtomicBool::new(false);
+
+    /// Is the round-tag-overtake bug seeded?
+    #[cfg(feature = "seeded-bugs")]
+    pub fn drop_early_ring_frames() -> bool {
+        DROP_EARLY_RING_FRAMES.load(Ordering::SeqCst)
+    }
+    /// Is the round-tag-overtake bug seeded? (feature off: never)
+    #[cfg(not(feature = "seeded-bugs"))]
+    #[inline(always)]
+    pub const fn drop_early_ring_frames() -> bool {
+        false
+    }
+
+    /// Is the bypass-double-count bug seeded?
+    #[cfg(feature = "seeded-bugs")]
+    pub fn double_count_on_resend() -> bool {
+        DOUBLE_COUNT_ON_RESEND.load(Ordering::SeqCst)
+    }
+    /// Is the bypass-double-count bug seeded? (feature off: never)
+    #[cfg(not(feature = "seeded-bugs"))]
+    #[inline(always)]
+    pub const fn double_count_on_resend() -> bool {
+        false
+    }
+
+    /// Is the missing-shutdown bug seeded?
+    #[cfg(feature = "seeded-bugs")]
+    pub fn shutdown_alive_only() -> bool {
+        SHUTDOWN_ALIVE_ONLY.load(Ordering::SeqCst)
+    }
+    /// Is the missing-shutdown bug seeded? (feature off: never)
+    #[cfg(not(feature = "seeded-bugs"))]
+    #[inline(always)]
+    pub const fn shutdown_alive_only() -> bool {
+        false
+    }
+
+    /// Seeds (or clears) the round-tag-overtake bug.
+    #[cfg(feature = "seeded-bugs")]
+    pub fn set_drop_early_ring_frames(on: bool) {
+        DROP_EARLY_RING_FRAMES.store(on, Ordering::SeqCst);
+    }
+
+    /// Seeds (or clears) the bypass-double-count bug.
+    #[cfg(feature = "seeded-bugs")]
+    pub fn set_double_count_on_resend(on: bool) {
+        DOUBLE_COUNT_ON_RESEND.store(on, Ordering::SeqCst);
+    }
+
+    /// Seeds (or clears) the missing-shutdown bug.
+    #[cfg(feature = "seeded-bugs")]
+    pub fn set_shutdown_alive_only(on: bool) {
+        SHUTDOWN_ALIVE_ONLY.store(on, Ordering::SeqCst);
+    }
+
+    /// Clears every seeded bug (call between checker runs — the flags
+    /// are process-global).
+    #[cfg(feature = "seeded-bugs")]
+    pub fn reset() {
+        set_drop_early_ring_frames(false);
+        set_double_count_on_resend(false);
+        set_shutdown_alive_only(false);
+    }
+}
+
+/// Failure-detection and deadline knobs of the deployed protocol.
+#[derive(Debug, Clone)]
+pub struct ProtocolTiming {
+    /// Ring silence before the downstream probes its upstream (§III-D).
+    pub ring_wait: Duration,
+    /// Wait after a [`Message::Handshake`] before declaring the peer
+    /// dead.
+    pub handshake_wait: Duration,
+    /// Coordinator's deadline for a round's version reports; devices
+    /// that miss it are dropped from future plans.
+    pub report_deadline: Duration,
+    /// Coordinator's deadline for final parameter uploads at shutdown.
+    pub final_deadline: Duration,
+    /// Hard cap on one ring synchronization before a member gives up.
+    pub ring_hard_limit: Duration,
+}
+
+impl Default for ProtocolTiming {
+    fn default() -> Self {
+        ProtocolTiming {
+            ring_wait: Duration::from_secs(10),
+            handshake_wait: Duration::from_secs(2),
+            report_deadline: Duration::from_secs(10),
+            final_deadline: Duration::from_secs(30),
+            ring_hard_limit: Duration::from_secs(120),
+        }
+    }
+}
+
+impl ProtocolTiming {
+    /// Tight timeouts for in-process tests: failures are detected in
+    /// hundreds of milliseconds instead of tens of seconds.
+    pub fn quick() -> Self {
+        ProtocolTiming {
+            ring_wait: Duration::from_millis(400),
+            handshake_wait: Duration::from_millis(250),
+            report_deadline: Duration::from_secs(5),
+            final_deadline: Duration::from_secs(10),
+            ring_hard_limit: Duration::from_secs(30),
+        }
+    }
+
+    /// All-zero timing for virtual-time model checking: every deadline
+    /// is considered elapsed the moment the scheduler chooses to fire
+    /// the timer, so timeouts are explicit events rather than races.
+    pub fn zero() -> Self {
+        ProtocolTiming {
+            ring_wait: Duration::ZERO,
+            handshake_wait: Duration::ZERO,
+            report_deadline: Duration::ZERO,
+            final_deadline: Duration::ZERO,
+            ring_hard_limit: Duration::ZERO,
+        }
+    }
+}
+
+/// Options of a threaded run.
+#[derive(Debug, Clone)]
+pub struct ThreadedOptions {
+    /// Computing-power ratios, one device thread per entry.
+    pub powers: Vec<f64>,
+    /// Emulated compute time per local step on a power-1 device (the
+    /// paper's `sleep()`); device `i` sleeps `step_sleep / powers[i]`.
+    pub step_sleep: Duration,
+    /// Wall-clock synchronization window.
+    pub window: Duration,
+    /// Number of synchronization rounds to run.
+    pub rounds: usize,
+    /// Failure-detection and deadline knobs.
+    pub timing: ProtocolTiming,
+}
+
+impl ThreadedOptions {
+    /// CI-scale options: short sleeps, a few windows.
+    pub fn quick(powers: &[f64]) -> Self {
+        ThreadedOptions {
+            powers: powers.to_vec(),
+            step_sleep: Duration::from_millis(4),
+            window: Duration::from_millis(60),
+            rounds: 3,
+            timing: ProtocolTiming::quick(),
+        }
+    }
+}
+
+/// One synchronization round of a deployed run.
+#[derive(Debug, Clone, PartialEq)]
+pub struct ThreadedRound {
+    /// Round index from 1.
+    pub round: usize,
+    /// Cumulative local steps per device at sync time (0 for devices
+    /// already dropped).
+    pub versions: Vec<u64>,
+    /// Devices selected for the ring.
+    pub selected: Vec<usize>,
+}
+
+/// Result of a threaded run.
+#[derive(Debug)]
+pub struct ThreadedReport {
+    /// Per-round records.
+    pub rounds: Vec<ThreadedRound>,
+    /// Test accuracy of the post-run consensus (average of the final
+    /// models the coordinator collected).
+    pub final_accuracy: f32,
+    /// Total bytes moved between device threads (encoded frames).
+    pub peer_bytes: u64,
+    /// Full per-participant byte ledger of the run, comparable with the
+    /// analytical driver's [`CommSummary`].
+    pub comm: CommSummary,
+    /// Devices the coordinator dropped (missed reports or bypass
+    /// warnings), with the round they were dropped in.
+    pub dropped: Vec<(usize, usize)>,
+    /// Wall-clock duration of the run.
+    pub wall: Duration,
+}
+
+/// What the coordinator learned from a deployed run.
+#[derive(Debug, Clone)]
+pub struct CoordinatorRun {
+    /// Per-round records.
+    pub rounds: Vec<ThreadedRound>,
+    /// Final parameters per device that uploaded before the deadline.
+    pub final_models: BTreeMap<usize, Vec<f32>>,
+    /// Devices dropped mid-run, with the round they were dropped in.
+    pub dropped: Vec<(usize, usize)>,
+}
+
+/// The training-side state a [`DeviceActor`] owns: the real
+/// [`DeviceRuntime`] in production, a ghost model under `hadfl-check`
+/// whose parameters are chosen to make the ring arithmetic
+/// machine-checkable.
+pub trait TrainState {
+    /// Current parameter vector (what rides in ring frames).
+    fn params(&self) -> Vec<f32>;
+
+    /// Installs a parameter vector (merged model or blended broadcast).
+    ///
+    /// # Errors
+    ///
+    /// Returns substrate errors (e.g. a length mismatch).
+    fn set_params(&mut self, params: &[f32]) -> Result<(), HadflError>;
+
+    /// One heterogeneity-aware local training step.
+    ///
+    /// # Errors
+    ///
+    /// Returns substrate errors from the training step.
+    fn train_step(&mut self) -> Result<(), HadflError>;
+
+    /// Parameter version reported to the coordinator.
+    fn version(&self) -> f64;
+
+    /// Canonical bytes of this state for model-checker deduplication.
+    fn digest(&self, out: &mut Vec<u8>) {
+        for p in self.params() {
+            out.extend_from_slice(&p.to_bits().to_le_bytes());
+        }
+        out.extend_from_slice(&self.version().to_bits().to_le_bytes());
+    }
+}
+
+impl TrainState for DeviceRuntime {
+    fn params(&self) -> Vec<f32> {
+        self.model.param_vector()
+    }
+
+    fn set_params(&mut self, params: &[f32]) -> Result<(), HadflError> {
+        self.model.set_param_vector(params)?;
+        Ok(())
+    }
+
+    fn train_step(&mut self) -> Result<(), HadflError> {
+        self.train_steps(1)?;
+        Ok(())
+    }
+
+    fn version(&self) -> f64 {
+        self.steps_done as f64
+    }
+}
+
+/// The coordinator's round-planning policy: the paper's
+/// [`StrategyGenerator`] in production, a deterministic fixture under
+/// `hadfl-check`.
+pub trait Planner {
+    /// Plans one synchronization round over the available devices.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`HadflError::InvalidConfig`] when no valid ring exists
+    /// (e.g. fewer than two available devices).
+    fn plan(&mut self, available: &[DeviceId], versions: &[f64]) -> Result<RoundPlan, HadflError>;
+
+    /// Canonical bytes of planner state for model-checker deduplication
+    /// (stateless planners need not override).
+    fn digest(&self, _out: &mut Vec<u8>) {}
+
+    /// The normalized Eq. (8) first-draw probabilities of the most
+    /// recent [`plan`](Self::plan) call, parallel to its `available`
+    /// argument. Planners without a probability model (checker
+    /// fixtures) return `None` and telemetry logs an empty row.
+    fn last_probabilities(&self) -> Option<&[f64]> {
+        None
+    }
+}
+
+impl Planner for StrategyGenerator {
+    fn plan(&mut self, available: &[DeviceId], versions: &[f64]) -> Result<RoundPlan, HadflError> {
+        self.plan_round(available, versions)
+    }
+
+    fn last_probabilities(&self) -> Option<&[f64]> {
+        StrategyGenerator::last_probabilities(self)
+    }
+}

@@ -1,0 +1,427 @@
+use std::thread;
+use std::time::Duration;
+
+use hadfl_nn::{Dataset, LrSchedule};
+use hadfl_telemetry::{EventKind, Telemetry};
+
+use super::{
+    CoordHint, CoordinatorActor, CoordinatorRun, DeviceActor, DeviceHint, ProtocolTiming,
+    ThreadedOptions, ThreadedReport,
+};
+use crate::clock::{Clock, ManualClock, WallClock};
+use crate::config::HadflConfig;
+use crate::coordinator::StrategyGenerator;
+use crate::error::HadflError;
+use crate::trace::CommSummary;
+use crate::transport::{coordinator_id, ChannelPort, ChannelTransport, Port};
+use crate::workload::{evaluate_with, BuiltWorkload, DeviceRuntime, Workload};
+
+/// Runs one device's protocol loop over `port` until the coordinator
+/// sends [`Message::Shutdown`]; the device then uploads its final
+/// parameters and returns. Timing comes from a fresh [`WallClock`];
+/// see [`run_device_instrumented`] for an injected clock.
+///
+/// The loop trains one heterogeneity-aware local step at a time
+/// (sleeping `step_sleep` per step to emulate compute power), answers
+/// [`Message::Handshake`] probes, reports versions on request, joins
+/// ring synchronizations it is planned into, and blends broadcast
+/// models it receives while unselected.
+///
+/// # Errors
+///
+/// Returns substrate errors from training, and
+/// [`HadflError::InvalidConfig`] when the fabric is torn down or a ring
+/// synchronization exceeds `timing.ring_hard_limit`.
+pub fn run_device<P: Port>(
+    port: P,
+    rt: DeviceRuntime,
+    config: &HadflConfig,
+    step_sleep: Duration,
+    timing: &ProtocolTiming,
+) -> Result<(), HadflError> {
+    run_device_instrumented(
+        port,
+        rt,
+        config,
+        step_sleep,
+        timing,
+        &WallClock::new(),
+        Telemetry::disabled(),
+    )
+}
+
+/// [`run_device`] with an injected [`Clock`] and a telemetry handle:
+/// emits the device lifecycle, local-step batches, and ring events, all
+/// timestamped from `clock` so [`crate::clock::ManualClock`] runs are
+/// deterministic.
+///
+/// # Errors
+///
+/// As [`run_device`].
+pub fn run_device_instrumented<P: Port>(
+    mut port: P,
+    mut rt: DeviceRuntime,
+    config: &HadflConfig,
+    step_sleep: Duration,
+    timing: &ProtocolTiming,
+    clock: &dyn Clock,
+    tel: Telemetry,
+) -> Result<(), HadflError> {
+    rt.set_optimizer(LrSchedule::constant(config.lr), config.momentum);
+    let me = port.id();
+    let participants = port.participants();
+    tel.emit(clock.now(), EventKind::DeviceStarted { device: me as u32 });
+    let mut actor = DeviceActor::new(me, participants, rt, config.blend_beta, timing.clone())
+        .with_telemetry(tel);
+    actor.begin_training(clock.now(), 1);
+    loop {
+        match actor.hint(clock.now()) {
+            DeviceHint::Finished => return Ok(()),
+            DeviceHint::Train => match port.try_recv()? {
+                Some(msg) => actor.on_message(&mut port, msg, clock.now())?,
+                None => {
+                    // No command: one heterogeneity-aware local step.
+                    actor.on_idle(&mut port)?;
+                    clock.sleep(step_sleep);
+                }
+            },
+            DeviceHint::Ring(wait) => match port.recv_timeout(wait)? {
+                Some(msg) => actor.on_message(&mut port, msg, clock.now())?,
+                None => actor.on_timer(&mut port, clock.now())?,
+            },
+        }
+    }
+}
+
+/// Runs the coordinator's protocol loop over `port` (see
+/// [`CoordinatorActor`] for the script). Timing comes from a fresh
+/// [`WallClock`]; see [`run_coordinator_instrumented`] for an injected
+/// clock.
+///
+/// # Errors
+///
+/// Returns [`HadflError::ClusterDead`] when fewer than two devices
+/// remain, and fabric errors from the transport.
+pub fn run_coordinator<P: Port>(
+    port: P,
+    config: &HadflConfig,
+    window: Duration,
+    rounds: usize,
+    timing: &ProtocolTiming,
+) -> Result<CoordinatorRun, HadflError> {
+    run_coordinator_instrumented(
+        port,
+        config,
+        window,
+        rounds,
+        timing,
+        &WallClock::new(),
+        Telemetry::disabled(),
+    )
+}
+
+/// [`run_coordinator`] with an injected [`Clock`] and a telemetry
+/// handle: emits round plans with their Eq. (8) selection probabilities,
+/// Eq. (7) prediction-vs-actual versions, device drops, and round
+/// latencies.
+///
+/// # Errors
+///
+/// As [`run_coordinator`].
+pub fn run_coordinator_instrumented<P: Port>(
+    mut port: P,
+    config: &HadflConfig,
+    window: Duration,
+    rounds: usize,
+    timing: &ProtocolTiming,
+    clock: &dyn Clock,
+    tel: Telemetry,
+) -> Result<CoordinatorRun, HadflError> {
+    let k = port.participants() - 1;
+    let planner = StrategyGenerator::new(config);
+    let mut actor = CoordinatorActor::new(k, planner, window, rounds, timing.clone(), clock.now())
+        .with_telemetry(tel);
+    loop {
+        match actor.hint(clock.now()) {
+            CoordHint::Sleep(d) => {
+                clock.sleep(d);
+                actor.on_timer(&mut port, clock.now())?;
+            }
+            CoordHint::Timer => actor.on_timer(&mut port, clock.now())?,
+            CoordHint::Recv(left) => match port.recv_timeout(left)? {
+                Some(msg) => actor.on_message(&mut port, msg, clock.now())?,
+                None => actor.on_timer(&mut port, clock.now())?,
+            },
+            CoordHint::Done => return Ok(actor.into_run()),
+        }
+    }
+}
+
+/// Runs HADFL over real threads and in-process channels. See the
+/// module docs.
+///
+/// # Errors
+///
+/// Returns configuration/substrate errors from setup, and
+/// [`HadflError::ClusterDead`] if fewer than two devices survive.
+///
+/// # Example
+///
+/// ```no_run
+/// use hadfl::exec::{run_threaded, ThreadedOptions};
+/// use hadfl::{HadflConfig, Workload};
+///
+/// # fn main() -> Result<(), hadfl::HadflError> {
+/// let report = run_threaded(
+///     &Workload::quick("mlp", 0),
+///     &HadflConfig::builder().build()?,
+///     &ThreadedOptions::quick(&[2.0, 1.0, 1.0]),
+/// )?;
+/// println!("consensus accuracy {:.3}", report.final_accuracy);
+/// # Ok(())
+/// # }
+/// ```
+pub fn run_threaded(
+    workload: &Workload,
+    config: &HadflConfig,
+    opts: &ThreadedOptions,
+) -> Result<ThreadedReport, HadflError> {
+    let (built, hub, coordinator_port, mut device_ports) = open_cluster(workload, opts)?;
+    let k = device_ports.len();
+    let wall_clock = WallClock::new();
+
+    let outcome = thread::scope(|scope| -> Result<CoordinatorRun, HadflError> {
+        let mut handles = Vec::with_capacity(k);
+        for (i, (port, rt)) in device_ports.drain(..).zip(built.runtimes).enumerate() {
+            let sleep = Duration::from_secs_f64(opts.step_sleep.as_secs_f64() / opts.powers[i]);
+            let timing = opts.timing.clone();
+            handles.push(scope.spawn(move || run_device(port, rt, config, sleep, &timing)));
+        }
+        let run = run_coordinator(
+            coordinator_port,
+            config,
+            opts.window,
+            opts.rounds,
+            &opts.timing,
+        )?;
+        for handle in handles {
+            handle
+                .join()
+                .map_err(|_| HadflError::InvalidConfig("device thread panicked".into()))??;
+        }
+        Ok(run)
+    })?;
+
+    close_cluster(workload, &built.test, &hub, k, outcome, wall_clock.now())
+}
+
+/// The opening [`run_threaded`] and [`run_virtual`] share: validated
+/// options, the built workload, and a channel hub with the
+/// coordinator's port and one port per device claimed.
+fn open_cluster(
+    workload: &Workload,
+    opts: &ThreadedOptions,
+) -> Result<
+    (
+        BuiltWorkload,
+        ChannelTransport,
+        ChannelPort,
+        Vec<ChannelPort>,
+    ),
+    HadflError,
+> {
+    let k = opts.powers.len();
+    if k < 2 {
+        return Err(HadflError::InvalidConfig("need at least 2 devices".into()));
+    }
+    if opts.rounds == 0 {
+        return Err(HadflError::InvalidConfig("need at least 1 round".into()));
+    }
+    if opts.powers.iter().any(|&p| !(p > 0.0) || !p.is_finite()) {
+        return Err(HadflError::InvalidConfig(format!(
+            "bad powers {:?}",
+            opts.powers
+        )));
+    }
+    let built = workload.build(k)?;
+    let mut hub = ChannelTransport::hub(k + 1);
+    let coordinator_port = hub.claim(coordinator_id(k))?;
+    let device_ports = (0..k).map(|i| hub.claim(i)).collect::<Result<_, _>>()?;
+    Ok((built, hub, coordinator_port, device_ports))
+}
+
+/// The close they share: averages the collected final models, tests
+/// the mean on a freshly initialised model — not on a trained replica,
+/// whose BatchNorm running statistics are not part of the parameter
+/// vector and differ from device to device — and reads the byte
+/// ledger off the hub.
+fn close_cluster(
+    workload: &Workload,
+    test: &Dataset,
+    hub: &ChannelTransport,
+    k: usize,
+    outcome: CoordinatorRun,
+    wall: Duration,
+) -> Result<ThreadedReport, HadflError> {
+    if outcome.final_models.is_empty() {
+        return Err(HadflError::InvalidConfig(
+            "no device uploaded final parameters".into(),
+        ));
+    }
+    let refs: Vec<&[f32]> = outcome.final_models.values().map(Vec::as_slice).collect();
+    let consensus = crate::aggregate::average_params(&refs)?;
+    let metrics = evaluate_with(&mut workload.model()?, test, &consensus)?;
+    let stats = hub.net_stats();
+    Ok(ThreadedReport {
+        rounds: outcome.rounds,
+        final_accuracy: metrics.accuracy,
+        peer_bytes: stats.total_bytes() - stats.server_bytes(),
+        comm: CommSummary::from_stats(&stats, k),
+        dropped: outcome.dropped,
+        wall,
+    })
+}
+
+/// [`run_threaded`] in virtual time: the same actors over the same
+/// channel hub, but driven by one thread on a [`ManualClock`] as a
+/// discrete-event simulation. Heterogeneity becomes exact — a power-4
+/// device takes *exactly* 4× the local steps of a power-1 device per
+/// window, because steps are scheduled at `step_sleep / power`
+/// intervals of virtual time instead of raced against the OS
+/// scheduler. Identical inputs give identical reports, so assertions
+/// about relative progress ("the fast device outpaces the slow one")
+/// hold on any host, however loaded.
+///
+/// The driver mirrors the blocking loops event-for-event: in-flight
+/// messages are delivered to a fixpoint before time advances (channel
+/// latency is zero in virtual time), then the clock jumps straight to
+/// the earliest pending deadline — a device's next scheduled step, a
+/// ring silence timeout, or the coordinator's window/report/final
+/// deadline.
+///
+/// `report.wall` is virtual elapsed time.
+///
+/// # Errors
+///
+/// As [`run_threaded`].
+pub fn run_virtual(
+    workload: &Workload,
+    config: &HadflConfig,
+    opts: &ThreadedOptions,
+) -> Result<ThreadedReport, HadflError> {
+    let (built, hub, mut coord_port, mut device_ports) = open_cluster(workload, opts)?;
+    let k = device_ports.len();
+    let clock = ManualClock::new();
+
+    let planner = StrategyGenerator::new(config);
+    let mut coord = CoordinatorActor::new(
+        k,
+        planner,
+        opts.window,
+        opts.rounds,
+        opts.timing.clone(),
+        clock.now(),
+    );
+
+    let mut devices = Vec::with_capacity(k);
+    let mut sleeps = Vec::with_capacity(k);
+    let mut next_step = Vec::with_capacity(k);
+    for (i, mut rt) in built.runtimes.into_iter().enumerate() {
+        rt.set_optimizer(LrSchedule::constant(config.lr), config.momentum);
+        let mut actor = DeviceActor::new(i, k + 1, rt, config.blend_beta, opts.timing.clone());
+        actor.begin_training(clock.now(), 1);
+        devices.push(actor);
+        // Like the blocking loop: step first, then wait out the sleep.
+        sleeps.push(Duration::from_secs_f64(
+            opts.step_sleep.as_secs_f64() / opts.powers[i],
+        ));
+        next_step.push(clock.now());
+    }
+
+    let outcome = loop {
+        // Deliver every in-flight message before anything else happens:
+        // virtual channels have zero latency, so a frame sent "now" is
+        // readable "now". Actions below may send more — drain to a
+        // fixpoint.
+        loop {
+            let mut progressed = false;
+            while let Some(msg) = coord_port.try_recv()? {
+                coord.on_message(&mut coord_port, msg, clock.now())?;
+                progressed = true;
+            }
+            for (i, actor) in devices.iter_mut().enumerate() {
+                while let Some(msg) = device_ports[i].try_recv()? {
+                    // A finished device's leftovers are dead frames.
+                    if !matches!(actor.hint(clock.now()), DeviceHint::Finished) {
+                        actor.on_message(&mut device_ports[i], msg, clock.now())?;
+                        progressed = true;
+                    }
+                }
+            }
+            if !progressed {
+                break;
+            }
+        }
+
+        let now = clock.now();
+        let coord_wake = match coord.hint(now) {
+            CoordHint::Done => break coord.into_run(),
+            CoordHint::Timer => {
+                coord.on_timer(&mut coord_port, now)?;
+                continue;
+            }
+            // The blocking driver's Sleep unconditionally ends in
+            // on_timer, and an elapsed Recv's recv_timeout(0) returns
+            // None into on_timer; both fire immediately here.
+            CoordHint::Sleep(d) | CoordHint::Recv(d) if d.is_zero() => {
+                coord.on_timer(&mut coord_port, now)?;
+                continue;
+            }
+            CoordHint::Sleep(d) | CoordHint::Recv(d) => now + d,
+        };
+
+        // Local steps due at the current instant (ports are empty, so
+        // idle is the right action, exactly as in the blocking loop).
+        let mut stepped = false;
+        for (i, actor) in devices.iter_mut().enumerate() {
+            if matches!(actor.hint(now), DeviceHint::Train) && next_step[i] <= now {
+                actor.on_idle(&mut device_ports[i])?;
+                next_step[i] = now + sleeps[i];
+                stepped = true;
+            }
+        }
+        if stepped {
+            continue;
+        }
+
+        // Nothing due now: jump to the earliest pending deadline.
+        let mut wake = coord_wake;
+        let mut ring_deadline: Vec<Option<Duration>> = vec![None; k];
+        for (i, actor) in devices.iter().enumerate() {
+            match actor.hint(now) {
+                DeviceHint::Finished => {}
+                DeviceHint::Train => wake = wake.min(next_step[i]),
+                DeviceHint::Ring(wait) => {
+                    let deadline = now + wait;
+                    ring_deadline[i] = Some(deadline);
+                    wake = wake.min(deadline);
+                }
+            }
+        }
+        clock.set(wake);
+
+        // Ring waits that just elapsed with an empty port are silence:
+        // fire the §III-D probe logic. (Train steps and coordinator
+        // deadlines are re-derived from hints on the next iteration.)
+        let now = clock.now();
+        for (i, actor) in devices.iter_mut().enumerate() {
+            if ring_deadline[i].is_some_and(|d| d <= now)
+                && matches!(actor.hint(now), DeviceHint::Ring(_))
+            {
+                actor.on_timer(&mut device_ports[i], now)?;
+            }
+        }
+    };
+
+    close_cluster(workload, &built.test, &hub, k, outcome, clock.now())
+}

@@ -1,0 +1,983 @@
+use std::thread;
+use std::time::Duration;
+
+use hadfl_telemetry::Telemetry;
+
+use super::*;
+use crate::clock::{Clock, ManualClock, WallClock};
+use crate::config::HadflConfig;
+use crate::transport::{coordinator_id, ChannelTransport, Port};
+use crate::wire::Message;
+use crate::workload::Workload;
+
+fn quick_config(seed: u64) -> HadflConfig {
+    HadflConfig::builder()
+        .num_selected(2)
+        .seed(seed)
+        .build()
+        .unwrap()
+}
+
+#[test]
+fn threaded_run_completes_all_rounds() {
+    let report = run_threaded(
+        &Workload::quick("mlp", 61),
+        &quick_config(61),
+        &ThreadedOptions::quick(&[2.0, 1.0, 1.0]),
+    )
+    .unwrap();
+    assert_eq!(report.rounds.len(), 3);
+    assert!(report.final_accuracy.is_finite());
+    assert!(
+        report.peer_bytes > 0,
+        "parameters must have moved between threads"
+    );
+    assert!(report.wall >= Duration::from_millis(3 * 60));
+    assert!(report.dropped.is_empty());
+}
+
+#[test]
+fn fast_device_accumulates_more_versions() {
+    // Virtual time makes the heterogeneity assertion exact: the
+    // power-4 device steps every 2 ms of simulated time, the
+    // power-1 device every 8 ms, so per 80 ms window the version
+    // gap is 4x by construction — no OS scheduler involved.
+    let report = run_virtual(
+        &Workload::quick("mlp", 62),
+        &quick_config(62),
+        &ThreadedOptions {
+            powers: vec![4.0, 1.0],
+            step_sleep: Duration::from_millis(8),
+            window: Duration::from_millis(80),
+            rounds: 2,
+            timing: ProtocolTiming::quick(),
+        },
+    )
+    .unwrap();
+    let last = report.rounds.last().unwrap();
+    assert!(
+        last.versions[0] > last.versions[1],
+        "power-4 device should outpace power-1: {:?}",
+        last.versions
+    );
+}
+
+#[test]
+fn virtual_run_completes_rounds_and_is_deterministic() {
+    let w = Workload::quick("mlp", 65);
+    let c = quick_config(65);
+    let opts = ThreadedOptions::quick(&[2.0, 1.0, 1.0]);
+    let report = run_virtual(&w, &c, &opts).unwrap();
+    assert_eq!(report.rounds.len(), 3);
+    assert!(report.final_accuracy.is_finite());
+    assert!(
+        report.peer_bytes > 0,
+        "parameters must have moved through the hub"
+    );
+    assert!(report.dropped.is_empty());
+    assert!(report.wall >= Duration::from_millis(3 * 60));
+
+    let again = run_virtual(&w, &c, &opts).unwrap();
+    assert_eq!(report.rounds, again.rounds);
+    assert_eq!(report.wall, again.wall);
+    assert_eq!(report.peer_bytes, again.peer_bytes);
+    assert!((report.final_accuracy - again.final_accuracy).abs() < 1e-12);
+}
+
+#[test]
+fn virtual_run_validates_options_like_threaded() {
+    let w = Workload::quick("mlp", 66);
+    let c = quick_config(66);
+    assert!(run_virtual(&w, &c, &ThreadedOptions::quick(&[1.0])).is_err());
+    let mut bad = ThreadedOptions::quick(&[1.0, 1.0]);
+    bad.powers = vec![1.0, f64::NAN];
+    assert!(run_virtual(&w, &c, &bad).is_err());
+}
+
+#[test]
+fn every_round_selects_a_valid_ring() {
+    let report = run_threaded(
+        &Workload::quick("mlp", 63),
+        &quick_config(63),
+        &ThreadedOptions::quick(&[1.0, 1.0, 1.0, 1.0]),
+    )
+    .unwrap();
+    for r in &report.rounds {
+        assert_eq!(r.selected.len(), 2);
+        assert!(r.selected.iter().all(|&d| d < 4));
+    }
+}
+
+#[test]
+fn validates_options() {
+    let w = Workload::quick("mlp", 64);
+    let c = quick_config(64);
+    assert!(run_threaded(&w, &c, &ThreadedOptions::quick(&[1.0])).is_err());
+    let mut bad = ThreadedOptions::quick(&[1.0, 1.0]);
+    bad.rounds = 0;
+    assert!(run_threaded(&w, &c, &bad).is_err());
+    let mut bad = ThreadedOptions::quick(&[1.0, 1.0]);
+    bad.powers = vec![1.0, -1.0];
+    assert!(run_threaded(&w, &c, &bad).is_err());
+}
+
+#[test]
+fn comm_ledger_matches_peer_bytes() {
+    let report = run_threaded(
+        &Workload::quick("mlp", 65),
+        &quick_config(65),
+        &ThreadedOptions::quick(&[1.0, 1.0, 1.0]),
+    )
+    .unwrap();
+    let device_total: u64 = report.comm.total_bytes - report.comm.server_bytes;
+    assert_eq!(report.peer_bytes, device_total);
+    assert!(report.comm.messages > 0);
+    // Control traffic through the coordinator must be negligible
+    // next to the parameter frames (decentralization claim).
+    assert!(report.comm.server_bytes < report.peer_bytes);
+}
+
+/// A device the coordinator drops keeps training — being excluded
+/// from planning does not stop its loop. Shutdown must reach it
+/// anyway, or the harness would block forever joining its thread.
+#[test]
+fn shutdown_reaches_dropped_devices() {
+    let k = 3;
+    let config = quick_config(67);
+    let workload = Workload::quick("mlp", 67);
+    let built = workload.build(k).unwrap();
+    let mut timing = ProtocolTiming::quick();
+    timing.report_deadline = Duration::from_millis(500);
+    let step_sleep = Duration::from_millis(4);
+
+    let mut hub = ChannelTransport::hub(k + 1);
+    let coordinator_port = hub.claim(coordinator_id(k)).unwrap();
+    let mute_id = 2usize;
+    let mut mute_port = hub.claim(mute_id).unwrap();
+    let mut ports: Vec<_> = (0..k)
+        .filter(|&i| i != mute_id)
+        .map(|i| hub.claim(i).unwrap())
+        .collect();
+
+    let outcome = thread::scope(|scope| {
+        let mut runtimes: Vec<_> = built.runtimes.into_iter().enumerate().collect();
+        runtimes.retain(|(i, _)| *i != mute_id);
+        for ((_, rt), port) in runtimes.into_iter().zip(ports.drain(..)) {
+            let timing = timing.clone();
+            let config = &config;
+            scope.spawn(move || run_device(port, rt, config, step_sleep, &timing));
+        }
+        // The mute device never reports (so it is dropped in round
+        // 1) but stays alive until it hears Shutdown.
+        scope.spawn(move || {
+            let clock = WallClock::new();
+            let deadline = clock.now() + Duration::from_secs(30);
+            loop {
+                assert!(
+                    clock.now() < deadline,
+                    "dropped device never heard Shutdown"
+                );
+                if let Ok(Some(Message::Shutdown)) =
+                    mute_port.recv_timeout(Duration::from_millis(100))
+                {
+                    return;
+                }
+            }
+        });
+        run_coordinator(
+            coordinator_port,
+            &config,
+            Duration::from_millis(60),
+            2,
+            &timing,
+        )
+    })
+    .unwrap();
+
+    assert!(
+        outcome.dropped.iter().any(|&(d, _)| d == mute_id),
+        "mute device must be dropped: {:?}",
+        outcome.dropped
+    );
+    assert_eq!(outcome.final_models.len(), 2);
+}
+
+/// When the cluster collapses below two devices the coordinator
+/// errors out — but it must still shut the stragglers down instead
+/// of leaving them training forever.
+#[test]
+fn cluster_dead_still_shuts_devices_down() {
+    let k = 2;
+    let config = quick_config(68);
+    let mut timing = ProtocolTiming::quick();
+    timing.report_deadline = Duration::from_millis(300);
+
+    let mut hub = ChannelTransport::hub(k + 1);
+    let coordinator_port = hub.claim(coordinator_id(k)).unwrap();
+    let mut mute_ports: Vec<_> = (0..k).map(|i| hub.claim(i).unwrap()).collect();
+
+    let err = thread::scope(|scope| {
+        for mut port in mute_ports.drain(..) {
+            scope.spawn(move || {
+                let clock = WallClock::new();
+                let deadline = clock.now() + Duration::from_secs(30);
+                loop {
+                    assert!(
+                        clock.now() < deadline,
+                        "device never heard Shutdown after ClusterDead"
+                    );
+                    if let Ok(Some(Message::Shutdown)) =
+                        port.recv_timeout(Duration::from_millis(100))
+                    {
+                        return;
+                    }
+                }
+            });
+        }
+        run_coordinator(
+            coordinator_port,
+            &config,
+            Duration::from_millis(40),
+            2,
+            &timing,
+        )
+    })
+    .unwrap_err();
+    assert!(
+        matches!(err, HadflError::ClusterDead { round: 1 }),
+        "expected ClusterDead, got {err:?}"
+    );
+}
+
+/// TCP gives no ordering between the coordinator's connection and a
+/// peer's: a ring frame can arrive before the RoundPlan it belongs
+/// to. The member must hold it and replay it once the plan lands.
+#[test]
+fn ring_frames_overtaking_their_plan_are_replayed() {
+    let k = 2;
+    let config = quick_config(69);
+    let workload = Workload::quick("mlp", 69);
+    let mut runtimes = workload.build(k).unwrap().runtimes;
+    let rt = runtimes.remove(0);
+    let dim = rt.model.param_vector().len();
+    let timing = ProtocolTiming::quick();
+
+    let mut hub = ChannelTransport::hub(k + 1);
+    let mut coord_port = hub.claim(coordinator_id(k)).unwrap();
+    let device_port = hub.claim(0).unwrap();
+    let mut peer_port = hub.claim(1).unwrap();
+
+    thread::scope(|scope| {
+        // The accumulation overtakes the plan that explains it.
+        peer_port
+            .send(
+                0,
+                &Message::ParamAccum {
+                    round: 1,
+                    hops: 1,
+                    params: vec![0.5; dim],
+                },
+            )
+            .unwrap();
+        coord_port
+            .send(
+                0,
+                &Message::RoundPlan {
+                    round: 1,
+                    ring: vec![1, 0],
+                    broadcaster: 1,
+                    unselected: vec![],
+                },
+            )
+            .unwrap();
+        coord_port.send(0, &Message::Shutdown).unwrap();
+        let config = &config;
+        let timing = timing.clone();
+        let handle = scope
+            .spawn(move || run_device(device_port, rt, config, Duration::from_millis(1), &timing));
+        // The device closes the reduce it replayed from its backlog.
+        match peer_port.recv_timeout(Duration::from_secs(10)).unwrap() {
+            Some(Message::MergedParams {
+                round: 1,
+                ttl: 1,
+                params,
+            }) => assert_eq!(params.len(), dim),
+            other => panic!("expected the merged model, got {other:?}"),
+        }
+        match coord_port.recv_timeout(Duration::from_secs(10)).unwrap() {
+            Some(Message::FinalParams { device: 0, .. }) => {}
+            other => panic!("expected final params, got {other:?}"),
+        }
+        handle.join().unwrap().unwrap();
+    });
+}
+
+/// After a bypass, the dead member's upstream re-sends its last
+/// accumulation — which can reach a member that already added its
+/// parameters. The duplicate must not be counted twice.
+#[test]
+fn duplicate_accum_after_bypass_is_ignored() {
+    let k = 3;
+    let config = quick_config(70);
+    let workload = Workload::quick("mlp", 70);
+    let mut runtimes = workload.build(k).unwrap().runtimes;
+    let rt = runtimes.remove(0);
+    let dim = rt.model.param_vector().len();
+    let timing = ProtocolTiming::quick();
+
+    let mut hub = ChannelTransport::hub(k + 1);
+    let mut coord_port = hub.claim(coordinator_id(k)).unwrap();
+    let device_port = hub.claim(0).unwrap();
+    let mut peer1 = hub.claim(1).unwrap();
+    let mut peer2 = hub.claim(2).unwrap();
+
+    thread::scope(|scope| {
+        coord_port
+            .send(
+                0,
+                &Message::RoundPlan {
+                    round: 1,
+                    ring: vec![1, 0, 2],
+                    broadcaster: 1,
+                    unselected: vec![],
+                },
+            )
+            .unwrap();
+        let accum = Message::ParamAccum {
+            round: 1,
+            hops: 1,
+            params: vec![3.0; dim],
+        };
+        peer1.send(0, &accum).unwrap();
+        // A bypass-repair re-send of the same accumulation.
+        peer1.send(0, &accum).unwrap();
+        peer1
+            .send(
+                0,
+                &Message::MergedParams {
+                    round: 1,
+                    ttl: 1,
+                    params: vec![7.0; dim],
+                },
+            )
+            .unwrap();
+        coord_port.send(0, &Message::Shutdown).unwrap();
+        let config = &config;
+        let timing = timing.clone();
+        let handle = scope
+            .spawn(move || run_device(device_port, rt, config, Duration::from_millis(1), &timing));
+        match coord_port.recv_timeout(Duration::from_secs(10)).unwrap() {
+            Some(Message::FinalParams { device: 0, params }) => {
+                assert!(
+                    params.iter().all(|&p| p == 7.0),
+                    "device must install the merged model unchanged"
+                );
+            }
+            other => panic!("expected final params, got {other:?}"),
+        }
+        handle.join().unwrap().unwrap();
+        // Exactly one accumulation reaches the downstream: the
+        // duplicate was dropped, not forwarded with doubled params.
+        let mut accums = 0;
+        while let Some(msg) = peer2.try_recv().unwrap() {
+            if let Message::ParamAccum { hops, .. } = msg {
+                assert_eq!(hops, 2);
+                accums += 1;
+            }
+        }
+        assert_eq!(accums, 1, "the re-sent duplicate must not be forwarded");
+    });
+}
+
+/// A member that finished its ring and went back to training may
+/// still hold the only copy of the frame its (now dead) downstream
+/// never forwarded: a late BypassWarning must trigger the re-send
+/// even outside the ring loop.
+#[test]
+fn finished_member_repairs_ring_after_downstream_death() {
+    let k = 3;
+    let config = quick_config(71);
+    let workload = Workload::quick("mlp", 71);
+    let mut runtimes = workload.build(k).unwrap().runtimes;
+    let rt = runtimes.remove(0);
+    let dim = rt.model.param_vector().len();
+    let timing = ProtocolTiming::quick();
+
+    let mut hub = ChannelTransport::hub(k + 1);
+    let mut coord_port = hub.claim(coordinator_id(k)).unwrap();
+    let device_port = hub.claim(0).unwrap();
+    let mut peer1 = hub.claim(1).unwrap();
+    let mut peer2 = hub.claim(2).unwrap();
+
+    thread::scope(|scope| {
+        coord_port
+            .send(
+                0,
+                &Message::RoundPlan {
+                    round: 1,
+                    ring: vec![2, 0, 1],
+                    broadcaster: 2,
+                    unselected: vec![],
+                },
+            )
+            .unwrap();
+        // Device 0 closes the reduce and forwards the merged model
+        // to its downstream 1...
+        peer2
+            .send(
+                0,
+                &Message::ParamAccum {
+                    round: 1,
+                    hops: 2,
+                    params: vec![1.0; dim],
+                },
+            )
+            .unwrap();
+        // ...which dies before forwarding; the stranded member 2
+        // broadcasts the bypass.
+        peer2.send(0, &Message::BypassWarning { dead: 1 }).unwrap();
+        coord_port.send(0, &Message::Shutdown).unwrap();
+        let config = &config;
+        let timing = timing.clone();
+        let handle = scope
+            .spawn(move || run_device(device_port, rt, config, Duration::from_millis(1), &timing));
+        match peer1.recv_timeout(Duration::from_secs(10)).unwrap() {
+            Some(Message::MergedParams {
+                round: 1, ttl: 2, ..
+            }) => {}
+            other => panic!("downstream 1 should get the merge first, got {other:?}"),
+        }
+        // The repair: device 0 re-sends its merged frame to the new
+        // downstream even though its own ring is long finished.
+        match peer2.recv_timeout(Duration::from_secs(10)).unwrap() {
+            Some(Message::MergedParams {
+                round: 1,
+                ttl: 2,
+                params,
+            }) => assert_eq!(params.len(), dim),
+            other => panic!("stranded member must be repaired, got {other:?}"),
+        }
+        match coord_port.recv_timeout(Duration::from_secs(10)).unwrap() {
+            Some(Message::FinalParams { device: 0, .. }) => {}
+            other => panic!("expected final params, got {other:?}"),
+        }
+        handle.join().unwrap().unwrap();
+    });
+}
+
+/// A planned ring member that dies silently mid-protocol: it
+/// reports versions (so the coordinator keeps planning it) but
+/// ignores ring frames and handshakes. The live members must detect
+/// it via the §III-D probe and close the ring around it.
+#[test]
+fn ring_bypasses_a_silent_member() {
+    let k = 4;
+    let seed = 66;
+    let workload = Workload::quick("mlp", seed);
+    // Select every device so the zombie is in the ring from round 1.
+    let config = HadflConfig::builder()
+        .num_selected(4)
+        .seed(seed)
+        .build()
+        .unwrap();
+    let built = workload.build(k).unwrap();
+    let timing = ProtocolTiming::quick();
+    let step_sleep = Duration::from_millis(4);
+
+    let mut hub = ChannelTransport::hub(k + 1);
+    let coordinator_port = hub.claim(coordinator_id(k)).unwrap();
+    let zombie_id = 2usize;
+    let mut zombie_port = hub.claim(zombie_id).unwrap();
+    let mut ports: Vec<_> = (0..k)
+        .filter(|&i| i != zombie_id)
+        .map(|i| hub.claim(i).unwrap())
+        .collect();
+
+    let outcome = thread::scope(|scope| {
+        let mut runtimes: Vec<_> = built.runtimes.into_iter().enumerate().collect();
+        runtimes.retain(|(i, _)| *i != zombie_id);
+        for ((_, rt), port) in runtimes.into_iter().zip(ports.drain(..)) {
+            let timing = timing.clone();
+            let config = &config;
+            scope.spawn(move || run_device(port, rt, config, step_sleep, &timing));
+        }
+        // The zombie answers the first version report and then dies
+        // silently — a death *after* planning, which only the
+        // in-ring handshake path can catch.
+        scope.spawn(move || loop {
+            match zombie_port.recv_timeout(Duration::from_secs(5)) {
+                Ok(Some(Message::ReportRequest { round })) => {
+                    let _ = zombie_port.send(
+                        k,
+                        &Message::VersionReport {
+                            device: zombie_id as u32,
+                            round,
+                            version: 1.0,
+                        },
+                    );
+                    return;
+                }
+                Ok(Some(_)) => {}
+                _ => return,
+            }
+        });
+        run_coordinator(
+            coordinator_port,
+            &config,
+            Duration::from_millis(60),
+            2,
+            &timing,
+        )
+    })
+    .unwrap();
+
+    assert_eq!(outcome.rounds.len(), 2);
+    assert!(
+        outcome.dropped.iter().any(|&(d, _)| d == zombie_id),
+        "zombie must be reported dead via the bypass path: {:?}",
+        outcome.dropped
+    );
+    // The three live devices all upload final parameters.
+    assert_eq!(outcome.final_models.len(), 3);
+    assert!(!outcome.final_models.contains_key(&zombie_id));
+}
+
+/// A minimal [`TrainState`] for single-stepping the actors without
+/// a real training substrate.
+#[derive(Debug, Clone)]
+struct StubTrain {
+    params: Vec<f32>,
+    steps: u64,
+}
+
+impl TrainState for StubTrain {
+    fn params(&self) -> Vec<f32> {
+        self.params.clone()
+    }
+    fn set_params(&mut self, params: &[f32]) -> Result<(), HadflError> {
+        self.params = params.to_vec();
+        Ok(())
+    }
+    fn train_step(&mut self) -> Result<(), HadflError> {
+        self.steps += 1;
+        Ok(())
+    }
+    fn version(&self) -> f64 {
+        self.steps as f64
+    }
+}
+
+fn stub_actor(me: usize, k: usize) -> DeviceActor<StubTrain> {
+    DeviceActor::new(
+        me,
+        k + 1,
+        StubTrain {
+            params: vec![1.0, 2.0],
+            steps: 0,
+        },
+        0.5,
+        ProtocolTiming::zero(),
+    )
+}
+
+/// Single-stepped through a full two-member ring, the actor walks
+/// Training → Ring → Training → Finished and its digest changes at
+/// every transition.
+#[test]
+fn device_actor_single_steps_a_ring() {
+    let k = 2;
+    let mut hub = ChannelTransport::hub(k + 1);
+    let mut port = hub.claim(0).unwrap();
+    let mut peer = hub.claim(1).unwrap();
+    let mut actor = stub_actor(0, k);
+    let t = Duration::ZERO;
+
+    assert_eq!(actor.hint(t), DeviceHint::Train);
+    let mut d0 = Vec::new();
+    actor.digest_into(&mut d0);
+
+    actor
+        .on_message(
+            &mut port,
+            Message::RoundPlan {
+                round: 1,
+                ring: vec![0, 1],
+                broadcaster: 0,
+                unselected: vec![],
+            },
+            t,
+        )
+        .unwrap();
+    assert_eq!(actor.ring_round(), Some(1));
+    let mut d1 = Vec::new();
+    actor.digest_into(&mut d1);
+    assert_ne!(d0, d1, "entering the ring must change the digest");
+    // As live[0] the actor initiated the reduce.
+    match peer.try_recv().unwrap() {
+        Some(Message::ParamAccum {
+            round: 1, hops: 1, ..
+        }) => {}
+        other => panic!("expected the opening accumulation, got {other:?}"),
+    }
+
+    actor
+        .on_message(
+            &mut port,
+            Message::MergedParams {
+                round: 1,
+                ttl: 1,
+                params: vec![5.0, 5.0],
+            },
+            t,
+        )
+        .unwrap();
+    assert_eq!(actor.ring_round(), None);
+    assert_eq!(actor.done_round(), 1);
+    assert_eq!(actor.train().params, vec![5.0, 5.0]);
+
+    actor.on_message(&mut port, Message::Shutdown, t).unwrap();
+    assert!(actor.is_finished());
+    assert_eq!(actor.hint(t), DeviceHint::Finished);
+}
+
+/// Two timer firings — probe, then expired probe — bypass a dead
+/// upstream, exactly the §III-D schedule the checker explores.
+#[test]
+fn device_actor_timers_drive_the_bypass() {
+    let k = 3;
+    let mut hub = ChannelTransport::hub(k + 1);
+    let mut port = hub.claim(0).unwrap();
+    let mut peer1 = hub.claim(1).unwrap();
+    let mut peer2 = hub.claim(2).unwrap();
+    let mut coord = hub.claim(k).unwrap();
+    let mut actor = stub_actor(0, k);
+    let t = Duration::ZERO;
+
+    // Ring 2 → 0 → 1: the upstream 2 will never answer.
+    actor
+        .on_message(
+            &mut port,
+            Message::RoundPlan {
+                round: 1,
+                ring: vec![2, 0, 1],
+                broadcaster: 2,
+                unselected: vec![],
+            },
+            t,
+        )
+        .unwrap();
+    assert!(!actor.probe_armed());
+    actor.on_timer(&mut port, t).unwrap();
+    assert!(actor.probe_armed(), "first timer arms the probe");
+    match peer2.try_recv().unwrap() {
+        Some(Message::Handshake { from: 0 }) => {}
+        other => panic!("expected a handshake probe, got {other:?}"),
+    }
+    actor.on_timer(&mut port, t).unwrap();
+    assert!(!actor.probe_armed(), "second timer declares the death");
+    match peer1.try_recv().unwrap() {
+        Some(Message::BypassWarning { dead: 2 }) => {}
+        other => panic!("ring peers must hear the bypass, got {other:?}"),
+    }
+    match coord.try_recv().unwrap() {
+        Some(Message::BypassWarning { dead: 2 }) => {}
+        other => panic!("coordinator must hear the bypass, got {other:?}"),
+    }
+    // The origin died silent, so this member (now first) initiates.
+    match peer1.try_recv().unwrap() {
+        Some(Message::ParamAccum {
+            round: 1, hops: 1, ..
+        }) => {}
+        other => panic!("survivor must initiate the reduce, got {other:?}"),
+    }
+}
+
+/// A live upstream's ack clears the probe instead of killing it.
+#[test]
+fn device_actor_ack_clears_probe() {
+    let k = 2;
+    let mut hub = ChannelTransport::hub(k + 1);
+    let mut port = hub.claim(0).unwrap();
+    let _peer = hub.claim(1).unwrap();
+    let mut actor = stub_actor(0, k);
+    let t = Duration::ZERO;
+    actor
+        .on_message(
+            &mut port,
+            Message::RoundPlan {
+                round: 1,
+                ring: vec![1, 0],
+                broadcaster: 1,
+                unselected: vec![],
+            },
+            t,
+        )
+        .unwrap();
+    actor.on_timer(&mut port, t).unwrap();
+    assert!(actor.probe_armed());
+    actor
+        .on_message(&mut port, Message::HandshakeAck { from: 1 }, t)
+        .unwrap();
+    assert!(!actor.probe_armed(), "ack must clear the §III-D probe");
+    assert_eq!(actor.ring_round(), Some(1), "ring continues after ack");
+}
+
+/// The wrap-around bypass shape `hadfl-check` found: in ring
+/// 0→1→2→0, member 2 dies after 1 forwarded it the two-member
+/// accumulation; 1's bypass re-send hands the *complete* sum back
+/// to the already-contributed initiator 0, who must merge it (not
+/// drop it as a duplicate, which stalls the ring for good).
+#[test]
+fn complete_resend_to_contributed_initiator_finishes_the_ring() {
+    let k = 3;
+    let mut hub = ChannelTransport::hub(k + 1);
+    let mut port = hub.claim(0).unwrap();
+    let mut peer1 = hub.claim(1).unwrap();
+    let _peer2 = hub.claim(2).unwrap();
+    let mut actor = stub_actor(0, k);
+    let t = Duration::ZERO;
+    actor
+        .on_message(
+            &mut port,
+            Message::RoundPlan {
+                round: 1,
+                ring: vec![0, 1, 2],
+                broadcaster: 0,
+                unselected: vec![],
+            },
+            t,
+        )
+        .unwrap();
+    // Initiator sent accum(hops=1) to 1; now its upstream 2 goes
+    // silent: probe, then declare dead — live shrinks to [0, 1].
+    actor.on_timer(&mut port, t).unwrap();
+    assert!(actor.probe_armed());
+    actor.on_timer(&mut port, t).unwrap();
+    assert_eq!(actor.ring_round(), Some(1), "ring repaired, not done");
+    // 1's bypass re-send: the accumulation that was addressed to
+    // the dead 2, carrying both live members' parameters.
+    actor
+        .on_message(
+            &mut port,
+            Message::ParamAccum {
+                round: 1,
+                hops: 2,
+                params: vec![6.0, 6.0],
+            },
+            t,
+        )
+        .unwrap();
+    assert_eq!(actor.done_round(), 1, "complete re-send ends the ring");
+    assert_eq!(
+        actor.train().params,
+        vec![3.0, 3.0],
+        "merged model is the accumulation averaged over its hops"
+    );
+    let mut merged = 0;
+    while let Some(msg) = peer1.try_recv().unwrap() {
+        if let Message::MergedParams {
+            round: 1,
+            ttl: 1,
+            params,
+        } = msg
+        {
+            assert_eq!(params, vec![3.0, 3.0]);
+            merged += 1;
+        }
+    }
+    assert_eq!(merged, 1, "survivor 1 must receive the merged model");
+}
+
+/// The warning-overtakes-plan shape `hadfl-check` found: device 2
+/// hears `BypassWarning(dead 0)` *before* the round-1 `RoundPlan`
+/// naming 0 arrives (independent connections give no ordering).
+/// Joining with the stale membership would forward the
+/// accumulation to dead 0 and stall the ring; instead the plan's
+/// membership must be filtered through the remembered death.
+#[test]
+fn bypass_warning_before_the_plan_filters_ring_membership() {
+    let k = 3;
+    let mut hub = ChannelTransport::hub(k + 1);
+    let mut port = hub.claim(2).unwrap();
+    let _peer0 = hub.claim(0).unwrap();
+    let mut peer1 = hub.claim(1).unwrap();
+    let mut actor = stub_actor(2, k);
+    let t = Duration::ZERO;
+    actor
+        .on_message(&mut port, Message::BypassWarning { dead: 0 }, t)
+        .unwrap();
+    actor
+        .on_message(
+            &mut port,
+            Message::RoundPlan {
+                round: 1,
+                ring: vec![0, 1, 2],
+                broadcaster: 0,
+                unselected: vec![],
+            },
+            t,
+        )
+        .unwrap();
+    assert_eq!(actor.ring_round(), Some(1), "ring runs without dead 0");
+    // With 0 filtered out, 1 initiates; its hops-1 accumulation
+    // closes the two-member ring at this actor.
+    actor
+        .on_message(
+            &mut port,
+            Message::ParamAccum {
+                round: 1,
+                hops: 1,
+                params: vec![5.0, 2.0],
+            },
+            t,
+        )
+        .unwrap();
+    assert_eq!(actor.done_round(), 1, "two survivors finish the ring");
+    assert_eq!(
+        actor.train().params,
+        vec![3.0, 2.0],
+        "merge averages the initiator's [5, 2] with our own [1, 2]"
+    );
+    let mut merged = 0;
+    while let Some(msg) = peer1.try_recv().unwrap() {
+        if let Message::MergedParams {
+            round: 1,
+            ttl: 1,
+            params,
+        } = msg
+        {
+            assert_eq!(params, vec![3.0, 2.0]);
+            merged += 1;
+        }
+    }
+    assert_eq!(merged, 1, "initiator 1 must receive the merged model");
+}
+
+/// When every other planned member is already known dead, the ring
+/// dissolves at entry: the device keeps its local model, marks the
+/// round synchronized, and keeps training instead of stalling.
+#[test]
+fn ring_dissolved_at_entry_keeps_local_model() {
+    let k = 2;
+    let mut hub = ChannelTransport::hub(k + 1);
+    let mut port = hub.claim(1).unwrap();
+    let mut peer0 = hub.claim(0).unwrap();
+    let mut actor = stub_actor(1, k);
+    let t = Duration::ZERO;
+    actor
+        .on_message(&mut port, Message::BypassWarning { dead: 0 }, t)
+        .unwrap();
+    actor
+        .on_message(
+            &mut port,
+            Message::RoundPlan {
+                round: 1,
+                ring: vec![0, 1],
+                broadcaster: 0,
+                unselected: vec![],
+            },
+            t,
+        )
+        .unwrap();
+    assert_eq!(actor.ring_round(), None, "no ring with a lone member");
+    assert_eq!(actor.done_round(), 1, "round counts as synchronized");
+    assert_eq!(actor.train().params, vec![1.0, 2.0], "model untouched");
+    assert_eq!(
+        peer0.try_recv().unwrap(),
+        None,
+        "nothing may be sent to the dead member"
+    );
+}
+
+/// The coordinator driver runs to completion on a [`ManualClock`]:
+/// virtual time advances through window, report deadline, and final
+/// deadline without any wall-clock waiting.
+#[test]
+fn coordinator_runs_on_a_manual_clock() {
+    let k = 2;
+    let config = quick_config(72);
+    let timing = ProtocolTiming::quick();
+    let clock = ManualClock::new();
+    let mut hub = ChannelTransport::hub(k + 1);
+    let coordinator_port = hub.claim(coordinator_id(k)).unwrap();
+    let mut ports: Vec<_> = (0..k).map(|i| hub.claim(i).unwrap()).collect();
+
+    let outcome = thread::scope(|scope| {
+        for (i, mut port) in ports.drain(..).enumerate() {
+            scope.spawn(move || {
+                // A scripted device: answer reports, echo ring
+                // frames to close the reduce, upload on shutdown.
+                let me = i;
+                loop {
+                    match port.recv_timeout(Duration::from_secs(10)) {
+                        Ok(Some(Message::ReportRequest { round })) => {
+                            let _ = port.send(
+                                k,
+                                &Message::VersionReport {
+                                    device: me as u32,
+                                    round,
+                                    version: 1.0,
+                                },
+                            );
+                        }
+                        Ok(Some(Message::RoundPlan { round, ring, .. })) => {
+                            // First member starts; the other just
+                            // completes the two-hop reduce.
+                            if ring.first() == Some(&(me as u32)) {
+                                let other = ring[1] as usize;
+                                let _ = port.send(
+                                    other,
+                                    &Message::ParamAccum {
+                                        round,
+                                        hops: 1,
+                                        params: vec![1.0, 1.0],
+                                    },
+                                );
+                            }
+                        }
+                        Ok(Some(Message::ParamAccum { round, .. })) => {
+                            let other = 1 - me;
+                            let _ = port.send(
+                                other,
+                                &Message::MergedParams {
+                                    round,
+                                    ttl: 1,
+                                    params: vec![1.0, 1.0],
+                                },
+                            );
+                        }
+                        Ok(Some(Message::Shutdown)) => {
+                            let _ = port.send(
+                                k,
+                                &Message::FinalParams {
+                                    device: me as u32,
+                                    params: vec![1.0, 1.0],
+                                },
+                            );
+                            return;
+                        }
+                        Ok(Some(_)) => {}
+                        _ => return,
+                    }
+                }
+            });
+        }
+        run_coordinator_instrumented(
+            coordinator_port,
+            &config,
+            Duration::from_millis(50),
+            2,
+            &timing,
+            &clock,
+            Telemetry::disabled(),
+        )
+    })
+    .unwrap();
+    assert_eq!(outcome.rounds.len(), 2);
+    assert_eq!(outcome.final_models.len(), 2);
+    assert!(outcome.dropped.is_empty());
+    assert!(
+        clock.now() >= Duration::from_millis(100),
+        "windows must have advanced the virtual clock"
+    );
+}
