@@ -18,7 +18,6 @@ use hadfl::{HadflConfig, HadflError, Workload};
 use hadfl_baselines::{
     run_centralized_fedavg, run_decentralized_fedavg, run_distributed, BaselineConfig,
 };
-use serde::Serialize;
 
 /// The training schemes under comparison.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -305,18 +304,6 @@ pub fn out_dir() -> PathBuf {
     let dir = Path::new("target").join("experiments");
     fs::create_dir_all(&dir).expect("create target/experiments");
     dir
-}
-
-/// Serializes `value` as pretty JSON into `target/experiments/<name>`.
-///
-/// # Panics
-///
-/// Panics on serialization or I/O failure (report binaries fail loudly).
-pub fn write_json<T: Serialize>(name: &str, value: &T) {
-    let path = out_dir().join(name);
-    let json = serde_json::to_string_pretty(value).expect("serialize experiment output");
-    fs::write(&path, json).expect("write experiment output");
-    eprintln!("wrote {}", path.display());
 }
 
 /// Writes CSV rows (first row = header) into `target/experiments/<name>`.

@@ -256,60 +256,14 @@ pub fn ring_allreduce_cost(
     })
 }
 
-/// Ring scatter-gather cost under a heterogeneous [`BandwidthMatrix`]:
-/// the pipeline is paced by the *slowest* directed link in the ring
-/// order, so the ring ordering matters (see
-/// [`crate::topology::Ring::greedy_bandwidth`]).
-///
-/// # Errors
-///
-/// Returns [`HadflError::InvalidConfig`] for fewer than 2 members and
-/// propagates matrix errors for out-of-range devices.
-///
-/// # Example
-///
-/// ```
-/// use hadfl::aggregate::ring_allreduce_cost_hetero;
-/// use hadfl_simnet::{BandwidthMatrix, DeviceId};
-///
-/// # fn main() -> Result<(), hadfl::HadflError> {
-/// let net = BandwidthMatrix::two_clusters(4, 2, 0.0, 1e9, 1e6)?;
-/// let crossing = [DeviceId(0), DeviceId(2)];        // slow pair
-/// let local = [DeviceId(0), DeviceId(1)];           // fast pair
-/// let slow = ring_allreduce_cost_hetero(&crossing, 1_000_000, &net)?;
-/// let fast = ring_allreduce_cost_hetero(&local, 1_000_000, &net)?;
-/// assert!(slow.secs > 100.0 * fast.secs);
-/// # Ok(())
-/// # }
-/// ```
-pub fn ring_allreduce_cost_hetero(
-    order: &[DeviceId],
-    model_bytes: u64,
-    net: &BandwidthMatrix,
-) -> Result<GossipCost, HadflError> {
-    if order.len() < 2 {
-        return Err(HadflError::InvalidConfig(format!(
-            "heterogeneous all-reduce needs at least 2 members, got {}",
-            order.len()
-        )));
-    }
-    let n = order.len();
-    let chunk = (model_bytes as f64 / n as f64).ceil() as u64;
-    let bottleneck = net.ring_bottleneck(order)?;
-    let steps = 2 * (n - 1);
-    let per_step = net.latency_secs() + chunk as f64 / bottleneck;
-    Ok(GossipCost {
-        secs: steps as f64 * per_step,
-        bytes_per_member: steps as u64 * chunk,
-    })
-}
-
 /// Sequential token-pass ring aggregation cost under a heterogeneous
 /// network: a running sum travels the ring once (reduce) and the merged
 /// model travels it once more (distribute), each hop carrying the full
-/// model — the scheme [`crate::exec`] implements. Unlike the pipelined
-/// [`ring_allreduce_cost_hetero`], *every* link's speed contributes, so
-/// ring ordering matters even when the bottleneck is unavoidable.
+/// model — the scheme [`crate::exec`] implements. Unlike a pipelined
+/// all-reduce, which only its slowest link paces, *every* link's speed
+/// contributes, so ring ordering matters (see
+/// [`crate::topology::Ring::greedy_bandwidth`]) even when the
+/// bottleneck is unavoidable.
 ///
 /// # Errors
 ///
@@ -460,16 +414,6 @@ mod tests {
         assert!(ring_allreduce_cost(0, 1000, &link).is_err());
         let c1 = ring_allreduce_cost(1, 1000, &link).unwrap();
         assert_eq!((c1.secs, c1.bytes_per_member), (0.0, 0));
-    }
-
-    #[test]
-    fn hetero_allreduce_paced_by_bottleneck() {
-        let net = BandwidthMatrix::two_clusters(4, 2, 0.0, 1e9, 1e6).unwrap();
-        let order: Vec<DeviceId> = (0..4).map(DeviceId).collect();
-        let cost = ring_allreduce_cost_hetero(&order, 4_000_000, &net).unwrap();
-        // 6 steps of 1 MB chunks over the 1 MB/s bottleneck = 6 s.
-        assert!((cost.secs - 6.0).abs() < 1e-9, "{}", cost.secs);
-        assert!(ring_allreduce_cost_hetero(&order[..1], 100, &net).is_err());
     }
 
     #[test]

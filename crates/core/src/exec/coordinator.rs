@@ -227,79 +227,71 @@ impl<Pl: Planner> CoordinatorActor<Pl> {
         msg: Message,
         now: Duration,
     ) -> Result<(), HadflError> {
-        let mut collect_full = false;
-        let mut final_full = false;
-        match &mut self.phase {
-            CoordPhase::Collect {
-                round, versions, ..
-            } => {
-                let round = *round;
-                match msg {
-                    Message::VersionReport {
-                        device, version, ..
-                    } => {
-                        let device = device as usize;
-                        if self.alive.contains(&device) {
-                            versions.insert(device, version);
-                        }
-                    }
-                    Message::BypassWarning { dead } => {
-                        let dead = dead as usize;
-                        if self.alive.remove(&dead) {
-                            self.dropped.push((dead, round));
-                            versions.remove(&dead);
-                            self.tel.emit(
-                                now,
-                                EventKind::DeviceDropped {
-                                    round: round as u32,
-                                    device: dead as u32,
-                                },
-                            );
-                        }
-                    }
-                    _ => {}
+        match (&mut self.phase, msg) {
+            (
+                CoordPhase::Collect { versions, .. },
+                Message::VersionReport {
+                    device, version, ..
+                },
+            ) => {
+                let device = device as usize;
+                if self.alive.contains(&device) {
+                    versions.insert(device, version);
                 }
-                collect_full = versions.len() >= self.alive.len();
             }
-            CoordPhase::Final { .. } => {
-                match msg {
-                    Message::FinalParams { device, params } => {
-                        let device = device as usize;
-                        if self.alive.contains(&device) {
-                            self.final_models.insert(device, params);
-                        }
-                    }
-                    Message::BypassWarning { dead } => {
-                        let dead = dead as usize;
-                        if self.alive.remove(&dead) {
-                            self.dropped.push((dead, self.rounds));
-                            self.tel.emit(
-                                now,
-                                EventKind::DeviceDropped {
-                                    round: self.rounds as u32,
-                                    device: dead as u32,
-                                },
-                            );
-                        }
-                    }
-                    _ => {}
+            (CoordPhase::Final { .. }, Message::FinalParams { device, params }) => {
+                let device = device as usize;
+                if self.alive.contains(&device) {
+                    self.final_models.insert(device, params);
                 }
-                final_full = self.final_models.len() >= self.alive.len();
+            }
+            (
+                CoordPhase::Collect { .. } | CoordPhase::Final { .. },
+                Message::BypassWarning { dead },
+            ) => {
+                // A death reported during the final collection is
+                // booked on the last round.
+                let round = self.current_round().unwrap_or(self.rounds);
+                self.drop_device(dead as usize, round, now);
             }
             // The blocking driver never polls during a window (it
             // sleeps); under the checker, deliveries are gated off.
-            // Anything that does land here is dropped, matching a
+            // Anything that does land there is dropped, matching a
             // message the blocking coordinator would only have read
             // later from its mailbox.
-            CoordPhase::Window { .. } | CoordPhase::Done => {}
+            _ => {}
         }
-        if collect_full {
-            self.finish_collect(port, now)?;
-        }
-        if final_full {
-            self.phase = CoordPhase::Done;
+        match &self.phase {
+            CoordPhase::Collect { versions, .. } if versions.len() >= self.alive.len() => {
+                self.finish_collect(port, now)?;
+            }
+            CoordPhase::Final { .. } if self.final_models.len() >= self.alive.len() => {
+                self.phase = CoordPhase::Done;
+            }
+            _ => {}
         }
         Ok(())
+    }
+
+    /// §III-D, coordinator side: `device` leaves the alive set — a ring
+    /// declared it dead, or it missed the report deadline — and with it
+    /// any report of the round being collected. Returns without effect
+    /// for a device already dropped.
+    fn drop_device(&mut self, device: usize, round: usize, now: Duration) {
+        if !self.alive.remove(&device) {
+            return;
+        }
+        self.dropped.push((device, round));
+        if let CoordPhase::Collect { versions, .. } = &mut self.phase {
+            versions.remove(&device);
+        }
+        self.tel.emit(
+            now,
+            EventKind::DeviceDropped {
+                round: round as u32,
+                device: device as u32,
+            },
+        );
     }
 
     /// An elapsed deadline: close the window, the report collection, or
@@ -416,31 +408,10 @@ impl<Pl: Planner> CoordinatorActor<Pl> {
             .filter(|d| !versions.contains_key(d))
             .collect();
         for d in missing {
-            self.alive.remove(&d);
-            self.dropped.push((d, round));
-            self.tel.emit(
-                now,
-                EventKind::DeviceDropped {
-                    round: round as u32,
-                    device: d as u32,
-                },
-            );
+            self.drop_device(d, round, now);
         }
         if self.alive.len() < 2 {
-            // Best-effort shutdown of *every* device, dropped included:
-            // a device the coordinator dropped may well still be
-            // running, and without a Shutdown it would train forever
-            // (and a threaded harness would never join its thread).
-            for d in self.shutdown_targets() {
-                let _ = port.send(d, &Message::Shutdown);
-            }
-            self.tel.emit(
-                now,
-                EventKind::ShutdownSent {
-                    round: round as u32,
-                },
-            );
-            self.tel.flush();
+            self.shutdown_all(port, round, now);
             return Err(HadflError::ClusterDead { round });
         }
 
@@ -525,20 +496,8 @@ impl<Pl: Planner> CoordinatorActor<Pl> {
         }
 
         if round >= self.rounds {
-            // Shutdown goes to every device, dropped ones included —
-            // being dropped from planning does not stop a device's
-            // training loop, so it must still hear that the run is
-            // over. Only live devices' final parameters are collected.
-            for d in self.shutdown_targets() {
-                let _ = port.send(d, &Message::Shutdown);
-            }
-            self.tel.emit(
-                now,
-                EventKind::ShutdownSent {
-                    round: round as u32,
-                },
-            );
-            self.tel.flush();
+            // Only live devices' final parameters are collected.
+            self.shutdown_all(port, round, now);
             self.phase = CoordPhase::Final {
                 deadline: now + self.timing.final_deadline,
             };
@@ -552,14 +511,26 @@ impl<Pl: Planner> CoordinatorActor<Pl> {
         Ok(())
     }
 
-    /// Who a cluster shutdown is addressed to: every device — unless
-    /// the seeded PR-1 bug narrows it to the alive set, stranding
-    /// dropped-but-running devices.
-    fn shutdown_targets(&self) -> Vec<usize> {
-        if seeded::shutdown_alive_only() {
-            self.alive.iter().copied().collect()
-        } else {
-            (0..self.k).collect()
+    /// Ends the run, after the last round or when the cluster died
+    /// under it: best-effort [`Message::Shutdown`] to *every* device,
+    /// dropped ones included — being dropped from planning does not
+    /// stop a device's training loop, so without a Shutdown it would
+    /// train forever (and a threaded harness would never join its
+    /// thread). The seeded PR-1 bug narrows the fan-out to the alive
+    /// set, stranding exactly those devices.
+    fn shutdown_all<P: Port>(&mut self, port: &mut P, round: usize, now: Duration) {
+        for d in 0..self.k {
+            if seeded::shutdown_alive_only() && !self.alive.contains(&d) {
+                continue;
+            }
+            let _ = port.send(d, &Message::Shutdown);
         }
+        self.tel.emit(
+            now,
+            EventKind::ShutdownSent {
+                round: round as u32,
+            },
+        );
+        self.tel.flush();
     }
 }

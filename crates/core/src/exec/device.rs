@@ -77,6 +77,51 @@ impl RingRun {
         let pos = self.pos(id).expect("member of own ring");
         self.live[(pos + self.live.len() - 1) % self.live.len()]
     }
+
+    /// The §III-D bypass, whichever way member `me` learnt of the
+    /// death — its own expired probe, a peer's warning inside the ring,
+    /// or a warning that arrives after it finished the ring: `dead`
+    /// leaves `live` (nobody else, and never `me`: a warning about
+    /// itself is unreachable via the protocol but would corrupt the
+    /// neighbour lookups). Below two members the ring dissolves and the
+    /// local model stands. Otherwise the ring closes around the gap:
+    /// a last frame that was addressed to `dead` never reached the rest
+    /// of the ring and is re-sent to the new downstream, and if the
+    /// origin died before anything was sent its downstream (now first)
+    /// initiates the reduce. `before_repair` runs between the two, for
+    /// a caller that logs the repair ahead of its frame.
+    fn bypass<P: Port, T: TrainState>(
+        &mut self,
+        port: &mut P,
+        train: &T,
+        me: usize,
+        dead: usize,
+        before_repair: impl FnOnce(),
+    ) {
+        if dead == me || self.pos(dead).is_none() {
+            return;
+        }
+        self.live.retain(|&d| d != dead);
+        if self.live.len() < 2 {
+            self.merged_done = true; // dissolved; keep local model
+            return;
+        }
+        before_repair();
+        let downstream = self.downstream(me);
+        match self.last_sent.take() {
+            Some((to, msg)) if to == dead => send_ring(port, self, downstream, msg),
+            None if self.live[0] == me && !self.merged_done => {
+                self.contributed = true;
+                let accum = Message::ParamAccum {
+                    round: self.round,
+                    hops: 1,
+                    params: train.params(),
+                };
+                send_ring(port, self, downstream, accum);
+            }
+            delivered => self.last_sent = delivered,
+        }
+    }
 }
 
 /// Sends `msg` to `to`, recording it as the member's re-sendable last
@@ -87,10 +132,13 @@ fn send_ring<P: Port>(port: &mut P, run: &mut RingRun, to: usize, msg: Message) 
     run.last_sent = Some((to, msg));
 }
 
-/// Finishes the reduce half: installs `merged` (the mean — the caller
-/// has already applied the `1/hops` scale), starts the distribute
-/// half, and broadcasts to the unselected if this member is the
-/// round's broadcaster.
+/// Finishes the reduce half, for the member whose accumulate closed
+/// the sum and for the contributed member a bypass re-send hands the
+/// already-complete sum: installs `merged` (the mean — the caller has
+/// already applied the `1/hops` scale), starts the distribute half,
+/// and broadcasts to the unselected if this member is the round's
+/// broadcaster. The `merge` span nests under whichever ring half the
+/// member is in.
 #[allow(clippy::too_many_arguments)]
 fn finish_reduce<P: Port, T: TrainState>(
     port: &mut P,
@@ -99,10 +147,13 @@ fn finish_reduce<P: Port, T: TrainState>(
     me: usize,
     merged: Vec<f32>,
     hops: u32,
+    spans: &mut Spans,
     tel: &Telemetry,
     now: Duration,
 ) -> Result<(), HadflError> {
-    let _prof = hadfl_prof::scope("ring_merge");
+    let parent = spans.ring_parent();
+    spans.start(tel, now, "merge", parent, run.round, me);
+    let prof = hadfl_prof::scope("ring_merge");
     train.set_params(&merged)?;
     run.merged_done = true;
     tel.emit(
@@ -114,6 +165,8 @@ fn finish_reduce<P: Port, T: TrainState>(
     );
     let ttl = run.live.len().saturating_sub(1) as u32;
     pass_merged(port, run, me, ttl, merged, |_| {});
+    drop(prof);
+    spans.end(tel, now, "merge", me);
     Ok(())
 }
 
@@ -164,62 +217,6 @@ fn pass_merged<P: Port>(
     }
     if let Some(to) = downstream {
         run.last_sent = Some((to, merged));
-    }
-}
-
-/// After `dead` was removed from `run.live`: re-send the last frame if
-/// it was addressed to the dead member, or initiate the reduce if the
-/// origin died before anything was sent.
-fn repair_after_bypass<P: Port, T: TrainState>(
-    port: &mut P,
-    train: &mut T,
-    run: &mut RingRun,
-    me: usize,
-    dead: usize,
-) {
-    match run.last_sent.clone() {
-        Some((to, msg)) if to == dead => {
-            let downstream = run.downstream(me);
-            send_ring(port, run, downstream, msg);
-        }
-        None if run.live[0] == me && !run.merged_done => {
-            // The origin died silent; its downstream (now first) starts
-            // the reduce.
-            run.contributed = true;
-            let downstream = run.downstream(me);
-            send_ring(
-                port,
-                run,
-                downstream,
-                Message::ParamAccum {
-                    round: run.round,
-                    hops: 1,
-                    params: train.params(),
-                },
-            );
-        }
-        _ => {}
-    }
-}
-
-/// Applies a [`Message::BypassWarning`] to a ring this member already
-/// finished. The member forwarded its last frame and left the ring
-/// loop; if that frame's recipient is the one now declared dead, the
-/// frame never reached the rest of the ring and must be re-sent to the
-/// new downstream.
-fn bypass_in_finished_ring<P: Port>(port: &mut P, run: &mut RingRun, me: usize, dead: usize) {
-    if dead == me || run.pos(dead).is_none() {
-        return;
-    }
-    run.live.retain(|&d| d != dead);
-    if run.live.len() < 2 {
-        return;
-    }
-    if let Some((to, msg)) = run.last_sent.clone() {
-        if to == dead {
-            let downstream = run.downstream(me);
-            send_ring(port, run, downstream, msg);
-        }
     }
 }
 
@@ -459,6 +456,16 @@ impl<T: TrainState> DeviceActor<T> {
         }
     }
 
+    /// Live membership of the ring this member is inside, else of the
+    /// ring it last finished.
+    #[cfg(test)]
+    pub(super) fn ring_live(&self) -> Option<&[usize]> {
+        match &self.phase {
+            DevicePhase::Ring(ring) => Some(&ring.run.live),
+            _ => self.last_ring.as_ref().map(|run| &run.live[..]),
+        }
+    }
+
     /// Is a handshake probe pending (checker scheduling detail)?
     pub fn probe_armed(&self) -> bool {
         matches!(&self.phase, DevicePhase::Ring(ring) if ring.probe.is_some())
@@ -580,47 +587,25 @@ impl<T: TrainState> DeviceActor<T> {
             Some((suspect, deadline)) if now >= deadline => {
                 // §III-D: no ack — declare the upstream dead, warn
                 // everyone, bypass.
+                let round = ring.run.round;
+                let dead = suspect as u32;
                 let parent = self.spans.ring_parent();
                 self.spans
-                    .start(&self.tel, now, "bypass_repair", parent, ring.run.round, me);
+                    .start(&self.tel, now, "bypass_repair", parent, round, me);
                 ring.probe = None;
+                let warning = Message::BypassWarning { dead };
                 for &member in &ring.run.live {
                     if member != me && member != suspect {
-                        let _ = port.send(
-                            member,
-                            &Message::BypassWarning {
-                                dead: suspect as u32,
-                            },
-                        );
+                        let _ = port.send(member, &warning);
                     }
                 }
-                let _ = port.send(
-                    coord,
-                    &Message::BypassWarning {
-                        dead: suspect as u32,
-                    },
-                );
-                ring.run.live.retain(|&d| d != suspect);
+                let _ = port.send(coord, &warning);
                 self.known_dead.insert(suspect);
-                self.tel.emit(
-                    now,
-                    EventKind::BypassDeclared {
-                        round: ring.run.round,
-                        dead: suspect as u32,
-                    },
-                );
-                if ring.run.live.len() < 2 {
-                    ring.run.merged_done = true; // dissolved; keep local model
-                } else {
-                    self.tel.emit(
-                        now,
-                        EventKind::RingRepair {
-                            round: ring.run.round,
-                            dead: suspect as u32,
-                        },
-                    );
-                    repair_after_bypass(port, &mut self.train, &mut ring.run, me, suspect);
-                }
+                self.tel
+                    .emit(now, EventKind::BypassDeclared { round, dead });
+                ring.run.bypass(port, &self.train, me, suspect, || {
+                    self.tel.emit(now, EventKind::RingRepair { round, dead });
+                });
                 self.spans.end(&self.tel, now, "bypass_repair", me);
             }
             Some(_) => {} // ack still pending
@@ -790,7 +775,7 @@ impl<T: TrainState> DeviceActor<T> {
                 // the member's last frame was addressed to the dead
                 // device, the stranded new downstream still needs it.
                 if let Some(run) = self.last_ring.as_mut() {
-                    bypass_in_finished_ring(port, run, self.me, dead);
+                    run.bypass(port, &self.train, self.me, dead, || {});
                 }
             }
             _ => {} // heartbeats, stale acks
@@ -957,9 +942,6 @@ impl<T: TrainState> DeviceActor<T> {
                     // by `hadfl-check`, see DESIGN.md §Protocol
                     // invariants). Merge it without adding ourselves.
                     if hops as usize >= ring.run.live.len() && !ring.run.merged_done {
-                        let parent = self.spans.ring_parent();
-                        let round = ring.run.round;
-                        self.spans.start(&self.tel, now, "merge", parent, round, me);
                         crate::aggregate::scale_params(&mut params, 1.0 / hops as f32);
                         finish_reduce(
                             port,
@@ -968,10 +950,10 @@ impl<T: TrainState> DeviceActor<T> {
                             me,
                             params,
                             hops,
+                            &mut self.spans,
                             &self.tel,
                             now,
                         )?;
-                        self.spans.end(&self.tel, now, "merge", me);
                     }
                 } else {
                     ring.run.contributed = true;
@@ -1000,11 +982,6 @@ impl<T: TrainState> DeviceActor<T> {
                         },
                     );
                     if closes {
-                        // This member closes the reduce: merge nests
-                        // under its reduce half, which ends here.
-                        let parent = self.spans.ring_parent();
-                        let round = ring.run.round;
-                        self.spans.start(&self.tel, now, "merge", parent, round, me);
                         finish_reduce(
                             port,
                             &mut self.train,
@@ -1012,16 +989,12 @@ impl<T: TrainState> DeviceActor<T> {
                             me,
                             params,
                             hops,
+                            &mut self.spans,
                             &self.tel,
                             now,
                         )?;
-                        self.spans.end(&self.tel, now, "merge", me);
-                        self.spans.end(&self.tel, now, "ring_reduce", me);
-                        self.spans
-                            .start(&self.tel, now, "ring_gather", 0, round, me);
                     } else {
                         let downstream = ring.run.downstream(me);
-                        let round = ring.run.round;
                         send_ring(
                             port,
                             &mut ring.run,
@@ -1032,10 +1005,12 @@ impl<T: TrainState> DeviceActor<T> {
                                 params,
                             },
                         );
-                        self.spans.end(&self.tel, now, "ring_reduce", me);
-                        self.spans
-                            .start(&self.tel, now, "ring_gather", 0, round, me);
                     }
+                    // Contribution forwarded or merged: this member's
+                    // reduce half ends here either way.
+                    self.spans.end(&self.tel, now, "ring_reduce", me);
+                    self.spans
+                        .start(&self.tel, now, "ring_gather", 0, round, me);
                 }
             }
             Message::MergedParams { round, ttl, params } => {
@@ -1081,35 +1056,21 @@ impl<T: TrainState> DeviceActor<T> {
                 }
             }
             Message::BypassWarning { dead } => {
-                let dead = dead as usize;
-                // `dead == me` is unreachable via the protocol (nobody
-                // warns a device about itself) but would corrupt the
-                // neighbour lookups; ignore it defensively.
-                if dead != me {
-                    self.known_dead.insert(dead);
+                let round = ring.run.round;
+                let member = dead as usize;
+                if member != me {
+                    self.known_dead.insert(member);
                 }
-                if dead != me && ring.run.pos(dead).is_some() {
+                if member != me && ring.run.pos(member).is_some() {
                     let parent = self.spans.ring_parent();
                     self.spans
-                        .start(&self.tel, now, "bypass_repair", parent, ring.run.round, me);
-                    ring.run.live.retain(|&d| d != dead);
-                    if let Some((suspect, _)) = ring.probe {
-                        if suspect == dead {
-                            ring.probe = None;
-                        }
+                        .start(&self.tel, now, "bypass_repair", parent, round, me);
+                    if ring.probe.is_some_and(|(suspect, _)| suspect == member) {
+                        ring.probe = None;
                     }
-                    if ring.run.live.len() < 2 {
-                        ring.run.merged_done = true; // dissolved; keep local model
-                    } else {
-                        self.tel.emit(
-                            now,
-                            EventKind::RingRepair {
-                                round: ring.run.round,
-                                dead: dead as u32,
-                            },
-                        );
-                        repair_after_bypass(port, &mut self.train, &mut ring.run, me, dead);
-                    }
+                    ring.run.bypass(port, &self.train, me, member, || {
+                        self.tel.emit(now, EventKind::RingRepair { round, dead });
+                    });
                     self.spans.end(&self.tel, now, "bypass_repair", me);
                 }
             }

@@ -4,34 +4,38 @@
 //! module runs the same protocol with *actual concurrency*, the way the
 //! paper deploys it — one participant per thread or process,
 //! heterogeneity emulated with `sleep()` (exactly the paper's method),
-//! parameters moving as encoded [`crate::wire::Message`] frames over a
-//! [`Port`], and the ring reduce/distribute
-//! executed hop by hop between devices. The coordinator only ever sees
-//! control-plane messages plus the final parameter uploads.
+//! parameters moving as encoded [`Message`] frames over a [`Port`], and
+//! the ring reduce/distribute executed hop by hop between devices. The
+//! coordinator only ever sees control-plane messages plus the final
+//! parameter uploads.
 //!
 //! # Actors and drivers
 //!
 //! The protocol logic lives in two *single-steppable actors* —
-//! [`DeviceActor`] and [`CoordinatorActor`] — whose only side effects
-//! are sends on the [`Port`] they are handed. Each actor advances one
-//! event at a time: [`DeviceActor::on_message`] /
-//! [`CoordinatorActor::on_message`] for a delivered frame,
-//! [`DeviceActor::on_timer`] / [`CoordinatorActor::on_timer`] for an
-//! elapsed deadline, [`DeviceActor::on_idle`] for a local training
-//! step. The blocking entry points — [`run_device`] and
-//! [`run_coordinator`] — are thin drivers that pump a real port into
-//! the actor, sleeping and timing via the [`Clock`] seam
-//! ([`crate::clock`]): wall clock in production, virtual time under
-//! `hadfl-check`, which schedules the very same actors exhaustively
-//! through every message ordering.
+//! [`DeviceActor`] (`device.rs`) and [`CoordinatorActor`]
+//! (`coordinator.rs`) — whose only side effects are sends on the
+//! [`Port`] they are handed. Each actor advances one event at a time:
+//! [`DeviceActor::on_message`] / [`CoordinatorActor::on_message`] for a
+//! delivered frame, [`DeviceActor::on_timer`] /
+//! [`CoordinatorActor::on_timer`] for an elapsed deadline,
+//! [`DeviceActor::on_idle`] for a local training step. `hadfl-check`
+//! schedules these very actors exhaustively through every message
+//! ordering, in virtual zero-time.
 //!
-//! [`run_threaded`] wires the loops to the in-process
-//! [`ChannelTransport`]; [`run_virtual`] steps the same actors over the
-//! same hub from one thread on a [`ManualClock`]; `hadfl-net` wires the
-//! loops to TCP sockets for multi-process clusters. [`run_device`] and
-//! [`run_coordinator`] each have exactly one other form,
-//! [`run_device_instrumented`] / [`run_coordinator_instrumented`],
-//! which takes the clock and a telemetry handle.
+//! The drivers (`run.rs`) pump a port into an actor. The blocking
+//! entry points [`run_device`] and [`run_coordinator`] exist in one
+//! form each and take everything injectable from the port they are
+//! given: they sleep and read time on [`Port::clock`] (the
+//! [`crate::clock`] seam) and log to [`Port::telemetry`], so a
+//! [`ChannelTransport::claim_instrumented`] or `hadfl-net`
+//! `into_port_instrumented` port instruments its loop on the clock its
+//! own frame events use, and a plain port runs it on a wall clock with
+//! telemetry off. [`run_cluster`] runs one [`run_device`] thread per
+//! device port and [`run_coordinator`] on the caller, over any fabric;
+//! [`run_threaded`] is that over the in-process [`ChannelTransport`],
+//! and `hadfl-net` hands the same loops TCP ports, in one process or
+//! many. [`run_virtual`] steps the same actors over the same hub from
+//! one thread on a [`ManualClock`].
 //!
 //! Fault tolerance follows §III-D: a ring member that goes silent is
 //! probed with [`Message::Handshake`]; absent an ack, the prober
@@ -39,6 +43,16 @@
 //! dead device, the dead device's upstream re-sending its last frame to
 //! its new downstream. The coordinator also drops devices that miss a
 //! report deadline and excludes them from later plans.
+//!
+//! [`Port`]: crate::transport::Port
+//! [`Port::clock`]: crate::transport::Port::clock
+//! [`Port::telemetry`]: crate::transport::Port::telemetry
+//! [`ChannelTransport`]: crate::transport::ChannelTransport
+//! [`ChannelTransport::claim_instrumented`]: crate::transport::ChannelTransport::claim_instrumented
+//! [`ManualClock`]: crate::clock::ManualClock
+//! [`Message`]: crate::wire::Message
+//! [`Message::Handshake`]: crate::wire::Message::Handshake
+//! [`Message::BypassWarning`]: crate::wire::Message::BypassWarning
 
 // Protocol hot path: panicking on a malformed peer frame or a poisoned
 // invariant would take down a device thread silently. Every unwrap that
@@ -48,6 +62,7 @@
 use std::collections::BTreeMap;
 use std::time::Duration;
 
+use crate::aggregate::average_params;
 use crate::coordinator::{RoundPlan, StrategyGenerator};
 use crate::error::HadflError;
 use crate::trace::CommSummary;
@@ -63,10 +78,7 @@ mod tests;
 
 pub use coordinator::{CoordHint, CoordPhaseKind, CoordinatorActor};
 pub use device::{DeviceActor, DeviceHint};
-pub use run::{
-    run_coordinator, run_coordinator_instrumented, run_device, run_device_instrumented,
-    run_threaded, run_virtual,
-};
+pub use run::{run_cluster, run_coordinator, run_device, run_threaded, run_virtual};
 
 pub mod seeded {
     //! Seeded re-introductions of the three interleaving bugs PR 1's
@@ -166,8 +178,8 @@ pub mod seeded {
 pub struct ProtocolTiming {
     /// Ring silence before the downstream probes its upstream (§III-D).
     pub ring_wait: Duration,
-    /// Wait after a [`Message::Handshake`] before declaring the peer
-    /// dead.
+    /// Wait after a [`Handshake`](crate::wire::Message::Handshake)
+    /// before declaring the peer dead.
     pub handshake_wait: Duration,
     /// Coordinator's deadline for a round's version reports; devices
     /// that miss it are dropped from future plans.
@@ -287,6 +299,26 @@ pub struct CoordinatorRun {
     pub final_models: BTreeMap<usize, Vec<f32>>,
     /// Devices dropped mid-run, with the round they were dropped in.
     pub dropped: Vec<(usize, usize)>,
+}
+
+impl CoordinatorRun {
+    /// The run's consensus model: the mean of the final parameters the
+    /// coordinator collected.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`HadflError::InvalidConfig`] when no device uploaded
+    /// before the deadline, and substrate errors from the averaging
+    /// (e.g. uploads of different lengths).
+    pub fn consensus(&self) -> Result<Vec<f32>, HadflError> {
+        if self.final_models.is_empty() {
+            return Err(HadflError::InvalidConfig(
+                "no device uploaded final parameters".into(),
+            ));
+        }
+        let refs: Vec<&[f32]> = self.final_models.values().map(Vec::as_slice).collect();
+        average_params(&refs)
+    }
 }
 
 /// The training-side state a [`DeviceActor`] owns: the real

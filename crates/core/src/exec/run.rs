@@ -2,7 +2,7 @@ use std::thread;
 use std::time::Duration;
 
 use hadfl_nn::{Dataset, LrSchedule};
-use hadfl_telemetry::{EventKind, Telemetry};
+use hadfl_telemetry::EventKind;
 
 use super::{
     CoordHint, CoordinatorActor, CoordinatorRun, DeviceActor, DeviceHint, ProtocolTiming,
@@ -17,15 +17,21 @@ use crate::transport::{coordinator_id, ChannelPort, ChannelTransport, Port};
 use crate::workload::{evaluate_with, BuiltWorkload, DeviceRuntime, Workload};
 
 /// Runs one device's protocol loop over `port` until the coordinator
-/// sends [`Message::Shutdown`]; the device then uploads its final
-/// parameters and returns. Timing comes from a fresh [`WallClock`];
-/// see [`run_device_instrumented`] for an injected clock.
+/// sends [`Shutdown`](crate::wire::Message::Shutdown); the device then
+/// uploads its final parameters and returns.
 ///
 /// The loop trains one heterogeneity-aware local step at a time
 /// (sleeping `step_sleep` per step to emulate compute power), answers
-/// [`Message::Handshake`] probes, reports versions on request, joins
-/// ring synchronizations it is planned into, and blends broadcast
-/// models it receives while unselected.
+/// [`Handshake`](crate::wire::Message::Handshake) probes, reports
+/// versions on request, joins ring synchronizations it is planned
+/// into, and blends broadcast models it receives while unselected.
+///
+/// Time and telemetry come from the port ([`Port::clock`],
+/// [`Port::telemetry`]): over an instrumented port the loop emits the
+/// device lifecycle, local-step batches and ring events on the same
+/// clock as the port's frame events, so a [`ManualClock`] port makes
+/// the whole stream deterministic; over a plain port it runs on a wall
+/// clock with telemetry off.
 ///
 /// # Errors
 ///
@@ -33,40 +39,14 @@ use crate::workload::{evaluate_with, BuiltWorkload, DeviceRuntime, Workload};
 /// [`HadflError::InvalidConfig`] when the fabric is torn down or a ring
 /// synchronization exceeds `timing.ring_hard_limit`.
 pub fn run_device<P: Port>(
-    port: P,
-    rt: DeviceRuntime,
-    config: &HadflConfig,
-    step_sleep: Duration,
-    timing: &ProtocolTiming,
-) -> Result<(), HadflError> {
-    run_device_instrumented(
-        port,
-        rt,
-        config,
-        step_sleep,
-        timing,
-        &WallClock::new(),
-        Telemetry::disabled(),
-    )
-}
-
-/// [`run_device`] with an injected [`Clock`] and a telemetry handle:
-/// emits the device lifecycle, local-step batches, and ring events, all
-/// timestamped from `clock` so [`crate::clock::ManualClock`] runs are
-/// deterministic.
-///
-/// # Errors
-///
-/// As [`run_device`].
-pub fn run_device_instrumented<P: Port>(
     mut port: P,
     mut rt: DeviceRuntime,
     config: &HadflConfig,
     step_sleep: Duration,
     timing: &ProtocolTiming,
-    clock: &dyn Clock,
-    tel: Telemetry,
 ) -> Result<(), HadflError> {
+    let clock = port.clock();
+    let tel = port.telemetry();
     rt.set_optimizer(LrSchedule::constant(config.lr), config.momentum);
     let me = port.id();
     let participants = port.participants();
@@ -94,53 +74,28 @@ pub fn run_device_instrumented<P: Port>(
 }
 
 /// Runs the coordinator's protocol loop over `port` (see
-/// [`CoordinatorActor`] for the script). Timing comes from a fresh
-/// [`WallClock`]; see [`run_coordinator_instrumented`] for an injected
-/// clock.
+/// [`CoordinatorActor`] for the script). Like [`run_device`], the loop
+/// takes its clock and its telemetry handle from the port; with
+/// telemetry on it emits round plans with their Eq. (8) selection
+/// probabilities, Eq. (7) prediction-vs-actual versions, device drops,
+/// and round latencies.
 ///
 /// # Errors
 ///
 /// Returns [`HadflError::ClusterDead`] when fewer than two devices
 /// remain, and fabric errors from the transport.
 pub fn run_coordinator<P: Port>(
-    port: P,
-    config: &HadflConfig,
-    window: Duration,
-    rounds: usize,
-    timing: &ProtocolTiming,
-) -> Result<CoordinatorRun, HadflError> {
-    run_coordinator_instrumented(
-        port,
-        config,
-        window,
-        rounds,
-        timing,
-        &WallClock::new(),
-        Telemetry::disabled(),
-    )
-}
-
-/// [`run_coordinator`] with an injected [`Clock`] and a telemetry
-/// handle: emits round plans with their Eq. (8) selection probabilities,
-/// Eq. (7) prediction-vs-actual versions, device drops, and round
-/// latencies.
-///
-/// # Errors
-///
-/// As [`run_coordinator`].
-pub fn run_coordinator_instrumented<P: Port>(
     mut port: P,
     config: &HadflConfig,
     window: Duration,
     rounds: usize,
     timing: &ProtocolTiming,
-    clock: &dyn Clock,
-    tel: Telemetry,
 ) -> Result<CoordinatorRun, HadflError> {
+    let clock = port.clock();
     let k = port.participants() - 1;
     let planner = StrategyGenerator::new(config);
     let mut actor = CoordinatorActor::new(k, planner, window, rounds, timing.clone(), clock.now())
-        .with_telemetry(tel);
+        .with_telemetry(port.telemetry());
     loop {
         match actor.hint(clock.now()) {
             CoordHint::Sleep(d) => {
@@ -155,6 +110,53 @@ pub fn run_coordinator_instrumented<P: Port>(
             CoordHint::Done => return Ok(actor.into_run()),
         }
     }
+}
+
+/// Runs a whole cluster on this process's threads, over whatever fabric
+/// the ports belong to: one [`run_device`] thread per device port
+/// (device `i` sleeping `opts.step_sleep / opts.powers[i]` per step)
+/// and [`run_coordinator`] on the caller, joined before returning.
+///
+/// # Errors
+///
+/// Returns [`HadflError::InvalidConfig`] unless there is one runtime
+/// and one power per device port, the coordinator loop's error if it
+/// fails, and otherwise the first device loop's.
+pub fn run_cluster<P: Port>(
+    device_ports: Vec<P>,
+    coordinator_port: P,
+    runtimes: Vec<DeviceRuntime>,
+    config: &HadflConfig,
+    opts: &ThreadedOptions,
+) -> Result<CoordinatorRun, HadflError> {
+    let k = device_ports.len();
+    if runtimes.len() != k || opts.powers.len() != k {
+        return Err(HadflError::InvalidConfig(format!(
+            "{k} device ports need {k} runtimes and powers, got {} and {}",
+            runtimes.len(),
+            opts.powers.len()
+        )));
+    }
+    thread::scope(|scope| {
+        let mut handles = Vec::with_capacity(k);
+        for ((port, rt), power) in device_ports.into_iter().zip(runtimes).zip(&opts.powers) {
+            let sleep = Duration::from_secs_f64(opts.step_sleep.as_secs_f64() / power);
+            handles.push(scope.spawn(move || run_device(port, rt, config, sleep, &opts.timing)));
+        }
+        let run = run_coordinator(
+            coordinator_port,
+            config,
+            opts.window,
+            opts.rounds,
+            &opts.timing,
+        )?;
+        for handle in handles {
+            handle
+                .join()
+                .map_err(|_| HadflError::InvalidConfig("device thread panicked".into()))??;
+        }
+        Ok(run)
+    })
 }
 
 /// Runs HADFL over real threads and in-process channels. See the
@@ -186,32 +188,10 @@ pub fn run_threaded(
     config: &HadflConfig,
     opts: &ThreadedOptions,
 ) -> Result<ThreadedReport, HadflError> {
-    let (built, hub, coordinator_port, mut device_ports) = open_cluster(workload, opts)?;
-    let k = device_ports.len();
+    let (built, hub, coordinator_port, device_ports) = open_cluster(workload, opts)?;
     let wall_clock = WallClock::new();
-
-    let outcome = thread::scope(|scope| -> Result<CoordinatorRun, HadflError> {
-        let mut handles = Vec::with_capacity(k);
-        for (i, (port, rt)) in device_ports.drain(..).zip(built.runtimes).enumerate() {
-            let sleep = Duration::from_secs_f64(opts.step_sleep.as_secs_f64() / opts.powers[i]);
-            let timing = opts.timing.clone();
-            handles.push(scope.spawn(move || run_device(port, rt, config, sleep, &timing)));
-        }
-        let run = run_coordinator(
-            coordinator_port,
-            config,
-            opts.window,
-            opts.rounds,
-            &opts.timing,
-        )?;
-        for handle in handles {
-            handle
-                .join()
-                .map_err(|_| HadflError::InvalidConfig("device thread panicked".into()))??;
-        }
-        Ok(run)
-    })?;
-
+    let outcome = run_cluster(device_ports, coordinator_port, built.runtimes, config, opts)?;
+    let k = opts.powers.len();
     close_cluster(workload, &built.test, &hub, k, outcome, wall_clock.now())
 }
 
@@ -263,14 +243,7 @@ fn close_cluster(
     outcome: CoordinatorRun,
     wall: Duration,
 ) -> Result<ThreadedReport, HadflError> {
-    if outcome.final_models.is_empty() {
-        return Err(HadflError::InvalidConfig(
-            "no device uploaded final parameters".into(),
-        ));
-    }
-    let refs: Vec<&[f32]> = outcome.final_models.values().map(Vec::as_slice).collect();
-    let consensus = crate::aggregate::average_params(&refs)?;
-    let metrics = evaluate_with(&mut workload.model()?, test, &consensus)?;
+    let metrics = evaluate_with(&mut workload.model()?, test, &outcome.consensus()?)?;
     let stats = hub.net_stats();
     Ok(ThreadedReport {
         rounds: outcome.rounds,

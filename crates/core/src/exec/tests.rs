@@ -1,3 +1,4 @@
+use std::sync::Arc;
 use std::thread;
 use std::time::Duration;
 
@@ -441,22 +442,22 @@ fn finished_member_repairs_ring_after_downstream_death() {
         let timing = timing.clone();
         let handle = scope
             .spawn(move || run_device(device_port, rt, config, Duration::from_millis(1), &timing));
-        match peer1.recv_timeout(Duration::from_secs(10)).unwrap() {
-            Some(Message::MergedParams {
-                round: 1, ttl: 2, ..
-            }) => {}
-            other => panic!("downstream 1 should get the merge first, got {other:?}"),
-        }
-        // The repair: device 0 re-sends its merged frame to the new
-        // downstream even though its own ring is long finished.
-        match peer2.recv_timeout(Duration::from_secs(10)).unwrap() {
+        let first = peer1.recv_timeout(Duration::from_secs(10)).unwrap();
+        match &first {
             Some(Message::MergedParams {
                 round: 1,
                 ttl: 2,
                 params,
             }) => assert_eq!(params.len(), dim),
-            other => panic!("stranded member must be repaired, got {other:?}"),
+            other => panic!("downstream 1 should get the merge first, got {other:?}"),
         }
+        // The repair: device 0 re-sends its merged frame to the new
+        // downstream even though its own ring is long finished.
+        assert_eq!(
+            peer2.recv_timeout(Duration::from_secs(10)).unwrap(),
+            first,
+            "stranded member must be repaired with the very frame"
+        );
         match coord_port.recv_timeout(Duration::from_secs(10)).unwrap() {
             Some(Message::FinalParams { device: 0, .. }) => {}
             other => panic!("expected final params, got {other:?}"),
@@ -640,55 +641,103 @@ fn device_actor_single_steps_a_ring() {
     assert_eq!(actor.hint(t), DeviceHint::Finished);
 }
 
-/// Two timer firings — probe, then expired probe — bypass a dead
-/// upstream, exactly the §III-D schedule the checker explores.
+/// The §III-D bypass through its three entrances, in ring 2 → 0 → 1
+/// as member 0. Two timer firings — probe, then expired probe — bypass
+/// a dead upstream, exactly the schedule the checker explores; a
+/// peer's warning about the same death must leave the same ring and
+/// send the same frame. A warning about the downstream re-sends the
+/// frame it swallowed, whether it finds this member still inside the
+/// ring or already back in training.
 #[test]
 fn device_actor_timers_drive_the_bypass() {
     let k = 3;
-    let mut hub = ChannelTransport::hub(k + 1);
-    let mut port = hub.claim(0).unwrap();
-    let mut peer1 = hub.claim(1).unwrap();
-    let mut peer2 = hub.claim(2).unwrap();
-    let mut coord = hub.claim(k).unwrap();
-    let mut actor = stub_actor(0, k);
     let t = Duration::ZERO;
+    let in_ring = || {
+        let mut hub = ChannelTransport::hub(k + 1);
+        let mut ports: Vec<_> = (0..=k).map(|id| hub.claim(id).unwrap()).collect();
+        let mut actor = stub_actor(0, k);
+        actor
+            .on_message(
+                &mut ports[0],
+                Message::RoundPlan {
+                    round: 1,
+                    ring: vec![2, 0, 1],
+                    broadcaster: 2,
+                    unselected: vec![],
+                },
+                t,
+            )
+            .unwrap();
+        (actor, ports)
+    };
 
-    // Ring 2 → 0 → 1: the upstream 2 will never answer.
-    actor
-        .on_message(
-            &mut port,
-            Message::RoundPlan {
+    // The origin 2 dies silent before sending anything.
+    for own_probe in [true, false] {
+        let (mut actor, mut ports) = in_ring();
+        if own_probe {
+            assert!(!actor.probe_armed());
+            actor.on_timer(&mut ports[0], t).unwrap();
+            assert!(actor.probe_armed(), "first timer arms the probe");
+            match ports[2].try_recv().unwrap() {
+                Some(Message::Handshake { from: 0 }) => {}
+                other => panic!("expected a handshake probe, got {other:?}"),
+            }
+            actor.on_timer(&mut ports[0], t).unwrap();
+            assert!(!actor.probe_armed(), "second timer declares the death");
+            for (hears, who) in [(1, "ring peers"), (k, "the coordinator")] {
+                match ports[hears].try_recv().unwrap() {
+                    Some(Message::BypassWarning { dead: 2 }) => {}
+                    other => panic!("{who} must hear the bypass, got {other:?}"),
+                }
+            }
+        } else {
+            actor
+                .on_message(&mut ports[0], Message::BypassWarning { dead: 2 }, t)
+                .unwrap();
+        }
+        assert_eq!(actor.ring_live(), Some(&[0, 1][..]));
+        // This member is now first and initiates the reduce.
+        assert_eq!(
+            ports[1].try_recv().unwrap(),
+            Some(Message::ParamAccum {
                 round: 1,
-                ring: vec![2, 0, 1],
-                broadcaster: 2,
-                unselected: vec![],
-            },
-            t,
-        )
-        .unwrap();
-    assert!(!actor.probe_armed());
-    actor.on_timer(&mut port, t).unwrap();
-    assert!(actor.probe_armed(), "first timer arms the probe");
-    match peer2.try_recv().unwrap() {
-        Some(Message::Handshake { from: 0 }) => {}
-        other => panic!("expected a handshake probe, got {other:?}"),
+                hops: 1,
+                params: vec![1.0, 2.0],
+            }),
+            "survivor must initiate the reduce (own probe: {own_probe})"
+        );
+        assert_eq!(ports[1].try_recv().unwrap(), None);
     }
-    actor.on_timer(&mut port, t).unwrap();
-    assert!(!actor.probe_armed(), "second timer declares the death");
-    match peer1.try_recv().unwrap() {
-        Some(Message::BypassWarning { dead: 2 }) => {}
-        other => panic!("ring peers must hear the bypass, got {other:?}"),
-    }
-    match coord.try_recv().unwrap() {
-        Some(Message::BypassWarning { dead: 2 }) => {}
-        other => panic!("coordinator must hear the bypass, got {other:?}"),
-    }
-    // The origin died silent, so this member (now first) initiates.
-    match peer1.try_recv().unwrap() {
-        Some(Message::ParamAccum {
-            round: 1, hops: 1, ..
-        }) => {}
-        other => panic!("survivor must initiate the reduce, got {other:?}"),
+
+    // The downstream 1 dies holding this member's last frame: the
+    // accumulation it forwarded, or — had 2's frame closed the reduce
+    // here — the merged model, sent on the way out of the ring.
+    for finished in [false, true] {
+        let (mut actor, mut ports) = in_ring();
+        actor
+            .on_message(
+                &mut ports[0],
+                Message::ParamAccum {
+                    round: 1,
+                    hops: if finished { 2 } else { 1 },
+                    params: vec![3.0, 3.0],
+                },
+                t,
+            )
+            .unwrap();
+        assert_eq!(actor.ring_round().is_none(), finished);
+        let swallowed = ports[1].try_recv().unwrap();
+        assert!(swallowed.is_some());
+        actor
+            .on_message(&mut ports[0], Message::BypassWarning { dead: 1 }, t)
+            .unwrap();
+        assert_eq!(actor.ring_live(), Some(&[2, 0][..]));
+        assert_eq!(
+            ports[2].try_recv().unwrap(),
+            swallowed,
+            "the new downstream gets the very frame (finished: {finished})"
+        );
+        assert_eq!(ports[2].try_recv().unwrap(), None);
     }
 }
 
@@ -819,6 +868,7 @@ fn bypass_warning_before_the_plan_filters_ring_membership() {
         )
         .unwrap();
     assert_eq!(actor.ring_round(), Some(1), "ring runs without dead 0");
+    assert_eq!(actor.ring_live(), Some(&[1, 2][..]));
     // With 0 filtered out, 1 initiates; its hops-1 accumulation
     // closes the two-member ring at this actor.
     actor
@@ -899,7 +949,13 @@ fn coordinator_runs_on_a_manual_clock() {
     let timing = ProtocolTiming::quick();
     let clock = ManualClock::new();
     let mut hub = ChannelTransport::hub(k + 1);
-    let coordinator_port = hub.claim(coordinator_id(k)).unwrap();
+    let coordinator_port = hub
+        .claim_instrumented(
+            coordinator_id(k),
+            Telemetry::disabled(),
+            Some(Arc::new(clock.clone())),
+        )
+        .unwrap();
     let mut ports: Vec<_> = (0..k).map(|i| hub.claim(i).unwrap()).collect();
 
     let outcome = thread::scope(|scope| {
@@ -962,14 +1018,12 @@ fn coordinator_runs_on_a_manual_clock() {
                 }
             });
         }
-        run_coordinator_instrumented(
+        run_coordinator(
             coordinator_port,
             &config,
             Duration::from_millis(50),
             2,
             &timing,
-            &clock,
-            Telemetry::disabled(),
         )
     })
     .unwrap();

@@ -14,14 +14,15 @@
 //! accounting ([`Port::stats`]) is identical across fabrics and
 //! comparable with the analytical driver's ledger.
 
+use std::sync::Arc;
 use std::time::Duration;
 
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender, TryRecvError};
 use hadfl_simnet::{DeviceId, Endpoint, NetStats};
 use hadfl_telemetry::{EventKind, LamportClock, Telemetry};
 use parking_lot::Mutex;
-use std::sync::Arc;
 
+use crate::clock::{Clock, WallClock};
 use crate::error::HadflError;
 use crate::wire::{self, CausalStamp, Message};
 
@@ -45,6 +46,15 @@ pub fn endpoint_of(id: usize, k: usize) -> Endpoint {
 /// A `Port` is claimed once per participant and moved into that
 /// participant's thread (or owned by its process). Sends are
 /// non-blocking; receives deliver whole [`Message`]s in arrival order.
+///
+/// The port is also where a participant's instrumentation is injected:
+/// [`crate::exec::run_device`] and [`crate::exec::run_coordinator`] time
+/// themselves on [`clock`](Port::clock) and log to
+/// [`telemetry`](Port::telemetry), so the actor's events and the
+/// port's frame events share one timeline by construction. A port that
+/// wraps another must forward both accessors to keep the inner port's
+/// instrumentation; left at their defaults the loop runs on a wall
+/// clock of its own with telemetry off.
 pub trait Port: Send {
     /// This participant's id.
     fn id(&self) -> usize;
@@ -85,6 +95,19 @@ pub trait Port: Send {
     /// heartbeats is excluded, so channel and TCP fabrics report the
     /// same ledger for the same protocol run).
     fn stats(&self) -> NetStats;
+
+    /// The clock this port stamps its frame events with, and the one
+    /// the protocol loop driving it reads and sleeps on. Default: a
+    /// fresh [`WallClock`].
+    fn clock(&self) -> Arc<dyn Clock> {
+        WallClock::shared()
+    }
+
+    /// The telemetry handle this port logs its frame events to, and
+    /// the one the protocol loop driving it logs to. Default: disabled.
+    fn telemetry(&self) -> Telemetry {
+        Telemetry::disabled()
+    }
 }
 
 /// In-process fabric: one unbounded crossbeam channel per participant.
@@ -141,12 +164,13 @@ impl ChannelTransport {
     }
 
     /// [`Self::claim`] with a [`Telemetry`] handle and a clock for
-    /// timestamping: the port emits one `FrameSent` per outbound
-    /// payload frame and one `FrameReceived` per inbound frame —
-    /// stamped with the frame's Lamport value — mirroring the TCP
-    /// fabric's instrumented ports, so a fully in-process scripted
-    /// cluster produces the same causal trace shape a real deployment
-    /// does.
+    /// timestamping (`None`: a [`WallClock`] whose epoch is the claim):
+    /// the port emits one `FrameSent` per outbound payload frame and
+    /// one `FrameReceived` per inbound frame — stamped with the
+    /// frame's Lamport value — mirroring the TCP fabric's instrumented
+    /// ports, so a fully in-process scripted cluster produces the same
+    /// causal trace shape a real deployment does. The port hands both
+    /// on through [`Port::clock`] / [`Port::telemetry`].
     ///
     /// # Errors
     ///
@@ -155,7 +179,7 @@ impl ChannelTransport {
         &mut self,
         id: usize,
         tel: Telemetry,
-        clock: Option<Arc<dyn crate::clock::Clock>>,
+        clock: Option<Arc<dyn Clock>>,
     ) -> Result<ChannelPort, HadflError> {
         let slot = self
             .rxs
@@ -171,7 +195,7 @@ impl ChannelTransport {
             stats: Arc::clone(&self.stats),
             lamport: tel.lamport_clock(),
             tel,
-            clock,
+            clock: clock.unwrap_or_else(WallClock::shared),
         })
     }
 
@@ -193,14 +217,10 @@ pub struct ChannelPort {
     /// one scale.
     lamport: LamportClock,
     tel: Telemetry,
-    clock: Option<Arc<dyn crate::clock::Clock>>,
+    clock: Arc<dyn Clock>,
 }
 
 impl ChannelPort {
-    fn now(&self) -> Duration {
-        self.clock.as_ref().map_or(Duration::ZERO, |c| c.now())
-    }
-
     /// Opens an inbound frame: merges its stamp into the local Lamport
     /// clock and mirrors it as a `FrameReceived` event when
     /// instrumented.
@@ -209,7 +229,7 @@ impl ChannelPort {
         self.lamport.observe(stamp.lamport);
         if self.tel.enabled() {
             self.tel.emit(
-                self.now(),
+                self.clock.now(),
                 EventKind::FrameReceived {
                     src: stamp.origin,
                     dst: self.id as u32,
@@ -251,7 +271,7 @@ impl Port for ChannelPort {
             .record(endpoint_of(self.id, k), endpoint_of(to, k), payload);
         if self.tel.enabled() {
             self.tel.emit(
-                self.now(),
+                self.clock.now(),
                 EventKind::FrameSent {
                     src: self.id as u32,
                     dst: to as u32,
@@ -287,6 +307,14 @@ impl Port for ChannelPort {
 
     fn stats(&self) -> NetStats {
         self.stats.lock().clone()
+    }
+
+    fn clock(&self) -> Arc<dyn Clock> {
+        Arc::clone(&self.clock)
+    }
+
+    fn telemetry(&self) -> Telemetry {
+        self.tel.clone()
     }
 }
 
@@ -360,10 +388,19 @@ mod tests {
         let mut a = hub.claim_instrumented(0, a_tel, None).unwrap();
         let mut b = hub.claim_instrumented(1, b_tel.clone(), None).unwrap();
 
+        // Claimed without a clock, a port still keeps exactly one: a
+        // wall clock whose epoch is the claim. Let it leave zero.
+        std::thread::sleep(Duration::from_millis(2));
         a.send(1, &Message::Handshake { from: 0 }).unwrap();
         a.send(1, &Message::HandshakeAck { from: 0 }).unwrap();
         assert!(b.try_recv().unwrap().is_some());
         assert!(b.try_recv().unwrap().is_some());
+        for buf in [&a_buf, &b_buf] {
+            let stamps: Vec<u64> = buf.snapshot().iter().map(|e| e.t_us).collect();
+            assert_eq!(stamps.len(), 2);
+            assert!(stamps[0] > 0, "frame events carry real time: {stamps:?}");
+            assert!(stamps[0] <= stamps[1], "and never run backwards");
+        }
 
         let sent: Vec<u64> = a_buf
             .snapshot()

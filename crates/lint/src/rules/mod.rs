@@ -159,16 +159,19 @@ static RULES: [Rule; 11] = [
         summary: "no unwrap/expect/panic!/unreachable! in non-test protocol code — a \
                   panic kills a reader or driver thread silently and wedges the node",
         scope: Scope {
-            dirs: &["crates/net/src/"],
+            dirs: &["crates/net/src/", "crates/core/src/exec/"],
             files: &[
-                "crates/core/src/exec.rs",
                 "crates/core/src/transport.rs",
                 "crates/core/src/wire.rs",
                 "crates/core/src/coordinator.rs",
                 "crates/core/src/gossip.rs",
                 "crates/core/src/driver.rs",
             ],
-            excludes: &[],
+            excludes: &[(
+                "crates/core/src/exec/tests.rs",
+                "the body of exec's `#[cfg(test)] mod tests;` — test code, but the \
+                 attribute that says so sits in mod.rs, out of a per-file analysis' sight",
+            )],
         },
         run: unwrap_in_protocol::run,
     },

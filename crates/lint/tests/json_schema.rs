@@ -18,7 +18,8 @@ fn get<'a>(v: &'a Value, key: &str) -> &'a Value {
 
 fn sample_report() -> Report {
     let text = "pub fn f() -> std::time::Instant {\n    std::time::Instant::now()\n}\n";
-    let result = hadfl_lint::analyze_source("crates/core/src/exec.rs", text, &["ambient-clock"]);
+    let result =
+        hadfl_lint::analyze_source("crates/core/src/exec/device.rs", text, &["ambient-clock"]);
     Report {
         findings: result.findings,
         files_scanned: 1,
@@ -37,7 +38,10 @@ fn json_round_trips_through_serde() {
     assert_eq!(findings.len(), 1);
     let f = &findings[0];
     assert_eq!(get(f, "rule").as_str(), Some("ambient-clock"));
-    assert_eq!(get(f, "file").as_str(), Some("crates/core/src/exec.rs"));
+    assert_eq!(
+        get(f, "file").as_str(),
+        Some("crates/core/src/exec/device.rs")
+    );
     assert_eq!(get(f, "line").as_u64(), Some(2));
     assert_eq!(get(f, "col").as_u64(), Some(16));
     assert!(get(f, "message")

@@ -20,7 +20,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use hadfl::clock::{profiler_time, Clock, WallClock};
-use hadfl::exec::{run_coordinator_instrumented, run_device_instrumented, ProtocolTiming};
+use hadfl::exec::{run_coordinator, run_device, ProtocolTiming};
 use hadfl::trace::CommSummary;
 use hadfl::{HadflConfig, HadflError, Workload};
 use hadfl_net::cluster::{ClusterConfig, Role};
@@ -210,12 +210,12 @@ fn run(args: &Args) -> Result<(), HadflError> {
     let workload = Workload::quick(&args.model, args.seed);
     let timing = ProtocolTiming::default();
     let (tel, _metrics_server) = build_telemetry(args)?;
-    // One clock for the transport and the protocol actor, so frame and
-    // protocol events share a timeline.
+    // The port carries this clock and `tel` to the protocol loop, so
+    // frame and protocol events share a timeline. The profiler reads
+    // the same clock through the TimeSource seam, so its timeline
+    // matches theirs. The protocol actor runs on this thread; the
+    // install guard scopes its recording.
     let clock: Arc<dyn Clock> = WallClock::shared();
-    // The profiler reads the same clock through the TimeSource seam, so
-    // its timeline matches the telemetry events'. The protocol actor
-    // runs on this thread; the install guard scopes its recording.
     let profiler = match &args.profile_dir {
         Some(_) => hadfl_prof::Profiler::new(args.id as u32, profiler_time(Arc::clone(&clock))),
         None => hadfl_prof::Profiler::disabled(),
@@ -242,7 +242,7 @@ fn run(args: &Args) -> Result<(), HadflError> {
                 .nth(args.id)
                 .ok_or_else(|| HadflError::InvalidConfig("device id out of range".into()))?;
             let sleep = Duration::from_secs_f64(args.step_sleep.as_secs_f64() / spec.power);
-            run_device_instrumented(port, rt, &config, sleep, &timing, &*clock, tel.clone())?;
+            run_device(port, rt, &config, sleep, &timing)?;
             stats.emit_ledger();
             drop(prof_guard);
             if let Some(dir) = &args.profile_dir {
@@ -256,15 +256,7 @@ fn run(args: &Args) -> Result<(), HadflError> {
                 "hadfl-node: coordinating {k} devices for {} rounds of {:?}",
                 args.rounds, args.window
             );
-            let run = run_coordinator_instrumented(
-                port,
-                &config,
-                args.window,
-                args.rounds,
-                &timing,
-                &*clock,
-                tel.clone(),
-            )?;
+            let run = run_coordinator(port, &config, args.window, args.rounds, &timing)?;
             stats.emit_ledger();
             drop(prof_guard);
             if let Some(dir) = &args.profile_dir {
@@ -280,15 +272,8 @@ fn run(args: &Args) -> Result<(), HadflError> {
             for &(device, round) in &run.dropped {
                 println!("dropped device {device} in round {round}");
             }
-            if run.final_models.is_empty() {
-                return Err(HadflError::InvalidConfig(
-                    "no device uploaded final parameters".into(),
-                ));
-            }
-            let refs: Vec<&[f32]> = run.final_models.values().map(Vec::as_slice).collect();
-            let consensus = hadfl::aggregate::average_params(&refs)?;
             let mut built = workload.build(k)?;
-            let metrics = built.evaluate_params(&consensus)?;
+            let metrics = built.evaluate_params(&run.consensus()?)?;
             println!(
                 "consensus accuracy {:.4} (loss {:.4})",
                 metrics.accuracy, metrics.loss

@@ -22,7 +22,7 @@
 #![warn(clippy::unwrap_used, clippy::expect_used)]
 
 use std::collections::BTreeMap;
-use std::io::{BufWriter, ErrorKind, Read, Write};
+use std::io::{BufWriter, ErrorKind, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -38,7 +38,7 @@ use hadfl::wire::Message;
 use hadfl_telemetry::health::{Alert, HealthEngine, HealthOptions, HealthReport};
 use hadfl_telemetry::ship::ShipBatch;
 use hadfl_telemetry::sink::Sink;
-use hadfl_telemetry::{Event, MetricsRegistry, MetricsSink};
+use hadfl_telemetry::{serve_http, Event, MetricsRegistry, MetricsSink};
 
 use crate::frame::read_frame;
 
@@ -427,48 +427,16 @@ fn ingest_conn(
 }
 
 fn http_loop(listener: TcpListener, collector: Arc<Mutex<Collector>>, stop: Arc<AtomicBool>) {
-    while !stop.load(Ordering::SeqCst) {
-        match listener.accept() {
-            Ok((mut stream, _)) => {
-                let _ = stream.set_read_timeout(Some(Duration::from_millis(200)));
-                let mut scratch = [0u8; 2048];
-                let n = stream.read(&mut scratch).unwrap_or(0);
-                let request = String::from_utf8_lossy(&scratch[..n]);
-                let path = request
-                    .split_whitespace()
-                    .nth(1)
-                    .unwrap_or("/")
-                    .split('?')
-                    .next()
-                    .unwrap_or("/");
-                let (status, content_type, body) = match path {
-                    "/metrics" => {
-                        let body = {
-                            let collector = collector.lock();
-                            collector.registry().render()
-                        };
-                        ("200 OK", "text/plain; version=0.0.4", body)
-                    }
-                    "/health" => {
-                        let body = collector.lock().status_json();
-                        ("200 OK", "application/json", body)
-                    }
-                    _ => (
-                        "404 Not Found",
-                        "text/plain; charset=utf-8",
-                        "try /metrics or /health\n".to_string(),
-                    ),
-                };
-                let response = format!(
-                    "HTTP/1.1 {status}\r\nContent-Type: {content_type}\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
-                    body.len()
-                );
-                let _ = stream.write_all(response.as_bytes());
-            }
-            Err(e) if e.kind() == ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(20));
-            }
-            Err(_) => std::thread::sleep(Duration::from_millis(20)),
+    serve_http(&listener, &stop, |path| match path {
+        "/metrics" => {
+            let body = collector.lock().registry().render();
+            ("200 OK", "text/plain; version=0.0.4", body)
         }
-    }
+        "/health" => ("200 OK", "application/json", collector.lock().status_json()),
+        _ => (
+            "404 Not Found",
+            "text/plain; charset=utf-8",
+            "try /metrics or /health\n".to_string(),
+        ),
+    });
 }

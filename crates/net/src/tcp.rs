@@ -186,7 +186,8 @@ impl BoundNode {
     /// and a [`Telemetry`] handle: the port emits one `FrameSent` per
     /// outbound payload frame and one `FrameReceived` per inbound
     /// payload frame, mirroring its [`Port::stats`] ledger entry for
-    /// entry.
+    /// entry. Both reach the protocol loop that drives the port through
+    /// [`Port::clock`] / [`Port::telemetry`].
     ///
     /// # Errors
     ///
@@ -464,6 +465,14 @@ impl Port for TcpPort {
 
     fn stats(&self) -> NetStats {
         self.shared.stats.lock().clone()
+    }
+
+    fn clock(&self) -> Arc<dyn Clock> {
+        Arc::clone(&self.shared.clock)
+    }
+
+    fn telemetry(&self) -> Telemetry {
+        self.shared.tel.clone()
     }
 }
 

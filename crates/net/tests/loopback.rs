@@ -1,13 +1,13 @@
 //! Loopback-TCP integration tests: the threaded executor's protocol
 //! loops running over real sockets.
 
-use std::collections::BTreeMap;
 use std::thread;
 use std::time::Duration;
 
 use hadfl::clock::WallClock;
 use hadfl::exec::{
-    run_coordinator, run_device, run_threaded, ProtocolTiming, ThreadedOptions, ThreadedRound,
+    run_cluster, run_coordinator, run_device, run_threaded, CoordinatorRun, ProtocolTiming,
+    ThreadedOptions, ThreadedRound,
 };
 use hadfl::transport::{coordinator_id, ChannelTransport, Port};
 use hadfl::wire::Message;
@@ -44,14 +44,9 @@ fn bind_cluster(n: usize) -> (ClusterConfig, Vec<BoundNode>) {
 }
 
 /// Consensus accuracy of the final models a coordinator collected.
-fn consensus_accuracy(
-    workload: &Workload,
-    k: usize,
-    final_models: &BTreeMap<usize, Vec<f32>>,
-) -> f32 {
-    let refs: Vec<&[f32]> = final_models.values().map(Vec::as_slice).collect();
-    let consensus = hadfl::aggregate::average_params(&refs).unwrap();
+fn consensus_accuracy(workload: &Workload, k: usize, run: &CoordinatorRun) -> f32 {
     let mut built = workload.build(k).unwrap();
+    let consensus = run.consensus().unwrap();
     built.evaluate_params(&consensus).unwrap().accuracy
 }
 
@@ -110,22 +105,14 @@ fn tcp_cluster_converges_like_threaded_executor() {
             .unwrap();
         assert_eq!(coordinator_port.id(), coordinator_id(k));
 
-        let run = thread::scope(|scope| {
-            for (i, (port, rt)) in device_ports.drain(..).zip(built.runtimes).enumerate() {
-                let sleep = Duration::from_secs_f64(opts.step_sleep.as_secs_f64() / powers[i]);
-                let config = &config;
-                let timing = opts.timing.clone();
-                scope.spawn(move || run_device(port, rt, config, sleep, &timing).unwrap());
-            }
-            run_coordinator(
-                coordinator_port,
-                &config,
-                opts.window,
-                opts.rounds,
-                &opts.timing,
-            )
-            .unwrap()
-        });
+        let run = run_cluster(
+            device_ports,
+            coordinator_port,
+            built.runtimes,
+            &config,
+            &opts,
+        )
+        .unwrap();
 
         assert_eq!(run.rounds.len(), opts.rounds);
         assert!(
@@ -138,7 +125,7 @@ fn tcp_cluster_converges_like_threaded_executor() {
             k,
             "all devices must upload final parameters"
         );
-        let tcp_accuracy = consensus_accuracy(&workload, k, &run.final_models);
+        let tcp_accuracy = consensus_accuracy(&workload, k, &run);
         // Accuracy assertions only hold when training actually
         // happened. On a starved host (1-CPU CI runners), ten threads
         // share one core and the wall-clock report window closes after
@@ -265,7 +252,7 @@ fn tcp_cluster_survives_peer_death() {
         "survivors must upload: {:?}",
         run.final_models.keys()
     );
-    let accuracy = consensus_accuracy(&workload, k, &run.final_models);
+    let accuracy = consensus_accuracy(&workload, k, &run);
     assert!(accuracy.is_finite());
 }
 

@@ -53,11 +53,6 @@ impl Sequential {
         self.layers.push(Box::new(layer));
     }
 
-    /// Appends a boxed layer to the end of the chain.
-    pub fn push_boxed(&mut self, layer: Box<dyn Layer>) {
-        self.layers.push(layer);
-    }
-
     /// Number of layers in the chain.
     pub fn len(&self) -> usize {
         self.layers.len()

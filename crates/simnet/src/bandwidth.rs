@@ -119,11 +119,6 @@ impl BandwidthMatrix {
         self.devices
     }
 
-    /// Shared per-message latency, seconds.
-    pub fn latency_secs(&self) -> f64 {
-        self.latency_secs
-    }
-
     /// Overrides one directed link's bandwidth.
     ///
     /// # Errors
@@ -154,27 +149,6 @@ impl BandwidthMatrix {
     /// Returns [`SimError::UnknownDevice`] for an out-of-range device.
     pub fn transfer_time(&self, from: DeviceId, to: DeviceId, bytes: u64) -> Result<f64, SimError> {
         Ok(self.latency_secs + bytes as f64 / self.bandwidth(from, to)?)
-    }
-
-    /// The slowest directed link along a ring order (each member sends to
-    /// its successor) — the pipeline bottleneck of a ring all-reduce.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::InvalidParameter`] for fewer than 2 members or
-    /// [`SimError::UnknownDevice`] for out-of-range members.
-    pub fn ring_bottleneck(&self, order: &[DeviceId]) -> Result<f64, SimError> {
-        if order.len() < 2 {
-            return Err(SimError::InvalidParameter(
-                "ring needs at least 2 members".into(),
-            ));
-        }
-        let mut worst = f64::INFINITY;
-        for (i, &from) in order.iter().enumerate() {
-            let to = order[(i + 1) % order.len()];
-            worst = worst.min(self.bandwidth(from, to)?);
-        }
-        Ok(worst)
     }
 }
 
@@ -209,16 +183,6 @@ mod tests {
     }
 
     #[test]
-    fn ring_bottleneck_finds_slowest_link() {
-        let m = BandwidthMatrix::two_clusters(4, 2, 0.0, 1e9, 1e6).unwrap();
-        // 0→1→2→3→0 crosses the cluster boundary twice.
-        let order: Vec<DeviceId> = (0..4).map(DeviceId).collect();
-        assert_eq!(m.ring_bottleneck(&order).unwrap(), 1e6);
-        // an intra-cluster pair has no slow link
-        assert_eq!(m.ring_bottleneck(&[DeviceId(0), DeviceId(1)]).unwrap(), 1e9);
-    }
-
-    #[test]
     fn validates_arguments() {
         assert!(BandwidthMatrix::uniform(0, 0.0, 1e6).is_err());
         assert!(BandwidthMatrix::uniform(2, -1.0, 1e6).is_err());
@@ -227,6 +191,5 @@ mod tests {
         assert!(BandwidthMatrix::two_clusters(4, 4, 0.0, 1e9, 1e6).is_err());
         let m = BandwidthMatrix::uniform(2, 0.0, 1e6).unwrap();
         assert!(m.bandwidth(DeviceId(0), DeviceId(5)).is_err());
-        assert!(m.ring_bottleneck(&[DeviceId(0)]).is_err());
     }
 }

@@ -1,32 +1,32 @@
-//! Virtual-time discrete-event cluster simulator for the HADFL
+//! Virtual-time cost models of a heterogeneous cluster for the HADFL
 //! reproduction.
 //!
 //! The paper evaluates on four V100 GPUs whose heterogeneity is *itself
 //! simulated* with `sleep()` calls. This crate moves that simulation into
-//! virtual time: devices have computing-power factors ([`ComputeModel`]),
-//! point-to-point transfers cost latency plus bytes-over-bandwidth
-//! ([`LinkModel`]), events are ordered deterministically
-//! ([`EventQueue`]), devices can disconnect and reconnect on a schedule
+//! virtual time ([`VirtualTime`]). It holds what a driver charges time
+//! and bytes against, not a scheduler — the closed-form driver is a
+//! `for` loop and `run_virtual` keeps its own deadlines: devices have
+//! computing-power factors ([`ComputeModel`]), point-to-point transfers
+//! cost latency plus bytes-over-bandwidth ([`LinkModel`], pairwise
+//! [`BandwidthMatrix`]), devices disconnect and reconnect on a schedule
 //! ([`FaultPlan`]), and every byte moved is accounted ([`NetStats`]) so
 //! the communication-volume claims of the paper (§II-B, §III-D) can be
-//! checked exactly.
+//! checked exactly. [`simulate_fleet`] turns the same models into a
+//! fleet-scale telemetry stream for the collector.
 //!
 //! # Example
 //!
 //! ```
-//! use hadfl_simnet::{ComputeModel, DeviceId, EventQueue, VirtualTime};
+//! use hadfl_simnet::{ComputeModel, DeviceId, VirtualTime};
 //!
 //! # fn main() -> Result<(), hadfl_simnet::SimError> {
 //! // Power ratio [2, 1]: device 0 is twice as fast.
 //! let compute = ComputeModel::new(0.010, &[2.0, 1.0])?;
-//! let mut queue = EventQueue::new();
-//! for dev in 0..2 {
-//!     let id = DeviceId(dev);
-//!     queue.push(VirtualTime::ZERO.after(compute.step_time(id, None)?), id);
-//! }
-//! let (t, first) = queue.pop().expect("two events queued");
-//! assert_eq!(first, DeviceId(0)); // the fast device finishes first
-//! assert!((t.as_secs() - 0.005).abs() < 1e-9);
+//! let done: Vec<VirtualTime> = (0..2)
+//!     .map(|dev| Ok(VirtualTime::ZERO.after(compute.step_time(DeviceId(dev), None)?)))
+//!     .collect::<Result<_, hadfl_simnet::SimError>>()?;
+//! assert!(done[0] < done[1]); // the fast device finishes first
+//! assert!((done[0].as_secs() - 0.005).abs() < 1e-9);
 //! # Ok(())
 //! # }
 //! ```
@@ -37,7 +37,6 @@
 mod bandwidth;
 mod compute;
 mod error;
-mod event;
 mod fault;
 mod fleet;
 mod link;
@@ -47,7 +46,6 @@ mod time;
 pub use bandwidth::BandwidthMatrix;
 pub use compute::{ComputeModel, Jitter};
 pub use error::SimError;
-pub use event::EventQueue;
 pub use fault::{FaultPlan, Outage};
 pub use fleet::{simulate_fleet, DeadSpec, FleetConfig, FleetRunReport, StragglerSpec};
 pub use link::LinkModel;

@@ -1,40 +1,11 @@
 //! Property-based tests for the simulator substrate.
 
-use hadfl_simnet::{
-    ComputeModel, DeviceId, EventQueue, FaultPlan, Jitter, LinkModel, Outage, VirtualTime,
-};
+use hadfl_simnet::{ComputeModel, DeviceId, FaultPlan, Jitter, LinkModel, Outage, VirtualTime};
 use hadfl_tensor::SeedStream;
 use proptest::prelude::*;
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
-
-    #[test]
-    fn event_queue_pops_sorted(times in proptest::collection::vec(0.0f64..1000.0, 0..64)) {
-        let mut q = EventQueue::new();
-        for (i, &t) in times.iter().enumerate() {
-            q.push(VirtualTime::from_secs(t), i);
-        }
-        let mut last = VirtualTime::ZERO;
-        let mut popped = 0;
-        while let Some((t, _)) = q.pop() {
-            prop_assert!(t >= last);
-            last = t;
-            popped += 1;
-        }
-        prop_assert_eq!(popped, times.len());
-    }
-
-    #[test]
-    fn equal_time_events_pop_fifo(n in 1usize..32, t in 0.0f64..10.0) {
-        let mut q = EventQueue::new();
-        let vt = VirtualTime::from_secs(t);
-        for i in 0..n {
-            q.push(vt, i);
-        }
-        let order: Vec<usize> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
-        prop_assert_eq!(order, (0..n).collect::<Vec<_>>());
-    }
 
     #[test]
     fn step_time_scales_inversely_with_power(

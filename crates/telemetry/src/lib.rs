@@ -41,7 +41,7 @@ pub use causal::LamportClock;
 pub use event::{Event, EventKind, SCHEMA_VERSION};
 pub use follow::FollowState;
 pub use health::{Alert, HealthEngine, HealthOptions, HealthReport, Severity};
-pub use metrics::{serve_metrics, MetricsRegistry, MetricsServer, MetricsSink};
+pub use metrics::{serve_http, serve_metrics, MetricsRegistry, MetricsServer, MetricsSink};
 pub use ship::{BatchShipper, ShipBatch, ShipOptions, ShipSink, ShipStats, VecShipper};
 pub use sink::{JsonlSink, RingBufferSink, SharedBuffer, Sink};
 

@@ -476,34 +476,53 @@ pub fn serve_metrics(addr: &str, registry: Arc<MetricsRegistry>) -> std::io::Res
     let stop = Arc::new(AtomicBool::new(false));
     let stop_flag = Arc::clone(&stop);
     let handle = std::thread::spawn(move || {
-        while !stop_flag.load(Ordering::SeqCst) {
-            match listener.accept() {
-                Ok((mut stream, _)) => {
-                    // Drain whatever request arrived (best effort), then
-                    // answer with the exposition body and close.
-                    let _ = stream.set_read_timeout(Some(Duration::from_millis(200)));
-                    let mut scratch = [0u8; 1024];
-                    let _ = stream.read(&mut scratch);
-                    let body = registry.render();
-                    let response = format!(
-                        "HTTP/1.1 200 OK\r\nContent-Type: text/plain; version=0.0.4\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{}",
-                        body.len(),
-                        body
-                    );
-                    let _ = stream.write_all(response.as_bytes());
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(Duration::from_millis(20));
-                }
-                Err(_) => std::thread::sleep(Duration::from_millis(20)),
-            }
-        }
+        serve_http(&listener, &stop_flag, |_| {
+            ("200 OK", "text/plain; version=0.0.4", registry.render())
+        });
     });
     Ok(MetricsServer {
         addr: bound,
         stop,
         handle: Some(handle),
     })
+}
+
+/// The workspace's one HTTP/1.1 responder, for endpoints that serve
+/// scrapers and `curl`: until `stop` is set, accepts on the
+/// non-blocking `listener`, reads one request per connection (best
+/// effort, 200 ms), hands its path — query string dropped — to `route`
+/// for `(status, content type, body)`, answers with `Content-Length`
+/// and `Connection: close`.
+pub fn serve_http(
+    listener: &TcpListener,
+    stop: &AtomicBool,
+    route: impl Fn(&str) -> (&'static str, &'static str, String),
+) {
+    while !stop.load(Ordering::SeqCst) {
+        match listener.accept() {
+            Ok((mut stream, _)) => {
+                let _ = stream.set_read_timeout(Some(Duration::from_millis(200)));
+                let mut scratch = [0u8; 2048];
+                let n = stream.read(&mut scratch).unwrap_or(0);
+                let request = String::from_utf8_lossy(&scratch[..n]);
+                let path = request
+                    .split_whitespace()
+                    .nth(1)
+                    .unwrap_or("/")
+                    .split('?')
+                    .next()
+                    .unwrap_or("/");
+                let (status, content_type, body) = route(path);
+                let response = format!(
+                    "HTTP/1.1 {status}\r\nContent-Type: {content_type}\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
+                    body.len()
+                );
+                let _ = stream.write_all(response.as_bytes());
+            }
+            // Nothing pending, or a transient accept error.
+            Err(_) => std::thread::sleep(Duration::from_millis(20)),
+        }
+    }
 }
 
 #[cfg(test)]

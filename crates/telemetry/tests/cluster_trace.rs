@@ -16,7 +16,7 @@ use std::time::Duration;
 
 use hadfl::clock::{Clock, ManualClock, WallClock};
 use hadfl::exec::{
-    run_coordinator_instrumented, run_device_instrumented, DeviceActor, ProtocolTiming, TrainState,
+    run_cluster, run_device, DeviceActor, ProtocolTiming, ThreadedOptions, TrainState,
 };
 use hadfl::transport::{coordinator_id, ChannelTransport, Port};
 use hadfl::wire::Message;
@@ -40,7 +40,13 @@ fn run_instrumented_cluster(dir: &std::path::Path) -> Vec<hadfl_simnet::NetStats
         .seed(41)
         .build()
         .unwrap();
-    let timing = ProtocolTiming::quick();
+    let opts = ThreadedOptions {
+        powers: powers.to_vec(),
+        step_sleep: Duration::from_millis(4),
+        window: Duration::from_millis(120),
+        rounds: 3,
+        timing: ProtocolTiming::quick(),
+    };
 
     let nodes: Vec<BoundNode> = (0..=k)
         .map(|id| BoundNode::bind(id, "127.0.0.1:0").unwrap())
@@ -76,29 +82,7 @@ fn run_instrumented_cluster(dir: &std::path::Path) -> Vec<hadfl_simnet::NetStats
     let coordinator_port = ports.remove(k);
     let built = workload.build(k).unwrap();
 
-    thread::scope(|scope| {
-        for (i, (port, rt)) in ports.drain(..).zip(built.runtimes).enumerate() {
-            let sleep = Duration::from_secs_f64(0.004 / powers[i]);
-            let config = &config;
-            let timing = timing.clone();
-            let clock = Arc::clone(&clock);
-            let tel = tels[i].clone();
-            scope.spawn(move || {
-                run_device_instrumented(port, rt, config, sleep, &timing, &*clock, tel)
-                    .expect("device loop")
-            });
-        }
-        run_coordinator_instrumented(
-            coordinator_port,
-            &config,
-            Duration::from_millis(120),
-            3,
-            &timing,
-            &*clock,
-            tels[k].clone(),
-        )
-        .expect("coordinator loop")
-    });
+    run_cluster(ports, coordinator_port, built.runtimes, &config, &opts).expect("cluster run");
 
     for (handle, tel) in handles.iter().zip(&tels) {
         handle.emit_ledger();
@@ -308,4 +292,89 @@ fn manual_clock_schedule_is_byte_deterministic() {
     };
     assert_eq!(steps, 3, "first batch covers the pre-report window");
     assert_eq!(version, 3);
+}
+
+/// The port is the one injection point: `run_device` over a
+/// `claim_instrumented` port on a `ManualClock` — the handle and the
+/// clock passed nowhere else — logs the device lifecycle on the same
+/// `t_us` scale as that port's frame events. The only thing that moves
+/// the clock is the loop's own `step_sleep` per local step, so every
+/// timestamp is the epoch plus the steps taken so far.
+#[test]
+fn run_device_logs_on_its_ports_clock() {
+    let k = 2;
+    let epoch_us = 5_000;
+    let step = Duration::from_millis(3);
+    let clock = ManualClock::new();
+    clock.advance(Duration::from_micros(epoch_us));
+    let sink = hadfl_telemetry::RingBufferSink::new(4096);
+    let tel = Telemetry::new(0, vec![Box::new(sink.clone())]);
+
+    let mut hub = ChannelTransport::hub(k + 1);
+    let port = hub
+        .claim_instrumented(0, tel, Some(Arc::new(clock.clone())))
+        .unwrap();
+    let mut coord = hub.claim(coordinator_id(k)).unwrap();
+    let rt = Workload::quick("mlp", 43)
+        .build(k)
+        .unwrap()
+        .runtimes
+        .remove(0);
+    let config = HadflConfig::builder().seed(43).build().unwrap();
+    let timing = ProtocolTiming::quick();
+
+    thread::scope(|scope| {
+        let device = scope.spawn(|| run_device(port, rt, &config, step, &timing));
+        // Ask for reports until the device has trained at least once,
+        // so the shutdown closes a non-empty step batch.
+        loop {
+            coord.send(0, &Message::ReportRequest { round: 1 }).unwrap();
+            match coord.recv_timeout(Duration::from_secs(10)).unwrap() {
+                Some(Message::VersionReport { version, .. }) if version >= 1.0 => break,
+                Some(Message::VersionReport { .. }) => {}
+                other => panic!("expected a version report, got {other:?}"),
+            }
+        }
+        coord.send(0, &Message::Shutdown).unwrap();
+        device.join().unwrap().unwrap();
+    });
+
+    let events = sink.snapshot();
+    let at = |steps: u64| epoch_us + steps * step.as_micros() as u64;
+    let mut last_t = 0;
+    let mut frames = 0;
+    let mut steps_logged = 0;
+    let mut finished_at = None;
+    for event in &events {
+        assert!(event.t_us >= last_t, "one clock never runs backwards");
+        last_t = event.t_us;
+        match &event.kind {
+            EventKind::DeviceStarted { device: 0 } => assert_eq!(event.t_us, at(0)),
+            EventKind::LocalSteps { steps, version, .. } => {
+                steps_logged += steps;
+                assert_eq!(steps_logged, *version);
+                assert_eq!(event.t_us, at(*version), "a batch closes at its last step");
+            }
+            EventKind::DeviceFinished { version, .. } => {
+                assert_eq!(event.t_us, at(*version));
+                finished_at = Some(event.t_us);
+            }
+            EventKind::FrameSent { .. } | EventKind::FrameReceived { .. } => frames += 1,
+            _ => {}
+        }
+    }
+    assert!(steps_logged >= 1, "no local steps logged: {events:?}");
+    let finished_at = finished_at.expect("device_finished logged through the port's handle");
+    assert!(frames >= 4, "report + shutdown in, report + final out");
+    // The frames around the shutdown sit on the actor's own timestamps.
+    let around_shutdown: Vec<u64> = events
+        .iter()
+        .filter(|e| match &e.kind {
+            EventKind::FrameReceived { kind, .. } => kind == "shutdown",
+            EventKind::FrameSent { kind, .. } => kind == "final_params",
+            _ => false,
+        })
+        .map(|e| e.t_us)
+        .collect();
+    assert_eq!(around_shutdown, [finished_at, finished_at]);
 }

@@ -110,11 +110,6 @@ impl Tensor {
         &mut self.data
     }
 
-    /// Consumes the tensor, returning the flat storage.
-    pub fn into_vec(self) -> Vec<f32> {
-        self.data
-    }
-
     /// Element at a multi-dimensional index.
     ///
     /// # Panics
@@ -141,23 +136,6 @@ impl Tensor {
     /// Returns [`TensorError::LengthMismatch`] if the element counts differ.
     pub fn reshape(&self, dims: &[usize]) -> Result<Self, TensorError> {
         Tensor::from_vec(self.data.clone(), dims)
-    }
-
-    /// Reinterprets the shape in place.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::LengthMismatch`] if the element counts differ.
-    pub fn reshape_inplace(&mut self, dims: &[usize]) -> Result<(), TensorError> {
-        let shape = Shape::new(dims);
-        if shape.len() != self.data.len() {
-            return Err(TensorError::LengthMismatch {
-                len: self.data.len(),
-                shape: dims.to_vec(),
-            });
-        }
-        self.shape = shape;
-        Ok(())
     }
 
     fn check_same_shape(&self, rhs: &Tensor, op: &'static str) -> Result<(), TensorError> {
@@ -245,17 +223,6 @@ impl Tensor {
     pub fn add_assign_t(&mut self, rhs: &Tensor) -> Result<(), TensorError> {
         self.check_same_shape(rhs, "add_assign")?;
         zip_chunks(&mut self.data, &rhs.data, |a, &b| *a += b);
-        Ok(())
-    }
-
-    /// In-place `self -= rhs`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::ShapeMismatch`] if the shapes differ.
-    pub fn sub_assign_t(&mut self, rhs: &Tensor) -> Result<(), TensorError> {
-        self.check_same_shape(rhs, "sub_assign")?;
-        zip_chunks(&mut self.data, &rhs.data, |a, &b| *a -= b);
         Ok(())
     }
 

@@ -30,7 +30,7 @@ use std::thread;
 use std::time::Duration;
 
 use hadfl::clock::{Clock, WallClock};
-use hadfl::exec::{run_coordinator_instrumented, run_device_instrumented, ProtocolTiming};
+use hadfl::exec::{run_cluster, ProtocolTiming, ThreadedOptions};
 use hadfl::trace::CommSummary;
 use hadfl::transport::coordinator_id;
 use hadfl::{HadflConfig, Workload};
@@ -81,7 +81,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let k = powers.len();
     let workload = Workload::quick("mlp", 17);
     let config = HadflConfig::builder().num_selected(2).seed(17).build()?;
-    let timing = ProtocolTiming::default();
+    let threaded = ThreadedOptions {
+        powers: powers.to_vec(),
+        step_sleep: Duration::from_millis(30),
+        window: Duration::from_millis(300),
+        rounds: 4,
+        timing: ProtocolTiming::default(),
+    };
 
     // One registry for the whole process: every participant's
     // MetricsSink feeds it, the exposition server renders it.
@@ -126,8 +132,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let cluster = ClusterConfig::from_addrs(&addrs)?;
     println!("cluster file equivalent:\n{}", cluster.to_json());
 
-    // One clock across all participants: frame and protocol events from
-    // every node share a timeline.
+    // One clock across all participants, handed to each with its
+    // telemetry handle through its port: frame and protocol events
+    // from every node share a timeline.
     let clock: Arc<dyn Clock> = WallClock::shared();
     let tels: Vec<Telemetry> = (0..=k).map(&telemetry_for).collect::<Result<_, _>>()?;
     let mut ports: Vec<TcpPort> = nodes
@@ -147,29 +154,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let stats = coordinator_port.stats_handle();
     let built = workload.build(k)?;
 
-    let run = thread::scope(|scope| {
-        for (i, (port, rt)) in ports.drain(..).zip(built.runtimes).enumerate() {
-            let sleep = Duration::from_secs_f64(0.030 / powers[i]);
-            let config = &config;
-            let timing = timing.clone();
-            let clock = Arc::clone(&clock);
-            let tel = tels[i].clone();
-            scope.spawn(move || {
-                run_device_instrumented(port, rt, config, sleep, &timing, &*clock, tel)
-                    .expect("device loop")
-            });
-        }
-        run_coordinator_instrumented(
-            coordinator_port,
-            &config,
-            Duration::from_millis(300),
-            4,
-            &timing,
-            &*clock,
-            tels[k].clone(),
-        )
-        .expect("coordinator loop")
-    });
+    let run = run_cluster(ports, coordinator_port, built.runtimes, &config, &threaded)?;
 
     // Stamp each node's ground-truth ledger into its event log, then
     // flush: `hadfl-trace --check` verifies the per-frame events sum to
@@ -185,10 +170,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             r.round, r.versions, r.selected
         );
     }
-    let refs: Vec<&[f32]> = run.final_models.values().map(Vec::as_slice).collect();
-    let consensus = hadfl::aggregate::average_params(&refs)?;
     let mut evaluator = workload.build(k)?;
-    let metrics = evaluator.evaluate_params(&consensus)?;
+    let metrics = evaluator.evaluate_params(&run.consensus()?)?;
     println!("consensus test accuracy: {:.1}%", metrics.accuracy * 100.0);
 
     // The coordinator's ledger counts exactly the encoded protocol
