@@ -1,8 +1,10 @@
-//! Shared experiment harness for the HADFL reproduction benches.
+//! Shared experiment harness for the HADFL reproduction.
 //!
 //! Every paper table/figure has a report binary in `src/bin/` built on
 //! the helpers here: a scheme runner over a common [`Profile`], repeat
-//! averaging, and CSV/JSON writers into `target/experiments/`.
+//! averaging, and CSV/JSON writers into `target/experiments/`. [`diff`]
+//! is the other half of the crate: the paired parent-vs-change verdict
+//! over the round benchmark behind `hadfl-bench-diff`.
 
 // `!(x > 0)`-style guards are deliberate: unlike `x <= 0` they also
 // reject NaN, which is exactly what the validators want.
@@ -56,8 +58,8 @@ impl Scheme {
 /// Experiment scale.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Profile {
-    /// Seconds-per-run scale for CI and criterion benches: the tiny
-    /// synthetic task and few epochs.
+    /// Seconds-per-run scale for CI: the tiny synthetic task and few
+    /// epochs.
     Quick,
     /// The report scale used for EXPERIMENTS.md: the 16×16 synthetic
     /// CIFAR task, the paper's batch geometry, enough epochs for the
@@ -66,19 +68,29 @@ pub enum Profile {
 }
 
 impl Profile {
-    /// Parses `--profile quick|paper` style arguments (`None` → Quick).
+    /// The running binary's `--profile quick|paper` argument (absent →
+    /// Quick). Anything else after `--profile` exits with status 2: a
+    /// typo must not regenerate quick-scale numbers under the
+    /// paper-scale file names.
     pub fn from_args() -> Profile {
-        let mut args = std::env::args();
+        Profile::parse(std::env::args().skip(1)).unwrap_or_else(|e| {
+            eprintln!("{e}\nusage: [--profile quick|paper]");
+            std::process::exit(2)
+        })
+    }
+
+    fn parse(mut args: impl Iterator<Item = String>) -> Result<Profile, String> {
         while let Some(a) = args.next() {
             if a == "--profile" {
-                if let Some(v) = args.next() {
-                    if v == "paper" {
-                        return Profile::Paper;
-                    }
-                }
+                return match args.next().as_deref() {
+                    Some("quick") => Ok(Profile::Quick),
+                    Some("paper") => Ok(Profile::Paper),
+                    Some(other) => Err(format!("unknown profile {other:?}")),
+                    None => Err("--profile needs a value".to_string()),
+                };
             }
         }
-        Profile::Quick
+        Ok(Profile::Quick)
     }
 
     /// The workload for a model under this profile.
@@ -375,6 +387,19 @@ mod tests {
         assert!(levels.windows(2).all(|w| w[0] <= w[1]), "{s}");
         assert_eq!(ascii_curve(&[], 0.0, 1.0, 5), "     ");
         assert_eq!(ascii_curve(&rising, 1.0, 1.0, 3), "   ");
+    }
+
+    #[test]
+    fn profile_argument_is_parsed_strictly() {
+        let parse = |args: &[&str]| Profile::parse(args.iter().map(|a| a.to_string()));
+        assert_eq!(parse(&["--profile", "paper"]), Ok(Profile::Paper));
+        assert_eq!(
+            parse(&["--panel", "loss", "--profile", "quick"]),
+            Ok(Profile::Quick)
+        );
+        assert_eq!(parse(&["--panel", "loss"]), Ok(Profile::Quick));
+        assert!(parse(&["--profile", "papr"]).unwrap_err().contains("papr"));
+        assert!(parse(&["--profile"]).is_err());
     }
 
     #[test]

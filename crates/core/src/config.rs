@@ -58,11 +58,6 @@ pub struct HadflConfig {
     pub group_size: Option<usize>,
     /// Inter-group synchronization period, in intra-group rounds (≥ 1).
     pub inter_group_every: u32,
-    /// Reset SGD momentum buffers after every synchronization. Local
-    /// momentum accumulated against pre-merge parameters is stale after
-    /// the merge; clearing it stabilizes long heterogeneity-aware local
-    /// runs (an implementation refinement the paper does not specify).
-    pub reset_momentum_on_sync: bool,
     /// Weight the partial aggregation by shard sizes (`n_k / N`, Eq. 2)
     /// instead of uniformly — the paper's future-work "data
     /// distribution" optimization, useful under non-IID sharding.
@@ -163,7 +158,6 @@ impl Default for HadflConfigBuilder {
                 handshake_timeout_secs: 0.05,
                 group_size: None,
                 inter_group_every: 2,
-                reset_momentum_on_sync: false,
                 weight_by_samples: false,
                 seed: 0,
             },
@@ -233,10 +227,6 @@ impl HadflConfigBuilder {
     setter!(
         /// Sets the inter-group sync period, in intra-group rounds.
         inter_group_every: u32
-    );
-    setter!(
-        /// Sets whether momentum buffers reset after each sync.
-        reset_momentum_on_sync: bool
     );
     setter!(
         /// Sets whether aggregation is weighted by shard sizes (Eq. 2).

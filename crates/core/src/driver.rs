@@ -60,8 +60,6 @@ pub struct SimOptions {
     pub epochs_total: f64,
     /// Hard cap on synchronization rounds.
     pub max_rounds: usize,
-    /// Evaluate the merged model every this many rounds.
-    pub eval_every: usize,
     /// Model-manager backup period in rounds (`None` disables backup).
     pub backup_every: Option<usize>,
     /// Bytes a model transfer costs on the wire. The lite models are
@@ -83,7 +81,6 @@ impl SimOptions {
             jitter: Jitter::None,
             epochs_total: 6.0,
             max_rounds: 10_000,
-            eval_every: 1,
             backup_every: None,
             wire_model_bytes: None,
         }
@@ -109,9 +106,9 @@ impl SimOptions {
                 "epochs_total must be positive".into(),
             ));
         }
-        if self.eval_every == 0 || self.max_rounds == 0 {
+        if self.max_rounds == 0 {
             return Err(HadflError::InvalidConfig(
-                "eval_every and max_rounds must be positive".into(),
+                "max_rounds must be positive".into(),
             ));
         }
         if self.backup_every == Some(0) {
@@ -464,15 +461,6 @@ pub fn run_hadfl_with_telemetry(
                     // does not wait either.
                 }
             }
-            if config.reset_momentum_on_sync {
-                // Momentum accumulated against pre-merge parameters is
-                // stale once weights change under the optimizer.
-                let listeners = audiences.iter().flat_map(|(_, listeners)| listeners);
-                for d in ring.members().iter().chain(listeners) {
-                    built.runtimes[d.index()]
-                        .set_optimizer(LrSchedule::constant(config.lr), config.momentum);
-                }
-            }
             Ok(Some(outcome))
         };
 
@@ -545,24 +533,22 @@ pub fn run_hadfl_with_telemetry(
         let samples: u64 = built.runtimes.iter().map(|rt| rt.samples_seen).sum();
         let epoch_equiv = samples as f64 / built.train_size as f64;
         let done = epoch_equiv >= opts.epochs_total || round == opts.max_rounds;
-        if round % opts.eval_every == 0 || done {
-            let metrics = built.evaluate_params(&last_merged)?;
-            let live_losses: Vec<f32> = round_losses.iter().flatten().copied().collect();
-            let train_loss = if live_losses.is_empty() {
-                f32::NAN
-            } else {
-                live_losses.iter().sum::<f32>() / live_losses.len() as f32
-            };
-            trace.push(RoundRecord {
-                round,
-                time_secs: sync_end.as_secs(),
-                epoch_equiv,
-                train_loss,
-                test_accuracy: metrics.accuracy,
-                selected: selected_indices,
-                versions,
-            });
-        }
+        let metrics = built.evaluate_params(&last_merged)?;
+        let live_losses: Vec<f32> = round_losses.iter().flatten().copied().collect();
+        let train_loss = if live_losses.is_empty() {
+            f32::NAN
+        } else {
+            live_losses.iter().sum::<f32>() / live_losses.len() as f32
+        };
+        trace.push(RoundRecord {
+            round,
+            time_secs: sync_end.as_secs(),
+            epoch_equiv,
+            train_loss,
+            test_accuracy: metrics.accuracy,
+            selected: selected_indices,
+            versions,
+        });
         if done {
             break;
         }
@@ -833,7 +819,7 @@ mod tests {
         bad.epochs_total = 0.0;
         assert!(run_hadfl(&w, &c, &bad).is_err());
         let mut bad = SimOptions::quick(&[1.0, 1.0]);
-        bad.eval_every = 0;
+        bad.max_rounds = 0;
         assert!(run_hadfl(&w, &c, &bad).is_err());
         let mut bad = SimOptions::quick(&[1.0, 1.0]);
         bad.backup_every = Some(0);
@@ -843,10 +829,6 @@ mod tests {
         let grouped = HadflConfig::builder().group_size(Some(2)).build().unwrap();
         let good = SimOptions::quick(&[1.0, 1.0, 1.0, 1.0]);
         for bad in [
-            SimOptions {
-                eval_every: 0,
-                ..good.clone()
-            },
             SimOptions {
                 max_rounds: 0,
                 ..good.clone()

@@ -47,12 +47,9 @@
 //! against a per-[`OpClass`] work threshold. The thresholds come from
 //! a one-shot per-process calibration: the pool's dispatch overhead is
 //! probed with no-op dispatches and divided by a measured per-element
-//! serial FMA cost (an eight-accumulator sweep mirroring both the
-//! `calibration/serial_fma_1m` bench row and the throughput of the
-//! slice-of-8 kernels), so the cutoff is "parallel only when the
-//! serial time would dominate the dispatch cost". Override with
-//! `HADFL_PAR_THRESHOLD` (all classes) or
-//! `HADFL_PAR_THRESHOLD_{MATMUL,REDUCE,ELEMENTWISE}` (element counts).
+//! serial FMA cost (an eight-accumulator sweep mirroring the
+//! throughput of the slice-of-8 kernels), so the cutoff is "parallel
+//! only when the serial time would dominate the dispatch cost".
 //!
 //! Thread count resolution: the [`with_threads`] thread-local override
 //! (which still respects the thresholds) or [`with_threads_forced`]
@@ -222,14 +219,6 @@ impl OpClass {
         }
     }
 
-    fn env_suffix(self) -> &'static str {
-        match self {
-            OpClass::Elementwise => "ELEMENTWISE",
-            OpClass::Reduce => "REDUCE",
-            OpClass::Matmul => "MATMUL",
-        }
-    }
-
     /// How many multiples of the dispatch overhead the *serial* time
     /// must reach before parallelizing pays. Bandwidth-bound classes
     /// see smaller parallel speedups, so they demand more margin.
@@ -256,14 +245,9 @@ pub struct Calibration {
     pub thresholds: [u64; 3],
 }
 
-fn env_u64(name: &str) -> Option<u64> {
-    std::env::var(name).ok()?.trim().parse::<u64>().ok()
-}
-
-/// Serial throughput probe: the same multiply-add sweep as the
-/// `calibration/serial_fma_1m` bench row, but in slice-of-8 form so
-/// the compiler vectorizes it exactly like the SIMD kernels. Minimum
-/// of several passes, like the committed bench methodology.
+/// Serial throughput probe: a multiply-add sweep in slice-of-8 form,
+/// so the compiler vectorizes it exactly like the SIMD kernels.
+/// Minimum of several passes: noise only ever adds time.
 fn probe_elem_ns() -> f64 {
     const N: usize = 1 << 16;
     let mut buf = vec![1.0f32; N];
@@ -308,13 +292,10 @@ pub fn calibration() -> &'static Calibration {
     CALIBRATION.get_or_init(|| {
         let dispatch_ns = probe_dispatch_ns();
         let elem_ns = probe_elem_ns();
-        let blanket = env_u64("HADFL_PAR_THRESHOLD");
         let mut thresholds = [0u64; 3];
         for class in OpClass::ALL {
             let measured = (dispatch_ns as f64 * class.break_even_margin() / elem_ns) as u64;
-            let fallback = measured.clamp(MIN_AUTOTUNE_WORK, 32 * 1024 * 1024);
-            let var = format!("HADFL_PAR_THRESHOLD_{}", class.env_suffix());
-            thresholds[class.index()] = env_u64(&var).or(blanket).unwrap_or(fallback);
+            thresholds[class.index()] = measured.clamp(MIN_AUTOTUNE_WORK, 32 * 1024 * 1024);
         }
         Calibration {
             dispatch_ns,

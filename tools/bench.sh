@@ -1,69 +1,79 @@
 #!/usr/bin/env bash
-# Runs the kernel, wire, telemetry, and profiler criterion benches and
-# distills every measurement into a BENCH file at the repo root (first
-# argument, default BENCH_15.json): one record per benchmark with the
-# op name, the worker-thread count it ran at, and the measured ns/iter.
-# The `calibration/serial_fma_1m` row is the machine-speed yardstick
-# `hadfl-bench-diff` divides out when comparing two BENCH files, so
-# numbers taken on different (or differently loaded) machines stay
-# comparable. The `scaling/` group runs the same workload at 1, 2, and
-# 4 threads (encoded as an `_tN` name suffix), so the file is the
-# recorded evidence for the parallel substrate's scaling; the `wire_*`
-# rows are the bulk codec across the protocol's frame sizes; the
-# `conv/*` rows are the gather and the three products
-# of the round benchmark's widest convolution layer (k = 8);
-# `wire/seal_param_1m`, `wire/open_param_1m` and `tcp/hop_4mib` are one
-# 4 MiB ring frame per layer (codec, then a loopback `TcpPort` hop); the
-# `span_emission/*` rows bound the telemetry hot path; and the `prof/*`
-# + `prof_parity/*` rows bound the compute profiler (disabled scope vs
-# enabled pair, instrumented kernel with and without a profiler
-# installed).
+# Judges the working tree against a parent revision on the round
+# benchmark: the one place "faster" or "slower" is decided.
 #
-# DESIGN.md §13 methodology: the script runs HADFL_BENCH_PASSES full
-# passes (default 5) and keeps the per-op MINIMUM — noise only ever
-# adds time, so the min across idle passes is the stable envelope.
+#   tools/bench.sh --against <rev> [--pairs N] [workload...]
 #
-# HADFL_BENCH_FAST=1 shrinks the vendored criterion's measurement
-# budget for CI smoke runs; never commit numbers taken with it — the
-# 20ms budget gives the allocation-bound wire ops 1-6 iters/sample
-# and a 3x run-to-run spread.
+# Checks <rev> out into a temporary `git worktree`, builds each tree's
+# own benchmark/ package into its own temporary target directory, and
+# runs `benchmark/run.sh --workload W --seed i --trace 0` on both for
+# pairs i = 1..N (default 10; every workload BENCHMARK.json names
+# unless some are listed), parent first on odd pairs and change first
+# on even ones, so drift in the host's speed lands on both sides alike.
+# Each run's last stdout line is logged with its workload, side and
+# pair; `hadfl-bench-diff` turns the two logs and BENCHMARK.json's
+# bounds into a verdict per workload x metric (crates/bench/src/diff.rs
+# has the rules) and its exit status is this script's. The worktree and
+# target directories go under $TMPDIR and are removed on exit, also on
+# failure.
 set -euo pipefail
-
 cd "$(dirname "$0")/.."
 
-out=${1:-BENCH_15.json}
-passes=${HADFL_BENCH_PASSES:-5}
-raw=$(mktemp)
-trap 'rm -f "$raw"' EXIT
+usage() {
+    echo "usage: tools/bench.sh --against <rev> [--pairs N] [workload...]" >&2
+    exit 2
+}
+rev="" pairs=10 workloads=()
+while [ $# -gt 0 ]; do
+    case $1 in
+        --against | --pairs)
+            [ $# -ge 2 ] || usage
+            if [ "$1" = --against ]; then rev=$2; else pairs=$2; fi
+            shift 2
+            ;;
+        -*) usage ;;
+        *)
+            workloads+=("$1")
+            shift
+            ;;
+    esac
+done
+[ -n "$rev" ] && [[ $pairs =~ ^[1-9][0-9]*$ ]] || usage
+git cat-file -e "$rev:benchmark/run.sh" 2>/dev/null ||
+    { echo "tools/bench.sh: $rev has no benchmark/run.sh to pair against" >&2; exit 2; }
+[ ${#workloads[@]} -gt 0 ] ||
+    mapfile -t workloads < <(sed -n 's/.*{"name": "\([^"]*\)", "why".*/\1/p' BENCHMARK.json)
 
-# The vendored criterion stand-in has no CLI filter: run each bench
-# binary whole and scrape its `bench: <name> <ns> ns/iter` lines.
-for pass in $(seq 1 "$passes"); do
-    for bench in kernels wire telemetry prof; do
-        echo "== pass $pass/$passes: cargo bench -p hadfl-bench --bench $bench" >&2
-        cargo bench -p hadfl-bench --bench "$bench" 2>&1 | tee /dev/stderr | grep '^bench:' >>"$raw"
+tmp=$(mktemp -d)
+cleanup() {
+    git worktree remove --force "$tmp/parent" 2>/dev/null || true
+    rm -rf "$tmp"
+    git worktree prune
+}
+trap cleanup EXIT
+
+cargo build --release --quiet -p hadfl-bench --bin hadfl-bench-diff
+git worktree add --quiet --detach "$tmp/parent" "$rev"
+declare -A tree=([parent]="$tmp/parent" [change]="$PWD")
+for side in parent change; do
+    echo "building $side benchmark (${tree[$side]})" >&2
+    CARGO_TARGET_DIR="$tmp/target-$side" cargo build --release --offline --quiet \
+        --manifest-path "${tree[$side]}/benchmark/Cargo.toml"
+done
+
+for pair in $(seq 1 "$pairs"); do
+    order=(parent change)
+    [ $((pair % 2)) -eq 1 ] || order=(change parent)
+    for workload in "${workloads[@]}"; do
+        echo "pair $pair/$pairs $workload: ${order[0]} first" >&2
+        for side in "${order[@]}"; do
+            run=$(CARGO_TARGET_DIR="$tmp/target-$side" "${tree[$side]}/benchmark/run.sh" \
+                --workload "$workload" --seed "$pair" --trace 0 | tail -n 1)
+            printf '{"workload": "%s", "side": "%s", "pair": %d, "run": %s}\n' \
+                "$workload" "$side" "$pair" "$run" >>"$tmp/$side.log"
+        done
     done
 done
 
-awk '
-    {
-        # bench: <name>  <ns> ns/iter (<iters> iters/sample)
-        name = $2; ns = $3 + 0
-        if (!(name in best) || ns < best[name]) best[name] = ns
-        if (!(name in seen)) { order[n++] = name; seen[name] = 1 }
-    }
-    END {
-        print "["
-        for (i = 0; i < n; i++) {
-            name = order[i]
-            threads = 1
-            if (match(name, /_t[0-9]+$/))
-                threads = substr(name, RSTART + 2, RLENGTH - 2)
-            printf "  {\"op\": \"%s\", \"threads\": %d, \"ns_per_iter\": %s}", name, threads, best[name]
-            print (i < n - 1) ? "," : ""
-        }
-        print "]"
-    }
-' "$raw" >"$out"
-
-echo "wrote $out ($(grep -c '"op"' "$out") benchmarks, min of $passes passes)" >&2
+cargo run --release --quiet -p hadfl-bench --bin hadfl-bench-diff -- \
+    BENCHMARK.json "$tmp/parent.log" "$tmp/change.log"
