@@ -14,6 +14,15 @@ use hadfl::Workload;
 pub const RESNET18_LITE_50_STEPS: u64 = 0xdcb7_1cbe_f2f9_b640;
 pub const VGG16_LITE_50_STEPS: u64 = 0x2d3e_9810_b234_a511;
 
+// State `param_vector()` does not hold, taken at the commit before the
+// elementwise kernels were rewritten: the bits of `evaluate(test,
+// 64).loss` after the 50 steps (reads the BatchNorm running statistics)
+// and the parameter hash 10 steps later (reads the SGD velocity).
+pub const RESNET18_LITE_EVAL_LOSS_BITS: u32 = 0x3fed_7198;
+pub const RESNET18_LITE_60_STEPS: u64 = 0xf717_4e5b_f836_2fb2;
+pub const VGG16_LITE_EVAL_LOSS_BITS: u32 = 0x4014_b24f;
+pub const VGG16_LITE_60_STEPS: u64 = 0xc1f4_0674_f0e2_2bae;
+
 /// FNV-1a over the little-endian bytes of every parameter.
 pub fn fnv1a(params: &[f32]) -> u64 {
     let mut h = 0xcbf2_9ce4_8422_2325u64;

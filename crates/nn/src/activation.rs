@@ -22,7 +22,11 @@ use crate::layer::Layer;
 /// ```
 #[derive(Debug, Default)]
 pub struct Relu {
-    mask: Option<Vec<bool>>,
+    /// `input > 0` per element of the last training batch. The
+    /// allocation is kept from step to step; `valid` says whether it
+    /// describes a batch `backward` may differentiate against.
+    mask: Vec<bool>,
+    valid: bool,
 }
 
 impl Relu {
@@ -34,31 +38,48 @@ impl Relu {
 
 impl Layer for Relu {
     fn forward(&mut self, input: &Tensor, train: bool) -> Result<Tensor, NnError> {
-        if train {
-            self.mask = Some(input.as_slice().iter().map(|&v| v > 0.0).collect());
+        let _prof = hadfl_prof::scope("relu_fwd");
+        let src = input.as_slice();
+        self.valid = train;
+        if !train {
+            return Ok(input.map(|v| v.max(0.0)));
         }
-        Ok(input.map(|v| v.max(0.0)))
+        // Output and mask in one pass over the input.
+        self.mask.resize(src.len(), false);
+        let out = src
+            .iter()
+            .zip(&mut self.mask)
+            .map(|(&v, m)| {
+                *m = v > 0.0;
+                v.max(0.0)
+            })
+            .collect();
+        Ok(Tensor::from_vec(out, input.dims())?)
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Result<Tensor, NnError> {
-        let mask = self
-            .mask
-            .as_ref()
-            .ok_or(NnError::BackwardBeforeForward("Relu"))?;
-        if mask.len() != grad_out.len() {
+        let _prof = hadfl_prof::scope("relu_bwd");
+        if !self.valid {
+            return Err(NnError::BackwardBeforeForward("Relu"));
+        }
+        if self.mask.len() != grad_out.len() {
             return Err(NnError::BatchMismatch(format!(
                 "relu backward length {} does not match cached mask {}",
                 grad_out.len(),
-                mask.len()
+                self.mask.len()
             )));
         }
-        let mut gx = grad_out.clone();
-        for (g, &m) in gx.as_mut_slice().iter_mut().zip(mask) {
-            if !m {
-                *g = 0.0;
-            }
-        }
-        Ok(gx)
+        // A select, not a branch: the mask is about half set and in no
+        // order a predictor can learn. ANDing the gradient's bits with
+        // an all-ones or all-zero word passes them through untouched
+        // (NaN payloads, infinities, -0.0) or leaves exactly +0.0.
+        let gx = grad_out
+            .as_slice()
+            .iter()
+            .zip(&self.mask)
+            .map(|(&g, &m)| f32::from_bits(g.to_bits() & u32::from(m).wrapping_neg()))
+            .collect();
+        Ok(Tensor::from_vec(gx, grad_out.dims())?)
     }
 
     fn visit_params(&self, _f: &mut dyn FnMut(&Tensor)) {}
@@ -117,5 +138,24 @@ mod tests {
     fn backward_without_forward_errors() {
         let mut r = Relu::new();
         assert!(r.backward(&Tensor::zeros(&[1, 2])).is_err());
+    }
+
+    #[test]
+    fn eval_forward_invalidates_the_training_mask() {
+        let mut r = Relu::new();
+        let train = Tensor::from_vec(vec![-1.0, 2.0], &[1, 2]).unwrap();
+        r.forward(&train, true).unwrap();
+        // Same length, opposite signs: the stale mask would "work".
+        r.forward(&Tensor::from_vec(vec![3.0, -4.0], &[1, 2]).unwrap(), false)
+            .unwrap();
+        assert_eq!(
+            r.backward(&Tensor::ones(&[1, 2])),
+            Err(NnError::BackwardBeforeForward("Relu"))
+        );
+        r.forward(&train, true).unwrap();
+        assert_eq!(
+            r.backward(&Tensor::ones(&[1, 2])).unwrap().as_slice(),
+            &[0.0, 1.0]
+        );
     }
 }

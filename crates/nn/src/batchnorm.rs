@@ -36,14 +36,100 @@ pub struct BatchNorm2d {
     grad_beta: Tensor,
     running_mean: Vec<f32>,
     running_var: Vec<f32>,
-    cached: Option<BnCache>,
+    cache: BnCache,
 }
 
-#[derive(Debug)]
+/// What `backward` needs from the last training batch. The buffers keep
+/// their allocation from step to step; `valid` says whether they hold a
+/// batch `backward` may differentiate against.
+#[derive(Debug, Default)]
 struct BnCache {
-    xhat: Tensor,
+    xhat: Vec<f32>,
     inv_std: Vec<f32>,
     dims: Vec<usize>,
+    valid: bool,
+}
+
+/// Channels whose sums advance together in [`channel_sums`].
+const LANES: usize = 4;
+
+/// How one channel's terms are associated into its sum.
+#[derive(Debug, Clone, Copy)]
+enum Chain {
+    /// One partial per image plane, started from `f32`'s `Sum`
+    /// identity; the partials are added in image order.
+    PerPlane,
+    /// One chain through the channel's elements in storage order.
+    Running,
+}
+
+/// Per-channel sums over an `(n, c, plane)` batch of the `K` terms
+/// `term(channel, a[i], b[i])` yields per element.
+///
+/// Each channel's additions happen in the order `chain` names, as if
+/// the channel were summed alone: nothing is ever added across
+/// channels. What the grouping buys is that [`LANES`] channels'
+/// chains — each a string of additions waiting on the one before —
+/// advance in one loop and overlap in the pipeline.
+fn channel_sums<const K: usize>(
+    (n, c, plane): (usize, usize, usize),
+    chain: Chain,
+    (a, b): (&[f32], &[f32]),
+    term: impl Fn(usize, f32, f32) -> [f32; K] + Copy,
+) -> Vec<[f32; K]> {
+    let mut sums = Vec::with_capacity(c);
+    let dims = (n, c, plane);
+    let mut ch = 0;
+    while ch + LANES <= c {
+        sums.extend(group_sums::<LANES, K>(dims, ch, chain, (a, b), term));
+        ch += LANES;
+    }
+    // A ragged tail takes the same code one channel at a time.
+    while ch < c {
+        sums.extend(group_sums::<1, K>(dims, ch, chain, (a, b), term));
+        ch += 1;
+    }
+    sums
+}
+
+/// [`channel_sums`] for the `L` adjacent channels starting at `first`.
+fn group_sums<const L: usize, const K: usize>(
+    (n, c, plane): (usize, usize, usize),
+    first: usize,
+    chain: Chain,
+    (a, b): (&[f32], &[f32]),
+    term: impl Fn(usize, f32, f32) -> [f32; K],
+) -> [[f32; K]; L] {
+    let mut total = [[0.0f32; K]; L];
+    for img in 0..n {
+        // Adjacent channels of one image are adjacent planes.
+        let base = (img * c + first) * plane;
+        let a: [&[f32]; L] = std::array::from_fn(|l| &a[base + l * plane..][..plane]);
+        let b: [&[f32]; L] = std::array::from_fn(|l| &b[base + l * plane..][..plane]);
+        let mut acc = match chain {
+            Chain::PerPlane => [[std::iter::empty::<f32>().sum(); K]; L],
+            Chain::Running => total,
+        };
+        for i in 0..plane {
+            for l in 0..L {
+                let t = term(first + l, a[l][i], b[l][i]);
+                for k in 0..K {
+                    acc[l][k] += t[k];
+                }
+            }
+        }
+        match chain {
+            Chain::PerPlane => {
+                for l in 0..L {
+                    for k in 0..K {
+                        total[l][k] += acc[l][k];
+                    }
+                }
+            }
+            Chain::Running => total = acc,
+        }
+    }
+    total
 }
 
 impl BatchNorm2d {
@@ -69,8 +155,26 @@ impl BatchNorm2d {
             grad_beta: Tensor::zeros(&[channels]),
             running_mean: vec![0.0; channels],
             running_var: vec![1.0; channels],
-            cached: None,
+            cache: BnCache::default(),
         })
+    }
+
+    /// The exponential running mean per channel (what evaluation mode
+    /// normalizes with).
+    pub fn running_mean(&self) -> &[f32] {
+        &self.running_mean
+    }
+
+    /// The exponential running variance per channel.
+    pub fn running_var(&self) -> &[f32] {
+        &self.running_var
+    }
+
+    /// The normalized activations of the last training batch, in the
+    /// input's layout — `None` before the first training-mode forward
+    /// and after an evaluation-mode one.
+    pub fn xhat(&self) -> Option<&[f32]> {
+        self.cache.valid.then_some(self.cache.xhat.as_slice())
     }
 
     fn check_input(&self, input: &Tensor) -> Result<(usize, usize), NnError> {
@@ -87,14 +191,17 @@ impl BatchNorm2d {
 
 impl Layer for BatchNorm2d {
     fn forward(&mut self, input: &Tensor, train: bool) -> Result<Tensor, NnError> {
+        let _prof = hadfl_prof::scope("bn_fwd");
         let (n, plane) = self.check_input(input)?;
         let m = (n * plane) as f32;
         let c = self.channels;
         let src = input.as_slice();
         let (gamma, beta) = (self.gamma.as_slice(), self.beta.as_slice());
         // Every element is written exactly once, in storage order, so
-        // the outputs are built by appending — no fill to overwrite.
+        // the output is built by appending — no fill to overwrite.
         let mut out = Vec::with_capacity(src.len());
+        // Whatever the last training batch left is stale from here on.
+        self.cache.valid = false;
 
         if train {
             if n * plane < 2 {
@@ -102,44 +209,41 @@ impl Layer for BatchNorm2d {
                     "batchnorm training needs at least 2 values per channel".into(),
                 ));
             }
-            let mut means = Vec::with_capacity(c);
-            let mut inv_std = Vec::with_capacity(c);
-            for ch in 0..c {
-                let mut mean = 0.0f32;
-                for img in 0..n {
-                    let base = (img * c + ch) * plane;
-                    mean += src[base..base + plane].iter().sum::<f32>();
-                }
-                mean /= m;
-                let mut var = 0.0f32;
-                for img in 0..n {
-                    let base = (img * c + ch) * plane;
-                    var += src[base..base + plane]
-                        .iter()
-                        .map(|v| (v - mean).powi(2))
-                        .sum::<f32>();
-                }
-                var /= m;
-                means.push(mean);
+            let dims = (n, c, plane);
+            let means: Vec<f32> = channel_sums(dims, Chain::PerPlane, (src, src), |_, x, _| [x])
+                .iter()
+                .map(|&[sum]| sum / m)
+                .collect();
+            let vars = channel_sums(dims, Chain::PerPlane, (src, src), |ch, x, _| {
+                [(x - means[ch]).powi(2)]
+            });
+            let inv_std = &mut self.cache.inv_std;
+            inv_std.clear();
+            for (ch, (&mean, &[var])) in means.iter().zip(&vars).enumerate() {
+                let var = var / m;
                 inv_std.push(1.0 / (var + self.eps).sqrt());
                 self.running_mean[ch] =
                     (1.0 - self.momentum) * self.running_mean[ch] + self.momentum * mean;
                 self.running_var[ch] =
                     (1.0 - self.momentum) * self.running_var[ch] + self.momentum * var;
             }
-            let mut xhat = Vec::with_capacity(src.len());
-            for (i, xs) in src.chunks(plane).enumerate() {
+            // Normalize and apply the affine map in one pass: each
+            // `xhat` is stored for `backward` and used while it is
+            // still in a register.
+            let xhat = &mut self.cache.xhat;
+            xhat.resize(src.len(), 0.0);
+            for (i, (xs, hs)) in src.chunks(plane).zip(xhat.chunks_mut(plane)).enumerate() {
                 let ch = i % c;
                 let (mean, istd) = (means[ch], inv_std[ch]);
-                xhat.extend(xs.iter().map(|&x| (x - mean) * istd));
-                let hs = &xhat[i * plane..];
-                out.extend(hs.iter().map(|&h| gamma[ch] * h + beta[ch]));
+                let (gamma, beta) = (gamma[ch], beta[ch]);
+                out.extend(xs.iter().zip(hs).map(|(&x, h)| {
+                    *h = (x - mean) * istd;
+                    gamma * *h + beta
+                }));
             }
-            self.cached = Some(BnCache {
-                xhat: Tensor::from_vec(xhat, input.dims())?,
-                inv_std,
-                dims: input.dims().to_vec(),
-            });
+            self.cache.dims.clear();
+            self.cache.dims.extend_from_slice(input.dims());
+            self.cache.valid = true;
         } else {
             // `max(1)`: an empty plane means an empty `src`, not a panic.
             for (i, xs) in src.chunks(plane.max(1)).enumerate() {
@@ -153,10 +257,11 @@ impl Layer for BatchNorm2d {
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Result<Tensor, NnError> {
-        let cache = self
-            .cached
-            .as_ref()
-            .ok_or(NnError::BackwardBeforeForward("BatchNorm2d"))?;
+        let _prof = hadfl_prof::scope("bn_bwd");
+        let cache = &self.cache;
+        if !cache.valid {
+            return Err(NnError::BackwardBeforeForward("BatchNorm2d"));
+        }
         if grad_out.dims() != cache.dims.as_slice() {
             return Err(NnError::BatchMismatch(format!(
                 "batchnorm backward got {:?}, expected {:?}",
@@ -176,19 +281,13 @@ impl Layer for BatchNorm2d {
             self.grad_beta.as_mut_slice(),
         );
 
-        // Per channel: (k, mean_gy, mean_gy_xh), the three scalars of
-        // the input gradient.
+        // Per channel: (sum_gy, sum_gy_xh), then (k, mean_gy,
+        // mean_gy_xh), the three scalars of the input gradient.
+        let sums = channel_sums((n, c, plane), Chain::Running, (gy, xh), |_, g, h| {
+            [g, g * h]
+        });
         let mut coeffs = Vec::with_capacity(c);
-        for ch in 0..c {
-            let mut sum_gy = 0.0f32;
-            let mut sum_gy_xh = 0.0f32;
-            for img in 0..n {
-                let base = (img * c + ch) * plane;
-                for i in base..base + plane {
-                    sum_gy += gy[i];
-                    sum_gy_xh += gy[i] * xh[i];
-                }
-            }
+        for (ch, &[sum_gy, sum_gy_xh]) in sums.iter().enumerate() {
             gg[ch] += sum_gy_xh;
             gb[ch] += sum_gy;
             coeffs.push((gamma[ch] * cache.inv_std[ch], sum_gy / m, sum_gy_xh / m));
@@ -341,6 +440,24 @@ mod tests {
         assert!(bn.forward(&Tensor::zeros(&[1, 1, 1, 1]), true).is_err());
         // but eval mode is fine
         assert!(bn.forward(&Tensor::zeros(&[1, 1, 1, 1]), false).is_ok());
+    }
+
+    #[test]
+    fn eval_forward_invalidates_the_training_cache() {
+        let mut bn = BatchNorm2d::new(1).unwrap();
+        let train = Tensor::from_vec(vec![1.0, 2.0, 3.0, 6.0], &[1, 1, 2, 2]).unwrap();
+        bn.forward(&train, true).unwrap();
+        assert!(bn.xhat().is_some());
+        // Same shape, other values: the stale cache would "work".
+        bn.forward(&Tensor::full(&[1, 1, 2, 2], 9.0), false)
+            .unwrap();
+        assert!(bn.xhat().is_none());
+        assert_eq!(
+            bn.backward(&Tensor::ones(&[1, 1, 2, 2])),
+            Err(NnError::BackwardBeforeForward("BatchNorm2d"))
+        );
+        bn.forward(&train, true).unwrap();
+        assert!(bn.backward(&Tensor::ones(&[1, 1, 2, 2])).is_ok());
     }
 
     #[test]

@@ -62,13 +62,13 @@ impl Layer for Dense {
         let _prof = hadfl_prof::scope("dense_fwd");
         let mut out = matmul(input, &self.weight)?;
         let (batch, width) = (out.dims()[0], out.dims()[1]);
-        let bias = self.bias.as_slice().to_vec();
+        let bias = self.bias.as_slice();
         // Row-parallel bias add: each output row is a disjoint chunk and
         // the per-element operation is a single addition, so the result
         // is bit-identical at any thread count.
         let work = (batch as u64) * (width as u64);
         hadfl_par::plan(work).chunks_mut(out.as_mut_slice(), width.max(1), |_, row| {
-            for (v, &b) in row.iter_mut().zip(&bias) {
+            for (v, &b) in row.iter_mut().zip(bias) {
                 *v += b;
             }
         });

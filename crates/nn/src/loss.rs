@@ -34,6 +34,7 @@ use crate::error::NnError;
 /// # }
 /// ```
 pub fn softmax_cross_entropy(logits: &Tensor, labels: &[usize]) -> Result<(f32, Tensor), NnError> {
+    let _prof = hadfl_prof::scope("loss");
     let log_probs = log_softmax_rows(logits)?;
     let (batch, classes) = (logits.dims()[0], logits.dims()[1]);
     if labels.len() != batch {

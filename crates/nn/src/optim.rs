@@ -1,4 +1,4 @@
-use hadfl_tensor::Tensor;
+use hadfl_tensor::{Tensor, TensorError};
 
 use crate::error::NnError;
 use crate::layer::Layer;
@@ -132,13 +132,20 @@ impl Sgd {
     /// Applies one update to every parameter of `layer` from its
     /// accumulated gradients, then zeroes the gradients.
     ///
+    /// Each parameter tensor is walked once: per element
+    /// `v = v·μ + g; p = p + (−lr)·v; g = 0` (with `μ = 0` the velocity
+    /// is left alone and `g` takes the place of `v`), every product and
+    /// sum rounded on its own.
+    ///
     /// # Errors
     ///
     /// Returns [`NnError::NonFinite`] if any updated parameter is NaN or
-    /// infinite (an exploding-loss guard), or a tensor error if the model's
-    /// parameter structure changed between steps.
+    /// infinite (an exploding-loss guard; that tensor's gradient is
+    /// already zeroed, later tensors are untouched), or a tensor error
+    /// if the model's parameter structure changed between steps.
     pub fn step<L: Layer + ?Sized>(&mut self, layer: &mut L) -> Result<(), NnError> {
-        let lr = self.schedule.lr_at(self.step);
+        let _prof = hadfl_prof::scope("sgd_step");
+        let neg_lr = -self.schedule.lr_at(self.step);
         let momentum = self.momentum;
         let first = self.velocity.is_empty();
         let velocity = &mut self.velocity;
@@ -151,26 +158,13 @@ impl Sgd {
             if first {
                 velocity.push(Tensor::zeros(p.dims()));
             }
-            let result = (|| -> Result<(), NnError> {
-                let v = velocity.get_mut(idx).ok_or_else(|| {
-                    NnError::InvalidConfig("parameter count grew between optimizer steps".into())
-                })?;
-                if momentum != 0.0 {
-                    v.scale_inplace(momentum);
-                    v.add_assign_t(g)?;
-                    p.axpy(-lr, v)?;
-                } else {
-                    p.axpy(-lr, g)?;
-                }
-                if p.has_non_finite() {
-                    return Err(NnError::NonFinite("sgd parameter update"));
-                }
-                g.fill_zero();
-                Ok(())
-            })();
-            if let Err(e) = result {
-                failure = Some(e);
-            }
+            let result = match velocity.get_mut(idx) {
+                Some(v) => update_tensor(p, v, g, neg_lr, momentum),
+                None => Err(NnError::InvalidConfig(
+                    "parameter count grew between optimizer steps".into(),
+                )),
+            };
+            failure = result.err();
             idx += 1;
         });
         if let Some(e) = failure {
@@ -179,6 +173,88 @@ impl Sgd {
         self.step += 1;
         Ok(())
     }
+}
+
+/// The shape check the tensor crate's in-place operations make, under
+/// the operation name they would have reported.
+fn same_shape(op: &'static str, lhs: &Tensor, rhs: &Tensor) -> Result<(), TensorError> {
+    if lhs.dims() != rhs.dims() {
+        return Err(TensorError::ShapeMismatch {
+            op,
+            lhs: lhs.dims().to_vec(),
+            rhs: rhs.dims().to_vec(),
+        });
+    }
+    Ok(())
+}
+
+/// One tensor's update. Small tensors — most of a CNN's are a few dozen
+/// floats — run [`update_slice`] on the spot; one above the parallel
+/// cutoff is cut at the workspace's fixed [`hadfl_par::F32_CHUNK`]
+/// boundaries and dispatched once.
+fn update_tensor(
+    p: &mut Tensor,
+    v: &mut Tensor,
+    g: &mut Tensor,
+    neg_lr: f32,
+    momentum: f32,
+) -> Result<(), NnError> {
+    if momentum != 0.0 {
+        same_shape("add_assign", v, g)?;
+        same_shape("axpy", p, v)?;
+    } else {
+        same_shape("axpy", p, g)?;
+    }
+    let plan = hadfl_par::plan(p.len() as u64);
+    let (p, g) = (p.as_mut_slice(), g.as_mut_slice());
+    // Without momentum the velocity is not read: an empty slice stands
+    // in, so a stale shape there cannot truncate the zips below.
+    let v = if momentum != 0.0 {
+        v.as_mut_slice()
+    } else {
+        Default::default()
+    };
+    let finite = if plan.is_serial() {
+        update_slice(p, v, g, neg_lr, momentum)
+    } else {
+        let mut vs = v.chunks_mut(hadfl_par::F32_CHUNK);
+        let mut parts: Vec<_> = p
+            .chunks_mut(hadfl_par::F32_CHUNK)
+            .zip(g.chunks_mut(hadfl_par::F32_CHUNK))
+            .map(|(p, g)| (p, vs.next().unwrap_or_default(), g, true))
+            .collect();
+        plan.chunks_mut(&mut parts, 1, |_, part| {
+            let (p, v, g, finite) = &mut part[0];
+            *finite = update_slice(p, v, g, neg_lr, momentum);
+        });
+        parts.iter().all(|part| part.3)
+    };
+    if finite {
+        Ok(())
+    } else {
+        Err(NnError::NonFinite("sgd parameter update"))
+    }
+}
+
+/// The fused elementwise kernel; returns whether every updated
+/// parameter is finite. `v` is ignored when `momentum` is zero.
+fn update_slice(p: &mut [f32], v: &mut [f32], g: &mut [f32], neg_lr: f32, momentum: f32) -> bool {
+    let mut finite = true;
+    if momentum != 0.0 {
+        for ((p, v), g) in p.iter_mut().zip(v).zip(g) {
+            *v = *v * momentum + *g;
+            *p += neg_lr * *v;
+            finite &= p.is_finite();
+            *g = 0.0;
+        }
+    } else {
+        for (p, g) in p.iter_mut().zip(g) {
+            *p += neg_lr * *g;
+            finite &= p.is_finite();
+            *g = 0.0;
+        }
+    }
+    finite
 }
 
 #[cfg(test)]

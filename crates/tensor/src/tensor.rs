@@ -226,7 +226,7 @@ impl Tensor {
         Ok(())
     }
 
-    /// In-place `self += k * rhs` (the SGD update kernel).
+    /// In-place `self += k * rhs`.
     ///
     /// # Errors
     ///
