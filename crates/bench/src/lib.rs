@@ -261,16 +261,6 @@ pub fn mean_time_to_max_accuracy(traces: &[Trace]) -> (f32, f64) {
     ((acc_sum / n as f64) as f32, time_sum / n as f64)
 }
 
-/// Mean time to reach a fixed target accuracy across repeats (`None` if
-/// any repeat never reaches it).
-pub fn mean_time_to_target(traces: &[Trace], target: f32) -> Option<f64> {
-    let mut sum = 0.0;
-    for t in traces {
-        sum += t.time_to_accuracy(target)?;
-    }
-    Some(sum / traces.len() as f64)
-}
-
 /// Renders an `(x, y)` series as a fixed-width ASCII sparkline row, `y`
 /// scaled into `[lo, hi]` — the fig3 binary prints the paper's curves
 /// with these so the figures are readable straight from the terminal.
@@ -368,14 +358,6 @@ mod tests {
     #[test]
     fn mean_ttma_of_empty_is_zero() {
         assert_eq!(mean_time_to_max_accuracy(&[]), (0.0, 0.0));
-    }
-
-    #[test]
-    fn mean_time_to_target_requires_all_repeats() {
-        let a = trace_with(&[(0.5, 1.0), (0.9, 2.0)]);
-        let b = trace_with(&[(0.6, 4.0)]);
-        assert_eq!(mean_time_to_target(&[a.clone(), b], 0.9), None);
-        assert_eq!(mean_time_to_target(&[a], 0.5), Some(1.0));
     }
 
     #[test]

@@ -35,7 +35,9 @@
 //! [`run_threaded`] is that over the in-process [`ChannelTransport`],
 //! and `hadfl-net` hands the same loops TCP ports, in one process or
 //! many. [`run_virtual`] steps the same actors over the same hub from
-//! one thread on a [`ManualClock`].
+//! one thread on a [`ManualClock`]; its body, [`run_virtual_cluster`],
+//! does that for any [`TrainState`] and [`Planner`], with telemetry
+//! handles and crash faults as inputs.
 //!
 //! Fault tolerance follows §III-D: a ring member that goes silent is
 //! probed with [`Message::Handshake`]; absent an ack, the prober
@@ -78,7 +80,9 @@ mod tests;
 
 pub use coordinator::{CoordHint, CoordPhaseKind, CoordinatorActor};
 pub use device::{DeviceActor, DeviceHint};
-pub use run::{run_cluster, run_coordinator, run_device, run_threaded, run_virtual};
+pub use run::{
+    run_cluster, run_coordinator, run_device, run_threaded, run_virtual, run_virtual_cluster,
+};
 
 pub mod seeded {
     //! Seeded re-introductions of the three interleaving bugs PR 1's

@@ -1,20 +1,22 @@
+use std::sync::Arc;
 use std::thread;
 use std::time::Duration;
 
 use hadfl_nn::{Dataset, LrSchedule};
-use hadfl_telemetry::EventKind;
+use hadfl_simnet::NetStats;
+use hadfl_telemetry::{EventKind, Telemetry};
 
 use super::{
-    CoordHint, CoordinatorActor, CoordinatorRun, DeviceActor, DeviceHint, ProtocolTiming,
-    ThreadedOptions, ThreadedReport,
+    CoordHint, CoordinatorActor, CoordinatorRun, DeviceActor, DeviceHint, Planner, ProtocolTiming,
+    ThreadedOptions, ThreadedReport, TrainState,
 };
 use crate::clock::{Clock, ManualClock, WallClock};
 use crate::config::HadflConfig;
 use crate::coordinator::StrategyGenerator;
 use crate::error::HadflError;
 use crate::trace::CommSummary;
-use crate::transport::{coordinator_id, ChannelPort, ChannelTransport, Port};
-use crate::workload::{evaluate_with, BuiltWorkload, DeviceRuntime, Workload};
+use crate::transport::{coordinator_id, ChannelTransport, Port};
+use crate::workload::{evaluate_with, DeviceRuntime, Workload};
 
 /// Runs one device's protocol loop over `port` until the coordinator
 /// sends [`Shutdown`](crate::wire::Message::Shutdown); the device then
@@ -188,31 +190,29 @@ pub fn run_threaded(
     config: &HadflConfig,
     opts: &ThreadedOptions,
 ) -> Result<ThreadedReport, HadflError> {
-    let (built, hub, coordinator_port, device_ports) = open_cluster(workload, opts)?;
+    let k = opts.powers.len();
+    check_cluster(k, opts)?;
+    let built = workload.build(k)?;
+    let mut hub = ChannelTransport::hub(k + 1);
+    let coordinator_port = hub.claim(coordinator_id(k))?;
+    let device_ports = (0..k).map(|i| hub.claim(i)).collect::<Result<_, _>>()?;
     let wall_clock = WallClock::new();
     let outcome = run_cluster(device_ports, coordinator_port, built.runtimes, config, opts)?;
-    let k = opts.powers.len();
-    close_cluster(workload, &built.test, &hub, k, outcome, wall_clock.now())
+    let wall = wall_clock.now();
+    close_cluster(workload, &built.test, &hub.net_stats(), k, outcome, wall)
 }
 
-/// The opening [`run_threaded`] and [`run_virtual`] share: validated
-/// options, the built workload, and a channel hub with the
-/// coordinator's port and one port per device claimed.
-fn open_cluster(
-    workload: &Workload,
-    opts: &ThreadedOptions,
-) -> Result<
-    (
-        BuiltWorkload,
-        ChannelTransport,
-        ChannelPort,
-        Vec<ChannelPort>,
-    ),
-    HadflError,
-> {
-    let k = opts.powers.len();
+/// The option checks [`run_threaded`] and [`run_virtual_cluster`]
+/// share, for a cluster of `k` devices.
+fn check_cluster(k: usize, opts: &ThreadedOptions) -> Result<(), HadflError> {
     if k < 2 {
         return Err(HadflError::InvalidConfig("need at least 2 devices".into()));
+    }
+    if opts.powers.len() != k {
+        return Err(HadflError::InvalidConfig(format!(
+            "{k} devices need {k} powers, got {}",
+            opts.powers.len()
+        )));
     }
     if opts.rounds == 0 {
         return Err(HadflError::InvalidConfig("need at least 1 round".into()));
@@ -223,33 +223,28 @@ fn open_cluster(
             opts.powers
         )));
     }
-    let built = workload.build(k)?;
-    let mut hub = ChannelTransport::hub(k + 1);
-    let coordinator_port = hub.claim(coordinator_id(k))?;
-    let device_ports = (0..k).map(|i| hub.claim(i)).collect::<Result<_, _>>()?;
-    Ok((built, hub, coordinator_port, device_ports))
+    Ok(())
 }
 
-/// The close they share: averages the collected final models, tests
-/// the mean on a freshly initialised model — not on a trained replica,
-/// whose BatchNorm running statistics are not part of the parameter
-/// vector and differ from device to device — and reads the byte
-/// ledger off the hub.
+/// The close [`run_threaded`] and [`run_virtual`] share: averages the
+/// collected final models, tests the mean on a freshly initialised
+/// model — not on a trained replica, whose BatchNorm running statistics
+/// are not part of the parameter vector and differ from device to
+/// device — and reads the byte ledger off the hub's `stats`.
 fn close_cluster(
     workload: &Workload,
     test: &Dataset,
-    hub: &ChannelTransport,
+    stats: &NetStats,
     k: usize,
     outcome: CoordinatorRun,
     wall: Duration,
 ) -> Result<ThreadedReport, HadflError> {
     let metrics = evaluate_with(&mut workload.model()?, test, &outcome.consensus()?)?;
-    let stats = hub.net_stats();
     Ok(ThreadedReport {
         rounds: outcome.rounds,
         final_accuracy: metrics.accuracy,
         peer_bytes: stats.total_bytes() - stats.server_bytes(),
-        comm: CommSummary::from_stats(&stats, k),
+        comm: CommSummary::from_stats(stats, k),
         dropped: outcome.dropped,
         wall,
     })
@@ -265,14 +260,9 @@ fn close_cluster(
 /// about relative progress ("the fast device outpaces the slow one")
 /// hold on any host, however loaded.
 ///
-/// The driver mirrors the blocking loops event-for-event: in-flight
-/// messages are delivered to a fixpoint before time advances (channel
-/// latency is zero in virtual time), then the clock jumps straight to
-/// the earliest pending deadline — a device's next scheduled step, a
-/// ring silence timeout, or the coordinator's window/report/final
-/// deadline.
-///
-/// `report.wall` is virtual elapsed time.
+/// This is [`run_virtual_cluster`] over the workload's
+/// [`DeviceRuntime`]s and the paper's [`StrategyGenerator`], telemetry
+/// off, nobody killed. `report.wall` is virtual elapsed time.
 ///
 /// # Errors
 ///
@@ -282,11 +272,85 @@ pub fn run_virtual(
     config: &HadflConfig,
     opts: &ThreadedOptions,
 ) -> Result<ThreadedReport, HadflError> {
-    let (built, hub, mut coord_port, mut device_ports) = open_cluster(workload, opts)?;
-    let k = device_ports.len();
-    let clock = ManualClock::new();
+    let k = opts.powers.len();
+    let mut built = workload.build(k)?;
+    for rt in &mut built.runtimes {
+        rt.set_optimizer(LrSchedule::constant(config.lr), config.momentum);
+    }
+    let (outcome, stats, elapsed) = run_virtual_cluster(
+        built.runtimes,
+        StrategyGenerator::new(config),
+        config.blend_beta,
+        opts,
+        &[],
+        &[],
+    )?;
+    close_cluster(workload, &built.test, &stats, k, outcome, elapsed)
+}
 
-    let planner = StrategyGenerator::new(config);
+/// The virtual-time driver behind [`run_virtual`], over any training
+/// state and planner: one [`DeviceActor`] per entry of `states` and a
+/// [`CoordinatorActor`] around `planner`, stepped by one thread over a
+/// [`ChannelTransport`] whose ports all read one [`ManualClock`].
+/// Returns what the coordinator learned, the hub's byte ledger, and
+/// the virtual time the run took.
+///
+/// The driver mirrors the blocking loops event-for-event: in-flight
+/// messages are delivered to a fixpoint before time advances (channel
+/// latency is zero in virtual time), then the clock jumps straight to
+/// the earliest pending deadline — a device's next scheduled step
+/// (device `i` steps every `opts.step_sleep / opts.powers[i]`), a ring
+/// silence timeout, or the coordinator's window/report/final deadline.
+///
+/// `telemetry` is empty (everything off) or holds one handle per
+/// participant — device `i`'s at `i`, the coordinator's last. Each
+/// instruments both its participant's port and its actor, as
+/// [`run_device`] and [`run_coordinator`] do over an instrumented port:
+/// the event stream of a deployment, `t_us` in virtual time, byte for
+/// byte the same on identical inputs.
+///
+/// `kills` injects crash faults: from virtual time `at` on, device `d`
+/// of each `(d, at)` is neither stepped nor delivered to. The survivors
+/// find out through the protocol's own deadlines and §III-D probes.
+///
+/// # Errors
+///
+/// Returns [`HadflError::InvalidConfig`] for fewer than two states,
+/// powers that are not one per state, finite and positive, zero rounds,
+/// a `telemetry` length other than 0 or `states.len() + 1`, or a kill
+/// naming no device; otherwise as [`run_threaded`].
+pub fn run_virtual_cluster<T: TrainState, Pl: Planner>(
+    states: Vec<T>,
+    planner: Pl,
+    blend_beta: f32,
+    opts: &ThreadedOptions,
+    telemetry: &[Telemetry],
+    kills: &[(usize, Duration)],
+) -> Result<(CoordinatorRun, NetStats, Duration), HadflError> {
+    let k = states.len();
+    check_cluster(k, opts)?;
+    if !telemetry.is_empty() && telemetry.len() != k + 1 {
+        return Err(HadflError::InvalidConfig(format!(
+            "{k} devices need 0 or {} telemetry handles, got {}",
+            k + 1,
+            telemetry.len()
+        )));
+    }
+    if let Some((device, _)) = kills.iter().find(|(device, _)| *device >= k) {
+        return Err(HadflError::InvalidConfig(format!(
+            "cannot kill device {device} of {k}"
+        )));
+    }
+    let dead = |i: usize, now: Duration| kills.iter().any(|&(d, at)| d == i && at <= now);
+
+    let clock = ManualClock::new();
+    let mut hub = ChannelTransport::hub(k + 1);
+    let mut claim = |id: usize| {
+        let tel = telemetry.get(id).cloned().unwrap_or_default();
+        hub.claim_instrumented(id, tel, Some(Arc::new(clock.clone())))
+    };
+
+    let mut coord_port = claim(coordinator_id(k))?;
     let mut coord = CoordinatorActor::new(
         k,
         planner,
@@ -294,39 +358,55 @@ pub fn run_virtual(
         opts.rounds,
         opts.timing.clone(),
         clock.now(),
-    );
+    )
+    .with_telemetry(coord_port.telemetry());
 
+    let mut device_ports = Vec::with_capacity(k);
     let mut devices = Vec::with_capacity(k);
     let mut sleeps = Vec::with_capacity(k);
-    let mut next_step = Vec::with_capacity(k);
-    for (i, mut rt) in built.runtimes.into_iter().enumerate() {
-        rt.set_optimizer(LrSchedule::constant(config.lr), config.momentum);
-        let mut actor = DeviceActor::new(i, k + 1, rt, config.blend_beta, opts.timing.clone());
+    for (i, state) in states.into_iter().enumerate() {
+        let port = claim(i)?;
+        let tel = port.telemetry();
+        tel.emit(clock.now(), EventKind::DeviceStarted { device: i as u32 });
+        let mut actor =
+            DeviceActor::new(i, k + 1, state, blend_beta, opts.timing.clone()).with_telemetry(tel);
         actor.begin_training(clock.now(), 1);
+        device_ports.push(port);
         devices.push(actor);
-        // Like the blocking loop: step first, then wait out the sleep.
         sleeps.push(Duration::from_secs_f64(
             opts.step_sleep.as_secs_f64() / opts.powers[i],
         ));
-        next_step.push(clock.now());
     }
+    // Like the blocking loop: step first, then wait out the sleep.
+    let mut next_step = vec![clock.now(); k];
 
     let outcome = loop {
         // Deliver every in-flight message before anything else happens:
         // virtual channels have zero latency, so a frame sent "now" is
         // readable "now". Actions below may send more — drain to a
         // fixpoint.
+        let now = clock.now();
         loop {
             let mut progressed = false;
-            while let Some(msg) = coord_port.try_recv()? {
-                coord.on_message(&mut coord_port, msg, clock.now())?;
+            // The blocking coordinator sleeps a window out without
+            // reading: what arrives meanwhile (a §III-D warning from a
+            // ring still repairing) waits in the mailbox for the
+            // collection the window's end opens.
+            while !matches!(coord.hint(now), CoordHint::Sleep(_)) {
+                let Some(msg) = coord_port.try_recv()? else {
+                    break;
+                };
+                coord.on_message(&mut coord_port, msg, now)?;
                 progressed = true;
             }
             for (i, actor) in devices.iter_mut().enumerate() {
+                if dead(i, now) {
+                    continue;
+                }
                 while let Some(msg) = device_ports[i].try_recv()? {
                     // A finished device's leftovers are dead frames.
-                    if !matches!(actor.hint(clock.now()), DeviceHint::Finished) {
-                        actor.on_message(&mut device_ports[i], msg, clock.now())?;
+                    if !matches!(actor.hint(now), DeviceHint::Finished) {
+                        actor.on_message(&mut device_ports[i], msg, now)?;
                         progressed = true;
                     }
                 }
@@ -336,7 +416,6 @@ pub fn run_virtual(
             }
         }
 
-        let now = clock.now();
         let coord_wake = match coord.hint(now) {
             CoordHint::Done => break coord.into_run(),
             CoordHint::Timer => {
@@ -357,7 +436,8 @@ pub fn run_virtual(
         // idle is the right action, exactly as in the blocking loop).
         let mut stepped = false;
         for (i, actor) in devices.iter_mut().enumerate() {
-            if matches!(actor.hint(now), DeviceHint::Train) && next_step[i] <= now {
+            if matches!(actor.hint(now), DeviceHint::Train) && next_step[i] <= now && !dead(i, now)
+            {
                 actor.on_idle(&mut device_ports[i])?;
                 next_step[i] = now + sleeps[i];
                 stepped = true;
@@ -371,6 +451,9 @@ pub fn run_virtual(
         let mut wake = coord_wake;
         let mut ring_deadline: Vec<Option<Duration>> = vec![None; k];
         for (i, actor) in devices.iter().enumerate() {
+            if dead(i, now) {
+                continue;
+            }
             match actor.hint(now) {
                 DeviceHint::Finished => {}
                 DeviceHint::Train => wake = wake.min(next_step[i]),
@@ -390,11 +473,12 @@ pub fn run_virtual(
         for (i, actor) in devices.iter_mut().enumerate() {
             if ring_deadline[i].is_some_and(|d| d <= now)
                 && matches!(actor.hint(now), DeviceHint::Ring(_))
+                && !dead(i, now)
             {
                 actor.on_timer(&mut device_ports[i], now)?;
             }
         }
     };
 
-    close_cluster(workload, &built.test, &hub, k, outcome, clock.now())
+    Ok((outcome, hub.net_stats(), clock.now()))
 }

@@ -2,7 +2,7 @@ use std::sync::Arc;
 use std::thread;
 use std::time::Duration;
 
-use hadfl_telemetry::Telemetry;
+use hadfl_telemetry::{Event, EventKind, RingBufferSink, Telemetry};
 
 use super::*;
 use crate::clock::{Clock, ManualClock, WallClock};
@@ -579,6 +579,172 @@ fn stub_actor(me: usize, k: usize) -> DeviceActor<StubTrain> {
         0.5,
         ProtocolTiming::zero(),
     )
+}
+
+/// [`run_virtual_cluster`] over `k` equal-power stub devices, every
+/// participant's telemetry captured in one buffer in emission order.
+fn instrumented_virtual_run(
+    k: usize,
+    num_selected: usize,
+    window: Duration,
+    kills: &[(usize, Duration)],
+) -> (CoordinatorRun, Vec<Event>) {
+    let buffer = RingBufferSink::new(1 << 16);
+    let telemetry: Vec<Telemetry> = (0..=k as u32)
+        .map(|node| Telemetry::new(node, vec![Box::new(buffer.clone())]))
+        .collect();
+    let config = HadflConfig::builder()
+        .num_selected(num_selected)
+        .seed(73)
+        .build()
+        .unwrap();
+    let states = (0..k)
+        .map(|i| StubTrain {
+            params: vec![i as f32, 1.0],
+            steps: 0,
+        })
+        .collect();
+    let opts = ThreadedOptions {
+        rounds: 2,
+        window,
+        ..ThreadedOptions::quick(&vec![1.0; k])
+    };
+    let (run, _, _) = run_virtual_cluster(
+        states,
+        StrategyGenerator::new(&config),
+        config.blend_beta,
+        &opts,
+        &telemetry,
+        kills,
+    )
+    .unwrap();
+    assert_eq!(buffer.dropped(), 0);
+    (run, buffer.snapshot())
+}
+
+/// The generic entry takes states, not a workload: everything
+/// [`run_virtual`] gets checked through `opts` is checked against the
+/// states there, once, next to what only it accepts.
+#[test]
+fn virtual_cluster_validates_states_handles_and_kills() {
+    let run = |k: usize, opts: &ThreadedOptions, handles: usize, kills: &[(usize, Duration)]| {
+        let config = quick_config(74);
+        let states = (0..k)
+            .map(|_| StubTrain {
+                params: vec![0.0],
+                steps: 0,
+            })
+            .collect();
+        let telemetry = vec![Telemetry::disabled(); handles];
+        let planner = StrategyGenerator::new(&config);
+        run_virtual_cluster(states, planner, 0.5, opts, &telemetry, kills).map(|_| ())
+    };
+    let opts = ThreadedOptions::quick(&[1.0, 1.0, 1.0]);
+    run(3, &opts, 0, &[]).unwrap();
+    run(3, &opts, 4, &[(2, Duration::ZERO)]).unwrap();
+    let zero_rounds = ThreadedOptions {
+        rounds: 0,
+        ..opts.clone()
+    };
+    for (what, result) in [
+        ("one state", run(1, &ThreadedOptions::quick(&[1.0]), 0, &[])),
+        ("2 states, 3 powers", run(2, &opts, 0, &[])),
+        ("3 handles for 3 devices", run(3, &opts, 3, &[])),
+        (
+            "kill of device 3 of 3",
+            run(3, &opts, 0, &[(3, Duration::ZERO)]),
+        ),
+        ("zero rounds", run(3, &zero_rounds, 0, &[])),
+    ] {
+        assert!(
+            matches!(result, Err(HadflError::InvalidConfig(_))),
+            "{what}: {result:?}"
+        );
+    }
+}
+
+/// With every handle on, the virtual cluster's whole event stream —
+/// port frames and actor milestones of all participants, a §III-D
+/// repair included — is a function of its inputs, byte for byte.
+#[test]
+fn virtual_cluster_stream_is_byte_identical_across_runs() {
+    let jsonl = || -> Vec<String> {
+        let kills = [(1, Duration::from_millis(90))];
+        let (run, events) = instrumented_virtual_run(4, 3, Duration::from_millis(60), &kills);
+        assert_eq!(run.dropped, vec![(1, 2)]);
+        events.iter().map(|e| e.to_json().unwrap()).collect()
+    };
+    assert_eq!(jsonl(), jsonl());
+}
+
+/// [`shutdown_reaches_dropped_devices`] in virtual time: a device dead
+/// before its first report is dropped at the round-1 deadline, and the
+/// coordinator still addresses it a `Shutdown`.
+#[test]
+fn virtual_shutdown_reaches_a_device_killed_before_its_first_report() {
+    let (run, events) =
+        instrumented_virtual_run(3, 2, Duration::from_millis(60), &[(2, Duration::ZERO)]);
+    assert_eq!(run.rounds.len(), 2);
+    assert_eq!(run.dropped, vec![(2, 1)]);
+    assert_eq!(run.final_models.len(), 2);
+    let dropped = events
+        .iter()
+        .position(|e| matches!(e.kind, EventKind::DeviceDropped { device: 2, .. }))
+        .expect("DeviceDropped for device 2");
+    let shutdown = events
+        .iter()
+        .position(|e| {
+            matches!(&e.kind, EventKind::FrameSent { src: 3, dst: 2, kind, .. }
+                if kind == "shutdown")
+        })
+        .expect("Shutdown sent to the dropped device");
+    assert!(dropped < shutdown);
+    assert!(
+        !events.iter().any(|e| e.node == 2
+            && matches!(
+                e.kind,
+                EventKind::LocalSteps { .. } | EventKind::FrameReceived { .. }
+            )),
+        "a device killed at time zero neither steps nor reads its mailbox"
+    );
+}
+
+/// [`ring_bypasses_a_silent_member`] in virtual time. Device 4 is dead
+/// from the start, which holds round 1's collection open until the
+/// report deadline; device 2 reports, then dies inside that wait, so
+/// the plan rings it in. Its downstream probes (§III-D), warns, and
+/// the ring closes around it. The warning lands in round 2's window,
+/// which the coordinator sleeps through: it is read as the collection
+/// opens, ending it there instead of at the report deadline.
+#[test]
+fn virtual_ring_bypasses_a_member_killed_after_reporting() {
+    let kills = [(4, Duration::ZERO), (2, Duration::from_millis(1500))];
+    let (run, events) = instrumented_virtual_run(5, 4, Duration::from_secs(1), &kills);
+    assert_eq!(run.rounds.len(), 2);
+    assert_eq!(run.rounds[0].selected.len(), 4, "{:?}", run.rounds[0]);
+    assert_eq!(run.dropped, vec![(4, 1), (2, 2)]);
+    assert_eq!(run.final_models.len(), 3);
+    let at = |pred: &dyn Fn(&EventKind) -> bool| {
+        let event = events.iter().find(|e| pred(&e.kind)).expect("event");
+        Duration::from_micros(event.t_us)
+    };
+    let probed = at(
+        &|kind| matches!(kind, EventKind::FrameSent { dst: 2, kind, .. } if kind == "handshake"),
+    );
+    let declared = at(&|kind| matches!(kind, EventKind::BypassDeclared { dead: 2, .. }));
+    let dropped = at(&|kind| matches!(kind, EventKind::DeviceDropped { device: 2, .. }));
+    // Window 1 s + report deadline 5 s: the ring forms at 6 s.
+    let timing = ProtocolTiming::quick();
+    assert_eq!(probed, Duration::from_secs(6) + timing.ring_wait);
+    assert_eq!(declared, probed + timing.handshake_wait);
+    assert_eq!(dropped, Duration::from_secs(7), "round 2's window closes");
+    assert!(events.iter().any(|e| matches!(
+        e.kind,
+        EventKind::Merge {
+            participants: 3,
+            ..
+        }
+    )));
 }
 
 /// Single-stepped through a full two-member ring, the actor walks

@@ -143,11 +143,6 @@ impl VersionPredictor {
     pub fn observations(&self) -> usize {
         self.observations
     }
-
-    /// The most recent observed version, if any.
-    pub fn last_observed(&self) -> Option<f64> {
-        self.last
-    }
 }
 
 #[cfg(test)]
@@ -168,7 +163,6 @@ mod tests {
         let p = VersionPredictor::new(0.5, 42.0).unwrap();
         assert_eq!(p.forecast(1), 42.0);
         assert_eq!(p.observations(), 0);
-        assert_eq!(p.last_observed(), None);
     }
 
     #[test]
@@ -176,7 +170,6 @@ mod tests {
         let mut p = VersionPredictor::new(0.5, 42.0).unwrap();
         p.observe(10.0);
         assert_eq!(p.forecast(1), 10.0);
-        assert_eq!(p.last_observed(), Some(10.0));
     }
 
     #[test]

@@ -181,22 +181,6 @@ impl Trace {
         self.records.last()
     }
 
-    /// `(epoch_equiv, train_loss)` series — Fig. 3 (a)(b).
-    pub fn loss_vs_epoch(&self) -> Vec<(f64, f32)> {
-        self.records
-            .iter()
-            .map(|r| (r.epoch_equiv, r.train_loss))
-            .collect()
-    }
-
-    /// `(epoch_equiv, test_accuracy)` series — Fig. 3 (d)(e).
-    pub fn accuracy_vs_epoch(&self) -> Vec<(f64, f32)> {
-        self.records
-            .iter()
-            .map(|r| (r.epoch_equiv, r.test_accuracy))
-            .collect()
-    }
-
     /// `(time, test_accuracy)` series — Fig. 3 (c)(f).
     pub fn accuracy_vs_time(&self) -> Vec<(f64, f32)> {
         self.records
@@ -248,8 +232,6 @@ mod tests {
         t.push(record(1, 1.5, 0.3));
         t.push(record(2, 3.0, 0.6));
         assert_eq!(t.accuracy_vs_time(), vec![(1.5, 0.3), (3.0, 0.6)]);
-        assert_eq!(t.accuracy_vs_epoch(), vec![(1.0, 0.3), (2.0, 0.6)]);
-        assert_eq!(t.loss_vs_epoch().len(), 2);
     }
 
     #[test]

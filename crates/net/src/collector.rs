@@ -2,17 +2,23 @@
 //! timeline, online health out.
 //!
 //! [`Collector`] is the transport-free core. Batches arrive via
-//! [`Collector::ingest_batch`] (from TCP readers, the simnet adapter,
-//! or a test script), are staged, and each [`Collector::tick`] merges
-//! the stage in the fleet's causal order — `(lam, node, seq)`, the
-//! same key `hadfl-trace` merges offline logs with — then applies it
-//! to three consumers at once:
+//! [`Collector::ingest_batch`] (from TCP readers or a test script),
+//! are staged, and each [`Collector::tick`] sorts its stage by
+//! `(lam, node, seq)` — the key `hadfl-trace` merges offline logs
+//! with — then applies it to three consumers at once:
 //!
 //! - the [`HealthEngine`] (watchdog, straggler, dead-device,
 //!   dead-ring, budget-burn rules),
 //! - a [`MetricsSink`] feeding the fleet `/metrics` registry,
 //! - an optional JSONL spool file, which is exactly the merged-log
 //!   format `hadfl-trace --follow` tails.
+//!
+//! What comes out is a causal merge, not a global `lam` sort: ticks are
+//! applied in arrival order, so across a tick boundary a node whose
+//! Lamport clock runs behind can follow one that runs ahead. What
+//! holds throughout is each node's own `seq` order, and — for streams
+//! that ship in emission order — every `FrameSent` before its
+//! `FrameReceived`.
 //!
 //! Time is the injected [`Clock`]: a `ManualClock` script reproduces
 //! every alert deterministically, and the production binary passes a
@@ -174,8 +180,8 @@ impl Collector {
         self.staged.extend(events);
     }
 
-    /// Stages a bare event (the simnet adapter and scripted tests ship
-    /// pre-parsed events without the JSONL hop).
+    /// Stages a bare event (scripted tests ship pre-parsed events
+    /// without the JSONL hop).
     pub fn ingest_event(&mut self, event: Event) {
         let entry = self.nodes.entry(event.node).or_insert_with(|| NodeIngest {
             node: event.node,
@@ -185,9 +191,11 @@ impl Collector {
         self.staged.push(event);
     }
 
-    /// Drains the stage in `(lam, node, seq)` order into the health
+    /// Drains the stage, sorted by `(lam, node, seq)`, into the health
     /// engine, the metrics sink, and the spool, then evaluates the
-    /// time-based rules. Call on a cadence.
+    /// time-based rules. Call on a cadence. The sort spans this tick's
+    /// stage only; successive ticks append in arrival order (see the
+    /// module docs for what order the spool therefore keeps).
     pub fn tick(&mut self) {
         let now = self.clock.now();
         let mut batch = std::mem::take(&mut self.staged);

@@ -1,7 +1,9 @@
-//! End-to-end collector tests: the 1k-device simulated fleet shipped
-//! over real TCP into a running [`CollectorServer`], and a scripted
-//! [`ManualClock`] reproduction of every health rule.
+//! End-to-end collector tests: the event stream of a 1k-device
+//! virtual-time run of the real actors shipped over real TCP into a
+//! running [`CollectorServer`], and a scripted [`ManualClock`]
+//! reproduction of every health rule.
 
+use std::collections::{HashMap, HashSet};
 use std::io::{Read as _, Write as _};
 use std::net::TcpStream;
 use std::sync::Arc;
@@ -10,13 +12,17 @@ use std::time::{Duration, Instant};
 use parking_lot::Mutex;
 
 use hadfl::clock::{Clock, ManualClock, WallClock};
+use hadfl::coordinator::StrategyGenerator;
+use hadfl::exec::{run_virtual_cluster, ProtocolTiming, ThreadedOptions, TrainState};
+use hadfl::{HadflConfig, HadflError};
 use hadfl_net::collector::{Collector, CollectorOptions, CollectorServer};
 use hadfl_net::ship::TcpShipper;
-use hadfl_simnet::{simulate_fleet, DeadSpec, FleetConfig, StragglerSpec};
 use hadfl_telemetry::health::HealthOptions;
 use hadfl_telemetry::ship::{ShipOptions, ShipSink};
 use hadfl_telemetry::sink::Sink;
-use hadfl_telemetry::{Event, EventKind, FollowState, MetricsRegistry, SCHEMA_VERSION};
+use hadfl_telemetry::{
+    Event, EventKind, FollowState, MetricsRegistry, RingBufferSink, Telemetry, SCHEMA_VERSION,
+};
 
 /// Minimal HTTP/1.1 GET against the collector's endpoint; returns the
 /// full response (headers + body).
@@ -35,27 +41,80 @@ fn http_get(addr: std::net::SocketAddr, path: &str) -> String {
     response
 }
 
+/// Coordinates per ghost model: 64 KiB of `f32`s on the wire.
+const GHOST_PARAMS: usize = 16 * 1024;
+
+/// A 64 KiB model that is one number: every coordinate carries the
+/// same value, so ring means and broadcast blends stay exact while a
+/// thousand of these cost a thousand scalars at rest. A local step
+/// nudges the value and advances the version.
+struct Ghost {
+    value: f32,
+    steps: u64,
+}
+
+impl TrainState for Ghost {
+    fn params(&self) -> Vec<f32> {
+        vec![self.value; GHOST_PARAMS]
+    }
+    fn set_params(&mut self, params: &[f32]) -> Result<(), HadflError> {
+        self.value = params[0];
+        Ok(())
+    }
+    fn train_step(&mut self) -> Result<(), HadflError> {
+        self.steps += 1;
+        self.value += 1e-3;
+        Ok(())
+    }
+    fn version(&self) -> f64 {
+        self.steps as f64
+    }
+}
+
 #[test]
 fn thousand_device_fleet_ships_through_a_live_collector() {
-    let cfg = FleetConfig {
-        devices: 1000,
+    // The stream is the protocol's own: 1000 real `DeviceActor`s and
+    // the real `CoordinatorActor` + `StrategyGenerator` in virtual
+    // time, every participant's handle feeding one buffer. Device 3
+    // runs at a tenth of the fleet's power; device 7 dies between the
+    // second and the third report.
+    let devices = 1000;
+    let buffer = RingBufferSink::new(1 << 20);
+    let telemetry: Vec<Telemetry> = (0..=devices as u32)
+        .map(|node| Telemetry::new(node, vec![Box::new(buffer.clone())]))
+        .collect();
+    let config = HadflConfig::builder()
+        .num_selected(32)
+        .build()
+        .expect("config");
+    let mut powers = vec![1.0; devices];
+    powers[3] = 0.1;
+    let opts = ThreadedOptions {
+        powers,
+        step_sleep: Duration::from_millis(5),
+        window: Duration::from_millis(500),
         rounds: 5,
-        num_selected: 32,
-        param_bytes: 64 * 1024,
-        straggler: Some(StragglerSpec {
-            device: 3,
-            from_round: 1,
-            slow_factor: 10.0,
-        }),
-        dead: Some(DeadSpec {
-            device: 7,
-            at_round: 3,
-        }),
-        ..FleetConfig::default()
+        timing: ProtocolTiming::quick(),
     };
-    let mut events = Vec::new();
-    let report = simulate_fleet(&cfg, &mut |e| events.push(e)).expect("fleet run");
-    assert_eq!(report.events_emitted, events.len() as u64);
+    let states = (0..devices)
+        .map(|_| Ghost {
+            value: 0.0,
+            steps: 0,
+        })
+        .collect();
+    let (_, stats, _) = run_virtual_cluster(
+        states,
+        StrategyGenerator::new(&config),
+        config.blend_beta,
+        &opts,
+        &telemetry,
+        &[(7, Duration::from_millis(1200))],
+    )
+    .expect("fleet run");
+    assert_eq!(buffer.dropped(), 0, "buffer was above the event count");
+    let events = buffer.snapshot();
+    let events_emitted = events.len() as u64;
+    let param_bytes_total = stats.total_bytes() - stats.server_bytes();
 
     let spool = std::env::temp_dir().join(format!(
         "hadfl-collector-fleet-{}.jsonl",
@@ -79,7 +138,7 @@ fn thousand_device_fleet_ships_through_a_live_collector() {
     // Ship the whole fleet's stream through the production path: the
     // ShipSink queue + shipper thread + sealed TCP frames. Capacity is
     // raised above the event count so the parity check stays exact.
-    let coordinator = cfg.devices as u32;
+    let coordinator = devices as u32;
     let shipper = TcpShipper::new(
         &server.ingest_addr().to_string(),
         coordinator,
@@ -105,19 +164,19 @@ fn thousand_device_fleet_ships_through_a_live_collector() {
     let deadline = Instant::now() + Duration::from_secs(30);
     loop {
         let applied = server.collector().lock().status().events_applied;
-        if applied >= report.events_emitted {
+        if applied >= events_emitted {
             break;
         }
         assert!(
             Instant::now() < deadline,
             "collector applied only {applied}/{} events",
-            report.events_emitted
+            events_emitted
         );
         std::thread::sleep(Duration::from_millis(50));
     }
 
     let status = server.collector().lock().status();
-    assert_eq!(status.events_applied, report.events_emitted);
+    assert_eq!(status.events_applied, events_emitted);
     assert_eq!(status.garbage_lines, 0);
     assert_eq!(status.events_dropped, 0, "capacity was above event count");
 
@@ -130,10 +189,10 @@ fn thousand_device_fleet_ships_through_a_live_collector() {
         "shipper and collector ledgers disagree"
     );
     assert!(
-        status.telemetry_bytes < report.param_bytes_total / 20,
+        status.telemetry_bytes < param_bytes_total / 20,
         "telemetry {} bytes >= 5% of param {} bytes",
         status.telemetry_bytes,
-        report.param_bytes_total
+        param_bytes_total
     );
 
     // The injected faults each raise their alert, within 3 rounds.
@@ -178,18 +237,33 @@ fn thousand_device_fleet_ships_through_a_live_collector() {
 
     server.shutdown();
 
-    // The spool is the merged `(lam, node, seq)` timeline, in exactly
-    // the format `hadfl-trace --follow` tails.
+    // The spool is a causal merge, in exactly the format `hadfl-trace
+    // --follow` tails: every node's events in its own `seq` order, and
+    // no frame received before it was sent. (It is not globally
+    // `lam`-sorted: the collector orders each tick's stage, and nodes
+    // keep their own Lamport clocks.)
     let spooled = std::fs::read_to_string(&spool).expect("read spool");
     let mut follow = FollowState::new();
-    let mut last_lam = 0u64;
+    let mut last_seq: HashMap<u32, u64> = HashMap::new();
+    let mut sent: HashSet<(u32, u64)> = HashSet::new();
     for line in spooled.lines() {
         let event = Event::from_json(line).expect("spool line parses");
-        assert!(event.lam >= last_lam, "spool out of causal order");
-        last_lam = event.lam;
+        if let Some(last) = last_seq.insert(event.node, event.seq) {
+            assert!(event.seq > last, "node {} out of seq order", event.node);
+        }
+        match &event.kind {
+            EventKind::FrameSent { src, lamport, .. } => {
+                sent.insert((*src, *lamport));
+            }
+            EventKind::FrameReceived { src, lamport, .. } => assert!(
+                sent.contains(&(*src, *lamport)),
+                "frame ({src}, {lamport}) received before it was sent"
+            ),
+            _ => {}
+        }
         follow.observe(&event);
     }
-    assert_eq!(follow.events_seen(), report.events_emitted);
+    assert_eq!(follow.events_seen(), events_emitted);
     let rendered = follow.render(16);
     assert!(rendered.contains("round"), "{rendered}");
     let _ = std::fs::remove_file(&spool);

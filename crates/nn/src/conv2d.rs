@@ -90,11 +90,6 @@ impl Conv2d {
         self.out_channels
     }
 
-    /// `(out_channels, out_h, out_w)` — per-sample output dimensions.
-    pub fn out_dims(&self) -> [usize; 3] {
-        [self.out_channels, self.geom.out_h, self.geom.out_w]
-    }
-
     /// Accumulates `dW` and `db` from the cached patch matrix.
     fn accumulate_param_grads(&mut self, grad_out: &Tensor) -> Result<(), NnError> {
         if !self.cols_for_backward {
@@ -227,7 +222,8 @@ mod tests {
     fn output_dims_follow_geometry() {
         let mut rng = SeedStream::new(0);
         let conv = Conv2d::new(3, 8, 8, 8, 3, 2, 1, &mut rng).unwrap();
-        assert_eq!(conv.out_dims(), [8, 4, 4]);
+        let geom = conv.geometry();
+        assert_eq!([conv.out_channels(), geom.out_h, geom.out_w], [8, 4, 4]);
     }
 
     #[test]

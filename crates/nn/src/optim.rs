@@ -113,11 +113,6 @@ impl Sgd {
         }
     }
 
-    /// The learning rate the *next* step will use.
-    pub fn current_lr(&self) -> f32 {
-        self.schedule.lr_at(self.step)
-    }
-
     /// Number of steps applied so far.
     pub fn steps_taken(&self) -> u64 {
         self.step
@@ -324,12 +319,10 @@ mod tests {
     fn optimizer_uses_schedule_step() {
         let mut d = unit_dense();
         let mut opt = Sgd::new(LrSchedule::warmup(0.0, 1, 1.0), 0.0);
-        assert_eq!(opt.current_lr(), 0.0);
         run_step(&mut d, &mut opt); // lr 0: no movement
         let mut w0 = 0.0;
         d.visit_params(&mut |p| w0 += p.as_slice()[0]);
         assert_eq!(w0, 2.0);
-        assert_eq!(opt.current_lr(), 1.0);
         run_step(&mut d, &mut opt); // lr 1: moves
         let mut w1 = 0.0;
         d.visit_params(&mut |p| w1 += p.as_slice()[0]);

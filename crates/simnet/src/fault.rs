@@ -114,16 +114,6 @@ impl FaultPlan {
     pub fn available(&self, n: usize, t: VirtualTime) -> Vec<DeviceId> {
         (0..n).map(DeviceId).filter(|&d| self.is_up(d, t)).collect()
     }
-
-    /// The next time strictly after `t` at which some device's
-    /// availability changes, if any — used to advance liveness sweeps.
-    pub fn next_transition_after(&self, t: VirtualTime) -> Option<VirtualTime> {
-        self.outages
-            .iter()
-            .flat_map(|o| [Some(o.from), o.until].into_iter().flatten())
-            .filter(|&x| x > t)
-            .min()
-    }
 }
 
 #[cfg(test)]
@@ -139,7 +129,6 @@ mod tests {
         let plan = FaultPlan::none();
         assert!(plan.is_up(DeviceId(0), t(100.0)));
         assert_eq!(plan.available(3, t(5.0)).len(), 3);
-        assert_eq!(plan.next_transition_after(t(0.0)), None);
     }
 
     #[test]
@@ -169,19 +158,6 @@ mod tests {
     fn rejects_inverted_window() {
         assert!(FaultPlan::new(vec![Outage::window(DeviceId(0), t(2.0), t(1.0))]).is_err());
         assert!(FaultPlan::new(vec![Outage::window(DeviceId(0), t(2.0), t(2.0))]).is_err());
-    }
-
-    #[test]
-    fn next_transition_walks_boundaries() {
-        let plan = FaultPlan::new(vec![
-            Outage::window(DeviceId(0), t(1.0), t(2.0)),
-            Outage::crash(DeviceId(1), t(3.0)),
-        ])
-        .unwrap();
-        assert_eq!(plan.next_transition_after(t(0.0)), Some(t(1.0)));
-        assert_eq!(plan.next_transition_after(t(1.0)), Some(t(2.0)));
-        assert_eq!(plan.next_transition_after(t(2.0)), Some(t(3.0)));
-        assert_eq!(plan.next_transition_after(t(3.0)), None);
     }
 
     #[test]

@@ -11,8 +11,7 @@
 //! [`BandwidthMatrix`]), devices disconnect and reconnect on a schedule
 //! ([`FaultPlan`]), and every byte moved is accounted ([`NetStats`]) so
 //! the communication-volume claims of the paper (§II-B, §III-D) can be
-//! checked exactly. [`simulate_fleet`] turns the same models into a
-//! fleet-scale telemetry stream for the collector.
+//! checked exactly.
 //!
 //! # Example
 //!
@@ -38,7 +37,6 @@ mod bandwidth;
 mod compute;
 mod error;
 mod fault;
-mod fleet;
 mod link;
 mod stats;
 mod time;
@@ -47,7 +45,6 @@ pub use bandwidth::BandwidthMatrix;
 pub use compute::{ComputeModel, Jitter};
 pub use error::SimError;
 pub use fault::{FaultPlan, Outage};
-pub use fleet::{simulate_fleet, DeadSpec, FleetConfig, FleetRunReport, StragglerSpec};
 pub use link::LinkModel;
 pub use stats::{Endpoint, NetStats};
 pub use time::VirtualTime;

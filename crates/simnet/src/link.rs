@@ -61,15 +61,6 @@ impl LinkModel {
         }
     }
 
-    /// A WAN-like link: 20 ms latency, 12.5 MB/s (100 Mbit/s) — a
-    /// geo-distributed federated deployment.
-    pub fn wan() -> Self {
-        LinkModel {
-            latency_secs: 20e-3,
-            bandwidth_bytes_per_sec: 12.5e6,
-        }
-    }
-
     /// One-way latency, seconds.
     pub fn latency_secs(&self) -> f64 {
         self.latency_secs
@@ -111,16 +102,6 @@ mod tests {
         assert!(LinkModel::new(0.0, 0.0).is_err());
         assert!(LinkModel::new(f64::NAN, 100.0).is_err());
         assert!(LinkModel::new(0.0, f64::INFINITY).is_err());
-    }
-
-    #[test]
-    fn presets_are_ordered_sensibly() {
-        // PCIe is much faster than WAN for a model-sized payload.
-        let payload = 10_000_000;
-        assert!(
-            LinkModel::pcie3_x8().transfer_time(payload)
-                < LinkModel::wan().transfer_time(payload) / 100.0
-        );
     }
 
     #[test]

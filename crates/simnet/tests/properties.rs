@@ -48,35 +48,6 @@ proptest! {
     }
 
     #[test]
-    fn fault_plan_next_transition_walks_forward(
-        starts in proptest::collection::vec(0.0f64..100.0, 1..8),
-        width in 0.1f64..10.0,
-    ) {
-        let outages: Vec<Outage> = starts
-            .iter()
-            .enumerate()
-            .map(|(i, &s)| {
-                Outage::window(
-                    DeviceId(i),
-                    VirtualTime::from_secs(s),
-                    VirtualTime::from_secs(s + width),
-                )
-            })
-            .collect();
-        let plan = FaultPlan::new(outages).unwrap();
-        // Walking transitions visits strictly increasing times and
-        // terminates.
-        let mut t = VirtualTime::ZERO;
-        let mut hops = 0;
-        while let Some(next) = plan.next_transition_after(t) {
-            prop_assert!(next > t);
-            t = next;
-            hops += 1;
-            prop_assert!(hops <= 2 * starts.len());
-        }
-    }
-
-    #[test]
     fn availability_is_complement_of_outages(
         device in 0usize..4,
         from in 0.0f64..50.0,

@@ -138,7 +138,7 @@ mod tests {
     fn softmax_is_stable_for_large_logits() {
         let t = Tensor::from_vec(vec![1000.0, 1001.0, 1002.0], &[1, 3]).unwrap();
         let s = softmax_rows(&t).unwrap();
-        assert!(!s.has_non_finite());
+        assert!(s.as_slice().iter().all(|v| v.is_finite()));
         let row_sum: f32 = s.as_slice().iter().sum();
         // f32 ULP at magnitude ~1e3 limits achievable accuracy here.
         assert!((row_sum - 1.0).abs() < 1e-3);

@@ -9,7 +9,7 @@ use crate::shape::Shape;
 ///
 /// `Tensor` owns its storage (a flat `Vec<f32>`) and a [`Shape`]. All
 /// elementwise arithmetic is provided both as allocating methods (`add`,
-/// `sub`, …) and in-place methods (`add_assign_t`, `scale_inplace`, …); the
+/// `sub`, …) and in-place methods (`add_assign_t`, `fill_zero`, …); the
 /// training loops in the layers above use the in-place variants to avoid
 /// per-step allocation.
 ///
@@ -226,26 +226,6 @@ impl Tensor {
         Ok(())
     }
 
-    /// In-place `self += k * rhs`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::ShapeMismatch`] if the shapes differ.
-    pub fn axpy(&mut self, k: f32, rhs: &Tensor) -> Result<(), TensorError> {
-        self.check_same_shape(rhs, "axpy")?;
-        zip_chunks(&mut self.data, &rhs.data, |a, &b| *a += k * b);
-        Ok(())
-    }
-
-    /// In-place `self *= k`.
-    pub fn scale_inplace(&mut self, k: f32) {
-        hadfl_par::par_chunks_mut(&mut self.data, hadfl_par::F32_CHUNK, |_, chunk| {
-            for a in chunk {
-                *a *= k;
-            }
-        });
-    }
-
     /// Sets every element to zero, keeping the allocation.
     pub fn fill_zero(&mut self) {
         hadfl_par::par_chunks_mut(&mut self.data, hadfl_par::F32_CHUNK, |_, chunk| {
@@ -286,11 +266,6 @@ impl Tensor {
     pub fn norm_l2(&self) -> f32 {
         let a = &self.data;
         chunked_sum(a.len(), |lo, hi| crate::simd::sum_sq8(&a[lo..hi])).sqrt()
-    }
-
-    /// Returns `true` if any element is NaN or infinite.
-    pub fn has_non_finite(&self) -> bool {
-        self.data.iter().any(|a| !a.is_finite())
     }
 }
 
@@ -396,14 +371,6 @@ mod tests {
     }
 
     #[test]
-    fn axpy_matches_manual_update() {
-        let mut w = Tensor::from_vec(vec![1.0, 2.0], &[2]).unwrap();
-        let g = Tensor::from_vec(vec![10.0, -10.0], &[2]).unwrap();
-        w.axpy(-0.1, &g).unwrap();
-        assert_eq!(w.as_slice(), &[0.0, 3.0]);
-    }
-
-    #[test]
     fn reshape_preserves_data() {
         let a = Tensor::from_vec((0..6).map(|i| i as f32).collect(), &[2, 3]).unwrap();
         let b = a.reshape(&[3, 2]).unwrap();
@@ -426,16 +393,6 @@ mod tests {
         b.map_inplace(|x| x.max(0.0));
         assert_eq!(mapped, b);
         assert_eq!(b.as_slice(), &[0.0, 2.0, 0.0]);
-    }
-
-    #[test]
-    fn has_non_finite_detects_nan_and_inf() {
-        let mut a = Tensor::zeros(&[2]);
-        assert!(!a.has_non_finite());
-        a.as_mut_slice()[0] = f32::NAN;
-        assert!(a.has_non_finite());
-        a.as_mut_slice()[0] = f32::INFINITY;
-        assert!(a.has_non_finite());
     }
 
     #[test]

@@ -125,7 +125,7 @@ proptest! {
 
     #[test]
     fn elementwise_and_reductions_bit_identical_across_threads(
-        len in 0usize..200, k in -4.0f32..4.0, seed in 0u64..1 << 16,
+        len in 0usize..200, seed in 0u64..1 << 16,
     ) {
         let mut rng = hadfl_tensor::SeedStream::new(seed);
         let xs: Vec<f32> = (0..len).map(|_| rng.normal()).collect();
@@ -138,16 +138,6 @@ proptest! {
             a.add_assign_t(&y).unwrap();
             a
         });
-        let want_axpy = with_threads(1, || {
-            let mut a = x.clone();
-            a.axpy(k, &y).unwrap();
-            a
-        });
-        let want_scale = with_threads(1, || {
-            let mut a = x.clone();
-            a.scale_inplace(k);
-            a
-        });
         let want_dot = with_threads(1, || x.dot(&y).unwrap());
         let want_sum = with_threads(1, || sum(&x));
         let want_norm = with_threads(1, || x.norm_l2());
@@ -158,18 +148,6 @@ proptest! {
                 a
             });
             prop_assert_eq!(bits(&got_add), bits(&want_add));
-            let got_axpy = with_threads(t, || {
-                let mut a = x.clone();
-                a.axpy(k, &y).unwrap();
-                a
-            });
-            prop_assert_eq!(bits(&got_axpy), bits(&want_axpy));
-            let got_scale = with_threads(t, || {
-                let mut a = x.clone();
-                a.scale_inplace(k);
-                a
-            });
-            prop_assert_eq!(bits(&got_scale), bits(&want_scale));
             prop_assert_eq!(with_threads(t, || x.dot(&y).unwrap()).to_bits(), want_dot.to_bits());
             prop_assert_eq!(with_threads(t, || sum(&x)).to_bits(), want_sum.to_bits());
             prop_assert_eq!(with_threads(t, || x.norm_l2()).to_bits(), want_norm.to_bits());
@@ -227,7 +205,6 @@ fn degenerate_shapes_bit_identical() {
         with_threads(t, || {
             let mut e = empty.clone();
             e.add_assign_t(&empty).unwrap();
-            e.scale_inplace(2.0);
             assert_eq!(e.len(), 0);
             assert_eq!(sum(&e), 0.0);
             assert_eq!(e.norm_l2(), 0.0);
