@@ -831,7 +831,6 @@ pub fn describe_message(msg: &Message) -> String {
         Message::Handshake { from } => format!("Handshake(from {from})"),
         Message::HandshakeAck { from } => format!("HandshakeAck(from {from})"),
         Message::BypassWarning { dead } => format!("BypassWarning(dead {dead})"),
-        Message::TrainingConfig { .. } => "TrainingConfig".into(),
         Message::ParamAccum { round, hops, .. } => {
             format!("ParamAccum(round {round}, hops {hops})")
         }

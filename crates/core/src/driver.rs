@@ -4,13 +4,11 @@
 //! a [`Trace`].
 
 use std::collections::BTreeMap;
-use std::time::Duration;
 
 use hadfl_nn::LrSchedule;
 use hadfl_simnet::{
     ComputeModel, DeviceId, Endpoint, FaultPlan, Jitter, LinkModel, NetStats, VirtualTime,
 };
-use hadfl_telemetry::{EventKind, Telemetry};
 use hadfl_tensor::SeedStream;
 use serde::{Deserialize, Serialize};
 
@@ -18,7 +16,7 @@ use crate::aggregate::blend_params;
 use crate::config::HadflConfig;
 use crate::coordinator::{LivenessMonitor, ModelManager, RuntimeSupervisor, StrategyGenerator};
 use crate::error::HadflError;
-use crate::gossip::{analytical_frame, run_partial_sync, SyncOutcome};
+use crate::gossip::{run_partial_sync, SyncOutcome};
 use crate::group::partition_groups;
 use crate::strategy::Strategy;
 use crate::topology::Ring;
@@ -190,25 +188,6 @@ pub fn run_hadfl(
     config: &HadflConfig,
     opts: &SimOptions,
 ) -> Result<HadflRun, HadflError> {
-    run_hadfl_with_telemetry(workload, config, opts, &Telemetry::disabled())
-}
-
-/// [`run_hadfl`] with a telemetry handle: the simulator emits the same
-/// schema the deployed runtime does — per-round plans with Eq. (8)
-/// probabilities, Eq. (7) predicted-vs-actual versions, ring
-/// enter/bypass/merge/exit, and one `FrameSent` event per entry charged
-/// to the training-phase [`NetStats`] ledger, timestamped in virtual
-/// time. With a disabled handle this is exactly [`run_hadfl`].
-///
-/// # Errors
-///
-/// As [`run_hadfl`].
-pub fn run_hadfl_with_telemetry(
-    workload: &Workload,
-    config: &HadflConfig,
-    opts: &SimOptions,
-    tel: &Telemetry,
-) -> Result<HadflRun, HadflError> {
     opts.validate()?;
     let k = opts.powers.len();
     let groups = partition_groups(k, config.group_size.unwrap_or(k))?;
@@ -327,7 +306,6 @@ pub fn run_hadfl_with_telemetry(
         if available.is_empty() {
             return Err(HadflError::ClusterDead { round });
         }
-        let t_end = Duration::from_secs_f64(window_end.as_secs());
         let predicted = supervisor.predicted_versions();
         let mut plans = Vec::new();
         // Group index → the device holding that group's freshest model:
@@ -346,47 +324,11 @@ pub fn run_hadfl_with_telemetry(
                 continue;
             }
             let predicted_live: Vec<f64> = live.iter().map(|d| predicted[d.index()]).collect();
-            if tel.enabled() {
-                for d in &live {
-                    tel.emit(
-                        t_end,
-                        EventKind::Prediction {
-                            round: round as u32,
-                            device: d.index() as u32,
-                            predicted: predicted[d.index()],
-                            actual: versions[d.index()],
-                        },
-                    );
-                }
-            }
             let plan = generators[gi].plan_round(&live, &predicted_live)?;
-            if tel.enabled() {
-                tel.emit(
-                    t_end,
-                    EventKind::RoundPlanned {
-                        round: round as u32,
-                        available: live.iter().map(|d| d.index() as u32).collect(),
-                        versions: predicted_live.clone(),
-                        probabilities: generators[gi]
-                            .last_probabilities()
-                            .map(<[f64]>::to_vec)
-                            .unwrap_or_default(),
-                        selected: plan.selected.iter().map(|d| d.index() as u32).collect(),
-                        unselected: plan.unselected.iter().map(|d| d.index() as u32).collect(),
-                        broadcaster: plan.broadcaster.index() as u32,
-                    },
-                );
-            }
             for d in &live {
                 // version report up, training configuration down
                 train_stats.record(Endpoint::Device(*d), Endpoint::Server, CONTROL_MSG_BYTES);
                 train_stats.record(Endpoint::Server, Endpoint::Device(*d), CONTROL_MSG_BYTES);
-                if tel.enabled() {
-                    let frame =
-                        |src, dst, kind| analytical_frame(src, dst, CONTROL_MSG_BYTES, kind);
-                    tel.emit(t_end, frame(d.index(), k, "version_report"));
-                    tel.emit(t_end, frame(k, d.index(), "training_config"));
-                }
             }
             plans.push((gi, plan));
         }
@@ -415,8 +357,6 @@ pub fn run_hadfl_with_telemetry(
                 built.model_bytes,
                 wire_bytes,
                 &mut train_stats,
-                tel,
-                round as u32,
             ) {
                 Ok(outcome) => outcome,
                 // Every member died inside the window. That is fatal only
@@ -450,10 +390,6 @@ pub fn run_hadfl_with_telemetry(
                         continue;
                     }
                     train_stats.record(Endpoint::Device(from), Endpoint::Device(*u), wire_bytes);
-                    tel.emit(
-                        Duration::from_secs_f64(done.as_secs()),
-                        analytical_frame(from.index(), u.index(), wire_bytes, "param_sync"),
-                    );
                     let mut local = built.runtimes[u.index()].model.param_vector();
                     blend_params(&mut local, &outcome.merged, config.blend_beta)?;
                     built.runtimes[u.index()].model.set_param_vector(&local)?;
@@ -507,14 +443,6 @@ pub fn run_hadfl_with_telemetry(
                 last_merged = outcome.merged;
             }
         }
-        tel.emit(
-            Duration::from_secs_f64(sync_end.as_secs()),
-            EventKind::RoundComplete {
-                round: round as u32,
-                duration_us: Duration::from_secs_f64(sync_end.elapsed_since(window_start))
-                    .as_micros() as u64,
-            },
-        );
 
         // --- Runtime supervision: feed actual versions to the predictor. ---
         supervisor.observe_round(&versions)?;
@@ -556,7 +484,6 @@ pub fn run_hadfl_with_telemetry(
     }
 
     trace.set_comm(&train_stats);
-    tel.flush();
     Ok(HadflRun {
         trace,
         setup_comm: CommSummary::from_stats(&setup_stats, k),
@@ -754,60 +681,6 @@ mod tests {
         )
         .unwrap();
         assert_ne!(run.trace, uniform.trace);
-    }
-
-    /// Satellite check: the instrumented simulator's `FrameSent` events
-    /// reproduce the training-phase [`NetStats`] ledger exactly — one
-    /// schema for simulated and deployed communication accounting.
-    #[test]
-    fn telemetry_frames_mirror_the_comm_ledger() {
-        use hadfl_telemetry::{RingBufferSink, Telemetry};
-        let k = 3;
-        let sink = RingBufferSink::new(100_000);
-        let tel = Telemetry::new(k as u32, vec![Box::new(sink.clone())]);
-        let run = run_hadfl_with_telemetry(
-            &Workload::quick("mlp", 9),
-            &quick_config(9),
-            &SimOptions::quick(&[2.0, 1.0, 1.0]),
-            &tel,
-        )
-        .unwrap();
-        let events = sink.snapshot();
-        assert_eq!(sink.dropped(), 0, "ring buffer must not have evicted");
-        assert_eq!(CommSummary::from_events(&events, k), run.trace.comm);
-        assert!(events
-            .iter()
-            .any(|e| matches!(e.kind, EventKind::RoundPlanned { .. })));
-        assert!(events
-            .iter()
-            .any(|e| matches!(e.kind, EventKind::Prediction { .. })));
-        assert!(events
-            .iter()
-            .any(|e| matches!(e.kind, EventKind::Merge { .. })));
-    }
-
-    /// The simulator runs on virtual time, so the same seed must yield a
-    /// byte-identical JSONL event stream.
-    #[test]
-    fn telemetry_stream_is_deterministic() {
-        use hadfl_telemetry::{JsonlSink, SharedBuffer, Telemetry};
-        let jsonl = |seed: u64| {
-            let buf = SharedBuffer::new();
-            let tel = Telemetry::new(2, vec![Box::new(JsonlSink::new(buf.clone()))]);
-            run_hadfl_with_telemetry(
-                &Workload::quick("mlp", 1),
-                &quick_config(seed),
-                &SimOptions::quick(&[2.0, 1.0]),
-                &tel,
-            )
-            .unwrap();
-            tel.flush();
-            buf.contents()
-        };
-        let a = jsonl(11);
-        let b = jsonl(11);
-        assert!(!a.is_empty());
-        assert_eq!(a, b, "same schedule must emit byte-identical JSONL");
     }
 
     #[test]

@@ -2,6 +2,7 @@ use std::sync::Arc;
 use std::thread;
 use std::time::Duration;
 
+use hadfl_simnet::NetStats;
 use hadfl_telemetry::{Event, EventKind, RingBufferSink, Telemetry};
 
 use super::*;
@@ -582,13 +583,14 @@ fn stub_actor(me: usize, k: usize) -> DeviceActor<StubTrain> {
 }
 
 /// [`run_virtual_cluster`] over `k` equal-power stub devices, every
-/// participant's telemetry captured in one buffer in emission order.
+/// participant's telemetry captured in one buffer in emission order,
+/// next to the hub's byte ledger.
 fn instrumented_virtual_run(
     k: usize,
     num_selected: usize,
     window: Duration,
     kills: &[(usize, Duration)],
-) -> (CoordinatorRun, Vec<Event>) {
+) -> (CoordinatorRun, NetStats, Vec<Event>) {
     let buffer = RingBufferSink::new(1 << 16);
     let telemetry: Vec<Telemetry> = (0..=k as u32)
         .map(|node| Telemetry::new(node, vec![Box::new(buffer.clone())]))
@@ -609,7 +611,7 @@ fn instrumented_virtual_run(
         window,
         ..ThreadedOptions::quick(&vec![1.0; k])
     };
-    let (run, _, _) = run_virtual_cluster(
+    let (run, stats, _) = run_virtual_cluster(
         states,
         StrategyGenerator::new(&config),
         config.blend_beta,
@@ -619,7 +621,7 @@ fn instrumented_virtual_run(
     )
     .unwrap();
     assert_eq!(buffer.dropped(), 0);
-    (run, buffer.snapshot())
+    (run, stats, buffer.snapshot())
 }
 
 /// The generic entry takes states, not a workload: everything
@@ -670,11 +672,35 @@ fn virtual_cluster_validates_states_handles_and_kills() {
 fn virtual_cluster_stream_is_byte_identical_across_runs() {
     let jsonl = || -> Vec<String> {
         let kills = [(1, Duration::from_millis(90))];
-        let (run, events) = instrumented_virtual_run(4, 3, Duration::from_millis(60), &kills);
+        let (run, _, events) = instrumented_virtual_run(4, 3, Duration::from_millis(60), &kills);
         assert_eq!(run.dropped, vec![(1, 2)]);
         events.iter().map(|e| e.to_json().unwrap()).collect()
     };
     assert_eq!(jsonl(), jsonl());
+}
+
+/// One `FrameSent` per frame a port charged to the hub's ledger — a
+/// §III-D bypass re-send included — so summing the stream gives the
+/// ledger's [`CommSummary`], field for field.
+#[test]
+fn virtual_cluster_frames_sum_to_the_hub_ledger() {
+    // The schedule of `virtual_ring_bypasses_a_member_killed_after_reporting`.
+    let k = 5;
+    let kills = [(4, Duration::ZERO), (2, Duration::from_millis(1500))];
+    let (_, stats, events) = instrumented_virtual_run(k, 4, Duration::from_secs(1), &kills);
+    let declared = events
+        .iter()
+        .position(|e| matches!(e.kind, EventKind::BypassDeclared { dead: 2, .. }))
+        .expect("the ring found device 2 dead");
+    let resent = events[declared..]
+        .iter()
+        .take_while(|e| !matches!(e.kind, EventKind::Merge { .. }))
+        .any(|e| matches!(&e.kind, EventKind::FrameSent { kind, .. } if kind == "param_accum"));
+    assert!(resent, "the repair re-sends the running sum past device 2");
+    assert_eq!(
+        CommSummary::from_events(&events, k),
+        CommSummary::from_stats(&stats, k)
+    );
 }
 
 /// [`shutdown_reaches_dropped_devices`] in virtual time: a device dead
@@ -682,7 +708,7 @@ fn virtual_cluster_stream_is_byte_identical_across_runs() {
 /// coordinator still addresses it a `Shutdown`.
 #[test]
 fn virtual_shutdown_reaches_a_device_killed_before_its_first_report() {
-    let (run, events) =
+    let (run, _, events) =
         instrumented_virtual_run(3, 2, Duration::from_millis(60), &[(2, Duration::ZERO)]);
     assert_eq!(run.rounds.len(), 2);
     assert_eq!(run.dropped, vec![(2, 1)]);
@@ -719,7 +745,7 @@ fn virtual_shutdown_reaches_a_device_killed_before_its_first_report() {
 #[test]
 fn virtual_ring_bypasses_a_member_killed_after_reporting() {
     let kills = [(4, Duration::ZERO), (2, Duration::from_millis(1500))];
-    let (run, events) = instrumented_virtual_run(5, 4, Duration::from_secs(1), &kills);
+    let (run, _, events) = instrumented_virtual_run(5, 4, Duration::from_secs(1), &kills);
     assert_eq!(run.rounds.len(), 2);
     assert_eq!(run.rounds[0].selected.len(), 4, "{:?}", run.rounds[0]);
     assert_eq!(run.dropped, vec![(4, 1), (2, 2)]);

@@ -7,10 +7,8 @@
 //! and the ring bypasses the dead device ([`crate::topology::Ring::bypass`]).
 
 use std::collections::BTreeMap;
-use std::time::Duration;
 
 use hadfl_simnet::{DeviceId, FaultPlan, LinkModel, NetStats, VirtualTime};
-use hadfl_telemetry::{EventKind, Telemetry};
 use serde::{Deserialize, Serialize};
 
 use crate::aggregate::{
@@ -59,14 +57,6 @@ pub struct SyncOutcome {
 /// `params` or parameter lengths disagree, and
 /// [`HadflError::ClusterDead`] (round 0 placeholder, re-tagged by the
 /// driver) if *no* member survives.
-///
-/// # Telemetry
-///
-/// `tel` receives ring enter/exit, per-bypass declarations and repairs,
-/// the merge, and one `FrameSent` event per ledger entry
-/// `record_gossip_traffic` charges to `stats` — so the event stream and
-/// the [`NetStats`] ledger agree byte for byte. `round` tags the emitted
-/// events; pass [`Telemetry::disabled`] (and any round) to run silent.
 #[allow(clippy::too_many_arguments)]
 pub fn run_partial_sync(
     ring: &Ring,
@@ -79,17 +69,7 @@ pub fn run_partial_sync(
     model_bytes: u64,
     wire_bytes: u64,
     stats: &mut NetStats,
-    tel: &Telemetry,
-    round: u32,
 ) -> Result<SyncOutcome, HadflError> {
-    let t0 = Duration::from_secs_f64(at.as_secs());
-    tel.emit(
-        t0,
-        EventKind::RingEnter {
-            round,
-            ring: ring.members().iter().map(|d| d.index() as u32).collect(),
-        },
-    );
     for member in ring.members() {
         if !params.contains_key(member) {
             return Err(HadflError::InvalidConfig(format!(
@@ -111,14 +91,6 @@ pub fn run_partial_sync(
         // Downstream waits, handshakes the dead device, then warns the
         // dead device's upstream: timeout + 2 one-way latencies.
         penalty_secs += handshake_timeout_secs + 2.0 * link.latency_secs();
-        let t_bypass = t0 + Duration::from_secs_f64(penalty_secs);
-        tel.emit(
-            t_bypass,
-            EventKind::BypassDeclared {
-                round,
-                dead: member.index() as u32,
-            },
-        );
         live = match live.bypass(member) {
             Some(next) => next,
             None => {
@@ -128,13 +100,6 @@ pub fn run_partial_sync(
                     .iter()
                     .copied()
                     .find(|&d| faults.is_up(d, at));
-                tel.emit(
-                    t_bypass,
-                    EventKind::RingExit {
-                        round,
-                        dissolved: true,
-                    },
-                );
                 let Some(survivor) = survivor else {
                     return Err(HadflError::ClusterDead { round: 0 });
                 };
@@ -147,47 +112,13 @@ pub fn run_partial_sync(
                 });
             }
         };
-        tel.emit(
-            t_bypass,
-            EventKind::RingRepair {
-                round,
-                dead: member.index() as u32,
-            },
-        );
     }
 
     // Time is driven by the bytes actually moved (`model_bytes`); the
     // ledger is driven by `wire_bytes`, which experiments may override to
     // paper-scale model sizes without perturbing the learning dynamics.
     let secs = ring_allreduce_cost(live.members().len(), model_bytes, link)?.secs;
-    let wire_cost = record_gossip_traffic(live.members(), wire_bytes, link, stats)?;
-    let t_done = t0 + Duration::from_secs_f64(penalty_secs + secs);
-    if tel.enabled() {
-        // Mirror exactly what `record_gossip_traffic` charged to the
-        // ledger: one frame per directed ring hop.
-        let bytes = wire_cost.bytes_per_member;
-        for (i, &from) in live.members().iter().enumerate() {
-            let to = live.members()[(i + 1) % live.members().len()];
-            tel.emit(
-                t_done,
-                analytical_frame(from.index(), to.index(), bytes, "ring_gossip"),
-            );
-        }
-        tel.emit(
-            t_done,
-            EventKind::Merge {
-                round,
-                participants: live.members().len() as u32,
-            },
-        );
-        tel.emit(
-            t_done,
-            EventKind::RingExit {
-                round,
-                dissolved: false,
-            },
-        );
-    }
+    record_gossip_traffic(live.members(), wire_bytes, link, stats)?;
     let vectors: Vec<&[f32]> = live
         .members()
         .iter()
@@ -213,19 +144,6 @@ pub fn run_partial_sync(
         comm_secs: penalty_secs + secs,
         dissolved: false,
     })
-}
-
-/// The `FrameSent` event mirroring one ledger entry the closed-form
-/// simulation charges. Nothing crossed a transport, so it carries no
-/// causal stamp.
-pub(crate) fn analytical_frame(src: usize, dst: usize, bytes: u64, kind: &str) -> EventKind {
-    EventKind::FrameSent {
-        src: src as u32,
-        dst: dst as u32,
-        bytes,
-        kind: kind.to_string(),
-        lamport: 0,
-    }
 }
 
 #[cfg(test)]
@@ -265,8 +183,6 @@ mod tests {
             12,
             12,
             &mut stats,
-            &Telemetry::disabled(),
-            0,
         )
         .unwrap();
         assert_eq!(out.merged, vec![1.0; 3]);
@@ -298,8 +214,6 @@ mod tests {
             8,
             8,
             &mut stats,
-            &Telemetry::disabled(),
-            0,
         )
         .unwrap();
         // 0.75·0 + 0.25·4 = 1
@@ -325,8 +239,6 @@ mod tests {
             100,
             100,
             &mut stats,
-            &Telemetry::disabled(),
-            0,
         )
         .unwrap();
         assert_eq!(out.bypassed, vec![DeviceId(2)]);
@@ -356,8 +268,6 @@ mod tests {
             100,
             100,
             &mut stats,
-            &Telemetry::disabled(),
-            0,
         )
         .unwrap();
         assert!(out.dissolved);
@@ -387,8 +297,6 @@ mod tests {
             100,
             100,
             &mut stats,
-            &Telemetry::disabled(),
-            0,
         )
         .unwrap_err();
         assert!(matches!(err, HadflError::ClusterDead { .. }));
@@ -410,8 +318,6 @@ mod tests {
             100,
             100,
             &mut stats,
-            &Telemetry::disabled(),
-            0,
         )
         .is_err());
     }
@@ -438,8 +344,6 @@ mod tests {
             100,
             100,
             &mut stats,
-            &Telemetry::disabled(),
-            0,
         )
         .unwrap();
         assert_eq!(out.bypassed.len(), 2);

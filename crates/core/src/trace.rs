@@ -60,10 +60,10 @@ impl CommSummary {
     /// Summarizes a telemetry event stream for a `devices`-device run:
     /// every [`EventKind::FrameSent`] counts once, endpoints `0..devices`
     /// are devices and `devices` itself is the coordinator/server — the
-    /// same convention [`crate::transport::coordinator_id`] uses. With
-    /// the simulator's instrumented driver this reproduces
-    /// [`CommSummary::from_stats`] over the training-phase ledger
-    /// exactly (one schema for simulated and deployed runs).
+    /// same convention [`crate::transport::coordinator_id`] uses. A
+    /// port emits one `FrameSent` per frame it charges to its ledger,
+    /// so over an instrumented cluster's stream this reproduces
+    /// [`CommSummary::from_stats`] of that ledger exactly.
     pub fn from_events(events: &[Event], devices: usize) -> Self {
         let mut summary = CommSummary {
             device_bytes: vec![0; devices],

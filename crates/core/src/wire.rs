@@ -259,15 +259,6 @@ pub enum Message {
         /// The device found dead.
         dead: u32,
     },
-    /// Training configuration from the strategy generator.
-    TrainingConfig {
-        /// Learning rate for the coming phase.
-        lr: f32,
-        /// Heterogeneity-aware local step budget `E_i`.
-        local_steps: u32,
-        /// Sync window in milliseconds.
-        window_ms: u32,
-    },
     /// A running parameter sum travelling around the gossip ring (the
     /// reduce half of the ring aggregation).
     ParamAccum {
@@ -351,7 +342,8 @@ const TAG_VERSION_REPORT: u8 = 2;
 const TAG_HANDSHAKE: u8 = 3;
 const TAG_HANDSHAKE_ACK: u8 = 4;
 const TAG_BYPASS_WARNING: u8 = 5;
-const TAG_TRAINING_CONFIG: u8 = 6;
+// Tag 6 is reserved: older builds defined a frame under it, so `decode`
+// rejects it as unknown and new variants take fresh tags.
 const TAG_PARAM_ACCUM: u8 = 7;
 const TAG_MERGED_PARAMS: u8 = 8;
 const TAG_ROUND_PLAN: u8 = 9;
@@ -514,16 +506,6 @@ impl Message {
                 buf.put_u8(TAG_BYPASS_WARNING);
                 buf.put_u32_le(*dead);
             }
-            Message::TrainingConfig {
-                lr,
-                local_steps,
-                window_ms,
-            } => {
-                buf.put_u8(TAG_TRAINING_CONFIG);
-                buf.put_f32_le(*lr);
-                buf.put_u32_le(*local_steps);
-                buf.put_u32_le(*window_ms);
-            }
             Message::ParamAccum {
                 round,
                 hops,
@@ -596,7 +578,6 @@ impl Message {
             Message::Handshake { .. } => "handshake",
             Message::HandshakeAck { .. } => "handshake_ack",
             Message::BypassWarning { .. } => "bypass_warning",
-            Message::TrainingConfig { .. } => "training_config",
             Message::ParamAccum { .. } => "param_accum",
             Message::MergedParams { .. } => "merged_params",
             Message::RoundPlan { .. } => "round_plan",
@@ -622,7 +603,6 @@ impl Message {
             Message::VersionReport { .. } => 1 + 4 + 4 + 8,
             Message::Handshake { .. } | Message::HandshakeAck { .. } => 1 + 4,
             Message::BypassWarning { .. } => 1 + 4,
-            Message::TrainingConfig { .. } => 1 + 4 + 4 + 4,
             Message::RoundPlan {
                 ring, unselected, ..
             } => 1 + 4 + (4 + 4 * ring.len()) + 4 + (4 + 4 * unselected.len()),
@@ -698,14 +678,6 @@ impl Message {
                 need(frame, 4)?;
                 Message::BypassWarning {
                     dead: frame.get_u32_le(),
-                }
-            }
-            TAG_TRAINING_CONFIG => {
-                need(frame, 12)?;
-                Message::TrainingConfig {
-                    lr: frame.get_f32_le(),
-                    local_steps: frame.get_u32_le(),
-                    window_ms: frame.get_u32_le(),
                 }
             }
             TAG_ROUND_PLAN => {
@@ -808,11 +780,6 @@ mod tests {
         roundtrip(Message::Handshake { from: 9 });
         roundtrip(Message::HandshakeAck { from: 2 });
         roundtrip(Message::BypassWarning { dead: 1 });
-        roundtrip(Message::TrainingConfig {
-            lr: 0.01,
-            local_steps: 18,
-            window_ms: 450,
-        });
         roundtrip(Message::ParamAccum {
             round: 5,
             hops: 2,
@@ -966,15 +933,6 @@ mod tests {
                 device: 0,
                 round: 0,
                 version: 0.0
-            }
-            .encoded_len()
-                <= 32
-        );
-        assert!(
-            Message::TrainingConfig {
-                lr: 0.0,
-                local_steps: 0,
-                window_ms: 0
             }
             .encoded_len()
                 <= 32

@@ -180,8 +180,6 @@ proptest! {
             100,
             100,
             &mut stats,
-            &hadfl_telemetry::Telemetry::disabled(),
-            0,
         )
         .unwrap();
         let expected = (0..n).map(|i| i as f32).sum::<f32>() / n as f32;
@@ -191,10 +189,10 @@ proptest! {
     }
 }
 
-/// Builds one of the fourteen wire variants from a drawn value pool, so
+/// Builds one of the thirteen wire variants from a drawn value pool, so
 /// the round-trip properties below cover the whole protocol surface.
 fn arb_message(variant: usize, a: u32, b: u32, v: f64, params: Vec<f32>, ids: Vec<u32>) -> Message {
-    match variant % 14 {
+    match variant % 13 {
         0 => Message::ParamSync { round: a, params },
         1 => Message::VersionReport {
             device: a,
@@ -204,31 +202,26 @@ fn arb_message(variant: usize, a: u32, b: u32, v: f64, params: Vec<f32>, ids: Ve
         2 => Message::Handshake { from: a },
         3 => Message::HandshakeAck { from: a },
         4 => Message::BypassWarning { dead: a },
-        5 => Message::TrainingConfig {
-            lr: v as f32,
-            local_steps: a,
-            window_ms: b,
-        },
-        6 => Message::ParamAccum {
+        5 => Message::ParamAccum {
             round: b,
             hops: a,
             params,
         },
-        7 => Message::MergedParams {
+        6 => Message::MergedParams {
             round: b,
             ttl: a,
             params,
         },
-        8 => Message::RoundPlan {
+        7 => Message::RoundPlan {
             round: a,
             ring: ids.clone(),
             broadcaster: b,
             unselected: ids,
         },
-        9 => Message::ReportRequest { round: a },
-        10 => Message::Shutdown,
-        11 => Message::Heartbeat { from: a },
-        12 => Message::Hello { from: a },
+        8 => Message::ReportRequest { round: a },
+        9 => Message::Shutdown,
+        10 => Message::Heartbeat { from: a },
+        11 => Message::Hello { from: a },
         _ => Message::FinalParams { device: a, params },
     }
 }
@@ -238,7 +231,7 @@ proptest! {
 
     #[test]
     fn wire_roundtrip_is_lossless(
-        variant in 0usize..14,
+        variant in 0usize..13,
         a in 0u32..100_000,
         b in 0u32..100_000,
         v in -1.0e6f64..1.0e6,
@@ -253,7 +246,7 @@ proptest! {
 
     #[test]
     fn wire_rejects_every_truncation(
-        variant in 0usize..14,
+        variant in 0usize..13,
         a in 0u32..100_000,
         b in 0u32..100_000,
         v in -1.0e6f64..1.0e6,
@@ -268,7 +261,7 @@ proptest! {
 
     #[test]
     fn wire_rejects_trailing_garbage(
-        variant in 0usize..14,
+        variant in 0usize..13,
         a in 0u32..100_000,
         b in 0u32..100_000,
         v in -1.0e6f64..1.0e6,

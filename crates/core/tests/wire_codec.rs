@@ -99,11 +99,6 @@ fn every_variant(a: u32, b: u32, params: &[f32], ids: &[u32], bytes: &[u8]) -> V
         Message::Handshake { from: a },
         Message::HandshakeAck { from: b },
         Message::BypassWarning { dead: a },
-        Message::TrainingConfig {
-            lr: 0.05,
-            local_steps: a,
-            window_ms: b,
-        },
         Message::ParamAccum {
             round: a,
             hops: b,
@@ -341,6 +336,22 @@ proptest! {
             assert_param_bits_eq(&ring, &want_ring);
         }
     }
+}
+
+/// Tag 6 is reserved (`wire.rs`): a frame under it is an unknown tag,
+/// whole and streamed alike.
+#[test]
+fn reserved_tag_6_is_rejected_as_unknown() {
+    let stamp = CausalStamp {
+        origin: 1,
+        lamport: 2,
+    };
+    let mut sealed = seal(stamp, &Message::Handshake { from: 0 }).to_vec();
+    sealed[STAMP_LEN] = 6;
+    let err = Message::decode(&sealed[STAMP_LEN..]).unwrap_err();
+    assert!(err.to_string().contains("unknown message tag 6"), "{err}");
+    assert!(open(&sealed).is_err());
+    assert!(streamed(&sealed, sealed.len()).is_err());
 }
 
 /// The ring-reduce helpers must also equal the pre-parallel inline

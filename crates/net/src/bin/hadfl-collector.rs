@@ -100,7 +100,6 @@ fn run(args: &Args) -> Result<(), String> {
         health: HealthOptions {
             round_deadline: args.round_deadline,
             budget_bytes: args.budget_bytes,
-            ..HealthOptions::default()
         },
         spool: args.spool.as_ref().map(std::path::PathBuf::from),
         ..CollectorOptions::default()

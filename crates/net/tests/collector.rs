@@ -289,7 +289,6 @@ fn scripted_alerts() -> Vec<String> {
         health: HealthOptions {
             round_deadline: Duration::from_secs(10),
             budget_bytes: Some(1_000),
-            ..HealthOptions::default()
         },
         ..CollectorOptions::default()
     };

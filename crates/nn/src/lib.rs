@@ -52,7 +52,6 @@ mod batchnorm;
 mod conv2d;
 mod data;
 mod dense;
-mod dropout;
 mod error;
 mod layer;
 mod loader;
@@ -69,7 +68,6 @@ pub use batchnorm::BatchNorm2d;
 pub use conv2d::Conv2d;
 pub use data::{Dataset, ShardSpec, SyntheticSpec};
 pub use dense::Dense;
-pub use dropout::Dropout;
 pub use error::NnError;
 pub use layer::{Flatten, Layer};
 pub use loader::Loader;

@@ -233,75 +233,8 @@ pub fn vgg16_lite(sample_dims: &[usize], classes: usize, seed: u64) -> Result<Mo
     Model::new(net, classes, "vgg16_lite")
 }
 
-/// [`vgg16_lite`] with VGG's classifier dropout (p = 0.5 before each
-/// dense layer) — closer to the original architecture; the paper-shape
-/// experiments use the deterministic [`vgg16_lite`] so their traces stay
-/// bit-reproducible across repeats with different data seeds only.
-///
-/// # Errors
-///
-/// Same conditions as [`vgg16_lite`].
-pub fn vgg16_lite_dropout(
-    sample_dims: &[usize],
-    classes: usize,
-    seed: u64,
-) -> Result<Model, NnError> {
-    let (c, h, w) = expect_chw(sample_dims)?;
-    if h % 8 != 0 || w % 8 != 0 {
-        return Err(NnError::InvalidConfig(format!(
-            "vgg16_lite_dropout needs height/width divisible by 8, got {h}x{w}"
-        )));
-    }
-    const WIDTH: usize = 8;
-    let mut rng = SeedStream::new(seed ^ 0x0DE1_0004);
-    let mut net = Sequential::new();
-    net.push(Conv2d::new(c, WIDTH, h, w, 3, 1, 1, &mut rng)?);
-    net.push(Relu::new());
-    net.push(Conv2d::new(WIDTH, WIDTH, h, w, 3, 1, 1, &mut rng)?);
-    net.push(Relu::new());
-    net.push(MaxPool2d::new(2, 2)?);
-    let (h2, w2) = (h / 2, w / 2);
-    net.push(Conv2d::new(WIDTH, 2 * WIDTH, h2, w2, 3, 1, 1, &mut rng)?);
-    net.push(Relu::new());
-    net.push(Conv2d::new(
-        2 * WIDTH,
-        2 * WIDTH,
-        h2,
-        w2,
-        3,
-        1,
-        1,
-        &mut rng,
-    )?);
-    net.push(Relu::new());
-    net.push(MaxPool2d::new(2, 2)?);
-    let (h3, w3) = (h2 / 2, w2 / 2);
-    net.push(Conv2d::new(
-        2 * WIDTH,
-        4 * WIDTH,
-        h3,
-        w3,
-        3,
-        1,
-        1,
-        &mut rng,
-    )?);
-    net.push(Relu::new());
-    net.push(MaxPool2d::new(2, 2)?);
-    let (h4, w4) = (h3 / 2, w3 / 2);
-    let feat = 4 * WIDTH * h4 * w4;
-    net.push(Flatten::new());
-    net.push(crate::dropout::Dropout::new(0.5, seed ^ 0xD0_0001)?);
-    net.push(Dense::new(feat, 2 * feat.min(64), &mut rng));
-    net.push(Relu::new());
-    net.push(crate::dropout::Dropout::new(0.5, seed ^ 0xD0_0002)?);
-    net.push(Dense::new(2 * feat.min(64), classes, &mut rng));
-    Model::new(net, classes, "vgg16_lite_dropout")
-}
-
-/// Builds a zoo model by name: `"mlp"`, `"resnet18_lite"`,
-/// `"vgg16_lite"`, or `"vgg16_lite_dropout"` (the experiment harness's
-/// `--model` flag).
+/// Builds a zoo model by name: `"mlp"`, `"resnet18_lite"` or
+/// `"vgg16_lite"` (the experiment harness's `--model` flag).
 ///
 /// # Errors
 ///
@@ -317,7 +250,6 @@ pub fn by_name(
         "mlp" => mlp(sample_dims, &[64, 32], classes, seed),
         "resnet18_lite" => resnet18_lite(sample_dims, classes, seed),
         "vgg16_lite" => vgg16_lite(sample_dims, classes, seed),
-        "vgg16_lite_dropout" => vgg16_lite_dropout(sample_dims, classes, seed),
         other => Err(NnError::InvalidConfig(format!("unknown model '{other}'"))),
     }
 }
@@ -404,38 +336,18 @@ mod tests {
         assert!(vgg16_lite(&[3, 12, 12], 10, 0).is_err()); // not /8
         assert!(mlp(&[0], &[4], 10, 0).is_err());
         assert!(mlp(&[4], &[0], 10, 0).is_err());
-        assert!(by_name("alexnet", &[3, 8, 8], 10, 0).is_err());
-    }
-
-    #[test]
-    fn zoo_names_resolve() {
-        for name in ["mlp", "resnet18_lite", "vgg16_lite", "vgg16_lite_dropout"] {
-            let m = by_name(name, &[3, 8, 8], 10, 0).unwrap();
-            assert_eq!(m.arch(), name);
+        for unknown in ["alexnet", "vgg16_lite_dropout"] {
+            let err = by_name(unknown, &[3, 8, 8], 10, 0).unwrap_err();
+            assert!(err.to_string().contains("unknown model"), "{err}");
         }
     }
 
     #[test]
-    fn vgg_dropout_trains_and_has_dropout_layers() {
-        let spec = SyntheticSpec::tiny();
-        let mut m = vgg16_lite_dropout(&spec.sample_dims(), spec.classes, 1).unwrap();
-        assert_eq!(
-            m.net()
-                .layer_names()
-                .iter()
-                .filter(|&&n| n == "Dropout")
-                .count(),
-            2
-        );
-        // Same parameter count as the plain variant (dropout is
-        // parameter-free) so the FL schemes can exchange either.
-        let plain = vgg16_lite(&spec.sample_dims(), spec.classes, 1).unwrap();
-        assert_eq!(m.num_params(), plain.num_params());
-        let ds = Dataset::synthetic_cifar(32, &spec, 2).unwrap();
-        let (x, y) = ds.batch(&(0..16).collect::<Vec<_>>()).unwrap();
-        let mut opt = Sgd::new(LrSchedule::constant(0.01), 0.9);
-        let loss = m.train_step(&x, &y, &mut opt).unwrap();
-        assert!(loss.is_finite());
+    fn zoo_names_resolve() {
+        for name in ["mlp", "resnet18_lite", "vgg16_lite"] {
+            let m = by_name(name, &[3, 8, 8], 10, 0).unwrap();
+            assert_eq!(m.arch(), name);
+        }
     }
 
     #[test]

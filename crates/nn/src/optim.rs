@@ -6,16 +6,16 @@ use crate::layer::Layer;
 /// Learning-rate schedule.
 ///
 /// The paper trains the *mutual-negotiation* warm-up phase with a small
-/// learning rate and the main phase at `0.01`; [`LrSchedule::warmup`]
-/// models exactly that.
+/// learning rate and the main phase at `0.01`: two constant schedules,
+/// the second installed with [`Sgd::set_schedule`] when warm-up ends.
 ///
 /// # Example
 ///
 /// ```
 /// use hadfl_nn::LrSchedule;
 ///
-/// let s = LrSchedule::warmup(0.001, 100, 0.01);
-/// assert_eq!(s.lr_at(0), 0.001);
+/// let s = LrSchedule::constant(0.01);
+/// assert_eq!(s.lr_at(0), 0.01);
 /// assert_eq!(s.lr_at(100), 0.01);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -25,15 +25,6 @@ pub enum LrSchedule {
         /// The learning rate.
         lr: f32,
     },
-    /// `warmup_lr` for the first `warmup_steps` steps, then `base_lr`.
-    Warmup {
-        /// Learning rate during warm-up.
-        warmup_lr: f32,
-        /// Number of warm-up steps.
-        warmup_steps: u64,
-        /// Learning rate after warm-up.
-        base_lr: f32,
-    },
 }
 
 impl LrSchedule {
@@ -42,31 +33,10 @@ impl LrSchedule {
         LrSchedule::Constant { lr }
     }
 
-    /// A warm-up schedule: `warmup_lr` for `warmup_steps` steps, then
-    /// `base_lr` (the paper's mutual-negotiation pattern).
-    pub fn warmup(warmup_lr: f32, warmup_steps: u64, base_lr: f32) -> Self {
-        LrSchedule::Warmup {
-            warmup_lr,
-            warmup_steps,
-            base_lr,
-        }
-    }
-
     /// The learning rate at step `step` (0-based).
-    pub fn lr_at(&self, step: u64) -> f32 {
+    pub fn lr_at(&self, _step: u64) -> f32 {
         match *self {
             LrSchedule::Constant { lr } => lr,
-            LrSchedule::Warmup {
-                warmup_lr,
-                warmup_steps,
-                base_lr,
-            } => {
-                if step < warmup_steps {
-                    warmup_lr
-                } else {
-                    base_lr
-                }
-            }
         }
     }
 }
@@ -308,21 +278,14 @@ mod tests {
     }
 
     #[test]
-    fn warmup_schedule_switches_at_boundary() {
-        let s = LrSchedule::warmup(0.001, 5, 0.01);
-        assert_eq!(s.lr_at(4), 0.001);
-        assert_eq!(s.lr_at(5), 0.01);
-        assert_eq!(s.lr_at(500), 0.01);
-    }
-
-    #[test]
-    fn optimizer_uses_schedule_step() {
+    fn replaced_schedule_applies_from_the_next_step() {
         let mut d = unit_dense();
-        let mut opt = Sgd::new(LrSchedule::warmup(0.0, 1, 1.0), 0.0);
+        let mut opt = Sgd::new(LrSchedule::constant(0.0), 0.0);
         run_step(&mut d, &mut opt); // lr 0: no movement
         let mut w0 = 0.0;
         d.visit_params(&mut |p| w0 += p.as_slice()[0]);
         assert_eq!(w0, 2.0);
+        opt.set_schedule(LrSchedule::constant(1.0));
         run_step(&mut d, &mut opt); // lr 1: moves
         let mut w1 = 0.0;
         d.visit_params(&mut |p| w1 += p.as_slice()[0]);

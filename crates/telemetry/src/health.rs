@@ -80,24 +80,12 @@ pub struct HealthReport {
     pub alerts: Vec<Alert>,
 }
 
-/// Tuning knobs for [`HealthEngine`].
+/// What a deployment tells [`HealthEngine`] about itself. The rule
+/// thresholds are constants inside the rules that read them.
 #[derive(Debug, Clone)]
 pub struct HealthOptions {
     /// Watchdog deadline: `RoundPlanned` → first ring progress.
     pub round_deadline: Duration,
-    /// Straggler trigger on the EWMA of relative Eq. 7 residuals
-    /// (`(predicted - actual) / max(predicted, 1)`).
-    pub residual_threshold: f64,
-    /// Residual observations required before the EWMA may trigger.
-    pub residual_min_obs: u32,
-    /// Straggler trigger when a device's version stays below
-    /// `lag_factor × fleet median` for [`Self::lag_rounds`] plans.
-    pub lag_factor: f64,
-    /// Consecutive lagging plans before the lag component fires.
-    pub lag_rounds: u32,
-    /// Bypass declarations against one device before it is presumed
-    /// dead (1 bypass = routine §III-D repair).
-    pub bypass_repeat_threshold: u32,
     /// The `2·K·M` byte bound; `None` disables budget-burn.
     pub budget_bytes: Option<u64>,
 }
@@ -106,11 +94,6 @@ impl Default for HealthOptions {
     fn default() -> Self {
         HealthOptions {
             round_deadline: Duration::from_secs(30),
-            residual_threshold: 0.35,
-            residual_min_obs: 2,
-            lag_factor: 0.5,
-            lag_rounds: 2,
-            bypass_repeat_threshold: 2,
             budget_bytes: None,
         }
     }
@@ -222,9 +205,12 @@ impl HealthEngine {
                 );
             }
             EventKind::BypassDeclared { round, dead } => {
+                /// Bypass declarations against one device before it is
+                /// presumed dead (1 bypass = routine §III-D repair).
+                const BYPASS_REPEAT_THRESHOLD: u32 = 2;
                 let state = self.devices.entry(*dead).or_default();
                 state.bypass_count += 1;
-                if state.bypass_count >= self.opts.bypass_repeat_threshold {
+                if state.bypass_count >= BYPASS_REPEAT_THRESHOLD {
                     let count = state.bypass_count;
                     self.raise_dead_device(
                         *dead,
@@ -374,6 +360,11 @@ impl HealthEngine {
         actual: f64,
         now_us: u64,
     ) {
+        /// Straggler trigger on the EWMA of relative Eq. 7 residuals
+        /// (`(predicted - actual) / max(predicted, 1)`).
+        const RESIDUAL_THRESHOLD: f64 = 0.35;
+        /// Residual observations required before the EWMA may trigger.
+        const RESIDUAL_MIN_OBS: u32 = 2;
         if !predicted.is_finite() || !actual.is_finite() {
             return;
         }
@@ -385,9 +376,7 @@ impl HealthEngine {
             0.5 * state.residual_ewma + 0.5 * rel
         };
         state.residual_obs += 1;
-        if state.residual_obs >= self.opts.residual_min_obs
-            && state.residual_ewma > self.opts.residual_threshold
-        {
+        if state.residual_obs >= RESIDUAL_MIN_OBS && state.residual_ewma > RESIDUAL_THRESHOLD {
             let ewma = state.residual_ewma;
             self.raise_straggler(
                 device,
@@ -404,6 +393,11 @@ impl HealthEngine {
     /// fleet's median version is starved of compute even after the
     /// smoother has adapted to it.
     fn score_version_lag(&mut self, round: u32, available: &[u32], versions: &[f64], now_us: u64) {
+        /// Straggler trigger when a device's version stays below
+        /// `LAG_FACTOR × fleet median` for [`LAG_ROUNDS`] plans.
+        const LAG_FACTOR: f64 = 0.5;
+        /// Consecutive lagging plans before the lag component fires.
+        const LAG_ROUNDS: u32 = 2;
         if available.len() != versions.len() || available.len() < 3 {
             return;
         }
@@ -416,14 +410,13 @@ impl HealthEngine {
         if median <= 0.0 {
             return;
         }
-        let line = self.opts.lag_factor * median;
-        let lag_rounds = self.opts.lag_rounds;
+        let line = LAG_FACTOR * median;
         let mut raise = Vec::new();
         for (&device, &version) in available.iter().zip(versions.iter()) {
             let state = self.devices.entry(device).or_default();
             if version < line {
                 state.lagging_plans += 1;
-                if state.lagging_plans >= lag_rounds && !state.straggler_raised {
+                if state.lagging_plans >= LAG_ROUNDS && !state.straggler_raised {
                     state.straggler_raised = true;
                     let plans = state.lagging_plans;
                     raise.push(Alert {

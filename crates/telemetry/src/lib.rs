@@ -1,9 +1,11 @@
 //! # hadfl-telemetry — observability for the HADFL runtime
 //!
 //! A cross-cutting event layer threaded through the protocol actors
-//! (`hadfl::exec`), the socket transport (`hadfl-net`), and the
-//! simulation driver: every participant holds a cheap [`Telemetry`]
-//! handle and emits typed [`Event`]s at protocol milestones. The
+//! (`hadfl::exec`) and the ports under them (`hadfl::transport`,
+//! `hadfl-net`): every participant that moves frames holds a cheap
+//! [`Telemetry`] handle and emits typed [`Event`]s at protocol
+//! milestones; the closed-form simulation driver moves none and emits
+//! none. The
 //! handle is **zero-cost when disabled** — [`Telemetry::disabled`] is
 //! a `None` and `emit` returns immediately — so the hot training and
 //! ring loops pay nothing in production-default builds (measured by
