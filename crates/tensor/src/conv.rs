@@ -10,6 +10,8 @@
 //! transposes, the bias add and the patch scatter are the prologue and
 //! epilogue of the product they belong to, not passes of their own.
 
+use std::ops::Range;
+
 use hadfl_par::OpClass;
 use serde::{Deserialize, Serialize};
 
@@ -110,6 +112,66 @@ impl Conv2dGeometry {
 /// of the kernel, never derived from the thread count.
 const ROW_CHUNK: usize = 32;
 
+/// Copies `h × w` planes into the interior of zero-bordered ones, `b`
+/// cells of border on every side. Only the interior is written, so a
+/// `bordered` that starts as zeros keeps its border zero however many
+/// images pass through it.
+fn embed_in_border(planes: &[f32], (h, w): (usize, usize), b: usize, bordered: &mut [f32]) {
+    let pw = w + 2 * b;
+    let plane = (h + 2 * b) * pw;
+    for (c, src) in planes.chunks(h * w).enumerate() {
+        let interior = &mut bordered[c * plane + b * pw + b..];
+        for (y, srow) in src.chunks(w).enumerate() {
+            // Rows are a few floats: a loop, not a `memcpy` call.
+            for (d, &v) in interior[y * pw..y * pw + w].iter_mut().zip(srow) {
+                *d = v;
+            }
+        }
+    }
+}
+
+/// Fills one patch row from a zero-bordered image (`plane` floats per
+/// channel, rows `pw` apart): kernel row `ky` of channel `c` is the `k`
+/// floats at `base + c·plane + ky·pw`, never clipped, and lands at
+/// column `(c·k + ky)·k`.
+///
+/// For `k == 3` the runs are written as overlapping 4-float moves in
+/// ascending column order: the fourth float of each lands where the
+/// next run starts and is overwritten by it, and the row's last run is
+/// an exact 3. A fixed-size move is one load and one store; a
+/// variable-length one is a `memcpy` call.
+#[inline(always)]
+fn fill_patch_row(
+    drow: &mut [f32],
+    bordered: &[f32],
+    base: usize,
+    plane: usize,
+    pw: usize,
+    k: usize,
+) {
+    if k == 3 {
+        let channel = |d: &mut [f32], s: &[f32], tail: usize| {
+            d[0..4].copy_from_slice(&s[..4]);
+            d[3..7].copy_from_slice(&s[pw..pw + 4]);
+            d[6..6 + tail].copy_from_slice(&s[2 * pw..2 * pw + tail]);
+        };
+        let last = drow.len() / 9 - 1;
+        for c in 0..last {
+            let s = &bordered[c * plane + base..][..2 * pw + 4];
+            channel(&mut drow[c * 9..c * 9 + 10], s, 4);
+        }
+        let s = &bordered[last * plane + base..][..2 * pw + 3];
+        channel(&mut drow[last * 9..last * 9 + 9], s, 3);
+    } else {
+        for (c, dplane) in drow.chunks_exact_mut(k * k).enumerate() {
+            for (ky, d) in dplane.chunks_exact_mut(k).enumerate() {
+                let off = base + c * plane + ky * pw;
+                d.copy_from_slice(&bordered[off..off + k]);
+            }
+        }
+    }
+}
+
 /// Calls `run(col, offset, len)` for every kernel row of the patch at
 /// `(oy, ox)` that overlaps the image: `len` consecutive patch columns
 /// starting at `col` correspond to `len` consecutive pixels starting at
@@ -119,8 +181,7 @@ const ROW_CHUNK: usize = 32;
 /// contiguous run; runs come in ascending `col` order.
 ///
 /// `k` is `geom.kernel`, passed separately so a caller can hand in a
-/// literal: an unclipped run then has a compile-time length and its
-/// copy is a fixed-size move instead of a `memcpy` call.
+/// literal: an unclipped run then has a compile-time length.
 #[inline(always)]
 fn for_each_patch_run(
     geom: &Conv2dGeometry,
@@ -172,13 +233,10 @@ pub fn im2col(input: &Tensor, geom: &Conv2dGeometry) -> Result<Tensor, TensorErr
 
 /// [`im2col`] into a buffer the caller keeps between calls.
 ///
-/// Only cells that correspond to a pixel are written; padding cells are
-/// left alone. Which cells are padding depends on `geom` and the row
-/// count alone, so a buffer that starts as zeros and is only ever
-/// filled for one geometry keeps its padding cells zero for free. A
-/// `cols` of any other shape (a new buffer, or a changed batch size) is
-/// replaced by fresh zeros first; reusing one buffer across *different*
-/// geometries of equal shape is the caller's error.
+/// Every cell of `cols` is written on every call, the zeros of the
+/// padding included, so what the buffer held before does not matter: a
+/// `cols` of the right shape is reused as it is, one of any other shape
+/// (a new buffer, or a changed batch size) is replaced first.
 ///
 /// # Errors
 ///
@@ -209,26 +267,39 @@ pub fn im2col_into(
     }
     let _prof = hadfl_prof::scope_bytes("im2col", 4 * (input.len() + rows * width) as u64);
     let src = input.as_slice();
-    let img_stride = geom.in_channels * geom.in_h * geom.in_w;
-    let ow = geom.out_w;
+    let (ih, iw, k, s, p) = (geom.in_h, geom.in_w, geom.kernel, geom.stride, geom.padding);
+    let (oh, ow) = (geom.out_h, geom.out_w);
+    let img_stride = geom.in_channels * ih * iw;
+    // The image with its zero border: `C` planes of `ph × pw`.
+    let (ph, pw) = (ih + 2 * p, iw + 2 * p);
+    let plane = ph * pw;
 
     // Patch rows are disjoint output windows, so they split into fixed
     // row chunks (boundaries independent of the thread count) whose
     // fills commute — bit-identical at any parallelism.
     let work = (rows as u64) * (width as u64);
     hadfl_par::plan(work).chunks_mut(cols.as_mut_slice(), ROW_CHUNK * width, |chunk, dchunk| {
-        for (r, drow) in dchunk.chunks_mut(width).enumerate() {
-            let row = chunk * ROW_CHUNK + r;
-            let (img, patch) = (row / ppi, row % ppi);
-            let simg = &src[img * img_stride..(img + 1) * img_stride];
-            let copy = |col: usize, off: usize, len: usize| {
-                drow[col..col + len].copy_from_slice(&simg[off..off + len]);
-            };
-            // One routine; the literal only fixes the copy length.
-            if geom.kernel == 3 {
-                for_each_patch_run(geom, 3, patch / ow, patch % ow, copy);
-            } else {
-                for_each_patch_run(geom, geom.kernel, patch / ow, patch % ow, copy);
+        // The border is handled here, once per image: only the interior
+        // is ever written, so the border stays zero for the chunk's
+        // life and no patch below needs clipping.
+        let mut bordered = vec![0.0f32; geom.in_channels * plane];
+        let patch0 = chunk * ROW_CHUNK;
+        let (mut img, mut oy, mut ox) = (patch0 / ppi, patch0 % ppi / ow, patch0 % ow);
+        let mut entered_image = true;
+        for drow in dchunk.chunks_mut(width) {
+            if entered_image {
+                entered_image = false;
+                let simg = &src[img * img_stride..(img + 1) * img_stride];
+                embed_in_border(simg, (ih, iw), p, &mut bordered);
+            }
+            fill_patch_row(drow, &bordered, oy * s * pw + ox * s, plane, pw, k);
+            // The next patch, without a division per row.
+            ox += 1;
+            if ox == ow {
+                (ox, oy) = (0, oy + 1);
+                if oy == oh {
+                    (oy, img, entered_image) = (0, img + 1, true);
+                }
             }
         }
     });
@@ -372,15 +443,236 @@ pub fn conv_backward_weight(
     Ok(())
 }
 
-/// The input gradient: `gp · weight` scattered back onto NCHW — the
-/// adjoint of [`im2col`] applied to a product that is never stored.
+/// Accumulators in one [`gather_image`] tile: `PX` pixels × `CH` input
+/// channels is always this many floats, eight 128-bit registers.
+const GATHER_TILE: usize = 32;
+
+/// What every tile of one image's gather reads: the zero-bordered
+/// gradient planes `gb` (`plane` floats per output channel, rows `pw`
+/// apart) and the weight `wt` re-laid as `[tap][oc][c_pad]`.
+struct GatherOperands<'a> {
+    gb: &'a [f32],
+    plane: usize,
+    pw: usize,
+    wt: &'a [f32],
+    oc: usize,
+    c_pad: usize,
+    k: usize,
+}
+
+/// One tile of the gather: for `px ≤ PX` pixels of `dx` and the `CH`
+/// input channels from `c0`, the sum over the taps `dys × dxs` of
+/// `T = Σ_oc g · w`. `T` is summed from `+0.0` in ascending `oc`
+/// skipping `g == 0.0`, and the taps are added in the order given —
+/// ascending patch order, see [`conv_backward_input`].
 ///
-/// Each image computes `ROW_BLOCK` patch rows of `gp · weight` at a
-/// time into a small tile (ascending `k`, `gp == 0.0` skipped) and
-/// scatter-adds them immediately, patch by patch in ascending order.
-/// An input pixel receives at most one column of any patch, so
-/// ascending patch order fixes its additions completely: the bits are
-/// those of the full product followed by a patch-major scatter.
+/// `base[i]` is the bordered cell of pixel `i`'s tap `(dy, dx) = (0,
+/// 0)`. `px` is a plain argument so the ragged last tile takes the same
+/// code; the caller passes `PX` for a full one.
+#[inline(always)]
+fn gather_tile<const PX: usize, const CH: usize>(
+    ops: &GatherOperands<'_>,
+    c0: usize,
+    (dys, dxs): (Range<usize>, Range<usize>),
+    base: &[usize; PX],
+    px: usize,
+) -> [[f32; CH]; PX] {
+    let (k, oc) = (ops.k, ops.oc);
+    let mut acc = [[0.0f32; CH]; PX];
+    for dy in dys {
+        for dx in dxs.clone() {
+            // Walking the plane forwards walks the kernel backwards.
+            let tap = (k - 1 - dy) * k + (k - 1 - dx);
+            let mut t = [[0.0f32; CH]; PX];
+            for o in 0..oc {
+                let wrow = &ops.wt[(tap * oc + o) * ops.c_pad + c0..][..CH];
+                let gtap = &ops.gb[o * ops.plane + dy * ops.pw + dx..];
+                for (ti, &b) in t[..px].iter_mut().zip(base) {
+                    let g = gtap[b];
+                    // The skip of the product; on the border it is
+                    // also the test for "no such patch".
+                    if g == 0.0 {
+                        continue;
+                    }
+                    for (x, &w) in ti.iter_mut().zip(wrow) {
+                        *x += g * w;
+                    }
+                }
+            }
+            for (ai, ti) in acc[..px].iter_mut().zip(&t) {
+                for (x, &v) in ai.iter_mut().zip(ti) {
+                    *x += v;
+                }
+            }
+        }
+    }
+    acc
+}
+
+/// The stride-1 input gradient of one image, as a gather: every pixel
+/// of `dimg` (`C × H × W`) owns its accumulator from first tap to last
+/// and is stored once. `g` is the image's `oc × out_h × out_w` output
+/// gradient, `wt` the weight re-laid as `[tap][oc][c_pad]` with `c_pad`
+/// the channel count rounded up to `CH`.
+fn gather_image<const PX: usize, const CH: usize>(
+    g: &[f32],
+    wt: &[f32],
+    geom: &Conv2dGeometry,
+    dimg: &mut [f32],
+) {
+    let (k, p, c_in) = (geom.kernel, geom.padding, geom.in_channels);
+    let (iw, hw) = (geom.in_w, geom.in_h * geom.in_w);
+    let (oh, ow) = (geom.out_h, geom.out_w);
+    let oc = g.len() / (oh * ow);
+    let c_pad = c_in.div_ceil(CH) * CH;
+    // Pixel (y, x) takes tap (ky, kx) from patch (y + p − ky, x + p − kx).
+    // With a border of `b = k − 1 − p` zeros around each gradient plane
+    // that is bordered cell (y + dy, x + dx) for dy = k − 1 − ky: the
+    // kernel walked backwards over a plane walked forwards. (`p > k − 1`
+    // needs no border; the walk then starts `shift` cells in.)
+    let (b, shift) = ((k - 1).saturating_sub(p), p.saturating_sub(k - 1));
+    let (ph, pw) = (oh + 2 * b, ow + 2 * b);
+    let plane = ph * pw;
+    let mut gb = vec![0.0f32; oc * plane];
+    embed_in_border(g, (oh, ow), b, &mut gb);
+    let ops = GatherOperands {
+        gb: &gb,
+        plane,
+        pw,
+        wt,
+        oc,
+        c_pad,
+        k,
+    };
+    for q0 in (0..hw).step_by(PX) {
+        let px = (hw - q0).min(PX);
+        let (y0, y1) = (q0 / iw + shift, (q0 + px - 1) / iw + shift);
+        let mut base = [0usize; PX];
+        for (i, cell) in base[..px].iter_mut().enumerate() {
+            *cell = ((q0 + i) / iw + shift) * pw + (q0 + i) % iw + shift;
+        }
+        // The taps some pixel of the tile has a patch for: bordered row
+        // `y + dy` is a real one iff `b ≤ y + dy < b + oh`, columns
+        // alike. A tile of one pixel multiplies nothing it need not; a
+        // wider one leaves the rest to the border's zeros.
+        let (x0, x1) = if y0 == y1 {
+            (q0 % iw + shift, (q0 + px - 1) % iw + shift)
+        } else {
+            (shift, iw - 1 + shift)
+        };
+        let dys = b.saturating_sub(y1)..k.min(b + oh - y0);
+        let dxs = b.saturating_sub(x1)..k.min(b + ow - x0);
+        for c0 in (0..c_in).step_by(CH) {
+            let taps = (dys.clone(), dxs.clone());
+            let acc = if px == PX {
+                gather_tile::<PX, CH>(&ops, c0, taps, &base, PX)
+            } else {
+                gather_tile::<PX, CH>(&ops, c0, taps, &base, px)
+            };
+            for (dplane, j) in dimg[c0 * hw..].chunks_mut(hw).zip(0..CH) {
+                for (d, ai) in dplane[q0..q0 + px].iter_mut().zip(&acc) {
+                    *d = ai[j];
+                }
+            }
+        }
+    }
+}
+
+/// The stride-1 input gradient as a gather, one image per chunk of
+/// `plan`; see [`conv_backward_input`] for the order it keeps.
+///
+/// The weight is re-laid once per call as `[tap][oc][c]` so the vector
+/// axis is the input channel, and the tile is [`GATHER_TILE`]
+/// accumulators, as wide in channels as the channel count divides — a
+/// function of the problem shape only, like `ROW_BLOCK`.
+fn gather_input(
+    plan: hadfl_par::Plan,
+    (gv, wv): (&[f32], &[f32]),
+    geom: &Conv2dGeometry,
+    dx: &mut [f32],
+) {
+    type Gather = fn(&[f32], &[f32], &Conv2dGeometry, &mut [f32]);
+    let (c_in, taps) = (geom.in_channels, geom.kernel * geom.kernel);
+    let (ch, gather): (usize, Gather) = match c_in {
+        c if c % 32 == 0 => (32, gather_image::<{ GATHER_TILE / 32 }, 32>),
+        c if c % 16 == 0 => (16, gather_image::<{ GATHER_TILE / 16 }, 16>),
+        c if c > 4 => (8, gather_image::<{ GATHER_TILE / 8 }, 8>),
+        _ => (4, gather_image::<{ GATHER_TILE / 4 }, 4>),
+    };
+    let (oc, c_pad) = (wv.len() / (c_in * taps), c_in.div_ceil(ch) * ch);
+    let mut wt = vec![0.0f32; taps * oc * c_pad];
+    for (o, wrow) in wv.chunks(c_in * taps).enumerate() {
+        for (c, wtaps) in wrow.chunks(taps).enumerate() {
+            for (tap, &w) in wtaps.iter().enumerate() {
+                wt[(tap * oc + o) * c_pad + c] = w;
+            }
+        }
+    }
+    let g_stride = oc * geom.patches_per_image();
+    let dx_stride = c_in * geom.in_h * geom.in_w;
+    plan.chunks_mut(dx, dx_stride, |img, dimg| {
+        gather(&gv[img * g_stride..(img + 1) * g_stride], &wt, geom, dimg);
+    });
+}
+
+/// The input gradient at any stride as product-then-scatter, one image
+/// per chunk of `plan`: `ROW_BLOCK` patch rows of `gp · weight` at a
+/// time into a small tile (ascending `oc`, `g == 0.0` skipped),
+/// scatter-added immediately, patch by patch in ascending order.
+fn scatter_input(
+    plan: hadfl_par::Plan,
+    (gv, wv): (&[f32], &[f32]),
+    geom: &Conv2dGeometry,
+    dx: &mut [f32],
+) {
+    let (ppi, width, ow) = (geom.patches_per_image(), geom.patch_len(), geom.out_w);
+    let oc = wv.len() / width;
+    let dx_stride = geom.in_channels * geom.in_h * geom.in_w;
+    plan.chunks_mut(dx, dx_stride, |img, dimg| {
+        let mut tile = vec![0.0f32; ROW_BLOCK * width];
+        for p0 in (0..ppi).step_by(ROW_BLOCK) {
+            let rows = (ppi - p0).min(ROW_BLOCK);
+            let lhs = Strided::new(&gv[img * oc * ppi..], 1, ppi, oc).skip_rows(p0);
+            block_product(lhs, wv, width, rows, |r, jt, vals| {
+                tile[r * width + jt..r * width + jt + vals.len()].copy_from_slice(vals);
+            });
+            for (r, trow) in tile.chunks(width).take(rows).enumerate() {
+                let patch = p0 + r;
+                let add = |col: usize, off: usize, len: usize| {
+                    for (d, &v) in dimg[off..off + len].iter_mut().zip(&trow[col..col + len]) {
+                        *d += v;
+                    }
+                };
+                if geom.kernel == 3 {
+                    for_each_patch_run(geom, 3, patch / ow, patch % ow, add);
+                } else {
+                    for_each_patch_run(geom, geom.kernel, patch / ow, patch % ow, add);
+                }
+            }
+        }
+    });
+}
+
+/// The input gradient `dx = im2col*(gp · weight)` — the adjoint of
+/// [`im2col`] applied to a product that is never stored.
+///
+/// The bits are those of the full product (`T[p, j] = Σ_oc g[oc, p] ·
+/// w[oc, j]` from `+0.0` in ascending `oc`, `g == 0.0` skipped)
+/// followed by a patch-major scatter: an input pixel receives at most
+/// one column of any patch, so `dx[c, y, x] = (+0.0) + T[p₁, j₁] +
+/// T[p₂, j₂] + …` over its patches in ascending order.
+///
+/// At stride 1 that sum is computed as a gather, pixel by pixel: patch
+/// `(y + pad − ky, x + pad − kx)` ascends as `(ky, kx)` descends, so
+/// walking the kernel backwards is ascending patch order, and the
+/// accumulator stays in registers from the first tap to the last —
+/// nothing is scattered and nothing is read back. A tap without a patch
+/// contributes nothing; where the tile is wider than one pixel it may
+/// instead contribute `+0.0`, which is the same: the accumulator starts
+/// at `+0.0` and a sum that cancels to zero rounds to `+0.0`, so it is
+/// never `−0.0`, and `x + (+0.0)` has the bits of every other `x`.
+/// At any other stride the product is computed a few patch rows at a
+/// time and scatter-added in that order.
 ///
 /// # Errors
 ///
@@ -399,42 +691,18 @@ pub fn conv_backward_input(
         4 * (grad_out.len() + weight.len()) as u64,
     );
     let mut out = Tensor::zeros(&[batch, geom.in_channels, geom.in_h, geom.in_w]);
-    let (gv, wv) = (grad_out.as_slice(), weight.as_slice());
-    let img_stride = geom.in_channels * geom.in_h * geom.in_w;
-    let ow = geom.out_w;
-
     // Overlapping patches accumulate *within* an image but never
     // across images, so the image is the natural disjoint chunk; the
     // per-image accumulation order (patch-major, ascending) is the
     // scalar reference order regardless of thread count.
     let work = (batch * ppi) as u64 * (width as u64) * (oc as u64);
-    hadfl_par::plan_for(OpClass::Matmul, work).chunks_mut(
-        out.as_mut_slice(),
-        img_stride,
-        |img, dimg| {
-            let mut tile = vec![0.0f32; ROW_BLOCK * width];
-            for p0 in (0..ppi).step_by(ROW_BLOCK) {
-                let rows = (ppi - p0).min(ROW_BLOCK);
-                let lhs = Strided::new(&gv[img * oc * ppi..], 1, ppi, oc).skip_rows(p0);
-                block_product(lhs, wv, width, rows, |r, jt, vals| {
-                    tile[r * width + jt..r * width + jt + vals.len()].copy_from_slice(vals);
-                });
-                for (r, trow) in tile.chunks(width).take(rows).enumerate() {
-                    let patch = p0 + r;
-                    let add = |col: usize, off: usize, len: usize| {
-                        for (d, &v) in dimg[off..off + len].iter_mut().zip(&trow[col..col + len]) {
-                            *d += v;
-                        }
-                    };
-                    if geom.kernel == 3 {
-                        for_each_patch_run(geom, 3, patch / ow, patch % ow, add);
-                    } else {
-                        for_each_patch_run(geom, geom.kernel, patch / ow, patch % ow, add);
-                    }
-                }
-            }
-        },
-    );
+    let plan = hadfl_par::plan_for(OpClass::Matmul, work);
+    let operands = (grad_out.as_slice(), weight.as_slice());
+    if geom.stride == 1 {
+        gather_input(plan, operands, geom, out.as_mut_slice());
+    } else {
+        scatter_input(plan, operands, geom, out.as_mut_slice());
+    }
     Ok(out)
 }
 
@@ -503,7 +771,7 @@ mod tests {
     }
 
     #[test]
-    fn im2col_into_reuses_a_buffer_and_rezeroes_on_batch_change() {
+    fn im2col_into_reuses_a_buffer_and_replaces_it_on_batch_change() {
         let g = Conv2dGeometry::new(2, 5, 4, 3, 2, 1).unwrap();
         let mut rng = crate::init::SeedStream::new(9);
         let mut cols = Tensor::default();
@@ -512,6 +780,24 @@ mod tests {
             im2col_into(&x, &g, &mut cols).unwrap();
             assert_eq!(cols, im2col(&x, &g).unwrap(), "batch {batch}");
         }
+    }
+
+    #[test]
+    fn im2col_into_one_buffer_across_geometries_of_equal_shape() {
+        // Both geometries give a 16 × 9 patch matrix; in `same` 31 % of
+        // the cells are padding, in `valid` every cell is a pixel. None
+        // of `valid`'s pixels may survive in `same`'s padding cells.
+        let same = Conv2dGeometry::new(1, 4, 4, 3, 1, 1).unwrap();
+        let valid = Conv2dGeometry::new(1, 6, 6, 3, 1, 0).unwrap();
+        let mut rng = crate::init::SeedStream::new(23);
+        let mut cols = Tensor::default();
+        im2col_into(&random(&[1, 1, 6, 6], &mut rng), &valid, &mut cols).unwrap();
+        assert_eq!(cols.dims(), &[16, 9]);
+        let x = random(&[1, 1, 4, 4], &mut rng);
+        im2col_into(&x, &same, &mut cols).unwrap();
+        let fresh = im2col(&x, &same).unwrap();
+        assert_eq!(fresh.as_slice().iter().filter(|&&v| v == 0.0).count(), 44);
+        assert_eq!(cols, fresh);
     }
 
     #[test]

@@ -91,14 +91,16 @@ proptest! {
     #[test]
     fn conv_kernels_bit_identical_across_threads(
         batch in 1usize..4, oc in 1usize..12, k in 1usize..4, s in 1usize..3, p in 0usize..2,
-        seed in 0u64..1 << 16,
+        ci in 0usize..4, seed in 0u64..1 << 16,
     ) {
-        let geom = match Conv2dGeometry::new(2, 6, 5, k, s, p) {
+        // One channel count per tile shape of the stride-1 input gradient.
+        let cin = [2, 8, 16, 32][ci];
+        let geom = match Conv2dGeometry::new(cin, 6, 5, k, s, p) {
             Ok(g) => g,
             Err(_) => return Ok(()),
         };
         let mut rng = hadfl_tensor::SeedStream::new(seed);
-        let x = random(&[batch, 2, 6, 5], &mut rng);
+        let x = random(&[batch, cin, 6, 5], &mut rng);
         let w = random(&[oc, geom.patch_len()], &mut rng);
         let bias = random(&[oc], &mut rng);
         let gy = random(&[batch, oc, geom.out_h, geom.out_w], &mut rng);

@@ -217,23 +217,152 @@ proptest! {
         prop_assert!(same_floats(dx.as_slice(), &conv_backward_input_ref(&gy, &w, &geom)));
     }
 
-    /// A buffer last filled from a different input (same geometry) ends
-    /// up exactly as a fresh `im2col`: stale pixels are overwritten and
-    /// padding cells were never anything but zero.
+    /// Whatever a buffer of the right shape held before — here NaN in
+    /// every cell — `im2col_into` leaves exactly a fresh `im2col`: pixel
+    /// cells and padding cells are all written on every call.
     #[test]
     fn im2col_into_a_dirty_buffer_equals_im2col(
-        batch in 1usize..4, ki in 0usize..3, s in 1usize..3, p in 0usize..3, seed in 0u64..1 << 16,
+        batch in 1usize..4, cin in 1usize..4, h in 1usize..10, w in 1usize..8,
+        k in 1usize..6, s in 1usize..4, p in 0usize..3, seed in 0u64..1 << 16,
     ) {
-        let geom = match Conv2dGeometry::new(2, 7, 6, [1, 3, 5][ki], s, p) {
+        let geom = match Conv2dGeometry::new(cin, h, w, k, s, p) {
             Ok(g) => g,
             Err(_) => return Ok(()),
         };
         let mut rng = SeedStream::new(seed);
-        let mut cols = Tensor::default();
-        im2col_into(&random(&[batch, 2, 7, 6], &mut rng), &geom, &mut cols).unwrap();
-        let x = random(&[batch, 2, 7, 6], &mut rng);
+        let x = random(&[batch, cin, h, w], &mut rng);
+        let dims = [batch * geom.patches_per_image(), geom.patch_len()];
+        let mut cols = Tensor::from_vec(vec![f32::NAN; dims[0] * dims[1]], &dims).unwrap();
         im2col_into(&x, &geom, &mut cols).unwrap();
+        prop_assert_eq!(cols.dims(), &dims[..]);
         prop_assert_eq!(bits(&cols), bits(&im2col(&x, &geom).unwrap()));
-        prop_assert!(same_floats(cols.as_slice(), &im2col_ref(&x, &geom)));
+        prop_assert_eq!(
+            bits(&cols),
+            im2col_ref(&x, &geom).iter().map(|v| v.to_bits()).collect::<Vec<_>>()
+        );
+    }
+
+    /// The stride-1 gather against the product-then-scatter definition,
+    /// over every tile shape (channel counts that pad, divide by 16 and
+    /// by 32), ragged pixel tiles, kernels wider than the plane and
+    /// paddings wider than the kernel.
+    #[test]
+    fn stride_one_input_gradient_equals_the_scatter_reference(
+        bi in 0usize..3, ci in 0usize..7, oi in 0usize..5, ki in 0usize..3,
+        p in 0usize..3, h in 1usize..10, w in 1usize..8, seed in 0u64..1 << 16,
+    ) {
+        let (batch, cin) = ([1, 2, 5][bi], [1, 3, 5, 8, 16, 32, 33][ci]);
+        let (oc, k) = ([1, 2, 8, 17, 32][oi], [1, 3, 5][ki]);
+        let geom = match Conv2dGeometry::new(cin, h, w, k, 1, p) {
+            Ok(g) => g,
+            Err(_) => return Ok(()),
+        };
+        let mut rng = SeedStream::new(seed);
+        let wt = random(&[oc, geom.patch_len()], &mut rng);
+        let gy = with_zeros(&[batch, oc, geom.out_h, geom.out_w], &mut rng);
+        let dx = conv_backward_input(&gy, &wt, &geom).unwrap();
+        prop_assert_eq!(dx.dims(), &[batch, cin, h, w][..]);
+        prop_assert!(same_floats(dx.as_slice(), &conv_backward_input_ref(&gy, &wt, &geom)));
+    }
+
+    /// The zero-skip is part of the contract, not an optimisation: a
+    /// non-finite filter row stays masked wherever its gradient is
+    /// exactly zero and poisons exactly the footprint of the one patch
+    /// where it is not — gather (stride 1) and scatter (stride 2) alike.
+    #[test]
+    fn zero_gradient_masks_a_non_finite_filter_per_patch(
+        ci in 0usize..5, oc in 1usize..6, s in 1usize..3, seed in 0u64..1 << 16, bad in 0usize..3,
+    ) {
+        let cin = [1, 3, 8, 16, 32][ci];
+        let geom = Conv2dGeometry::new(cin, 5, 4, 3, s, 1).unwrap();
+        let (ppi, width) = (geom.patches_per_image(), geom.patch_len());
+        let mut rng = SeedStream::new(seed);
+        let mut wt = random(&[oc, width], &mut rng);
+        let mut gy = random(&[2, oc, geom.out_h, geom.out_w], &mut rng);
+        let (bad_oc, live) = (seed as usize % oc, seed as usize / 7 % ppi);
+        let poison = [f32::INFINITY, f32::NEG_INFINITY, f32::NAN][bad];
+        wt.as_mut_slice()[bad_oc * width..(bad_oc + 1) * width].fill(poison);
+        // The poisoned filter's gradient: zeros of both signs, except at
+        // patch `live` of every image.
+        for img in 0..2 {
+            for patch in 0..ppi {
+                if patch != live {
+                    let zero = if patch % 2 == 0 { 0.0 } else { -0.0 };
+                    gy.as_mut_slice()[(img * oc + bad_oc) * ppi + patch] = zero;
+                }
+            }
+        }
+        let dx = conv_backward_input(&gy, &wt, &geom).unwrap();
+        prop_assert!(same_floats(dx.as_slice(), &conv_backward_input_ref(&gy, &wt, &geom)));
+        let (oy, ox) = (live / geom.out_w, live % geom.out_w);
+        for (i, v) in dx.as_slice().iter().enumerate() {
+            let (y, x) = (i / geom.in_w % geom.in_h, i % geom.in_w);
+            let hit = (oy * s..oy * s + 3).contains(&(y + 1)) && (ox * s..ox * s + 3).contains(&(x + 1));
+            prop_assert_eq!(v.is_finite(), !hit, "pixel ({}, {}) under patch ({}, {})", y, x, oy, ox);
+        }
+    }
+
+    /// The same contract for the weight gradient: a non-finite pixel is
+    /// masked for the filters whose gradient is zero at every patch that
+    /// sees it, and poisons the others.
+    #[test]
+    fn zero_gradient_masks_a_non_finite_pixel_per_filter(
+        cin in 1usize..4, oc in 2usize..7, s in 1usize..3, seed in 0u64..1 << 16, bad in 0usize..3,
+    ) {
+        let geom = Conv2dGeometry::new(cin, 5, 4, 3, s, 1).unwrap();
+        let (ppi, width) = (geom.patches_per_image(), geom.patch_len());
+        let mut rng = SeedStream::new(seed);
+        let mut x = random(&[2, cin, 5, 4], &mut rng);
+        let mut gy = random(&[2, oc, geom.out_h, geom.out_w], &mut rng);
+        let pixel = seed as usize % x.len();
+        x.as_mut_slice()[pixel] = [f32::INFINITY, f32::NEG_INFINITY, f32::NAN][bad];
+        let cols = im2col(&x, &geom).unwrap();
+        // Even filters get a zero gradient at every patch row that
+        // holds the pixel.
+        for (row, crow) in cols.as_slice().chunks(width).enumerate() {
+            if crow.iter().any(|v| !v.is_finite()) {
+                for c in (0..oc).step_by(2) {
+                    gy.as_mut_slice()[(row / ppi * oc + c) * ppi + row % ppi] = 0.0;
+                }
+            }
+        }
+        let mut gw = random(&[oc, width], &mut rng);
+        let want = conv_backward_weight_ref(&gy, &cols, &gw);
+        conv_backward_weight(&gy, &cols, &geom, &mut gw).unwrap();
+        prop_assert!(same_floats(gw.as_slice(), &want));
+        for (c, grow) in gw.as_slice().chunks(width).enumerate() {
+            prop_assert_eq!(grow.iter().all(|v| v.is_finite()), c % 2 == 0, "filter {}", c);
+        }
+    }
+}
+
+/// The six convolution geometries of `resnet18_lite` on 3×8×8 samples at
+/// the benchmark's batch size, spelled out: `(C, out channels, plane,
+/// stride)`, all 3×3 with padding 1.
+#[test]
+fn resnet18_lite_layer_shapes_match_their_references() {
+    let mut rng = SeedStream::new(18);
+    for (cin, oc, hw, s) in [
+        (3, 8, 8, 1),
+        (8, 8, 8, 1),
+        (8, 16, 8, 2),
+        (16, 16, 4, 1),
+        (16, 32, 4, 2),
+        (32, 32, 2, 1),
+    ] {
+        let geom = Conv2dGeometry::new(cin, hw, hw, 3, s, 1).unwrap();
+        let x = random(&[16, cin, hw, hw], &mut rng);
+        let w = random(&[oc, geom.patch_len()], &mut rng);
+        let gy = with_zeros(&[16, oc, geom.out_h, geom.out_w], &mut rng);
+        let cols = im2col(&x, &geom).unwrap();
+        assert!(
+            same_floats(cols.as_slice(), &im2col_ref(&x, &geom)),
+            "im2col {cin}->{oc} @{hw}x{hw} s{s}"
+        );
+        let dx = conv_backward_input(&gy, &w, &geom).unwrap();
+        assert!(
+            same_floats(dx.as_slice(), &conv_backward_input_ref(&gy, &w, &geom)),
+            "conv_backward_input {cin}->{oc} @{hw}x{hw} s{s}"
+        );
     }
 }
