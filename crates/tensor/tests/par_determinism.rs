@@ -91,10 +91,10 @@ proptest! {
     #[test]
     fn conv_kernels_bit_identical_across_threads(
         batch in 1usize..4, oc in 1usize..12, k in 1usize..4, s in 1usize..3, p in 0usize..2,
-        ci in 0usize..4, seed in 0u64..1 << 16,
+        ci in 0usize..3, seed in 0u64..1 << 16,
     ) {
         // One channel count per tile shape of the stride-1 input gradient.
-        let cin = [2, 8, 16, 32][ci];
+        let cin = [3, 16, 32][ci];
         let geom = match Conv2dGeometry::new(cin, 6, 5, k, s, p) {
             Ok(g) => g,
             Err(_) => return Ok(()),
