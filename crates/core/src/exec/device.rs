@@ -2,6 +2,7 @@ use std::collections::BTreeSet;
 use std::mem;
 use std::time::Duration;
 
+use hadfl_nn::NnError;
 use hadfl_telemetry::{EventKind, Telemetry};
 
 use super::{seeded, ProtocolTiming, TrainState};
@@ -31,6 +32,16 @@ struct RingRun {
     /// forwarded; a re-sent [`Message::ParamAccum`] (possible after a
     /// bypass) must not count the member twice.
     contributed: bool,
+    /// Parameter count of this member's model, recorded at ring entry:
+    /// a ring frame of any other length is refused before it is
+    /// accumulated, forwarded or installed.
+    len: usize,
+    /// This member's parameters as of ring entry, until they are
+    /// contributed. The actor neither trains nor blends a broadcast
+    /// while in a ring, so this is `train.params()` bit for bit — taken
+    /// while the member waits, not while its downstream does. Derived
+    /// state: never digested.
+    snapshot: Option<Vec<f32>>,
 }
 
 /// The round a ring frame belongs to; `None` for non-ring messages.
@@ -78,6 +89,36 @@ impl RingRun {
         self.live[(pos + self.live.len() - 1) % self.live.len()]
     }
 
+    /// Opens the reduce as first member `me`: the entry snapshot goes
+    /// downstream as the `hops = 1` accumulation. (A member that has
+    /// sent nothing and merged nothing still holds its snapshot.)
+    fn initiate<P: Port>(&mut self, port: &mut P, me: usize) {
+        if let Some(params) = self.snapshot.take() {
+            self.contributed = true;
+            let accum = Message::ParamAccum {
+                round: self.round,
+                hops: 1,
+                params,
+            };
+            let downstream = self.downstream(me);
+            send_ring(port, self, downstream, accum);
+        }
+    }
+
+    /// Refuses a ring frame whose payload is not this member's model
+    /// length, with the error `set_params` has for it — asked before the
+    /// frame has any effect, since the merged model is forwarded before
+    /// it is installed and a sum of unequal lengths is no sum.
+    fn check_len(&self, params: &[f32]) -> Result<(), HadflError> {
+        if params.len() == self.len {
+            return Ok(());
+        }
+        Err(HadflError::Nn(NnError::ParamLengthMismatch {
+            expected: self.len,
+            actual: params.len(),
+        }))
+    }
+
     /// The §III-D bypass, whichever way member `me` learnt of the
     /// death — its own expired probe, a peer's warning inside the ring,
     /// or a warning that arrives after it finished the ring: `dead`
@@ -88,12 +129,12 @@ impl RingRun {
     /// a last frame that was addressed to `dead` never reached the rest
     /// of the ring and is re-sent to the new downstream, and if the
     /// origin died before anything was sent its downstream (now first)
-    /// initiates the reduce. `before_repair` runs between the two, for
-    /// a caller that logs the repair ahead of its frame.
-    fn bypass<P: Port, T: TrainState>(
+    /// initiates the reduce with its entry snapshot. `before_repair`
+    /// runs between the two, for a caller that logs the repair ahead of
+    /// its frame.
+    fn bypass<P: Port>(
         &mut self,
         port: &mut P,
-        train: &T,
         me: usize,
         dead: usize,
         before_repair: impl FnOnce(),
@@ -107,18 +148,12 @@ impl RingRun {
             return;
         }
         before_repair();
-        let downstream = self.downstream(me);
         match self.last_sent.take() {
-            Some((to, msg)) if to == dead => send_ring(port, self, downstream, msg),
-            None if self.live[0] == me && !self.merged_done => {
-                self.contributed = true;
-                let accum = Message::ParamAccum {
-                    round: self.round,
-                    hops: 1,
-                    params: train.params(),
-                };
-                send_ring(port, self, downstream, accum);
+            Some((to, msg)) if to == dead => {
+                let downstream = self.downstream(me);
+                send_ring(port, self, downstream, msg);
             }
+            None if self.live[0] == me && !self.merged_done => self.initiate(port, me),
             delivered => self.last_sent = delivered,
         }
     }
@@ -134,11 +169,11 @@ fn send_ring<P: Port>(port: &mut P, run: &mut RingRun, to: usize, msg: Message) 
 
 /// Finishes the reduce half, for the member whose accumulate closed
 /// the sum and for the contributed member a bypass re-send hands the
-/// already-complete sum: installs `merged` (the mean — the caller has
-/// already applied the `1/hops` scale), starts the distribute half,
-/// and broadcasts to the unselected if this member is the round's
-/// broadcaster. The `merge` span nests under whichever ring half the
-/// member is in.
+/// already-complete sum: starts the distribute half with `merged` (the
+/// mean — the caller has already applied the `1/hops` scale),
+/// broadcasts to the unselected if this member is the round's
+/// broadcaster, and installs it here last ([`pass_merged`]). The
+/// `merge` span nests under whichever ring half the member is in.
 #[allow(clippy::too_many_arguments)]
 fn finish_reduce<P: Port, T: TrainState>(
     port: &mut P,
@@ -154,8 +189,6 @@ fn finish_reduce<P: Port, T: TrainState>(
     let parent = spans.ring_parent();
     spans.start(tel, now, "merge", parent, run.round, me);
     let prof = hadfl_prof::scope("ring_merge");
-    train.set_params(&merged)?;
-    run.merged_done = true;
     tel.emit(
         now,
         EventKind::Merge {
@@ -164,28 +197,32 @@ fn finish_reduce<P: Port, T: TrainState>(
         },
     );
     let ttl = run.live.len().saturating_sub(1) as u32;
-    pass_merged(port, run, me, ttl, merged, |_| {});
+    pass_merged(port, train, run, me, ttl, merged, |_| {})?;
     drop(prof);
     spans.end(tel, now, "merge", me);
     Ok(())
 }
 
-/// Passes the merged model on without copying it: a
+/// Passes the merged model on without copying it, then installs it: a
 /// [`Message::MergedParams`] to the downstream member while forwards
 /// remain (`ttl > 0`), kept as the re-sendable last frame; then, if
 /// `me` is (or has replaced) the broadcaster, one
 /// [`Message::ParamSync`] — the same buffer under another tag, sent by
-/// reference — to every unselected device. `around_broadcast` is told
-/// `true` before and `false` after a broadcast that takes place, for
-/// the caller's span bookkeeping.
-fn pass_merged<P: Port>(
+/// reference — to every unselected device; and only then this member's
+/// own `set_params`, from that same buffer, so nobody downstream waits
+/// on a private copy. The caller has checked the length, the one thing
+/// `set_params` refuses. `around_broadcast` is told `true` before and
+/// `false` after a broadcast that takes place, for the caller's span
+/// bookkeeping.
+fn pass_merged<P: Port, T: TrainState>(
     port: &mut P,
+    train: &mut T,
     run: &mut RingRun,
     me: usize,
     ttl: u32,
     params: Vec<f32>,
     mut around_broadcast: impl FnMut(bool),
-) {
+) -> Result<(), HadflError> {
     let round = run.round;
     let downstream = (ttl > 0).then(|| run.downstream(me));
     let mut merged = Message::MergedParams { round, ttl, params };
@@ -199,8 +236,8 @@ fn pass_merged<P: Port>(
     } else {
         run.live[0]
     };
-    if effective == me && !run.unselected.is_empty() {
-        if let Message::MergedParams { params, .. } = &mut merged {
+    if let Message::MergedParams { params, .. } = &mut merged {
+        if effective == me && !run.unselected.is_empty() {
             around_broadcast(true);
             let sync = Message::ParamSync {
                 round,
@@ -214,10 +251,14 @@ fn pass_merged<P: Port>(
             }
             around_broadcast(false);
         }
+        // Everyone who waits on this member has been served.
+        train.set_params(params)?;
     }
+    run.merged_done = true;
     if let Some(to) = downstream {
         run.last_sent = Some((to, merged));
     }
+    Ok(())
 }
 
 /// Per-actor span bookkeeping for the causal timeline: a deterministic
@@ -603,7 +644,7 @@ impl<T: TrainState> DeviceActor<T> {
                 self.known_dead.insert(suspect);
                 self.tel
                     .emit(now, EventKind::BypassDeclared { round, dead });
-                ring.run.bypass(port, &self.train, me, suspect, || {
+                ring.run.bypass(port, me, suspect, || {
                     self.tel.emit(now, EventKind::RingRepair { round, dead });
                 });
                 self.spans.end(&self.tel, now, "bypass_repair", me);
@@ -682,7 +723,7 @@ impl<T: TrainState> DeviceActor<T> {
     /// Leaves the ring phase, recording the finished ring for late
     /// bypass repairs.
     fn complete_ring(&mut self, now: Duration) {
-        if let DevicePhase::Ring(ring) = mem::replace(&mut self.phase, DevicePhase::Training) {
+        if let DevicePhase::Ring(mut ring) = mem::replace(&mut self.phase, DevicePhase::Training) {
             self.done_round = self.done_round.max(ring.run.round);
             // Close whatever ring-half (or mid-repair) span is still
             // open; each end is a no-op when the name isn't open.
@@ -697,6 +738,9 @@ impl<T: TrainState> DeviceActor<T> {
                 },
             );
             self.begin_training(now, ring.run.round + 1);
+            // A snapshot that was never contributed (dissolved ring)
+            // is stale from here on.
+            ring.run.snapshot = None;
             self.last_ring = Some(ring.run);
         }
     }
@@ -775,7 +819,7 @@ impl<T: TrainState> DeviceActor<T> {
                 // the member's last frame was addressed to the dead
                 // device, the stranded new downstream still needs it.
                 if let Some(run) = self.last_ring.as_mut() {
-                    run.bypass(port, &self.train, self.me, dead, || {});
+                    run.bypass(port, self.me, dead, || {});
                 }
             }
             _ => {} // heartbeats, stale acks
@@ -795,16 +839,8 @@ impl<T: TrainState> DeviceActor<T> {
         unselected: &[u32],
         now: Duration,
     ) -> Result<(), HadflError> {
-        let mut run = RingRun {
-            round,
-            live: ring.iter().map(|&d| d as usize).collect(),
-            broadcaster: broadcaster as usize,
-            unselected: unselected.iter().map(|&d| d as usize).collect(),
-            last_sent: None,
-            merged_done: false,
-            contributed: false,
-        };
-        if run.pos(self.me).is_none() {
+        let mut live: Vec<usize> = ring.iter().map(|&d| d as usize).collect();
+        if !live.contains(&self.me) {
             return Ok(()); // not addressed to us; stale broadcast
         }
         self.flush_steps(now);
@@ -814,9 +850,8 @@ impl<T: TrainState> DeviceActor<T> {
         // known dead here. Joining with the stale membership would
         // forward the accumulation to the dead member and stall the
         // ring forever (found by hadfl-check).
-        run.live.retain(|d| !self.known_dead.contains(d));
-        run.unselected.retain(|d| !self.known_dead.contains(d));
-        if run.live.len() < 2 {
+        live.retain(|d| !self.known_dead.contains(d));
+        if live.len() < 2 {
             // The ring dissolved before it began; keep the local model
             // and treat the round as synchronized, as the in-ring
             // bypass does when membership drops below two.
@@ -837,7 +872,7 @@ impl<T: TrainState> DeviceActor<T> {
             now,
             EventKind::RingEnter {
                 round,
-                ring: run.live.iter().map(|&d| d as u32).collect(),
+                ring: live.iter().map(|&d| d as u32).collect(),
             },
         );
         self.spans
@@ -845,20 +880,27 @@ impl<T: TrainState> DeviceActor<T> {
         // Frames for rings before this one are dead history.
         self.backlog
             .retain(|m| ring_frame_round(m).is_some_and(|r| r >= round));
-        // The first member initiates the reduce with its own parameters.
+        // The ring's one `params()` copy, taken now: the first member
+        // initiates the reduce with it, every other member makes it
+        // while the accumulation is still on its way here.
+        let snapshot = self.train.params();
+        let mut run = RingRun {
+            round,
+            live,
+            broadcaster: broadcaster as usize,
+            unselected: unselected
+                .iter()
+                .map(|&d| d as usize)
+                .filter(|d| !self.known_dead.contains(d))
+                .collect(),
+            last_sent: None,
+            merged_done: false,
+            contributed: false,
+            len: snapshot.len(),
+            snapshot: Some(snapshot),
+        };
         if run.live[0] == self.me {
-            run.contributed = true;
-            let downstream = run.downstream(self.me);
-            send_ring(
-                port,
-                &mut run,
-                downstream,
-                Message::ParamAccum {
-                    round,
-                    hops: 1,
-                    params: self.train.params(),
-                },
-            );
+            run.initiate(port, self.me);
             // Contribution forwarded: the reduce half is done for the
             // initiator; it now waits for the merged model to wrap.
             self.spans.end(&self.tel, now, "ring_reduce", self.me);
@@ -929,6 +971,7 @@ impl<T: TrainState> DeviceActor<T> {
                     );
                     return Ok(RingStep::Continue);
                 }
+                ring.run.check_len(&params)?;
                 ring.probe = None;
                 if ring.run.contributed && !seeded::double_count_on_resend() {
                     // Re-send duplicate after a bypass: our parameters
@@ -960,7 +1003,13 @@ impl<T: TrainState> DeviceActor<T> {
                     let hops = hops + 1;
                     let closes = hops as usize >= ring.run.live.len();
                     let prof = hadfl_prof::scope("ring_accumulate");
-                    let mine = self.train.params();
+                    // Only the seeded double count gets here with the
+                    // snapshot already spent.
+                    let mine = ring
+                        .run
+                        .snapshot
+                        .take()
+                        .unwrap_or_else(|| self.train.params());
                     if closes {
                         // The closing hop folds the `1/hops` scale into
                         // its accumulate: one pass over the model, not
@@ -1022,14 +1071,14 @@ impl<T: TrainState> DeviceActor<T> {
                     );
                     return Ok(RingStep::Continue);
                 }
+                ring.run.check_len(&params)?;
                 ring.probe = None;
-                self.train.set_params(&params)?;
-                ring.run.merged_done = true;
                 // The effective broadcaster's fan-out to the unselected
                 // is the round's `broadcast_blend` segment.
                 let (spans, tel) = (&mut self.spans, &self.tel);
                 pass_merged(
                     port,
+                    &mut self.train,
                     &mut ring.run,
                     me,
                     ttl.saturating_sub(1),
@@ -1042,7 +1091,7 @@ impl<T: TrainState> DeviceActor<T> {
                             spans.end(tel, now, "broadcast_blend", me);
                         }
                     },
-                );
+                )?;
             }
             Message::Handshake { from } => {
                 let _ = port.send(from as usize, &Message::HandshakeAck { from: me as u32 });
@@ -1068,7 +1117,7 @@ impl<T: TrainState> DeviceActor<T> {
                     if ring.probe.is_some_and(|(suspect, _)| suspect == member) {
                         ring.probe = None;
                     }
-                    ring.run.bypass(port, &self.train, me, member, || {
+                    ring.run.bypass(port, me, member, || {
                         self.tel.emit(now, EventKind::RingRepair { round, dead });
                     });
                     self.spans.end(&self.tel, now, "bypass_repair", me);

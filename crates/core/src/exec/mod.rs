@@ -4,7 +4,7 @@
 //! module runs the same protocol with *actual concurrency*, the way the
 //! paper deploys it — one participant per thread or process,
 //! heterogeneity emulated with `sleep()` (exactly the paper's method),
-//! parameters moving as encoded [`Message`] frames over a [`Port`], and
+//! parameters moving as [`Message`] frames over a [`Port`], and
 //! the ring reduce/distribute executed hop by hop between devices. The
 //! coordinator only ever sees control-plane messages plus the final
 //! parameter uploads.
@@ -282,7 +282,8 @@ pub struct ThreadedReport {
     /// Test accuracy of the post-run consensus (average of the final
     /// models the coordinator collected).
     pub final_accuracy: f32,
-    /// Total bytes moved between device threads (encoded frames).
+    /// Total bytes moved between device threads (frames at their
+    /// encoded length).
     pub peer_bytes: u64,
     /// Full per-participant byte ledger of the run, comparable with the
     /// analytical driver's [`CommSummary`].

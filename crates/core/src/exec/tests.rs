@@ -1227,3 +1227,224 @@ fn coordinator_runs_on_a_manual_clock() {
         "windows must have advanced the virtual clock"
     );
 }
+
+/// A ring frame of another length than the member's model is refused
+/// with the error `set_params` has for it before it has any effect: a
+/// short `ParamAccum` used to reach `accumulate_params`' `assert_eq!`
+/// and panic the device thread, and a `MergedParams` is forwarded
+/// before it is installed, so it must be judged before either.
+#[test]
+fn wrong_length_ring_frames_are_refused_before_any_effect() {
+    let k = 3;
+    let t = Duration::ZERO;
+    let wrong = vec![9.0; 3];
+    let frames = [
+        Message::ParamAccum {
+            round: 1,
+            hops: 1,
+            params: wrong.clone(),
+        },
+        // The closing hop, and a complete re-send, take other branches.
+        Message::ParamAccum {
+            round: 1,
+            hops: 2,
+            params: wrong.clone(),
+        },
+        Message::MergedParams {
+            round: 1,
+            ttl: 2,
+            params: wrong,
+        },
+    ];
+    for me in [0, 1] {
+        for frame in &frames {
+            let mut hub = ChannelTransport::hub(k + 1);
+            let mut ports: Vec<_> = (0..=k).map(|id| hub.claim(id).unwrap()).collect();
+            let mut actor = stub_actor(me, k);
+            let plan = Message::RoundPlan {
+                round: 1,
+                ring: vec![0, 1, 2],
+                broadcaster: me as u32,
+                unselected: vec![],
+            };
+            actor.on_message(&mut ports[me], plan, t).unwrap();
+            // Member 0 opened the reduce; drain that.
+            while ports[1].try_recv().unwrap().is_some() {}
+            let mut before = Vec::new();
+            actor.digest_into(&mut before);
+
+            let err = actor
+                .on_message(&mut ports[me], frame.clone(), t)
+                .unwrap_err();
+            assert_eq!(
+                err,
+                HadflError::Nn(hadfl_nn::NnError::ParamLengthMismatch {
+                    expected: 2,
+                    actual: 3,
+                }),
+                "member {me}, {frame:?}"
+            );
+            for port in &mut ports {
+                assert_eq!(port.try_recv().unwrap(), None, "nothing may be sent");
+            }
+            assert_eq!(actor.train().params, vec![1.0, 2.0], "nothing installed");
+            let mut after = Vec::new();
+            actor.digest_into(&mut after);
+            assert_eq!(before, after, "member {me} is where it was: {frame:?}");
+        }
+    }
+}
+
+/// One step of a scripted ring, as the shared log of [`LoggedTrain`]
+/// and [`LoggedPort`] records it.
+#[derive(Debug, Clone, PartialEq)]
+enum Step {
+    Delivered(usize, &'static str),
+    Params(usize),
+    SetParams(usize),
+    Sent(usize, usize, &'static str),
+}
+
+type StepLog = Arc<parking_lot::Mutex<Vec<Step>>>;
+
+/// A [`StubTrain`] that logs every parameter copy out and in.
+struct LoggedTrain {
+    me: usize,
+    inner: StubTrain,
+    log: StepLog,
+}
+
+impl TrainState for LoggedTrain {
+    fn params(&self) -> Vec<f32> {
+        self.log.lock().push(Step::Params(self.me));
+        self.inner.params()
+    }
+    fn set_params(&mut self, params: &[f32]) -> Result<(), HadflError> {
+        self.log.lock().push(Step::SetParams(self.me));
+        self.inner.set_params(params)
+    }
+    fn train_step(&mut self) -> Result<(), HadflError> {
+        self.inner.train_step()
+    }
+    fn version(&self) -> f64 {
+        self.inner.version()
+    }
+}
+
+/// A [`ChannelPort`](crate::transport::ChannelPort) that logs every send.
+struct LoggedPort {
+    inner: crate::transport::ChannelPort,
+    log: StepLog,
+}
+
+impl Port for LoggedPort {
+    fn id(&self) -> usize {
+        self.inner.id()
+    }
+    fn participants(&self) -> usize {
+        self.inner.participants()
+    }
+    fn send(&mut self, to: usize, msg: &Message) -> Result<(), HadflError> {
+        self.log
+            .lock()
+            .push(Step::Sent(self.inner.id(), to, msg.kind()));
+        self.inner.send(to, msg)
+    }
+    fn try_recv(&mut self) -> Result<Option<Message>, HadflError> {
+        self.inner.try_recv()
+    }
+    fn recv_timeout(&mut self, timeout: Duration) -> Result<Option<Message>, HadflError> {
+        self.inner.recv_timeout(timeout)
+    }
+    fn stats(&self) -> NetStats {
+        self.inner.stats()
+    }
+}
+
+/// Only the sum and the wire are on the ring's critical path: every
+/// member copies its parameters out once per ring, on the `RoundPlan`
+/// (while the accumulation is still upstream of it), and whoever holds
+/// the merged model — the closing member 2, the forwarding member 0,
+/// the last member 1, each of them as broadcaster in turn — serves its
+/// downstream and the unselected before it installs its own copy.
+#[test]
+fn ring_members_snapshot_on_the_plan_and_install_after_forwarding() {
+    let k = 4;
+    let ring = [0usize, 1, 2];
+    let t = Duration::ZERO;
+    for broadcaster in ring {
+        let log = StepLog::default();
+        let mut hub = ChannelTransport::hub(k + 1);
+        let mut ports: Vec<LoggedPort> = (0..=k)
+            .map(|id| LoggedPort {
+                inner: hub.claim(id).unwrap(),
+                log: Arc::clone(&log),
+            })
+            .collect();
+        let mut actors: Vec<_> = ring
+            .iter()
+            .map(|&me| {
+                let train = LoggedTrain {
+                    me,
+                    inner: StubTrain {
+                        params: vec![me as f32, 1.0],
+                        steps: 0,
+                    },
+                    log: Arc::clone(&log),
+                };
+                DeviceActor::new(me, k + 1, train, 0.5, ProtocolTiming::zero())
+            })
+            .collect();
+        let plan = Message::RoundPlan {
+            round: 1,
+            ring: ring.iter().map(|&d| d as u32).collect(),
+            broadcaster: broadcaster as u32,
+            unselected: vec![3],
+        };
+        // Plans reach the members last-first, so nobody's frame is in
+        // its mailbox yet when it copies its parameters out.
+        for &me in ring.iter().rev() {
+            ports[k].send(me, &plan).unwrap();
+        }
+        loop {
+            let mut delivered = false;
+            for &me in ring.iter().rev() {
+                if let Some(msg) = ports[me].try_recv().unwrap() {
+                    log.lock().push(Step::Delivered(me, msg.kind()));
+                    actors[me].on_message(&mut ports[me], msg, t).unwrap();
+                    delivered = true;
+                }
+            }
+            if !delivered {
+                break;
+            }
+        }
+        let log = log.lock().clone();
+        let at = |step: &Step| {
+            let mut found = log.iter().enumerate().filter(|(_, s)| *s == step);
+            let first = found.next().map(|(i, _)| i);
+            assert!(found.next().is_none(), "{step:?} twice in {log:#?}");
+            first.unwrap_or_else(|| panic!("no {step:?} in {log:#?}"))
+        };
+        for me in ring {
+            assert_eq!(actors[me].done_round(), 1);
+            assert_eq!(actors[me].train().inner.params, vec![1.0, 1.0]);
+            assert_eq!(
+                at(&Step::Params(me)),
+                at(&Step::Delivered(me, "round_plan")) + 1,
+                "member {me} copies out once, on the plan: {log:#?}"
+            );
+            let installed = at(&Step::SetParams(me));
+            for (i, step) in log.iter().enumerate() {
+                if matches!(step, Step::Sent(from, _, "merged_params" | "param_sync") if *from == me)
+                {
+                    assert!(i < installed, "member {me} installs last: {log:#?}");
+                }
+            }
+        }
+        // The frames the order is about were really sent.
+        at(&Step::Sent(2, 0, "merged_params"));
+        at(&Step::Sent(0, 1, "merged_params"));
+        at(&Step::Sent(broadcaster, 3, "param_sync"));
+    }
+}

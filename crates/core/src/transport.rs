@@ -10,9 +10,11 @@
 //! * `hadfl-net`'s `TcpTransport` — real sockets for multi-process
 //!   clusters.
 //!
-//! Frames on either fabric are encoded [`Message`]s, so the byte
-//! accounting ([`Port::stats`]) is identical across fabrics and
-//! comparable with the analytical driver's ledger.
+//! Both fabrics charge [`Message::encoded_len`] per frame — the TCP
+//! fabric for the bytes it writes, the channel fabric for the typed
+//! message it queues — so the byte accounting ([`Port::stats`]) is
+//! identical across fabrics and comparable with the analytical driver's
+//! ledger.
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -24,7 +26,7 @@ use parking_lot::Mutex;
 
 use crate::clock::{Clock, WallClock};
 use crate::error::HadflError;
-use crate::wire::{self, CausalStamp, Message};
+use crate::wire::{CausalStamp, Message};
 
 /// The coordinator's participant id in a `k`-device cluster.
 pub fn coordinator_id(k: usize) -> usize {
@@ -110,7 +112,14 @@ pub trait Port: Send {
     }
 }
 
-/// In-process fabric: one unbounded crossbeam channel per participant.
+/// What a mailbox holds: the frame [`wire::seal`](crate::wire::seal)
+/// would build, before encoding.
+type Stamped = (CausalStamp, Message);
+
+/// In-process fabric: one unbounded crossbeam channel per participant,
+/// queueing stamped [`Message`]s as they are — sender and receiver share
+/// an address space, so nothing is encoded: a send clones the message
+/// (the queue must own what it holds) and a receive moves it out.
 ///
 /// Construct with [`ChannelTransport::hub`], then [`claim`] each
 /// participant's [`Port`] and move it into its thread.
@@ -130,8 +139,8 @@ pub trait Port: Send {
 /// assert_eq!(b.try_recv().unwrap(), Some(Message::Handshake { from: 0 }));
 /// ```
 pub struct ChannelTransport {
-    txs: Vec<Sender<bytes::Bytes>>,
-    rxs: Vec<Option<Receiver<bytes::Bytes>>>,
+    txs: Vec<Sender<Stamped>>,
+    rxs: Vec<Option<Receiver<Stamped>>>,
     stats: Arc<Mutex<NetStats>>,
 }
 
@@ -208,8 +217,8 @@ impl ChannelTransport {
 /// A participant's handle on a [`ChannelTransport`].
 pub struct ChannelPort {
     id: usize,
-    txs: Vec<Sender<bytes::Bytes>>,
-    rx: Receiver<bytes::Bytes>,
+    txs: Vec<Sender<Stamped>>,
+    rx: Receiver<Stamped>,
     stats: Arc<Mutex<NetStats>>,
     /// This participant's Lamport clock: ticked per send, max-merged
     /// on every receive. Shared with the node's [`Telemetry`] handle
@@ -221,11 +230,10 @@ pub struct ChannelPort {
 }
 
 impl ChannelPort {
-    /// Opens an inbound frame: merges its stamp into the local Lamport
-    /// clock and mirrors it as a `FrameReceived` event when
-    /// instrumented.
-    fn open_frame(&self, frame: &[u8]) -> Result<Message, HadflError> {
-        let (stamp, msg) = wire::open(frame)?;
+    /// Takes delivery of an inbound frame: merges its stamp into the
+    /// local Lamport clock and mirrors it as a `FrameReceived` event
+    /// when instrumented.
+    fn deliver(&self, (stamp, msg): Stamped) -> Message {
         self.lamport.observe(stamp.lamport);
         if self.tel.enabled() {
             self.tel.emit(
@@ -233,13 +241,13 @@ impl ChannelPort {
                 EventKind::FrameReceived {
                     src: stamp.origin,
                     dst: self.id as u32,
-                    bytes: (frame.len() - wire::STAMP_LEN) as u64,
+                    bytes: msg.encoded_len() as u64,
                     kind: msg.kind().to_string(),
                     lamport: stamp.lamport,
                 },
             );
         }
-        Ok(msg)
+        msg
     }
 }
 
@@ -261,10 +269,10 @@ impl Port for ChannelPort {
             origin: self.id as u32,
             lamport: self.lamport.tick(),
         };
-        let frame = wire::seal(stamp, msg);
-        // The ledger charges the payload only — the stamp is transport
-        // overhead, exactly like a socket fabric's length prefix.
-        let payload = (frame.len() - wire::STAMP_LEN) as u64;
+        // The ledger charges what the message would be on a wire — the
+        // stamp is transport overhead, exactly like a socket fabric's
+        // length prefix.
+        let payload = msg.encoded_len() as u64;
         let k = self.txs.len() - 1;
         self.stats
             .lock()
@@ -281,13 +289,13 @@ impl Port for ChannelPort {
                 },
             );
         }
-        tx.send(frame)
+        tx.send((stamp, msg.clone()))
             .map_err(|_| HadflError::InvalidConfig(format!("participant {to} is gone")))
     }
 
     fn try_recv(&mut self) -> Result<Option<Message>, HadflError> {
         match self.rx.try_recv() {
-            Ok(frame) => self.open_frame(&frame).map(Some),
+            Ok(frame) => Ok(Some(self.deliver(frame))),
             Err(TryRecvError::Empty) => Ok(None),
             Err(TryRecvError::Disconnected) => {
                 Err(HadflError::InvalidConfig("fabric torn down".into()))
@@ -297,7 +305,7 @@ impl Port for ChannelPort {
 
     fn recv_timeout(&mut self, timeout: Duration) -> Result<Option<Message>, HadflError> {
         match self.rx.recv_timeout(timeout) {
-            Ok(frame) => self.open_frame(&frame).map(Some),
+            Ok(frame) => Ok(Some(self.deliver(frame))),
             Err(RecvTimeoutError::Timeout) => Ok(None),
             Err(RecvTimeoutError::Disconnected) => {
                 Err(HadflError::InvalidConfig("fabric torn down".into()))

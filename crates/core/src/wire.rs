@@ -1,12 +1,14 @@
 //! Wire encoding of the messages HADFL peers exchange.
 //!
 //! The virtual-time driver accounts message *sizes* analytically; the
-//! threaded executor ([`crate::exec`]) actually moves these encoded
-//! frames between device threads, and a networked deployment would put
-//! them on sockets unchanged. Encoding is a fixed little-endian layout:
-//! one tag byte, then the variant's fields.
+//! deployed executor ([`crate::exec`]) actually moves these messages
+//! between participants — encoded on sockets, and as they are between
+//! threads of one process, where the in-process fabric queues the
+//! stamped [`Message`] itself and charges it [`Message::encoded_len`].
+//! Encoding is a fixed little-endian layout: one tag byte, then the
+//! variant's fields.
 //!
-//! Every frame that actually crosses a transport is wrapped in the
+//! Every frame that crosses a socket is wrapped in the
 //! causal envelope: a [`CausalStamp`] header (origin node + Lamport
 //! clock) sealed in front of the message encoding by [`seal`] and
 //! parsed back by [`open`]. Transports are the *only* code that builds

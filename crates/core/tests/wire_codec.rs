@@ -11,10 +11,12 @@ use hadfl::aggregate::{
     accumulate_params, accumulate_scaled_params, average_params, blend_params, scale_params,
     weighted_average_params,
 };
+use hadfl::transport::{ChannelTransport, Port};
 use hadfl::wire::{
     open, seal, seal_split, split_frame, CausalStamp, Message, MAX_PARAM_HEAD, STAMP_LEN,
 };
 use hadfl_par::with_threads;
+use hadfl_telemetry::{EventKind, LamportClock, RingBufferSink, Telemetry};
 use proptest::prelude::*;
 
 /// The pre-bulk-codec reference encoding: one tag byte, the fixed
@@ -286,6 +288,64 @@ proptest! {
                 prop_assert!(whole.is_err(), "{:?}", msg);
             }
         }
+    }
+
+    /// The channel fabric queues the message itself, not its encoding.
+    /// Against the sealed frame it stands in for — stamp from a ticked
+    /// clock, `seal`, `open`, stamp merged into the receiver's clock —
+    /// it must deliver the same message bit for bit (NaN payloads
+    /// included, hence the re-sealed comparison), leave both Lamport
+    /// clocks at the same readings, and charge the ledger and both
+    /// frame events `encoded_len()`.
+    #[test]
+    fn channel_port_delivers_what_a_sealed_frame_opens_to(
+        a in 0u32..1 << 20, b in 0u32..64, route in 0u32..1 << 14,
+        params in param_strategy(),
+        ids in proptest::collection::vec(0u32..64, 0..9),
+        bytes in proptest::collection::vec(0u8..255, 0..200),
+    ) {
+        let mut hub = ChannelTransport::hub(3);
+        let bufs = [RingBufferSink::new(64), RingBufferSink::new(64)];
+        let tels = [0u32, 1].map(|n| Telemetry::new(n, vec![Box::new(bufs[n as usize].clone())]));
+        let mut ports = [0usize, 1].map(|n| hub.claim_instrumented(n, tels[n].clone(), None).unwrap());
+        // The sealed-frame fabric, reduced to its clocks.
+        let model = [LamportClock::new(), LamportClock::new()];
+        let mut charged = 0u64;
+
+        let msgs = every_variant(a, b, &with_specials(params), &ids, &bytes);
+        for (i, msg) in msgs.iter().enumerate() {
+            let from = (route >> i & 1) as usize;
+            let to = 1 - from;
+            let stamp = CausalStamp { origin: from as u32, lamport: model[from].tick() };
+            let sealed = seal(stamp, msg);
+            let (want_stamp, want) = open(&sealed).unwrap();
+            model[to].observe(want_stamp.lamport);
+
+            ports[from].send(to, msg).unwrap();
+            let got = ports[to].try_recv().unwrap().expect("delivered");
+            prop_assert_eq!(&seal(want_stamp, &got)[..], &seal(want_stamp, &want)[..], "{:?}", msg);
+            prop_assert_eq!(ports[to].try_recv().unwrap(), None);
+            for n in 0..2 {
+                prop_assert_eq!(tels[n].lamport_clock().current(), model[n].current(), "{:?}", msg);
+            }
+
+            let len = msg.encoded_len() as u64;
+            charged += len;
+            let sent = bufs[from].snapshot().pop().unwrap();
+            prop_assert_eq!(sent.kind, EventKind::FrameSent {
+                src: from as u32, dst: to as u32, bytes: len,
+                kind: msg.kind().to_string(), lamport: stamp.lamport,
+            });
+            let received = bufs[to].snapshot().pop().unwrap();
+            prop_assert_eq!(received.kind, EventKind::FrameReceived {
+                src: want_stamp.origin, dst: to as u32, bytes: len,
+                kind: want.kind().to_string(), lamport: want_stamp.lamport,
+            });
+        }
+        let ledger = hub.net_stats();
+        prop_assert_eq!(ledger.total_bytes(), charged);
+        prop_assert_eq!(ledger.messages(), msgs.len() as u64);
+        prop_assert_eq!(ports[0].stats(), ledger);
     }
 
     #[test]

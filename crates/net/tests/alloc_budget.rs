@@ -4,14 +4,20 @@
 //! allocations of 64 KiB or more are held to a budget, per fabric.
 //!
 //! What a round has to allocate: each of the six frames lands in one
-//! fresh `Vec<f32>` at its receiver (24 MiB), and `TrainState::params`
-//! hands out a copy to the origin and to each of the three accumulating
-//! hops (16 MiB). A `TcpPort` adds nothing — the sender writes from the
-//! message's own vector and the reader fills the receiver's — so 40 MiB
-//! is the floor and 48 the budget (it was 220 with a built frame, a
-//! doubling receive buffer and a decode copy per hop). A `ChannelPort`
-//! has to own what it queues, so each frame is also sealed once: 64 MiB
-//! plus the six heads (it was 100).
+//! fresh `Vec<f32>` at its receiver (24 MiB), and every member copies
+//! its parameters out of its `TrainState` once, on the `RoundPlan`
+//! (16 MiB: the origin's copy becomes the opening frame, the others wait
+//! as entry snapshots for the accumulation to arrive). That is 40 MiB,
+//! and neither fabric adds to it. A `TcpPort` writes from the message's
+//! own vector and its reader fills the receiver's; its budget is 48 (it
+//! was 220 with a built frame, a doubling receive buffer and a decode
+//! copy per hop). A `ChannelPort` has to own what it queues, and what it
+//! queues *is* the receiver's vector — one `Message::clone` per send,
+//! moved out on receive — so its "frame lands at the receiver" and its
+//! "queue copy" are the same 4 MiB and its budget is the floor itself,
+//! 40 (it was 64 plus six heads when each frame was sealed into bytes on
+//! the way in and decoded into a second vector on the way out, and 100
+//! before that).
 //!
 //! The counter is process-wide, so both fabrics are measured by the one
 //! test, one after the other.
@@ -26,7 +32,7 @@ use std::time::Duration;
 use hadfl::clock::{Clock, WallClock};
 use hadfl::exec::{DeviceActor, ProtocolTiming, TrainState};
 use hadfl::transport::{ChannelTransport, Port};
-use hadfl::wire::{Message, MAX_PARAM_HEAD};
+use hadfl::wire::Message;
 use hadfl::HadflError;
 use hadfl_net::cluster::ClusterConfig;
 use hadfl_net::tcp::{BoundNode, TcpOptions};
@@ -158,10 +164,9 @@ fn measured_round<P: Port + 'static>(mut ports: Vec<P>) -> u64 {
 fn ring4_round_stays_within_its_allocation_budget() {
     let mut hub = ChannelTransport::hub(K + 1);
     let chan = measured_round((0..=K).map(|id| hub.claim(id).unwrap()).collect());
-    let heads = 6 * MAX_PARAM_HEAD as u64;
     assert!(
-        chan <= 64 * MIB + heads,
-        "ChannelPort ring4 round requested {:.1} MiB in large allocations (budget 64)",
+        chan <= 40 * MIB,
+        "ChannelPort ring4 round requested {:.1} MiB in large allocations (budget 40)",
         chan as f64 / MIB as f64
     );
 
@@ -184,6 +189,6 @@ fn ring4_round_stays_within_its_allocation_budget() {
         "TcpPort ring4 round requested {:.1} MiB in large allocations (budget 48)",
         tcp as f64 / MIB as f64
     );
-    // The floor both share: six received vectors, four `params()` copies.
+    // The floor both share: six received vectors, four entry snapshots.
     assert!(chan >= 40 * MIB && tcp >= 40 * MIB, "{chan} / {tcp}");
 }

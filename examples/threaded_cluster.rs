@@ -1,6 +1,6 @@
 //! HADFL on real OS threads: one thread per device, heterogeneity
 //! emulated with `sleep()` exactly as the paper does on its GPUs, and
-//! parameters moving between threads as encoded wire frames.
+//! parameters moving between threads as protocol frames.
 //!
 //! Run: `cargo run --release --example threaded_cluster`
 
