@@ -14,6 +14,7 @@ pub mod ambient_clock;
 pub mod blocking_in_emit;
 pub mod float_reduce_order;
 pub mod guard_across_send;
+pub mod nonblocking_listener;
 pub mod nondet_iteration;
 pub mod park_loop_spin;
 pub mod print_in_protocol;
@@ -70,7 +71,7 @@ pub fn ids() -> Vec<&'static str> {
     RULES.iter().map(|r| r.id).collect()
 }
 
-static RULES: [Rule; 11] = [
+static RULES: [Rule; 12] = [
     Rule {
         id: "ambient-clock",
         summary: "no Instant::now()/SystemTime::now() in protocol paths — time goes \
@@ -222,6 +223,22 @@ static RULES: [Rule; 11] = [
             excludes: &[],
         },
         run: park_loop_spin::run,
+    },
+    Rule {
+        id: "nonblocking-listener",
+        summary: "no set_nonblocking(true) outside tests — with std alone and no \
+                  readiness API a nonblocking socket is a sleep-poll; block in \
+                  accept_until and wake it with stop_accept",
+        scope: Scope {
+            dirs: &[
+                "crates/core/src/",
+                "crates/net/src/",
+                "crates/telemetry/src/",
+            ],
+            files: &[],
+            excludes: &[],
+        },
+        run: nonblocking_listener::run,
     },
 ];
 

@@ -117,6 +117,11 @@ fn park_loop_spin() {
 }
 
 #[test]
+fn nonblocking_listener() {
+    check_dir("nonblocking_listener", &["nonblocking-listener"]);
+}
+
+#[test]
 fn waiver_corpus() {
     check_dir("waivers", &["ambient-clock"]);
 }

@@ -28,7 +28,7 @@
 #![warn(clippy::unwrap_used, clippy::expect_used)]
 
 use std::collections::BTreeMap;
-use std::io::{BufWriter, ErrorKind, Write};
+use std::io::{BufWriter, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -44,7 +44,7 @@ use hadfl::wire::Message;
 use hadfl_telemetry::health::{Alert, HealthEngine, HealthOptions, HealthReport};
 use hadfl_telemetry::ship::ShipBatch;
 use hadfl_telemetry::sink::Sink;
-use hadfl_telemetry::{serve_http, Event, MetricsRegistry, MetricsSink};
+use hadfl_telemetry::{accept_until, serve_http, stop_accept, Event, MetricsRegistry, MetricsSink};
 
 use crate::frame::read_frame;
 
@@ -289,7 +289,8 @@ pub struct CollectorServer {
     http_addr: SocketAddr,
     collector: Arc<Mutex<Collector>>,
     stop: Arc<AtomicBool>,
-    handles: Vec<JoinHandle<()>>,
+    /// `(ingest accept, http accept, tick)` threads, taken at stop.
+    threads: Option<[JoinHandle<()>; 3]>,
     max_frame_bytes: usize,
 }
 
@@ -307,42 +308,37 @@ impl CollectorServer {
         max_frame_bytes: usize,
     ) -> std::io::Result<Self> {
         let ingest = TcpListener::bind(ingest_addr)?;
-        ingest.set_nonblocking(true)?;
         let http = TcpListener::bind(http_addr)?;
-        http.set_nonblocking(true)?;
         let bound_ingest = ingest.local_addr()?;
         let bound_http = http.local_addr()?;
         let stop = Arc::new(AtomicBool::new(false));
-        let mut handles = Vec::new();
 
-        {
+        let ingest_thread = {
             let collector = Arc::clone(&collector);
             let stop = Arc::clone(&stop);
-            handles.push(std::thread::spawn(move || {
-                ingest_loop(ingest, collector, stop, max_frame_bytes)
-            }));
-        }
-        {
+            std::thread::spawn(move || ingest_loop(ingest, collector, stop, max_frame_bytes))
+        };
+        let http_thread = {
             let collector = Arc::clone(&collector);
             let stop = Arc::clone(&stop);
-            handles.push(std::thread::spawn(move || http_loop(http, collector, stop)));
-        }
-        {
+            std::thread::spawn(move || http_loop(http, collector, stop))
+        };
+        let tick_thread = {
             let collector = Arc::clone(&collector);
             let stop = Arc::clone(&stop);
-            handles.push(std::thread::spawn(move || {
+            std::thread::spawn(move || {
                 while !stop.load(Ordering::SeqCst) {
                     collector.lock().tick();
                     std::thread::sleep(tick_interval);
                 }
-            }));
-        }
+            })
+        };
         Ok(CollectorServer {
             ingest_addr: bound_ingest,
             http_addr: bound_http,
             collector,
             stop,
-            handles,
+            threads: Some([ingest_thread, http_thread, tick_thread]),
             max_frame_bytes,
         })
     }
@@ -367,17 +363,20 @@ impl CollectorServer {
         self.max_frame_bytes
     }
 
-    /// Stops the listeners and the tick thread, runs one final tick so
-    /// everything staged is applied, and joins.
+    /// Stops the listeners and the tick thread, joins, and runs one
+    /// final tick so everything staged is applied. Both addresses
+    /// refuse connections once this returns.
     pub fn shutdown(mut self) {
         self.stop_and_join();
     }
 
     fn stop_and_join(&mut self) {
-        self.stop.store(true, Ordering::SeqCst);
-        for handle in self.handles.drain(..) {
-            let _ = handle.join();
-        }
+        let Some([ingest, http, tick]) = self.threads.take() else {
+            return;
+        };
+        stop_accept(&self.stop, self.ingest_addr, ingest);
+        stop_accept(&self.stop, self.http_addr, http);
+        let _ = tick.join();
         self.collector.lock().tick();
     }
 }
@@ -394,19 +393,11 @@ fn ingest_loop(
     stop: Arc<AtomicBool>,
     max_frame_bytes: usize,
 ) {
-    while !stop.load(Ordering::SeqCst) {
-        match listener.accept() {
-            Ok((stream, _)) => {
-                let collector = Arc::clone(&collector);
-                let stop = Arc::clone(&stop);
-                std::thread::spawn(move || ingest_conn(stream, collector, stop, max_frame_bytes));
-            }
-            Err(e) if e.kind() == ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(20));
-            }
-            Err(_) => std::thread::sleep(Duration::from_millis(20)),
-        }
-    }
+    accept_until(&listener, &stop, |stream| {
+        let collector = Arc::clone(&collector);
+        let stop = Arc::clone(&stop);
+        std::thread::spawn(move || ingest_conn(stream, collector, stop, max_frame_bytes));
+    });
 }
 
 /// One shipper connection: length-prefixed sealed frames until EOF.

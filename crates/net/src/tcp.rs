@@ -7,10 +7,32 @@
 //! straight into the vector the delivered message owns (`frame.rs`,
 //! shared with the collector). Each pair of participants uses one
 //! lazily-dialed connection per direction: the sender dials on first
-//! send (with bounded exponential backoff, so nodes can start in any
-//! order), identifies itself with [`Message::Hello`], and keeps the
-//! socket for the rest of the run. The accepting side spawns one reader
-//! per inbound connection.
+//! send, identifies itself with [`Message::Hello`], and keeps the
+//! socket for the rest of the run.
+//!
+//! The accepting side blocks in `accept` on a blocking listener
+//! ([`hadfl_telemetry::accept_until`]) and spawns one reader per inbound
+//! connection. With std alone there is no readiness API, so a
+//! nonblocking listener would be a sleep-poll whose period lands on the
+//! first frame of every new connection. Dropping the port wakes the
+//! accept with one connection to the port's own address and joins the
+//! thread ([`hadfl_telemetry::stop_accept`]): the listener is closed
+//! when `drop` returns, so a peer dialing a departed node is refused at
+//! once instead of being accepted by a listener that lingers.
+//!
+//! A dial that times out or fails otherwise is retried with bounded
+//! exponential backoff, and so is a refused dial while the port has
+//! heard nothing: that is bring-up, and it is what lets nodes start in
+//! any order. Once the port has received any frame (`last_seen`
+//! non-empty — the evidence [`TcpPort::is_live`] reads), a refusal ends
+//! the dial at once. The cluster is up by then, and a refused address is
+//! a peer that exited, which no backoff brings back; retrying would only
+//! hold the protocol thread through the whole schedule (775 ms at the
+//! defaults). Bring-up sends fall before the switch: a device sends
+//! only in answer to a frame, and the coordinator's first fan-out goes
+//! out before any device has spoken — though a device that answers
+//! within that fan-out flips the switch for the rest of it, so devices
+//! must be listening by the end of the first report window.
 //!
 //! Liveness is tracked two ways: a heartbeat ticker stamps every open
 //! outbound connection at a configurable interval, and every inbound
@@ -34,7 +56,7 @@ use std::io::ErrorKind;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
-use std::thread;
+use std::thread::{self, JoinHandle};
 use std::time::Duration;
 
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender, TryRecvError};
@@ -43,7 +65,7 @@ use hadfl::transport::{endpoint_of, Port};
 use hadfl::wire::{self, CausalStamp, Message};
 use hadfl::HadflError;
 use hadfl_simnet::NetStats;
-use hadfl_telemetry::{EventKind, LamportClock, Telemetry};
+use hadfl_telemetry::{accept_until, stop_accept, EventKind, LamportClock, Telemetry};
 use parking_lot::Mutex;
 
 use crate::cluster::ClusterConfig;
@@ -64,8 +86,12 @@ pub struct TcpOptions {
     /// takes over.
     pub write_timeout: Duration,
     /// Dial attempts per send before the peer is declared unreachable.
+    /// The budget covers bring-up (refusals before the port has heard
+    /// from anyone) and timeouts or other errors; a refusal after the
+    /// cluster has spoken ends the dial at once (see the module docs).
     pub max_dial_attempts: u32,
-    /// First reconnect backoff; doubles per attempt.
+    /// First reconnect backoff; doubles per attempt. Slept only between
+    /// the attempts [`Self::max_dial_attempts`] governs.
     pub backoff_base: Duration,
     /// Backoff ceiling.
     pub backoff_cap: Duration,
@@ -130,6 +156,12 @@ impl Shared {
     fn note_seen(&self, peer: usize) {
         let now = self.clock.now();
         self.last_seen.lock().insert(peer, now);
+    }
+
+    /// Whether any frame has arrived: past bring-up, a refused dial is
+    /// a departed peer.
+    fn heard_from_cluster(&self) -> bool {
+        !self.last_seen.lock().is_empty()
     }
 }
 
@@ -216,12 +248,10 @@ impl BoundNode {
             tel,
             lamport,
         });
-        self.listener
-            .set_nonblocking(true)
-            .map_err(|e| HadflError::InvalidConfig(format!("listener nonblocking: {e}")))?;
+        let listen_addr = self.local_addr()?;
         let accept_shared = Arc::clone(&shared);
         let listener = self.listener;
-        thread::spawn(move || accept_loop(listener, accept_shared));
+        let accept_thread = thread::spawn(move || accept_loop(listener, accept_shared));
         let conns = Arc::new(Mutex::new(BTreeMap::new()));
         if let Some(interval) = opts.heartbeat_interval {
             let hb_shared = Arc::clone(&shared);
@@ -233,6 +263,8 @@ impl BoundNode {
             shared,
             conns,
             inbound_rx,
+            listen_addr,
+            accept_thread: Some(accept_thread),
         })
     }
 }
@@ -243,6 +275,10 @@ pub struct TcpPort {
     shared: Arc<Shared>,
     conns: Arc<Mutex<BTreeMap<usize, TcpStream>>>,
     inbound_rx: Receiver<Message>,
+    /// The listener's bound address: where `drop` wakes the accept.
+    listen_addr: SocketAddr,
+    /// Owns the listener; taken and joined by `drop`.
+    accept_thread: Option<JoinHandle<()>>,
 }
 
 impl TcpPort {
@@ -327,6 +363,14 @@ impl TcpPort {
                         .raw_bytes
                         .fetch_add((head.len() + body.len()) as u64, Ordering::Relaxed);
                     return Ok(stream);
+                }
+                Err(e)
+                    if e.kind() == ErrorKind::ConnectionRefused
+                        && self.shared.heard_from_cluster() =>
+                {
+                    return Err(HadflError::InvalidConfig(format!(
+                        "peer {to} unreachable: dial {addr} refused after the cluster spoke: {e}"
+                    )));
                 }
                 Err(e) => last_err = format!("dial {addr}: {e}"),
             }
@@ -477,24 +521,21 @@ impl Port for TcpPort {
 }
 
 impl Drop for TcpPort {
+    /// Raises `shutdown` for the reader and heartbeat threads, and
+    /// wakes and joins the accept thread: the listener is closed when
+    /// this returns.
     fn drop(&mut self) {
-        self.shared.shutdown.store(true, Ordering::SeqCst);
+        if let Some(accept_thread) = self.accept_thread.take() {
+            stop_accept(&self.shared.shutdown, self.listen_addr, accept_thread);
+        }
     }
 }
 
 fn accept_loop(listener: TcpListener, shared: Arc<Shared>) {
-    while !shared.shutdown.load(Ordering::SeqCst) {
-        match listener.accept() {
-            Ok((stream, _)) => {
-                let reader_shared = Arc::clone(&shared);
-                thread::spawn(move || reader_loop(stream, reader_shared));
-            }
-            Err(e) if e.kind() == ErrorKind::WouldBlock => {
-                thread::sleep(Duration::from_millis(20));
-            }
-            Err(_) => thread::sleep(Duration::from_millis(20)),
-        }
-    }
+    accept_until(&listener, &shared.shutdown, |stream| {
+        let reader_shared = Arc::clone(&shared);
+        thread::spawn(move || reader_loop(stream, reader_shared));
+    });
 }
 
 fn reader_loop(mut stream: TcpStream, shared: Arc<Shared>) {
@@ -707,6 +748,51 @@ mod tests {
         let clock = WallClock::new();
         assert!(sender.send(1, &Message::Handshake { from: 0 }).is_err());
         assert!(clock.now() < Duration::from_secs(5));
+    }
+
+    #[test]
+    fn dropped_port_refuses_connections_at_once() {
+        let (cluster, mut nodes) = loopback_cluster(3);
+        let node = nodes.remove(0);
+        let addr = node.local_addr().unwrap();
+        let mut port = node.into_port(&cluster, quick_opts()).unwrap();
+        let mut peer = nodes.remove(0).into_port(&cluster, quick_opts()).unwrap();
+        // A frame through the listener: its accept loop is running.
+        peer.send(0, &Message::Handshake { from: 1 }).unwrap();
+        assert!(port.recv_timeout(Duration::from_secs(5)).unwrap().is_some());
+        drop(port);
+        let err = TcpStream::connect(addr).expect_err("the listener must be closed");
+        assert_eq!(err.kind(), ErrorKind::ConnectionRefused);
+    }
+
+    #[test]
+    fn refusal_after_the_cluster_spoke_ends_the_dial_without_backoff() {
+        let (cluster, mut nodes) = loopback_cluster(3);
+        drop(nodes.pop()); // nobody listens on participant 2's address
+        let mut peer = nodes
+            .pop()
+            .unwrap()
+            .into_port(&cluster, quick_opts())
+            .unwrap();
+        let clock = Arc::new(hadfl::clock::ManualClock::new());
+        let opts = TcpOptions {
+            heartbeat_interval: None,
+            ..TcpOptions::default()
+        };
+        let mut port = nodes
+            .pop()
+            .unwrap()
+            .into_port_instrumented(&cluster, opts, clock.clone(), Telemetry::disabled())
+            .unwrap();
+        peer.send(0, &Message::Handshake { from: 1 }).unwrap();
+        assert_eq!(
+            port.recv_timeout(Duration::from_secs(5)).unwrap(),
+            Some(Message::Handshake { from: 1 })
+        );
+        let before = clock.now();
+        assert!(port.send(2, &Message::Shutdown).is_err());
+        // The default schedule would have slept 25+50+100+200+400 ms.
+        assert_eq!(clock.now(), before, "no backoff after the cluster spoke");
     }
 
     #[test]

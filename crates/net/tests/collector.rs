@@ -269,6 +269,33 @@ fn thousand_device_fleet_ships_through_a_live_collector() {
     let _ = std::fs::remove_file(&spool);
 }
 
+/// Both listeners block in `accept` and are woken by `shutdown`, which
+/// joins them: the addresses refuse connections as soon as it returns.
+#[test]
+fn shutdown_closes_both_listeners_before_returning() {
+    let collector = Collector::new(
+        WallClock::shared(),
+        MetricsRegistry::new(),
+        &CollectorOptions::default(),
+    )
+    .expect("collector setup");
+    let server = CollectorServer::start(
+        "127.0.0.1:0",
+        "127.0.0.1:0",
+        Arc::new(Mutex::new(collector)),
+        Duration::from_millis(20),
+        CollectorOptions::default().max_frame_bytes,
+    )
+    .expect("collector server");
+    let addrs = [server.ingest_addr(), server.http_addr()];
+    assert!(http_get(addrs[1], "/health").contains("200 OK"));
+    server.shutdown();
+    for addr in addrs {
+        let err = TcpStream::connect(addr).expect_err("listener must be closed");
+        assert_eq!(err.kind(), std::io::ErrorKind::ConnectionRefused, "{addr}");
+    }
+}
+
 /// Builds one scripted event; `lam` doubles as seq for brevity.
 fn ev(node: u32, lam: u64, kind: EventKind) -> Event {
     Event {

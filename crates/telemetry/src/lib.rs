@@ -19,6 +19,10 @@
 //! - [`MetricsSink`] + [`serve_metrics`] — a Prometheus-style registry
 //!   with a text-exposition HTTP endpoint.
 //!
+//! The exposition server's blocking accept loop ([`accept_until`],
+//! stopped by [`stop_accept`]) is also every other listener's in the
+//! workspace: the collector's and the TCP transport's.
+//!
 //! The [`analyze`] module (and the `hadfl-trace` binary built from it)
 //! merges per-node JSONL logs and reports the paper's headline
 //! diagnostics: Eq. 7 prediction error, Eq. 8 selection frequencies,
@@ -44,7 +48,10 @@ pub use causal::LamportClock;
 pub use event::{Event, EventKind, SCHEMA_VERSION};
 pub use follow::FollowState;
 pub use health::{Alert, HealthEngine, HealthOptions, HealthReport, Severity};
-pub use metrics::{serve_http, serve_metrics, MetricsRegistry, MetricsServer, MetricsSink};
+pub use metrics::{
+    accept_until, serve_http, serve_metrics, stop_accept, MetricsRegistry, MetricsServer,
+    MetricsSink,
+};
 pub use ship::{BatchShipper, ShipBatch, ShipOptions, ShipSink, ShipStats, VecShipper};
 pub use sink::{JsonlSink, RingBufferSink, SharedBuffer, Sink};
 

@@ -10,7 +10,7 @@
 
 use std::collections::BTreeMap;
 use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpListener};
+use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -430,6 +430,55 @@ impl Sink for MetricsSink {
     }
 }
 
+/// Pause after a failed `accept` (`EMFILE`, `ECONNABORTED`, ...) so a
+/// persistent error does not spin the thread. Readiness never sleeps:
+/// the listener is blocking.
+const ACCEPT_ERROR_BACKOFF: Duration = Duration::from_millis(50);
+
+/// Budget of [`stop_accept`]'s wake connection.
+const WAKE_TIMEOUT: Duration = Duration::from_secs(1);
+
+/// The workspace's one accept loop: blocks in `listener.accept()` and
+/// hands every connection to `on_conn`, until an accept returns with
+/// `stop` set — [`stop_accept`]'s wake connection is that accept.
+///
+/// Run it on a thread that owns `listener`, so the listener closes when
+/// the loop returns. With std alone there is no readiness API, so the
+/// listener stays blocking: a nonblocking one is a sleep-poll, and the
+/// poll period is added to the first frame on every new connection.
+pub fn accept_until(listener: &TcpListener, stop: &AtomicBool, mut on_conn: impl FnMut(TcpStream)) {
+    loop {
+        let accepted = listener.accept();
+        if stop.load(Ordering::SeqCst) {
+            return;
+        }
+        match accepted {
+            Ok((stream, _)) => on_conn(stream),
+            Err(_) => std::thread::sleep(ACCEPT_ERROR_BACKOFF),
+        }
+    }
+}
+
+/// Stops an [`accept_until`] thread: sets `stop`, wakes the blocked
+/// accept with one connection to `addr` (the listener's bound address;
+/// loopback stands in for an unspecified IP) and, if that connection
+/// succeeded, joins `accept_thread` — so the listener is closed when
+/// this returns. A failed wake leaves the thread detached: it exits at
+/// its next accept.
+pub fn stop_accept(stop: &AtomicBool, addr: SocketAddr, accept_thread: JoinHandle<()>) {
+    stop.store(true, Ordering::SeqCst);
+    let mut wake = addr;
+    if wake.ip().is_unspecified() {
+        wake.set_ip(match wake {
+            SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+            SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+        });
+    }
+    if TcpStream::connect_timeout(&wake, WAKE_TIMEOUT).is_ok() {
+        let _ = accept_thread.join();
+    }
+}
+
 /// Handle to the background exposition server; shuts down on
 /// [`MetricsServer::shutdown`] or drop.
 pub struct MetricsServer {
@@ -444,15 +493,15 @@ impl MetricsServer {
         self.addr
     }
 
-    /// Stops the accept loop and joins the server thread.
+    /// Stops the accept loop and joins the server thread: the address
+    /// refuses connections once this returns.
     pub fn shutdown(mut self) {
         self.stop_and_join();
     }
 
     fn stop_and_join(&mut self) {
-        self.stop.store(true, Ordering::SeqCst);
         if let Some(handle) = self.handle.take() {
-            let _ = handle.join();
+            stop_accept(&self.stop, self.addr, handle);
         }
     }
 }
@@ -471,7 +520,6 @@ impl Drop for MetricsServer {
 /// Propagates bind errors.
 pub fn serve_metrics(addr: &str, registry: Arc<MetricsRegistry>) -> std::io::Result<MetricsServer> {
     let listener = TcpListener::bind(addr)?;
-    listener.set_nonblocking(true)?;
     let bound = listener.local_addr()?;
     let stop = Arc::new(AtomicBool::new(false));
     let stop_flag = Arc::clone(&stop);
@@ -488,41 +536,43 @@ pub fn serve_metrics(addr: &str, registry: Arc<MetricsRegistry>) -> std::io::Res
 }
 
 /// The workspace's one HTTP/1.1 responder, for endpoints that serve
-/// scrapers and `curl`: until `stop` is set, accepts on the
-/// non-blocking `listener`, reads one request per connection (best
-/// effort, 200 ms), hands its path — query string dropped — to `route`
-/// for `(status, content type, body)`, answers with `Content-Length`
-/// and `Connection: close`.
+/// scrapers and `curl`: an [`accept_until`] loop on `listener` that
+/// reads one request head per connection (best effort, 200 ms), hands its
+/// path — query string dropped — to `route` for `(status, content
+/// type, body)`, and answers with `Content-Length` and `Connection:
+/// close`. Stop it with [`stop_accept`].
 pub fn serve_http(
     listener: &TcpListener,
     stop: &AtomicBool,
     route: impl Fn(&str) -> (&'static str, &'static str, String),
 ) {
-    while !stop.load(Ordering::SeqCst) {
-        match listener.accept() {
-            Ok((mut stream, _)) => {
-                let _ = stream.set_read_timeout(Some(Duration::from_millis(200)));
-                let mut scratch = [0u8; 2048];
-                let n = stream.read(&mut scratch).unwrap_or(0);
-                let request = String::from_utf8_lossy(&scratch[..n]);
-                let path = request
-                    .split_whitespace()
-                    .nth(1)
-                    .unwrap_or("/")
-                    .split('?')
-                    .next()
-                    .unwrap_or("/");
-                let (status, content_type, body) = route(path);
-                let response = format!(
-                    "HTTP/1.1 {status}\r\nContent-Type: {content_type}\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
-                    body.len()
-                );
-                let _ = stream.write_all(response.as_bytes());
+    accept_until(listener, stop, |mut stream| {
+        let _ = stream.set_read_timeout(Some(Duration::from_millis(200)));
+        // The head can arrive in several segments; closing with part of
+        // it unread would reset the connection under the response.
+        let mut scratch = [0u8; 2048];
+        let mut n = 0;
+        while n < scratch.len() && !scratch[..n].windows(4).any(|w| w == b"\r\n\r\n") {
+            match stream.read(&mut scratch[n..]) {
+                Ok(0) | Err(_) => break,
+                Ok(read) => n += read,
             }
-            // Nothing pending, or a transient accept error.
-            Err(_) => std::thread::sleep(Duration::from_millis(20)),
         }
-    }
+        let request = String::from_utf8_lossy(&scratch[..n]);
+        let path = request
+            .split_whitespace()
+            .nth(1)
+            .unwrap_or("/")
+            .split('?')
+            .next()
+            .unwrap_or("/");
+        let (status, content_type, body) = route(path);
+        let response = format!(
+            "HTTP/1.1 {status}\r\nContent-Type: {content_type}\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
+            body.len()
+        );
+        let _ = stream.write_all(response.as_bytes());
+    });
 }
 
 #[cfg(test)]
@@ -812,5 +862,34 @@ mod tests {
         assert!(response.contains("# HELP hadfl_rounds_total"), "{response}");
         assert!(response.contains("hadfl_rounds_total 3"), "{response}");
         server.shutdown();
+    }
+
+    #[test]
+    fn request_head_in_several_segments_gets_the_whole_response() {
+        let registry = MetricsRegistry::new();
+        for i in 0..4000 {
+            registry.inc_counter("hadfl_rounds_total", &[("device", i.to_string())], 1.0);
+        }
+        let server = serve_metrics("127.0.0.1:0", Arc::clone(&registry)).unwrap();
+        let mut stream = std::net::TcpStream::connect(server.addr()).unwrap();
+        stream.write_all(b"GET /metrics").unwrap();
+        std::thread::sleep(Duration::from_millis(50));
+        stream.write_all(b" HTTP/1.1\r\nHost: x\r\n\r\n").unwrap();
+        let mut response = String::new();
+        stream.read_to_string(&mut response).unwrap();
+        assert!(response.ends_with(&registry.render()), "truncated response");
+        server.shutdown();
+    }
+
+    #[test]
+    fn shutdown_closes_the_listener_before_returning() {
+        // An unspecified bind is woken through loopback.
+        for bind in ["127.0.0.1:0", "0.0.0.0:0"] {
+            let server = serve_metrics(bind, MetricsRegistry::new()).unwrap();
+            let port = server.addr().port();
+            server.shutdown();
+            let err = std::net::TcpStream::connect(("127.0.0.1", port)).unwrap_err();
+            assert_eq!(err.kind(), std::io::ErrorKind::ConnectionRefused, "{bind}");
+        }
     }
 }
