@@ -11,7 +11,7 @@ use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
 use std::time::Duration;
 
-use hadfl::coordinator::RoundPlan;
+use hadfl::coordinator::{RoundPlan, RuntimeSupervisor};
 use hadfl::exec::{
     CoordPhaseKind, CoordinatorActor, DeviceActor, Planner, ProtocolTiming, TrainState,
 };
@@ -373,9 +373,12 @@ impl World {
                 ))
             })
             .collect();
+        // The fixed planner ignores versions, so the α is immaterial.
+        let supervisor = RuntimeSupervisor::new(0.5, k).expect("0.5 is in (0, 1)");
         let coord = CoordNode::Up(CoordinatorActor::new(
             k,
             FixedPlanner { select: cfg.select },
+            supervisor,
             Duration::ZERO,
             cfg.rounds,
             ProtocolTiming::zero(),

@@ -46,61 +46,49 @@ impl LivenessMonitor {
     }
 }
 
-/// The *runtime supervisor*: collects per-round parameter versions and
-/// forecasts the next round with the Eq. (7) predictor.
+/// The *runtime supervisor*: collects each device's parameter versions
+/// as they are reported and forecasts its next one with the Eq. (7)
+/// predictor. Devices are observed one by one, so a caller that only
+/// hears from live devices feeds only those.
 #[derive(Debug, Clone)]
 pub struct RuntimeSupervisor {
     predictors: Vec<VersionPredictor>,
 }
 
 impl RuntimeSupervisor {
-    /// Creates one predictor per device with the Eq. (6) warm-up priors.
+    /// Tracks devices `0..devices`, none observed yet.
     ///
     /// # Errors
     ///
-    /// Returns [`HadflError::InvalidConfig`] for an out-of-range α or
-    /// non-finite prior.
-    pub fn new(alpha: f64, priors: &[f64]) -> Result<Self, HadflError> {
-        let predictors = priors
-            .iter()
-            .map(|&p| VersionPredictor::new(alpha, p))
-            .collect::<Result<Vec<_>, _>>()?;
-        Ok(RuntimeSupervisor { predictors })
+    /// Returns [`HadflError::InvalidConfig`] for an α outside (0, 1).
+    pub fn new(alpha: f64, devices: usize) -> Result<Self, HadflError> {
+        // The prior is never read: `forecast` answers only once a device
+        // has been observed, and the caller owns the fallback before.
+        let unobserved = VersionPredictor::new(alpha, 0.0)?;
+        Ok(RuntimeSupervisor {
+            predictors: vec![unobserved; devices],
+        })
     }
 
-    /// Number of tracked devices.
-    pub fn devices(&self) -> usize {
-        self.predictors.len()
-    }
-
-    /// Records the actual versions observed in the round just completed.
+    /// Records `device`'s version in the round just completed.
     ///
-    /// # Errors
+    /// # Panics
     ///
-    /// Returns [`HadflError::InvalidConfig`] if the count differs from
-    /// the device count.
-    pub fn observe_round(&mut self, versions: &[f64]) -> Result<(), HadflError> {
-        if versions.len() != self.predictors.len() {
-            return Err(HadflError::InvalidConfig(format!(
-                "{} versions for {} devices",
-                versions.len(),
-                self.predictors.len()
-            )));
-        }
-        for (p, &v) in self.predictors.iter_mut().zip(versions) {
-            p.observe(v);
-        }
-        Ok(())
+    /// Panics if `device` is not below the tracked count.
+    pub fn observe(&mut self, device: usize, version: f64) {
+        self.predictors[device].observe(version);
     }
 
-    /// Forecast versions one round ahead for every device.
-    pub fn predicted_versions(&self) -> Vec<f64> {
-        self.predictors.iter().map(|p| p.forecast(1)).collect()
-    }
-
-    /// The per-device predictors (diagnostics / tests).
-    pub fn predictors(&self) -> &[VersionPredictor] {
-        &self.predictors
+    /// `device`'s version one round ahead, or `None` before its first
+    /// observation — the caller then plans at the Eq. (6) prior or at
+    /// the report itself.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `device` is not below the tracked count.
+    pub fn forecast(&self, device: usize) -> Option<f64> {
+        let p = &self.predictors[device];
+        (p.observations() > 0).then(|| p.forecast(1))
     }
 }
 
@@ -286,13 +274,16 @@ mod tests {
 
     #[test]
     fn supervisor_tracks_and_predicts() {
-        let mut sup = RuntimeSupervisor::new(0.5, &[100.0, 50.0]).unwrap();
-        assert_eq!(sup.devices(), 2);
-        // Before observations: warm-up priors.
-        assert_eq!(sup.predicted_versions(), vec![100.0, 50.0]);
-        sup.observe_round(&[110.0, 40.0]).unwrap();
-        assert_eq!(sup.predicted_versions(), vec![110.0, 40.0]);
-        assert!(sup.observe_round(&[1.0]).is_err());
+        let mut sup = RuntimeSupervisor::new(0.5, 2).unwrap();
+        assert_eq!(sup.forecast(0), None, "no forecast before an observation");
+        sup.observe(0, 110.0);
+        assert_eq!(sup.forecast(0), Some(110.0));
+        assert_eq!(sup.forecast(1), None, "devices are observed one by one");
+        // Eq. 7 at α = 0.5 over [110, 120]: s₁ = 115, s₂ = 112.5, so
+        // a = 117.5, b = 2.5 and the one-ahead forecast is 120.
+        sup.observe(0, 120.0);
+        assert_eq!(sup.forecast(0), Some(120.0));
+        assert!(RuntimeSupervisor::new(1.0, 2).is_err());
     }
 
     #[test]

@@ -237,7 +237,7 @@ pub fn run_hadfl(
     let priors: Vec<f64> = (0..k)
         .map(|i| built.runtimes[i].steps_done as f64 + strategy.local_steps[i] as f64)
         .collect();
-    let mut supervisor = RuntimeSupervisor::new(config.smoothing_alpha, &priors)?;
+    let mut supervisor = RuntimeSupervisor::new(config.smoothing_alpha, k)?;
     // One selection stream per group; group 0's is the configured seed's.
     let mut generators: Vec<StrategyGenerator> = (0..groups.len() as u64)
         .map(|gi| {
@@ -306,7 +306,10 @@ pub fn run_hadfl(
         if available.is_empty() {
             return Err(HadflError::ClusterDead { round });
         }
-        let predicted = supervisor.predicted_versions();
+        // superseded by exec
+        let predicted: Vec<f64> = (0..k)
+            .map(|i| supervisor.forecast(i).unwrap_or(priors[i]))
+            .collect();
         let mut plans = Vec::new();
         // Group index → the device holding that group's freshest model:
         // its lone live member, or (below) whoever broadcast its merge.
@@ -445,7 +448,10 @@ pub fn run_hadfl(
         }
 
         // --- Runtime supervision: feed actual versions to the predictor. ---
-        supervisor.observe_round(&versions)?;
+        // superseded by exec
+        for (i, &version) in versions.iter().enumerate() {
+            supervisor.observe(i, version);
+        }
 
         // --- Model backup. ---
         if let Some(mgr) = manager.as_mut() {

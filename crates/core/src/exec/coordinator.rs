@@ -6,8 +6,8 @@ use hadfl_simnet::DeviceId;
 use hadfl_telemetry::{EventKind, Telemetry};
 
 use super::{seeded, CoordinatorRun, Planner, ProtocolTiming, ThreadedRound};
+use crate::coordinator::RuntimeSupervisor;
 use crate::error::HadflError;
-use crate::predict::VersionPredictor;
 use crate::transport::Port;
 use crate::wire::Message;
 
@@ -60,8 +60,9 @@ pub enum CoordHint {
 /// The coordinator's protocol state machine, advanced one event at a
 /// time: per round, wait out the window, collect version reports
 /// (dropping devices that miss the deadline or are reported dead by a
-/// ring), plan the ring via a [`Planner`], distribute the plan; after
-/// the last round shut the cluster down and collect final parameters.
+/// ring), plan the ring via a [`Planner`] from the [`RuntimeSupervisor`]'s
+/// Eq. (7) forecasts, distribute the plan; after the last round shut the
+/// cluster down and collect final parameters.
 #[derive(Debug, Clone)]
 pub struct CoordinatorActor<Pl: Planner> {
     k: usize,
@@ -69,6 +70,11 @@ pub struct CoordinatorActor<Pl: Planner> {
     window: Duration,
     timing: ProtocolTiming,
     planner: Pl,
+    /// Never part of [`digest_into`](Self::digest_into): its state is a
+    /// function of the reports `rounds_log` and `dropped` already
+    /// digest (a device is observed in exactly the rounds it reported
+    /// in), and the checker's fixed planner ignores versions anyway.
+    supervisor: RuntimeSupervisor,
     alive: BTreeSet<usize>,
     dropped: Vec<(usize, usize)>,
     rounds_log: Vec<ThreadedRound>,
@@ -78,24 +84,17 @@ pub struct CoordinatorActor<Pl: Planner> {
     /// [`digest_into`](Self::digest_into) — observability must not
     /// split model-checker states.
     tel: Telemetry,
-    /// Eq. (7) shadow predictors, one per device, maintained only while
-    /// telemetry is enabled so prediction-vs-actual error can be
-    /// logged per round. Planning behavior is untouched: the deployed
-    /// coordinator plans from *reported* versions either way.
-    predictors: Option<Vec<VersionPredictor>>,
     /// When the current round's window opened (round-latency metric).
     round_opened: Duration,
 }
 
-/// Smoothing factor of the telemetry-only Eq. (7) shadow predictors.
-const TELEMETRY_PREDICTOR_ALPHA: f64 = 0.3;
-
 impl<Pl: Planner> CoordinatorActor<Pl> {
     /// An actor for a `k`-device cluster starting its first window at
-    /// `now`.
+    /// `now`; `supervisor` tracks devices `0..k`.
     pub fn new(
         k: usize,
         planner: Pl,
+        supervisor: RuntimeSupervisor,
         window: Duration,
         rounds: usize,
         timing: ProtocolTiming,
@@ -107,6 +106,7 @@ impl<Pl: Planner> CoordinatorActor<Pl> {
             window,
             timing,
             planner,
+            supervisor,
             alive: (0..k).collect(),
             dropped: Vec::new(),
             rounds_log: Vec::new(),
@@ -116,22 +116,13 @@ impl<Pl: Planner> CoordinatorActor<Pl> {
                 until: now + window,
             },
             tel: Telemetry::disabled(),
-            predictors: None,
             round_opened: now,
         }
     }
 
-    /// Attaches a telemetry handle; a disabled handle is a no-op. An
-    /// enabled handle also switches on the per-device Eq. (7) shadow
-    /// predictors behind the round's prediction-error events.
+    /// Attaches a telemetry handle; a disabled handle is a no-op.
     #[must_use]
     pub fn with_telemetry(mut self, tel: Telemetry) -> Self {
-        if tel.enabled() {
-            self.predictors = (0..self.k)
-                .map(|_| VersionPredictor::new(TELEMETRY_PREDICTOR_ALPHA, 0.0))
-                .collect::<Result<Vec<_>, _>>()
-                .ok();
-        }
         self.tel = tel;
         self
     }
@@ -416,13 +407,14 @@ impl<Pl: Planner> CoordinatorActor<Pl> {
         }
 
         let available: Vec<DeviceId> = self.alive.iter().map(|&d| DeviceId(d)).collect();
-        let avail_versions: Vec<f64> = available.iter().map(|d| versions[&d.index()]).collect();
-        if let Some(predictors) = self.predictors.as_mut() {
-            // Eq. (7) shadow forecast: predicted-vs-actual *before* the
-            // round's observation updates the smoother.
-            for (d, &actual) in available.iter().zip(&avail_versions) {
-                if let Some(p) = predictors.get_mut(d.index()) {
-                    let predicted = p.forecast(1);
+        // Eq. (7): plan from the forecast made before this round's
+        // reports, then feed the reports in. A device not yet observed
+        // has no forecast and is planned at its report.
+        let mut planned = Vec::with_capacity(available.len());
+        for d in &available {
+            let actual = versions[&d.index()];
+            let version = match self.supervisor.forecast(d.index()) {
+                Some(predicted) => {
                     self.tel.emit(
                         now,
                         EventKind::Prediction {
@@ -432,11 +424,14 @@ impl<Pl: Planner> CoordinatorActor<Pl> {
                             actual,
                         },
                     );
-                    p.observe(actual);
+                    predicted
                 }
-            }
+                None => actual,
+            };
+            self.supervisor.observe(d.index(), actual);
+            planned.push(version);
         }
-        let plan = self.planner.plan(&available, &avail_versions)?;
+        let plan = self.planner.plan(&available, &planned)?;
         let ring: Vec<u32> = plan
             .ring
             .members()
@@ -453,7 +448,7 @@ impl<Pl: Planner> CoordinatorActor<Pl> {
                 EventKind::RoundPlanned {
                     round: round as u32,
                     available: available.iter().map(|d| d.index() as u32).collect(),
-                    versions: avail_versions.clone(),
+                    versions: planned,
                     probabilities: self
                         .planner
                         .last_probabilities()

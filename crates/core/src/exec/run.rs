@@ -12,7 +12,7 @@ use super::{
 };
 use crate::clock::{Clock, ManualClock, WallClock};
 use crate::config::HadflConfig;
-use crate::coordinator::StrategyGenerator;
+use crate::coordinator::{RuntimeSupervisor, StrategyGenerator};
 use crate::error::HadflError;
 use crate::trace::CommSummary;
 use crate::transport::{coordinator_id, ChannelTransport, Port};
@@ -76,16 +76,17 @@ pub fn run_device<P: Port>(
 }
 
 /// Runs the coordinator's protocol loop over `port` (see
-/// [`CoordinatorActor`] for the script). Like [`run_device`], the loop
-/// takes its clock and its telemetry handle from the port; with
-/// telemetry on it emits round plans with their Eq. (8) selection
-/// probabilities, Eq. (7) prediction-vs-actual versions, device drops,
-/// and round latencies.
+/// [`CoordinatorActor`] for the script), forecasting at
+/// `config.smoothing_alpha`. Like [`run_device`], the loop takes its
+/// clock and its telemetry handle from the port; with telemetry on it
+/// emits round plans with their Eq. (8) selection probabilities, Eq. (7)
+/// planned-vs-reported versions, device drops, and round latencies.
 ///
 /// # Errors
 ///
 /// Returns [`HadflError::ClusterDead`] when fewer than two devices
-/// remain, and fabric errors from the transport.
+/// remain, [`HadflError::InvalidConfig`] for a smoothing α outside
+/// (0, 1), and fabric errors from the transport.
 pub fn run_coordinator<P: Port>(
     mut port: P,
     config: &HadflConfig,
@@ -95,9 +96,16 @@ pub fn run_coordinator<P: Port>(
 ) -> Result<CoordinatorRun, HadflError> {
     let clock = port.clock();
     let k = port.participants() - 1;
-    let planner = StrategyGenerator::new(config);
-    let mut actor = CoordinatorActor::new(k, planner, window, rounds, timing.clone(), clock.now())
-        .with_telemetry(port.telemetry());
+    let mut actor = CoordinatorActor::new(
+        k,
+        StrategyGenerator::new(config),
+        RuntimeSupervisor::new(config.smoothing_alpha, k)?,
+        window,
+        rounds,
+        timing.clone(),
+        clock.now(),
+    )
+    .with_telemetry(port.telemetry());
     loop {
         match actor.hint(clock.now()) {
             CoordHint::Sleep(d) => {
@@ -280,7 +288,7 @@ pub fn run_virtual(
     let (outcome, stats, elapsed) = run_virtual_cluster(
         built.runtimes,
         StrategyGenerator::new(config),
-        config.blend_beta,
+        config,
         opts,
         &[],
         &[],
@@ -289,8 +297,10 @@ pub fn run_virtual(
 }
 
 /// The virtual-time driver behind [`run_virtual`], over any training
-/// state and planner: one [`DeviceActor`] per entry of `states` and a
-/// [`CoordinatorActor`] around `planner`, stepped by one thread over a
+/// state and planner: one [`DeviceActor`] per entry of `states`
+/// (blending broadcasts at `config.blend_beta`) and a
+/// [`CoordinatorActor`] around `planner` (fed Eq. (7) forecasts at
+/// `config.smoothing_alpha`), stepped by one thread over a
 /// [`ChannelTransport`] whose ports all read one [`ManualClock`].
 /// Returns what the coordinator learned, the hub's byte ledger, and
 /// the virtual time the run took.
@@ -317,12 +327,13 @@ pub fn run_virtual(
 ///
 /// Returns [`HadflError::InvalidConfig`] for fewer than two states,
 /// powers that are not one per state, finite and positive, zero rounds,
-/// a `telemetry` length other than 0 or `states.len() + 1`, or a kill
-/// naming no device; otherwise as [`run_threaded`].
+/// a `telemetry` length other than 0 or `states.len() + 1`, a kill
+/// naming no device, or a smoothing α outside (0, 1); otherwise as
+/// [`run_threaded`].
 pub fn run_virtual_cluster<T: TrainState, Pl: Planner>(
     states: Vec<T>,
     planner: Pl,
-    blend_beta: f32,
+    config: &HadflConfig,
     opts: &ThreadedOptions,
     telemetry: &[Telemetry],
     kills: &[(usize, Duration)],
@@ -342,6 +353,7 @@ pub fn run_virtual_cluster<T: TrainState, Pl: Planner>(
         )));
     }
     let dead = |i: usize, now: Duration| kills.iter().any(|&(d, at)| d == i && at <= now);
+    let supervisor = RuntimeSupervisor::new(config.smoothing_alpha, k)?;
 
     let clock = ManualClock::new();
     let mut hub = ChannelTransport::hub(k + 1);
@@ -354,6 +366,7 @@ pub fn run_virtual_cluster<T: TrainState, Pl: Planner>(
     let mut coord = CoordinatorActor::new(
         k,
         planner,
+        supervisor,
         opts.window,
         opts.rounds,
         opts.timing.clone(),
@@ -368,8 +381,8 @@ pub fn run_virtual_cluster<T: TrainState, Pl: Planner>(
         let port = claim(i)?;
         let tel = port.telemetry();
         tel.emit(clock.now(), EventKind::DeviceStarted { device: i as u32 });
-        let mut actor =
-            DeviceActor::new(i, k + 1, state, blend_beta, opts.timing.clone()).with_telemetry(tel);
+        let mut actor = DeviceActor::new(i, k + 1, state, config.blend_beta, opts.timing.clone())
+            .with_telemetry(tel);
         actor.begin_training(clock.now(), 1);
         device_ports.push(port);
         devices.push(actor);

@@ -614,7 +614,7 @@ fn instrumented_virtual_run(
     let (run, stats, _) = run_virtual_cluster(
         states,
         StrategyGenerator::new(&config),
-        config.blend_beta,
+        &config,
         &opts,
         &telemetry,
         kills,
@@ -639,7 +639,7 @@ fn virtual_cluster_validates_states_handles_and_kills() {
             .collect();
         let telemetry = vec![Telemetry::disabled(); handles];
         let planner = StrategyGenerator::new(&config);
-        run_virtual_cluster(states, planner, 0.5, opts, &telemetry, kills).map(|_| ())
+        run_virtual_cluster(states, planner, &config, opts, &telemetry, kills).map(|_| ())
     };
     let opts = ThreadedOptions::quick(&[1.0, 1.0, 1.0]);
     run(3, &opts, 0, &[]).unwrap();
@@ -771,6 +771,167 @@ fn virtual_ring_bypasses_a_member_killed_after_reporting() {
             ..
         }
     )));
+}
+
+/// Eq. 7's error table starts where forecasts do. A device the
+/// supervisor has not observed is planned at its report and logs no
+/// `Prediction`, so the report has no round-1 row charging it the whole
+/// version; every logged forecast is the version the plan used.
+#[test]
+fn predictions_are_the_plans_forecasts_and_start_at_round_two() {
+    let (run, _, events) = instrumented_virtual_run(3, 2, Duration::from_millis(60), &[]);
+    let report = hadfl_telemetry::analyze::report(&events);
+    let rounds: Vec<u32> = report.prediction_error.iter().map(|&(r, _)| r).collect();
+    assert_eq!(rounds, vec![2], "{:?}", report.prediction_error);
+
+    let plans: Vec<(Vec<u32>, Vec<f64>)> = events
+        .iter()
+        .filter_map(|e| match &e.kind {
+            EventKind::RoundPlanned {
+                available,
+                versions,
+                ..
+            } => Some((available.clone(), versions.clone())),
+            _ => None,
+        })
+        .collect();
+    let reported: Vec<f64> = run.rounds[0].versions.iter().map(|&v| v as f64).collect();
+    assert_eq!(
+        plans[0],
+        (vec![0, 1, 2], reported),
+        "round 1 plans at the reports"
+    );
+    let mut forecasts = 0;
+    for e in &events {
+        if let EventKind::Prediction {
+            round,
+            device,
+            predicted,
+            ..
+        } = e.kind
+        {
+            let (available, versions) = &plans[round as usize - 1];
+            let at = available.iter().position(|&d| d == device).unwrap();
+            assert_eq!(versions[at], predicted, "round {round} device {device}");
+            forecasts += 1;
+        }
+    }
+    assert_eq!(forecasts, 3, "one forecast per device in round 2");
+}
+
+/// A ghost whose version advances one per step until `slow_after`
+/// steps, then on every other step only: the device halves its speed
+/// mid-run, as in `examples/version_prediction.rs`.
+struct SlowingGhost {
+    calls: u64,
+    version: u64,
+    slow_after: u64,
+}
+
+impl TrainState for SlowingGhost {
+    fn params(&self) -> Vec<f32> {
+        vec![0.0]
+    }
+    fn set_params(&mut self, _params: &[f32]) -> Result<(), HadflError> {
+        Ok(())
+    }
+    fn train_step(&mut self) -> Result<(), HadflError> {
+        self.calls += 1;
+        if self.calls <= self.slow_after || self.calls.is_multiple_of(2) {
+            self.version += 1;
+        }
+        Ok(())
+    }
+    fn version(&self) -> f64 {
+        self.version as f64
+    }
+}
+
+/// The paper's strategy generator, logging the versions it is handed.
+struct RecordingPlanner {
+    inner: StrategyGenerator,
+    log: Arc<parking_lot::Mutex<Vec<Vec<f64>>>>,
+}
+
+impl Planner for RecordingPlanner {
+    fn plan(&mut self, available: &[DeviceId], versions: &[f64]) -> Result<RoundPlan, HadflError> {
+        self.log.lock().push(versions.to_vec());
+        self.inner.plan_round(available, versions)
+    }
+}
+
+/// Eq. 7 planning through the actors, on a `ManualClock`. Two devices
+/// step every 10 ms of a 100 ms window, so each reports 10 versions
+/// per round until device 1 halves its speed after 30 steps: reports
+/// are 10, 20, 30, 40, 50 and 10, 20, 30, 35, 40. Round 1 is planned
+/// at the reports; from round 2 the planner gets the supervisor's
+/// forecast at `smoothing_alpha` = 0.5, made before that round's
+/// reports (`predict.rs::two_observations_match_eq7_by_hand`):
+///
+/// - round 2, one observation [10]: the forecast echoes it, 10;
+/// - round 3, [10, 20]: s₁ = 15, s₂ = 12.5, a = 17.5, b = 2.5 → 20;
+/// - round 4, [.., 30]: s₁ = 22.5, s₂ = 17.5, a = 27.5, b = 5 → 32.5;
+/// - round 5, [.., 40]: s₁ = 31.25, s₂ = 24.375, a = 38.125,
+///   b = 6.875 → 45; [.., 35]: s₁ = 28.75, s₂ = 23.125, a = 34.375,
+///   b = 5.625 → 40.
+///
+/// The inputs are the same with telemetry on and off.
+#[test]
+fn coordinator_plans_from_eq7_forecasts() {
+    let config = HadflConfig::builder()
+        .smoothing_alpha(0.5)
+        .seed(75)
+        .build()
+        .unwrap();
+    let opts = ThreadedOptions {
+        powers: vec![1.0, 1.0],
+        step_sleep: Duration::from_millis(10),
+        window: Duration::from_millis(100),
+        rounds: 5,
+        timing: ProtocolTiming::quick(),
+    };
+    let planned = |telemetry: &[Telemetry]| {
+        let log = Arc::new(parking_lot::Mutex::new(Vec::new()));
+        let planner = RecordingPlanner {
+            inner: StrategyGenerator::new(&config),
+            log: Arc::clone(&log),
+        };
+        let states = [u64::MAX, 30]
+            .into_iter()
+            .map(|slow_after| SlowingGhost {
+                calls: 0,
+                version: 0,
+                slow_after,
+            })
+            .collect();
+        let (run, _, _) =
+            run_virtual_cluster(states, planner, &config, &opts, telemetry, &[]).unwrap();
+        let reported: Vec<Vec<u64>> = run.rounds.iter().map(|r| r.versions.clone()).collect();
+        assert_eq!(
+            reported,
+            [[10, 10], [20, 20], [30, 30], [40, 35], [50, 40]],
+            "the ghosts' reports"
+        );
+        Arc::try_unwrap(log).unwrap().into_inner()
+    };
+    let expected = [
+        [10.0, 10.0],
+        [10.0, 10.0],
+        [20.0, 20.0],
+        [32.5, 32.5],
+        [45.0, 40.0],
+    ];
+    let off = planned(&[]);
+    assert_eq!(off, expected);
+    let buffer = RingBufferSink::new(1 << 12);
+    let telemetry: Vec<Telemetry> = (0..3)
+        .map(|node| Telemetry::new(node, vec![Box::new(buffer.clone())]))
+        .collect();
+    assert_eq!(planned(&telemetry), off, "telemetry must not move the plan");
+    assert!(buffer.snapshot().iter().any(
+        |e| matches!(e.kind, EventKind::Prediction { round: 5, device: 1, predicted, actual }
+            if predicted == 40.0 && actual == 40.0)
+    ));
 }
 
 /// Single-stepped through a full two-member ring, the actor walks

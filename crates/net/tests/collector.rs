@@ -105,7 +105,7 @@ fn thousand_device_fleet_ships_through_a_live_collector() {
     let (_, stats, _) = run_virtual_cluster(
         states,
         StrategyGenerator::new(&config),
-        config.blend_beta,
+        &config,
         &opts,
         &telemetry,
         &[(7, Duration::from_millis(1200))],

@@ -4,18 +4,21 @@
 #
 #   tools/bench.sh --against <rev> [--pairs N] [workload...]
 #
-# Checks <rev> out into a temporary `git worktree`, builds each tree's
-# own benchmark/ package into its own temporary target directory, and
-# runs `benchmark/run.sh --workload W --seed i --trace 0` on both for
+# Exports <rev> with `git archive` into target/bench/parent-<sha>,
+# builds each tree's own benchmark/ package into its own target
+# directory (target/bench/target-<sha> for the parent,
+# target/bench/target-change for the working tree), and runs
+# `benchmark/run.sh --workload W --seed i --trace 0` on both for
 # pairs i = 1..N (default 10; every workload BENCHMARK.json names
 # unless some are listed), parent first on odd pairs and change first
 # on even ones, so drift in the host's speed lands on both sides alike.
 # Each run's last stdout line is logged with its workload, side and
-# pair; `hadfl-bench-diff` turns the two logs and BENCHMARK.json's
-# bounds into a verdict per workload x metric (crates/bench/src/diff.rs
-# has the rules) and its exit status is this script's. The worktree and
-# target directories go under $TMPDIR and are removed on exit, also on
-# failure.
+# pair under target/bench/logs; `hadfl-bench-diff` turns the two logs
+# and BENCHMARK.json's bounds into a verdict per workload x metric
+# (crates/bench/src/diff.rs has the rules) and its exit status is this
+# script's. Everything stays under the ignored target/: the parent tree
+# and both target directories are kept, so a second run against the
+# same revision skips the parent's export and build.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -41,23 +44,32 @@ done
 [ -n "$rev" ] && [[ $pairs =~ ^[1-9][0-9]*$ ]] || usage
 git cat-file -e "$rev:benchmark/run.sh" 2>/dev/null ||
     { echo "tools/bench.sh: $rev has no benchmark/run.sh to pair against" >&2; exit 2; }
+sha=$(git rev-parse --verify "$rev^{commit}")
 [ ${#workloads[@]} -gt 0 ] ||
     mapfile -t workloads < <(sed -n 's/.*{"name": "\([^"]*\)", "why".*/\1/p' BENCHMARK.json)
 
-tmp=$(mktemp -d)
-cleanup() {
-    git worktree remove --force "$tmp/parent" 2>/dev/null || true
-    rm -rf "$tmp"
-    git worktree prune
-}
-trap cleanup EXIT
+# Absolute: each side's run.sh changes into its own tree.
+bench="$PWD/target/bench"
+parent="$bench/parent-$sha"
+logs="$bench/logs"
+mkdir -p "$bench"
+if [ ! -d "$parent" ]; then
+    # Export beside the final path and rename, so an interrupted export
+    # is never mistaken for a complete tree.
+    rm -rf "$parent.partial"
+    mkdir "$parent.partial"
+    git archive "$sha" | tar -x -C "$parent.partial"
+    mv "$parent.partial" "$parent"
+fi
+rm -rf "$logs"
+mkdir "$logs"
 
 cargo build --release --quiet -p hadfl-bench --bin hadfl-bench-diff
-git worktree add --quiet --detach "$tmp/parent" "$rev"
-declare -A tree=([parent]="$tmp/parent" [change]="$PWD")
+declare -A tree=([parent]="$parent" [change]="$PWD")
+declare -A target=([parent]="$bench/target-$sha" [change]="$bench/target-change")
 for side in parent change; do
     echo "building $side benchmark (${tree[$side]})" >&2
-    CARGO_TARGET_DIR="$tmp/target-$side" cargo build --release --offline --quiet \
+    CARGO_TARGET_DIR="${target[$side]}" cargo build --release --offline --quiet \
         --manifest-path "${tree[$side]}/benchmark/Cargo.toml"
 done
 
@@ -67,13 +79,13 @@ for pair in $(seq 1 "$pairs"); do
     for workload in "${workloads[@]}"; do
         echo "pair $pair/$pairs $workload: ${order[0]} first" >&2
         for side in "${order[@]}"; do
-            run=$(CARGO_TARGET_DIR="$tmp/target-$side" "${tree[$side]}/benchmark/run.sh" \
+            run=$(CARGO_TARGET_DIR="${target[$side]}" "${tree[$side]}/benchmark/run.sh" \
                 --workload "$workload" --seed "$pair" --trace 0 | tail -n 1)
             printf '{"workload": "%s", "side": "%s", "pair": %d, "run": %s}\n' \
-                "$workload" "$side" "$pair" "$run" >>"$tmp/$side.log"
+                "$workload" "$side" "$pair" "$run" >>"$logs/$side.log"
         done
     done
 done
 
 cargo run --release --quiet -p hadfl-bench --bin hadfl-bench-diff -- \
-    BENCHMARK.json "$tmp/parent.log" "$tmp/change.log"
+    BENCHMARK.json "$logs/parent.log" "$logs/change.log"
