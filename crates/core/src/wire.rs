@@ -169,10 +169,14 @@ impl ParamFrame {
 /// other frame (including one too short or too odd to tell): receive
 /// it whole and [`open`] it.
 ///
-/// The parameter buffer is allocated here, *after* the head's element
-/// count has been checked against `frame_len` — a transport that has
-/// bounded `frame_len` never allocates by an unchecked peer-supplied
-/// count.
+/// The parameter buffer comes from `alloc`, called with the element
+/// count only for a parameter frame and only *after* that count has
+/// been checked against `frame_len` — a transport that has bounded
+/// `frame_len` never allocates by an unchecked peer-supplied count.
+/// Whatever the supplied vector holds is overwritten: its length is set
+/// to the count, so a `vec![0.0; count]` is used as it is, a
+/// `Vec::with_capacity(count)` costs one zero fill, and a smaller
+/// capacity grows.
 ///
 /// # Errors
 ///
@@ -180,7 +184,11 @@ impl ParamFrame {
 /// short inside its head, or whose element count disagrees with
 /// `frame_len` (a truncated payload or trailing bytes) — the frames
 /// [`open`] rejects for the same reasons.
-pub fn split_frame(first: &[u8], frame_len: usize) -> Result<Option<ParamFrame>, HadflError> {
+pub fn split_frame(
+    first: &[u8],
+    frame_len: usize,
+    alloc: impl FnOnce(usize) -> Vec<f32>,
+) -> Result<Option<ParamFrame>, HadflError> {
     let Some(&tag) = first.get(STAMP_LEN) else {
         return Ok(None);
     };
@@ -205,11 +213,13 @@ pub fn split_frame(first: &[u8], frame_len: usize) -> Result<Option<ParamFrame>,
     }
     let mut fields = [0u8; 8];
     fields[..fixed.len()].copy_from_slice(fixed);
+    let mut params = alloc(count);
+    params.resize(count, 0.0);
     let mut frame = ParamFrame {
         stamp,
         tag,
         fields,
-        params: vec![0.0; count],
+        params,
         filled: 0,
     };
     frame.unfilled_mut()[..surplus.len()].copy_from_slice(surplus);

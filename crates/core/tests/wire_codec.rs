@@ -144,7 +144,7 @@ fn carries_params(msg: &Message) -> bool {
 /// hand, the rest streamed — and returns what it opens to, re-sealed
 /// (bytes compare where NaN payloads would not).
 fn streamed(frame: &[u8], first: usize) -> Result<Vec<u8>, hadfl::HadflError> {
-    let (stamp, msg) = match split_frame(&frame[..first], frame.len())? {
+    let (stamp, msg) = match split_frame(&frame[..first], frame.len(), Vec::with_capacity)? {
         Some(mut parts) => {
             let rest = &frame[first..];
             assert_eq!(parts.unfilled_mut().len(), rest.len());
@@ -241,7 +241,9 @@ proptest! {
                 for first in [decide, (decide + 7).min(sealed.len()), sealed.len()] {
                     prop_assert_eq!(&streamed(&sealed, first).unwrap()[..], &sealed[..], "{:?}", msg);
                 }
-                let in_place = split_frame(&sealed[..decide], sealed.len()).unwrap().is_some();
+                let in_place = split_frame(&sealed[..decide], sealed.len(), Vec::with_capacity)
+                    .unwrap()
+                    .is_some();
                 prop_assert_eq!(in_place, carries_params(&msg) && cfg!(target_endian = "little"));
             }
         }

@@ -18,7 +18,7 @@ pub fn sealed_for_a_socket<'m>(msg: &'m Message, head: &mut BytesMut) -> &'m [u8
 pub fn opened_from_a_socket(first: &[u8], len: usize, rest: &[u8]) -> (CausalStamp, Message) {
     // The split form of `open`: the payload lands in the message's own
     // vector; anything that is not a parameter frame is opened whole.
-    match wire::split_frame(first, len) {
+    match wire::split_frame(first, len, Vec::with_capacity) {
         Ok(Some(mut frame)) => {
             frame.unfilled_mut().copy_from_slice(rest);
             frame.open()

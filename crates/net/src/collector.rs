@@ -409,7 +409,9 @@ fn ingest_conn(
     max_frame_bytes: usize,
 ) {
     let _ = stream.set_read_timeout(Some(Duration::from_millis(200)));
-    while let Some((stamp, msg, _)) = read_frame(&mut stream, max_frame_bytes, &stop) {
+    while let Some((stamp, msg, _)) =
+        read_frame(&mut stream, max_frame_bytes, &stop, Vec::with_capacity)
+    {
         // Anything else is ignored (a misdirected protocol peer); the
         // connection is kept in case batches follow.
         if let Message::TelemetryBatch {

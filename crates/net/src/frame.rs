@@ -1,18 +1,61 @@
 //! The one length-prefixed frame reader and writer of this crate.
 //!
 //! On the wire a frame is a 4-byte little-endian length, then that
-//! many bytes of [`wire`] frame. Both socket readers — a
+//! many bytes of [`wire`] frame. [`write_frame`] hands the kernel
+//! `prefix ‖ head ‖ body` in one vectored write: under `TCP_NODELAY` a
+//! separate head write leaves as a segment of its own and wakes the
+//! reader twice per frame. Both socket readers — a
 //! [`TcpPort`](crate::tcp::TcpPort)'s per-connection reader and the
 //! collector's ingest connections — poll with a read timeout so they
 //! notice shutdown, and a frame mid-read when the timeout fires must
 //! resume, not restart. [`read_full`] is that cursor; [`read_frame`]
 //! builds the whole receive path on it, landing a parameter payload
-//! directly in the `Vec<f32>` its [`Message`] will own.
+//! directly in the `Vec<f32>` its [`Message`] will own. The caller
+//! supplies that vector: a `TcpPort`'s readers take it from the port's
+//! [`RecvSlot`], where the thread that consumes the frames put it.
 
-use std::io::{ErrorKind, Read, Write};
+use std::io::{ErrorKind, IoSlice, Read, Write};
 use std::sync::atomic::{AtomicBool, Ordering};
 
 use hadfl::wire::{self, CausalStamp, Message};
+use parking_lot::Mutex;
+
+/// One receive buffer, passed from the thread that keeps parameter
+/// frames to the readers that fill them.
+///
+/// Every inbound connection has its own reader thread, and glibc gives
+/// threads their own arenas: a vector allocated by the reader and freed
+/// later by the consumer crosses arenas every frame. With the slot the
+/// consumer allocates the buffer for the next frame ([`Self::refill`])
+/// when it takes delivery of one, and a reader uses it ([`Self::take`])
+/// once a parameter frame's head has been checked. An empty vector is
+/// an empty slot.
+#[derive(Default)]
+pub(crate) struct RecvSlot(Mutex<Vec<f32>>);
+
+impl RecvSlot {
+    /// The buffer for a parameter frame of `count` elements: the slot's
+    /// when its capacity fits, else a fresh zeroed vector, leaving the
+    /// slot as it was.
+    pub(crate) fn take(&self, count: usize) -> Vec<f32> {
+        let mut slot = self.0.lock();
+        if count > 0 && slot.capacity() >= count {
+            std::mem::take(&mut *slot)
+        } else {
+            vec![0.0; count]
+        }
+    }
+
+    /// After a parameter frame of `count` elements was delivered: gives
+    /// the slot a buffer that fits the next one, allocated on the
+    /// calling thread, unless it still holds one.
+    pub(crate) fn refill(&self, count: usize) {
+        let mut slot = self.0.lock();
+        if slot.capacity() < count {
+            *slot = Vec::with_capacity(count);
+        }
+    }
+}
 
 /// Fills `buf` from `stream`, resuming across read timeouts: the
 /// cursor survives a timeout, which only makes the loop look at `stop`.
@@ -41,11 +84,14 @@ fn read_full(stream: &mut impl Read, buf: &mut [u8], stop: &AtomicBool) -> bool 
 /// ended, `stop` was raised, or the peer sent something corrupt or
 /// hostile — a length above `max_frame_bytes`, a parameter head whose
 /// count disagrees with the frame length, or bytes that do not decode.
-/// Both bounds are checked before anything is allocated by them.
+/// Both bounds are checked before anything is allocated by them, and
+/// before `alloc` — which supplies a parameter frame's vector, as
+/// [`wire::split_frame`] describes — is called.
 pub(crate) fn read_frame(
     stream: &mut impl Read,
     max_frame_bytes: usize,
     stop: &AtomicBool,
+    alloc: impl FnOnce(usize) -> Vec<f32>,
 ) -> Option<(CausalStamp, Message, usize)> {
     let mut prefix = [0u8; 4];
     if !read_full(stream, &mut prefix, stop) {
@@ -60,7 +106,7 @@ pub(crate) fn read_frame(
     if !read_full(stream, first, stop) {
         return None;
     }
-    let (stamp, msg) = match wire::split_frame(first, len).ok()? {
+    let (stamp, msg) = match wire::split_frame(first, len, alloc).ok()? {
         Some(mut frame) => {
             if !read_full(stream, frame.unfilled_mut(), stop) {
                 return None;
@@ -90,12 +136,257 @@ pub(crate) fn seal_frame(stamp: CausalStamp, msg: &Message) -> (bytes::BytesMut,
     (head, body)
 }
 
-/// Writes a frame [`seal_frame`] built.
+/// Writes a frame [`seal_frame`] built: `head ‖ body` as one vectored
+/// write, continued across short writes and `Interrupted`.
 pub(crate) fn write_frame(
     stream: &mut impl Write,
     head: &[u8],
     body: &[u8],
 ) -> std::io::Result<()> {
-    stream.write_all(head)?;
-    stream.write_all(body)
+    let mut slices = [IoSlice::new(head), IoSlice::new(body)];
+    let mut unsent = &mut slices[..];
+    while !unsent.is_empty() {
+        match stream.write_vectored(unsent) {
+            Ok(0) => return Err(ErrorKind::WriteZero.into()),
+            Ok(n) => IoSlice::advance_slices(&mut unsent, n),
+            Err(e) if e.kind() == ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
+    Ok(())
+}
+
+#[cfg(test)]
+#[allow(clippy::unwrap_used, clippy::expect_used)]
+mod tests {
+    use super::*;
+
+    /// A socket that yields one byte per read and times out once, at
+    /// `stall_at`.
+    struct Dribble {
+        bytes: Vec<u8>,
+        at: usize,
+        stall_at: Option<usize>,
+    }
+
+    impl Read for Dribble {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            if self.stall_at == Some(self.at) {
+                self.stall_at = None;
+                return Err(ErrorKind::WouldBlock.into());
+            }
+            let Some(&b) = self.bytes.get(self.at) else {
+                return Ok(0);
+            };
+            buf[0] = b;
+            self.at += 1;
+            Ok(1)
+        }
+    }
+
+    /// A socket that takes 1–7 bytes per call and is interrupted on
+    /// every fifth.
+    #[derive(Default)]
+    struct Stingy {
+        out: Vec<u8>,
+        calls: usize,
+    }
+
+    impl Write for Stingy {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.write_vectored(&[IoSlice::new(buf)])
+        }
+
+        fn write_vectored(&mut self, bufs: &[IoSlice<'_>]) -> std::io::Result<usize> {
+            self.calls += 1;
+            if self.calls.is_multiple_of(5) {
+                return Err(ErrorKind::Interrupted.into());
+            }
+            let mut budget = 1 + self.calls % 7;
+            let start = self.out.len();
+            for buf in bufs {
+                let n = budget.min(buf.len());
+                self.out.extend_from_slice(&buf[..n]);
+                budget -= n;
+            }
+            Ok(self.out.len() - start)
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    const STAMP: CausalStamp = CausalStamp {
+        origin: 3,
+        lamport: 41,
+    };
+
+    /// NaN (quiet and signalling, with payloads), ±0, ±∞, subnormals.
+    fn awkward_params() -> Vec<f32> {
+        let mut params = vec![
+            f32::NAN,
+            f32::from_bits(0x7fa0_0001),
+            f32::from_bits(0xffc0_1234),
+            0.0,
+            -0.0,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            f32::from_bits(1),
+            -f32::MIN_POSITIVE / 3.0,
+        ];
+        params.extend((0..300).map(|i| (i as f32 * 0.37).sin()));
+        params
+    }
+
+    fn param_variants(params: &[f32]) -> [Message; 4] {
+        [
+            Message::ParamSync {
+                round: 7,
+                params: params.to_vec(),
+            },
+            Message::ParamAccum {
+                round: 7,
+                hops: 2,
+                params: params.to_vec(),
+            },
+            Message::MergedParams {
+                round: 7,
+                ttl: 1,
+                params: params.to_vec(),
+            },
+            Message::FinalParams {
+                device: 2,
+                params: params.to_vec(),
+            },
+        ]
+    }
+
+    fn params_of(msg: &Message) -> &[f32] {
+        match msg {
+            Message::ParamSync { params, .. }
+            | Message::ParamAccum { params, .. }
+            | Message::MergedParams { params, .. }
+            | Message::FinalParams { params, .. } => params,
+            other => panic!("not a parameter frame: {other:?}"),
+        }
+    }
+
+    /// `msg` as it travels: length prefix, then the sealed frame.
+    fn framed(msg: &Message) -> Vec<u8> {
+        let sealed = wire::seal(STAMP, msg);
+        let mut out = (sealed.len() as u32).to_le_bytes().to_vec();
+        out.extend_from_slice(&sealed);
+        out
+    }
+
+    fn dribbled(bytes: Vec<u8>, stall_at: usize) -> Dribble {
+        Dribble {
+            bytes,
+            at: 0,
+            stall_at: Some(stall_at),
+        }
+    }
+
+    fn slot_holding(count: usize) -> (RecvSlot, *const f32) {
+        let slot = RecvSlot::default();
+        slot.refill(count);
+        let ptr = slot.0.lock().as_ptr();
+        (slot, ptr)
+    }
+
+    #[test]
+    fn a_parameter_frame_lands_in_the_slot_buffer_bit_for_bit() {
+        let params = awkward_params();
+        for msg in param_variants(&params) {
+            let bytes = framed(&msg);
+            let (slot, ptr) = slot_holding(params.len());
+            // One byte per read, and a read timeout ten bytes into the body.
+            let mut stream = dribbled(bytes.clone(), 4 + wire::MAX_PARAM_HEAD + 10);
+            let stop = AtomicBool::new(false);
+            let (stamp, got, len) =
+                read_frame(&mut stream, 1 << 20, &stop, |n| slot.take(n)).unwrap();
+            assert_eq!(len, bytes.len() - 4);
+            assert_eq!(params_of(&got).as_ptr(), ptr, "{}", msg.kind());
+            assert_eq!(slot.0.lock().capacity(), 0, "the slot was used");
+            // Re-sealed bytes compare where NaN payloads would not.
+            let (open_stamp, opened) = wire::open(&bytes[4..]).unwrap();
+            assert_eq!(stamp, open_stamp);
+            assert_eq!(wire::seal(stamp, &got), wire::seal(open_stamp, &opened));
+            assert_eq!(&wire::seal(stamp, &got)[..], &bytes[4..]);
+        }
+    }
+
+    #[test]
+    fn rejected_frames_and_unfitting_capacity_leave_the_slot_full() {
+        let params = awkward_params();
+        let n = params.len();
+        let stop = AtomicBool::new(false);
+        let honest = framed(&param_variants(&params)[1]);
+        let count_at = 4 + wire::MAX_PARAM_HEAD - 4;
+        for lie in [n + 1, n - 1, n * 1000] {
+            let mut lying = honest.clone();
+            lying[count_at..count_at + 4].copy_from_slice(&(lie as u32).to_le_bytes());
+            let (slot, ptr) = slot_holding(n * 1000);
+            let mut stream = dribbled(lying, 4 + wire::MAX_PARAM_HEAD);
+            assert!(read_frame(&mut stream, 1 << 20, &stop, |n| slot.take(n)).is_none());
+            assert_eq!(
+                slot.0.lock().as_ptr(),
+                ptr,
+                "a count of {lie} emptied the slot"
+            );
+        }
+
+        let (slot, ptr) = slot_holding(n);
+        let mut stream = dribbled(honest.clone(), 4);
+        let short_bound = honest.len() - 5;
+        assert!(read_frame(&mut stream, short_bound, &stop, |n| slot.take(n)).is_none());
+        assert_eq!(
+            slot.0.lock().as_ptr(),
+            ptr,
+            "an over-long prefix emptied the slot"
+        );
+
+        let (slot, ptr) = slot_holding(n - 1);
+        let mut stream = dribbled(honest.clone(), 4 + wire::MAX_PARAM_HEAD + 1);
+        let (_, got, _) = read_frame(&mut stream, 1 << 20, &stop, |n| slot.take(n)).unwrap();
+        assert_ne!(params_of(&got).as_ptr(), ptr);
+        assert_eq!(
+            slot.0.lock().as_ptr(),
+            ptr,
+            "an unfitting buffer left the slot"
+        );
+        assert_eq!(&wire::seal(STAMP, &got)[..], &honest[4..]);
+    }
+
+    #[test]
+    fn refill_allocates_only_an_empty_or_unfitting_slot() {
+        let (slot, ptr) = slot_holding(16);
+        slot.refill(16);
+        slot.refill(8);
+        assert_eq!(slot.0.lock().as_ptr(), ptr);
+        slot.refill(17);
+        assert!(slot.0.lock().capacity() >= 17);
+        // A frame with no parameters never takes the buffer.
+        assert!(slot.take(0).is_empty());
+        assert!(slot.0.lock().capacity() >= 17);
+    }
+
+    #[test]
+    fn short_and_interrupted_writes_reproduce_head_and_body() {
+        let params = awkward_params();
+        let mut msgs = param_variants(&params).to_vec();
+        msgs.push(Message::Handshake { from: 4 });
+        msgs.push(Message::ParamSync {
+            round: 1,
+            params: Vec::new(),
+        });
+        for msg in msgs {
+            let (head, body) = seal_frame(STAMP, &msg);
+            let mut sink = Stingy::default();
+            write_frame(&mut sink, &head, body).unwrap();
+            assert_eq!(sink.out, [&head[..], body].concat(), "{}", msg.kind());
+            assert_eq!(sink.out, framed(&msg), "{}", msg.kind());
+        }
+    }
 }

@@ -2,13 +2,19 @@
 //!
 //! Frames are the untouched [`Message`] wire encoding behind a 4-byte
 //! little-endian length prefix. A parameter frame is never assembled in
-//! user space: the sender writes prefix and head, then the payload
-//! straight from the message's `Vec<f32>`, and the reader receives it
-//! straight into the vector the delivered message owns (`frame.rs`,
-//! shared with the collector). Each pair of participants uses one
-//! lazily-dialed connection per direction: the sender dials on first
-//! send, identifies itself with [`Message::Hello`], and keeps the
-//! socket for the rest of the run.
+//! user space: the sender hands the kernel prefix, head and the payload
+//! straight from the message's `Vec<f32>` in one vectored write, and the
+//! reader receives it straight into the vector the delivered message
+//! owns (`frame.rs`, shared with the collector). That vector was
+//! allocated by the thread that consumes the port's frames: each
+//! `try_recv`/`recv_timeout` that delivers a parameter frame leaves a
+//! buffer for the next one in the port's receive slot, and a reader
+//! takes it once the frame's head has checked out — so the allocator
+//! never hands a frame from a reader thread's arena to the consumer's.
+//!
+//! Each pair of participants uses one lazily-dialed connection per
+//! direction: the sender dials on first send, identifies itself with
+//! [`Message::Hello`], and keeps the socket for the rest of the run.
 //!
 //! The accepting side blocks in `accept` on a blocking listener
 //! ([`hadfl_telemetry::accept_until`]) and spawns one reader per inbound
@@ -69,7 +75,7 @@ use hadfl_telemetry::{accept_until, stop_accept, EventKind, LamportClock, Teleme
 use parking_lot::Mutex;
 
 use crate::cluster::ClusterConfig;
-use crate::frame::{read_frame, seal_frame, write_frame};
+use crate::frame::{read_frame, seal_frame, write_frame, RecvSlot};
 
 /// Socket-level knobs of a [`TcpPort`].
 #[derive(Debug, Clone)]
@@ -81,7 +87,7 @@ pub struct TcpOptions {
     pub read_timeout: Duration,
     /// Socket write timeout, set on every dialed connection. A peer
     /// whose TCP connection is alive but which stopped reading would
-    /// otherwise block `write_all` forever once the socket buffer
+    /// otherwise block a frame's write forever once the socket buffer
     /// fills; with the timeout the send fails and the §III-D machinery
     /// takes over.
     pub write_timeout: Duration,
@@ -141,6 +147,9 @@ struct Shared {
     /// stamp. Shared with `tel` when instrumented so frame stamps and
     /// event `lam` fields share one scale.
     lamport: LamportClock,
+    /// The next parameter frame's buffer, allocated by the thread that
+    /// receives from the port.
+    recv_slot: RecvSlot,
 }
 
 impl Shared {
@@ -247,6 +256,7 @@ impl BoundNode {
             opts: opts.clone(),
             tel,
             lamport,
+            recv_slot: RecvSlot::default(),
         });
         let listen_addr = self.local_addr()?;
         let accept_shared = Arc::clone(&shared);
@@ -410,6 +420,21 @@ impl TcpPort {
         }
         self.conns.lock().insert(to, stream);
     }
+
+    /// Hands `msg` to the protocol loop. A parameter frame used the
+    /// receive slot's buffer (or, with the slot empty, one its reader
+    /// allocated); the next one's is allocated here, on the thread that
+    /// will keep and free it.
+    fn delivered(&self, msg: Message) -> Message {
+        if let Message::ParamSync { params, .. }
+        | Message::ParamAccum { params, .. }
+        | Message::MergedParams { params, .. }
+        | Message::FinalParams { params, .. } = &msg
+        {
+            self.shared.recv_slot.refill(params.len());
+        }
+        msg
+    }
 }
 
 /// Read-only view of a [`TcpPort`]'s counters; see
@@ -458,13 +483,13 @@ impl Port for TcpPort {
     }
 
     fn send(&mut self, to: usize, msg: &Message) -> Result<(), HadflError> {
-        // Prefix and head go out in one small write, then the model
-        // straight from the message's own vector — no frame is built.
+        // Prefix, head and the model straight from the message's own
+        // vector go out in one vectored write — no frame is built.
         let stamp = self.shared.stamp();
         let (head, body) = seal_frame(stamp, msg);
         // The stream is taken *out* of the map for the duration of the
         // write, so the `conns` lock is never held across `dial` (which
-        // sleeps through backoff) or `write_all` (which can block on a
+        // sleeps through backoff) or the write (which can block on a
         // stalled peer until the write timeout) — heartbeats and the
         // port's other sends stay unblocked. The take must be its own
         // statement: an `if let` scrutinee's guard lives through the
@@ -489,7 +514,7 @@ impl Port for TcpPort {
 
     fn try_recv(&mut self) -> Result<Option<Message>, HadflError> {
         match self.inbound_rx.try_recv() {
-            Ok(msg) => Ok(Some(msg)),
+            Ok(msg) => Ok(Some(self.delivered(msg))),
             Err(TryRecvError::Empty) => Ok(None),
             Err(TryRecvError::Disconnected) => {
                 Err(HadflError::InvalidConfig("transport torn down".into()))
@@ -499,7 +524,7 @@ impl Port for TcpPort {
 
     fn recv_timeout(&mut self, timeout: Duration) -> Result<Option<Message>, HadflError> {
         match self.inbound_rx.recv_timeout(timeout) {
-            Ok(msg) => Ok(Some(msg)),
+            Ok(msg) => Ok(Some(self.delivered(msg))),
             Err(RecvTimeoutError::Timeout) => Ok(None),
             Err(RecvTimeoutError::Disconnected) => {
                 Err(HadflError::InvalidConfig("transport torn down".into()))
@@ -521,13 +546,17 @@ impl Port for TcpPort {
 }
 
 impl Drop for TcpPort {
-    /// Raises `shutdown` for the reader and heartbeat threads, and
-    /// wakes and joins the accept thread: the listener is closed when
-    /// this returns.
+    /// Raises `shutdown` for the reader and heartbeat threads, wakes
+    /// and joins the accept thread, and closes the outbound
+    /// connections: when this returns the listener is closed and every
+    /// peer this port dialed sees end of stream. The heartbeat thread
+    /// shares `conns` and may sleep for an interval before it sees
+    /// `shutdown`, so the sockets are not left to it.
     fn drop(&mut self) {
         if let Some(accept_thread) = self.accept_thread.take() {
             stop_accept(&self.shared.shutdown, self.listen_addr, accept_thread);
         }
+        self.conns.lock().clear();
     }
 }
 
@@ -546,7 +575,9 @@ fn reader_loop(mut stream: TcpStream, shared: Arc<Shared>) {
     // `None`: the peer hung up or sent something corrupt or hostile, or
     // the port is shutting down — either way the connection is dropped.
     while let Some((stamp, msg, frame_len)) =
-        read_frame(&mut stream, max_frame_bytes, &shared.shutdown)
+        read_frame(&mut stream, max_frame_bytes, &shared.shutdown, |count| {
+            shared.recv_slot.take(count)
+        })
     {
         shared
             .raw_bytes
@@ -601,8 +632,12 @@ fn heartbeat_loop(
     let msg = Message::Heartbeat {
         from: shared.me as u32,
     };
-    while !shared.shutdown.load(Ordering::SeqCst) {
+    loop {
         shared.clock.sleep(interval);
+        // Checked after the sleep: a port dropped meanwhile beats no more.
+        if shared.shutdown.load(Ordering::SeqCst) {
+            return;
+        }
         // Sealed per tick: each beat carries a fresh stamp, keeping
         // the per-sender lamport sequence strictly increasing.
         let (beat, body) = seal_frame(shared.stamp(), &msg);
@@ -819,5 +854,63 @@ mod tests {
             "silence after drop"
         );
         drop(coordinator);
+    }
+
+    /// A wall clock that reports each sleep as it begins.
+    struct AnnouncingClock {
+        wall: WallClock,
+        sleeps: Sender<Duration>,
+    }
+
+    impl Clock for AnnouncingClock {
+        fn now(&self) -> Duration {
+            self.wall.now()
+        }
+
+        fn sleep(&self, d: Duration) {
+            let _ = self.sleeps.send(d);
+            self.wall.sleep(d);
+        }
+    }
+
+    #[test]
+    fn dropped_port_closes_its_outbound_connections_and_beats_no_more() {
+        use std::io::Read;
+        let (cluster, mut nodes) = loopback_cluster(3);
+        // Participant 1 is a bare listener, reading what the port sends.
+        let peer = nodes.remove(1);
+        let interval = Duration::from_secs(5);
+        let opts = TcpOptions {
+            heartbeat_interval: Some(interval),
+            ..quick_opts()
+        };
+        let (sleeps, slept) = unbounded();
+        let clock = Arc::new(AnnouncingClock {
+            wall: WallClock::new(),
+            sleeps,
+        });
+        let mut port = nodes
+            .remove(0)
+            .into_port_instrumented(&cluster, opts, clock, Telemetry::disabled())
+            .unwrap();
+        port.send(1, &Message::Handshake { from: 0 }).unwrap();
+        let (mut conn, _) = peer.listener.accept().unwrap();
+        // The heartbeat thread is asleep, holding the connection map,
+        // when the port goes.
+        assert_eq!(slept.recv_timeout(Duration::from_secs(5)), Ok(interval));
+        drop(port);
+
+        conn.set_read_timeout(Some(Duration::from_secs(1))).unwrap();
+        let mut wire_bytes = Vec::new();
+        conn.read_to_end(&mut wire_bytes)
+            .expect("no end of stream within 1 s of the drop");
+        let mut kinds = Vec::new();
+        let mut rest = &wire_bytes[..];
+        while !rest.is_empty() {
+            let len = u32::from_le_bytes(rest[..4].try_into().unwrap()) as usize;
+            kinds.push(wire::open(&rest[4..4 + len]).unwrap().1.kind());
+            rest = &rest[4 + len..];
+        }
+        assert_eq!(kinds, ["hello", "handshake"], "nothing after the drop");
     }
 }

@@ -19,10 +19,19 @@
 //! the way in and decoded into a second vector on the way out, and 100
 //! before that).
 //!
-//! The counter is process-wide, so both fabrics are measured by the one
-//! test, one after the other.
+//! Where the TCP round allocates is pinned too: every one of its 40 MiB
+//! is requested on a device thread — the entry snapshots, and the
+//! receive buffer each delivered frame leaves in the port's slot for the
+//! next — and none on a reader thread (which used to allocate all 24 MiB
+//! of received frames, to be freed later across threads and arenas).
+//! The counting allocator tells the two apart by a thread-local flag
+//! that `device_loop` raises.
+//!
+//! The counters are process-wide, so both fabrics are measured by the
+//! one test, one after the other.
 
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc;
 use std::sync::Arc;
@@ -44,12 +53,33 @@ const GHOST_LEN: usize = 1 << 20;
 
 struct CountLarge;
 
-static REQUESTED: AtomicU64 = AtomicU64::new(0);
+/// Large bytes requested on device threads, and on every other thread.
+static ON_DEVICES: AtomicU64 = AtomicU64::new(0);
+static ELSEWHERE: AtomicU64 = AtomicU64::new(0);
+
+thread_local! {
+    /// Raised by `device_loop` on its own thread. Const-initialised and
+    /// without a destructor, so the allocator may read it at any time.
+    static ON_DEVICE: Cell<bool> = const { Cell::new(false) };
+}
 
 fn count(size: usize) {
     if size >= LARGE {
-        REQUESTED.fetch_add(size as u64, Ordering::Relaxed);
+        let counter = if ON_DEVICE.with(Cell::get) {
+            &ON_DEVICES
+        } else {
+            &ELSEWHERE
+        };
+        counter.fetch_add(size as u64, Ordering::Relaxed);
     }
+}
+
+/// (device threads, other threads) so far.
+fn requested_so_far() -> (u64, u64) {
+    (
+        ON_DEVICES.load(Ordering::Relaxed),
+        ELSEWHERE.load(Ordering::Relaxed),
+    )
 }
 
 // SAFETY: every call is forwarded unchanged to `System`; the wrapper
@@ -103,6 +133,7 @@ fn device_loop<P: Port>(
     done: mpsc::Sender<u32>,
     stop: Arc<AtomicBool>,
 ) {
+    ON_DEVICE.with(|on| on.set(true));
     let clock = WallClock::new();
     let ghost = Ghost(vec![device as f32 + 1.0; GHOST_LEN]);
     let mut actor = DeviceActor::new(device, K + 1, ghost, 0.5, ProtocolTiming::default());
@@ -119,10 +150,11 @@ fn device_loop<P: Port>(
     }
 }
 
-/// Runs rounds 1 (warm-up: lazy dials, first-touch growth) and 2 over
-/// the given ports — devices `0..K`, then the coordinator's — and
-/// returns the large-allocation bytes round 2 requested.
-fn measured_round<P: Port + 'static>(mut ports: Vec<P>) -> u64 {
+/// Runs rounds 1 (warm-up: lazy dials, first-touch growth, empty
+/// receive slots) and 2 over the given ports — devices `0..K`, then the
+/// coordinator's — and returns the large-allocation bytes round 2
+/// requested on device threads and on all others.
+fn measured_round<P: Port + 'static>(mut ports: Vec<P>) -> (u64, u64) {
     let mut coord = ports.pop().unwrap();
     let (done_tx, done) = mpsc::channel();
     let stop = Arc::new(AtomicBool::new(false));
@@ -135,7 +167,7 @@ fn measured_round<P: Port + 'static>(mut ports: Vec<P>) -> u64 {
         })
         .collect();
 
-    let mut requested = 0;
+    let mut requested = (0, 0);
     for round in 1..=2u32 {
         let plan = Message::RoundPlan {
             round,
@@ -143,7 +175,7 @@ fn measured_round<P: Port + 'static>(mut ports: Vec<P>) -> u64 {
             broadcaster: 0,
             unselected: Vec::new(),
         };
-        let before = REQUESTED.load(Ordering::Relaxed);
+        let before = requested_so_far();
         for member in 0..K {
             coord.send(member, &plan).unwrap();
         }
@@ -151,7 +183,8 @@ fn measured_round<P: Port + 'static>(mut ports: Vec<P>) -> u64 {
             let finished = done.recv_timeout(Duration::from_secs(30)).unwrap();
             assert_eq!(finished, round);
         }
-        requested = REQUESTED.load(Ordering::Relaxed) - before;
+        let after = requested_so_far();
+        requested = (after.0 - before.0, after.1 - before.1);
     }
     stop.store(true, Ordering::SeqCst);
     for device in devices {
@@ -163,7 +196,9 @@ fn measured_round<P: Port + 'static>(mut ports: Vec<P>) -> u64 {
 #[test]
 fn ring4_round_stays_within_its_allocation_budget() {
     let mut hub = ChannelTransport::hub(K + 1);
-    let chan = measured_round((0..=K).map(|id| hub.claim(id).unwrap()).collect());
+    let (chan_devices, chan_elsewhere) =
+        measured_round((0..=K).map(|id| hub.claim(id).unwrap()).collect());
+    let chan = chan_devices + chan_elsewhere;
     assert!(
         chan <= 40 * MIB,
         "ChannelPort ring4 round requested {:.1} MiB in large allocations (budget 40)",
@@ -178,12 +213,13 @@ fn ring4_round_stays_within_its_allocation_budget() {
         .map(|n| n.local_addr().unwrap().to_string())
         .collect();
     let cluster = ClusterConfig::from_addrs(&addrs).unwrap();
-    let tcp = measured_round(
+    let (tcp_devices, tcp_elsewhere) = measured_round(
         nodes
             .into_iter()
             .map(|n| n.into_port(&cluster, TcpOptions::default()).unwrap())
             .collect(),
     );
+    let tcp = tcp_devices + tcp_elsewhere;
     assert!(
         tcp <= 48 * MIB,
         "TcpPort ring4 round requested {:.1} MiB in large allocations (budget 48)",
@@ -191,4 +227,10 @@ fn ring4_round_stays_within_its_allocation_budget() {
     );
     // The floor both share: six received vectors, four entry snapshots.
     assert!(chan >= 40 * MIB && tcp >= 40 * MIB, "{chan} / {tcp}");
+    // All of it on the threads that keep it: no reader thread allocates.
+    assert_eq!(
+        (tcp_devices, tcp_elsewhere),
+        (40 * MIB, 0),
+        "TcpPort ring4 round: bytes requested on (device, other) threads"
+    );
 }

@@ -16,7 +16,8 @@
 # pair under target/bench/logs; `hadfl-bench-diff` turns the two logs
 # and BENCHMARK.json's bounds into a verdict per workload x metric
 # (crates/bench/src/diff.rs has the rules) and its exit status is this
-# script's. Everything stays under the ignored target/: the parent tree
+# script's; a header line before that table names the host's core count
+# and C library. Everything stays under the ignored target/: the parent tree
 # and both target directories are kept, so a second run against the
 # same revision skips the parent's export and build.
 set -euo pipefail
@@ -87,5 +88,7 @@ for pair in $(seq 1 "$pairs"); do
     done
 done
 
+# glibc caps malloc arenas at 8 x cores, so peak_rss_mb depends on both.
+echo "host: nproc $(nproc), $(getconf GNU_LIBC_VERSION 2>/dev/null || echo 'libc unknown')"
 cargo run --release --quiet -p hadfl-bench --bin hadfl-bench-diff -- \
     BENCHMARK.json "$logs/parent.log" "$logs/change.log"
