@@ -1,24 +1,33 @@
-//! Decentralized FedAvg: the paper's second baseline (Hegedűs et al.) —
-//! every device runs the *same* number of local steps, then all devices
-//! synchronously gossip parameters and merge. No central server, but the
-//! round boundary is a barrier: fast devices idle for stragglers.
+//! FedAvg, decentralized and centralized: one synchronous round loop.
+//!
+//! Every round, every device runs one local epoch (`E = 1`), so the
+//! round lasts as long as the *slowest* device takes, and then all
+//! devices are averaged. Decentralized FedAvg (Hegedűs et al., the
+//! paper's second baseline) averages over a gossip ring; centralized
+//! FedAvg (McMahan et al., the system of §II-B's server-load analysis)
+//! at a parameter server that moves `2·M·K` bytes per round.
 
 use hadfl::aggregate::{average_params, record_gossip_traffic};
 use hadfl::driver::SimOptions;
-use hadfl::trace::{RoundRecord, Trace};
+use hadfl::trace::Trace;
 use hadfl::{HadflError, Workload};
-use hadfl_simnet::{ComputeModel, DeviceId, NetStats};
-use hadfl_tensor::SeedStream;
+use hadfl_simnet::{DeviceId, Endpoint};
 
-use crate::config::BaselineConfig;
+use crate::Cluster;
 
-/// Runs decentralized FedAvg and returns its trace (one record per
-/// aggregation round).
-///
-/// Each round, every device runs `local_epochs × batches_per_epoch`
-/// local SGD steps — the same count on every device, so the round lasts
-/// as long as the *slowest* device takes — then all live devices average
-/// parameters over a gossip ring.
+/// Where a FedAvg round's average is taken.
+#[derive(Debug, Clone, Copy)]
+enum Merge {
+    /// Over a gossip ring of every device.
+    Ring,
+    /// At a parameter server, whose link carries every upload and
+    /// download one after another.
+    Server,
+}
+
+/// Runs decentralized FedAvg: each round, every device runs
+/// `batches_per_epoch` local SGD steps, then all devices average
+/// parameters over a gossip ring. One trace record per round.
 ///
 /// # Errors
 ///
@@ -30,27 +39,32 @@ use crate::config::BaselineConfig;
 /// See the crate-level example.
 pub fn run_decentralized_fedavg(
     workload: &Workload,
-    config: &BaselineConfig,
     opts: &SimOptions,
 ) -> Result<Trace, HadflError> {
-    config.validate()?;
-    let k = opts.powers.len();
-    if k < 2 {
-        return Err(HadflError::InvalidConfig("need at least 2 devices".into()));
-    }
-    let mut built = workload.build(k)?;
-    let wire_bytes = opts.wire_model_bytes.unwrap_or(built.model_bytes);
-    let compute = ComputeModel::new(opts.base_step_secs, &opts.powers)?.with_jitter(opts.jitter);
-    let master_rng = SeedStream::new(workload.seed ^ 0xFEDA_0001);
-    let mut device_rngs: Vec<SeedStream> = (0..k).map(|i| master_rng.fork(i as u64)).collect();
-    let mut stats = NetStats::new();
-    for rt in &mut built.runtimes {
-        rt.set_optimizer(hadfl_nn::LrSchedule::constant(config.lr), config.momentum);
-    }
+    fedavg(workload, opts, Merge::Ring)
+}
 
-    let batches = built.batches_per_epoch();
-    let ring: Vec<DeviceId> = (0..k).map(DeviceId).collect();
-    let mut trace = Trace::new("decentralized_fedavg", k, wire_bytes);
+/// Runs classical centralized FedAvg: the same rounds as
+/// [`run_decentralized_fedavg`], but every device uploads its parameters
+/// to a server and downloads the average, `K` uploads and `K` downloads
+/// serialized on the server's link — the centralized bottleneck.
+///
+/// # Errors
+///
+/// Returns configuration errors for degenerate options and substrate
+/// errors from training.
+pub fn run_centralized_fedavg(workload: &Workload, opts: &SimOptions) -> Result<Trace, HadflError> {
+    fedavg(workload, opts, Merge::Server)
+}
+
+fn fedavg(workload: &Workload, opts: &SimOptions, merge: Merge) -> Result<Trace, HadflError> {
+    let (scheme, salt) = match merge {
+        Merge::Ring => ("decentralized_fedavg", 0xFEDA_0001),
+        Merge::Server => ("centralized_fedavg", 0xCE27_0001),
+    };
+    let mut cluster = Cluster::new(scheme, salt, workload, opts)?;
+    let k = cluster.devices.len();
+    let batches = cluster.built.batches_per_epoch();
     let mut now = 0.0f64;
     let mut round = 0usize;
 
@@ -59,50 +73,52 @@ pub fn run_decentralized_fedavg(
         // Local phase: same step count per device, barrier at the slowest.
         let mut slowest = 0.0f64;
         let mut round_loss = 0.0f64;
-        for i in 0..k {
-            let steps = config.local_epochs as usize * batches[i];
-            let loss = built.runtimes[i].train_steps(steps)?;
+        for (i, (rng, &steps)) in cluster.device_rngs.iter_mut().zip(&batches).enumerate() {
+            let loss = cluster.built.runtimes[i].train_steps(steps)?;
             round_loss += f64::from(loss) / k as f64;
-            let secs = compute.steps_time(DeviceId(i), steps, Some(&mut device_rngs[i]))?;
+            let secs = cluster.compute.steps_time(DeviceId(i), steps, Some(rng))?;
             slowest = slowest.max(secs);
         }
-        // Synchronous gossip merge of parameters across all devices.
-        let params: Vec<Vec<f32>> = built
+        // Synchronous merge of parameters across all devices.
+        let params: Vec<Vec<f32>> = cluster
+            .built
             .runtimes
             .iter()
             .map(|rt| rt.model.param_vector())
             .collect();
         let refs: Vec<&[f32]> = params.iter().map(Vec::as_slice).collect();
         let merged = average_params(&refs)?;
-        let cost = record_gossip_traffic(&ring, wire_bytes, &opts.link, &mut stats)?;
-        for rt in &mut built.runtimes {
+        let (stats, wire) = (&mut cluster.stats, cluster.wire_bytes);
+        let comm = match merge {
+            Merge::Ring => record_gossip_traffic(&cluster.devices, wire, &opts.link, stats)?.secs,
+            Merge::Server => {
+                for &d in &cluster.devices {
+                    stats.record(Endpoint::Device(d), Endpoint::Server, wire);
+                    stats.record(Endpoint::Server, Endpoint::Device(d), wire);
+                }
+                // One transfer after another, summed one by one: a
+                // product would round differently.
+                (0..2 * k).fold(0.0, |secs, _| secs + opts.link.transfer_time(wire))
+            }
+        };
+        for rt in &mut cluster.built.runtimes {
             rt.model.set_param_vector(&merged)?;
         }
-        now += slowest + cost.secs;
+        now += slowest + comm;
 
-        let samples: u64 = built.runtimes.iter().map(|rt| rt.samples_seen).sum();
-        let epoch_equiv = samples as f64 / built.train_size as f64;
-        let metrics = built.evaluate_params(&merged)?;
-        let versions: Vec<f64> = built
+        let samples: u64 = cluster
+            .built
             .runtimes
             .iter()
-            .map(|rt| rt.steps_done as f64)
-            .collect();
-        trace.push(RoundRecord {
-            round,
-            time_secs: now,
-            epoch_equiv,
-            train_loss: round_loss as f32,
-            test_accuracy: metrics.accuracy,
-            selected: Vec::new(),
-            versions,
-        });
+            .map(|rt| rt.samples_seen)
+            .sum();
+        let epoch_equiv = samples as f64 / cluster.built.train_size as f64;
+        cluster.record(round, now, epoch_equiv, round_loss as f32, &merged)?;
         if epoch_equiv >= opts.epochs_total || round >= opts.max_rounds {
             break;
         }
     }
-    trace.set_comm(&stats);
-    Ok(trace)
+    Ok(cluster.finish())
 }
 
 #[cfg(test)]
@@ -115,14 +131,15 @@ mod tests {
         o
     }
 
+    fn central_opts() -> SimOptions {
+        let mut o = SimOptions::quick(&[2.0, 2.0, 1.0, 1.0]);
+        o.epochs_total = 4.0;
+        o
+    }
+
     #[test]
     fn fedavg_trains_and_improves() {
-        let trace = run_decentralized_fedavg(
-            &Workload::quick("mlp", 1),
-            &BaselineConfig::default(),
-            &quick_opts(),
-        )
-        .unwrap();
+        let trace = run_decentralized_fedavg(&Workload::quick("mlp", 1), &quick_opts()).unwrap();
         assert!(!trace.records.is_empty());
         let first = &trace.records[0];
         let last = trace.records.last().unwrap();
@@ -132,12 +149,7 @@ mod tests {
 
     #[test]
     fn all_devices_run_equal_steps() {
-        let trace = run_decentralized_fedavg(
-            &Workload::quick("mlp", 2),
-            &BaselineConfig::default(),
-            &quick_opts(),
-        )
-        .unwrap();
+        let trace = run_decentralized_fedavg(&Workload::quick("mlp", 2), &quick_opts()).unwrap();
         let last = trace.records.last().unwrap();
         assert!(
             last.versions.windows(2).all(|w| w[0] == w[1]),
@@ -150,59 +162,26 @@ mod tests {
     fn round_duration_is_straggler_bound() {
         // Doubling every power except the straggler's must leave round
         // times (and so total time) essentially unchanged.
-        let base =
-            run_decentralized_fedavg(&Workload::quick("mlp", 3), &BaselineConfig::default(), &{
-                let mut o = quick_opts();
-                o.powers = vec![1.0, 1.0, 1.0, 1.0];
-                o
-            })
-            .unwrap();
-        let boosted =
-            run_decentralized_fedavg(&Workload::quick("mlp", 3), &BaselineConfig::default(), &{
-                let mut o = quick_opts();
-                o.powers = vec![2.0, 2.0, 2.0, 1.0];
-                o
-            })
-            .unwrap();
+        let base = run_decentralized_fedavg(&Workload::quick("mlp", 3), &{
+            let mut o = quick_opts();
+            o.powers = vec![1.0, 1.0, 1.0, 1.0];
+            o
+        })
+        .unwrap();
+        let boosted = run_decentralized_fedavg(&Workload::quick("mlp", 3), &{
+            let mut o = quick_opts();
+            o.powers = vec![2.0, 2.0, 2.0, 1.0];
+            o
+        })
+        .unwrap();
         let t1 = base.records.last().unwrap().time_secs;
         let t2 = boosted.records.last().unwrap().time_secs;
         assert!((t1 - t2).abs() / t1 < 0.05, "{t1} vs {t2}");
     }
 
     #[test]
-    fn local_epochs_scale_round_length() {
-        let one = run_decentralized_fedavg(
-            &Workload::quick("mlp", 4),
-            &BaselineConfig {
-                local_epochs: 1,
-                ..Default::default()
-            },
-            &quick_opts(),
-        )
-        .unwrap();
-        let two = run_decentralized_fedavg(
-            &Workload::quick("mlp", 4),
-            &BaselineConfig {
-                local_epochs: 2,
-                ..Default::default()
-            },
-            &quick_opts(),
-        )
-        .unwrap();
-        // With E=2 each round covers twice the data: about half the rounds.
-        assert!(two.records.len() < one.records.len());
-        // …and less total communication for the same epochs.
-        assert!(two.comm.total_bytes < one.comm.total_bytes);
-    }
-
-    #[test]
     fn no_server_traffic() {
-        let trace = run_decentralized_fedavg(
-            &Workload::quick("mlp", 5),
-            &BaselineConfig::default(),
-            &quick_opts(),
-        )
-        .unwrap();
+        let trace = run_decentralized_fedavg(&Workload::quick("mlp", 5), &quick_opts()).unwrap();
         assert_eq!(trace.comm.server_bytes, 0);
         assert!(trace.comm.total_bytes > 0);
     }
@@ -210,8 +189,49 @@ mod tests {
     #[test]
     fn validates_inputs() {
         let w = Workload::quick("mlp", 0);
-        let mut o = quick_opts();
-        o.powers = vec![1.0];
-        assert!(run_decentralized_fedavg(&w, &BaselineConfig::default(), &o).is_err());
+        for merge in [Merge::Ring, Merge::Server] {
+            let mut o = quick_opts();
+            o.powers = vec![1.0];
+            assert!(fedavg(&w, &o, merge).is_err(), "{merge:?}: one device");
+            let mut o = quick_opts();
+            o.epochs_total = f64::NAN;
+            assert!(fedavg(&w, &o, merge).is_err(), "{merge:?}: NaN epochs");
+            let mut o = quick_opts();
+            o.epochs_total = f64::INFINITY;
+            assert!(
+                fedavg(&w, &o, merge).is_err(),
+                "{merge:?}: unbounded epochs"
+            );
+            let mut o = quick_opts();
+            o.max_rounds = 0;
+            assert!(fedavg(&w, &o, merge).is_err(), "{merge:?}: zero rounds");
+        }
+    }
+
+    #[test]
+    fn centralized_trains() {
+        let trace = run_centralized_fedavg(&Workload::quick("mlp", 1), &central_opts()).unwrap();
+        assert!(!trace.records.is_empty());
+        assert!(trace.records.last().unwrap().epoch_equiv >= 4.0);
+    }
+
+    #[test]
+    fn server_moves_two_m_k_per_round() {
+        let trace = run_centralized_fedavg(&Workload::quick("mlp", 2), &central_opts()).unwrap();
+        let rounds = trace.records.len() as u64;
+        let expected = 2 * trace.model_bytes * 4 * rounds; // 2·M·K·rounds
+        assert_eq!(
+            trace.comm.server_bytes, expected,
+            "the §II-B formula must hold exactly"
+        );
+    }
+
+    #[test]
+    fn each_device_moves_two_m_per_round() {
+        let trace = run_centralized_fedavg(&Workload::quick("mlp", 3), &central_opts()).unwrap();
+        let rounds = trace.records.len() as u64;
+        for &b in &trace.comm.device_bytes {
+            assert_eq!(b, 2 * trace.model_bytes * rounds);
+        }
     }
 }

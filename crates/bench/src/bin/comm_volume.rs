@@ -9,7 +9,7 @@
 
 use hadfl::driver::{run_hadfl, SimOptions};
 use hadfl::{HadflConfig, Workload};
-use hadfl_baselines::{run_centralized_fedavg, BaselineConfig};
+use hadfl_baselines::run_centralized_fedavg;
 use hadfl_bench::write_csv;
 
 fn main() {
@@ -18,8 +18,7 @@ fn main() {
     let mut opts = SimOptions::quick(&powers);
     opts.epochs_total = 12.0;
 
-    let central = run_centralized_fedavg(&workload, &BaselineConfig::default(), &opts)
-        .expect("centralized run failed");
+    let central = run_centralized_fedavg(&workload, &opts).expect("centralized run failed");
     let config = HadflConfig::builder()
         .num_selected(2)
         .seed(700)

@@ -19,9 +19,7 @@
 
 use hadfl::driver::{run_hadfl, SimOptions};
 use hadfl::{HadflConfig, Workload};
-use hadfl_baselines::{
-    run_centralized_fedavg, run_decentralized_fedavg, run_distributed, BaselineConfig,
-};
+use hadfl_baselines::{run_centralized_fedavg, run_decentralized_fedavg, run_distributed};
 
 #[derive(Debug)]
 struct Args {
@@ -100,7 +98,7 @@ fn main() {
     opts.epochs_total = args.epochs;
     opts.base_step_secs = 0.010 * args.powers.iter().copied().fold(1.0, f64::max);
 
-    let trace = match args.scheme.as_str() {
+    let result = match args.scheme.as_str() {
         "hadfl" => {
             let config = HadflConfig::builder()
                 .num_selected(args.np)
@@ -111,41 +109,27 @@ fn main() {
                     eprintln!("hadfl_sim: {e}");
                     std::process::exit(2);
                 });
-            match run_hadfl(&workload, &config, &opts) {
-                Ok(run) => {
-                    println!(
-                        "strategy: hyperperiod {:.0} ms, local steps {:?}",
-                        run.strategy.hyperperiod_secs * 1e3,
-                        run.strategy.local_steps
-                    );
-                    run.trace
-                }
-                Err(e) => {
-                    eprintln!("hadfl_sim: {e}");
-                    std::process::exit(1);
-                }
-            }
+            run_hadfl(&workload, &config, &opts).map(|run| {
+                println!(
+                    "strategy: hyperperiod {:.0} ms, local steps {:?}",
+                    run.strategy.hyperperiod_secs * 1e3,
+                    run.strategy.local_steps
+                );
+                run.trace
+            })
         }
-        "fedavg" => run_decentralized_fedavg(&workload, &BaselineConfig::default(), &opts)
-            .unwrap_or_else(|e| {
-                eprintln!("hadfl_sim: {e}");
-                std::process::exit(1);
-            }),
-        "distributed" => run_distributed(&workload, &BaselineConfig::default(), &opts)
-            .unwrap_or_else(|e| {
-                eprintln!("hadfl_sim: {e}");
-                std::process::exit(1);
-            }),
-        "centralized" => run_centralized_fedavg(&workload, &BaselineConfig::default(), &opts)
-            .unwrap_or_else(|e| {
-                eprintln!("hadfl_sim: {e}");
-                std::process::exit(1);
-            }),
+        "fedavg" => run_decentralized_fedavg(&workload, &opts),
+        "distributed" => run_distributed(&workload, &opts),
+        "centralized" => run_centralized_fedavg(&workload, &opts),
         other => {
             eprintln!("hadfl_sim: unknown scheme '{other}' (hadfl|fedavg|distributed|centralized)");
             std::process::exit(2);
         }
     };
+    let trace = result.unwrap_or_else(|e| {
+        eprintln!("hadfl_sim: {e}");
+        std::process::exit(1);
+    });
 
     println!(
         "{} on {:?}: {} rounds, {:.1} epochs",

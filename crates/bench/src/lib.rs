@@ -17,9 +17,7 @@ use std::path::{Path, PathBuf};
 use hadfl::driver::{run_hadfl, SimOptions};
 use hadfl::trace::Trace;
 use hadfl::{HadflConfig, HadflError, Workload};
-use hadfl_baselines::{
-    run_centralized_fedavg, run_decentralized_fedavg, run_distributed, BaselineConfig,
-};
+use hadfl_baselines::{run_centralized_fedavg, run_decentralized_fedavg, run_distributed};
 
 /// The training schemes under comparison.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -189,15 +187,9 @@ pub fn run_scheme(
             let config = HadflConfig::builder().num_selected(2).seed(seed).build()?;
             Ok(run_hadfl(&workload, &config, &opts)?.trace)
         }
-        Scheme::DecentralizedFedAvg => {
-            run_decentralized_fedavg(&workload, &BaselineConfig::default(), &opts)
-        }
-        Scheme::DistributedTraining => {
-            run_distributed(&workload, &BaselineConfig::default(), &opts)
-        }
-        Scheme::CentralizedFedAvg => {
-            run_centralized_fedavg(&workload, &BaselineConfig::default(), &opts)
-        }
+        Scheme::DecentralizedFedAvg => run_decentralized_fedavg(&workload, &opts),
+        Scheme::DistributedTraining => run_distributed(&workload, &opts),
+        Scheme::CentralizedFedAvg => run_centralized_fedavg(&workload, &opts),
     }
 }
 

@@ -92,17 +92,26 @@ impl SimOptions {
         }
     }
 
-    fn validate(&self) -> Result<(), HadflError> {
+    /// Checks the options every simulated scheme relies on: at least two
+    /// devices, a positive finite epoch budget, a positive round cap and
+    /// a positive backup period.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`HadflError::InvalidConfig`] describing the first
+    /// out-of-range field.
+    pub fn validate(&self) -> Result<(), HadflError> {
         if self.powers.len() < 2 {
             return Err(HadflError::InvalidConfig(format!(
                 "need at least 2 devices, got {}",
                 self.powers.len()
             )));
         }
-        if !(self.epochs_total > 0.0) {
-            return Err(HadflError::InvalidConfig(
-                "epochs_total must be positive".into(),
-            ));
+        if !(self.epochs_total > 0.0) || !self.epochs_total.is_finite() {
+            return Err(HadflError::InvalidConfig(format!(
+                "epochs_total must be positive and finite, got {}",
+                self.epochs_total
+            )));
         }
         if self.max_rounds == 0 {
             return Err(HadflError::InvalidConfig(
@@ -696,6 +705,8 @@ mod tests {
         assert!(run_hadfl(&w, &c, &SimOptions::quick(&[1.0])).is_err());
         let mut bad = SimOptions::quick(&[1.0, 1.0]);
         bad.epochs_total = 0.0;
+        assert!(run_hadfl(&w, &c, &bad).is_err());
+        bad.epochs_total = f64::INFINITY;
         assert!(run_hadfl(&w, &c, &bad).is_err());
         let mut bad = SimOptions::quick(&[1.0, 1.0]);
         bad.max_rounds = 0;

@@ -5,7 +5,7 @@
 
 use hadfl::driver::{run_hadfl, SimOptions};
 use hadfl::{HadflConfig, Workload};
-use hadfl_baselines::{run_decentralized_fedavg, run_distributed, BaselineConfig};
+use hadfl_baselines::{run_decentralized_fedavg, run_distributed};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!(
@@ -22,11 +22,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
         let mut results: Vec<(String, f32, f64)> = Vec::new();
 
-        let dist = run_distributed(&workload, &BaselineConfig::default(), &opts)?;
+        let dist = run_distributed(&workload, &opts)?;
         if let Some((a, t)) = dist.time_to_max_accuracy() {
             results.push(("distributed_training".into(), a, t));
         }
-        let fedavg = run_decentralized_fedavg(&workload, &BaselineConfig::default(), &opts)?;
+        let fedavg = run_decentralized_fedavg(&workload, &opts)?;
         if let Some((a, t)) = fedavg.time_to_max_accuracy() {
             results.push(("decentralized_fedavg".into(), a, t));
         }

@@ -6,7 +6,7 @@
 
 use hadfl::driver::{run_hadfl, SimOptions};
 use hadfl::{HadflConfig, Workload};
-use hadfl_baselines::{run_decentralized_fedavg, BaselineConfig};
+use hadfl_baselines::run_decentralized_fedavg;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // A CI-scale workload: the tiny synthetic CIFAR task and an MLP.
@@ -41,7 +41,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         run.trace.comm.server_bytes
     );
 
-    let fedavg = run_decentralized_fedavg(&workload, &BaselineConfig::default(), &opts)?;
+    let fedavg = run_decentralized_fedavg(&workload, &opts)?;
     let (facc, fsecs) = fedavg.time_to_max_accuracy().expect("trained");
     println!(
         "FedAvg: reached {:.1}% test accuracy at {:.2} virtual seconds",

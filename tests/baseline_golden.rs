@@ -4,9 +4,7 @@
 use hadfl::driver::SimOptions;
 use hadfl::trace::Trace;
 use hadfl::Workload;
-use hadfl_baselines::{
-    run_centralized_fedavg, run_decentralized_fedavg, run_distributed, BaselineConfig,
-};
+use hadfl_baselines::{run_centralized_fedavg, run_decentralized_fedavg, run_distributed};
 
 const GOLDEN_FEDAVG: (u64, usize) = (0x4844_bf64_ec4f_490c, 3);
 const GOLDEN_CENTRALIZED: (u64, usize) = (0x8283_118c_2a7f_0377, 3);
@@ -30,10 +28,9 @@ fn fingerprint(trace: &Trace) -> (u64, usize) {
 #[test]
 fn baselines_match_golden_fingerprints() {
     let w = Workload::quick("mlp", 1);
-    let cfg = BaselineConfig::default();
-    let fedavg = run_decentralized_fedavg(&w, &cfg, &opts()).unwrap();
-    let central = run_centralized_fedavg(&w, &cfg, &opts()).unwrap();
-    let dist = run_distributed(&w, &cfg, &opts()).unwrap();
+    let fedavg = run_decentralized_fedavg(&w, &opts()).unwrap();
+    let central = run_centralized_fedavg(&w, &opts()).unwrap();
+    let dist = run_distributed(&w, &opts()).unwrap();
     assert_eq!(fingerprint(&fedavg), GOLDEN_FEDAVG, "decentralized FedAvg");
     assert_eq!(
         fingerprint(&central),

@@ -3,9 +3,7 @@
 
 use hadfl::driver::{run_hadfl, SimOptions};
 use hadfl::{HadflConfig, Workload};
-use hadfl_baselines::{
-    run_centralized_fedavg, run_decentralized_fedavg, run_distributed, BaselineConfig,
-};
+use hadfl_baselines::{run_centralized_fedavg, run_decentralized_fedavg, run_distributed};
 
 fn opts(epochs: f64) -> SimOptions {
     let mut o = SimOptions::quick(&[3.0, 3.0, 1.0, 1.0]);
@@ -15,32 +13,17 @@ fn opts(epochs: f64) -> SimOptions {
 
 #[test]
 fn centralized_server_carries_2mk_per_round() {
-    let trace = run_centralized_fedavg(
-        &Workload::quick("mlp", 51),
-        &BaselineConfig::default(),
-        &opts(6.0),
-    )
-    .unwrap();
+    let trace = run_centralized_fedavg(&Workload::quick("mlp", 51), &opts(6.0)).unwrap();
     let rounds = trace.records.len() as u64;
     assert_eq!(trace.comm.server_bytes, 2 * trace.model_bytes * 4 * rounds);
 }
 
 #[test]
 fn decentralized_schemes_have_zero_server_model_traffic() {
-    let fedavg = run_decentralized_fedavg(
-        &Workload::quick("mlp", 52),
-        &BaselineConfig::default(),
-        &opts(6.0),
-    )
-    .unwrap();
+    let fedavg = run_decentralized_fedavg(&Workload::quick("mlp", 52), &opts(6.0)).unwrap();
     assert_eq!(fedavg.comm.server_bytes, 0);
 
-    let dist = run_distributed(
-        &Workload::quick("mlp", 52),
-        &BaselineConfig::default(),
-        &opts(6.0),
-    )
-    .unwrap();
+    let dist = run_distributed(&Workload::quick("mlp", 52), &opts(6.0)).unwrap();
     assert_eq!(dist.comm.server_bytes, 0);
 
     let config = HadflConfig::builder().seed(52).build().unwrap();
@@ -58,7 +41,7 @@ fn hadfl_device_volume_is_comparable_to_fedavg() {
     let w = Workload::quick("mlp", 53);
     let config = HadflConfig::builder().seed(53).build().unwrap();
     let hadfl = run_hadfl(&w, &config, &o).unwrap();
-    let fedavg = run_decentralized_fedavg(&w, &BaselineConfig::default(), &o).unwrap();
+    let fedavg = run_decentralized_fedavg(&w, &o).unwrap();
 
     let per_round = |total: u64, rounds: usize| total as f64 / rounds as f64;
     let h = per_round(hadfl.trace.comm.total_bytes, hadfl.trace.records.len());

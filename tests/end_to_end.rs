@@ -127,7 +127,7 @@ fn umbrella_crate_reexports_compile() {
     let _t = hadfl_suite::tensor::Tensor::zeros(&[2, 2]);
     let _d = hadfl_suite::simnet::DeviceId(0);
     let _c = hadfl_suite::hadfl::HadflConfig::builder().build().unwrap();
-    let _b = hadfl_suite::baselines::BaselineConfig::default();
+    let _b = hadfl_suite::baselines::run_distributed;
 }
 
 /// FNV-1a over the JSON of the `HadflRun` fields that predate grouping

@@ -5,7 +5,7 @@
 
 use hadfl::driver::{run_hadfl, SimOptions};
 use hadfl::{HadflConfig, Workload};
-use hadfl_baselines::{run_decentralized_fedavg, run_distributed, BaselineConfig};
+use hadfl_baselines::{run_decentralized_fedavg, run_distributed};
 
 fn opts(powers: &[f64], epochs: f64) -> SimOptions {
     let mut o = SimOptions::quick(powers);
@@ -28,8 +28,8 @@ fn hadfl_is_faster_per_epoch_on_heterogeneous_clusters() {
     let config = HadflConfig::builder().seed(31).build().unwrap();
 
     let hadfl = run_hadfl(&w, &config, &o).unwrap();
-    let fedavg = run_decentralized_fedavg(&w, &BaselineConfig::default(), &o).unwrap();
-    let dist = run_distributed(&w, &BaselineConfig::default(), &o).unwrap();
+    let fedavg = run_decentralized_fedavg(&w, &o).unwrap();
+    let dist = run_distributed(&w, &o).unwrap();
 
     let h = hadfl.trace.records.last().unwrap();
     let f = fedavg.records.last().unwrap();
@@ -64,7 +64,7 @@ fn hadfl_advantage_shrinks_on_homogeneous_clusters() {
     let rate = |powers: &[f64]| {
         let o = opts(powers, 8.0);
         let hadfl = run_hadfl(&w, &config, &o).unwrap();
-        let fedavg = run_decentralized_fedavg(&w, &BaselineConfig::default(), &o).unwrap();
+        let fedavg = run_decentralized_fedavg(&w, &o).unwrap();
         let h = hadfl.trace.records.last().unwrap();
         let f = fedavg.records.last().unwrap();
         (f.time_secs / f.epoch_equiv) / (h.time_secs / h.epoch_equiv)
@@ -88,7 +88,7 @@ fn deeper_heterogeneity_costs_synchronous_schemes_more() {
     let w = Workload::quick("mlp", 33);
     let total_time = |powers: &[f64]| {
         let o = opts(powers, 6.0);
-        let fedavg = run_decentralized_fedavg(&w, &BaselineConfig::default(), &o).unwrap();
+        let fedavg = run_decentralized_fedavg(&w, &o).unwrap();
         fedavg.records.last().unwrap().time_secs
     };
     // [4,2,2,1] has a 4x straggler gap vs 3x: synchronous rounds stretch.
@@ -103,12 +103,8 @@ fn all_schemes_reach_comparable_accuracy_given_enough_epochs() {
     let config = HadflConfig::builder().seed(34).build().unwrap();
 
     let hadfl = run_hadfl(&w, &config, &o).unwrap().trace.max_accuracy();
-    let fedavg = run_decentralized_fedavg(&w, &BaselineConfig::default(), &o)
-        .unwrap()
-        .max_accuracy();
-    let dist = run_distributed(&w, &BaselineConfig::default(), &o)
-        .unwrap()
-        .max_accuracy();
+    let fedavg = run_decentralized_fedavg(&w, &o).unwrap().max_accuracy();
+    let dist = run_distributed(&w, &o).unwrap().max_accuracy();
 
     assert!(
         fedavg > 0.6 && dist > 0.6 && hadfl > 0.6,
