@@ -408,12 +408,18 @@ fn reserved_tag_6_is_rejected_as_unknown() {
         origin: 1,
         lamport: 2,
     };
-    let mut sealed = seal(stamp, &Message::Handshake { from: 0 }).to_vec();
-    sealed[STAMP_LEN] = 6;
-    let err = Message::decode(&sealed[STAMP_LEN..]).unwrap_err();
-    assert!(err.to_string().contains("unknown message tag 6"), "{err}");
-    assert!(open(&sealed).is_err());
-    assert!(streamed(&sealed, sealed.len()).is_err());
+    for tag in [6u8, 12] {
+        let mut sealed = seal(stamp, &Message::Handshake { from: 0 }).to_vec();
+        sealed[STAMP_LEN] = tag;
+        let err = Message::decode(&sealed[STAMP_LEN..]).unwrap_err();
+        assert!(
+            err.to_string()
+                .contains(&format!("unknown message tag {tag}")),
+            "{err}"
+        );
+        assert!(open(&sealed).is_err());
+        assert!(streamed(&sealed, sealed.len()).is_err());
+    }
 }
 
 /// The ring-reduce helpers must also equal the pre-parallel inline

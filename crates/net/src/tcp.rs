@@ -690,6 +690,54 @@ mod tests {
         (ClusterConfig::from_addrs(&addrs).unwrap(), nodes)
     }
 
+    /// The message kinds of a run of length-prefixed frames.
+    fn frame_kinds(mut wire_bytes: &[u8]) -> Vec<&'static str> {
+        let mut kinds = Vec::new();
+        while !wire_bytes.is_empty() {
+            let len = u32::from_le_bytes(wire_bytes[..4].try_into().unwrap()) as usize;
+            kinds.push(wire::open(&wire_bytes[4..4 + len]).unwrap().1.kind());
+            wire_bytes = &wire_bytes[4 + len..];
+        }
+        kinds
+    }
+
+    #[test]
+    fn an_idle_port_puts_nothing_on_the_wire() {
+        use std::io::Read;
+        let (cluster, mut nodes) = loopback_cluster(3);
+        // Participant 1 is a bare listener, reading what the port sends.
+        let peer = nodes.remove(1);
+        let mut port = nodes
+            .remove(0)
+            .into_port(&cluster, TcpOptions::default())
+            .unwrap();
+        port.send(1, &Message::Handshake { from: 0 }).unwrap();
+        let (mut conn, _) = peer.listener.accept().unwrap();
+        // Read for 1.2 s: the connection's two frames, then a timeout.
+        let listening = WallClock::new();
+        let window = Duration::from_millis(1200);
+        let mut wire_bytes = Vec::new();
+        let mut chunk = [0u8; 256];
+        let timed_out = loop {
+            let left = window.saturating_sub(listening.now());
+            if left.is_zero() {
+                break false;
+            }
+            conn.set_read_timeout(Some(left)).unwrap();
+            match conn.read(&mut chunk) {
+                Ok(0) => break false, // end of stream
+                Ok(n) => wire_bytes.extend_from_slice(&chunk[..n]),
+                Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
+                    break true
+                }
+                Err(e) => panic!("read: {e}"),
+            }
+        };
+        assert_eq!(frame_kinds(&wire_bytes), ["hello", "handshake"]);
+        assert!(timed_out, "the connection stays open and silent");
+        drop(port);
+    }
+
     #[test]
     fn frames_cross_the_wire() {
         let (cluster, mut nodes) = loopback_cluster(3);
@@ -904,13 +952,10 @@ mod tests {
         let mut wire_bytes = Vec::new();
         conn.read_to_end(&mut wire_bytes)
             .expect("no end of stream within 1 s of the drop");
-        let mut kinds = Vec::new();
-        let mut rest = &wire_bytes[..];
-        while !rest.is_empty() {
-            let len = u32::from_le_bytes(rest[..4].try_into().unwrap()) as usize;
-            kinds.push(wire::open(&rest[4..4 + len]).unwrap().1.kind());
-            rest = &rest[4 + len..];
-        }
-        assert_eq!(kinds, ["hello", "handshake"], "nothing after the drop");
+        assert_eq!(
+            frame_kinds(&wire_bytes),
+            ["hello", "handshake"],
+            "nothing after the drop"
+        );
     }
 }

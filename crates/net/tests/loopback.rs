@@ -1,6 +1,7 @@
 //! Loopback-TCP integration tests: the threaded executor's protocol
 //! loops running over real sockets.
 
+use std::collections::BTreeSet;
 use std::thread;
 use std::time::Duration;
 
@@ -317,8 +318,7 @@ fn tcp_ledger_matches_channel_fabric() {
     // and an instrumented port mirrors every ledger entry as a frame
     // event.
     let (cluster, nodes) = bind_cluster(k + 1);
-    let mut opts = tcp_opts();
-    opts.heartbeat_interval = None; // chatter-free, deterministic counts
+    let opts = tcp_opts();
     let sinks: Vec<RingBufferSink> = (0..=k).map(|_| RingBufferSink::new(1024)).collect();
     let mut tcp_ports: Vec<TcpPort> = nodes
         .into_iter()
@@ -378,8 +378,25 @@ fn tcp_ledger_matches_channel_fabric() {
             hub_stats.received_by(endpoint(id)),
             "received bytes of participant {id}"
         );
-        // Framing, hellos, and heartbeats ride outside the ledger.
-        assert!(port.raw_bytes() > local.sent_by(endpoint(id)));
+        // Framing and hellos ride outside the ledger, and nothing else
+        // does: every frame the port sent or received costs a 4-byte
+        // length prefix and a 12-byte stamp on top of its payload, and
+        // each connection it dialed or accepted one 21-byte Hello.
+        let frames: u64 = script
+            .iter()
+            .filter(|(from, to, _)| *from == id || *to == id)
+            .map(|(_, _, m)| 16 + m.encoded_len() as u64)
+            .sum();
+        let connections: BTreeSet<(usize, usize)> = script
+            .iter()
+            .filter(|(from, to, _)| *from == id || *to == id)
+            .map(|(from, to, _)| (*from, *to))
+            .collect();
+        assert_eq!(
+            port.raw_bytes(),
+            frames + 21 * connections.len() as u64,
+            "raw bytes of participant {id}"
+        );
     }
     let payload: u64 = script.iter().map(|(_, _, m)| m.encoded_len() as u64).sum();
     assert_eq!(hub_stats.total_bytes(), payload);
