@@ -16,7 +16,7 @@
 //! [`hadfl::exec::ProtocolTiming::zero`] at `now == 0`, which turns
 //! every timeout into an explicitly scheduled event. Scheduling of those
 //! events is *gated* to model the production timescale separation
-//! (heartbeat ≪ handshake ≪ report deadline ≪ sync window); see
+//! (handshake ≪ report deadline ≪ sync window); see
 //! [`model::World::enabled_actions`].
 //!
 //! ## Checked invariants

@@ -434,7 +434,7 @@ impl World {
     /// deterministic order.
     ///
     /// The timer gates encode the production timescale separation
-    /// (heartbeat ≪ handshake wait ≪ report deadline ≪ sync window):
+    /// (handshake wait ≪ report deadline ≪ sync window):
     ///
     /// - a device's in-ring wait only elapses when nothing addressed to
     ///   it is still in flight, and an armed probe's deadline only
@@ -845,7 +845,6 @@ pub fn describe_message(msg: &Message) -> String {
         }
         Message::ReportRequest { round } => format!("ReportRequest(round {round})"),
         Message::Shutdown => "Shutdown".into(),
-        Message::Heartbeat { from } => format!("Heartbeat(from {from})"),
         Message::Hello { from } => format!("Hello(from {from})"),
         Message::FinalParams { device, .. } => format!("FinalParams(dev {device})"),
         Message::TelemetryBatch { node, dropped, .. } => {

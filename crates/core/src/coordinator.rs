@@ -22,8 +22,8 @@ use crate::topology::Ring;
 /// The *liveness monitor*: tracks which devices are reachable.
 ///
 /// In this reproduction, ground-truth availability comes from the
-/// simulator's [`FaultPlan`]; a production implementation would probe
-/// heartbeats.
+/// simulator's [`FaultPlan`]; the actors over a real transport find a
+/// dead device by the §III-D timeout and handshake instead.
 #[derive(Debug, Clone, Default)]
 pub struct LivenessMonitor {
     plan: FaultPlan,

@@ -822,7 +822,7 @@ impl<T: TrainState> DeviceActor<T> {
                     run.bypass(port, self.me, dead, || {});
                 }
             }
-            _ => {} // heartbeats, stale acks
+            _ => {} // stale acks
         }
         Ok(())
     }
@@ -1134,7 +1134,7 @@ impl<T: TrainState> DeviceActor<T> {
                 );
             }
             Message::Shutdown => return Ok(RingStep::Shutdown),
-            _ => {} // heartbeats, broadcasts meant for the unselected
+            _ => {} // broadcasts meant for the unselected
         }
         let DevicePhase::Ring(ring) = &self.phase else {
             return Ok(RingStep::Continue);

@@ -93,9 +93,9 @@ pub trait Port: Send {
     fn recv_timeout(&mut self, timeout: Duration) -> Result<Option<Message>, HadflError>;
 
     /// Snapshot of the payload bytes this port has sent and received,
-    /// charged per encoded frame (transport-internal chatter such as
-    /// heartbeats is excluded, so channel and TCP fabrics report the
-    /// same ledger for the same protocol run).
+    /// charged per encoded frame (transport-internal framing such as
+    /// the TCP connection's `Hello` is excluded, so channel and TCP
+    /// fabrics report the same ledger for the same protocol run).
     fn stats(&self) -> NetStats;
 
     /// The clock this port stamps its frame events with, and the one
@@ -336,12 +336,12 @@ mod tests {
         let mut a = hub.claim(0).unwrap();
         let mut b = hub.claim(1).unwrap();
         let mut c = hub.claim(2).unwrap();
-        a.send(1, &Message::Heartbeat { from: 0 }).unwrap();
+        a.send(1, &Message::Handshake { from: 0 }).unwrap();
         a.send(2, &Message::ReportRequest { round: 3 }).unwrap();
         b.send(2, &Message::Shutdown).unwrap();
         assert_eq!(
             b.recv_timeout(Duration::from_secs(1)).unwrap(),
-            Some(Message::Heartbeat { from: 0 })
+            Some(Message::Handshake { from: 0 })
         );
         assert_eq!(
             c.try_recv().unwrap(),

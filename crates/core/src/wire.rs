@@ -313,11 +313,6 @@ pub enum Message {
     /// Coordinator → device: training is over; reply with your final
     /// parameters ([`Message::ParamSync`]) and exit.
     Shutdown,
-    /// Periodic transport-level liveness beacon.
-    Heartbeat {
-        /// Sending participant.
-        from: u32,
-    },
     /// First frame on a freshly dialed connection, identifying the
     /// dialing participant to the accepting side.
     Hello {
@@ -354,14 +349,14 @@ const TAG_VERSION_REPORT: u8 = 2;
 const TAG_HANDSHAKE: u8 = 3;
 const TAG_HANDSHAKE_ACK: u8 = 4;
 const TAG_BYPASS_WARNING: u8 = 5;
-// Tag 6 is reserved: older builds defined a frame under it, so `decode`
-// rejects it as unknown and new variants take fresh tags.
+// Tags 6 and 12 are reserved: older builds defined frames under them
+// (12 was the transport heartbeat), so `decode` rejects them as unknown
+// and new variants take fresh tags.
 const TAG_PARAM_ACCUM: u8 = 7;
 const TAG_MERGED_PARAMS: u8 = 8;
 const TAG_ROUND_PLAN: u8 = 9;
 const TAG_REPORT_REQUEST: u8 = 10;
 const TAG_SHUTDOWN: u8 = 11;
-const TAG_HEARTBEAT: u8 = 12;
 const TAG_HELLO: u8 = 13;
 const TAG_FINAL_PARAMS: u8 = 14;
 const TAG_TELEMETRY_BATCH: u8 = 15;
@@ -553,10 +548,6 @@ impl Message {
             Message::Shutdown => {
                 buf.put_u8(TAG_SHUTDOWN);
             }
-            Message::Heartbeat { from } => {
-                buf.put_u8(TAG_HEARTBEAT);
-                buf.put_u32_le(*from);
-            }
             Message::Hello { from } => {
                 buf.put_u8(TAG_HELLO);
                 buf.put_u32_le(*from);
@@ -595,7 +586,6 @@ impl Message {
             Message::RoundPlan { .. } => "round_plan",
             Message::ReportRequest { .. } => "report_request",
             Message::Shutdown => "shutdown",
-            Message::Heartbeat { .. } => "heartbeat",
             Message::Hello { .. } => "hello",
             Message::FinalParams { .. } => "final_params",
             Message::TelemetryBatch { .. } => "telemetry_batch",
@@ -620,7 +610,7 @@ impl Message {
             } => 1 + 4 + (4 + 4 * ring.len()) + 4 + (4 + 4 * unselected.len()),
             Message::ReportRequest { .. } => 1 + 4,
             Message::Shutdown => 1,
-            Message::Heartbeat { .. } | Message::Hello { .. } => 1 + 4,
+            Message::Hello { .. } => 1 + 4,
             Message::TelemetryBatch { payload, .. } => 1 + 4 + 4 + 4 + payload.len(),
         }
     }
@@ -719,12 +709,6 @@ impl Message {
                 }
             }
             TAG_SHUTDOWN => Message::Shutdown,
-            TAG_HEARTBEAT => {
-                need(frame, 4)?;
-                Message::Heartbeat {
-                    from: frame.get_u32_le(),
-                }
-            }
             TAG_HELLO => {
                 need(frame, 4)?;
                 Message::Hello {
@@ -816,7 +800,6 @@ mod tests {
         });
         roundtrip(Message::ReportRequest { round: 9 });
         roundtrip(Message::Shutdown);
-        roundtrip(Message::Heartbeat { from: 4 });
         roundtrip(Message::Hello { from: 0 });
         roundtrip(Message::FinalParams {
             device: 2,

@@ -119,7 +119,6 @@ fn every_variant(a: u32, b: u32, params: &[f32], ids: &[u32], bytes: &[u8]) -> V
         },
         Message::ReportRequest { round: a },
         Message::Shutdown,
-        Message::Heartbeat { from: a },
         Message::Hello { from: b },
         Message::FinalParams { device: a, params },
         Message::TelemetryBatch {

@@ -1,7 +1,7 @@
 //! `blocking-in-emit`: no blocking work on the telemetry hot path.
 //!
 //! `Telemetry::emit` and `Sink::record` run inline in the protocol's
-//! reader, heartbeat, and training threads — a lock acquisition or a
+//! reader and training threads — a lock acquisition or a
 //! file/socket operation there turns observability into backpressure
 //! on the thing being observed. Blocking work belongs on a worker
 //! thread (the `ShipSink` pattern: classify + atomics + channel send

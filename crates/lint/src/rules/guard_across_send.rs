@@ -2,7 +2,7 @@
 //!
 //! A two-argument `.send(to, msg)` (the `Port::send` shape) can block
 //! on a slow peer's TCP buffer; a mutex guard held meanwhile stalls
-//! the reader/heartbeat threads into a distributed deadlock.
+//! the reader threads into a distributed deadlock.
 //! One-argument channel sends are non-blocking and exempt.
 //!
 //! The rule tracks guard *lifetimes*, which is what the old awk gate

@@ -89,7 +89,7 @@ static RULES: [Rule; 12] = [
     Rule {
         id: "guard-across-send",
         summary: "no lock guard held across a blocking two-argument Port::send — a \
-                  stalled peer must not wedge the reader/heartbeat threads",
+                  stalled peer must not wedge the reader threads",
         scope: Scope {
             dirs: &["crates/core/src/", "crates/net/src/"],
             files: &[],

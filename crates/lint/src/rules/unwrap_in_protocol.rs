@@ -1,7 +1,7 @@
 //! `unwrap-in-protocol`: no `unwrap`/`expect`/explicit panics in
 //! non-test protocol code.
 //!
-//! A panic in the transport or executor kills a reader, heartbeat, or
+//! A panic in the transport or executor kills a reader, accept, or
 //! driver thread silently and wedges the node — errors must propagate
 //! (`?`, `Result`) or be logged through telemetry. This extends the
 //! old two-file `#![warn(clippy::unwrap_used)]` annotations to every

@@ -9,9 +9,9 @@
 //!   listing every participant's id, address, role, and relative
 //!   compute power.
 //! * [`tcp`] — [`tcp::TcpPort`], a `Port` over plain TCP with
-//!   length-delimited framing, lazy connects with bounded
-//!   exponential-backoff redial, and heartbeat liveness feeding the
-//!   protocol's §III-D dead-peer handling.
+//!   length-delimited framing and lazy connects with bounded
+//!   exponential-backoff redial. Dead peers are left to the protocol's
+//!   §III-D timeout and handshake; an idle connection carries nothing.
 //! * the `hadfl-node` binary — one process per participant; point every
 //!   process at the same cluster file and give each its `--id`.
 //!

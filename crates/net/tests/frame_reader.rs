@@ -74,7 +74,6 @@ fn victim_and_peer(max_frame_bytes: u32) -> (TcpPort, SocketAddr, TcpPort) {
     let cluster = ClusterConfig::from_addrs(&addrs).unwrap();
     let opts = TcpOptions {
         read_timeout: READ_TIMEOUT,
-        heartbeat_interval: None,
         max_frame_bytes,
         ..TcpOptions::default()
     };

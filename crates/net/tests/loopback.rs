@@ -26,7 +26,6 @@ fn tcp_opts() -> TcpOptions {
         max_dial_attempts: 5,
         backoff_base: Duration::from_millis(10),
         backoff_cap: Duration::from_millis(100),
-        heartbeat_interval: Some(Duration::from_millis(100)),
         max_frame_bytes: 8 << 20,
     }
 }

@@ -649,12 +649,12 @@ pub fn critical_path(events: &[Event], round: u32) -> CriticalPath {
 
     // Same-node chains, in merged (= per-node seq) order.
     let mut next_on_node: Vec<Option<usize>> = vec![None; n];
-    let mut last_seen: BTreeMap<u32, usize> = BTreeMap::new();
+    let mut last_on_node: BTreeMap<u32, usize> = BTreeMap::new();
     for (i, e) in events.iter().enumerate() {
-        if let Some(&prev) = last_seen.get(&e.node) {
+        if let Some(&prev) = last_on_node.get(&e.node) {
             next_on_node[prev] = Some(i);
         }
-        last_seen.insert(e.node, i);
+        last_on_node.insert(e.node, i);
     }
 
     // Frame matching by (sender, Lamport stamp).

@@ -197,9 +197,9 @@ pub enum EventKind {
         device: u32,
     },
     /// A payload frame left this node. Mirrors exactly one
-    /// `NetStats::record` call on the sending port — framing bytes,
-    /// hellos, and heartbeats are *not* events, so summed `bytes`
-    /// reconcile with the payload ledger.
+    /// `NetStats::record` call on the sending port — framing bytes and
+    /// hellos are *not* events, so summed `bytes` reconcile with the
+    /// payload ledger.
     FrameSent {
         /// Sending participant.
         src: u32,

@@ -159,9 +159,9 @@ impl Telemetry {
     ///
     /// A `FrameSent` event takes its Lamport reading from the frame's
     /// own stamp rather than the clock's current value: between the
-    /// send's `tick` and this emit, another thread (the heartbeat
-    /// loop, the reader observing an inbound stamp) may have advanced
-    /// the shared clock past what the receiver will merge to, which
+    /// send's `tick` and this emit, another thread (a reader observing
+    /// an inbound stamp) may have advanced the shared clock past what
+    /// the receiver will merge to, which
     /// would place the send *after* its own receive in the causal
     /// merge. The stamp is the send's true logical time.
     pub fn emit(&self, now: Duration, kind: EventKind) {

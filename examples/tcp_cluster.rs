@@ -176,10 +176,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // The coordinator's ledger counts exactly the encoded protocol
     // payloads — the same accounting as the analytical simulation
-    // driver; framing and heartbeats sit only in raw_bytes.
+    // driver; framing and hellos sit only in raw_bytes.
     let comm = CommSummary::from_stats(&stats.stats(), k);
     println!(
-        "coordinator traffic: {} payload bytes / {} messages ({} raw bytes incl. framing + heartbeats)",
+        "coordinator traffic: {} payload bytes / {} messages ({} raw bytes incl. framing + hellos)",
         comm.total_bytes,
         comm.messages,
         stats.raw_bytes()
