@@ -189,7 +189,7 @@ proptest! {
     }
 }
 
-/// Builds one of the thirteen wire variants from a drawn value pool, so
+/// Builds one of the twelve wire variants from a drawn value pool, so
 /// the round-trip properties below cover the whole protocol surface.
 fn arb_message(variant: usize, a: u32, b: u32, v: f64, params: Vec<f32>, ids: Vec<u32>) -> Message {
     match variant % 12 {

@@ -399,8 +399,8 @@ proptest! {
     }
 }
 
-/// Tag 6 is reserved (`wire.rs`): a frame under it is an unknown tag,
-/// whole and streamed alike.
+/// Tags 6 and 12 are reserved (`wire.rs`): a frame under either is an
+/// unknown tag, whole and streamed alike.
 #[test]
 fn reserved_tag_6_is_rejected_as_unknown() {
     let stamp = CausalStamp {

@@ -19,9 +19,9 @@ pub fn keys_escape(m: &HashMap<u32, u64>) -> Vec<u32> {
     m.keys().copied().collect() //~ nondeterministic-iteration
 }
 
-/// The tcp.rs heartbeat shape: the map reaches the loop through a
-/// guard binding (`let live = conns.lock();`).
-pub fn heartbeat(conns: &Mutex<HashMap<u32, Conn>>) {
+/// A map behind a lock: it reaches the loop through a guard binding
+/// (`let live = conns.lock();`).
+pub fn ping_all(conns: &Mutex<HashMap<u32, Conn>>) {
     let mut live = conns.lock();
     for (peer, conn) in live.iter_mut() { //~ nondeterministic-iteration
         conn.ping(*peer);
