@@ -411,5 +411,30 @@ role = "coordinator"
         assert!(ClusterConfig::parse(Path::new("c.yaml"), "{}").is_err());
         assert!(ClusterConfig::parse(Path::new("c.json"), "not json").is_err());
         assert!(ClusterConfig::parse(Path::new("c.toml"), "id = 0").is_err());
+        // A well-formed JSON cluster is still the wrong format.
+        let json = r#"{
+  "nodes": [
+    {
+      "id": 0,
+      "addr": "127.0.0.1:7101",
+      "role": "device",
+      "power": 1.0
+    },
+    {
+      "id": 1,
+      "addr": "127.0.0.1:7102",
+      "role": "device",
+      "power": 1.0
+    },
+    {
+      "id": 2,
+      "addr": "127.0.0.1:7100",
+      "role": "coordinator",
+      "power": 1.0
+    }
+  ]
+}"#;
+        let err = ClusterConfig::parse(Path::new("c.json"), json).unwrap_err();
+        assert!(err.to_string().contains(".toml"), "{err}");
     }
 }
