@@ -2,210 +2,21 @@
 //!
 //! Every time read and every sleep in the protocol loops
 //! ([`crate::exec`]) and the TCP transport goes through the [`Clock`]
-//! trait instead of `std::time::Instant::now()` (a pattern gate in
-//! `tools/lint.sh` enforces this). Production code runs on
+//! trait instead of `std::time::Instant::now()` (hadfl-lint's
+//! `ambient-clock` rule enforces this). Production code runs on
 //! [`WallClock`]; deterministic tests and the `hadfl-check` model
 //! checker substitute [`ManualClock`] (or virtual zero-time), so that
 //! timeout behaviour becomes a *scheduled event* rather than a race
 //! against the host's wall clock.
 //!
-//! Timestamps are plain [`Duration`]s since the clock's epoch —
-//! unlike `Instant`, a `Duration` can be fabricated, compared across
-//! processes of a test harness, and hashed into a model-checker state
-//! digest.
+//! The three types live in `hadfl-prof`, the workspace's bottom crate,
+//! so a `hadfl_prof::Profiler` reads the same clock as the protocol it
+//! instruments: under a [`ManualClock`] the profile is fully scripted
+//! and byte-identical across runs.
+//!
+//! Timestamps are plain [`Duration`](std::time::Duration)s since the
+//! clock's epoch — unlike `Instant`, a `Duration` can be fabricated,
+//! compared across processes of a test harness, and hashed into a
+//! model-checker state digest.
 
-use std::sync::Arc;
-use std::time::{Duration, Instant};
-
-use parking_lot::Mutex;
-
-/// A monotone time source plus the ability to wait.
-///
-/// `now()` is the elapsed time since the clock's epoch; deadlines are
-/// expressed as `now() + timeout` and compared against later `now()`
-/// readings.
-pub trait Clock: Send + Sync {
-    /// Monotone time since this clock's epoch.
-    fn now(&self) -> Duration;
-
-    /// Blocks (or virtually advances) for `d`.
-    fn sleep(&self, d: Duration);
-}
-
-/// The production clock: epoch is construction time, `sleep` is
-/// `std::thread::sleep`.
-///
-/// # Example
-///
-/// ```
-/// use hadfl::clock::{Clock, WallClock};
-/// use std::time::Duration;
-///
-/// let clock = WallClock::new();
-/// let t0 = clock.now();
-/// clock.sleep(Duration::from_millis(5));
-/// assert!(clock.now() >= t0 + Duration::from_millis(5));
-/// ```
-#[derive(Debug, Clone)]
-pub struct WallClock {
-    epoch: Instant,
-}
-
-impl WallClock {
-    /// A wall clock whose epoch is now.
-    pub fn new() -> Self {
-        WallClock {
-            epoch: Instant::now(),
-        }
-    }
-
-    /// A shareable wall clock (`Arc<dyn Clock>`), the default for the
-    /// TCP transport.
-    pub fn shared() -> Arc<dyn Clock> {
-        Arc::new(WallClock::new())
-    }
-}
-
-impl Default for WallClock {
-    fn default() -> Self {
-        WallClock::new()
-    }
-}
-
-impl Clock for WallClock {
-    fn now(&self) -> Duration {
-        self.epoch.elapsed()
-    }
-
-    fn sleep(&self, d: Duration) {
-        std::thread::sleep(d);
-    }
-}
-
-/// A hand-advanced virtual clock for deterministic tests.
-///
-/// `sleep` advances the clock instead of blocking, so code written
-/// against [`Clock`] runs through its timeout logic at full speed.
-/// Clones share the same underlying time.
-///
-/// # Example
-///
-/// ```
-/// use hadfl::clock::{Clock, ManualClock};
-/// use std::time::Duration;
-///
-/// let clock = ManualClock::new();
-/// assert_eq!(clock.now(), Duration::ZERO);
-/// clock.advance(Duration::from_secs(3));
-/// clock.sleep(Duration::from_secs(2));
-/// assert_eq!(clock.now(), Duration::from_secs(5));
-/// ```
-#[derive(Debug, Clone, Default)]
-pub struct ManualClock {
-    now: Arc<Mutex<Duration>>,
-}
-
-impl ManualClock {
-    /// A virtual clock starting at time zero.
-    pub fn new() -> Self {
-        ManualClock::default()
-    }
-
-    /// Advances the clock by `d`.
-    pub fn advance(&self, d: Duration) {
-        let mut now = self.now.lock();
-        *now += d;
-    }
-
-    /// Sets the clock to an absolute time since its epoch.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `t` would move the clock backwards — the trait
-    /// promises monotonicity.
-    pub fn set(&self, t: Duration) {
-        let mut now = self.now.lock();
-        assert!(t >= *now, "ManualClock must not move backwards");
-        *now = t;
-    }
-}
-
-impl Clock for ManualClock {
-    fn now(&self) -> Duration {
-        *self.now.lock()
-    }
-
-    fn sleep(&self, d: Duration) {
-        self.advance(d);
-    }
-}
-
-/// Adapts any [`Clock`] onto the profiler's `TimeSource` seam, so a
-/// `hadfl_prof::Profiler` reads the same timeline as the protocol it
-/// instruments — under a [`ManualClock`] the profile is fully scripted
-/// and byte-identical across runs.
-///
-/// # Example
-///
-/// ```
-/// use std::sync::Arc;
-/// use hadfl::clock::{profiler_time, ManualClock};
-/// use hadfl_prof::Profiler;
-///
-/// let clock = ManualClock::new();
-/// let prof = Profiler::new(0, profiler_time(Arc::new(clock)));
-/// assert!(prof.enabled());
-/// ```
-pub fn profiler_time(clock: Arc<dyn Clock>) -> Arc<dyn hadfl_prof::TimeSource> {
-    struct ClockTime(Arc<dyn Clock>);
-    impl hadfl_prof::TimeSource for ClockTime {
-        fn now(&self) -> Duration {
-            self.0.now()
-        }
-    }
-    Arc::new(ClockTime(clock))
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn wall_clock_is_monotone() {
-        let clock = WallClock::new();
-        let a = clock.now();
-        let b = clock.now();
-        assert!(b >= a);
-    }
-
-    #[test]
-    fn manual_clock_advances_only_by_hand() {
-        let clock = ManualClock::new();
-        assert_eq!(clock.now(), Duration::ZERO);
-        clock.advance(Duration::from_millis(250));
-        assert_eq!(clock.now(), Duration::from_millis(250));
-        let alias = clock.clone();
-        alias.sleep(Duration::from_millis(250));
-        assert_eq!(clock.now(), Duration::from_millis(500), "clones share time");
-    }
-
-    #[test]
-    #[should_panic(expected = "backwards")]
-    fn manual_clock_rejects_time_travel() {
-        let clock = ManualClock::new();
-        clock.advance(Duration::from_secs(2));
-        clock.set(Duration::from_secs(1));
-    }
-
-    #[test]
-    fn clock_objects_are_shareable() {
-        let clock: Arc<dyn Clock> = WallClock::shared();
-        let t = std::thread::spawn({
-            let clock = Arc::clone(&clock);
-            move || clock.now()
-        })
-        .join()
-        .unwrap();
-        assert!(t <= clock.now());
-    }
-}
+pub use hadfl_prof::{Clock, ManualClock, WallClock};

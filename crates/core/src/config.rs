@@ -1,7 +1,7 @@
 use serde::{Deserialize, Serialize};
 
 use crate::error::HadflError;
-use crate::select::{SelectionPolicy, VersionScale};
+use crate::select::SelectionPolicy;
 
 /// Framework configuration (use [`HadflConfig::builder`]).
 ///
@@ -47,8 +47,6 @@ pub struct HadflConfig {
     pub blend_beta: f32,
     /// Device-selection policy for partial aggregation (Eq. 8 by default).
     pub selection: SelectionPolicy,
-    /// Version normalization before the Gaussian pdf (see DESIGN.md §6).
-    pub version_scale: VersionScale,
     /// How long a ring member waits for its upstream before starting the
     /// handshake/bypass procedure (§III-D), in virtual seconds.
     pub handshake_timeout_secs: f64,
@@ -154,7 +152,6 @@ impl Default for HadflConfigBuilder {
                 smoothing_alpha: 0.5,
                 blend_beta: 0.5,
                 selection: SelectionPolicy::VersionGaussian,
-                version_scale: VersionScale::ZScore,
                 handshake_timeout_secs: 0.05,
                 group_size: None,
                 inter_group_every: 2,
@@ -211,10 +208,6 @@ impl HadflConfigBuilder {
     setter!(
         /// Sets the device-selection policy.
         selection: SelectionPolicy
-    );
-    setter!(
-        /// Sets the version normalization mode.
-        version_scale: VersionScale
     );
     setter!(
         /// Sets the fault-tolerance handshake timeout (seconds).

@@ -16,7 +16,7 @@ use serde::{Deserialize, Serialize};
 use crate::config::HadflConfig;
 use crate::error::HadflError;
 use crate::predict::VersionPredictor;
-use crate::select::{select_devices, selection_weights, SelectionPolicy, VersionScale};
+use crate::select::{select_devices, selection_weights, SelectionPolicy};
 use crate::topology::Ring;
 
 /// The *liveness monitor*: tracks which devices are reachable.
@@ -113,7 +113,6 @@ pub struct RoundPlan {
 #[derive(Debug)]
 pub struct StrategyGenerator {
     policy: SelectionPolicy,
-    scale: VersionScale,
     n_p: usize,
     rng: SeedStream,
     last_probabilities: Option<Vec<f64>>,
@@ -124,7 +123,6 @@ impl StrategyGenerator {
     pub fn new(config: &HadflConfig) -> Self {
         StrategyGenerator {
             policy: config.selection,
-            scale: config.version_scale,
             n_p: config.num_selected,
             rng: SeedStream::new(config.seed ^ 0x57A7_E6E0),
             last_probabilities: None,
@@ -160,21 +158,14 @@ impl StrategyGenerator {
                 available.len()
             )));
         }
-        let weights = selection_weights(versions, self.scale)?;
+        let weights = selection_weights(versions)?;
         let total: f64 = weights.iter().sum();
         self.last_probabilities = Some(if total > 0.0 {
             weights.iter().map(|w| w / total).collect()
         } else {
             vec![1.0 / versions.len() as f64; versions.len()]
         });
-        let selected = select_devices(
-            self.policy,
-            available,
-            versions,
-            self.n_p,
-            self.scale,
-            &mut self.rng,
-        )?;
+        let selected = select_devices(self.policy, available, versions, self.n_p, &mut self.rng)?;
         let ring = Ring::random(&selected, &mut self.rng)?;
         let unselected: Vec<DeviceId> = available
             .iter()

@@ -16,20 +16,6 @@ use serde::{Deserialize, Serialize};
 
 use crate::error::HadflError;
 
-/// How device versions are scaled before the Gaussian pdf of Eq. (8).
-///
-/// Raw version counts can be hundreds of steps apart, which drives the
-/// unit-variance pdf to zero for every device and degenerates selection;
-/// `ZScore` (the default) standardizes versions first (DESIGN.md §6).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
-pub enum VersionScale {
-    /// Standardize versions to zero mean, unit variance before the pdf.
-    #[default]
-    ZScore,
-    /// Apply the pdf to raw version values (the paper's literal Eq. 8).
-    Raw,
-}
-
 /// Device-selection policy for partial synchronization.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
 pub enum SelectionPolicy {
@@ -80,8 +66,10 @@ pub fn third_quartile(values: &[f64]) -> Result<f64, HadflError> {
     Ok(sorted[lo] * (1.0 - frac) + sorted[hi] * frac)
 }
 
-/// Eq. (8) selection weights: the standard-normal pdf of each version
-/// centered at the third quartile, under the chosen scaling.
+/// Eq. (8) selection weights: the standard-normal pdf of each
+/// z-scored version centered at the third quartile. Raw versions would
+/// underflow the unit-variance pdf for any spread wider than a few
+/// steps (DESIGN.md §6), so versions are always standardized first.
 ///
 /// Returned weights are positive and finite; they are *not* normalized
 /// (the sampler normalizes internally, mirroring the denominator of
@@ -91,7 +79,7 @@ pub fn third_quartile(values: &[f64]) -> Result<f64, HadflError> {
 ///
 /// Returns [`HadflError::InvalidConfig`] on an empty slice or non-finite
 /// versions.
-pub fn selection_weights(versions: &[f64], scale: VersionScale) -> Result<Vec<f64>, HadflError> {
+pub fn selection_weights(versions: &[f64]) -> Result<Vec<f64>, HadflError> {
     if versions.is_empty() {
         return Err(HadflError::InvalidConfig(
             "selection over no devices".into(),
@@ -102,19 +90,14 @@ pub fn selection_weights(versions: &[f64], scale: VersionScale) -> Result<Vec<f6
             "non-finite version in {versions:?}"
         )));
     }
-    let scaled: Vec<f64> = match scale {
-        VersionScale::Raw => versions.to_vec(),
-        VersionScale::ZScore => {
-            let n = versions.len() as f64;
-            let mean = versions.iter().sum::<f64>() / n;
-            let var = versions.iter().map(|v| (v - mean).powi(2)).sum::<f64>() / n;
-            let std = var.sqrt();
-            if std == 0.0 {
-                vec![0.0; versions.len()]
-            } else {
-                versions.iter().map(|v| (v - mean) / std).collect()
-            }
-        }
+    let n = versions.len() as f64;
+    let mean = versions.iter().sum::<f64>() / n;
+    let var = versions.iter().map(|v| (v - mean).powi(2)).sum::<f64>() / n;
+    let std = var.sqrt();
+    let scaled: Vec<f64> = if std == 0.0 {
+        vec![0.0; versions.len()]
+    } else {
+        versions.iter().map(|v| (v - mean) / std).collect()
     };
     let mu = third_quartile(&scaled)?;
     let norm = 1.0 / (2.0 * std::f64::consts::PI).sqrt();
@@ -143,7 +126,6 @@ pub fn select_devices(
     available: &[DeviceId],
     versions: &[f64],
     n_p: usize,
-    scale: VersionScale,
     rng: &mut SeedStream,
 ) -> Result<Vec<DeviceId>, HadflError> {
     if available.len() != versions.len() {
@@ -170,7 +152,7 @@ pub fn select_devices(
     }
     let mut chosen = match policy {
         SelectionPolicy::VersionGaussian => {
-            let weights = selection_weights(versions, scale)?;
+            let weights = selection_weights(versions)?;
             weighted_sample_without_replacement(available, &weights, n_p, rng)
         }
         SelectionPolicy::TopVersions => rank_by(available, versions, n_p, false),
@@ -245,20 +227,11 @@ mod tests {
     fn weights_peak_at_medial_versions() {
         // versions: one slow straggler, two medial, one very fast
         let versions = [10.0, 100.0, 110.0, 400.0];
-        let w = selection_weights(&versions, VersionScale::ZScore).unwrap();
+        let w = selection_weights(&versions).unwrap();
         // The medial/newer devices (indices 1, 2) outweigh the straggler…
         assert!(w[1] > w[0] && w[2] > w[0], "{w:?}");
         // …and the straggler still has nonzero probability.
         assert!(w[0] > 0.0);
-    }
-
-    #[test]
-    fn raw_scale_underflows_to_floor_for_wide_spreads() {
-        let versions = [0.0, 1000.0];
-        let w = selection_weights(&versions, VersionScale::Raw).unwrap();
-        // Q3 = 750; both pdf values vanish ⇒ clamped at the floor, showing
-        // why ZScore is the default.
-        assert!(w.iter().all(|&x| x == 1e-12), "{w:?}");
     }
 
     #[test]
@@ -272,7 +245,6 @@ mod tests {
                 &devices(4),
                 &versions,
                 2,
-                VersionScale::ZScore,
                 &mut rng,
             )
             .unwrap();
@@ -299,7 +271,6 @@ mod tests {
                 &devices(4),
                 &versions,
                 2,
-                VersionScale::ZScore,
                 &mut rng,
             )
             .unwrap();
@@ -322,7 +293,6 @@ mod tests {
             &devices(4),
             &versions,
             2,
-            VersionScale::ZScore,
             &mut rng,
         )
         .unwrap();
@@ -338,7 +308,6 @@ mod tests {
             &devices(4),
             &versions,
             2,
-            VersionScale::ZScore,
             &mut rng,
         )
         .unwrap();
@@ -353,7 +322,6 @@ mod tests {
             &devices(3),
             &[1.0, 2.0, 3.0],
             5,
-            VersionScale::ZScore,
             &mut rng,
         )
         .unwrap();
@@ -368,7 +336,6 @@ mod tests {
             &devices(2),
             &[1.0],
             1,
-            VersionScale::ZScore,
             &mut rng
         )
         .is_err());
@@ -377,20 +344,11 @@ mod tests {
             &devices(2),
             &[1.0, 2.0],
             0,
-            VersionScale::ZScore,
             &mut rng
         )
         .is_err());
-        assert!(select_devices(
-            SelectionPolicy::VersionGaussian,
-            &[],
-            &[],
-            1,
-            VersionScale::ZScore,
-            &mut rng
-        )
-        .is_err());
-        assert!(selection_weights(&[f64::NAN], VersionScale::ZScore).is_err());
+        assert!(select_devices(SelectionPolicy::VersionGaussian, &[], &[], 1, &mut rng).is_err());
+        assert!(selection_weights(&[f64::NAN]).is_err());
     }
 
     #[test]
@@ -402,7 +360,6 @@ mod tests {
                 &devices(5),
                 &[10.0, 20.0, 30.0, 40.0, 50.0],
                 3,
-                VersionScale::ZScore,
                 &mut rng,
             )
             .unwrap();

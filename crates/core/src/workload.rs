@@ -225,7 +225,7 @@ pub struct DeviceRuntime {
 
 impl DeviceRuntime {
     /// Creates a runtime with a constant-lr optimizer placeholder; call
-    /// [`set_lr`](Self::set_lr) to configure phases.
+    /// [`set_optimizer`](Self::set_optimizer) to configure phases.
     ///
     /// # Errors
     ///
@@ -249,11 +249,6 @@ impl DeviceRuntime {
     /// Replaces the optimizer's schedule and momentum (keeps step count).
     pub fn set_optimizer(&mut self, schedule: LrSchedule, momentum: f32) {
         self.opt = Sgd::new(schedule, momentum);
-    }
-
-    /// Sets a constant learning rate.
-    pub fn set_lr(&mut self, lr: f32) {
-        self.opt.set_schedule(LrSchedule::constant(lr));
     }
 
     /// Mini-batches per epoch on this shard.

@@ -4,9 +4,7 @@ use std::collections::BTreeMap;
 
 use hadfl::aggregate::{average_params, blend_params, ring_allreduce_cost};
 use hadfl::predict::VersionPredictor;
-use hadfl::select::{
-    select_devices, selection_weights, third_quartile, SelectionPolicy, VersionScale,
-};
+use hadfl::select::{select_devices, selection_weights, third_quartile, SelectionPolicy};
 use hadfl::strategy::hyperperiod;
 use hadfl::topology::Ring;
 use hadfl::wire::Message;
@@ -31,10 +29,8 @@ proptest! {
     #[test]
     fn selection_weights_are_positive_and_finite(
         xs in proptest::collection::vec(0.0f64..10_000.0, 1..32),
-        raw in proptest::bool::ANY,
     ) {
-        let scale = if raw { VersionScale::Raw } else { VersionScale::ZScore };
-        let w = selection_weights(&xs, scale).unwrap();
+        let w = selection_weights(&xs).unwrap();
         prop_assert_eq!(w.len(), xs.len());
         prop_assert!(w.iter().all(|&x| x > 0.0 && x.is_finite()));
     }
@@ -52,7 +48,6 @@ proptest! {
             &devices,
             &versions,
             n_p,
-            VersionScale::ZScore,
             &mut rng,
         )
         .unwrap();

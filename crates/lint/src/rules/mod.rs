@@ -79,10 +79,7 @@ static RULES: [Rule; 12] = [
         scope: Scope {
             dirs: &["crates/core/src/", "crates/net/src/"],
             files: &[],
-            excludes: &[(
-                "crates/core/src/clock.rs",
-                "the Clock seam's WallClock is the one sanctioned real-time source",
-            )],
+            excludes: &[],
         },
         run: ambient_clock::run,
     },

@@ -55,8 +55,8 @@ fn mini_workspace_scopes_in_and_out() {
                 "raw-spawn".to_string()
             ),
         ],
-        "expected exactly the seeded findings: clock.rs (excluded), \
-         bin/tool.rs (print carve-out), and crates/check (out of scope) \
+        "expected exactly the seeded findings: bin/tool.rs (print \
+         carve-out), and crates/check and crates/prof (out of scope) \
          must stay silent"
     );
 }

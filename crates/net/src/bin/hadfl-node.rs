@@ -19,7 +19,7 @@ use std::process::ExitCode;
 use std::sync::Arc;
 use std::time::Duration;
 
-use hadfl::clock::{profiler_time, Clock, WallClock};
+use hadfl::clock::{Clock, WallClock};
 use hadfl::exec::{run_coordinator, run_device, ProtocolTiming};
 use hadfl::trace::CommSummary;
 use hadfl::{HadflConfig, HadflError, Workload};
@@ -31,7 +31,7 @@ use hadfl_telemetry::{
     Sink, Telemetry,
 };
 
-const USAGE: &str = "usage: hadfl-node --cluster <file.toml|file.json> --id <n> \
+const USAGE: &str = "usage: hadfl-node --cluster <file.toml> --id <n> \
 [--model mlp] [--seed 0] [--rounds 3] [--window-ms 1000] [--step-sleep-ms 4] \
 [--num-selected 2] [--telemetry-dir <dir>] [--metrics-addr <host:port>] \
 [--ship-to <host:port>] [--profile-dir <dir>]";
@@ -212,12 +212,11 @@ fn run(args: &Args) -> Result<(), HadflError> {
     let (tel, _metrics_server) = build_telemetry(args)?;
     // The port carries this clock and `tel` to the protocol loop, so
     // frame and protocol events share a timeline. The profiler reads
-    // the same clock through the TimeSource seam, so its timeline
-    // matches theirs. The protocol actor runs on this thread; the
+    // the same clock, so its timeline matches theirs. The protocol actor runs on this thread; the
     // install guard scopes its recording.
     let clock: Arc<dyn Clock> = WallClock::shared();
     let profiler = match &args.profile_dir {
-        Some(_) => hadfl_prof::Profiler::new(args.id as u32, profiler_time(Arc::clone(&clock))),
+        Some(_) => hadfl_prof::Profiler::new(args.id as u32, Arc::clone(&clock)),
         None => hadfl_prof::Profiler::disabled(),
     };
     let prof_guard = profiler.install();

@@ -2,29 +2,35 @@
 //! and which node coordinates.
 //!
 //! A cluster file is the deployment analogue of the simulator's
-//! `powers` slice: one entry per participant. Two formats are
-//! accepted, chosen by file extension — JSON (`.json`):
+//! `powers` slice: one entry per participant, written in a TOML subset
+//! (`.toml`, one `[[nodes]]` table per participant; `power` defaults
+//! to 1.0):
 //!
-//! ```json
-//! {
-//!   "nodes": [
-//!     { "id": 0, "addr": "10.0.0.1:7101", "role": "device", "power": 3.0 },
-//!     { "id": 1, "addr": "10.0.0.2:7101", "role": "device" },
-//!     { "id": 2, "addr": "10.0.0.9:7100", "role": "coordinator" }
-//!   ]
-//! }
+//! ```toml
+//! [[nodes]]
+//! id = 0
+//! addr = "10.0.0.1:7101"
+//! role = "device"
+//! power = 3.0
+//!
+//! [[nodes]]
+//! id = 1
+//! addr = "10.0.0.2:7101"
+//! role = "device"
+//!
+//! [[nodes]]
+//! id = 2
+//! addr = "10.0.0.9:7100"
+//! role = "coordinator"
 //! ```
 //!
-//! and a TOML subset (`.toml`, one `[[nodes]]` table per participant
-//! with the same keys). Ids must be dense from 0 and the coordinator
-//! must hold the highest id, matching
-//! [`hadfl::transport::coordinator_id`].
+//! Ids must be dense from 0 and the coordinator must hold the highest
+//! id, matching [`hadfl::transport::coordinator_id`].
 
 use std::fmt;
 use std::path::Path;
 
 use hadfl::HadflError;
-use serde_json::Value;
 
 /// A participant's role in the cluster.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -138,46 +144,24 @@ impl ClusterConfig {
         Ok(())
     }
 
-    /// Parses a cluster file's contents; `path` picks the format by
-    /// extension (`.json` or `.toml`).
+    /// Parses a cluster file's contents; `path` must end in `.toml`.
     ///
     /// # Errors
     ///
-    /// Returns [`HadflError::InvalidConfig`] for syntax errors, missing
-    /// or mistyped fields, and anything [`validate`](Self::validate)
-    /// rejects.
+    /// Returns [`HadflError::InvalidConfig`] for any other extension,
+    /// syntax errors, missing or mistyped fields, and anything
+    /// [`validate`](Self::validate) rejects.
     pub fn parse(path: &Path, contents: &str) -> Result<Self, HadflError> {
         let config = match path.extension().and_then(|e| e.to_str()) {
-            Some("json") => Self::from_json(contents)?,
             Some("toml") => Self::from_toml(contents)?,
             other => {
                 return Err(bad(format!(
-                    "unsupported cluster file extension {other:?} (use .json or .toml)"
+                    "unsupported cluster file extension {other:?} (use .toml)"
                 )))
             }
         };
         config.validate()?;
         Ok(config)
-    }
-
-    /// Parses the JSON cluster format.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`HadflError::InvalidConfig`] for syntax errors or
-    /// missing/mistyped fields (validation is separate).
-    pub fn from_json(contents: &str) -> Result<Self, HadflError> {
-        let value: Value = serde_json::from_str(contents)
-            .map_err(|e| bad(format!("cluster file is not valid JSON: {e}")))?;
-        let nodes = value
-            .get("nodes")
-            .and_then(Value::as_array)
-            .ok_or_else(|| bad("cluster file needs a top-level \"nodes\" array"))?;
-        let nodes = nodes
-            .iter()
-            .map(node_from_value)
-            .collect::<Result<Vec<_>, _>>()?;
-        Ok(ClusterConfig { nodes })
     }
 
     /// Parses the TOML-subset cluster format: `[[nodes]]` tables with
@@ -242,25 +226,18 @@ impl ClusterConfig {
         Ok(ClusterConfig { nodes })
     }
 
-    /// Serializes the cluster as pretty JSON (what
-    /// [`parse`](Self::parse) accepts for a `.json` path).
-    pub fn to_json(&self) -> String {
-        let nodes: Vec<Value> = self
-            .nodes
+    /// Serializes the cluster as a TOML cluster file, the inverse of
+    /// [`from_toml`](Self::from_toml).
+    pub fn to_toml(&self) -> String {
+        self.nodes
             .iter()
             .map(|n| {
-                Value::Object(vec![
-                    ("id".to_string(), Value::U64(n.id as u64)),
-                    ("addr".to_string(), Value::Str(n.addr.clone())),
-                    ("role".to_string(), Value::Str(n.role.to_string())),
-                    ("power".to_string(), Value::F64(n.power)),
-                ])
+                format!(
+                    "[[nodes]]\nid = {}\naddr = \"{}\"\nrole = \"{}\"\npower = {:?}\n\n",
+                    n.id, n.addr, n.role, n.power
+                )
             })
-            .collect();
-        let root = Value::Object(vec![("nodes".to_string(), Value::Array(nodes))]);
-        // lint:allow(unwrap-in-protocol): serializing the Value tree built just above cannot
-        // fail — every float in it was validated finite by `Cluster::new`
-        serde_json::to_string_pretty(&root).expect("cluster JSON has no non-finite floats")
+            .collect()
     }
 
     /// Builds a loopback cluster for `k` devices from concrete
@@ -311,36 +288,6 @@ fn role_of(s: &str) -> Result<Role, HadflError> {
     }
 }
 
-fn node_from_value(value: &Value) -> Result<NodeSpec, HadflError> {
-    let id = value
-        .get("id")
-        .and_then(Value::as_u64)
-        .ok_or_else(|| bad("node entry missing numeric \"id\""))? as usize;
-    let addr = value
-        .get("addr")
-        .and_then(Value::as_str)
-        .ok_or_else(|| bad("node entry missing string \"addr\""))?
-        .to_string();
-    let role = role_of(
-        value
-            .get("role")
-            .and_then(Value::as_str)
-            .ok_or_else(|| bad("node entry missing string \"role\""))?,
-    )?;
-    let power = match value.get("power") {
-        None => 1.0,
-        Some(p) => p
-            .as_f64()
-            .ok_or_else(|| bad("node \"power\" must be a number"))?,
-    };
-    Ok(NodeSpec {
-        id,
-        addr,
-        role,
-        power,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -355,12 +302,13 @@ mod tests {
     }
 
     #[test]
-    fn json_round_trips() {
-        let cluster = sample();
-        let back = ClusterConfig::parse(Path::new("c.json"), &cluster.to_json()).unwrap();
+    fn toml_round_trips() {
+        let mut cluster = sample();
+        cluster.nodes[0].power = 3.0;
+        let back = ClusterConfig::parse(Path::new("c.toml"), &cluster.to_toml()).unwrap();
         assert_eq!(back, cluster);
         assert_eq!(back.devices(), 2);
-        assert_eq!(back.powers(), vec![1.0, 1.0]);
+        assert_eq!(back.powers(), vec![3.0, 1.0]);
     }
 
     #[test]
@@ -409,7 +357,6 @@ role = "coordinator"
     #[test]
     fn parse_rejects_unknown_extension_and_garbage() {
         assert!(ClusterConfig::parse(Path::new("c.yaml"), "{}").is_err());
-        assert!(ClusterConfig::parse(Path::new("c.json"), "not json").is_err());
         assert!(ClusterConfig::parse(Path::new("c.toml"), "id = 0").is_err());
         // A well-formed JSON cluster is still the wrong format.
         let json = r#"{

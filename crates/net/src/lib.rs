@@ -5,7 +5,7 @@
 //! [`hadfl::transport::Port`]. This crate provides the pieces that take
 //! that same protocol onto a network:
 //!
-//! * [`cluster`] — the static peer registry: a TOML or JSON file
+//! * [`cluster`] — the static peer registry: a TOML file
 //!   listing every participant's id, address, role, and relative
 //!   compute power.
 //! * [`tcp`] — [`tcp::TcpPort`], a `Port` over plain TCP with

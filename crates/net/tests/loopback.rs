@@ -464,14 +464,7 @@ fn hadfl_node_processes_train_to_consensus() {
     std::fs::create_dir_all(&dir).unwrap();
     let tel_dir = dir.join("telemetry");
     let path = dir.join("cluster.toml");
-    let mut toml = String::new();
-    for node in &cluster.nodes {
-        toml.push_str(&format!(
-            "[[nodes]]\nid = {}\naddr = \"{}\"\nrole = \"{}\"\npower = {:.1}\n\n",
-            node.id, node.addr, node.role, node.power
-        ));
-    }
-    std::fs::write(&path, toml).unwrap();
+    std::fs::write(&path, cluster.to_toml()).unwrap();
 
     let bin = env!("CARGO_BIN_EXE_hadfl-node");
     let spawn = |id: usize| {
@@ -532,7 +525,7 @@ fn hadfl_node_processes_train_to_consensus() {
             parity[0]
         );
     }
-    let errors = hadfl_telemetry::analyze::check(&logs);
+    let errors = hadfl_telemetry::analyze::check(&logs).errors;
     assert!(
         errors.is_empty(),
         "hadfl-trace --check would fail: {errors:?}"

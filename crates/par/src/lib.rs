@@ -83,11 +83,6 @@ use std::time::Instant;
 
 use hadfl_prof::PoolRegion;
 
-/// Fallback parallel cutoff (scalar operations) used when a measured
-/// threshold is unavailable — and the static floor below which
-/// [`plan_for`] goes serial without even consulting the calibration.
-pub const PAR_WORK_THRESHOLD: u64 = 64 * 1024;
-
 /// No [`plan_for`] decision calibrates for regions smaller than this:
 /// they are serial unconditionally (unless forced), so processes that
 /// only ever run tiny kernels never pay the one-shot probe.
@@ -1027,8 +1022,8 @@ mod tests {
 
     #[test]
     fn pool_dispatches_record_into_an_installed_profiler() {
-        use hadfl_prof::{ManualTime, Profiler};
-        let prof = Profiler::new(0, std::sync::Arc::new(ManualTime::new()));
+        use hadfl_prof::{ManualClock, Profiler};
+        let prof = Profiler::new(0, std::sync::Arc::new(ManualClock::new()));
         {
             let _g = prof.install();
             let mut data = vec![0f32; 1000];

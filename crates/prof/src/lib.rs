@@ -15,10 +15,10 @@
 //! 2. **Per-op granularity.** A scope wraps an operation (a matmul, an
 //!    encode, a train step), never an element or an inner loop — the
 //!    `prof-in-inner-loop` lint rule enforces this.
-//! 3. **Deterministic output.** Time flows through the [`TimeSource`]
-//!    seam (adapted from the runtime's `Clock`), so a scripted
-//!    [`ManualTime`] makes two identical runs produce byte-identical
-//!    profiles: the export merges all thread lanes into one
+//! 3. **Deterministic output.** Time flows through the [`Clock`] seam
+//!    the protocol runs on (`hadfl::clock` re-exports it from here), so
+//!    a scripted [`ManualClock`] makes two identical runs produce
+//!    byte-identical profiles: the export merges all thread lanes into one
 //!    name-ordered tree, which erases the (nondeterministic) physical
 //!    thread-to-chunk assignment while preserving every deterministic
 //!    sum.
@@ -44,9 +44,9 @@
 //! ```
 //! use std::sync::Arc;
 //! use std::time::Duration;
-//! use hadfl_prof::{scope, ManualTime, Profiler};
+//! use hadfl_prof::{scope, ManualClock, Profiler};
 //!
-//! let time = ManualTime::new();
+//! let time = ManualClock::new();
 //! let prof = Profiler::new(0, Arc::new(time.clone()));
 //! {
 //!     let _thread = prof.install();
@@ -68,79 +68,17 @@ use std::cell::{Cell, RefCell};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use parking_lot::Mutex;
 
+mod clock;
 mod report;
 
+pub use clock::{Clock, ManualClock, WallClock};
 pub use report::{
     merge_dumps, parse_folded, to_folded, PoolRow, ProfileDump, StackRow, PROF_SCHEMA_VERSION,
 };
-
-/// Where the profiler reads time from. The runtime adapts its own
-/// `Clock` trait onto this, so profiles produced under a `ManualClock`
-/// are fully scripted.
-pub trait TimeSource: Send + Sync {
-    /// Monotonic elapsed time since an arbitrary epoch.
-    fn now(&self) -> Duration;
-}
-
-/// Real monotonic time, measured from construction.
-pub struct WallTime {
-    epoch: Instant,
-}
-
-impl WallTime {
-    pub fn new() -> Self {
-        Self {
-            epoch: Instant::now(),
-        }
-    }
-
-    pub fn shared() -> Arc<Self> {
-        Arc::new(Self::new())
-    }
-}
-
-impl Default for WallTime {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl TimeSource for WallTime {
-    fn now(&self) -> Duration {
-        self.epoch.elapsed()
-    }
-}
-
-/// Scripted time for determinism tests: clones share the same instant,
-/// and time moves only when the test says so.
-#[derive(Clone, Default)]
-pub struct ManualTime(Arc<Mutex<Duration>>);
-
-impl ManualTime {
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Moves time forward by `d`.
-    pub fn advance(&self, d: Duration) {
-        *self.0.lock() += d;
-    }
-
-    /// Jumps time to the absolute value `d`.
-    pub fn set(&self, d: Duration) {
-        *self.0.lock() = d;
-    }
-}
-
-impl TimeSource for ManualTime {
-    fn now(&self) -> Duration {
-        *self.0.lock()
-    }
-}
 
 fn ns(d: Duration) -> u64 {
     u64::try_from(d.as_nanos()).unwrap_or(u64::MAX)
@@ -321,7 +259,7 @@ struct Merged {
 
 struct ProfInner {
     node: u32,
-    time: Arc<dyn TimeSource>,
+    time: Arc<dyn Clock>,
     merged: Mutex<Merged>,
 }
 
@@ -333,7 +271,7 @@ pub struct Profiler(Option<Arc<ProfInner>>);
 
 struct ThreadCtx {
     prof: Arc<ProfInner>,
-    time: Arc<dyn TimeSource>,
+    time: Arc<dyn Clock>,
     lane: Lane,
 }
 
@@ -351,7 +289,7 @@ impl Profiler {
     }
 
     /// A live profiler for node `node`, reading time from `time`.
-    pub fn new(node: u32, time: Arc<dyn TimeSource>) -> Self {
+    pub fn new(node: u32, time: Arc<dyn Clock>) -> Self {
         Profiler(Some(Arc::new(ProfInner {
             node,
             time,
@@ -679,8 +617,8 @@ impl PoolRegion {
 mod tests {
     use super::*;
 
-    fn manual() -> (ManualTime, Profiler) {
-        let time = ManualTime::new();
+    fn manual() -> (ManualClock, Profiler) {
+        let time = ManualClock::new();
         let prof = Profiler::new(7, Arc::new(time.clone()));
         (time, prof)
     }

@@ -5,7 +5,7 @@
 //! path stack, `total = elapsed`, `self = elapsed - child time`)
 //! must reproduce the profiler's dump *exactly* — counts, total/self
 //! nanoseconds, bytes, and sort order. On top of that: byte-identical
-//! determinism across reruns under [`ManualTime`], the folded-stack
+//! determinism across reruns under [`ManualClock`], the folded-stack
 //! round-trip, and the merge algebra.
 
 use std::collections::BTreeMap;
@@ -13,7 +13,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use hadfl_prof::{
-    merge_dumps, parse_folded, scope, scope_bytes, to_folded, ManualTime, ProfileDump, Profiler,
+    merge_dumps, parse_folded, scope, scope_bytes, to_folded, ManualClock, ProfileDump, Profiler,
     ScopeGuard, StackRow,
 };
 use proptest::prelude::*;
@@ -50,7 +50,7 @@ fn decode(raw: u32) -> Op {
 
 /// Runs the script on a real profiler, closing scopes strictly LIFO.
 fn run_script(raw_ops: &[u32]) -> ProfileDump {
-    let time = ManualTime::new();
+    let time = ManualClock::new();
     let prof = Profiler::new(7, Arc::new(time.clone()));
     let guard = prof.install();
     let mut open: Vec<ScopeGuard> = Vec::new();

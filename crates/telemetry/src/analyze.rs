@@ -354,7 +354,7 @@ impl Report {
     }
 }
 
-/// Outcome of [`check_full`]: hard structural errors plus advisory
+/// Outcome of [`check`]: hard structural errors plus advisory
 /// warnings (cross-node wall-clock skew is a warning, not an error —
 /// every process stamps `t_us` from its own epoch, so a receive
 /// "before" its send is routine and exactly what the causal merge
@@ -367,55 +367,13 @@ pub struct CheckReport {
     pub warnings: Vec<String>,
 }
 
-/// [`check`] plus cross-node wall-clock skew detection: for every
-/// received frame whose causally-preceding send is in the logs, a
-/// receive timestamp earlier than the send timestamp is reported,
-/// summarized per directed sender→receiver pair.
-pub fn check_full(logs: &[ParsedLog]) -> CheckReport {
-    let merged = merge(logs);
-    let mut skew: BTreeMap<(u32, u32), (u64, u64)> = BTreeMap::new(); // (src,dst) -> (count, max µs)
-    let mut sends: BTreeMap<(u32, u64), u64> = BTreeMap::new(); // (src, lamport) -> send t_us
-    for event in &merged {
-        if let EventKind::FrameSent { src, lamport, .. } = &event.kind {
-            if *lamport > 0 {
-                sends.insert((*src, *lamport), event.t_us);
-            }
-        }
-    }
-    for event in &merged {
-        if let EventKind::FrameReceived { src, lamport, .. } = &event.kind {
-            if *lamport == 0 {
-                continue;
-            }
-            if let Some(&sent_at) = sends.get(&(*src, *lamport)) {
-                if event.t_us < sent_at {
-                    let entry = skew.entry((*src, event.node)).or_insert((0, 0));
-                    entry.0 += 1;
-                    entry.1 = entry.1.max(sent_at - event.t_us);
-                }
-            }
-        }
-    }
-    let warnings = skew
-        .into_iter()
-        .map(|((src, dst), (count, max_us))| {
-            format!(
-                "wall-clock skew: node {dst} logged {count} receive(s) from node {src} \
-                 before the causally-preceding send (max {max_us} us); \
-                 merged order is causal, so the timeline is unaffected"
-            )
-        })
-        .collect();
-    CheckReport {
-        errors: check(logs),
-        warnings,
-    }
-}
-
-/// Structural validation for `hadfl-trace --check`: schema versions,
+/// Validation for `hadfl-trace --check`. Errors: schema versions,
 /// per-node sequence continuity, garbage lines, and exact ledger
-/// parity. Returns the list of problems (empty = clean).
-pub fn check(logs: &[ParsedLog]) -> Vec<String> {
+/// parity (empty = clean). Warnings: cross-node wall-clock skew — for
+/// every received frame whose causally-preceding send is in the logs,
+/// a receive timestamp earlier than the send timestamp is reported,
+/// summarized per directed sender→receiver pair.
+pub fn check(logs: &[ParsedLog]) -> CheckReport {
     let mut errors = Vec::new();
     for (i, log) in logs.iter().enumerate() {
         if log.garbage_lines > 0 {
@@ -455,7 +413,40 @@ pub fn check(logs: &[ParsedLog]) -> Vec<String> {
             ));
         }
     }
-    errors
+    let mut skew: BTreeMap<(u32, u32), (u64, u64)> = BTreeMap::new(); // (src,dst) -> (count, max µs)
+    let mut sends: BTreeMap<(u32, u64), u64> = BTreeMap::new(); // (src, lamport) -> send t_us
+    for event in &merged {
+        if let EventKind::FrameSent { src, lamport, .. } = &event.kind {
+            if *lamport > 0 {
+                sends.insert((*src, *lamport), event.t_us);
+            }
+        }
+    }
+    for event in &merged {
+        if let EventKind::FrameReceived { src, lamport, .. } = &event.kind {
+            if *lamport == 0 {
+                continue;
+            }
+            if let Some(&sent_at) = sends.get(&(*src, *lamport)) {
+                if event.t_us < sent_at {
+                    let entry = skew.entry((*src, event.node)).or_insert((0, 0));
+                    entry.0 += 1;
+                    entry.1 = entry.1.max(sent_at - event.t_us);
+                }
+            }
+        }
+    }
+    let warnings = skew
+        .into_iter()
+        .map(|((src, dst), (count, max_us))| {
+            format!(
+                "wall-clock skew: node {dst} logged {count} receive(s) from node {src} \
+                 before the causally-preceding send (max {max_us} us); \
+                 merged order is causal, so the timeline is unaffected"
+            )
+        })
+        .collect();
+    CheckReport { errors, warnings }
 }
 
 /// One paired `SpanStart`/`SpanEnd` interval on a node's own clock.
@@ -1114,7 +1105,7 @@ mod tests {
         let order: Vec<u32> = merged.iter().map(|e| e.node).collect();
         assert_eq!(order, vec![0, 1]);
         // And the skew shows up as a warning, never an error.
-        let outcome = check_full(&[sender, receiver]);
+        let outcome = check(&[sender, receiver]);
         assert!(outcome.errors.is_empty(), "{:?}", outcome.errors);
         assert_eq!(outcome.warnings.len(), 1, "{:?}", outcome.warnings);
         assert!(
@@ -1362,7 +1353,7 @@ mod tests {
             ],
             garbage_lines: 0,
         };
-        let errors = check(&[bad_ledger]);
+        let errors = check(&[bad_ledger]).errors;
         assert!(errors.iter().any(|e| e.contains("ledger")), "{errors:?}");
 
         let bad_seq = ParsedLog {
@@ -1372,7 +1363,7 @@ mod tests {
             ],
             garbage_lines: 0,
         };
-        let errors = check(&[bad_seq]);
+        let errors = check(&[bad_seq]).errors;
         assert!(errors.iter().any(|e| e.contains("seq")), "{errors:?}");
 
         let clean = ParsedLog {
@@ -1391,6 +1382,6 @@ mod tests {
             ],
             garbage_lines: 0,
         };
-        assert!(check(&[clean]).is_empty());
+        assert!(check(&[clean]).errors.is_empty());
     }
 }

@@ -43,7 +43,7 @@ use std::process::ExitCode;
 use hadfl_telemetry::{Event, FollowState};
 
 use hadfl_telemetry::analyze::{
-    check_full, critical_path, merge, parse_jsonl, render_gantt, report, rounds_planned, spans,
+    check, critical_path, merge, parse_jsonl, render_gantt, report, rounds_planned, spans,
     spans_to_json, ParsedLog,
 };
 use hadfl_telemetry::profile::{check_profile, render_profile};
@@ -267,7 +267,7 @@ fn main() -> ExitCode {
 
     match mode {
         Mode::Check => {
-            let outcome = check_full(&logs);
+            let outcome = check(&logs);
             for warning in &outcome.warnings {
                 eprintln!("hadfl-trace: warning: {warning}");
             }

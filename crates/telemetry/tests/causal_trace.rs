@@ -35,7 +35,7 @@ use hadfl::exec::{DeviceActor, ProtocolTiming, TrainState};
 use hadfl::transport::{coordinator_id, ChannelTransport, Port};
 use hadfl::wire::Message;
 use hadfl::HadflError;
-use hadfl_telemetry::analyze::{check_full, critical_path, merge, parse_jsonl, ParsedLog};
+use hadfl_telemetry::analyze::{check, critical_path, merge, parse_jsonl, ParsedLog};
 use hadfl_telemetry::{EventKind, JsonlSink, SharedBuffer, Telemetry};
 
 /// Minimal deterministic train state for single-stepped actors.
@@ -211,7 +211,7 @@ fn parse_all(raw: &[Vec<u8>]) -> Vec<ParsedLog> {
 fn scripted_critical_path_matches_hand_computation() {
     let raw = scripted_run([0, 0, 0]);
     let logs = parse_all(&raw);
-    let outcome = check_full(&logs);
+    let outcome = check(&logs);
     assert!(outcome.errors.is_empty(), "{:?}", outcome.errors);
     assert!(outcome.warnings.is_empty(), "{:?}", outcome.warnings);
 
@@ -301,7 +301,7 @@ fn merged_timeline_is_immune_to_wall_clock_skew() {
         "causal merge must ignore per-node epochs"
     );
 
-    let outcome = check_full(&skew);
+    let outcome = check(&skew);
     assert!(outcome.errors.is_empty(), "{:?}", outcome.errors);
     assert!(
         outcome

@@ -11,7 +11,7 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use hadfl::clock::{profiler_time, Clock, ManualClock};
+use hadfl::clock::{Clock, ManualClock};
 use hadfl::exec::{DeviceActor, ProtocolTiming, TrainState};
 use hadfl::transport::ChannelTransport;
 use hadfl::wire::Message;
@@ -69,7 +69,7 @@ fn run_scripted_pair() -> (ProfileDump, ProfileDump) {
     };
 
     // Device 0: selected, second in the ring, closes the reduce.
-    let prof0 = Profiler::new(0, profiler_time(Arc::new(clock.clone())));
+    let prof0 = Profiler::new(0, Arc::new(clock.clone()));
     let guard = prof0.install();
     let mut actor0 = DeviceActor::new(0, k + 1, train(&clock), 0.5, ProtocolTiming::quick());
     for _ in 0..3 {
@@ -107,7 +107,7 @@ fn run_scripted_pair() -> (ProfileDump, ProfileDump) {
     drop(guard);
 
     // Device 1: unselected, blends the broadcast while training.
-    let prof1 = Profiler::new(1, profiler_time(Arc::new(clock.clone())));
+    let prof1 = Profiler::new(1, Arc::new(clock.clone()));
     let guard = prof1.install();
     let mut actor1 = DeviceActor::new(1, k + 1, train(&clock), 0.5, ProtocolTiming::quick());
     for _ in 0..2 {

@@ -11,7 +11,7 @@ use std::collections::BTreeMap;
 use std::time::Instant;
 
 use hadfl::Workload;
-use hadfl_prof::{Profiler, WallTime};
+use hadfl_prof::{Profiler, WallClock};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut args = std::env::args().skip(1);
@@ -27,7 +27,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // under the profiler.
     device.train_steps(5)?;
 
-    let prof = Profiler::new(0, WallTime::shared());
+    let prof = Profiler::new(0, WallClock::shared());
     let start = Instant::now();
     {
         let _installed = prof.install();

@@ -120,8 +120,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     };
 
     // Bind every participant on a kernel-chosen loopback port, then
-    // describe the result as a cluster — the same registry a TOML or
-    // JSON cluster file provides for a real deployment.
+    // describe the result as a cluster — the same registry a TOML
+    // cluster file provides for a real deployment.
     let nodes: Vec<BoundNode> = (0..=k)
         .map(|id| BoundNode::bind(id, "127.0.0.1:0"))
         .collect::<Result<_, _>>()?;
@@ -130,7 +130,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .map(|n| Ok(n.local_addr()?.to_string()))
         .collect::<Result<_, hadfl::HadflError>>()?;
     let cluster = ClusterConfig::from_addrs(&addrs)?;
-    println!("cluster file equivalent:\n{}", cluster.to_json());
+    println!("cluster file equivalent:\n{}", cluster.to_toml());
 
     // One clock across all participants, handed to each with its
     // telemetry handle through its port: frame and protocol events
