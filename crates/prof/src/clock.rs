@@ -1,11 +1,7 @@
 //! The workspace's one time seam, defined here because this is the
 //! bottom crate: the profiler reads it, and `hadfl::clock` re-exports
-//! it for the protocol loops and the TCP transport.
-//!
-//! Timestamps are plain [`Duration`]s since the clock's epoch —
-//! unlike `Instant`, a `Duration` can be fabricated, compared across
-//! processes of a test harness, and hashed into a model-checker state
-//! digest.
+//! it (with the seam's documentation) for the protocol loops and the
+//! TCP transport.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
