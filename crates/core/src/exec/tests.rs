@@ -123,6 +123,32 @@ fn validates_options() {
     assert!(run_threaded(&w, &c, &bad).is_err());
 }
 
+/// `run_cluster` turns each power into a step period, so a power it
+/// cannot divide by must be refused before any thread starts.
+#[test]
+fn run_cluster_rejects_bad_powers_and_zero_rounds() {
+    let c = quick_config(64);
+    let run = |opts: ThreadedOptions| {
+        let k = opts.powers.len();
+        let mut hub = ChannelTransport::hub(k + 1);
+        let coordinator_port = hub.claim(coordinator_id(k)).unwrap();
+        let device_ports = (0..k).map(|i| hub.claim(i).unwrap()).collect();
+        let runtimes = Workload::quick("mlp", 64).build(k).unwrap().runtimes;
+        run_cluster(device_ports, coordinator_port, runtimes, &c, &opts)
+    };
+    let mut zero_rounds = ThreadedOptions::quick(&[1.0, 1.0]);
+    zero_rounds.rounds = 0;
+    let bad_powers = [0.0, f64::NAN, -1.0].map(|p| ThreadedOptions::quick(&[p, 1.0]));
+    for opts in bad_powers.into_iter().chain([zero_rounds]) {
+        let case = format!("powers {:?}, {} rounds", opts.powers, opts.rounds);
+        let result = run(opts);
+        assert!(
+            matches!(result, Err(HadflError::InvalidConfig(_))),
+            "{case}: {result:?}"
+        );
+    }
+}
+
 #[test]
 fn comm_ledger_matches_peer_bytes() {
     let report = run_threaded(

@@ -378,3 +378,83 @@ fn run_device_logs_on_its_ports_clock() {
         .collect();
     assert_eq!(around_shutdown, [finished_at, finished_at]);
 }
+
+/// A `ManualClock` whose every sleep overshoots by a fixed amount, as
+/// `thread::sleep` does on a real host.
+struct OvershootClock {
+    inner: ManualClock,
+    overshoot: Duration,
+}
+
+impl Clock for OvershootClock {
+    fn now(&self) -> Duration {
+        self.inner.now()
+    }
+
+    fn sleep(&self, d: Duration) {
+        self.inner.advance(d + self.overshoot);
+    }
+}
+
+/// Local steps are paced by deadline, not by sleep length: a sleep that
+/// always overshoots by 500 µs comes out of the next wait, so the
+/// device's `v`-th step still ends one overshoot past `v` periods
+/// instead of `v` overshoots past them.
+#[test]
+fn run_device_absorbs_sleep_overshoot() {
+    let k = 2;
+    let epoch_us = 5_000;
+    let step = Duration::from_millis(3);
+    let overshoot = Duration::from_micros(500);
+    let clock = ManualClock::new();
+    clock.advance(Duration::from_micros(epoch_us));
+    let sink = hadfl_telemetry::RingBufferSink::new(4096);
+    let tel = Telemetry::new(0, vec![Box::new(sink.clone())]);
+
+    let mut hub = ChannelTransport::hub(k + 1);
+    let port_clock = Arc::new(OvershootClock {
+        inner: clock.clone(),
+        overshoot,
+    });
+    let port = hub.claim_instrumented(0, tel, Some(port_clock)).unwrap();
+    let mut coord = hub.claim(coordinator_id(k)).unwrap();
+    let rt = Workload::quick("mlp", 43)
+        .build(k)
+        .unwrap()
+        .runtimes
+        .remove(0);
+    let config = HadflConfig::builder().seed(43).build().unwrap();
+    let timing = ProtocolTiming::quick();
+
+    thread::scope(|scope| {
+        let device = scope.spawn(|| run_device(port, rt, &config, step, &timing));
+        // Ask for reports until the device has trained a few steps, so
+        // the overshoot has had the chance to pile up.
+        loop {
+            coord.send(0, &Message::ReportRequest { round: 1 }).unwrap();
+            match coord.recv_timeout(Duration::from_secs(10)).unwrap() {
+                Some(Message::VersionReport { version, .. }) if version >= 3.0 => break,
+                Some(Message::VersionReport { .. }) => {}
+                other => panic!("expected a version report, got {other:?}"),
+            }
+        }
+        coord.send(0, &Message::Shutdown).unwrap();
+        device.join().unwrap().unwrap();
+    });
+
+    let at = |steps: u64| match steps {
+        0 => epoch_us,
+        _ => epoch_us + steps * step.as_micros() as u64 + overshoot.as_micros() as u64,
+    };
+    let mut stamped = 0;
+    for event in &sink.snapshot() {
+        match &event.kind {
+            EventKind::LocalSteps { version, .. } | EventKind::DeviceFinished { version, .. } => {
+                assert_eq!(event.t_us, at(*version), "version {version}: {event:?}");
+                stamped += 1;
+            }
+            _ => {}
+        }
+    }
+    assert!(stamped >= 2, "a step batch and the finish are stamped");
+}
