@@ -3,7 +3,9 @@
 //! The virtual-time [`crate::driver`] is what the experiments use; this
 //! module runs the same protocol with *actual concurrency*, the way the
 //! paper deploys it — one participant per thread or process,
-//! heterogeneity emulated with `sleep()` (exactly the paper's method),
+//! heterogeneity emulated with `sleep()` (exactly the paper's method:
+//! a power-`p` device takes one local step per `step_sleep / p` of its
+//! port's clock, its compute included),
 //! parameters moving as [`Message`] frames over a [`Port`], and
 //! the ring reduce/distribute executed hop by hop between devices. The
 //! coordinator only ever sees control-plane messages plus the final
@@ -239,7 +241,9 @@ pub struct ThreadedOptions {
     /// Computing-power ratios, one device thread per entry.
     pub powers: Vec<f64>,
     /// Emulated compute time per local step on a power-1 device (the
-    /// paper's `sleep()`); device `i` sleeps `step_sleep / powers[i]`.
+    /// paper's `sleep()`): device `i` takes one local step per
+    /// `step_sleep / powers[i]` of its port's clock, the step's own
+    /// compute counted inside that period.
     pub step_sleep: Duration,
     /// Wall-clock synchronization window.
     pub window: Duration,

@@ -22,8 +22,12 @@ use crate::workload::{evaluate_with, DeviceRuntime, Workload};
 /// sends [`Shutdown`](crate::wire::Message::Shutdown); the device then
 /// uploads its final parameters and returns.
 ///
-/// The loop trains one heterogeneity-aware local step at a time
-/// (sleeping `step_sleep` per step to emulate compute power), answers
+/// The loop trains one heterogeneity-aware local step per
+/// `step_sleep` of the port's clock, the paper's `sleep()`-emulated
+/// compute power: a step's own compute and the last sleep's overshoot
+/// come out of the wait before the next, a pause longer than one period
+/// restarts the schedule instead of catching up in a burst, and steps
+/// whose compute alone exceeds the period run back to back. It answers
 /// [`Handshake`](crate::wire::Message::Handshake) probes, reports
 /// versions on request, joins ring synchronizations it is planned
 /// into, and blends broadcast models it receives while unselected.
@@ -56,15 +60,18 @@ pub fn run_device<P: Port>(
     let mut actor = DeviceActor::new(me, participants, rt, config.blend_beta, timing.clone())
         .with_telemetry(tel);
     actor.begin_training(clock.now(), 1);
+    let mut due = clock.now();
     loop {
         match actor.hint(clock.now()) {
             DeviceHint::Finished => return Ok(()),
             DeviceHint::Train => match port.try_recv()? {
                 Some(msg) => actor.on_message(&mut port, msg, clock.now())?,
                 None => {
-                    // No command: one heterogeneity-aware local step.
+                    // No command: one heterogeneity-aware local step,
+                    // then wait out what is left of its period.
+                    due = next_step_due(due, clock.now(), step_sleep);
                     actor.on_idle(&mut port)?;
-                    clock.sleep(step_sleep);
+                    clock.sleep(due.saturating_sub(clock.now()));
                 }
             },
             DeviceHint::Ring(wait) => match port.recv_timeout(wait)? {
@@ -72,6 +79,20 @@ pub fn run_device<P: Port>(
                 None => actor.on_timer(&mut port, clock.now())?,
             },
         }
+    }
+}
+
+/// When the local step after one that starts at `start` is due, given
+/// that this one was due at `due`: one `period` later. A step late by
+/// up to a period (a sleep's overshoot, the last step's compute) keeps
+/// the schedule, so the lateness comes out of the next wait; a step
+/// later than that (a ring, a blend) restarts the schedule from `start`
+/// instead of catching up in a burst.
+fn next_step_due(due: Duration, start: Duration, period: Duration) -> Duration {
+    if start > due + period {
+        start + period
+    } else {
+        due + period
     }
 }
 
@@ -124,14 +145,16 @@ pub fn run_coordinator<P: Port>(
 
 /// Runs a whole cluster on this process's threads, over whatever fabric
 /// the ports belong to: one [`run_device`] thread per device port
-/// (device `i` sleeping `opts.step_sleep / opts.powers[i]` per step)
-/// and [`run_coordinator`] on the caller, joined before returning.
+/// (device `i` taking one local step per `opts.step_sleep /
+/// opts.powers[i]` of its port's clock) and [`run_coordinator`] on the
+/// caller, joined before returning.
 ///
 /// # Errors
 ///
-/// Returns [`HadflError::InvalidConfig`] unless there is one runtime
-/// and one power per device port, the coordinator loop's error if it
-/// fails, and otherwise the first device loop's.
+/// Returns [`HadflError::InvalidConfig`] for fewer than two device
+/// ports, zero rounds, or anything but one runtime and one finite,
+/// positive power per device port; otherwise the coordinator loop's
+/// error if it fails, and else the first device loop's.
 pub fn run_cluster<P: Port>(
     device_ports: Vec<P>,
     coordinator_port: P,
@@ -140,11 +163,11 @@ pub fn run_cluster<P: Port>(
     opts: &ThreadedOptions,
 ) -> Result<CoordinatorRun, HadflError> {
     let k = device_ports.len();
-    if runtimes.len() != k || opts.powers.len() != k {
+    check_cluster(k, opts)?;
+    if runtimes.len() != k {
         return Err(HadflError::InvalidConfig(format!(
-            "{k} device ports need {k} runtimes and powers, got {} and {}",
-            runtimes.len(),
-            opts.powers.len()
+            "{k} device ports need {k} runtimes, got {}",
+            runtimes.len()
         )));
     }
     thread::scope(|scope| {
@@ -174,8 +197,9 @@ pub fn run_cluster<P: Port>(
 ///
 /// # Errors
 ///
-/// Returns configuration/substrate errors from setup, and
-/// [`HadflError::ClusterDead`] if fewer than two devices survive.
+/// Returns configuration/substrate errors from setup, the option
+/// errors of [`run_cluster`], and [`HadflError::ClusterDead`] if fewer
+/// than two devices survive.
 ///
 /// # Example
 ///
@@ -199,7 +223,6 @@ pub fn run_threaded(
     opts: &ThreadedOptions,
 ) -> Result<ThreadedReport, HadflError> {
     let k = opts.powers.len();
-    check_cluster(k, opts)?;
     let built = workload.build(k)?;
     let mut hub = ChannelTransport::hub(k + 1);
     let coordinator_port = hub.claim(coordinator_id(k))?;
@@ -210,7 +233,7 @@ pub fn run_threaded(
     close_cluster(workload, &built.test, &hub.net_stats(), k, outcome, wall)
 }
 
-/// The option checks [`run_threaded`] and [`run_virtual_cluster`]
+/// The option checks [`run_cluster`] and [`run_virtual_cluster`]
 /// share, for a cluster of `k` devices.
 fn check_cluster(k: usize, opts: &ThreadedOptions) -> Result<(), HadflError> {
     if k < 2 {
@@ -390,7 +413,11 @@ pub fn run_virtual_cluster<T: TrainState, Pl: Planner>(
             opts.step_sleep.as_secs_f64() / opts.powers[i],
         ));
     }
-    // Like the blocking loop: step first, then wait out the sleep.
+    // Like the blocking loop: step first, then one step per period.
+    // Steps and rings take no virtual time, so a device steps on
+    // schedule and `now + sleep` is that schedule; only a silence
+    // timeout makes a pause, which restarts it (as in the blocking
+    // loop when the pause exceeds a period).
     let mut next_step = vec![clock.now(); k];
 
     let outcome = loop {
@@ -494,4 +521,45 @@ pub fn run_virtual_cluster<T: TrainState, Pl: Planner>(
     };
 
     Ok((outcome, hub.net_stats(), clock.now()))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    const P: Duration = Duration::from_millis(4);
+
+    fn ms(n: u64) -> Duration {
+        Duration::from_millis(n)
+    }
+
+    #[test]
+    fn an_on_time_step_is_followed_one_period_later() {
+        assert_eq!(next_step_due(ms(10), ms(10), P), ms(14));
+    }
+
+    #[test]
+    fn lateness_within_a_period_is_absorbed() {
+        assert_eq!(next_step_due(ms(10), ms(13), P), ms(14));
+        assert_eq!(next_step_due(ms(10), ms(14), P), ms(14));
+    }
+
+    #[test]
+    fn a_longer_pause_restarts_the_schedule_without_a_burst() {
+        assert_eq!(next_step_due(ms(10), ms(25), P), ms(29));
+    }
+
+    #[test]
+    fn steps_longer_than_the_period_run_back_to_back() {
+        // Each step computes for 6 ms of a 4 ms period: the loop never
+        // waits, and steps start every 6 ms.
+        let compute = ms(6);
+        let (mut due, mut now) = (Duration::ZERO, Duration::ZERO);
+        for n in 0..10 {
+            assert_eq!(now, compute * n);
+            due = next_step_due(due, now, P);
+            now += compute;
+            assert_eq!(due.saturating_sub(now), Duration::ZERO, "step {n}");
+        }
+    }
 }
