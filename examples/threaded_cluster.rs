@@ -12,8 +12,9 @@ use hadfl::{HadflConfig, Workload};
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let workload = Workload::quick("mlp", 17);
     let config = HadflConfig::builder().num_selected(2).seed(17).build()?;
-    // The sleep must dominate the actual (shared-CPU) gradient math for
-    // the power ratio to show through on a small machine.
+    // The fastest device's step period (30 ms / 3) must exceed the
+    // actual (shared-CPU) gradient math, or its steps run back to back
+    // and the power ratio flattens on a small machine.
     let opts = ThreadedOptions {
         powers: vec![3.0, 3.0, 1.0, 1.0],
         step_sleep: Duration::from_millis(30),
