@@ -463,12 +463,12 @@ impl<Pl: Planner> CoordinatorActor<Pl> {
         for &member in plan.ring.members() {
             let _ = port.send(
                 member.index(),
-                &Message::RoundPlan {
-                    round: round as u32,
-                    ring: ring.clone(),
-                    broadcaster: plan.broadcaster.index() as u32,
-                    unselected: unselected.clone(),
-                },
+                &Message::round_plan(
+                    round as u32,
+                    ring.clone(),
+                    plan.broadcaster.index() as u32,
+                    unselected.clone(),
+                ),
             );
         }
         let mut version_row = vec![0u64; self.k];

@@ -95,11 +95,7 @@ impl RingRun {
     fn initiate<P: Port>(&mut self, port: &mut P, me: usize) {
         if let Some(params) = self.snapshot.take() {
             self.contributed = true;
-            let accum = Message::ParamAccum {
-                round: self.round,
-                hops: 1,
-                params,
-            };
+            let accum = Message::param_accum(self.round, 1, params);
             let downstream = self.downstream(me);
             send_ring(port, self, downstream, accum);
         }
@@ -1048,11 +1044,7 @@ impl<T: TrainState> DeviceActor<T> {
                             port,
                             &mut ring.run,
                             downstream,
-                            Message::ParamAccum {
-                                round,
-                                hops,
-                                params,
-                            },
+                            Message::param_accum(round, hops, params),
                         );
                     }
                     // Contribution forwarded or merged: this member's

@@ -254,14 +254,28 @@ pub struct ThreadedOptions {
 }
 
 impl ThreadedOptions {
+    /// Options for `rounds` rounds of `window` each over devices of
+    /// `powers`, at the default [`ProtocolTiming`].
+    pub fn new(powers: &[f64], step_sleep: Duration, window: Duration, rounds: usize) -> Self {
+        ThreadedOptions {
+            powers: powers.to_vec(),
+            step_sleep,
+            window,
+            rounds,
+            timing: ProtocolTiming::default(),
+        }
+    }
+
     /// CI-scale options: short sleeps, a few windows.
     pub fn quick(powers: &[f64]) -> Self {
         ThreadedOptions {
-            powers: powers.to_vec(),
-            step_sleep: Duration::from_millis(4),
-            window: Duration::from_millis(60),
-            rounds: 3,
             timing: ProtocolTiming::quick(),
+            ..Self::new(
+                powers,
+                Duration::from_millis(4),
+                Duration::from_millis(60),
+                3,
+            )
         }
     }
 }

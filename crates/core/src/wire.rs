@@ -452,6 +452,27 @@ fn put_ids(buf: &mut BytesMut, ids: &[u32]) {
 }
 
 impl Message {
+    /// A [`Message::RoundPlan`]: round `round`'s ring in order, its
+    /// broadcaster, and the devices outside it.
+    pub fn round_plan(round: u32, ring: Vec<u32>, broadcaster: u32, unselected: Vec<u32>) -> Self {
+        Message::RoundPlan {
+            round,
+            ring,
+            broadcaster,
+            unselected,
+        }
+    }
+
+    /// A [`Message::ParamAccum`]: round `round`'s running sum of `hops`
+    /// members' parameters.
+    pub fn param_accum(round: u32, hops: u32, params: Vec<f32>) -> Self {
+        Message::ParamAccum {
+            round,
+            hops,
+            params,
+        }
+    }
+
     /// Encodes the message into a frame.
     ///
     /// # Example

@@ -44,9 +44,9 @@ use hadfl::wire::Message;
 use hadfl_telemetry::health::{Alert, HealthEngine, HealthOptions, HealthReport};
 use hadfl_telemetry::ship::ShipBatch;
 use hadfl_telemetry::sink::Sink;
-use hadfl_telemetry::{accept_until, serve_http, stop_accept, Event, MetricsRegistry, MetricsSink};
+use hadfl_telemetry::{serve_http, stop_accept, Event, MetricsRegistry, MetricsSink};
 
-use crate::frame::read_frame;
+use crate::frame::{accept_readers, read_frame};
 
 /// Collector tuning.
 #[derive(Debug, Clone)]
@@ -316,7 +316,11 @@ impl CollectorServer {
         let ingest_thread = {
             let collector = Arc::clone(&collector);
             let stop = Arc::clone(&stop);
-            std::thread::spawn(move || ingest_loop(ingest, collector, stop, max_frame_bytes))
+            std::thread::spawn(move || {
+                accept_readers(&ingest, &stop, move |conn| {
+                    ingest_conn(conn, &collector, max_frame_bytes)
+                })
+            })
         };
         let http_thread = {
             let collector = Arc::clone(&collector);
@@ -363,9 +367,10 @@ impl CollectorServer {
         self.max_frame_bytes
     }
 
-    /// Stops the listeners and the tick thread, joins, and runs one
-    /// final tick so everything staged is applied. Both addresses
-    /// refuse connections once this returns.
+    /// Stops the listeners and the tick thread, joins them and every
+    /// ingest reader — each first reads what its shipper had sent — and
+    /// runs one final tick so everything staged is applied. Both
+    /// addresses refuse connections once this returns.
     pub fn shutdown(mut self) {
         self.stop_and_join();
     }
@@ -387,31 +392,10 @@ impl Drop for CollectorServer {
     }
 }
 
-fn ingest_loop(
-    listener: TcpListener,
-    collector: Arc<Mutex<Collector>>,
-    stop: Arc<AtomicBool>,
-    max_frame_bytes: usize,
-) {
-    accept_until(&listener, &stop, |stream| {
-        let collector = Arc::clone(&collector);
-        let stop = Arc::clone(&stop);
-        std::thread::spawn(move || ingest_conn(stream, collector, stop, max_frame_bytes));
-    });
-}
-
 /// One shipper connection: length-prefixed sealed frames until EOF.
 /// Anything malformed drops the connection — the shipper redials.
-fn ingest_conn(
-    mut stream: TcpStream,
-    collector: Arc<Mutex<Collector>>,
-    stop: Arc<AtomicBool>,
-    max_frame_bytes: usize,
-) {
-    let _ = stream.set_read_timeout(Some(Duration::from_millis(200)));
-    while let Some((stamp, msg, _)) =
-        read_frame(&mut stream, max_frame_bytes, &stop, Vec::with_capacity)
-    {
+fn ingest_conn(mut stream: &TcpStream, collector: &Mutex<Collector>, max_frame_bytes: usize) {
+    while let Some((stamp, msg, _)) = read_frame(&mut stream, max_frame_bytes, Vec::with_capacity) {
         // Anything else is ignored (a misdirected protocol peer); the
         // connection is kept in case batches follow.
         if let Message::TelemetryBatch {

@@ -1,23 +1,27 @@
-//! The one length-prefixed frame reader and writer of this crate.
+//! The one length-prefixed frame reader and writer of this crate, and
+//! the one accept loop that runs its readers.
 //!
 //! On the wire a frame is a 4-byte little-endian length, then that
 //! many bytes of [`wire`] frame. [`write_frame`] hands the kernel
 //! `prefix ‖ head ‖ body` in one vectored write: under `TCP_NODELAY` a
 //! separate head write leaves as a segment of its own and wakes the
-//! reader twice per frame. Both socket readers — a
-//! [`TcpPort`](crate::tcp::TcpPort)'s per-connection reader and the
-//! collector's ingest connections — poll with a read timeout so they
-//! notice shutdown, and a frame mid-read when the timeout fires must
-//! resume, not restart. [`read_full`] is that cursor; [`read_frame`]
-//! builds the whole receive path on it, landing a parameter payload
+//! reader twice per frame. [`read_frame`] blocks in `read_exact` — a
+//! reader has nothing else to wait for — landing a parameter payload
 //! directly in the `Vec<f32>` its [`Message`] will own. The caller
-//! supplies that vector: a `TcpPort`'s readers take it from the port's
-//! [`RecvSlot`], where the thread that consumes the frames put it.
+//! supplies that vector: a [`TcpPort`](crate::tcp::TcpPort)'s readers
+//! take it from the port's [`RecvSlot`], where the thread that consumes
+//! the frames put it.
+//! Both socket readers, a `TcpPort`'s and the collector's, run under
+//! [`accept_readers`], which ends them with `shutdown(Read)` at stop.
 
 use std::io::{ErrorKind, IoSlice, Read, Write};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::net::{Shutdown, TcpListener, TcpStream};
+use std::sync::atomic::AtomicBool;
+use std::sync::Arc;
+use std::thread::{self, JoinHandle};
 
 use hadfl::wire::{self, CausalStamp, Message};
+use hadfl_telemetry::accept_until;
 use parking_lot::Mutex;
 
 /// One receive buffer, passed from the thread that keeps parameter
@@ -57,68 +61,67 @@ impl RecvSlot {
     }
 }
 
-/// Fills `buf` from `stream`, resuming across read timeouts: the
-/// cursor survives a timeout, which only makes the loop look at `stop`.
-/// `false` means the connection is finished — end of stream, a hard
-/// error, or `stop` raised while waiting.
-fn read_full(stream: &mut impl Read, buf: &mut [u8], stop: &AtomicBool) -> bool {
-    let mut filled = 0;
-    while filled < buf.len() {
-        match stream.read(&mut buf[filled..]) {
-            Ok(0) => return false,
-            Ok(n) => filled += n,
-            Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
-                if stop.load(Ordering::SeqCst) {
-                    return false;
-                }
-            }
-            Err(e) if e.kind() == ErrorKind::Interrupted => {}
-            Err(_) => return false,
-        }
+/// Runs [`accept_until`] on `listener`, handing every accepted
+/// connection to `read` on a thread of its own, until `stop`. A reader
+/// that returns shuts its connection, so the peer sees it closed. At
+/// stop each connection still open is shut for reading and its reader
+/// joined: once the thread running this returns, no reader is left.
+/// Entries whose reader finished are pruned at each accept, so a
+/// redialing peer pins no descriptors.
+pub(crate) fn accept_readers<R>(listener: &TcpListener, stop: &AtomicBool, read: R)
+where
+    R: Fn(&TcpStream) + Clone + Send + 'static,
+{
+    let mut readers: Vec<(Arc<TcpStream>, JoinHandle<()>)> = Vec::new();
+    accept_until(listener, stop, |stream| {
+        readers.retain(|(_, reader)| !reader.is_finished());
+        let (stream, read) = (Arc::new(stream), read.clone());
+        let conn = Arc::clone(&stream);
+        let reader = thread::spawn(move || {
+            read(&conn);
+            let _ = conn.shutdown(Shutdown::Both);
+        });
+        readers.push((stream, reader));
+    });
+    for (stream, _) in &readers {
+        let _ = stream.shutdown(Shutdown::Read);
     }
-    true
+    for (_, reader) in readers {
+        let _ = reader.join();
+    }
 }
 
 /// Reads one frame: the stamp, the message, and the frame's length in
-/// bytes (prefix excluded). `None` means drop the connection: it
-/// ended, `stop` was raised, or the peer sent something corrupt or
-/// hostile — a length above `max_frame_bytes`, a parameter head whose
-/// count disagrees with the frame length, or bytes that do not decode.
-/// Both bounds are checked before anything is allocated by them, and
-/// before `alloc` — which supplies a parameter frame's vector, as
-/// [`wire::split_frame`] describes — is called.
+/// bytes (prefix excluded). `None` means drop the connection: it ended
+/// or failed, or the peer sent something corrupt or hostile — a length
+/// above `max_frame_bytes`, a parameter head whose count disagrees with
+/// the frame length, or bytes that do not decode. Both bounds are
+/// checked before anything is allocated by them, and before `alloc` —
+/// which supplies a parameter frame's vector, as [`wire::split_frame`]
+/// describes — is called.
 pub(crate) fn read_frame(
     stream: &mut impl Read,
     max_frame_bytes: usize,
-    stop: &AtomicBool,
     alloc: impl FnOnce(usize) -> Vec<f32>,
 ) -> Option<(CausalStamp, Message, usize)> {
     let mut prefix = [0u8; 4];
-    if !read_full(stream, &mut prefix, stop) {
-        return None;
-    }
+    stream.read_exact(&mut prefix).ok()?;
     let len = u32::from_le_bytes(prefix) as usize;
     if len > max_frame_bytes {
         return None;
     }
     let mut first = [0u8; wire::MAX_PARAM_HEAD];
     let first = &mut first[..len.min(wire::MAX_PARAM_HEAD)];
-    if !read_full(stream, first, stop) {
-        return None;
-    }
+    stream.read_exact(first).ok()?;
     let (stamp, msg) = match wire::split_frame(first, len, alloc).ok()? {
         Some(mut frame) => {
-            if !read_full(stream, frame.unfilled_mut(), stop) {
-                return None;
-            }
+            stream.read_exact(frame.unfilled_mut()).ok()?;
             frame.open()
         }
         None => {
             let mut frame = first.to_vec();
             frame.resize(len, 0);
-            if !read_full(stream, &mut frame[first.len()..], stop) {
-                return None;
-            }
+            stream.read_exact(&mut frame[first.len()..]).ok()?;
             wire::open(&frame).ok()?
         }
     };
@@ -161,19 +164,19 @@ pub(crate) fn write_frame(
 mod tests {
     use super::*;
 
-    /// A socket that yields one byte per read and times out once, at
-    /// `stall_at`.
+    /// A socket that yields one byte per read and is interrupted once,
+    /// at `interrupt_at`.
     struct Dribble {
         bytes: Vec<u8>,
         at: usize,
-        stall_at: Option<usize>,
+        interrupt_at: Option<usize>,
     }
 
     impl Read for Dribble {
         fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
-            if self.stall_at == Some(self.at) {
-                self.stall_at = None;
-                return Err(ErrorKind::WouldBlock.into());
+            if self.interrupt_at == Some(self.at) {
+                self.interrupt_at = None;
+                return Err(ErrorKind::Interrupted.into());
             }
             let Some(&b) = self.bytes.get(self.at) else {
                 return Ok(0);
@@ -280,11 +283,11 @@ mod tests {
         out
     }
 
-    fn dribbled(bytes: Vec<u8>, stall_at: usize) -> Dribble {
+    fn dribbled(bytes: Vec<u8>, interrupt_at: usize) -> Dribble {
         Dribble {
             bytes,
             at: 0,
-            stall_at: Some(stall_at),
+            interrupt_at: Some(interrupt_at),
         }
     }
 
@@ -301,11 +304,10 @@ mod tests {
         for msg in param_variants(&params) {
             let bytes = framed(&msg);
             let (slot, ptr) = slot_holding(params.len());
-            // One byte per read, and a read timeout ten bytes into the body.
+            // One byte per read, and an interrupted read ten bytes into
+            // the body.
             let mut stream = dribbled(bytes.clone(), 4 + wire::MAX_PARAM_HEAD + 10);
-            let stop = AtomicBool::new(false);
-            let (stamp, got, len) =
-                read_frame(&mut stream, 1 << 20, &stop, |n| slot.take(n)).unwrap();
+            let (stamp, got, len) = read_frame(&mut stream, 1 << 20, |n| slot.take(n)).unwrap();
             assert_eq!(len, bytes.len() - 4);
             assert_eq!(params_of(&got).as_ptr(), ptr, "{}", msg.kind());
             assert_eq!(slot.0.lock().capacity(), 0, "the slot was used");
@@ -321,7 +323,6 @@ mod tests {
     fn rejected_frames_and_unfitting_capacity_leave_the_slot_full() {
         let params = awkward_params();
         let n = params.len();
-        let stop = AtomicBool::new(false);
         let honest = framed(&param_variants(&params)[1]);
         let count_at = 4 + wire::MAX_PARAM_HEAD - 4;
         for lie in [n + 1, n - 1, n * 1000] {
@@ -329,7 +330,7 @@ mod tests {
             lying[count_at..count_at + 4].copy_from_slice(&(lie as u32).to_le_bytes());
             let (slot, ptr) = slot_holding(n * 1000);
             let mut stream = dribbled(lying, 4 + wire::MAX_PARAM_HEAD);
-            assert!(read_frame(&mut stream, 1 << 20, &stop, |n| slot.take(n)).is_none());
+            assert!(read_frame(&mut stream, 1 << 20, |n| slot.take(n)).is_none());
             assert_eq!(
                 slot.0.lock().as_ptr(),
                 ptr,
@@ -340,7 +341,7 @@ mod tests {
         let (slot, ptr) = slot_holding(n);
         let mut stream = dribbled(honest.clone(), 4);
         let short_bound = honest.len() - 5;
-        assert!(read_frame(&mut stream, short_bound, &stop, |n| slot.take(n)).is_none());
+        assert!(read_frame(&mut stream, short_bound, |n| slot.take(n)).is_none());
         assert_eq!(
             slot.0.lock().as_ptr(),
             ptr,
@@ -349,7 +350,7 @@ mod tests {
 
         let (slot, ptr) = slot_holding(n - 1);
         let mut stream = dribbled(honest.clone(), 4 + wire::MAX_PARAM_HEAD + 1);
-        let (_, got, _) = read_frame(&mut stream, 1 << 20, &stop, |n| slot.take(n)).unwrap();
+        let (_, got, _) = read_frame(&mut stream, 1 << 20, |n| slot.take(n)).unwrap();
         assert_ne!(params_of(&got).as_ptr(), ptr);
         assert_eq!(
             slot.0.lock().as_ptr(),

@@ -16,29 +16,25 @@
 //! direction: the sender dials on first send, identifies itself with
 //! [`Message::Hello`], and keeps the socket for the rest of the run.
 //!
-//! The accepting side blocks in `accept` on a blocking listener
-//! ([`hadfl_telemetry::accept_until`]) and spawns one reader per inbound
-//! connection. With std alone there is no readiness API, so a
-//! nonblocking listener would be a sleep-poll whose period lands on the
-//! first frame of every new connection. Dropping the port wakes the
-//! accept with one connection to the port's own address and joins the
-//! thread ([`hadfl_telemetry::stop_accept`]): the listener is closed
-//! when `drop` returns, so a peer dialing a departed node is refused at
-//! once instead of being accepted by a listener that lingers.
+//! The accepting side blocks in `accept` and runs one reader per inbound
+//! connection, blocked in `read_exact`: with std alone there is no
+//! readiness API, and a poll's period would land on frames. Dropping the
+//! port wakes the accept ([`hadfl_telemetry::stop_accept`]) and joins
+//! it, and the accept thread first shuts every accepted connection for
+//! reading and joins its reader, which still delivers the frames already
+//! queued. So once `drop` returns, a peer dialing the departed node is
+//! refused at once, and every connection the port accepted is closed.
 //!
-//! A dial that times out or fails otherwise is retried with bounded
-//! exponential backoff, and so is a refused dial while the port has
-//! heard nothing: that is bring-up, and it is what lets nodes start in
-//! any order. Once any peer has dialed in (its `Hello` arrived), a
-//! refusal ends the dial at once. The cluster is up by then, and a
-//! refused address is a peer that exited, which no backoff brings back;
-//! retrying would only hold the protocol thread through the whole
-//! schedule (775 ms at the defaults). Bring-up sends fall before the
-//! switch: a device sends only in answer to a frame, and the
-//! coordinator's first fan-out goes out before any device has spoken —
-//! though a device that answers within that fan-out flips the switch
-//! for the rest of it, so devices must be listening by the end of the
-//! first report window.
+//! Dialing is decided by `PeerLink`, a pure state machine that `dial`
+//! runs on the port's [`Clock`]: bounded exponential backoff through
+//! timeouts, errors, and refusals while the port has heard nothing
+//! (bring-up, so nodes start in any order), and no retry of a refusal
+//! once any peer's `Hello` has arrived. The cluster is up by then, and a
+//! refused address is a peer that exited; backing off would only hold
+//! the protocol thread for 775 ms. The coordinator's first fan-out goes
+//! out before any device has spoken, but a device that answers within
+//! it flips the switch for the rest of it, so devices must be listening
+//! by the end of the first report window.
 //!
 //! The transport keeps no liveness view of its own: an idle connection
 //! carries no bytes, and a dead peer is found by the protocol's §III-D
@@ -68,36 +64,21 @@ use hadfl::transport::{endpoint_of, Port};
 use hadfl::wire::{self, CausalStamp, Message};
 use hadfl::HadflError;
 use hadfl_simnet::NetStats;
-use hadfl_telemetry::{accept_until, stop_accept, EventKind, LamportClock, Telemetry};
+use hadfl_telemetry::{stop_accept, EventKind, LamportClock, Telemetry};
 use parking_lot::Mutex;
 
 use crate::cluster::ClusterConfig;
-use crate::frame::{read_frame, seal_frame, write_frame, RecvSlot};
+use crate::frame::{accept_readers, read_frame, seal_frame, write_frame, RecvSlot};
 
-/// Socket-level knobs of a [`TcpPort`].
+/// The deployment bounds of a [`TcpPort`].
 #[derive(Debug, Clone)]
 pub struct TcpOptions {
-    /// Per-attempt dial timeout.
-    pub connect_timeout: Duration,
-    /// Socket read timeout; also the granularity at which reader
-    /// threads notice shutdown.
-    pub read_timeout: Duration,
     /// Socket write timeout, set on every dialed connection. A peer
     /// whose TCP connection is alive but which stopped reading would
     /// otherwise block a frame's write forever once the socket buffer
     /// fills; with the timeout the send fails and the §III-D machinery
     /// takes over.
     pub write_timeout: Duration,
-    /// Dial attempts per send before the peer is declared unreachable.
-    /// The budget covers bring-up (refusals before the port has heard
-    /// from anyone) and timeouts or other errors; a refusal after the
-    /// cluster has spoken ends the dial at once (see the module docs).
-    pub max_dial_attempts: u32,
-    /// First reconnect backoff; doubles per attempt. Slept only between
-    /// the attempts [`Self::max_dial_attempts`] governs.
-    pub backoff_base: Duration,
-    /// Backoff ceiling.
-    pub backoff_cap: Duration,
     /// Frames longer than this are rejected before allocation — a
     /// corrupt or hostile length prefix must not OOM the node.
     pub max_frame_bytes: u32,
@@ -106,15 +87,65 @@ pub struct TcpOptions {
 impl Default for TcpOptions {
     fn default() -> Self {
         TcpOptions {
-            connect_timeout: Duration::from_secs(1),
-            read_timeout: Duration::from_millis(100),
             write_timeout: Duration::from_secs(5),
-            max_dial_attempts: 6,
-            backoff_base: Duration::from_millis(25),
-            backoff_cap: Duration::from_secs(2),
             max_frame_bytes: 256 << 20,
         }
     }
+}
+
+// `PeerLink`'s schedule: a 1 s connect timeout per attempt, 6 attempts
+// per send, and a backoff doubling from 25 ms up to 2 s between them.
+const CONNECT_TIMEOUT: Duration = Duration::from_secs(1);
+const MAX_DIAL_ATTEMPTS: u32 = 6;
+const BACKOFF_BASE: Duration = Duration::from_millis(25);
+const BACKOFF_CAP: Duration = Duration::from_secs(2);
+
+/// What `dial` tells its [`PeerLink`].
+#[derive(Debug, PartialEq)]
+enum LinkEvent {
+    /// A send needs a connection, or a backoff has run out.
+    Ready,
+    /// The attempt failed; `cluster_spoke`: the port had heard a `Hello`.
+    Failed { refused: bool, cluster_spoke: bool },
+}
+
+#[derive(Debug, PartialEq)]
+enum LinkAction {
+    Dial,
+    /// Sleep this long on the port's clock, then report `Ready`.
+    Wait(Duration),
+    GiveUp,
+}
+
+/// One send's dial policy toward one peer, with no socket or clock in
+/// it (see the module docs). A connection ends the link.
+#[derive(Default)]
+struct PeerLink {
+    attempts: u32,
+}
+
+impl PeerLink {
+    fn step(&mut self, event: LinkEvent) -> LinkAction {
+        match event {
+            LinkEvent::Ready => {
+                self.attempts += 1;
+                LinkAction::Dial
+            }
+            LinkEvent::Failed {
+                refused: true,
+                cluster_spoke: true,
+            } => LinkAction::GiveUp,
+            LinkEvent::Failed { .. } if self.attempts >= MAX_DIAL_ATTEMPTS => LinkAction::GiveUp,
+            LinkEvent::Failed { .. } => LinkAction::Wait(backoff(self.attempts)),
+        }
+    }
+}
+
+/// The wait after failed attempt `attempt` (from 1): [`BACKOFF_BASE`],
+/// doubling per attempt up to [`BACKOFF_CAP`].
+fn backoff(attempt: u32) -> Duration {
+    let doublings = 2u32.saturating_pow(attempt.saturating_sub(1));
+    BACKOFF_BASE.saturating_mul(doublings).min(BACKOFF_CAP)
 }
 
 /// State shared between the port and its accept and reader threads.
@@ -151,6 +182,36 @@ impl Shared {
         CausalStamp {
             origin: self.me as u32,
             lamport: self.lamport.tick(),
+        }
+    }
+
+    /// Charges one payload frame `src` → `dst` to `stats`, mirrored as a
+    /// `FrameSent` (`sent`) or `FrameReceived` event.
+    fn ledger(&self, sent: bool, src: usize, dst: usize, msg: &Message, bytes: u64, lamport: u64) {
+        let endpoint = |id| endpoint_of(id, self.devices);
+        self.stats
+            .lock()
+            .record(endpoint(src), endpoint(dst), bytes);
+        if self.tel.enabled() {
+            let (src, dst, kind) = (src as u32, dst as u32, msg.kind().to_string());
+            let event = if sent {
+                EventKind::FrameSent {
+                    src,
+                    dst,
+                    bytes,
+                    kind,
+                    lamport,
+                }
+            } else {
+                EventKind::FrameReceived {
+                    src,
+                    dst,
+                    bytes,
+                    kind,
+                    lamport,
+                }
+            };
+            self.tel.emit(self.clock.now(), event);
         }
     }
 }
@@ -240,9 +301,11 @@ impl BoundNode {
             recv_slot: RecvSlot::default(),
         });
         let listen_addr = self.local_addr()?;
-        let accept_shared = Arc::clone(&shared);
-        let listener = self.listener;
-        let accept_thread = thread::spawn(move || accept_loop(listener, accept_shared));
+        let (listener, readers) = (self.listener, Arc::clone(&shared));
+        let accept_thread = thread::spawn(move || {
+            let stop = Arc::clone(&readers);
+            accept_readers(&listener, &stop.shutdown, move |s| reader_loop(s, &readers));
+        });
         Ok(TcpPort {
             cluster: cluster.clone(),
             shared,
@@ -282,63 +345,54 @@ impl TcpPort {
         StatsHandle(Arc::clone(&self.shared))
     }
 
+    /// [`PeerLink`]'s I/O shell: runs its actions until a connection to
+    /// `to` carries our `Hello`, or the link gives up.
     fn dial(&self, to: usize) -> Result<TcpStream, HadflError> {
-        let addr_str = &self.cluster.node(to)?.addr;
-        let opts = &self.shared.opts;
-        let mut backoff = opts.backoff_base;
+        let addr = &self.cluster.node(to)?.addr;
+        let mut link = PeerLink::default();
+        let mut event = LinkEvent::Ready;
         let mut last_err = String::new();
-        for attempt in 0..opts.max_dial_attempts {
-            if attempt > 0 {
-                self.shared.clock.sleep(backoff);
-                backoff = (backoff * 2).min(opts.backoff_cap);
-            }
-            let addrs: Vec<SocketAddr> = match addr_str.to_socket_addrs() {
-                Ok(addrs) => addrs.collect(),
-                Err(e) => {
-                    last_err = format!("resolve {addr_str}: {e}");
-                    continue;
-                }
-            };
-            let Some(addr) = addrs.first() else {
-                last_err = format!("resolve {addr_str}: no addresses");
-                continue;
-            };
-            match TcpStream::connect_timeout(addr, opts.connect_timeout) {
-                Ok(mut stream) => {
-                    stream
-                        .set_nodelay(true)
-                        .map_err(|e| HadflError::InvalidConfig(format!("nodelay: {e}")))?;
-                    stream
-                        .set_write_timeout(Some(opts.write_timeout))
-                        .map_err(|e| HadflError::InvalidConfig(format!("write timeout: {e}")))?;
-                    let hello = Message::Hello {
-                        from: self.shared.me as u32,
-                    };
-                    let (head, body) = seal_frame(self.shared.stamp(), &hello);
-                    if let Err(e) = write_frame(&mut stream, &head, body) {
-                        last_err = format!("hello to {to}: {e}");
-                        continue;
+        loop {
+            event = match link.step(event) {
+                LinkAction::Dial => match self.connect(addr) {
+                    Ok(stream) => return Ok(stream),
+                    Err(e) => {
+                        last_err = e.to_string();
+                        LinkEvent::Failed {
+                            refused: e.kind() == ErrorKind::ConnectionRefused,
+                            cluster_spoke: self.shared.heard_from_cluster.load(Ordering::Acquire),
+                        }
                     }
-                    self.shared
-                        .raw_bytes
-                        .fetch_add((head.len() + body.len()) as u64, Ordering::Relaxed);
-                    return Ok(stream);
+                },
+                LinkAction::Wait(backoff) => {
+                    self.shared.clock.sleep(backoff);
+                    LinkEvent::Ready
                 }
-                Err(e)
-                    if e.kind() == ErrorKind::ConnectionRefused
-                        && self.shared.heard_from_cluster.load(Ordering::Acquire) =>
-                {
+                LinkAction::GiveUp => {
                     return Err(HadflError::InvalidConfig(format!(
-                        "peer {to} unreachable: dial {addr} refused after the cluster spoke: {e}"
-                    )));
+                        "peer {to} unreachable at {addr} after {} attempt(s): {last_err}",
+                        link.attempts
+                    )))
                 }
-                Err(e) => last_err = format!("dial {addr}: {e}"),
-            }
+            };
         }
-        Err(HadflError::InvalidConfig(format!(
-            "peer {to} unreachable after {} attempts: {last_err}",
-            opts.max_dial_attempts
-        )))
+    }
+
+    /// One dial attempt: resolve, connect, send our `Hello`.
+    fn connect(&self, addr: &str) -> std::io::Result<TcpStream> {
+        let addr = addr.to_socket_addrs()?.next().ok_or(ErrorKind::NotFound)?;
+        let mut stream = TcpStream::connect_timeout(&addr, CONNECT_TIMEOUT)?;
+        stream.set_nodelay(true)?;
+        stream.set_write_timeout(Some(self.shared.opts.write_timeout))?;
+        let hello = Message::Hello {
+            from: self.shared.me as u32,
+        };
+        let (head, body) = seal_frame(self.shared.stamp(), &hello);
+        write_frame(&mut stream, &head, body)?;
+        self.shared
+            .raw_bytes
+            .fetch_add((head.len() + body.len()) as u64, Ordering::Relaxed);
+        Ok(stream)
     }
 
     /// Post-write bookkeeping for a delivered frame: the raw-byte and
@@ -350,23 +404,8 @@ impl TcpPort {
         self.shared
             .raw_bytes
             .fetch_add(4 + wire::STAMP_LEN as u64 + payload, Ordering::Relaxed);
-        self.shared.stats.lock().record(
-            endpoint_of(self.shared.me, self.shared.devices),
-            endpoint_of(to, self.shared.devices),
-            payload,
-        );
-        if self.shared.tel.enabled() {
-            self.shared.tel.emit(
-                self.shared.clock.now(),
-                EventKind::FrameSent {
-                    src: self.shared.me as u32,
-                    dst: to as u32,
-                    bytes: payload,
-                    kind: msg.kind().to_string(),
-                    lamport: stamp.lamport,
-                },
-            );
-        }
+        self.shared
+            .ledger(true, self.shared.me, to, msg, payload, stamp.lamport);
     }
 
     /// Hands `msg` to the protocol loop. A parameter frame used the
@@ -487,10 +526,9 @@ impl Port for TcpPort {
 }
 
 impl Drop for TcpPort {
-    /// Raises `shutdown` for the reader threads and wakes and joins the
-    /// accept thread, so the listener is closed. The outbound
-    /// connections close as `conns` drops right after, so once the port
-    /// is gone every peer it dialed sees end of stream.
+    /// Wakes and joins the accept thread, which closes the listener and
+    /// every accepted connection; `conns` drops right after, so every
+    /// peer the port dialed or was dialed by sees end of stream.
     fn drop(&mut self) {
         if let Some(accept_thread) = self.accept_thread.take() {
             stop_accept(&self.shared.shutdown, self.listen_addr, accept_thread);
@@ -498,25 +536,15 @@ impl Drop for TcpPort {
     }
 }
 
-fn accept_loop(listener: TcpListener, shared: Arc<Shared>) {
-    accept_until(&listener, &shared.shutdown, |stream| {
-        let reader_shared = Arc::clone(&shared);
-        thread::spawn(move || reader_loop(stream, reader_shared));
-    });
-}
-
-fn reader_loop(mut stream: TcpStream, shared: Arc<Shared>) {
-    let _ = stream.set_read_timeout(Some(shared.opts.read_timeout));
+fn reader_loop(mut stream: &TcpStream, shared: &Shared) {
     let max_frame_bytes = shared.opts.max_frame_bytes as usize;
     // The connection is anonymous until its Hello arrives.
     let mut from: Option<usize> = None;
     // `None`: the peer hung up or sent something corrupt or hostile, or
-    // the port is shutting down — either way the connection is dropped.
-    while let Some((stamp, msg, frame_len)) =
-        read_frame(&mut stream, max_frame_bytes, &shared.shutdown, |count| {
-            shared.recv_slot.take(count)
-        })
-    {
+    // the port shut the connection — either way it is dropped.
+    while let Some((stamp, msg, frame_len)) = read_frame(&mut stream, max_frame_bytes, |count| {
+        shared.recv_slot.take(count)
+    }) {
         shared
             .raw_bytes
             .fetch_add(4 + frame_len as u64, Ordering::Relaxed);
@@ -533,23 +561,7 @@ fn reader_loop(mut stream: TcpStream, shared: Arc<Shared>) {
                     return; // protocol violation: frames before Hello
                 };
                 let payload = (frame_len - wire::STAMP_LEN) as u64;
-                shared.stats.lock().record(
-                    endpoint_of(peer, shared.devices),
-                    endpoint_of(shared.me, shared.devices),
-                    payload,
-                );
-                if shared.tel.enabled() {
-                    shared.tel.emit(
-                        shared.clock.now(),
-                        EventKind::FrameReceived {
-                            src: peer as u32,
-                            dst: shared.me as u32,
-                            bytes: payload,
-                            kind: other.kind().to_string(),
-                            lamport: stamp.lamport,
-                        },
-                    );
-                }
+                shared.ledger(false, peer, shared.me, &other, payload, stamp.lamport);
                 if shared.inbound_tx.send(other).is_err() {
                     return; // port dropped
                 }
@@ -563,16 +575,107 @@ fn reader_loop(mut stream: TcpStream, shared: Arc<Shared>) {
 mod tests {
     use super::*;
 
-    fn quick_opts() -> TcpOptions {
-        TcpOptions {
-            connect_timeout: Duration::from_millis(500),
-            read_timeout: Duration::from_millis(25),
-            write_timeout: Duration::from_millis(500),
-            max_dial_attempts: 8,
-            backoff_base: Duration::from_millis(10),
-            backoff_cap: Duration::from_millis(200),
-            max_frame_bytes: 1 << 20,
+    use hadfl::clock::ManualClock;
+
+    const fn ms(ms: u64) -> Duration {
+        Duration::from_millis(ms)
+    }
+
+    /// Drives a fresh link through failed attempts until it gives up,
+    /// `fail(n)` describing attempt `n`; returns the waits in between
+    /// and the number of attempts made.
+    fn run_link(mut fail: impl FnMut(u32) -> LinkEvent) -> (Vec<Duration>, u32) {
+        let mut link = PeerLink::default();
+        let mut waits = Vec::new();
+        assert_eq!(link.step(LinkEvent::Ready), LinkAction::Dial);
+        loop {
+            match link.step(fail(link.attempts)) {
+                LinkAction::Wait(wait) => waits.push(wait),
+                LinkAction::GiveUp => return (waits, link.attempts),
+                LinkAction::Dial => panic!("a failure must not dial at once"),
+            }
+            assert_eq!(link.step(LinkEvent::Ready), LinkAction::Dial);
         }
+    }
+
+    fn failed(refused: bool, cluster_spoke: bool) -> LinkEvent {
+        LinkEvent::Failed {
+            refused,
+            cluster_spoke,
+        }
+    }
+
+    #[test]
+    fn a_link_dials_once_for_a_first_try_that_connects() {
+        let mut link = PeerLink::default();
+        assert_eq!(link.step(LinkEvent::Ready), LinkAction::Dial);
+        assert_eq!(link.attempts, 1);
+    }
+
+    #[test]
+    fn refusals_before_anyone_spoke_back_off_then_give_up_after_six_attempts() {
+        let (waits, attempts) = run_link(|_| failed(true, false));
+        assert_eq!(waits, [ms(25), ms(50), ms(100), ms(200), ms(400)]);
+        assert_eq!(attempts, 6);
+    }
+
+    #[test]
+    fn a_refusal_after_a_hello_gives_up_without_waiting() {
+        assert_eq!(run_link(|_| failed(true, true)), (vec![], 1));
+        // The cluster may speak between attempts: the refusal that
+        // follows is final however much budget is left.
+        let (waits, attempts) = run_link(|n| failed(true, n == 3));
+        assert_eq!((waits, attempts), (vec![ms(25), ms(50)], 3));
+    }
+
+    #[test]
+    fn timeouts_and_other_errors_spend_the_same_budget() {
+        let refusals = run_link(|_| failed(true, false));
+        // A timeout is retried whether or not the cluster spoke.
+        assert_eq!(run_link(|_| failed(false, false)), refusals);
+        assert_eq!(run_link(|_| failed(false, true)), refusals);
+        assert_eq!(run_link(|n| failed(n % 2 == 0, false)), refusals);
+    }
+
+    #[test]
+    fn backoff_doubles_up_to_the_two_second_cap() {
+        let waits: Vec<Duration> = (1..=9).map(backoff).collect();
+        let doubled = [25, 50, 100, 200, 400, 800, 1600, 2000, 2000];
+        assert_eq!(waits, doubled.map(ms));
+        assert_eq!(backoff(u32::MAX), ms(2000));
+    }
+
+    /// A [`ManualClock`] whose first `sleep` runs `on_sleep` first.
+    struct FirstSleepRuns {
+        time: ManualClock,
+        on_sleep: Mutex<Option<Box<dyn FnOnce() + Send>>>,
+    }
+
+    impl Clock for FirstSleepRuns {
+        fn now(&self) -> Duration {
+            self.time.now()
+        }
+
+        fn sleep(&self, d: Duration) {
+            if let Some(on_sleep) = self.on_sleep.lock().take() {
+                on_sleep();
+            }
+            self.time.sleep(d);
+        }
+    }
+
+    /// A port for `node` on a [`ManualClock`]: its backoff takes no wall time.
+    fn on_manual_clock(node: BoundNode, cluster: &ClusterConfig) -> (TcpPort, Arc<ManualClock>) {
+        let clock = Arc::new(ManualClock::new());
+        let port = node
+            .into_port_instrumented(
+                cluster,
+                TcpOptions::default(),
+                clock.clone(),
+                Telemetry::disabled(),
+            )
+            .unwrap();
+        (port, clock)
     }
 
     /// Binds `n` loopback listeners on port 0 and describes them as a
@@ -642,9 +745,11 @@ mod tests {
         let coordinator = nodes.pop().unwrap();
         let b = nodes.pop().unwrap();
         let a = nodes.pop().unwrap();
-        let mut a = a.into_port(&cluster, quick_opts()).unwrap();
-        let mut b = b.into_port(&cluster, quick_opts()).unwrap();
-        let mut c = coordinator.into_port(&cluster, quick_opts()).unwrap();
+        let mut a = a.into_port(&cluster, TcpOptions::default()).unwrap();
+        let mut b = b.into_port(&cluster, TcpOptions::default()).unwrap();
+        let mut c = coordinator
+            .into_port(&cluster, TcpOptions::default())
+            .unwrap();
 
         let msg = Message::ParamSync {
             round: 3,
@@ -689,46 +794,54 @@ mod tests {
 
     #[test]
     fn dial_retries_until_listener_appears() {
-        // Reserve an address, drop the listener, and only rebind it
-        // after the sender has started dialing: the bounded backoff
-        // must carry the send through the gap.
+        // Reserve an address and drop the listener; it is bound again
+        // during the sender's first backoff, so the second dial gets
+        // through.
         let (cluster, mut nodes) = loopback_cluster(3);
-        let coordinator = nodes.pop().unwrap();
-        let late = nodes.pop().unwrap();
         let late_id = 1;
         let late_addr = cluster.node(late_id).unwrap().addr.clone();
-        drop(late);
-        let sender = nodes.pop().unwrap();
-        let mut sender = sender.into_port(&cluster, quick_opts()).unwrap();
-        let cluster2 = cluster.clone();
-        let rebinder = thread::spawn(move || {
-            thread::sleep(Duration::from_millis(60));
+        drop(nodes.remove(late_id));
+        let late_port: Arc<Mutex<Option<TcpPort>>> = Arc::default();
+        let (slot, late_cluster) = (Arc::clone(&late_port), cluster.clone());
+        let rebind = move || {
             let node = BoundNode::bind(late_id, &late_addr).unwrap();
-            let mut port = node.into_port(&cluster2, quick_opts()).unwrap();
-            port.recv_timeout(Duration::from_secs(5)).unwrap()
+            *slot.lock() = Some(
+                node.into_port(&late_cluster, TcpOptions::default())
+                    .unwrap(),
+            );
+        };
+        let clock = Arc::new(FirstSleepRuns {
+            time: ManualClock::new(),
+            on_sleep: Mutex::new(Some(Box::new(rebind))),
         });
+        let mut sender = nodes
+            .remove(0)
+            .into_port_instrumented(
+                &cluster,
+                TcpOptions::default(),
+                clock.clone(),
+                Telemetry::disabled(),
+            )
+            .unwrap();
         sender
             .send(late_id, &Message::Handshake { from: 0 })
             .unwrap();
+        assert_eq!(clock.now(), ms(25), "one refusal, one backoff");
+        let mut late = late_port.lock().take().expect("rebound in the backoff");
         assert_eq!(
-            rebinder.join().unwrap(),
+            late.recv_timeout(Duration::from_secs(5)).unwrap(),
             Some(Message::Handshake { from: 0 })
         );
-        drop(coordinator);
     }
 
     #[test]
     fn unreachable_peer_errors_after_bounded_attempts() {
         let (cluster, mut nodes) = loopback_cluster(3);
-        let dead = nodes.remove(1);
-        drop(dead); // nobody listens on node 1's address
-        let mut opts = quick_opts();
-        opts.max_dial_attempts = 2;
-        opts.backoff_base = Duration::from_millis(5);
-        let mut sender = nodes.remove(0).into_port(&cluster, opts).unwrap();
-        let clock = WallClock::new();
-        assert!(sender.send(1, &Message::Handshake { from: 0 }).is_err());
-        assert!(clock.now() < Duration::from_secs(5));
+        drop(nodes.remove(1)); // nobody listens on node 1's address
+        let (mut sender, clock) = on_manual_clock(nodes.remove(0), &cluster);
+        let err = sender.send(1, &Message::Handshake { from: 0 }).unwrap_err();
+        assert!(err.to_string().contains("after 6 attempt(s)"), "{err}");
+        assert_eq!(clock.now(), ms(25 + 50 + 100 + 200 + 400));
     }
 
     #[test]
@@ -736,8 +849,11 @@ mod tests {
         let (cluster, mut nodes) = loopback_cluster(3);
         let node = nodes.remove(0);
         let addr = node.local_addr().unwrap();
-        let mut port = node.into_port(&cluster, quick_opts()).unwrap();
-        let mut peer = nodes.remove(0).into_port(&cluster, quick_opts()).unwrap();
+        let mut port = node.into_port(&cluster, TcpOptions::default()).unwrap();
+        let mut peer = nodes
+            .remove(0)
+            .into_port(&cluster, TcpOptions::default())
+            .unwrap();
         // A frame through the listener: its accept loop is running.
         peer.send(0, &Message::Handshake { from: 1 }).unwrap();
         assert!(port.recv_timeout(Duration::from_secs(5)).unwrap().is_some());
@@ -753,19 +869,9 @@ mod tests {
         let mut peer = nodes
             .pop()
             .unwrap()
-            .into_port(&cluster, quick_opts())
+            .into_port(&cluster, TcpOptions::default())
             .unwrap();
-        let clock = Arc::new(hadfl::clock::ManualClock::new());
-        let mut port = nodes
-            .pop()
-            .unwrap()
-            .into_port_instrumented(
-                &cluster,
-                TcpOptions::default(),
-                clock.clone(),
-                Telemetry::disabled(),
-            )
-            .unwrap();
+        let (mut port, clock) = on_manual_clock(nodes.pop().unwrap(), &cluster);
         peer.send(0, &Message::Handshake { from: 1 }).unwrap();
         assert_eq!(
             port.recv_timeout(Duration::from_secs(5)).unwrap(),
@@ -783,7 +889,10 @@ mod tests {
         let (cluster, mut nodes) = loopback_cluster(3);
         // Participant 1 is a bare listener, reading what the port sends.
         let peer = nodes.remove(1);
-        let mut port = nodes.remove(0).into_port(&cluster, quick_opts()).unwrap();
+        let mut port = nodes
+            .remove(0)
+            .into_port(&cluster, TcpOptions::default())
+            .unwrap();
         port.send(1, &Message::Handshake { from: 0 }).unwrap();
         let (mut conn, _) = peer.listener.accept().unwrap();
         drop(port);
@@ -796,6 +905,39 @@ mod tests {
             frame_kinds(&wire_bytes),
             ["hello", "handshake"],
             "nothing after the drop"
+        );
+    }
+
+    #[test]
+    fn dropped_port_closes_its_inbound_connections() {
+        use std::io::Read;
+        let (cluster, mut nodes) = loopback_cluster(3);
+        let node = nodes.remove(0);
+        let addr = node.local_addr().unwrap();
+        let mut port = node.into_port(&cluster, TcpOptions::default()).unwrap();
+        // A raw client dials the port the way a peer does.
+        let mut conn = TcpStream::connect(addr).unwrap();
+        for msg in [Message::Hello { from: 1 }, Message::Handshake { from: 1 }] {
+            let stamp = CausalStamp {
+                origin: 1,
+                lamport: 1,
+            };
+            let (head, body) = seal_frame(stamp, &msg);
+            write_frame(&mut conn, &head, body).unwrap();
+        }
+        assert_eq!(
+            port.recv_timeout(Duration::from_secs(5)).unwrap(),
+            Some(Message::Handshake { from: 1 })
+        );
+        drop(port);
+
+        conn.set_read_timeout(Some(Duration::from_secs(1))).unwrap();
+        let mut wire_bytes = Vec::new();
+        conn.read_to_end(&mut wire_bytes)
+            .expect("no end of stream within 1 s of the drop");
+        assert!(
+            wire_bytes.is_empty(),
+            "a port never writes to a peer's dial"
         );
     }
 }

@@ -18,7 +18,7 @@ use hadfl::{HadflConfig, HadflError};
 use hadfl_net::collector::{Collector, CollectorOptions, CollectorServer};
 use hadfl_net::ship::TcpShipper;
 use hadfl_telemetry::health::HealthOptions;
-use hadfl_telemetry::ship::{ShipOptions, ShipSink};
+use hadfl_telemetry::ship::{BatchShipper, ShipBatch, ShipOptions, ShipSink};
 use hadfl_telemetry::sink::Sink;
 use hadfl_telemetry::{
     Event, EventKind, FollowState, MetricsRegistry, RingBufferSink, Telemetry, SCHEMA_VERSION,
@@ -294,6 +294,75 @@ fn shutdown_closes_both_listeners_before_returning() {
         let err = TcpStream::connect(addr).expect_err("listener must be closed");
         assert_eq!(err.kind(), std::io::ErrorKind::ConnectionRefused, "{addr}");
     }
+}
+
+/// `shutdown` joins every ingest reader before its final tick: batches a
+/// shipper wrote just before it are all applied and spooled, none left
+/// behind by a reader that was still parsing.
+#[test]
+fn shutdown_applies_every_batch_shipped_before_it() {
+    const BATCHES: u64 = 200;
+    let spool = std::env::temp_dir().join(format!(
+        "hadfl-collector-shutdown-{}.jsonl",
+        std::process::id()
+    ));
+    let opts = CollectorOptions {
+        spool: Some(spool.clone()),
+        ..CollectorOptions::default()
+    };
+    let collector = Collector::new(WallClock::shared(), MetricsRegistry::new(), &opts)
+        .expect("collector setup");
+    let collector = Arc::new(Mutex::new(collector));
+    let server = CollectorServer::start(
+        "127.0.0.1:0",
+        "127.0.0.1:0",
+        Arc::clone(&collector),
+        Duration::from_millis(1),
+        opts.max_frame_bytes,
+    )
+    .expect("collector server");
+    let mut shipper = TcpShipper::new(
+        &server.ingest_addr().to_string(),
+        5,
+        hadfl_telemetry::LamportClock::new(),
+    );
+    let batch = |seq: u64| ShipBatch {
+        node: 5,
+        dropped: 0,
+        events: vec![ev(
+            5,
+            seq,
+            EventKind::Ledger {
+                sent_bytes: seq,
+                recv_bytes: 0,
+                frames: 1,
+            },
+        )],
+    };
+    // The first batch is staged once its connection was accepted.
+    shipper.ship(&batch(1)).expect("ship");
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while collector.lock().status().nodes.is_empty() {
+        assert!(Instant::now() < deadline, "the first batch never arrived");
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    // The rest queue up behind a reader that cannot stage them while
+    // the collector is held, and the server stops the moment it is not.
+    // They are small enough to sit in the collector's socket buffer:
+    // bytes still in the shipper's send buffer at stop are not read.
+    let held = collector.lock();
+    for seq in 2..=BATCHES {
+        shipper.ship(&batch(seq)).expect("ship");
+    }
+    drop(held);
+    server.shutdown();
+
+    let status = collector.lock().status();
+    assert_eq!(status.nodes[0].batches, BATCHES);
+    assert_eq!(status.events_applied, BATCHES);
+    let spooled = std::fs::read_to_string(&spool).expect("read spool");
+    assert_eq!(spooled.lines().count() as u64, BATCHES);
+    let _ = std::fs::remove_file(&spool);
 }
 
 /// Builds one scripted event; `lam` doubles as seq for brevity.

@@ -51,7 +51,8 @@ static ALLOC: LargestRequest = LargestRequest;
 
 /// What a hostile script announces, and what no test here may request.
 const HOSTILE: usize = 1 << 30;
-const READ_TIMEOUT: Duration = Duration::from_millis(5);
+/// How long a dribbling peer pauses between writes.
+const STALL: Duration = Duration::from_millis(20);
 
 fn assert_nothing_hostile_was_allocated() {
     let largest = LARGEST.load(Ordering::Relaxed);
@@ -73,7 +74,6 @@ fn victim_and_peer(max_frame_bytes: u32) -> (TcpPort, SocketAddr, TcpPort) {
         .collect();
     let cluster = ClusterConfig::from_addrs(&addrs).unwrap();
     let opts = TcpOptions {
-        read_timeout: READ_TIMEOUT,
         max_frame_bytes,
         ..TcpOptions::default()
     };
@@ -137,10 +137,11 @@ fn dribbled_param_frame_is_resumed_not_restarted() {
     let mut conn = TcpStream::connect(addr).unwrap();
     conn.set_nodelay(true).unwrap();
     conn.write_all(&hello()).unwrap();
-    // Stall — several read timeouts long — inside the length prefix,
-    // inside the head, one byte into the payload, and then after every
-    // 512th of the 1 KiB writes the payload goes out in.
-    let stall = || thread::sleep(READ_TIMEOUT * 4);
+    // Stall inside the length prefix, inside the head, one byte into the
+    // payload, and then after every 512th of the 1 KiB writes the
+    // payload goes out in: the reader wakes with a part of the frame
+    // each time.
+    let stall = || thread::sleep(STALL);
     let mut at = 0;
     for cut in [2, 4 + 9, 4 + MAX_PARAM_HEAD + 1] {
         conn.write_all(&bytes[at..cut]).unwrap();

@@ -2,10 +2,11 @@
 //! loops running over real sockets.
 
 use std::collections::BTreeSet;
+use std::sync::Arc;
 use std::thread;
 use std::time::Duration;
 
-use hadfl::clock::WallClock;
+use hadfl::clock::{ManualClock, WallClock};
 use hadfl::exec::{
     run_cluster, run_coordinator, run_device, run_threaded, CoordinatorRun, ProtocolTiming,
     ThreadedOptions, ThreadedRound,
@@ -20,12 +21,7 @@ use hadfl_telemetry::{EventKind, RingBufferSink, Telemetry};
 
 fn tcp_opts() -> TcpOptions {
     TcpOptions {
-        connect_timeout: Duration::from_millis(500),
-        read_timeout: Duration::from_millis(25),
         write_timeout: Duration::from_millis(500),
-        max_dial_attempts: 5,
-        backoff_base: Duration::from_millis(10),
-        backoff_cap: Duration::from_millis(100),
         max_frame_bytes: 8 << 20,
     }
 }
@@ -568,14 +564,21 @@ fn oversized_frames_are_rejected() {
 }
 
 /// The transport reports `InvalidConfig`, not a hang, when a peer's
-/// address never comes up (bounded redial budget).
+/// address never comes up (bounded redial budget). The port runs on a
+/// `ManualClock`, so the backoff between attempts takes no wall time.
 #[test]
 fn transport_errors_surface_as_hadfl_errors() {
     let (cluster, mut nodes) = bind_cluster(3);
     drop(nodes.remove(1));
-    let mut opts = tcp_opts();
-    opts.max_dial_attempts = 2;
-    let mut port = nodes.remove(0).into_port(&cluster, opts).unwrap();
+    let mut port = nodes
+        .remove(0)
+        .into_port_instrumented(
+            &cluster,
+            tcp_opts(),
+            Arc::new(ManualClock::new()),
+            Telemetry::disabled(),
+        )
+        .unwrap();
     match port.send(1, &Message::Shutdown) {
         Err(HadflError::InvalidConfig(msg)) => {
             assert!(msg.contains("unreachable"), "got: {msg}")

@@ -1021,6 +1021,44 @@ mod tests {
     }
 
     #[test]
+    fn private_pool_survives_panics_on_a_helper_and_on_the_dispatcher() {
+        // Two tasks, one helper: each thread holds its first task until
+        // the other has the second, so one task runs on each side and
+        // the panicking side is fixed. Its panic reaches the caller.
+        fn panic_on(pool: &mut WorkerPool, side: &str) {
+            let both_in = std::sync::Barrier::new(2);
+            let dispatcher = std::thread::current().id();
+            let caught = std::panic::catch_unwind(AssertUnwindSafe(|| {
+                pool.dispatch(2, 1, |_| {
+                    both_in.wait();
+                    let on_dispatcher = std::thread::current().id() == dispatcher;
+                    if on_dispatcher == (side == "dispatcher") {
+                        panic!("panic on the {side}");
+                    }
+                });
+            }));
+            let payload = caught.expect_err("the panic must reach the caller");
+            assert_eq!(
+                payload.downcast_ref::<String>().map(String::as_str),
+                Some(&*format!("panic on the {side}"))
+            );
+        }
+
+        let mut pool = WorkerPool::new();
+        let live = pool.liveness_probe();
+        panic_on(&mut pool, "helper");
+        panic_on(&mut pool, "dispatcher");
+        let hits = AtomicU64::new(0);
+        pool.dispatch(32, 1, |_| {
+            hits.fetch_add(1, Ordering::Relaxed);
+        });
+        assert_eq!(hits.load(Ordering::Relaxed), 32, "the pool still serves");
+        assert_eq!((pool.spawned_workers(), live()), (1, 1));
+        drop(pool);
+        assert_eq!(live(), 0, "worker threads leaked past drop");
+    }
+
+    #[test]
     fn pool_dispatches_record_into_an_installed_profiler() {
         use hadfl_prof::{ManualClock, Profiler};
         let prof = Profiler::new(0, std::sync::Arc::new(ManualClock::new()));
