@@ -125,12 +125,17 @@ impl Workload {
         let test =
             Dataset::synthetic_cifar(self.test_size, &self.data_spec, self.seed ^ 0x7E57_0000)?;
         let shards = train.shard(k, self.shard.into(), self.seed ^ 0x5A)?;
-        let init = self.model()?.param_vector();
-        let model_bytes = (init.len() * std::mem::size_of::<f32>()) as u64;
+        // `w₀` is the first replica's initialisation: every replica is
+        // built from the same seed, and each later one is set to it.
+        let mut init = Vec::new();
         let mut runtimes = Vec::with_capacity(k);
         for (i, shard) in shards.iter().enumerate() {
             let mut model = self.model()?;
-            model.set_param_vector(&init)?;
+            if i == 0 {
+                init = model.param_vector();
+            } else {
+                model.set_param_vector(&init)?;
+            }
             runtimes.push(DeviceRuntime::new(
                 model,
                 shard.clone(),
@@ -142,7 +147,7 @@ impl Workload {
             runtimes,
             test,
             train_size: self.train_size,
-            model_bytes,
+            model_bytes: (init.len() * std::mem::size_of::<f32>()) as u64,
             device_batch: self.device_batch,
         })
     }

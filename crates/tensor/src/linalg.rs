@@ -10,8 +10,9 @@
 //! memory before it is final. Per output element the additions still
 //! occur in strictly increasing `k` order with the `a == 0.0` skip —
 //! the same association as the naive ikj scalar loop — while
-//! [`matmul_a_bt`]'s row-dot uses the fixed eight-lane association of
-//! [`crate::simd`]. Both associations are pure functions of the
+//! [`matmul_a_bt`]'s row-dot ([`rows_a_bt`]) computes [`DOT_TILE`] dots
+//! per loaded chunk of a row, each with the fixed eight-lane association
+//! of [`crate::simd::dot8`]. Both associations are pure functions of the
 //! problem shape, so results are bit-identical to the scalar reference
 //! at any thread count and any blocking (the determinism contract of
 //! DESIGN.md §10).
@@ -19,6 +20,7 @@
 use hadfl_par::OpClass;
 
 use crate::error::TensorError;
+use crate::simd::{combine, LANES};
 use crate::tensor::Tensor;
 
 /// Fixed number of output rows per parallel band. A function of the
@@ -120,9 +122,18 @@ fn tile_product(
 }
 
 /// The shared micro-kernel driver: computes the `rows × n` block
-/// `A · B` (`rows ≤ ROW_BLOCK`) one [`COL_TILE`] at a time and hands
-/// each finished tile row to `emit(r, jt, values)`. `b` is row-major
-/// with `n` columns and one row per `k` of `lhs`.
+/// `A · B` (`rows ≤ ROW_BLOCK`) one column tile at a time and hands each
+/// finished tile row to `emit(r, jt, values)`, columns `jt..` in
+/// ascending order, each exactly once. `b` is row-major with `n` columns
+/// and one row per `k` of `lhs`.
+///
+/// A full row block only runs tiles of a fixed width — 16, 8 or 4
+/// columns — so its accumulators stay in registers at every `n`. A
+/// ragged remainder takes the narrowest of those widths that covers it
+/// and still fits in `n`, shifted left to end at column `n`: the columns
+/// it shares with the previous tile are computed again, with the same
+/// bits, and not emitted. Only `n < 4` and a ragged row block run the
+/// runtime-width tile.
 #[inline]
 pub(crate) fn block_product(
     lhs: Strided<'_>,
@@ -134,16 +145,34 @@ pub(crate) fn block_product(
     debug_assert!(rows <= ROW_BLOCK);
     let mut jt = 0;
     while jt < n {
-        let tile = (n - jt).min(COL_TILE);
-        let acc = if rows == ROW_BLOCK && tile == COL_TILE {
-            tile_product(lhs, b, n, jt, ROW_BLOCK, COL_TILE)
+        let left = n - jt;
+        let (j0, tile, acc) = if rows < ROW_BLOCK || n < 4 {
+            let tile = left.min(COL_TILE);
+            (jt, tile, tile_product(lhs, b, n, jt, rows, tile))
+        } else if left >= COL_TILE {
+            // Apart from the ragged arms: folded into their `match`, the
+            // whole tiles of the `n` = 144 and 288 layers ran 3–12 %
+            // slower.
+            let acc = tile_product(lhs, b, n, jt, ROW_BLOCK, COL_TILE);
+            (jt, COL_TILE, acc)
         } else {
-            tile_product(lhs, b, n, jt, rows, tile)
+            let width = match (left, n) {
+                (9.., COL_TILE..) => COL_TILE,
+                (5.., 8..) => 8,
+                _ => 4,
+            };
+            let j0 = jt.min(n - width);
+            let acc = match width {
+                4 => tile_product(lhs, b, n, j0, ROW_BLOCK, 4),
+                8 => tile_product(lhs, b, n, j0, ROW_BLOCK, 8),
+                _ => tile_product(lhs, b, n, j0, ROW_BLOCK, COL_TILE),
+            };
+            (j0, width, acc)
         };
         for (r, arow) in acc[..rows].iter().enumerate() {
-            emit(r, jt, &arow[..tile]);
+            emit(r, jt, &arow[jt - j0..tile]);
         }
-        jt += tile;
+        jt = j0 + tile;
     }
 }
 
@@ -265,31 +294,128 @@ pub fn matmul_a_bt(a: &Tensor, b: &Tensor) -> Result<Tensor, TensorError> {
     }
     let _prof = hadfl_prof::scope_bytes("matmul_a_bt", 4 * (a.len() + b.len() + m * n) as u64);
     let mut out = Tensor::zeros(&[m, n]);
-    let (av, bv) = (a.as_slice(), b.as_slice());
+    let av = a.as_slice();
+    let bt = PackedRows::new(b.as_slice(), ka, n);
     let work = (m as u64) * (ka as u64) * (n as u64);
     hadfl_par::plan_for(OpClass::Matmul, work).chunks_mut(
         out.as_mut_slice(),
         ROW_BAND * n.max(1),
-        |band, oband| rows_a_bt(&av[band * ROW_BAND * ka..], bv, ka, n, oband),
+        |band, oband| rows_a_bt(&av[band * ROW_BAND * ka..], &bt, None, oband, (n, 1)),
     );
     Ok(out)
 }
 
-/// `out[r, j] = dot8(a[r, ·], b[j, ·])` for the rows of `out` (row-major,
-/// `n` columns); `a` and `b` are row-major with `ka` columns. Both
-/// operands walk `k` contiguously, so the fixed eight-lane dot
-/// vectorizes this — the association depends only on `ka`.
+/// Dots per row-dot tile: [`rows_a_bt`] computes this many outputs of
+/// a row from each loaded eight-float chunk of it.
+const DOT_TILE: usize = 4;
+
+/// The right operand of [`rows_a_bt`]: the `n` rows of a row-major
+/// `n × ka` matrix, re-laid once per call as `[group of DOT_TILE
+/// rows][chunk of LANES][row][lane]` so that one tile's weights for one
+/// chunk are `DOT_TILE · LANES` consecutive floats. A ragged last group
+/// is zero-filled, and its padding rows are computed but never stored;
+/// a ragged last chunk is zero-filled for [`four_dots`]' tail.
+pub(crate) struct PackedRows {
+    w: Vec<f32>,
+    ka: usize,
+    n: usize,
+}
+
+impl PackedRows {
+    pub fn new(b: &[f32], ka: usize, n: usize) -> Self {
+        let chunks = ka.div_ceil(LANES);
+        let mut w = vec![0.0f32; n.div_ceil(DOT_TILE) * chunks * DOT_TILE * LANES];
+        for j in 0..n {
+            let (g, r) = (j / DOT_TILE, j % DOT_TILE);
+            for (c, xs) in b[j * ka..(j + 1) * ka].chunks(LANES).enumerate() {
+                let at = ((g * chunks + c) * DOT_TILE + r) * LANES;
+                w[at..at + xs.len()].copy_from_slice(xs);
+            }
+        }
+        PackedRows { w, ka, n }
+    }
+}
+
+/// `DOT_TILE` dots of one row with one packed group, lane by lane: the
+/// `LANES` accumulators of every dot before [`combine`]. Each loaded
+/// chunk of `arow` feeds all four dots; dot `j` sees exactly the terms
+/// of `dot8(arow, b[j, ·])` in the same lanes and order, the tail
+/// included, so its lanes are `dot8`'s.
+///
+/// The ragged tail runs as one more whole chunk: the row's last
+/// `ka % 8` floats followed by zeros, against the packed rows' zero
+/// fill. A padding lane adds `0 · 0 = +0.0` to an accumulator that
+/// started at `+0.0` and so is never `−0.0` (a sum is `−0.0` only when
+/// both addends are), and `x + (+0.0)` has the bits of every such `x`.
+/// The chunk is filled by a fixed eight-step loop: a `copy_from_slice`
+/// of the tail compiled to a `memcpy` call that spilled all 32
+/// accumulators, and the stem (`ka` 27) then ran 18 % slower than one
+/// `dot8` at a time instead of 30 % faster.
+#[inline(always)]
+fn four_dots(arow: &[f32], wg: &[f32]) -> [[f32; LANES]; DOT_TILE] {
+    let mut acc = [[0.0f32; LANES]; DOT_TILE];
+    let mut ac = arow.chunks_exact(LANES);
+    let mut wc = wg.chunks_exact(DOT_TILE * LANES);
+    for (xs, ws) in ac.by_ref().zip(wc.by_ref()) {
+        for (lanes, w) in acc.iter_mut().zip(ws.chunks_exact(LANES)) {
+            for ((l, &x), &y) in lanes.iter_mut().zip(xs).zip(w) {
+                *l += x * y;
+            }
+        }
+    }
+    // `zip` stops on `ac` first, so `wc` still holds the tail's chunk.
+    if let Some(ws) = wc.next() {
+        let mut xs = [0.0f32; LANES];
+        let rem = ac.remainder();
+        for (l, d) in xs.iter_mut().enumerate() {
+            if l < rem.len() {
+                *d = rem[l];
+            }
+        }
+        for (lanes, w) in acc.iter_mut().zip(ws.chunks_exact(LANES)) {
+            for ((l, &x), &y) in lanes.iter_mut().zip(&xs).zip(w) {
+                *l += x * y;
+            }
+        }
+    }
+    acc
+}
+
+/// `out[r·rs + j·cs] = dot8(a[r, ·], b[j, ·]) (+ bias[j])` for every row
+/// `r` of `a` (row-major, `bt.ka` columns) that `out` has room for, and
+/// `(rs, cs)` the output's row and column strides: `(n, 1)` for a
+/// row-major product, `(1, rows)` for an NCHW image window.
+///
+/// One tile is one row against a group of [`DOT_TILE`] packed rows, the
+/// group outermost so its weights stay in L1 while the rows stream past.
+/// Every stored element has the bits of one `dot8` — lane `i % 8`, the
+/// same tail, the same pairwise combine — and the bias is added to the
+/// finished dot, so the bits depend on `ka` alone.
 ///
 /// Kept out of line on purpose: [`matmul_a_bt`] and
 /// [`crate::conv_forward`] then run one compiled body. Inlined, the same
-/// source came out with the dot's chunk loop unrolled at one call site
-/// and not at the other (a measured 20–30 % apart).
+/// source came out with the chunk loop unrolled at one call site and not
+/// at the other (a measured 20–30 % apart).
 #[inline(never)]
-pub(crate) fn rows_a_bt(a: &[f32], b: &[f32], ka: usize, n: usize, out: &mut [f32]) {
-    for (r, orow) in out.chunks_mut(n).enumerate() {
-        let arow = &a[r * ka..(r + 1) * ka];
-        for (j, o) in orow.iter_mut().enumerate() {
-            *o = crate::simd::dot8(arow, &b[j * ka..(j + 1) * ka]);
+pub(crate) fn rows_a_bt(
+    a: &[f32],
+    bt: &PackedRows,
+    bias: Option<&[f32]>,
+    out: &mut [f32],
+    (rs, cs): (usize, usize),
+) {
+    let (ka, n) = (bt.ka, bt.n);
+    let rows = out.len().checked_div(n).unwrap_or(0);
+    let group = ka.div_ceil(LANES) * DOT_TILE * LANES;
+    for g in 0..n.div_ceil(DOT_TILE) {
+        let wg = &bt.w[g * group..(g + 1) * group];
+        let j0 = g * DOT_TILE;
+        for r in 0..rows {
+            let acc = four_dots(&a[r * ka..(r + 1) * ka], wg);
+            for (j, lanes) in (j0..n).zip(&acc) {
+                let dot = combine(*lanes);
+                out[r * rs + j * cs] = bias.map_or(dot, |b| dot + b[j]);
+            }
         }
     }
 }
@@ -384,6 +510,104 @@ mod tests {
         let bt = t(&[5.0, 7.0, 6.0, 8.0], &[2, 2]);
         let want = matmul(&a, &bt).unwrap();
         assert_eq!(got, want);
+    }
+
+    /// Values of varied magnitude, so that a changed association moves
+    /// bits, with exact zeros of both signs.
+    fn noisy(len: usize, seed: u64) -> Vec<f32> {
+        let mut rng = crate::init::SeedStream::new(seed);
+        (0..len)
+            .map(|i| match i % 11 {
+                0 => 0.0,
+                5 => -0.0,
+                _ => rng.normal() * 10f32.powi((i % 7) as i32 - 3),
+            })
+            .collect()
+    }
+
+    fn same_bits(got: &[f32], want: &[f32]) -> bool {
+        got.len() == want.len()
+            && got
+                .iter()
+                .zip(want)
+                .all(|(g, w)| g.to_bits() == w.to_bits() || (g.is_nan() && w.is_nan()))
+    }
+
+    #[test]
+    fn rows_a_bt_is_dot8_per_element_in_both_layouts() {
+        let rows = 3;
+        for ka in [0, 1, 7, 8, 9, 27, 288] {
+            for n in 1..=9 {
+                let a = noisy(rows * ka, 1);
+                let b = noisy(n * ka, 2);
+                let bias = noisy(n, 3);
+                let dot = |r: usize, j: usize| {
+                    crate::simd::dot8(&a[r * ka..(r + 1) * ka], &b[j * ka..(j + 1) * ka])
+                };
+                let bt = PackedRows::new(&b, ka, n);
+                // Row-major, no bias.
+                let mut out = vec![f32::NAN; rows * n];
+                rows_a_bt(&a, &bt, None, &mut out, (n, 1));
+                let want: Vec<f32> = (0..rows * n).map(|i| dot(i / n, i % n)).collect();
+                assert!(same_bits(&out, &want), "ka={ka} n={n} row-major");
+                // Channel-major with bias, as `conv_forward` writes it.
+                rows_a_bt(&a, &bt, Some(&bias), &mut out, (1, rows));
+                let want: Vec<f32> = (0..rows * n)
+                    .map(|i| dot(i % rows, i / rows) + bias[i / rows])
+                    .collect();
+                assert!(same_bits(&out, &want), "ka={ka} n={n} channel-major");
+            }
+        }
+    }
+
+    /// The scalar ikj loop: per element, ascending `k`, `a == 0` skipped.
+    fn ikj(a: &[f32], b: &[f32], m: usize, ka: usize, n: usize) -> Vec<f32> {
+        let mut out = vec![0.0f32; m * n];
+        for i in 0..m {
+            for j in 0..n {
+                for k in 0..ka {
+                    if a[i * ka + k] != 0.0 {
+                        out[i * n + j] += a[i * ka + k] * b[k * n + j];
+                    }
+                }
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn block_product_tails_keep_the_ikj_bits_and_the_zero_skip() {
+        let ka = 13;
+        for n in [8, 11, 27, 72] {
+            for (bad, poison) in [f32::INFINITY, f32::NEG_INFINITY, f32::NAN]
+                .into_iter()
+                .enumerate()
+            {
+                let mut a = noisy(ROW_BLOCK * ka, 4 + bad as u64);
+                let mut b = noisy(ka * n, 7);
+                // Row 0 has a zero under the poisoned `b` row, row 1 does not.
+                let k0 = (n + bad) % ka;
+                b[k0 * n..(k0 + 1) * n].fill(poison);
+                a[k0] = 0.0;
+                a[ka + k0] = 1.5;
+                let want = ikj(&a, &b, ROW_BLOCK, ka, n);
+                for rows in [ROW_BLOCK, 1] {
+                    let mut out = vec![0.0f32; rows * n];
+                    let mut hits = vec![0u32; rows * n];
+                    let lhs = Strided::new(&a, ka, 1, ka);
+                    block_product(lhs, &b, n, rows, |r, jt, vals| {
+                        for (j, &v) in (jt..).zip(vals) {
+                            out[r * n + j] = v;
+                            hits[r * n + j] += 1;
+                        }
+                    });
+                    assert!(hits.iter().all(|&h| h == 1), "n={n} rows={rows}: {hits:?}");
+                    assert!(same_bits(&out, &want[..rows * n]), "n={n} rows={rows}");
+                    assert!(out[..n].iter().all(|v| v.is_finite()), "n={n} rows={rows}");
+                }
+                assert!(want[n..].iter().all(|v| !v.is_finite()), "n={n}");
+            }
+        }
     }
 
     #[test]

@@ -25,7 +25,7 @@ pub const LANES: usize = 8;
 /// `((l0+l4)+(l2+l6)) + ((l1+l5)+(l3+l7))`. Part of the defined
 /// association; every kernel in this module funnels through it.
 #[inline]
-fn combine(acc: [f32; LANES]) -> f32 {
+pub(crate) fn combine(acc: [f32; LANES]) -> f32 {
     let s0 = acc[0] + acc[4];
     let s1 = acc[1] + acc[5];
     let s2 = acc[2] + acc[6];

@@ -140,10 +140,14 @@ proptest! {
 
     /// The register-tile kernels against the scalar ikj loop, over
     /// shapes that leave ragged row blocks, ragged column tiles, and
-    /// empty or single-step inner dimensions.
+    /// empty or single-step inner dimensions; and the four-dot row-dot
+    /// against per-element `dot8`, over depths of zero, one and two
+    /// whole eight-lane chunks with and without a tail, and widths past
+    /// two four-dot tiles.
     #[test]
     fn blocked_matmuls_equal_the_scalar_reference(
         m in 0usize..11, ka in 0usize..6, n in 0usize..37, seed in 0u64..1 << 16,
+        kd in 0usize..20, nd in 0usize..13,
     ) {
         let mut rng = SeedStream::new(seed);
         let a = with_zeros(&[m, ka], &mut rng);
@@ -153,6 +157,10 @@ proptest! {
         let at = with_zeros(&[ka, m], &mut rng);
         let got = matmul_at_b(&at, &b).unwrap();
         prop_assert!(same_floats(got.as_slice(), &matmul_at_b_ref(at.as_slice(), b.as_slice(), ka, m, n)));
+        let a = with_zeros(&[m, kd], &mut rng);
+        let bt = random(&[nd, kd], &mut rng);
+        let got = matmul_a_bt(&a, &bt).unwrap();
+        prop_assert!(same_floats(got.as_slice(), &matmul_a_bt_ref(a.as_slice(), bt.as_slice(), m, kd, nd)));
     }
 
     /// A non-finite `b` row is masked exactly where `a` is zero — row
@@ -186,10 +194,12 @@ proptest! {
         prop_assert_eq!(bits(&matmul_at_b(&at, &b).unwrap()), bits(&got));
     }
 
-    /// The three convolution products against their unfused definitions.
+    /// The three convolution products against their unfused definitions;
+    /// `oc` up to 9 draws two whole four-dot tiles of the forward
+    /// product and a ragged third.
     #[test]
     fn conv_products_equal_their_unfused_references(
-        batch in 1usize..4, cin in 1usize..4, oc in 1usize..7,
+        batch in 1usize..4, cin in 1usize..4, oc in 1usize..10,
         k in 1usize..4, s in 1usize..3, p in 0usize..2, seed in 0u64..1 << 16,
     ) {
         let geom = match Conv2dGeometry::new(cin, 6, 5, k, s, p) {
