@@ -386,8 +386,8 @@ fn four_dots(arow: &[f32], wg: &[f32]) -> [[f32; LANES]; DOT_TILE] {
 /// `(rs, cs)` the output's row and column strides: `(n, 1)` for a
 /// row-major product, `(1, rows)` for an NCHW image window.
 ///
-/// One tile is one row against a group of [`DOT_TILE`] packed rows, the
-/// group outermost so its weights stay in L1 while the rows stream past.
+/// One tile is one row against a group of [`DOT_TILE`] packed rows,
+/// groups in the outer loop (rows outermost measured the same).
 /// Every stored element has the bits of one `dot8` — lane `i % 8`, the
 /// same tail, the same pairwise combine — and the bias is added to the
 /// finished dot, so the bits depend on `ka` alone.
