@@ -781,8 +781,13 @@ impl<T: TrainState> DeviceActor<T> {
                     .start(&self.tel, now, "broadcast_blend", 0, round, self.me);
                 let prof = hadfl_prof::scope("broadcast_blend");
                 let mut local = self.train.params();
-                blend_params(&mut local, &params, self.blend_beta)?;
-                self.train.set_params(&local)?;
+                // A broadcast of another length is no model of this
+                // one: it is dropped and the local model stands. Asked
+                // here, so no peer can end this device by sending one.
+                if params.len() == local.len() {
+                    blend_params(&mut local, &params, self.blend_beta)?;
+                    self.train.set_params(&local)?;
+                }
                 drop(prof);
                 self.spans.end(&self.tel, now, "broadcast_blend", self.me);
                 self.begin_training(now, round + 1);

@@ -1020,6 +1020,31 @@ fn device_actor_single_steps_a_ring() {
     assert_eq!(actor.hint(t), DeviceHint::Finished);
 }
 
+/// A broadcast whose length is not the model's is dropped: the
+/// receiver keeps its parameters, stays up and goes on to the next
+/// round as after a blend; a well-sized one after it still blends.
+#[test]
+fn device_actor_drops_a_mis_sized_broadcast() {
+    let k = 2;
+    let mut hub = ChannelTransport::hub(k + 1);
+    let mut port = hub.claim(0).unwrap();
+    let mut actor = stub_actor(0, k);
+    let t = Duration::ZERO;
+    for params in [vec![], vec![9.0], vec![9.0; 3]] {
+        let sync = Message::ParamSync { round: 1, params };
+        actor.on_message(&mut port, sync, t).unwrap();
+        assert_eq!(actor.train().params, vec![1.0, 2.0]);
+        assert!(!actor.is_finished());
+        assert_eq!(actor.hint(t), DeviceHint::Train);
+    }
+    let sync = Message::ParamSync {
+        round: 2,
+        params: vec![3.0, 4.0],
+    };
+    actor.on_message(&mut port, sync, t).unwrap();
+    assert_eq!(actor.train().params, vec![2.0, 3.0]);
+}
+
 /// The §III-D bypass through its three entrances, in ring 2 → 0 → 1
 /// as member 0. Two timer firings — probe, then expired probe — bypass
 /// a dead upstream, exactly the schedule the checker explores; a

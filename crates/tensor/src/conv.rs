@@ -17,6 +17,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::error::TensorError;
 use crate::linalg::{block_product, rows_a_bt, PackedRows, Strided, ROW_BAND, ROW_BLOCK};
+use crate::simd::{dispatch, Isa};
 use crate::tensor::Tensor;
 
 /// Static geometry of a 2-D convolution: input extents, kernel, stride and
@@ -363,11 +364,14 @@ pub fn conv_forward(
     // Each image owns a disjoint `oc·ppi` window of the output and every
     // element is one fixed-association dot — bit-identical at any
     // thread count. Patch `p`, channel `c` lands at `c·ppi + p`.
-    let work = (rows as u64) * (width as u64) * (oc as u64);
+    let (work, isa) = ((rows as u64) * (width as u64) * (oc as u64), Isa::best());
     hadfl_par::plan_for(OpClass::Matmul, work).chunks_mut(
         out.as_mut_slice(),
         (oc * ppi).max(1),
-        |img, dimg| rows_a_bt(&cv[img * ppi * width..], &wt, Some(bv), dimg, (1, ppi)),
+        |img, dimg| {
+            let a = &cv[img * ppi * width..];
+            rows_a_bt(isa, a, &wt, Some(bv), dimg, (1, ppi));
+        },
     );
     Ok(out)
 }
@@ -400,36 +404,49 @@ pub fn conv_backward_weight(
     );
     let (gv, cv) = (grad_out.as_slice(), cols.as_slice());
     let work = (batch * ppi) as u64 * (width as u64) * (oc as u64);
+    let isa = Isa::best();
     hadfl_par::plan_for(OpClass::Matmul, work).chunks_mut(
         grad_weight.as_mut_slice(),
         ROW_BAND * width,
         |band, gband| {
-            for (blk, gblock) in gband.chunks_mut(ROW_BLOCK * width).enumerate() {
-                let c0 = band * ROW_BAND + blk * ROW_BLOCK;
-                // Filter rows c0.. of gpᵀ: the patch axis is contiguous
-                // within an image and restarts `oc·ppi` further on.
-                let lhs = Strided {
-                    a: gv,
-                    row_stride: ppi,
-                    k_stride: 1,
-                    depth: ppi,
-                    seg_stride: oc * ppi,
-                    segments: batch,
-                }
-                .skip_rows(c0);
-                block_product(lhs, cv, width, gblock.len() / width, |r, jt, vals| {
-                    for (g, &v) in gblock[r * width + jt..].iter_mut().zip(vals) {
-                        *g += v;
-                    }
-                });
-            }
+            // Filter rows of gpᵀ: the patch axis is contiguous within
+            // an image and restarts `oc·ppi` further on.
+            let gp = Strided {
+                a: gv,
+                row_stride: ppi,
+                k_stride: 1,
+                depth: ppi,
+                seg_stride: oc * ppi,
+                segments: batch,
+            };
+            weight_band(isa, gp.skip_rows(band * ROW_BAND), cv, width, gband);
         },
     );
     Ok(())
 }
 
+dispatch! {
+    /// One band of [`conv_backward_weight`]: `gband += gp · cols` for
+    /// the band's filter rows, which `gp` starts at; `cols` has `width`
+    /// columns.
+    fn weight_band(gp: Strided<'_>, cols: &[f32], width: usize, gband: &mut [f32]) = weight_band_body;
+}
+
+#[inline(always)]
+fn weight_band_body(gp: Strided<'_>, cols: &[f32], width: usize, gband: &mut [f32]) {
+    for (blk, gblock) in gband.chunks_mut(ROW_BLOCK * width).enumerate() {
+        let lhs = gp.skip_rows(blk * ROW_BLOCK);
+        block_product(lhs, cols, width, gblock.len() / width, |r, jt, vals| {
+            for (g, &v) in gblock[r * width + jt..].iter_mut().zip(vals) {
+                *g += v;
+            }
+        });
+    }
+}
+
 /// Accumulators in one [`gather_image`] tile: `PX` pixels × `CH` input
-/// channels is always this many floats, eight 128-bit registers.
+/// channels is always this many floats: eight 128-bit registers, or
+/// four 256-bit ones in the AVX2 compilation.
 const GATHER_TILE: usize = 32;
 
 /// What every tile of one image's gather reads: the zero-bordered
@@ -494,12 +511,23 @@ fn gather_tile<const PX: usize, const CH: usize>(
     acc
 }
 
+dispatch! {
+    /// [`gather_image_body`] on `isa`.
+    fn gather_image<const PX: usize, const CH: usize>(
+        g: &[f32],
+        wt: &[f32],
+        geom: &Conv2dGeometry,
+        dimg: &mut [f32],
+    ) = gather_image_body;
+}
+
 /// The stride-1 input gradient of one image, as a gather: every pixel
 /// of `dimg` (`C × H × W`) owns its accumulator from first tap to last
 /// and is stored once. `g` is the image's `oc × out_h × out_w` output
 /// gradient, `wt` the weight re-laid as `[tap][oc][c_pad]` with `c_pad`
 /// the channel count rounded up to `CH`.
-fn gather_image<const PX: usize, const CH: usize>(
+#[inline(always)]
+fn gather_image_body<const PX: usize, const CH: usize>(
     g: &[f32],
     wt: &[f32],
     geom: &Conv2dGeometry,
@@ -580,13 +608,31 @@ fn gather_input(
     geom: &Conv2dGeometry,
     dx: &mut [f32],
 ) {
-    type Gather = fn(&[f32], &[f32], &Conv2dGeometry, &mut [f32]);
+    type Gather = fn(Isa, &[f32], &[f32], &Conv2dGeometry, &mut [f32]);
     let (c_in, taps) = (geom.in_channels, geom.kernel * geom.kernel);
     let (ch, gather): (usize, Gather) = match c_in {
         c if c % 32 == 0 => (32, gather_image::<{ GATHER_TILE / 32 }, 32>),
         c if c % 16 == 0 => (16, gather_image::<{ GATHER_TILE / 16 }, 16>),
         _ => (8, gather_image::<{ GATHER_TILE / 8 }, 8>),
     };
+    let wt = gather_weight(wv, geom, ch);
+    let g_stride = wv.len() / (c_in * taps) * geom.patches_per_image();
+    let (dx_stride, isa) = (c_in * geom.in_h * geom.in_w, Isa::best());
+    plan.chunks_mut(dx, dx_stride, |img, dimg| {
+        gather(
+            isa,
+            &gv[img * g_stride..(img + 1) * g_stride],
+            &wt,
+            geom,
+            dimg,
+        );
+    });
+}
+
+/// The `oc × C·k·k` weight `wv` re-laid as `[tap][oc][c_pad]`, `c_pad`
+/// the channel count rounded up to `ch`, the padding zero.
+fn gather_weight(wv: &[f32], geom: &Conv2dGeometry, ch: usize) -> Vec<f32> {
+    let (c_in, taps) = (geom.in_channels, geom.kernel * geom.kernel);
     let (oc, c_pad) = (wv.len() / (c_in * taps), c_in.div_ceil(ch) * ch);
     let mut wt = vec![0.0f32; taps * oc * c_pad];
     for (o, wrow) in wv.chunks(c_in * taps).enumerate() {
@@ -596,11 +642,7 @@ fn gather_input(
             }
         }
     }
-    let g_stride = oc * geom.patches_per_image();
-    let dx_stride = c_in * geom.in_h * geom.in_w;
-    plan.chunks_mut(dx, dx_stride, |img, dimg| {
-        gather(&gv[img * g_stride..(img + 1) * g_stride], &wt, geom, dimg);
-    });
+    wt
 }
 
 /// The input gradient at any stride as product-then-scatter, one image
@@ -613,32 +655,52 @@ fn scatter_input(
     geom: &Conv2dGeometry,
     dx: &mut [f32],
 ) {
+    let (ppi, width) = (geom.patches_per_image(), geom.patch_len());
+    let oc = wv.len() / width;
+    let (dx_stride, isa) = (geom.in_channels * geom.in_h * geom.in_w, Isa::best());
+    plan.chunks_mut(dx, dx_stride, |img, dimg| {
+        scatter_image(isa, &gv[img * oc * ppi..][..oc * ppi], wv, geom, dimg);
+    });
+}
+
+dispatch! {
+    /// [`scatter_image_body`] on `isa`.
+    fn scatter_image(
+        g: &[f32],
+        wv: &[f32],
+        geom: &Conv2dGeometry,
+        dimg: &mut [f32],
+    ) = scatter_image_body;
+}
+
+/// The input gradient of one image at any stride: `g` is the image's
+/// `oc × ppi` output gradient, `wv` the `oc × patch_len` weight, `dimg`
+/// the image's `C × H × W` gradient, scatter-added into.
+#[inline(always)]
+fn scatter_image_body(g: &[f32], wv: &[f32], geom: &Conv2dGeometry, dimg: &mut [f32]) {
     let (ppi, width, ow) = (geom.patches_per_image(), geom.patch_len(), geom.out_w);
     let oc = wv.len() / width;
-    let dx_stride = geom.in_channels * geom.in_h * geom.in_w;
-    plan.chunks_mut(dx, dx_stride, |img, dimg| {
-        let mut tile = vec![0.0f32; ROW_BLOCK * width];
-        for p0 in (0..ppi).step_by(ROW_BLOCK) {
-            let rows = (ppi - p0).min(ROW_BLOCK);
-            let lhs = Strided::new(&gv[img * oc * ppi..], 1, ppi, oc).skip_rows(p0);
-            block_product(lhs, wv, width, rows, |r, jt, vals| {
-                tile[r * width + jt..r * width + jt + vals.len()].copy_from_slice(vals);
-            });
-            for (r, trow) in tile.chunks(width).take(rows).enumerate() {
-                let patch = p0 + r;
-                let add = |col: usize, off: usize, len: usize| {
-                    for (d, &v) in dimg[off..off + len].iter_mut().zip(&trow[col..col + len]) {
-                        *d += v;
-                    }
-                };
-                if geom.kernel == 3 {
-                    for_each_patch_run(geom, 3, patch / ow, patch % ow, add);
-                } else {
-                    for_each_patch_run(geom, geom.kernel, patch / ow, patch % ow, add);
+    let mut tile = vec![0.0f32; ROW_BLOCK * width];
+    for p0 in (0..ppi).step_by(ROW_BLOCK) {
+        let rows = (ppi - p0).min(ROW_BLOCK);
+        let lhs = Strided::new(g, 1, ppi, oc).skip_rows(p0);
+        block_product(lhs, wv, width, rows, |r, jt, vals| {
+            tile[r * width + jt..r * width + jt + vals.len()].copy_from_slice(vals);
+        });
+        for (r, trow) in tile.chunks(width).take(rows).enumerate() {
+            let patch = p0 + r;
+            let add = |col: usize, off: usize, len: usize| {
+                for (d, &v) in dimg[off..off + len].iter_mut().zip(&trow[col..col + len]) {
+                    *d += v;
                 }
+            };
+            if geom.kernel == 3 {
+                for_each_patch_run(geom, 3, patch / ow, patch % ow, add);
+            } else {
+                for_each_patch_run(geom, geom.kernel, patch / ow, patch % ow, add);
             }
         }
-    });
+    }
 }
 
 /// The input gradient `dx = im2col*(gp · weight)` — the adjoint of
@@ -697,6 +759,7 @@ pub fn conv_backward_input(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::simd::on_every_isa;
 
     #[test]
     fn geometry_same_padding() {
@@ -815,6 +878,131 @@ mod tests {
             (lhs - rhs).abs() < 1e-2 * lhs.abs().max(1.0),
             "{lhs} vs {rhs}"
         );
+    }
+
+    /// One conv layer's operands for the A/B tests: a batch of two
+    /// 5×7 images (ragged pixel tiles) and `OC` output channels (a
+    /// ragged band of filter rows), with signed zeros in the gradient.
+    /// Two rows are non-finite under a zero: output channel 0's weight,
+    /// whose gradient is all zero, and the first patch row of `cols`,
+    /// whose gradient is zero in every even output channel.
+    struct Layer {
+        geom: Conv2dGeometry,
+        gy: Tensor,
+        w: Tensor,
+        cols: Tensor,
+    }
+
+    const OC: usize = 11;
+    const CHANNELS: [usize; 5] = [3, 5, 8, 16, 32];
+
+    fn layer(c: usize, stride: usize, seed: u64) -> Layer {
+        let geom = Conv2dGeometry::new(c, 5, 7, 3, stride, 1).unwrap();
+        let (ppi, width) = (geom.patches_per_image(), geom.patch_len());
+        let mut rng = crate::init::SeedStream::new(seed);
+        let mut gy = random(&[2, OC, geom.out_h, geom.out_w], &mut rng);
+        for (i, v) in gy.as_mut_slice().iter_mut().enumerate() {
+            let (o, p) = (i / ppi % OC, i % ppi);
+            if o == 0 || i % 7 == 0 || (o % 2 == 0 && p == 0) {
+                *v = if i % 2 == 0 { 0.0 } else { -0.0 };
+            }
+        }
+        let mut w = random(&[OC, width], &mut rng);
+        w.as_mut_slice()[..width].fill([f32::INFINITY, f32::NAN][c % 2]);
+        let x = random(&[2, c, 5, 7], &mut rng);
+        let mut cols = im2col(&x, &geom).unwrap();
+        cols.as_mut_slice()[..width].fill([f32::NEG_INFINITY, f32::NAN][c % 2]);
+        Layer { geom, gy, w, cols }
+    }
+
+    /// Both compilations of `weight_band`, band by band as
+    /// [`conv_backward_weight`] runs them, against each other and
+    /// against it.
+    #[test]
+    fn weight_band_agrees_on_every_isa() {
+        for c in CHANNELS {
+            for stride in [1, 2] {
+                let Layer { geom, gy, cols, .. } = layer(c, stride, 41);
+                let (ppi, width) = (geom.patches_per_image(), geom.patch_len());
+                let mut want = Tensor::zeros(&[OC, width]);
+                conv_backward_weight(&gy, &cols, &geom, &mut want).unwrap();
+                let got = on_every_isa(&format!("c={c} stride={stride}"), |isa| {
+                    let mut gw = vec![0.0f32; OC * width];
+                    for (band, gband) in gw.chunks_mut(ROW_BAND * width).enumerate() {
+                        let gp = Strided {
+                            a: gy.as_slice(),
+                            row_stride: ppi,
+                            k_stride: 1,
+                            depth: ppi,
+                            seg_stride: OC * ppi,
+                            segments: 2,
+                        };
+                        let gp = gp.skip_rows(band * ROW_BAND);
+                        weight_band(isa, gp, cols.as_slice(), width, gband);
+                    }
+                    gw
+                });
+                assert_eq!(bits(&got), bits(want.as_slice()), "c={c} stride={stride}");
+                assert!(got[..width].iter().all(|v| v.is_finite()), "c={c}");
+            }
+        }
+    }
+
+    /// All three `gather_image` instantiations, each on both
+    /// compilations, against each other and against
+    /// [`conv_backward_input`] (stride 1, where it gathers).
+    #[test]
+    fn gather_image_agrees_on_every_isa_and_tile() {
+        type Gather = fn(Isa, &[f32], &[f32], &Conv2dGeometry, &mut [f32]);
+        let tiles: [(usize, Gather); 3] = [
+            (8, gather_image::<{ GATHER_TILE / 8 }, 8>),
+            (16, gather_image::<{ GATHER_TILE / 16 }, 16>),
+            (32, gather_image::<{ GATHER_TILE / 32 }, 32>),
+        ];
+        for c in CHANNELS {
+            let Layer { geom, gy, w, .. } = layer(c, 1, 43);
+            let want = conv_backward_input(&gy, &w, &geom).unwrap();
+            let img = OC * geom.patches_per_image();
+            for (ch, gather) in tiles {
+                let wt = gather_weight(w.as_slice(), &geom, ch);
+                let got = on_every_isa(&format!("c={c} ch={ch}"), |isa| {
+                    let mut dx = vec![f32::NAN; want.len()];
+                    for (g, dimg) in gy.as_slice().chunks(img).zip(dx.chunks_mut(want.len() / 2)) {
+                        gather(isa, g, &wt, &geom, dimg);
+                    }
+                    dx
+                });
+                assert_eq!(bits(&got), bits(want.as_slice()), "c={c} ch={ch}");
+                assert!(got.iter().all(|v| v.is_finite()), "c={c} ch={ch}");
+            }
+        }
+    }
+
+    /// Both compilations of `scatter_image`, image by image, against
+    /// each other and against [`conv_backward_input`] at stride 2; at
+    /// stride 1, where that gathers instead, against the gather's bits.
+    #[test]
+    fn scatter_image_agrees_on_every_isa() {
+        for c in CHANNELS {
+            for stride in [1, 2] {
+                let Layer { geom, gy, w, .. } = layer(c, stride, 47);
+                let want = conv_backward_input(&gy, &w, &geom).unwrap();
+                let img = OC * geom.patches_per_image();
+                let got = on_every_isa(&format!("c={c} stride={stride}"), |isa| {
+                    let mut dx = vec![0.0f32; want.len()];
+                    for (g, dimg) in gy.as_slice().chunks(img).zip(dx.chunks_mut(want.len() / 2)) {
+                        scatter_image(isa, g, w.as_slice(), &geom, dimg);
+                    }
+                    dx
+                });
+                assert_eq!(bits(&got), bits(want.as_slice()), "c={c} stride={stride}");
+                assert!(got.iter().all(|v| v.is_finite()), "c={c} stride={stride}");
+            }
+        }
+    }
+
+    fn bits(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|x| x.to_bits()).collect()
     }
 
     #[test]

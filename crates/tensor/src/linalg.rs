@@ -20,7 +20,7 @@
 use hadfl_par::OpClass;
 
 use crate::error::TensorError;
-use crate::simd::{combine, LANES};
+use crate::simd::{combine, dispatch, Isa, LANES};
 use crate::tensor::Tensor;
 
 /// Fixed number of output rows per parallel band. A function of the
@@ -134,7 +134,11 @@ fn tile_product(
 /// it shares with the previous tile are computed again, with the same
 /// bits, and not emitted. Only `n < 4` and a ragged row block run the
 /// runtime-width tile.
-#[inline]
+///
+/// Forced inline, like [`tile_product`]: it is part of the body of
+/// every kernel that calls it, and so compiled for each [`Isa`] the
+/// kernel is.
+#[inline(always)]
 pub(crate) fn block_product(
     lhs: Strided<'_>,
     b: &[f32],
@@ -176,9 +180,14 @@ pub(crate) fn block_product(
     }
 }
 
-/// Fills one output band (`oband`, row-major with `n` columns) with
-/// `A · B`, where `lhs` views the band's rows of `A`.
-fn band_product(lhs: Strided<'_>, b: &[f32], n: usize, oband: &mut [f32]) {
+dispatch! {
+    /// Fills one output band (`oband`, row-major with `n` columns) with
+    /// `A · B`, where `lhs` views the band's rows of `A`.
+    fn band_product(lhs: Strided<'_>, b: &[f32], n: usize, oband: &mut [f32]) = band_product_body;
+}
+
+#[inline(always)]
+fn band_product_body(lhs: Strided<'_>, b: &[f32], n: usize, oband: &mut [f32]) {
     for (blk, oblock) in oband.chunks_mut(ROW_BLOCK * n).enumerate() {
         let view = lhs.skip_rows(blk * ROW_BLOCK);
         block_product(view, b, n, oblock.len() / n, |r, jt, vals| {
@@ -231,13 +240,13 @@ pub fn matmul(a: &Tensor, b: &Tensor) -> Result<Tensor, TensorError> {
     let _prof = hadfl_prof::scope_bytes("matmul", 4 * (a.len() + b.len() + m * n) as u64);
     let mut out = Tensor::zeros(&[m, n]);
     let (av, bv) = (a.as_slice(), b.as_slice());
-    let work = (m as u64) * (ka as u64) * (n as u64);
+    let (work, isa) = ((m as u64) * (ka as u64) * (n as u64), Isa::best());
     hadfl_par::plan_for(OpClass::Matmul, work).chunks_mut(
         out.as_mut_slice(),
         ROW_BAND * n.max(1),
         |band, oband| {
             let lhs = Strided::new(av, ka, 1, ka).skip_rows(band * ROW_BAND);
-            band_product(lhs, bv, n, oband);
+            band_product(isa, lhs, bv, n, oband);
         },
     );
     Ok(out)
@@ -265,11 +274,11 @@ pub fn matmul_at_b(a: &Tensor, b: &Tensor) -> Result<Tensor, TensorError> {
     let _prof = hadfl_prof::scope_bytes("matmul_at_b", 4 * (a.len() + b.len() + m * n) as u64);
     let mut out = Tensor::zeros(&[m, n]);
     let (av, bv) = (a.as_slice(), b.as_slice());
-    let work = (m as u64) * (ka as u64) * (n as u64);
+    let (work, isa) = ((m as u64) * (ka as u64) * (n as u64), Isa::best());
     let plan = hadfl_par::plan_for(OpClass::Matmul, work);
     plan.chunks_mut(out.as_mut_slice(), ROW_BAND * n.max(1), |band, oband| {
         let lhs = Strided::new(av, 1, m, ka).skip_rows(band * ROW_BAND);
-        band_product(lhs, bv, n, oband);
+        band_product(isa, lhs, bv, n, oband);
     });
     Ok(out)
 }
@@ -296,11 +305,14 @@ pub fn matmul_a_bt(a: &Tensor, b: &Tensor) -> Result<Tensor, TensorError> {
     let mut out = Tensor::zeros(&[m, n]);
     let av = a.as_slice();
     let bt = PackedRows::new(b.as_slice(), ka, n);
-    let work = (m as u64) * (ka as u64) * (n as u64);
+    let (work, isa) = ((m as u64) * (ka as u64) * (n as u64), Isa::best());
     hadfl_par::plan_for(OpClass::Matmul, work).chunks_mut(
         out.as_mut_slice(),
         ROW_BAND * n.max(1),
-        |band, oband| rows_a_bt(&av[band * ROW_BAND * ka..], &bt, None, oband, (n, 1)),
+        |band, oband| {
+            let a = &av[band * ROW_BAND * ka..];
+            rows_a_bt(isa, a, &bt, None, oband, (n, 1));
+        },
     );
     Ok(out)
 }
@@ -381,6 +393,22 @@ fn four_dots(arow: &[f32], wg: &[f32]) -> [[f32; LANES]; DOT_TILE] {
     acc
 }
 
+dispatch! {
+    /// [`rows_a_bt_body`] on `isa`, kept out of line on purpose:
+    /// [`matmul_a_bt`] and [`crate::conv_forward`] then run one compiled
+    /// body per [`Isa`]. Inlined, the same source came out with the
+    /// chunk loop unrolled at one call site and not at the other (a
+    /// measured 20–30 % apart).
+    #[inline(never)]
+    pub(crate) fn rows_a_bt(
+        a: &[f32],
+        bt: &PackedRows,
+        bias: Option<&[f32]>,
+        out: &mut [f32],
+        strides: (usize, usize),
+    ) = rows_a_bt_body;
+}
+
 /// `out[r·rs + j·cs] = dot8(a[r, ·], b[j, ·]) (+ bias[j])` for every row
 /// `r` of `a` (row-major, `bt.ka` columns) that `out` has room for, and
 /// `(rs, cs)` the output's row and column strides: `(n, 1)` for a
@@ -391,13 +419,8 @@ fn four_dots(arow: &[f32], wg: &[f32]) -> [[f32; LANES]; DOT_TILE] {
 /// Every stored element has the bits of one `dot8` — lane `i % 8`, the
 /// same tail, the same pairwise combine — and the bias is added to the
 /// finished dot, so the bits depend on `ka` alone.
-///
-/// Kept out of line on purpose: [`matmul_a_bt`] and
-/// [`crate::conv_forward`] then run one compiled body. Inlined, the same
-/// source came out with the chunk loop unrolled at one call site and not
-/// at the other (a measured 20–30 % apart).
-#[inline(never)]
-pub(crate) fn rows_a_bt(
+#[inline(always)]
+fn rows_a_bt_body(
     a: &[f32],
     bt: &PackedRows,
     bias: Option<&[f32]>,
@@ -454,6 +477,7 @@ pub fn outer(a: &Tensor, b: &Tensor) -> Result<Tensor, TensorError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::simd::on_every_isa;
 
     fn t(data: &[f32], dims: &[usize]) -> Tensor {
         Tensor::from_vec(data.to_vec(), dims).unwrap()
@@ -533,25 +557,40 @@ mod tests {
                 .all(|(g, w)| g.to_bits() == w.to_bits() || (g.is_nan() && w.is_nan()))
     }
 
+    /// Both compilations of [`rows_a_bt`] against each other and
+    /// against `dot8`, with a non-finite `b` row against a zero `a` row:
+    /// a dot has no zero skip, so those elements are NaN, and the two
+    /// compilations must agree on their bits too.
     #[test]
-    fn rows_a_bt_is_dot8_per_element_in_both_layouts() {
+    fn rows_a_bt_is_dot8_per_element_in_both_layouts_on_every_isa() {
         let rows = 3;
         for ka in [0, 1, 7, 8, 9, 27, 288] {
             for n in 1..=9 {
-                let a = noisy(rows * ka, 1);
-                let b = noisy(n * ka, 2);
+                let mut a = noisy(rows * ka, 1);
+                let mut b = noisy(n * ka, 2);
+                if ka > 0 {
+                    a[..ka].fill(0.0);
+                    b[..ka].fill([f32::INFINITY, f32::NEG_INFINITY, f32::NAN][n % 3]);
+                }
                 let bias = noisy(n, 3);
                 let dot = |r: usize, j: usize| {
                     crate::simd::dot8(&a[r * ka..(r + 1) * ka], &b[j * ka..(j + 1) * ka])
                 };
                 let bt = PackedRows::new(&b, ka, n);
                 // Row-major, no bias.
-                let mut out = vec![f32::NAN; rows * n];
-                rows_a_bt(&a, &bt, None, &mut out, (n, 1));
+                let out = on_every_isa(&format!("ka={ka} n={n} row-major"), |isa| {
+                    let mut out = vec![f32::NAN; rows * n];
+                    rows_a_bt(isa, &a, &bt, None, &mut out, (n, 1));
+                    out
+                });
                 let want: Vec<f32> = (0..rows * n).map(|i| dot(i / n, i % n)).collect();
                 assert!(same_bits(&out, &want), "ka={ka} n={n} row-major");
                 // Channel-major with bias, as `conv_forward` writes it.
-                rows_a_bt(&a, &bt, Some(&bias), &mut out, (1, rows));
+                let out = on_every_isa(&format!("ka={ka} n={n} channel-major"), |isa| {
+                    let mut out = vec![f32::NAN; rows * n];
+                    rows_a_bt(isa, &a, &bt, Some(&bias), &mut out, (1, rows));
+                    out
+                });
                 let want: Vec<f32> = (0..rows * n)
                     .map(|i| dot(i % rows, i / rows) + bias[i / rows])
                     .collect();
@@ -606,6 +645,39 @@ mod tests {
                     assert!(out[..n].iter().all(|v| v.is_finite()), "n={n} rows={rows}");
                 }
                 assert!(want[n..].iter().all(|v| !v.is_finite()), "n={n}");
+            }
+        }
+    }
+
+    /// Both compilations of [`band_product`] against each other and
+    /// against the ikj loop: full and ragged row blocks and bands,
+    /// `n < 4`, the ragged column widths, and a non-finite `b` row that
+    /// only the rows with a zero above it skip.
+    #[test]
+    fn band_product_agrees_on_every_isa() {
+        for ka in [0, 1, 7, 8, 9, 27] {
+            for m in [1, 2, 3, 8, 11] {
+                for n in (1..=9).chain([11, 16, 27, 72]) {
+                    let mut a = noisy(m * ka, 5);
+                    let mut b = noisy(ka * n, 6);
+                    if ka > 0 {
+                        let k0 = n % ka;
+                        b[k0 * n..(k0 + 1) * n].fill([f32::INFINITY, f32::NAN][m % 2]);
+                        for i in (0..m).step_by(2) {
+                            a[i * ka + k0] = 0.0;
+                        }
+                    }
+                    let out = on_every_isa(&format!("ka={ka} m={m} n={n}"), |isa| {
+                        let mut out = vec![f32::NAN; m * n];
+                        for (band, oband) in out.chunks_mut(ROW_BAND * n).enumerate() {
+                            let lhs = Strided::new(&a, ka, 1, ka).skip_rows(band * ROW_BAND);
+                            band_product(isa, lhs, &b, n, oband);
+                        }
+                        out
+                    });
+                    let want = ikj(&a, &b, m, ka, n);
+                    assert!(same_bits(&out, &want), "ka={ka} m={m} n={n}");
+                }
             }
         }
     }

@@ -1,4 +1,5 @@
-//! Fixed-association SIMD reduction primitives.
+//! Fixed-association SIMD reduction primitives, and the dispatch that
+//! runs the hot kernels on the widest instruction set the CPU has.
 //!
 //! The scalar reductions these replace (`acc += x*y` down a slice) are
 //! latency-bound: every addition waits on the previous one, so the
@@ -16,6 +17,30 @@
 //! Multiplies and adds are kept as separate IEEE operations (no
 //! `mul_add`): Rust never contracts `a + x * y` into an FMA on its
 //! own, so the bit pattern is stable across opt levels and targets.
+//!
+//! # One body, two compilations
+//!
+//! A build for the x86-64 baseline vectorizes for SSE2: four lanes, so
+//! the eight accumulator lanes of a dot take two registers. The conv
+//! and matmul kernels (`linalg`'s row-dot and band product, the conv
+//! weight gradient's band, both input-gradient bodies) are therefore
+//! each written once, as an `#[inline(always)]` function, and the
+//! private `dispatch!` macro compiles that body twice: once for the
+//! baseline and once inside an `avx2` function, where the same eight
+//! lanes fill one 256-bit register. Each call names the instruction
+//! set it runs on, normally the widest the CPU has ([`kernel_isa`]
+//! says which). Both compilations perform the same IEEE operations in
+//! the same order, so the bits do not depend on which one ran; the
+//! unit tests run every kernel on both and compare bits.
+//!
+//! The AVX2 compilation enables `avx2` and nothing else: with `fma`
+//! LLVM still would not contract `a + x * y`, so FMA would buy nothing
+//! the bit contract allows. The body is a named function the `avx2`
+//! wrapper calls directly, never a closure: a closure is compiled where
+//! it is written, outside the wrapper, and the wrapper then came out as
+//! a jump into the baseline code.
+//!
+//! On other architectures the body is compiled once.
 
 /// Accumulator lanes. Eight f32 lanes fill one AVX2 register and two
 /// NEON registers — enough to hide FP add latency on either.
@@ -82,6 +107,106 @@ pub fn sum_sq8(v: &[f32]) -> f32 {
         *l += x * x;
     }
     combine(acc)
+}
+
+/// Writes a kernel's dispatcher: `fn name(isa, args..)` that runs the
+/// `#[inline(always)]` body `body(args..)` compiled for `isa`.
+///
+/// ```text
+/// dispatch! {
+///     /// docs
+///     pub(crate) fn rows_a_bt(a: &[f32], ..) = rows_a_bt_body;
+/// }
+/// ```
+///
+/// Const generic parameters go after the name, as in a `fn`, and are
+/// passed on to the body. The dispatcher itself holds the baseline
+/// compilation; attributes written above it (`#[inline(never)]`) apply
+/// to that one. `Isa::Avx2` on a CPU without AVX2 runs the baseline.
+/// `dispatch!(@has_avx2)` is the CPU check.
+macro_rules! dispatch {
+    (@has_avx2) => {{
+        #[cfg(target_arch = "x86_64")]
+        let has = std::is_x86_feature_detected!("avx2");
+        #[cfg(not(target_arch = "x86_64"))]
+        let has = false;
+        has
+    }};
+    (
+        $(#[$attr:meta])*
+        $vis:vis fn $name:ident $(<$(const $c:ident: $ct:ty),*>)?
+            ($($arg:ident: $ty:ty),* $(,)?) $(-> $ret:ty)? = $body:ident;
+    ) => {
+        $(#[$attr])*
+        $vis fn $name $(<$(const $c: $ct),*>)?
+            (isa: $crate::simd::Isa, $($arg: $ty),*) $(-> $ret)? {
+            #[cfg(target_arch = "x86_64")]
+            if isa == $crate::simd::Isa::Avx2 && $crate::simd::dispatch!(@has_avx2) {
+                #[target_feature(enable = "avx2")]
+                fn avx2 $(<$(const $c: $ct),*>)? ($($arg: $ty),*) $(-> $ret)? {
+                    $body $(::<$($c),*>)? ($($arg),*)
+                }
+                // SAFETY: `avx2` is safe code whose only requirement is
+                // a CPU that runs AVX2, and this one has just said so.
+                return unsafe { avx2 $(::<$($c),*>)? ($($arg),*) };
+            }
+            #[cfg(not(target_arch = "x86_64"))]
+            let _ = isa;
+            $body $(::<$($c),*>)? ($($arg),*)
+        }
+    };
+}
+pub(crate) use dispatch;
+
+/// The instruction sets the dispatched kernels are compiled for.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum Isa {
+    /// The target's baseline (SSE2 on x86-64).
+    Baseline,
+    /// AVX2, taken only when the CPU says it has it.
+    Avx2,
+}
+
+impl Isa {
+    /// The widest instruction set this CPU runs: what every call in
+    /// the crate dispatches to.
+    pub(crate) fn best() -> Isa {
+        if dispatch!(@has_avx2) {
+            Isa::Avx2
+        } else {
+            Isa::Baseline
+        }
+    }
+}
+
+/// Which compilation of the conv and matmul kernels runs in this
+/// process: `"avx2"` or `"baseline"`. Printed beside kernel timings so
+/// a table says what it measured.
+pub fn kernel_isa() -> &'static str {
+    match Isa::best() {
+        Isa::Baseline => "baseline",
+        Isa::Avx2 => "avx2",
+    }
+}
+
+/// Runs `run` on every instruction set this CPU has, baseline first,
+/// asserts that the results agree bit for bit (NaN payloads included)
+/// and returns the baseline's. Without AVX2 it says so and runs the
+/// baseline alone.
+#[cfg(test)]
+pub(crate) fn on_every_isa(what: &str, mut run: impl FnMut(Isa) -> Vec<f32>) -> Vec<f32> {
+    let base = run(Isa::Baseline);
+    if Isa::best() == Isa::Baseline {
+        eprintln!("{what}: this CPU has no AVX2, checking the baseline only");
+        return base;
+    }
+    let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    assert_eq!(
+        bits(&run(Isa::Avx2)),
+        bits(&base),
+        "{what}: avx2 against baseline"
+    );
+    base
 }
 
 #[cfg(test)]

@@ -2,7 +2,9 @@
 //! `hadfl_prof` for one device of a quick workload, one thread or many
 //! (`HADFL_THREADS`). The scopes are the ones `hadfl-trace profile` and
 //! the `hadfl_op_*` metrics report; this is the same ledger without a
-//! cluster around it — the before/after table of a kernel change.
+//! cluster around it — the before/after table of a kernel change. The
+//! header names the instruction set the conv and matmul kernels ran on
+//! (`avx2` or `baseline`), so a table says what it measured.
 //!
 //! Run: `cargo run --release --example profile_step -- [model] [steps]`
 //! (default `resnet18_lite 1000`)
@@ -48,7 +50,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     rows.sort_by_key(|&(name, (self_ns, _))| (std::cmp::Reverse(self_ns), name));
 
     let per_step = |v: u64| v as f64 / steps as f64;
-    println!("{model}, {steps} steps, self time per step");
+    println!(
+        "{model}, {steps} steps, self time per step, {} kernels",
+        hadfl_tensor::simd::kernel_isa()
+    );
     println!("{:<24} {:>10} {:>11}", "scope", "us/step", "calls/step");
     for (name, (self_ns, count)) in &rows {
         println!(
