@@ -705,6 +705,38 @@ fn virtual_cluster_stream_is_byte_identical_across_runs() {
     assert_eq!(jsonl(), jsonl());
 }
 
+/// The virtual cluster's event streams, pinned by FNV-1a fingerprint
+/// of their JSONL and by length: a refactor of the actors that reorders
+/// a span or an event, or adds or loses one, changes the fingerprint
+/// even though every run still equals itself.
+#[test]
+fn virtual_cluster_streams_match_pinned_fingerprints() {
+    let fingerprint = |k, num_selected, kills: &[(usize, Duration)]| {
+        let (_, _, events) =
+            instrumented_virtual_run(k, num_selected, Duration::from_millis(60), kills);
+        let hash = events.iter().fold(0xcbf2_9ce4_8422_2325, |h, e| {
+            let line = e.to_json().unwrap() + "\n";
+            line.bytes().fold(h, |h, b| {
+                (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+            })
+        });
+        (hash, events.len())
+    };
+    // A ring of 3 of 4 with device 1 killed at 90 ms: a §III-D bypass
+    // inside the ring.
+    assert_eq!(
+        fingerprint(4, 3, &[(1, Duration::from_millis(90))]),
+        (8288881713135238642, 157),
+        "bypass inside the ring"
+    );
+    // A ring of 2 of 3 whose broadcaster serves the third device.
+    assert_eq!(
+        fingerprint(3, 2, &[]),
+        (13994083135427376221, 122),
+        "ring and broadcast"
+    );
+}
+
 /// One `FrameSent` per frame a port charged to the hub's ledger — a
 /// §III-D bypass re-send included — so summing the stream gives the
 /// ledger's [`CommSummary`], field for field.
