@@ -20,9 +20,15 @@
 //! [`DeviceActor::on_message`] / [`CoordinatorActor::on_message`] for a
 //! delivered frame, [`DeviceActor::on_timer`] /
 //! [`CoordinatorActor::on_timer`] for an elapsed deadline,
-//! [`DeviceActor::on_idle`] for a local training step. `hadfl-check`
-//! schedules these very actors exhaustively through every message
-//! ordering, in virtual zero-time.
+//! [`DeviceActor::on_idle`] for a local training step. Inside the
+//! device actor, the §III-D ring is one more step function: `ring.rs`'s
+//! `RingMember::step` takes an event (a plan, a ring frame, a timer, an
+//! ack, a warning) and returns the actions it implies (send,
+//! accumulate, install, probe, warn, bypass, exit). It is pure — no
+//! port, clock, model or telemetry — and [`DeviceActor`] is the shell
+//! that maps each action onto those. `hadfl-check` schedules these very
+//! actors exhaustively through every message ordering, in virtual
+//! zero-time.
 //!
 //! The drivers (`run.rs`) pump a port into an actor. The blocking
 //! entry points [`run_device`] and [`run_coordinator`] exist in one
@@ -45,7 +51,9 @@
 //! probed with [`Message::Handshake`]; absent an ack, the prober
 //! broadcasts [`Message::BypassWarning`] and the ring closes around the
 //! dead device, the dead device's upstream re-sending its last frame to
-//! its new downstream. The coordinator also drops devices that miss a
+//! its new downstream. A ring frame whose length is not the receiver's
+//! model's takes the same path: the receiver bypasses its upstream, the
+//! frame's only sender, and goes on. The coordinator also drops devices that miss a
 //! report deadline and excludes them from later plans.
 //!
 //! [`Port`]: crate::transport::Port
@@ -75,6 +83,7 @@ use hadfl_simnet::DeviceId;
 
 mod coordinator;
 mod device;
+mod ring;
 mod run;
 #[cfg(test)]
 #[allow(clippy::unwrap_used, clippy::expect_used)]

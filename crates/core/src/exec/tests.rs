@@ -279,218 +279,29 @@ fn cluster_dead_still_shuts_devices_down() {
 
 /// TCP gives no ordering between the coordinator's connection and a
 /// peer's: a ring frame can arrive before the RoundPlan it belongs
-/// to. The member must hold it and replay it once the plan lands.
+/// to. The actor holds it and replays it once the plan lands; here the
+/// replay closes the reduce and sends the merged model on.
 #[test]
 fn ring_frames_overtaking_their_plan_are_replayed() {
     let k = 2;
-    let config = quick_config(69);
-    let workload = Workload::quick("mlp", 69);
-    let mut runtimes = workload.build(k).unwrap().runtimes;
-    let rt = runtimes.remove(0);
-    let dim = rt.model.param_vector().len();
-    let timing = ProtocolTiming::quick();
-
     let mut hub = ChannelTransport::hub(k + 1);
-    let mut coord_port = hub.claim(coordinator_id(k)).unwrap();
-    let device_port = hub.claim(0).unwrap();
-    let mut peer_port = hub.claim(1).unwrap();
-
-    thread::scope(|scope| {
-        // The accumulation overtakes the plan that explains it.
-        peer_port
-            .send(
-                0,
-                &Message::ParamAccum {
-                    round: 1,
-                    hops: 1,
-                    params: vec![0.5; dim],
-                },
-            )
-            .unwrap();
-        coord_port
-            .send(
-                0,
-                &Message::RoundPlan {
-                    round: 1,
-                    ring: vec![1, 0],
-                    broadcaster: 1,
-                    unselected: vec![],
-                },
-            )
-            .unwrap();
-        coord_port.send(0, &Message::Shutdown).unwrap();
-        let config = &config;
-        let timing = timing.clone();
-        let handle = scope
-            .spawn(move || run_device(device_port, rt, config, Duration::from_millis(1), &timing));
-        // The device closes the reduce it replayed from its backlog.
-        match peer_port.recv_timeout(Duration::from_secs(10)).unwrap() {
-            Some(Message::MergedParams {
-                round: 1,
-                ttl: 1,
-                params,
-            }) => assert_eq!(params.len(), dim),
-            other => panic!("expected the merged model, got {other:?}"),
-        }
-        match coord_port.recv_timeout(Duration::from_secs(10)).unwrap() {
-            Some(Message::FinalParams { device: 0, .. }) => {}
-            other => panic!("expected final params, got {other:?}"),
-        }
-        handle.join().unwrap().unwrap();
-    });
-}
-
-/// After a bypass, the dead member's upstream re-sends its last
-/// accumulation — which can reach a member that already added its
-/// parameters. The duplicate must not be counted twice.
-#[test]
-fn duplicate_accum_after_bypass_is_ignored() {
-    let k = 3;
-    let config = quick_config(70);
-    let workload = Workload::quick("mlp", 70);
-    let mut runtimes = workload.build(k).unwrap().runtimes;
-    let rt = runtimes.remove(0);
-    let dim = rt.model.param_vector().len();
-    let timing = ProtocolTiming::quick();
-
-    let mut hub = ChannelTransport::hub(k + 1);
-    let mut coord_port = hub.claim(coordinator_id(k)).unwrap();
-    let device_port = hub.claim(0).unwrap();
-    let mut peer1 = hub.claim(1).unwrap();
-    let mut peer2 = hub.claim(2).unwrap();
-
-    thread::scope(|scope| {
-        coord_port
-            .send(
-                0,
-                &Message::RoundPlan {
-                    round: 1,
-                    ring: vec![1, 0, 2],
-                    broadcaster: 1,
-                    unselected: vec![],
-                },
-            )
-            .unwrap();
-        let accum = Message::ParamAccum {
-            round: 1,
-            hops: 1,
-            params: vec![3.0; dim],
-        };
-        peer1.send(0, &accum).unwrap();
-        // A bypass-repair re-send of the same accumulation.
-        peer1.send(0, &accum).unwrap();
-        peer1
-            .send(
-                0,
-                &Message::MergedParams {
-                    round: 1,
-                    ttl: 1,
-                    params: vec![7.0; dim],
-                },
-            )
-            .unwrap();
-        coord_port.send(0, &Message::Shutdown).unwrap();
-        let config = &config;
-        let timing = timing.clone();
-        let handle = scope
-            .spawn(move || run_device(device_port, rt, config, Duration::from_millis(1), &timing));
-        match coord_port.recv_timeout(Duration::from_secs(10)).unwrap() {
-            Some(Message::FinalParams { device: 0, params }) => {
-                assert!(
-                    params.iter().all(|&p| p == 7.0),
-                    "device must install the merged model unchanged"
-                );
-            }
-            other => panic!("expected final params, got {other:?}"),
-        }
-        handle.join().unwrap().unwrap();
-        // Exactly one accumulation reaches the downstream: the
-        // duplicate was dropped, not forwarded with doubled params.
-        let mut accums = 0;
-        while let Some(msg) = peer2.try_recv().unwrap() {
-            if let Message::ParamAccum { hops, .. } = msg {
-                assert_eq!(hops, 2);
-                accums += 1;
-            }
-        }
-        assert_eq!(accums, 1, "the re-sent duplicate must not be forwarded");
-    });
-}
-
-/// A member that finished its ring and went back to training may
-/// still hold the only copy of the frame its (now dead) downstream
-/// never forwarded: a late BypassWarning must trigger the re-send
-/// even outside the ring loop.
-#[test]
-fn finished_member_repairs_ring_after_downstream_death() {
-    let k = 3;
-    let config = quick_config(71);
-    let workload = Workload::quick("mlp", 71);
-    let mut runtimes = workload.build(k).unwrap().runtimes;
-    let rt = runtimes.remove(0);
-    let dim = rt.model.param_vector().len();
-    let timing = ProtocolTiming::quick();
-
-    let mut hub = ChannelTransport::hub(k + 1);
-    let mut coord_port = hub.claim(coordinator_id(k)).unwrap();
-    let device_port = hub.claim(0).unwrap();
-    let mut peer1 = hub.claim(1).unwrap();
-    let mut peer2 = hub.claim(2).unwrap();
-
-    thread::scope(|scope| {
-        coord_port
-            .send(
-                0,
-                &Message::RoundPlan {
-                    round: 1,
-                    ring: vec![2, 0, 1],
-                    broadcaster: 2,
-                    unselected: vec![],
-                },
-            )
-            .unwrap();
-        // Device 0 closes the reduce and forwards the merged model
-        // to its downstream 1...
-        peer2
-            .send(
-                0,
-                &Message::ParamAccum {
-                    round: 1,
-                    hops: 2,
-                    params: vec![1.0; dim],
-                },
-            )
-            .unwrap();
-        // ...which dies before forwarding; the stranded member 2
-        // broadcasts the bypass.
-        peer2.send(0, &Message::BypassWarning { dead: 1 }).unwrap();
-        coord_port.send(0, &Message::Shutdown).unwrap();
-        let config = &config;
-        let timing = timing.clone();
-        let handle = scope
-            .spawn(move || run_device(device_port, rt, config, Duration::from_millis(1), &timing));
-        let first = peer1.recv_timeout(Duration::from_secs(10)).unwrap();
-        match &first {
-            Some(Message::MergedParams {
-                round: 1,
-                ttl: 2,
-                params,
-            }) => assert_eq!(params.len(), dim),
-            other => panic!("downstream 1 should get the merge first, got {other:?}"),
-        }
-        // The repair: device 0 re-sends its merged frame to the new
-        // downstream even though its own ring is long finished.
-        assert_eq!(
-            peer2.recv_timeout(Duration::from_secs(10)).unwrap(),
-            first,
-            "stranded member must be repaired with the very frame"
-        );
-        match coord_port.recv_timeout(Duration::from_secs(10)).unwrap() {
-            Some(Message::FinalParams { device: 0, .. }) => {}
-            other => panic!("expected final params, got {other:?}"),
-        }
-        handle.join().unwrap().unwrap();
-    });
+    let mut port = hub.claim(0).unwrap();
+    let mut peer = hub.claim(1).unwrap();
+    let mut actor = stub_actor(0, k);
+    let t = Duration::ZERO;
+    let accum = Message::param_accum(1, 1, vec![3.0, 4.0]);
+    actor.on_message(&mut port, accum, t).unwrap();
+    assert_eq!(actor.ring_round(), None, "held: there is no ring yet");
+    let plan = Message::round_plan(1, vec![1, 0], 1, vec![]);
+    actor.on_message(&mut port, plan, t).unwrap();
+    assert_eq!(actor.done_round(), 1, "the replayed frame closed the ring");
+    let merged = Message::MergedParams {
+        round: 1,
+        ttl: 1,
+        params: vec![2.0, 3.0],
+    };
+    assert_eq!(peer.try_recv().unwrap(), Some(merged));
+    assert_eq!(actor.train().params, vec![2.0, 3.0]);
 }
 
 /// A planned ring member that dies silently mid-protocol: it
@@ -1473,10 +1284,12 @@ fn coordinator_runs_on_a_manual_clock() {
 }
 
 /// A ring frame of another length than the member's model is refused
-/// with the error `set_params` has for it before it has any effect: a
-/// short `ParamAccum` used to reach `accumulate_params`' `assert_eq!`
-/// and panic the device thread, and a `MergedParams` is forwarded
-/// before it is installed, so it must be judged before either.
+/// before it has any effect (no sum of unequal lengths exists, and a
+/// `MergedParams` is forwarded before it is installed): nothing is
+/// accumulated or installed, and the device stays up. Its sender, the
+/// upstream, is bypassed as if its probe had expired: the warnings to
+/// the other live member and the coordinator go out first, then the
+/// repair, and nothing else is sent.
 #[test]
 fn wrong_length_ring_frames_are_refused_before_any_effect() {
     let k = 3;
@@ -1501,6 +1314,7 @@ fn wrong_length_ring_frames_are_refused_before_any_effect() {
         },
     ];
     for me in [0, 1] {
+        let (upstream, downstream) = ((me + 2) % 3, (me + 1) % 3);
         for frame in &frames {
             let mut hub = ChannelTransport::hub(k + 1);
             let mut ports: Vec<_> = (0..=k).map(|id| hub.claim(id).unwrap()).collect();
@@ -1514,28 +1328,117 @@ fn wrong_length_ring_frames_are_refused_before_any_effect() {
             actor.on_message(&mut ports[me], plan, t).unwrap();
             // Member 0 opened the reduce; drain that.
             while ports[1].try_recv().unwrap().is_some() {}
-            let mut before = Vec::new();
-            actor.digest_into(&mut before);
 
-            let err = actor
-                .on_message(&mut ports[me], frame.clone(), t)
-                .unwrap_err();
-            assert_eq!(
-                err,
-                HadflError::Nn(hadfl_nn::NnError::ParamLengthMismatch {
-                    expected: 2,
-                    actual: 3,
-                }),
-                "member {me}, {frame:?}"
-            );
-            for port in &mut ports {
-                assert_eq!(port.try_recv().unwrap(), None, "nothing may be sent");
-            }
+            actor.on_message(&mut ports[me], frame.clone(), t).unwrap();
             assert_eq!(actor.train().params, vec![1.0, 2.0], "nothing installed");
-            let mut after = Vec::new();
-            actor.digest_into(&mut after);
-            assert_eq!(before, after, "member {me} is where it was: {frame:?}");
+            assert_eq!(actor.ring_round(), Some(1), "member {me}: {frame:?}");
+            let sent: Vec<Vec<Message>> = ports
+                .iter_mut()
+                .map(|port| std::iter::from_fn(|| port.try_recv().unwrap()).collect())
+                .collect();
+            let warning = Message::BypassWarning {
+                dead: upstream as u32,
+            };
+            let mut expected = vec![vec![]; k + 1];
+            expected[downstream].push(warning.clone());
+            expected[k].push(warning);
+            if me == 1 {
+                // First now, member 1 opens the reduce with its own model.
+                expected[downstream].push(Message::param_accum(1, 1, vec![1.0, 2.0]));
+            }
+            assert_eq!(sent, expected, "member {me}, {frame:?}");
         }
+    }
+}
+
+/// A device whose model is truncated from round 2 on opens that round's
+/// ring: its downstream refuses the short frame, bypasses it and
+/// reports it, and the honest devices finish the run with full-length,
+/// finite models.
+#[test]
+fn a_truncated_contribution_is_bypassed_and_the_run_completes() {
+    /// The offender's model is whole until it installs its first merged
+    /// model, and truncated from then on.
+    #[derive(Debug, Clone)]
+    struct Truncating {
+        inner: StubTrain,
+        offender: bool,
+        synced: bool,
+    }
+    impl TrainState for Truncating {
+        fn params(&self) -> Vec<f32> {
+            let params = self.inner.params();
+            let len = if self.offender && self.synced {
+                1
+            } else {
+                params.len()
+            };
+            params[..len].to_vec()
+        }
+        fn set_params(&mut self, params: &[f32]) -> Result<(), HadflError> {
+            self.synced = true;
+            self.inner.set_params(params)
+        }
+        fn train_step(&mut self) -> Result<(), HadflError> {
+            self.inner.train_step()
+        }
+        fn version(&self) -> f64 {
+            self.inner.version()
+        }
+    }
+    /// Everyone in every ring; round 2's ring starts at the offender.
+    struct OffenderFirst {
+        offender: DeviceId,
+        round: usize,
+    }
+    impl Planner for OffenderFirst {
+        fn plan(&mut self, available: &[DeviceId], _: &[f64]) -> Result<RoundPlan, HadflError> {
+            self.round += 1;
+            let mut order = available.to_vec();
+            if self.round == 2 {
+                order.retain(|&d| d != self.offender);
+                order.insert(0, self.offender);
+            }
+            Ok(RoundPlan {
+                selected: order.clone(),
+                ring: crate::topology::Ring::from_order(order.clone())?,
+                unselected: vec![],
+                broadcaster: order[0],
+            })
+        }
+    }
+
+    let (k, offender) = (3, 2);
+    let states = (0..k)
+        .map(|i| Truncating {
+            inner: StubTrain {
+                params: vec![i as f32, 1.0],
+                steps: 0,
+            },
+            offender: i == offender,
+            synced: false,
+        })
+        .collect();
+    let planner = OffenderFirst {
+        offender: DeviceId(offender),
+        round: 0,
+    };
+    let config = quick_config(75);
+    // The coordinator shuts down as it plans the last round, so round
+    // 2's ring runs inside round 3's window.
+    let opts = ThreadedOptions {
+        rounds: 3,
+        ..ThreadedOptions::quick(&vec![1.0; k])
+    };
+    let (run, _, _) = run_virtual_cluster(states, planner, &config, &opts, &[], &[]).unwrap();
+    assert_eq!(run.rounds.len(), 3);
+    // The warning lands in round 3's window and is read as its
+    // collection opens.
+    assert_eq!(run.dropped, vec![(offender, 3)]);
+    for device in (0..k).filter(|&d| d != offender) {
+        let params = &run.final_models[&device];
+        assert_eq!(params.len(), 2, "device {device}: {params:?}");
+        assert!(params.iter().all(|p| p.is_finite()), "device {device}");
     }
 }
 

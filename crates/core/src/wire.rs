@@ -266,7 +266,9 @@ pub enum Message {
         /// Replying device.
         from: u32,
     },
-    /// Warning to a dead device's upstream: bypass it (§III-D).
+    /// Warning that a ring member is dead, from the member that found
+    /// out to every other live member of its ring and the coordinator:
+    /// bypass it (§III-D).
     BypassWarning {
         /// The device found dead.
         dead: u32,
@@ -311,7 +313,7 @@ pub enum Message {
         round: u32,
     },
     /// Coordinator → device: training is over; reply with your final
-    /// parameters ([`Message::ParamSync`]) and exit.
+    /// parameters ([`Message::FinalParams`]) and exit.
     Shutdown,
     /// First frame on a freshly dialed connection, identifying the
     /// dialing participant to the accepting side.
