@@ -13,7 +13,7 @@ use std::time::Duration;
 
 use hadfl::coordinator::{RoundPlan, RuntimeSupervisor};
 use hadfl::exec::{
-    CoordPhaseKind, CoordinatorActor, DeviceActor, Planner, ProtocolTiming, TrainState,
+    Actor, CoordPhaseKind, CoordinatorActor, DeviceActor, Planner, ProtocolTiming, TrainState,
 };
 use hadfl::topology::Ring;
 use hadfl::transport::{coordinator_id, Port};
@@ -419,7 +419,7 @@ impl World {
             DeviceNode::Crashed => true,
         });
         let coord_done = match &self.coord {
-            CoordNode::Up(c) => c.is_done(),
+            CoordNode::Up(c) => c.phase_kind() == CoordPhaseKind::Done,
             CoordNode::Dead => self.cfg.allow_cluster_dead,
         };
         devices_done && coord_done
@@ -616,7 +616,7 @@ impl World {
             ));
         };
         let mut port = SimPort::new(coord_id, self.cfg.devices + 1);
-        let result = coord.on_timer(&mut port, Duration::ZERO);
+        let result = coord.on_wake(&mut port, Duration::ZERO);
         self.route(coord_id, port.outbox);
         self.coord_result(result)
     }

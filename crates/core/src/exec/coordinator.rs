@@ -5,7 +5,7 @@ use std::time::Duration;
 use hadfl_simnet::DeviceId;
 use hadfl_telemetry::{EventKind, Telemetry};
 
-use super::{seeded, CoordinatorRun, Planner, ProtocolTiming, ThreadedRound};
+use super::{seeded, Actor, CoordinatorRun, Planner, ProtocolTiming, ThreadedRound, Wake};
 use crate::coordinator::RuntimeSupervisor;
 use crate::error::HadflError;
 use crate::transport::Port;
@@ -38,22 +38,6 @@ pub enum CoordPhaseKind {
     /// Collecting final parameters.
     Final,
     /// Run complete.
-    Done,
-}
-
-/// What the blocking driver should do next for a [`CoordinatorActor`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CoordHint {
-    /// Sleep this long, then call [`CoordinatorActor::on_timer`].
-    Sleep(Duration),
-    /// Block up to this long for a message; on timeout call
-    /// [`CoordinatorActor::on_timer`].
-    Recv(Duration),
-    /// A deadline already passed: call [`CoordinatorActor::on_timer`]
-    /// immediately.
-    Timer,
-    /// The run is complete; collect it with
-    /// [`CoordinatorActor::into_run`].
     Done,
 }
 
@@ -127,11 +111,6 @@ impl<Pl: Planner> CoordinatorActor<Pl> {
         self
     }
 
-    /// Devices still considered alive.
-    pub fn alive(&self) -> &BTreeSet<usize> {
-        &self.alive
-    }
-
     /// Which phase the coordinator is in.
     pub fn phase_kind(&self) -> CoordPhaseKind {
         match self.phase {
@@ -142,32 +121,18 @@ impl<Pl: Planner> CoordinatorActor<Pl> {
         }
     }
 
-    /// Is the run complete?
-    pub fn is_done(&self) -> bool {
-        matches!(self.phase, CoordPhase::Done)
-    }
-
     /// Alive devices whose report (Collect) or final upload (Final)
     /// has not arrived yet — empty in other phases. The checker uses
     /// this to decide when a deadline may legitimately elapse: under
     /// correctly-tuned production timeouts a deadline only fires for
     /// devices that are really gone.
     pub fn awaiting(&self) -> Vec<usize> {
-        match &self.phase {
-            CoordPhase::Collect { versions, .. } => self
-                .alive
-                .iter()
-                .copied()
-                .filter(|d| !versions.contains_key(d))
-                .collect(),
-            CoordPhase::Final { .. } => self
-                .alive
-                .iter()
-                .copied()
-                .filter(|d| !self.final_models.contains_key(d))
-                .collect(),
-            CoordPhase::Window { .. } | CoordPhase::Done => Vec::new(),
-        }
+        let arrived = |d: &usize| match &self.phase {
+            CoordPhase::Collect { versions, .. } => versions.contains_key(d),
+            CoordPhase::Final { .. } => self.final_models.contains_key(d),
+            CoordPhase::Window { .. } | CoordPhase::Done => true,
+        };
+        self.alive.iter().copied().filter(|d| !arrived(d)).collect()
     }
 
     /// The round currently being windowed or collected, if any
@@ -179,23 +144,7 @@ impl<Pl: Planner> CoordinatorActor<Pl> {
         }
     }
 
-    /// What the blocking driver should do next.
-    pub fn hint(&self, now: Duration) -> CoordHint {
-        match &self.phase {
-            CoordPhase::Window { until, .. } => CoordHint::Sleep(until.saturating_sub(now)),
-            CoordPhase::Collect { deadline, .. } | CoordPhase::Final { deadline } => {
-                let left = deadline.saturating_sub(now);
-                if left.is_zero() {
-                    CoordHint::Timer
-                } else {
-                    CoordHint::Recv(left)
-                }
-            }
-            CoordPhase::Done => CoordHint::Done,
-        }
-    }
-
-    /// The run's outcome. Meaningful once [`is_done`](Self::is_done).
+    /// The run's outcome. Meaningful once [`wake`](Actor::wake) is [`Wake::Done`].
     pub fn into_run(self) -> CoordinatorRun {
         self.tel.flush();
         CoordinatorRun {
@@ -203,65 +152,6 @@ impl<Pl: Planner> CoordinatorActor<Pl> {
             final_models: self.final_models,
             dropped: self.dropped,
         }
-    }
-
-    /// Delivers one message to the actor.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`HadflError::ClusterDead`] when a report collection
-    /// this message completes leaves fewer than two devices, and
-    /// planner errors.
-    pub fn on_message<P: Port>(
-        &mut self,
-        port: &mut P,
-        msg: Message,
-        now: Duration,
-    ) -> Result<(), HadflError> {
-        match (&mut self.phase, msg) {
-            (
-                CoordPhase::Collect { versions, .. },
-                Message::VersionReport {
-                    device, version, ..
-                },
-            ) => {
-                let device = device as usize;
-                if self.alive.contains(&device) {
-                    versions.insert(device, version);
-                }
-            }
-            (CoordPhase::Final { .. }, Message::FinalParams { device, params }) => {
-                let device = device as usize;
-                if self.alive.contains(&device) {
-                    self.final_models.insert(device, params);
-                }
-            }
-            (
-                CoordPhase::Collect { .. } | CoordPhase::Final { .. },
-                Message::BypassWarning { dead },
-            ) => {
-                // A death reported during the final collection is
-                // booked on the last round.
-                let round = self.current_round().unwrap_or(self.rounds);
-                self.drop_device(dead as usize, round, now);
-            }
-            // The blocking driver never polls during a window (it
-            // sleeps); under the checker, deliveries are gated off.
-            // Anything that does land there is dropped, matching a
-            // message the blocking coordinator would only have read
-            // later from its mailbox.
-            _ => {}
-        }
-        match &self.phase {
-            CoordPhase::Collect { versions, .. } if versions.len() >= self.alive.len() => {
-                self.finish_collect(port, now)?;
-            }
-            CoordPhase::Final { .. } if self.final_models.len() >= self.alive.len() => {
-                self.phase = CoordPhase::Done;
-            }
-            _ => {}
-        }
-        Ok(())
     }
 
     /// §III-D, coordinator side: `device` leaves the alive set — a ring
@@ -283,43 +173,6 @@ impl<Pl: Planner> CoordinatorActor<Pl> {
                 device: device as u32,
             },
         );
-    }
-
-    /// An elapsed deadline: close the window, the report collection, or
-    /// the final-upload collection — whichever is pending.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`HadflError::ClusterDead`] when a closed report
-    /// collection leaves fewer than two devices, and planner errors.
-    pub fn on_timer<P: Port>(&mut self, port: &mut P, now: Duration) -> Result<(), HadflError> {
-        match &self.phase {
-            CoordPhase::Window { round, until } if now >= *until => {
-                let round = *round;
-                for &d in &self.alive {
-                    let _ = port.send(
-                        d,
-                        &Message::ReportRequest {
-                            round: round as u32,
-                        },
-                    );
-                }
-                self.phase = CoordPhase::Collect {
-                    round,
-                    versions: BTreeMap::new(),
-                    deadline: now + self.timing.report_deadline,
-                };
-                Ok(())
-            }
-            CoordPhase::Collect { deadline, .. } if now >= *deadline => {
-                self.finish_collect(port, now)
-            }
-            CoordPhase::Final { deadline } if now >= *deadline => {
-                self.phase = CoordPhase::Done;
-                Ok(())
-            }
-            _ => Ok(()),
-        }
     }
 
     /// Canonical bytes of the actor's full state (model-checker
@@ -527,5 +380,117 @@ impl<Pl: Planner> CoordinatorActor<Pl> {
             },
         );
         self.tel.flush();
+    }
+}
+
+impl<Pl: Planner> Actor for CoordinatorActor<Pl> {
+    /// When the coordinator next needs the clock: the window sleeps to
+    /// its end, the report and final collections read mail until their
+    /// deadlines.
+    fn wake(&self) -> Wake {
+        match &self.phase {
+            CoordPhase::Window { until, .. } => Wake::Sleep(*until),
+            CoordPhase::Collect { deadline, .. } | CoordPhase::Final { deadline } => {
+                Wake::Recv(*deadline)
+            }
+            CoordPhase::Done => Wake::Done,
+        }
+    }
+
+    /// Delivers one message to the actor.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`HadflError::ClusterDead`] when a report collection
+    /// this message completes leaves fewer than two devices, and
+    /// planner errors.
+    fn on_message<P: Port>(
+        &mut self,
+        port: &mut P,
+        msg: Message,
+        now: Duration,
+    ) -> Result<(), HadflError> {
+        match (&mut self.phase, msg) {
+            (
+                CoordPhase::Collect { versions, .. },
+                Message::VersionReport {
+                    device, version, ..
+                },
+            ) => {
+                let device = device as usize;
+                if self.alive.contains(&device) {
+                    versions.insert(device, version);
+                }
+            }
+            (CoordPhase::Final { .. }, Message::FinalParams { device, params }) => {
+                let device = device as usize;
+                if self.alive.contains(&device) {
+                    self.final_models.insert(device, params);
+                }
+            }
+            (
+                CoordPhase::Collect { .. } | CoordPhase::Final { .. },
+                Message::BypassWarning { dead },
+            ) => {
+                // A death reported during the final collection is
+                // booked on the last round.
+                let round = self.current_round().unwrap_or(self.rounds);
+                self.drop_device(dead as usize, round, now);
+            }
+            // No executor delivers during a window (it is a `Sleep`);
+            // under the checker, deliveries are gated off.
+            // Anything that does land there is dropped, matching a
+            // message the blocking coordinator would only have read
+            // later from its mailbox.
+            _ => {}
+        }
+        match &self.phase {
+            CoordPhase::Collect { versions, .. } if versions.len() >= self.alive.len() => {
+                self.finish_collect(port, now)?;
+            }
+            CoordPhase::Final { .. } if self.final_models.len() >= self.alive.len() => {
+                self.phase = CoordPhase::Done;
+            }
+            _ => {}
+        }
+        Ok(())
+    }
+
+    /// The instant [`wake`](Self::wake) named has come: close the
+    /// window, the report collection, or the final-upload collection —
+    /// whichever is pending.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`HadflError::ClusterDead`] when a closed report
+    /// collection leaves fewer than two devices, and planner errors.
+    fn on_wake<P: Port>(&mut self, port: &mut P, now: Duration) -> Result<(), HadflError> {
+        match &self.phase {
+            CoordPhase::Window { round, until } if now >= *until => {
+                let round = *round;
+                for &d in &self.alive {
+                    let _ = port.send(
+                        d,
+                        &Message::ReportRequest {
+                            round: round as u32,
+                        },
+                    );
+                }
+                self.phase = CoordPhase::Collect {
+                    round,
+                    versions: BTreeMap::new(),
+                    deadline: now + self.timing.report_deadline,
+                };
+                Ok(())
+            }
+            CoordPhase::Collect { deadline, .. } if now >= *deadline => {
+                self.finish_collect(port, now)
+            }
+            CoordPhase::Final { deadline } if now >= *deadline => {
+                self.phase = CoordPhase::Done;
+                Ok(())
+            }
+            _ => Ok(()),
+        }
     }
 }

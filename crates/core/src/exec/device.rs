@@ -4,7 +4,7 @@ use std::time::Duration;
 use hadfl_telemetry::{EventKind, Telemetry};
 
 use super::ring::{Action, Event, RingMember};
-use super::{ProtocolTiming, TrainState};
+use super::{Actor, ProtocolTiming, TrainState, Wake};
 use crate::aggregate::{accumulate_params, accumulate_scaled_params, blend_params, scale_params};
 use crate::error::HadflError;
 use crate::transport::{coordinator_id, Port};
@@ -71,15 +71,8 @@ impl Spans {
 
     /// Closes every open span, innermost first (shutdown path).
     fn end_all(&mut self, tel: &Telemetry, now: Duration, device: usize) {
-        while let Some((_, span, round)) = self.open.pop() {
-            tel.emit(
-                now,
-                EventKind::SpanEnd {
-                    span,
-                    round,
-                    device: device as u32,
-                },
-            );
+        while let Some(&(name, _, _)) = self.open.last() {
+            self.end(tel, now, name, device);
         }
     }
 
@@ -95,18 +88,45 @@ impl Spans {
     }
 }
 
-/// What the blocking driver should do next for a [`DeviceActor`].
+/// A hand-driven loop's view of a [`DeviceActor`] ([`DeviceActor::hint`]),
+/// for a loop that paces no steps of its own; the executors read
+/// [`DeviceActor::wake`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DeviceHint {
-    /// Poll without blocking; if nothing is pending, run one training
-    /// step ([`DeviceActor::on_idle`]) and wait until the next step is
-    /// due.
+    /// Training: mail is handled as it arrives, and local steps
+    /// ([`DeviceActor::on_idle`]) are the loop's to take.
     Train,
-    /// Block up to this long for a message; on timeout call
-    /// [`DeviceActor::on_timer`].
+    /// Inside a ring: block up to this long for a message; on timeout
+    /// call [`DeviceActor::on_timer`].
     Ring(Duration),
     /// The device is done; stop driving.
     Finished,
+}
+
+/// The `sleep()`-emulated compute of a device's local steps: one step
+/// per `period`, and the mail that waited read before each.
+#[derive(Debug, Clone, Default)]
+struct Pace {
+    period: Duration,
+    /// When the next step is due; `None` before the first, due at once.
+    due: Option<Duration>,
+    /// The next step is not due yet, and its mail waits. Once it is due,
+    /// the mail is read and the step follows when none is left.
+    asleep: bool,
+}
+
+/// When the local step after one that starts at `start` is due, given
+/// that this one was due at `due`: one `period` later. A step late by
+/// up to a period (a sleep's overshoot, the last step's compute) keeps
+/// the schedule, so the lateness comes out of the next wait; a step
+/// later than that (a ring, a blend) restarts the schedule from `start`
+/// instead of catching up in a burst.
+fn next_step_due(due: Duration, start: Duration, period: Duration) -> Duration {
+    if start > due + period {
+        start + period
+    } else {
+        due + period
+    }
 }
 
 /// One device's protocol state machine, advanced one event at a time:
@@ -132,6 +152,11 @@ pub struct DeviceActor<T: TrainState> {
     pending_steps: u64,
     /// Open-span bookkeeping; telemetry-only, never digested.
     spans: Spans,
+    /// Local-step pacing; executor state, never digested.
+    pace: Pace,
+    /// When the device last handled an event: a ring's silence is
+    /// measured from here. Never digested.
+    quiet_since: Duration,
 }
 
 impl<T: TrainState> DeviceActor<T> {
@@ -155,6 +180,8 @@ impl<T: TrainState> DeviceActor<T> {
             tel: Telemetry::disabled(),
             pending_steps: 0,
             spans: Spans::default(),
+            pace: Pace::default(),
+            quiet_since: Duration::ZERO,
         }
     }
 
@@ -162,6 +189,14 @@ impl<T: TrainState> DeviceActor<T> {
     #[must_use]
     pub fn with_telemetry(mut self, tel: Telemetry) -> Self {
         self.tel = tel;
+        self
+    }
+
+    /// Paces local steps at one per `period` (zero, the default: back
+    /// to back), the step's own compute counted inside it.
+    #[must_use]
+    pub fn with_step_period(mut self, period: Duration) -> Self {
+        self.pace.period = period;
         self
     }
 
@@ -174,11 +209,6 @@ impl<T: TrainState> DeviceActor<T> {
             return; // duplicate broadcast: the window is already open
         }
         self.spans.start(&self.tel, now, "train", 0, round, self.me);
-    }
-
-    /// This device's id.
-    pub fn id(&self) -> usize {
-        self.me
     }
 
     /// The owned training state (checker introspection).
@@ -208,11 +238,6 @@ impl<T: TrainState> DeviceActor<T> {
         self.ring.live()
     }
 
-    /// Is a handshake probe pending (checker scheduling detail)?
-    pub fn probe_armed(&self) -> bool {
-        self.ring.probe().is_some()
-    }
-
     /// The upstream a pending handshake probe is addressed to, if any
     /// (checker scheduling detail: a probe deadline may only elapse
     /// unanswered when its suspect really is dead).
@@ -220,13 +245,11 @@ impl<T: TrainState> DeviceActor<T> {
         self.ring.probe()
     }
 
-    /// What the blocking driver should do next.
+    /// [`wake`](Self::wake) for a loop that takes local steps itself.
     pub fn hint(&self, now: Duration) -> DeviceHint {
-        if self.finished {
-            return DeviceHint::Finished;
-        }
-        match self.ring.wait(now) {
-            Some(wait) => DeviceHint::Ring(wait.max(Duration::from_millis(1))),
+        match self.ring.deadline(self.quiet_since) {
+            _ if self.finished => DeviceHint::Finished,
+            Some(at) => DeviceHint::Ring(at.saturating_sub(now).max(Duration::from_millis(1))),
             None => DeviceHint::Train,
         }
     }
@@ -250,6 +273,7 @@ impl<T: TrainState> DeviceActor<T> {
             return Ok(());
         }
         self.check_stall(now)?;
+        self.quiet_since = now;
         let training = self.ring.round().is_none();
         let event = match msg {
             Message::Shutdown => {
@@ -371,6 +395,7 @@ impl<T: TrainState> DeviceActor<T> {
     /// `timing.ring_hard_limit`.
     pub fn on_timer<P: Port>(&mut self, port: &mut P, now: Duration) -> Result<(), HadflError> {
         self.check_stall(now)?;
+        self.quiet_since = now;
         self.ring_step(port, Event::Timer, now)
     }
 
@@ -574,5 +599,94 @@ impl<T: TrainState> DeviceActor<T> {
             Action::Replay => self.ring_step(port, Event::Replay, now)?,
         }
         Ok(())
+    }
+}
+
+impl<T: TrainState> Actor for DeviceActor<T> {
+    /// When the device next needs the clock. Inside a ring it reads
+    /// mail until the probe's deadline, else until `ring_wait` after
+    /// the last event it handled. Training, it sleeps until its next
+    /// step is due, then reads the mail that waited, and steps.
+    fn wake(&self) -> Wake {
+        let due = self.pace.due.unwrap_or_default();
+        match self.ring.deadline(self.quiet_since) {
+            _ if self.finished => Wake::Done,
+            Some(at) => Wake::Recv(at),
+            None if self.pace.asleep => Wake::Sleep(due),
+            None => Wake::Recv(due),
+        }
+    }
+
+    /// The instant [`wake`](Self::wake) named has come: inside a ring,
+    /// silence ([`on_timer`](Self::on_timer)); training, a due step
+    /// first has its mail read, and is taken at the next call.
+    ///
+    /// # Errors
+    ///
+    /// As [`on_timer`](Self::on_timer) and [`on_idle`](Self::on_idle).
+    fn on_wake<P: Port>(&mut self, port: &mut P, now: Duration) -> Result<(), HadflError> {
+        if self.ring.round().is_some() {
+            return self.on_timer(port, now);
+        }
+        let pace = &mut self.pace;
+        if pace.asleep {
+            // The step is due: the mail that waited is read first.
+            pace.asleep = false;
+            return Ok(());
+        }
+        pace.asleep = true;
+        let due = pace.due.unwrap_or(now);
+        pace.due = Some(next_step_due(due, now, pace.period));
+        self.on_idle(port)
+    }
+
+    fn on_message<P: Port>(
+        &mut self,
+        port: &mut P,
+        msg: Message,
+        now: Duration,
+    ) -> Result<(), HadflError> {
+        DeviceActor::on_message(self, port, msg, now)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    const P: Duration = Duration::from_millis(4);
+
+    fn ms(n: u64) -> Duration {
+        Duration::from_millis(n)
+    }
+
+    #[test]
+    fn an_on_time_step_is_followed_one_period_later() {
+        assert_eq!(next_step_due(ms(10), ms(10), P), ms(14));
+    }
+
+    #[test]
+    fn lateness_within_a_period_is_absorbed() {
+        assert_eq!(next_step_due(ms(10), ms(13), P), ms(14));
+        assert_eq!(next_step_due(ms(10), ms(14), P), ms(14));
+    }
+
+    #[test]
+    fn a_longer_pause_restarts_the_schedule_without_a_burst() {
+        assert_eq!(next_step_due(ms(10), ms(25), P), ms(29));
+    }
+
+    #[test]
+    fn steps_longer_than_the_period_run_back_to_back() {
+        // Each step computes for 6 ms of a 4 ms period: the loop never
+        // waits, and steps start every 6 ms.
+        let compute = ms(6);
+        let (mut due, mut now) = (Duration::ZERO, Duration::ZERO);
+        for n in 0..10 {
+            assert_eq!(now, compute * n);
+            due = next_step_due(due, now, P);
+            now += compute;
+            assert_eq!(due.saturating_sub(now), Duration::ZERO, "step {n}");
+        }
     }
 }

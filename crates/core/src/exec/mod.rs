@@ -16,12 +16,15 @@
 //! The protocol logic lives in two *single-steppable actors* —
 //! [`DeviceActor`] (`device.rs`) and [`CoordinatorActor`]
 //! (`coordinator.rs`) — whose only side effects are sends on the
-//! [`Port`] they are handed. Each actor advances one event at a time:
-//! [`DeviceActor::on_message`] / [`CoordinatorActor::on_message`] for a
-//! delivered frame, [`DeviceActor::on_timer`] /
-//! [`CoordinatorActor::on_timer`] for an elapsed deadline,
-//! [`DeviceActor::on_idle`] for a local training step. Inside the
-//! device actor, the §III-D ring is one more step function: `ring.rs`'s
+//! [`Port`] they are handed. Each actor answers one question — when do
+//! you next need the clock, and may mail reach you before then? — with
+//! a [`Wake`] ([`DeviceActor::wake`], [`CoordinatorActor::wake`]), and
+//! advances one event at a time: `on_message` for a delivered frame,
+//! `on_wake` when its wake's instant comes. Each actor owns its
+//! deadlines: the coordinator its window and collection deadlines, the
+//! device its step period ([`DeviceActor::with_step_period`]) and its
+//! ring's silence and probe deadlines. Inside the device actor, the
+//! §III-D ring is one more step function: `ring.rs`'s
 //! `RingMember::step` takes an event (a plan, a ring frame, a timer, an
 //! ack, a warning) and returns the actions it implies (send,
 //! accumulate, install, probe, warn, bypass, exit). It is pure — no
@@ -30,11 +33,14 @@
 //! actors exhaustively through every message ordering, in virtual
 //! zero-time.
 //!
-//! The drivers (`run.rs`) pump a port into an actor. The blocking
-//! entry points [`run_device`] and [`run_coordinator`] exist in one
-//! form each and take everything injectable from the port they are
-//! given: they sleep and read time on [`Port::clock`] (the
-//! [`crate::clock`] seam) and log to [`Port::telemetry`], so a
+//! The executors (`run.rs`) pump a port into an actor and read nothing
+//! of it but its [`Wake`]. The blocking one sleeps out a
+//! [`Wake::Sleep`] and blocks for mail until a [`Wake::Recv`]'s
+//! instant; [`run_device`] and [`run_coordinator`] are it over one
+//! actor each. They exist in one form each and take everything
+//! injectable from the port they are given: they sleep and read time
+//! on [`Port::clock`] (the [`crate::clock`] seam) and log to
+//! [`Port::telemetry`], so a
 //! [`ChannelTransport::claim_instrumented`] or `hadfl-net`
 //! `into_port_instrumented` port instruments its loop on the clock its
 //! own frame events use, and a plain port runs it on a wall clock with
@@ -43,9 +49,9 @@
 //! [`run_threaded`] is that over the in-process [`ChannelTransport`],
 //! and `hadfl-net` hands the same loops TCP ports, in one process or
 //! many. [`run_virtual`] steps the same actors over the same hub from
-//! one thread on a [`ManualClock`]; its body, [`run_virtual_cluster`],
-//! does that for any [`TrainState`] and [`Planner`], with telemetry
-//! handles and crash faults as inputs.
+//! one thread on a [`ManualClock`], jumping from wake to wake; its body,
+//! [`run_virtual_cluster`], does that for any [`TrainState`] and
+//! [`Planner`], with telemetry handles and crash faults as inputs.
 //!
 //! Fault tolerance follows §III-D: a ring member that goes silent is
 //! probed with [`Message::Handshake`]; absent an ack, the prober
@@ -78,6 +84,8 @@ use crate::aggregate::average_params;
 use crate::coordinator::{RoundPlan, StrategyGenerator};
 use crate::error::HadflError;
 use crate::trace::CommSummary;
+use crate::transport::Port;
+use crate::wire::Message;
 use crate::workload::DeviceRuntime;
 use hadfl_simnet::DeviceId;
 
@@ -89,11 +97,79 @@ mod run;
 #[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests;
 
-pub use coordinator::{CoordHint, CoordPhaseKind, CoordinatorActor};
+pub use coordinator::{CoordPhaseKind, CoordinatorActor};
 pub use device::{DeviceActor, DeviceHint};
 pub use run::{
     run_cluster, run_coordinator, run_device, run_threaded, run_virtual, run_virtual_cluster,
 };
+
+/// An actor's one answer to an executor: when it next needs the clock,
+/// and whether mail may reach it before then. Instants are absolute, on
+/// the clock the actor is driven by.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Wake {
+    /// Mail waits: at this instant, call the actor's `on_wake` first.
+    Sleep(Duration),
+    /// Mail is handled as it arrives; at this instant, with none
+    /// pending, call `on_wake`.
+    Recv(Duration),
+    /// The actor is done: stop driving it.
+    Done,
+}
+
+impl Wake {
+    /// The instant `on_wake` is due at; `None` once done.
+    pub fn at(self) -> Option<Duration> {
+        match self {
+            Wake::Sleep(at) | Wake::Recv(at) => Some(at),
+            Wake::Done => None,
+        }
+    }
+}
+
+/// What an executor drives: one actor's answer to "when do you next
+/// need the clock, and may mail reach you before then?" ([`Wake`]),
+/// and the two calls an executor makes on it.
+pub trait Actor {
+    /// When the actor next needs the clock.
+    fn wake(&self) -> Wake;
+
+    /// Delivers one message to the actor.
+    ///
+    /// # Errors
+    ///
+    /// Returns the actor's protocol and substrate errors.
+    fn on_message<P: Port>(
+        &mut self,
+        port: &mut P,
+        msg: Message,
+        now: Duration,
+    ) -> Result<(), HadflError>;
+
+    /// The instant [`wake`](Self::wake) named has come.
+    ///
+    /// # Errors
+    ///
+    /// Returns the actor's protocol and substrate errors.
+    fn on_wake<P: Port>(&mut self, port: &mut P, now: Duration) -> Result<(), HadflError>;
+}
+
+/// The local-step period of a device of computing `power`: one step per
+/// `step_sleep / power`, the paper's `sleep()`-emulated heterogeneity.
+///
+/// # Errors
+///
+/// Returns [`HadflError::InvalidConfig`] for a power that is not finite
+/// and positive, or a period no [`Duration`] can hold.
+pub fn step_period(step_sleep: Duration, power: f64) -> Result<Duration, HadflError> {
+    // Zero, negative and NaN powers give no period either.
+    match Duration::try_from_secs_f64(step_sleep.as_secs_f64() / power) {
+        Ok(period) if power.is_finite() => Ok(period),
+        _ => Err(HadflError::InvalidConfig(format!(
+            "no step period for power {power}"
+        ))),
+    }
+}
 
 pub mod seeded {
     //! Seeded re-introductions of the three interleaving bugs PR 1's

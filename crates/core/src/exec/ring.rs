@@ -39,7 +39,7 @@ pub(super) enum Event<'a> {
     },
     /// A `ParamAccum` or `MergedParams` frame.
     Frame(Message),
-    /// The wait [`RingMember::wait`] named ran out: the upstream was
+    /// The deadline [`RingMember::deadline`] named passed: the upstream was
     /// silent, or a probe went unanswered.
     Timer,
     /// A `HandshakeAck` from this device.
@@ -384,14 +384,14 @@ impl RingMember {
         }
     }
 
-    /// What the blocking driver may wait for the next event inside a
-    /// ring: the probe's deadline, else the silence timeout. `None`
-    /// outside a ring.
-    pub(super) fn wait(&self, now: Duration) -> Option<Duration> {
+    /// When the running ring's next [`Event::Timer`] is due: the probe's
+    /// deadline, else `ring_wait` of silence after `quiet_since`, the
+    /// instant the member last handled an event. `None` outside a ring.
+    pub(super) fn deadline(&self, quiet_since: Duration) -> Option<Duration> {
         let run = self.running.as_ref()?;
         Some(match run.probe {
-            Some((_, deadline)) => deadline.saturating_sub(now),
-            None => self.timing.ring_wait,
+            Some((_, deadline)) => deadline,
+            None => quiet_since + self.timing.ring_wait,
         })
     }
 
@@ -926,9 +926,9 @@ mod tests {
     #[test]
     fn shutdown_abandons_the_running_ring() {
         let (mut member, _) = joined(1, &[0, 1]);
-        assert_eq!(member.wait(T), Some(Duration::ZERO));
+        assert_eq!(member.deadline(T), Some(T));
         assert_eq!(member.step(Event::Shutdown, T), vec![]);
-        assert_eq!((member.round(), member.wait(T)), (None, None));
+        assert_eq!((member.round(), member.deadline(T)), (None, None));
         assert!(!member.stalled(Duration::MAX));
     }
 }

@@ -7,8 +7,8 @@ use hadfl_simnet::NetStats;
 use hadfl_telemetry::{EventKind, Telemetry};
 
 use super::{
-    CoordHint, CoordinatorActor, CoordinatorRun, DeviceActor, DeviceHint, Planner, ProtocolTiming,
-    ThreadedOptions, ThreadedReport, TrainState,
+    step_period, Actor, CoordinatorActor, CoordinatorRun, DeviceActor, Planner, ProtocolTiming,
+    ThreadedOptions, ThreadedReport, TrainState, Wake,
 };
 use crate::clock::{Clock, ManualClock, WallClock};
 use crate::config::HadflConfig;
@@ -18,16 +18,39 @@ use crate::trace::CommSummary;
 use crate::transport::{coordinator_id, ChannelTransport, Port};
 use crate::workload::{evaluate_with, DeviceRuntime, Workload};
 
+/// The blocking executor: drives `actor` over `port`, on the port's
+/// clock, until it is done. A [`Wake::Sleep`] sleeps and then wakes the
+/// actor; a [`Wake::Recv`] blocks for mail until its instant, and wakes
+/// the actor only if none came.
+fn drive<A: Actor, P: Port>(actor: &mut A, port: &mut P) -> Result<(), HadflError> {
+    let clock = port.clock();
+    loop {
+        match actor.wake() {
+            Wake::Done => return Ok(()),
+            Wake::Sleep(at) => {
+                clock.sleep(at.saturating_sub(clock.now()));
+                actor.on_wake(port, clock.now())?;
+            }
+            Wake::Recv(at) => match port.recv_timeout(at.saturating_sub(clock.now()))? {
+                Some(msg) => actor.on_message(port, msg, clock.now())?,
+                None => actor.on_wake(port, clock.now())?,
+            },
+        }
+    }
+}
+
 /// Runs one device's protocol loop over `port` until the coordinator
 /// sends [`Shutdown`](crate::wire::Message::Shutdown); the device then
 /// uploads its final parameters and returns.
 ///
-/// The loop trains one heterogeneity-aware local step per
+/// The device trains one heterogeneity-aware local step per
 /// `step_sleep` of the port's clock, the paper's `sleep()`-emulated
-/// compute power: a step's own compute and the last sleep's overshoot
-/// come out of the wait before the next, a pause longer than one period
-/// restarts the schedule instead of catching up in a burst, and steps
-/// whose compute alone exceeds the period run back to back. It answers
+/// compute power ([`DeviceActor::with_step_period`]): a step's own
+/// compute and the last sleep's overshoot come out of the wait before
+/// the next, a pause longer than one period restarts the schedule
+/// instead of catching up in a burst, and steps whose compute alone
+/// exceeds the period run back to back. Mail that arrives while it
+/// sleeps is read when the next step is due, before the step. It answers
 /// [`Handshake`](crate::wire::Message::Handshake) probes, reports
 /// versions on request, joins ring synchronizations it is planned
 /// into, and blends broadcast models it receives while unselected.
@@ -51,49 +74,27 @@ pub fn run_device<P: Port>(
     step_sleep: Duration,
     timing: &ProtocolTiming,
 ) -> Result<(), HadflError> {
-    let clock = port.clock();
-    let tel = port.telemetry();
     rt.set_optimizer(LrSchedule::constant(config.lr), config.momentum);
-    let me = port.id();
-    let participants = port.participants();
-    tel.emit(clock.now(), EventKind::DeviceStarted { device: me as u32 });
-    let mut actor = DeviceActor::new(me, participants, rt, config.blend_beta, timing.clone())
-        .with_telemetry(tel);
-    actor.begin_training(clock.now(), 1);
-    let mut due = clock.now();
-    loop {
-        match actor.hint(clock.now()) {
-            DeviceHint::Finished => return Ok(()),
-            DeviceHint::Train => match port.try_recv()? {
-                Some(msg) => actor.on_message(&mut port, msg, clock.now())?,
-                None => {
-                    // No command: one heterogeneity-aware local step,
-                    // then wait out what is left of its period.
-                    due = next_step_due(due, clock.now(), step_sleep);
-                    actor.on_idle(&mut port)?;
-                    clock.sleep(due.saturating_sub(clock.now()));
-                }
-            },
-            DeviceHint::Ring(wait) => match port.recv_timeout(wait)? {
-                Some(msg) => actor.on_message(&mut port, msg, clock.now())?,
-                None => actor.on_timer(&mut port, clock.now())?,
-            },
-        }
-    }
+    let mut actor = start_device(&port, rt, config, step_sleep, timing);
+    drive(&mut actor, &mut port)
 }
 
-/// When the local step after one that starts at `start` is due, given
-/// that this one was due at `due`: one `period` later. A step late by
-/// up to a period (a sleep's overshoot, the last step's compute) keeps
-/// the schedule, so the lateness comes out of the next wait; a step
-/// later than that (a ring, a blend) restarts the schedule from `start`
-/// instead of catching up in a burst.
-fn next_step_due(due: Duration, start: Duration, period: Duration) -> Duration {
-    if start > due + period {
-        start + period
-    } else {
-        due + period
-    }
+/// A device actor on `port`'s clock and telemetry, started: its
+/// `DeviceStarted` logged and its first training window open.
+fn start_device<T: TrainState, P: Port>(
+    port: &P,
+    state: T,
+    config: &HadflConfig,
+    period: Duration,
+    timing: &ProtocolTiming,
+) -> DeviceActor<T> {
+    let (clock, tel, me) = (port.clock(), port.telemetry(), port.id());
+    tel.emit(clock.now(), EventKind::DeviceStarted { device: me as u32 });
+    let beta = config.blend_beta;
+    let actor = DeviceActor::new(me, port.participants(), state, beta, timing.clone());
+    let mut actor = actor.with_telemetry(tel).with_step_period(period);
+    actor.begin_training(clock.now(), 1);
+    actor
 }
 
 /// Runs the coordinator's protocol loop over `port` (see
@@ -115,32 +116,27 @@ pub fn run_coordinator<P: Port>(
     rounds: usize,
     timing: &ProtocolTiming,
 ) -> Result<CoordinatorRun, HadflError> {
-    let clock = port.clock();
+    let planner = StrategyGenerator::new(config);
+    let mut actor = start_coordinator(&port, planner, config, window, rounds, timing)?;
+    drive(&mut actor, &mut port)?;
+    Ok(actor.into_run())
+}
+
+/// A coordinator actor on `port`'s clock and telemetry, its first
+/// window opening now.
+fn start_coordinator<Pl: Planner, P: Port>(
+    port: &P,
+    planner: Pl,
+    config: &HadflConfig,
+    window: Duration,
+    rounds: usize,
+    timing: &ProtocolTiming,
+) -> Result<CoordinatorActor<Pl>, HadflError> {
     let k = port.participants() - 1;
-    let mut actor = CoordinatorActor::new(
-        k,
-        StrategyGenerator::new(config),
-        RuntimeSupervisor::new(config.smoothing_alpha, k)?,
-        window,
-        rounds,
-        timing.clone(),
-        clock.now(),
-    )
-    .with_telemetry(port.telemetry());
-    loop {
-        match actor.hint(clock.now()) {
-            CoordHint::Sleep(d) => {
-                clock.sleep(d);
-                actor.on_timer(&mut port, clock.now())?;
-            }
-            CoordHint::Timer => actor.on_timer(&mut port, clock.now())?,
-            CoordHint::Recv(left) => match port.recv_timeout(left)? {
-                Some(msg) => actor.on_message(&mut port, msg, clock.now())?,
-                None => actor.on_timer(&mut port, clock.now())?,
-            },
-            CoordHint::Done => return Ok(actor.into_run()),
-        }
-    }
+    let supervisor = RuntimeSupervisor::new(config.smoothing_alpha, k)?;
+    let now = port.clock().now();
+    let actor = CoordinatorActor::new(k, planner, supervisor, window, rounds, timing.clone(), now);
+    Ok(actor.with_telemetry(port.telemetry()))
 }
 
 /// Runs a whole cluster on this process's threads, over whatever fabric
@@ -152,9 +148,9 @@ pub fn run_coordinator<P: Port>(
 /// # Errors
 ///
 /// Returns [`HadflError::InvalidConfig`] for fewer than two device
-/// ports, zero rounds, or anything but one runtime and one finite,
-/// positive power per device port; otherwise the coordinator loop's
-/// error if it fails, and else the first device loop's.
+/// ports, zero rounds, or anything but one runtime and one power per
+/// device port that [`step_period`] accepts; otherwise the coordinator
+/// loop's error if it fails, and else the first device loop's.
 pub fn run_cluster<P: Port>(
     device_ports: Vec<P>,
     coordinator_port: P,
@@ -163,7 +159,7 @@ pub fn run_cluster<P: Port>(
     opts: &ThreadedOptions,
 ) -> Result<CoordinatorRun, HadflError> {
     let k = device_ports.len();
-    check_cluster(k, opts)?;
+    let periods = check_cluster(k, opts)?;
     if runtimes.len() != k {
         return Err(HadflError::InvalidConfig(format!(
             "{k} device ports need {k} runtimes, got {}",
@@ -172,9 +168,8 @@ pub fn run_cluster<P: Port>(
     }
     thread::scope(|scope| {
         let mut handles = Vec::with_capacity(k);
-        for ((port, rt), power) in device_ports.into_iter().zip(runtimes).zip(&opts.powers) {
-            let sleep = Duration::from_secs_f64(opts.step_sleep.as_secs_f64() / power);
-            handles.push(scope.spawn(move || run_device(port, rt, config, sleep, &opts.timing)));
+        for ((port, rt), period) in device_ports.into_iter().zip(runtimes).zip(periods) {
+            handles.push(scope.spawn(move || run_device(port, rt, config, period, &opts.timing)));
         }
         let run = run_coordinator(
             coordinator_port,
@@ -234,8 +229,8 @@ pub fn run_threaded(
 }
 
 /// The option checks [`run_cluster`] and [`run_virtual_cluster`]
-/// share, for a cluster of `k` devices.
-fn check_cluster(k: usize, opts: &ThreadedOptions) -> Result<(), HadflError> {
+/// share, for a cluster of `k` devices; the devices' step periods.
+fn check_cluster(k: usize, opts: &ThreadedOptions) -> Result<Vec<Duration>, HadflError> {
     if k < 2 {
         return Err(HadflError::InvalidConfig("need at least 2 devices".into()));
     }
@@ -248,13 +243,9 @@ fn check_cluster(k: usize, opts: &ThreadedOptions) -> Result<(), HadflError> {
     if opts.rounds == 0 {
         return Err(HadflError::InvalidConfig("need at least 1 round".into()));
     }
-    if opts.powers.iter().any(|&p| !(p > 0.0) || !p.is_finite()) {
-        return Err(HadflError::InvalidConfig(format!(
-            "bad powers {:?}",
-            opts.powers
-        )));
-    }
-    Ok(())
+    (opts.powers.iter())
+        .map(|&power| step_period(opts.step_sleep, power))
+        .collect()
 }
 
 /// The close [`run_threaded`] and [`run_virtual`] share: averages the
@@ -328,12 +319,15 @@ pub fn run_virtual(
 /// Returns what the coordinator learned, the hub's byte ledger, and
 /// the virtual time the run took.
 ///
-/// The driver mirrors the blocking loops event-for-event: in-flight
-/// messages are delivered to a fixpoint before time advances (channel
-/// latency is zero in virtual time), then the clock jumps straight to
-/// the earliest pending deadline — a device's next scheduled step
-/// (device `i` steps every `opts.step_sleep / opts.powers[i]`), a ring
-/// silence timeout, or the coordinator's window/report/final deadline.
+/// This loop reads the same [`Wake`] the blocking loops read, so it
+/// mirrors them event for event by construction. At each instant,
+/// in-flight messages go to every actor not asleep, to a fixpoint
+/// (channel latency is zero in virtual time); then every wake due by
+/// now fires in one pass, before any mail the pass sends is read; and
+/// when nothing is due, the clock jumps to the earliest wake — a
+/// device's next step (device `i` steps every `opts.step_sleep /
+/// opts.powers[i]`), a ring's silence or probe deadline, or the
+/// coordinator's window, report or final deadline.
 ///
 /// `telemetry` is empty (everything off) or holds one handle per
 /// participant — device `i`'s at `i`, the coordinator's last. Each
@@ -349,7 +343,8 @@ pub fn run_virtual(
 /// # Errors
 ///
 /// Returns [`HadflError::InvalidConfig`] for fewer than two states,
-/// powers that are not one per state, finite and positive, zero rounds,
+/// powers that are not one per state with a nonzero [`step_period`],
+/// zero rounds,
 /// a `telemetry` length other than 0 or `states.len() + 1`, a kill
 /// naming no device, or a smoothing α outside (0, 1); otherwise as
 /// [`run_threaded`].
@@ -362,7 +357,12 @@ pub fn run_virtual_cluster<T: TrainState, Pl: Planner>(
     kills: &[(usize, Duration)],
 ) -> Result<(CoordinatorRun, NetStats, Duration), HadflError> {
     let k = states.len();
-    check_cluster(k, opts)?;
+    let periods = check_cluster(k, opts)?;
+    if periods.contains(&Duration::ZERO) {
+        return Err(HadflError::InvalidConfig(
+            "a zero step period stops virtual time".into(),
+        ));
+    }
     if !telemetry.is_empty() && telemetry.len() != k + 1 {
         return Err(HadflError::InvalidConfig(format!(
             "{k} devices need 0 or {} telemetry handles, got {}",
@@ -375,9 +375,6 @@ pub fn run_virtual_cluster<T: TrainState, Pl: Planner>(
             "cannot kill device {device} of {k}"
         )));
     }
-    let dead = |i: usize, now: Duration| kills.iter().any(|&(d, at)| d == i && at <= now);
-    let supervisor = RuntimeSupervisor::new(config.smoothing_alpha, k)?;
-
     let clock = ManualClock::new();
     let mut hub = ChannelTransport::hub(k + 1);
     let mut claim = |id: usize| {
@@ -386,180 +383,81 @@ pub fn run_virtual_cluster<T: TrainState, Pl: Planner>(
     };
 
     let mut coord_port = claim(coordinator_id(k))?;
-    let mut coord = CoordinatorActor::new(
-        k,
-        planner,
-        supervisor,
-        opts.window,
-        opts.rounds,
-        opts.timing.clone(),
-        clock.now(),
-    )
-    .with_telemetry(coord_port.telemetry());
-
-    let mut device_ports = Vec::with_capacity(k);
+    let (window, rounds, timing) = (opts.window, opts.rounds, &opts.timing);
+    let mut coord = start_coordinator(&coord_port, planner, config, window, rounds, timing)?;
     let mut devices = Vec::with_capacity(k);
-    let mut sleeps = Vec::with_capacity(k);
-    for (i, state) in states.into_iter().enumerate() {
+    for ((i, state), period) in states.into_iter().enumerate().zip(periods) {
         let port = claim(i)?;
-        let tel = port.telemetry();
-        tel.emit(clock.now(), EventKind::DeviceStarted { device: i as u32 });
-        let mut actor = DeviceActor::new(i, k + 1, state, config.blend_beta, opts.timing.clone())
-            .with_telemetry(tel);
-        actor.begin_training(clock.now(), 1);
-        device_ports.push(port);
-        devices.push(actor);
-        sleeps.push(Duration::from_secs_f64(
-            opts.step_sleep.as_secs_f64() / opts.powers[i],
-        ));
+        devices.push((start_device(&port, state, config, period, timing), port));
     }
-    // Like the blocking loop: step first, then one step per period.
-    // Steps and rings take no virtual time, so a device steps on
-    // schedule and `now + sleep` is that schedule; only a silence
-    // timeout makes a pause, which restarts it (as in the blocking
-    // loop when the pause exceeds a period).
-    let mut next_step = vec![clock.now(); k];
 
     let outcome = loop {
-        // Deliver every in-flight message before anything else happens:
-        // virtual channels have zero latency, so a frame sent "now" is
-        // readable "now". Actions below may send more — drain to a
-        // fixpoint.
         let now = clock.now();
+        // Devices killed by now are neither delivered to nor woken.
+        let live = |i: &usize| !kills.iter().any(|&(d, at)| d == *i && at <= now);
+        // Mail first: virtual channels have zero latency, so a frame
+        // sent "now" is readable "now" by every actor not asleep. What
+        // it handles may send more — deliver to a fixpoint.
         loop {
-            let mut progressed = false;
-            // The blocking coordinator sleeps a window out without
-            // reading: what arrives meanwhile (a §III-D warning from a
-            // ring still repairing) waits in the mailbox for the
-            // collection the window's end opens.
-            while !matches!(coord.hint(now), CoordHint::Sleep(_)) {
-                let Some(msg) = coord_port.try_recv()? else {
-                    break;
-                };
-                coord.on_message(&mut coord_port, msg, now)?;
-                progressed = true;
-            }
-            for (i, actor) in devices.iter_mut().enumerate() {
-                if dead(i, now) {
-                    continue;
-                }
-                while let Some(msg) = device_ports[i].try_recv()? {
-                    // A finished device's leftovers are dead frames.
-                    if !matches!(actor.hint(now), DeviceHint::Finished) {
-                        actor.on_message(&mut device_ports[i], msg, now)?;
-                        progressed = true;
-                    }
-                }
+            let mut progressed = deliver(&mut coord, &mut coord_port, now)?;
+            for i in (0..k).filter(live) {
+                let (actor, port) = &mut devices[i];
+                progressed |= deliver(actor, port, now)?;
             }
             if !progressed {
                 break;
             }
         }
-
-        let coord_wake = match coord.hint(now) {
-            CoordHint::Done => break coord.into_run(),
-            CoordHint::Timer => {
-                coord.on_timer(&mut coord_port, now)?;
-                continue;
-            }
-            // The blocking driver's Sleep unconditionally ends in
-            // on_timer, and an elapsed Recv's recv_timeout(0) returns
-            // None into on_timer; both fire immediately here.
-            CoordHint::Sleep(d) | CoordHint::Recv(d) if d.is_zero() => {
-                coord.on_timer(&mut coord_port, now)?;
-                continue;
-            }
-            CoordHint::Sleep(d) | CoordHint::Recv(d) => now + d,
-        };
-
-        // Local steps due at the current instant (ports are empty, so
-        // idle is the right action, exactly as in the blocking loop).
-        let mut stepped = false;
-        for (i, actor) in devices.iter_mut().enumerate() {
-            if matches!(actor.hint(now), DeviceHint::Train) && next_step[i] <= now && !dead(i, now)
-            {
-                actor.on_idle(&mut device_ports[i])?;
-                next_step[i] = now + sleeps[i];
-                stepped = true;
-            }
+        if coord.wake() == Wake::Done {
+            break coord.into_run();
         }
-        if stepped {
+
+        // Then every wake due by now fires, in one pass, before any mail
+        // the pass sends is read: ring timers, the coordinator's
+        // deadline, and a due step's switch to reading its mail — so the
+        // step itself lands one pass later.
+        let mut fired = false;
+        for i in (0..k).filter(live) {
+            let (actor, port) = &mut devices[i];
+            fired |= fire(actor, port, now)?;
+        }
+        fired |= fire(&mut coord, &mut coord_port, now)?;
+        if fired {
             continue;
         }
 
-        // Nothing due now: jump to the earliest pending deadline.
-        let mut wake = coord_wake;
-        let mut ring_deadline: Vec<Option<Duration>> = vec![None; k];
-        for (i, actor) in devices.iter().enumerate() {
-            if dead(i, now) {
-                continue;
-            }
-            match actor.hint(now) {
-                DeviceHint::Finished => {}
-                DeviceHint::Train => wake = wake.min(next_step[i]),
-                DeviceHint::Ring(wait) => {
-                    let deadline = now + wait;
-                    ring_deadline[i] = Some(deadline);
-                    wake = wake.min(deadline);
-                }
-            }
-        }
-        clock.set(wake);
-
-        // Ring waits that just elapsed with an empty port are silence:
-        // fire the §III-D probe logic. (Train steps and coordinator
-        // deadlines are re-derived from hints on the next iteration.)
-        let now = clock.now();
-        for (i, actor) in devices.iter_mut().enumerate() {
-            if ring_deadline[i].is_some_and(|d| d <= now)
-                && matches!(actor.hint(now), DeviceHint::Ring(_))
-                && !dead(i, now)
-            {
-                actor.on_timer(&mut device_ports[i], now)?;
-            }
-        }
+        // Nothing due: jump to the earliest wake.
+        let wakes = (0..k).filter(live).map(|i| devices[i].0.wake());
+        let next = wakes.chain([coord.wake()]).filter_map(Wake::at).min();
+        clock.set(next.unwrap_or(now));
     };
 
     Ok((outcome, hub.net_stats(), clock.now()))
 }
 
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    const P: Duration = Duration::from_millis(4);
-
-    fn ms(n: u64) -> Duration {
-        Duration::from_millis(n)
+/// Hands `actor` its mail at `now` until it sleeps or none is left;
+/// whether it took any.
+fn deliver<A: Actor, P: Port>(
+    actor: &mut A,
+    port: &mut P,
+    now: Duration,
+) -> Result<bool, HadflError> {
+    let mut took = false;
+    while !matches!(actor.wake(), Wake::Sleep(_)) {
+        let Some(msg) = port.try_recv()? else {
+            break;
+        };
+        actor.on_message(port, msg, now)?;
+        took = true;
     }
+    Ok(took)
+}
 
-    #[test]
-    fn an_on_time_step_is_followed_one_period_later() {
-        assert_eq!(next_step_due(ms(10), ms(10), P), ms(14));
+/// Wakes `actor` if its wake is due by `now`; whether it was.
+fn fire<A: Actor, P: Port>(actor: &mut A, port: &mut P, now: Duration) -> Result<bool, HadflError> {
+    let due = actor.wake().at().is_some_and(|at| at <= now);
+    if due {
+        actor.on_wake(port, now)?;
     }
-
-    #[test]
-    fn lateness_within_a_period_is_absorbed() {
-        assert_eq!(next_step_due(ms(10), ms(13), P), ms(14));
-        assert_eq!(next_step_due(ms(10), ms(14), P), ms(14));
-    }
-
-    #[test]
-    fn a_longer_pause_restarts_the_schedule_without_a_burst() {
-        assert_eq!(next_step_due(ms(10), ms(25), P), ms(29));
-    }
-
-    #[test]
-    fn steps_longer_than_the_period_run_back_to_back() {
-        // Each step computes for 6 ms of a 4 ms period: the loop never
-        // waits, and steps start every 6 ms.
-        let compute = ms(6);
-        let (mut due, mut now) = (Duration::ZERO, Duration::ZERO);
-        for n in 0..10 {
-            assert_eq!(now, compute * n);
-            due = next_step_due(due, now, P);
-            now += compute;
-            assert_eq!(due.saturating_sub(now), Duration::ZERO, "step {n}");
-        }
-    }
+    Ok(due)
 }

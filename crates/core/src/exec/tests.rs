@@ -94,6 +94,13 @@ fn virtual_run_validates_options_like_threaded() {
     let mut bad = ThreadedOptions::quick(&[1.0, 1.0]);
     bad.powers = vec![1.0, f64::NAN];
     assert!(run_virtual(&w, &c, &bad).is_err());
+    // A period no `Duration` holds, and one that never advances time.
+    let mut bad = ThreadedOptions::quick(&[1.0, 1.0]);
+    bad.powers = vec![1.0, 1e-30];
+    assert!(run_virtual(&w, &c, &bad).is_err());
+    let mut bad = ThreadedOptions::quick(&[1.0, 1.0]);
+    bad.step_sleep = Duration::ZERO;
+    assert!(run_virtual(&w, &c, &bad).is_err());
 }
 
 #[test]
@@ -121,6 +128,9 @@ fn validates_options() {
     let mut bad = ThreadedOptions::quick(&[1.0, 1.0]);
     bad.powers = vec![1.0, -1.0];
     assert!(run_threaded(&w, &c, &bad).is_err());
+    let mut bad = ThreadedOptions::quick(&[1.0, 1.0]);
+    bad.powers = vec![1.0, 1e-30];
+    assert!(run_threaded(&w, &c, &bad).is_err());
 }
 
 /// `run_cluster` turns each power into a step period, so a power it
@@ -138,7 +148,7 @@ fn run_cluster_rejects_bad_powers_and_zero_rounds() {
     };
     let mut zero_rounds = ThreadedOptions::quick(&[1.0, 1.0]);
     zero_rounds.rounds = 0;
-    let bad_powers = [0.0, f64::NAN, -1.0].map(|p| ThreadedOptions::quick(&[p, 1.0]));
+    let bad_powers = [0.0, f64::NAN, -1.0, 1e-30].map(|p| ThreadedOptions::quick(&[p, 1.0]));
     for opts in bad_powers.into_iter().chain([zero_rounds]) {
         let case = format!("powers {:?}, {} rounds", opts.powers, opts.rounds);
         let result = run(opts);
@@ -428,15 +438,26 @@ fn instrumented_virtual_run(
     window: Duration,
     kills: &[(usize, Duration)],
 ) -> (CoordinatorRun, NetStats, Vec<Event>) {
-    let buffer = RingBufferSink::new(1 << 16);
-    let telemetry: Vec<Telemetry> = (0..=k as u32)
-        .map(|node| Telemetry::new(node, vec![Box::new(buffer.clone())]))
-        .collect();
     let config = HadflConfig::builder()
         .num_selected(num_selected)
         .seed(73)
         .build()
         .unwrap();
+    instrumented_planned_run(StrategyGenerator::new(&config), &config, k, window, kills)
+}
+
+/// [`instrumented_virtual_run`] around any planner.
+fn instrumented_planned_run(
+    planner: impl Planner,
+    config: &HadflConfig,
+    k: usize,
+    window: Duration,
+    kills: &[(usize, Duration)],
+) -> (CoordinatorRun, NetStats, Vec<Event>) {
+    let buffer = RingBufferSink::new(1 << 16);
+    let telemetry: Vec<Telemetry> = (0..=k as u32)
+        .map(|node| Telemetry::new(node, vec![Box::new(buffer.clone())]))
+        .collect();
     let states = (0..k)
         .map(|i| StubTrain {
             params: vec![i as f32, 1.0],
@@ -448,15 +469,8 @@ fn instrumented_virtual_run(
         window,
         ..ThreadedOptions::quick(&vec![1.0; k])
     };
-    let (run, stats, _) = run_virtual_cluster(
-        states,
-        StrategyGenerator::new(&config),
-        &config,
-        &opts,
-        &telemetry,
-        kills,
-    )
-    .unwrap();
+    let (run, stats, _) =
+        run_virtual_cluster(states, planner, config, &opts, &telemetry, kills).unwrap();
     assert_eq!(buffer.dropped(), 0);
     (run, stats, buffer.snapshot())
 }
@@ -640,6 +654,50 @@ fn virtual_ring_bypasses_a_member_killed_after_reporting() {
             ..
         }
     )));
+}
+
+/// A ring member's silence runs from the last event it handled: a
+/// device training outside the ring does not restart it. Device 4 is
+/// dead from the start, so round 1 is planned at its report deadline,
+/// 7 s; device 2 reports, then dies, and is ringed with 0 and 1 while 3
+/// trains unselected. Device 0 hears nothing from its upstream 2: it
+/// probes at 7 s + `ring_wait` and closes the ring around 2 one
+/// `handshake_wait` later.
+#[test]
+fn virtual_ring_silence_runs_while_others_train() {
+    /// Ring 0 → 1 → 2 with 3 unselected in round 1, everyone after.
+    struct FixedRing(usize);
+    impl Planner for FixedRing {
+        fn plan(&mut self, available: &[DeviceId], _: &[f64]) -> Result<RoundPlan, HadflError> {
+            self.0 += 1;
+            let (ring, unselected) = match self.0 {
+                1 => (
+                    vec![DeviceId(0), DeviceId(1), DeviceId(2)],
+                    vec![DeviceId(3)],
+                ),
+                _ => (available.to_vec(), vec![]),
+            };
+            Ok(RoundPlan {
+                selected: ring.clone(),
+                ring: crate::topology::Ring::from_order(ring.clone())?,
+                unselected,
+                broadcaster: ring[0],
+            })
+        }
+    }
+    let window = Duration::from_secs(2);
+    let kills = [(4, Duration::ZERO), (2, window + Duration::from_millis(1))];
+    let config = quick_config(76);
+    let (_, _, events) = instrumented_planned_run(FixedRing(0), &config, 5, window, &kills);
+    let repaired = events
+        .iter()
+        .find(|e| matches!(e.kind, EventKind::RingRepair { round: 1, dead: 2 }))
+        .expect("round 1's ring closes around device 2");
+    let timing = ProtocolTiming::quick();
+    assert_eq!(
+        Duration::from_micros(repaired.t_us),
+        Duration::from_secs(7) + timing.ring_wait + timing.handshake_wait
+    );
 }
 
 /// Eq. 7's error table starts where forecasts do. A device the
@@ -863,6 +921,124 @@ fn device_actor_single_steps_a_ring() {
     assert_eq!(actor.hint(t), DeviceHint::Finished);
 }
 
+/// The device's wake contract through its phases. Training, it sleeps
+/// until a step is due, reads the mail that waited, then steps and
+/// sleeps one period more. In a ring it reads mail until `ring_wait`
+/// after the last event it handled, then until the probe's deadline.
+#[test]
+fn device_actor_wakes_for_steps_then_for_ring_silence() {
+    let k = 2;
+    let mut hub = ChannelTransport::hub(k + 1);
+    let mut port = hub.claim(0).unwrap();
+    let _peer = hub.claim(1).unwrap();
+    let timing = ProtocolTiming::quick();
+    let state = StubTrain {
+        params: vec![1.0, 2.0],
+        steps: 0,
+    };
+    let p = Duration::from_millis(4);
+    let mut actor = DeviceActor::new(0, k + 1, state, 0.5, timing.clone()).with_step_period(p);
+    let t = Duration::from_millis(10);
+
+    // The first step is due at once.
+    assert_eq!(actor.wake(), Wake::Recv(Duration::ZERO));
+    actor.on_wake(&mut port, t).unwrap();
+    assert_eq!(actor.train().steps, 1);
+    assert_eq!(actor.wake(), Wake::Sleep(t + p));
+    actor.on_wake(&mut port, t + p).unwrap();
+    assert_eq!(actor.wake(), Wake::Recv(t + p));
+    // Mail read before the step leaves it due.
+    let report = Message::ReportRequest { round: 1 };
+    actor.on_message(&mut port, report, t + p).unwrap();
+    assert_eq!(actor.wake(), Wake::Recv(t + p));
+    actor.on_wake(&mut port, t + p).unwrap();
+    assert_eq!(actor.train().steps, 2);
+    assert_eq!(actor.wake(), Wake::Sleep(t + 2 * p));
+
+    // Ring 1 → 0: silence runs from the plan, then from each event.
+    actor.on_wake(&mut port, t + 2 * p).unwrap();
+    let plan = Message::RoundPlan {
+        round: 1,
+        ring: vec![1, 0],
+        broadcaster: 1,
+        unselected: vec![],
+    };
+    let entered = t + 2 * p;
+    actor.on_message(&mut port, plan, entered).unwrap();
+    assert_eq!(actor.wake(), Wake::Recv(entered + timing.ring_wait));
+    let heard = entered + Duration::from_millis(100);
+    let probe = Message::Handshake { from: 1 };
+    actor.on_message(&mut port, probe, heard).unwrap();
+    let silent = heard + timing.ring_wait;
+    assert_eq!(actor.wake(), Wake::Recv(silent));
+    actor.on_wake(&mut port, silent).unwrap();
+    assert!(actor.probe_suspect().is_some());
+    assert_eq!(actor.wake(), Wake::Recv(silent + timing.handshake_wait));
+
+    // Back in training after the ring, the late step is still due.
+    let merged = Message::MergedParams {
+        round: 1,
+        ttl: 1,
+        params: vec![5.0, 5.0],
+    };
+    actor.on_message(&mut port, merged, silent).unwrap();
+    assert_eq!(actor.ring_round(), None);
+    assert_eq!(actor.wake(), Wake::Recv(t + 2 * p));
+    actor.on_wake(&mut port, silent).unwrap();
+    assert_eq!(
+        actor.wake(),
+        Wake::Sleep(silent + p),
+        "a late step restarts"
+    );
+    actor
+        .on_message(&mut port, Message::Shutdown, silent)
+        .unwrap();
+    assert_eq!(actor.wake(), Wake::Done);
+}
+
+/// The coordinator's wake contract through its phases: it sleeps
+/// through the window, reads reports until their deadline, reads final
+/// uploads until theirs, and is done.
+#[test]
+fn coordinator_wakes_for_window_then_collections() {
+    let k = 2;
+    let config = quick_config(77);
+    let timing = ProtocolTiming::quick();
+    let window = Duration::from_millis(60);
+    let mut hub = ChannelTransport::hub(k + 1);
+    let mut port = hub.claim(coordinator_id(k)).unwrap();
+    let _devices: Vec<_> = (0..k).map(|i| hub.claim(i).unwrap()).collect();
+    let supervisor = crate::coordinator::RuntimeSupervisor::new(0.5, k).unwrap();
+    let planner = StrategyGenerator::new(&config);
+    let mut coord = CoordinatorActor::new(
+        k,
+        planner,
+        supervisor,
+        window,
+        1,
+        timing.clone(),
+        Duration::ZERO,
+    );
+
+    assert_eq!(coord.wake(), Wake::Sleep(window));
+    coord.on_wake(&mut port, window).unwrap();
+    let reports = window + timing.report_deadline;
+    assert_eq!(coord.wake(), Wake::Recv(reports));
+    for device in 0..k as u32 {
+        let report = Message::VersionReport {
+            device,
+            round: 1,
+            version: 3.0,
+        };
+        coord.on_message(&mut port, report, window).unwrap();
+    }
+    // The last report closed the only round: the cluster shuts down.
+    let uploads = window + timing.final_deadline;
+    assert_eq!(coord.wake(), Wake::Recv(uploads));
+    coord.on_wake(&mut port, uploads).unwrap();
+    assert_eq!(coord.wake(), Wake::Done);
+}
+
 /// A broadcast whose length is not the model's is dropped: the
 /// receiver keeps its parameters, stays up and goes on to the next
 /// round as after a blend; a well-sized one after it still blends.
@@ -922,15 +1098,21 @@ fn device_actor_timers_drive_the_bypass() {
     for own_probe in [true, false] {
         let (mut actor, mut ports) = in_ring();
         if own_probe {
-            assert!(!actor.probe_armed());
+            assert!(actor.probe_suspect().is_none());
             actor.on_timer(&mut ports[0], t).unwrap();
-            assert!(actor.probe_armed(), "first timer arms the probe");
+            assert!(
+                actor.probe_suspect().is_some(),
+                "first timer arms the probe"
+            );
             match ports[2].try_recv().unwrap() {
                 Some(Message::Handshake { from: 0 }) => {}
                 other => panic!("expected a handshake probe, got {other:?}"),
             }
             actor.on_timer(&mut ports[0], t).unwrap();
-            assert!(!actor.probe_armed(), "second timer declares the death");
+            assert!(
+                actor.probe_suspect().is_none(),
+                "second timer declares the death"
+            );
             for (hears, who) in [(1, "ring peers"), (k, "the coordinator")] {
                 match ports[hears].try_recv().unwrap() {
                     Some(Message::BypassWarning { dead: 2 }) => {}
@@ -1010,11 +1192,14 @@ fn device_actor_ack_clears_probe() {
         )
         .unwrap();
     actor.on_timer(&mut port, t).unwrap();
-    assert!(actor.probe_armed());
+    assert!(actor.probe_suspect().is_some());
     actor
         .on_message(&mut port, Message::HandshakeAck { from: 1 }, t)
         .unwrap();
-    assert!(!actor.probe_armed(), "ack must clear the §III-D probe");
+    assert!(
+        actor.probe_suspect().is_none(),
+        "ack must clear the §III-D probe"
+    );
     assert_eq!(actor.ring_round(), Some(1), "ring continues after ack");
 }
 
@@ -1047,7 +1232,7 @@ fn complete_resend_to_contributed_initiator_finishes_the_ring() {
     // Initiator sent accum(hops=1) to 1; now its upstream 2 goes
     // silent: probe, then declare dead — live shrinks to [0, 1].
     actor.on_timer(&mut port, t).unwrap();
-    assert!(actor.probe_armed());
+    assert!(actor.probe_suspect().is_some());
     actor.on_timer(&mut port, t).unwrap();
     assert_eq!(actor.ring_round(), Some(1), "ring repaired, not done");
     // 1's bypass re-send: the accumulation that was addressed to

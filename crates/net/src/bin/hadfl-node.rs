@@ -20,7 +20,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use hadfl::clock::{Clock, WallClock};
-use hadfl::exec::{run_coordinator, run_device, ProtocolTiming};
+use hadfl::exec::{run_coordinator, run_device, step_period, ProtocolTiming};
 use hadfl::trace::CommSummary;
 use hadfl::{HadflConfig, HadflError, Workload};
 use hadfl_net::cluster::{ClusterConfig, Role};
@@ -240,8 +240,8 @@ fn run(args: &Args) -> Result<(), HadflError> {
                 .into_iter()
                 .nth(args.id)
                 .ok_or_else(|| HadflError::InvalidConfig("device id out of range".into()))?;
-            let sleep = Duration::from_secs_f64(args.step_sleep.as_secs_f64() / spec.power);
-            run_device(port, rt, &config, sleep, &timing)?;
+            let period = step_period(args.step_sleep, spec.power)?;
+            run_device(port, rt, &config, period, &timing)?;
             stats.emit_ledger();
             drop(prof_guard);
             if let Some(dir) = &args.profile_dir {
