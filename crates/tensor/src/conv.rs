@@ -16,7 +16,7 @@ use hadfl_par::OpClass;
 use serde::{Deserialize, Serialize};
 
 use crate::error::TensorError;
-use crate::linalg::{block_product, rows_a_bt, PackedRows, Strided, ROW_BAND, ROW_BLOCK};
+use crate::linalg::{block_product, rows_a_bt, with_row_block, PackedRows, Strided, ROW_BAND};
 use crate::simd::{dispatch, Isa};
 use crate::tensor::Tensor;
 
@@ -409,17 +409,16 @@ pub fn conv_backward_weight(
         grad_weight.as_mut_slice(),
         ROW_BAND * width,
         |band, gband| {
-            // Filter rows of gpᵀ: the patch axis is contiguous within
-            // an image and restarts `oc·ppi` further on.
-            let gp = Strided {
-                a: gv,
-                row_stride: ppi,
-                k_stride: 1,
-                depth: ppi,
-                seg_stride: oc * ppi,
-                segments: batch,
-            };
-            weight_band(isa, gp.skip_rows(band * ROW_BAND), cv, width, gband);
+            let row0 = band * ROW_BAND;
+            with_row_block!(weight_band(
+                isa,
+                gv,
+                (batch, oc, ppi),
+                row0,
+                cv,
+                width,
+                gband
+            ));
         },
     );
     Ok(())
@@ -427,16 +426,44 @@ pub fn conv_backward_weight(
 
 dispatch! {
     /// One band of [`conv_backward_weight`]: `gband += gp · cols` for
-    /// the band's filter rows, which `gp` starts at; `cols` has `width`
-    /// columns.
-    fn weight_band(gp: Strided<'_>, cols: &[f32], width: usize, gband: &mut [f32]) = weight_band_body;
+    /// the band's filter rows, which start at row `row0` of `gp`, in
+    /// blocks of `RB` rows; `g` is the NCHW `grad_out` of `(batch, oc,
+    /// ppi)` images, channels and patches per image, and `cols` has
+    /// `width` columns.
+    fn weight_band<const RB: usize>(
+        g: &[f32],
+        shape: (usize, usize, usize),
+        row0: usize,
+        cols: &[f32],
+        width: usize,
+        gband: &mut [f32],
+    ) = weight_band_body;
 }
 
 #[inline(always)]
-fn weight_band_body(gp: Strided<'_>, cols: &[f32], width: usize, gband: &mut [f32]) {
-    for (blk, gblock) in gband.chunks_mut(ROW_BLOCK * width).enumerate() {
-        let lhs = gp.skip_rows(blk * ROW_BLOCK);
-        block_product(lhs, cols, width, gblock.len() / width, |r, jt, vals| {
+fn weight_band_body<const RB: usize>(
+    g: &[f32],
+    (batch, oc, ppi): (usize, usize, usize),
+    row0: usize,
+    cols: &[f32],
+    width: usize,
+    gband: &mut [f32],
+) {
+    // Filter rows of gpᵀ: the patch axis is contiguous within an image
+    // and restarts `oc·ppi` further on. Built here rather than passed
+    // in, so that the `k` loop sees the literal `k_stride` 1 and can
+    // prove every index in range.
+    let gp = Strided {
+        a: g,
+        row_stride: ppi,
+        k_stride: 1,
+        depth: ppi,
+        seg_stride: oc * ppi,
+        segments: batch,
+    };
+    for (blk, gblock) in gband.chunks_mut(RB * width).enumerate() {
+        let lhs = gp.skip_rows(row0 + blk * RB);
+        block_product::<RB>(lhs, cols, width, gblock.len() / width, |r, jt, vals| {
             for (g, &v) in gblock[r * width + jt..].iter_mut().zip(vals) {
                 *g += v;
             }
@@ -444,53 +471,51 @@ fn weight_band_body(gp: Strided<'_>, cols: &[f32], width: usize, gband: &mut [f3
     }
 }
 
-/// Accumulators in one [`gather_image`] tile: `PX` pixels × `CH` input
-/// channels is always this many floats: eight 128-bit registers, or
-/// four 256-bit ones in the AVX2 compilation.
-const GATHER_TILE: usize = 32;
-
 /// What every tile of one image's gather reads: the zero-bordered
 /// gradient planes `gb` (`plane` floats per output channel, rows `pw`
-/// apart) and the weight `wt` re-laid as `[tap][oc][c_pad]`.
+/// apart), and the `oc` output channels and `k` kernel extent the
+/// weight's `[tap][oc][CH]` rows are laid out for.
 struct GatherOperands<'a> {
     gb: &'a [f32],
     plane: usize,
     pw: usize,
-    wt: &'a [f32],
     oc: usize,
-    c_pad: usize,
     k: usize,
 }
 
-/// One tile of the gather: for `px ≤ PX` pixels of `dx` and the `CH`
-/// input channels from `c0`, the sum over the taps `dys × dxs` of
-/// `T = Σ_oc g · w`. `T` is summed from `+0.0` in ascending `oc`
-/// skipping `g == 0.0`, and the taps are added in the order given —
-/// ascending patch order, see [`conv_backward_input`].
+/// One tile of the gather: for `px ≤ PX` consecutive pixels of one row
+/// of `dx`, whose tap `(dy, dx) = (0, 0)` is bordered cell `cell`, and
+/// one group of `CH` input channels, whose weight `wg` is laid out as
+/// `[tap][oc][CH]`: the sum over the taps `dys × dxs` of `T = Σ_oc g ·
+/// w`. `T` is summed from `+0.0` in ascending `oc` skipping `g == 0.0`,
+/// and the taps are added in the order given — ascending patch order,
+/// see [`conv_backward_input`].
 ///
-/// `base[i]` is the bordered cell of pixel `i`'s tap `(dy, dx) = (0,
-/// 0)`. `px` is a plain argument so the ragged last tile takes the same
-/// code; the caller passes `PX` for a full one.
+/// The tile lies in one row, so for each tap its gradients are `px`
+/// consecutive cells of every plane: one slice per output channel, at
+/// the same offset in each, whose range check the compiler makes once
+/// per tap. `px` is a plain argument so the ragged last
+/// tile of a row takes the same code; the caller passes `PX` for a full
+/// one.
 #[inline(always)]
 fn gather_tile<const PX: usize, const CH: usize>(
     ops: &GatherOperands<'_>,
-    c0: usize,
+    wg: &[f32],
     (dys, dxs): (Range<usize>, Range<usize>),
-    base: &[usize; PX],
+    cell: usize,
     px: usize,
 ) -> [[f32; CH]; PX] {
-    let (k, oc) = (ops.k, ops.oc);
+    let (k, oc, plane) = (ops.k, ops.oc, ops.plane);
     let mut acc = [[0.0f32; CH]; PX];
     for dy in dys {
         for dx in dxs.clone() {
             // Walking the plane forwards walks the kernel backwards.
             let tap = (k - 1 - dy) * k + (k - 1 - dx);
+            let wtap = &wg[tap * oc * CH..][..oc * CH];
+            let at = cell + dy * ops.pw + dx;
             let mut t = [[0.0f32; CH]; PX];
-            for o in 0..oc {
-                let wrow = &ops.wt[(tap * oc + o) * ops.c_pad + c0..][..CH];
-                let gtap = &ops.gb[o * ops.plane + dy * ops.pw + dx..];
-                for (ti, &b) in t[..px].iter_mut().zip(base) {
-                    let g = gtap[b];
+            for (gplane, wrow) in ops.gb.chunks_exact(plane).zip(wtap.chunks_exact(CH)) {
+                for (ti, &g) in t[..px].iter_mut().zip(&gplane[at..][..px]) {
                     // The skip of the product; on the border it is
                     // also the test for "no such patch".
                     if g == 0.0 {
@@ -524,8 +549,10 @@ dispatch! {
 /// The stride-1 input gradient of one image, as a gather: every pixel
 /// of `dimg` (`C × H × W`) owns its accumulator from first tap to last
 /// and is stored once. `g` is the image's `oc × out_h × out_w` output
-/// gradient, `wt` the weight re-laid as `[tap][oc][c_pad]` with `c_pad`
-/// the channel count rounded up to `CH`.
+/// gradient, `wt` the weight re-laid by [`gather_weight`] for `CH`.
+///
+/// Tiles run along a row and never across two: each row is `PX`-pixel
+/// tiles and a ragged last one.
 #[inline(always)]
 fn gather_image_body<const PX: usize, const CH: usize>(
     g: &[f32],
@@ -533,11 +560,10 @@ fn gather_image_body<const PX: usize, const CH: usize>(
     geom: &Conv2dGeometry,
     dimg: &mut [f32],
 ) {
-    let (k, p, c_in) = (geom.kernel, geom.padding, geom.in_channels);
+    let (k, p) = (geom.kernel, geom.padding);
     let (iw, hw) = (geom.in_w, geom.in_h * geom.in_w);
     let (oh, ow) = (geom.out_h, geom.out_w);
     let oc = g.len() / (oh * ow);
-    let c_pad = c_in.div_ceil(CH) * CH;
     // Pixel (y, x) takes tap (ky, kx) from patch (y + p − ky, x + p − kx).
     // With a border of `b = k − 1 − p` zeros around each gradient plane
     // that is bordered cell (y + dy, x + dx) for dy = k − 1 − ky: the
@@ -552,72 +578,81 @@ fn gather_image_body<const PX: usize, const CH: usize>(
         gb: &gb,
         plane,
         pw,
-        wt,
         oc,
-        c_pad,
         k,
     };
-    for q0 in (0..hw).step_by(PX) {
-        let px = (hw - q0).min(PX);
-        let (y0, y1) = (q0 / iw + shift, (q0 + px - 1) / iw + shift);
-        let mut base = [0usize; PX];
-        for (i, cell) in base[..px].iter_mut().enumerate() {
-            *cell = ((q0 + i) / iw + shift) * pw + (q0 + i) % iw + shift;
-        }
-        // The taps some pixel of the tile has a patch for: bordered row
-        // `y + dy` is a real one iff `b ≤ y + dy < b + oh`, columns
-        // alike. A tile of one pixel multiplies nothing it need not; a
-        // wider one leaves the rest to the border's zeros.
-        let (x0, x1) = if y0 == y1 {
-            (q0 % iw + shift, (q0 + px - 1) % iw + shift)
-        } else {
-            (shift, iw - 1 + shift)
-        };
-        let dys = b.saturating_sub(y1)..k.min(b + oh - y0);
-        let dxs = b.saturating_sub(x1)..k.min(b + ow - x0);
-        for c0 in (0..c_in).step_by(CH) {
-            let taps = (dys.clone(), dxs.clone());
-            // A full tile gets the literal: its pixel loops unroll and
-            // the accumulators stay in registers. With `px` passed
-            // straight through the 8→8 layer at 8×8 read 114 µs per
-            // call against 78, the 16→16 layer at 4×4 81 against 55.
-            let acc = if px == PX {
-                gather_tile::<PX, CH>(&ops, c0, taps, &base, PX)
-            } else {
-                gather_tile::<PX, CH>(&ops, c0, taps, &base, px)
-            };
-            for (dplane, j) in dimg[c0 * hw..].chunks_mut(hw).zip(0..CH) {
-                for (d, ai) in dplane[q0..q0 + px].iter_mut().zip(&acc) {
-                    *d = ai[j];
+    // One channel group's weight: `[tap][oc][CH]`.
+    let group = k * k * oc * CH;
+    for y in 0..geom.in_h {
+        for x0 in (0..iw).step_by(PX) {
+            let px = (iw - x0).min(PX);
+            let (yb, xb) = (y + shift, x0 + shift);
+            // The taps some pixel of the tile has a patch for: bordered
+            // row `y + dy` is a real one iff `b ≤ y + dy < b + oh`,
+            // columns alike. A tile of one pixel multiplies nothing it
+            // need not; a wider one leaves the rest to the border's
+            // zeros.
+            let dys = b.saturating_sub(yb)..k.min(b + oh - yb);
+            let dxs = b.saturating_sub(xb + px - 1)..k.min(b + ow - xb);
+            let (q0, cell) = (y * iw + x0, yb * pw + xb);
+            for (cg, dgroup) in dimg.chunks_mut(CH * hw).enumerate() {
+                let wg = &wt[cg * group..][..group];
+                let taps = (dys.clone(), dxs.clone());
+                // A full tile gets the literal: its pixel loops unroll
+                // and the accumulators stay in registers. With `px`
+                // passed straight through the 8→8 layer at 8×8 read 114
+                // µs per call against 78, the 16→16 layer at 4×4 81
+                // against 55.
+                let acc = if px == PX {
+                    gather_tile::<PX, CH>(&ops, wg, taps, cell, PX)
+                } else {
+                    gather_tile::<PX, CH>(&ops, wg, taps, cell, px)
+                };
+                for (dplane, j) in dgroup.chunks_mut(hw).zip(0..CH) {
+                    for (d, ai) in dplane[q0..q0 + px].iter_mut().zip(&acc) {
+                        *d = ai[j];
+                    }
                 }
             }
         }
     }
 }
 
+/// A `gather_image` instantiation, as [`gather_input`] calls it.
+type Gather = fn(Isa, &[f32], &[f32], &Conv2dGeometry, &mut [f32]);
+
+/// The gather tile for `c_in` input channels on `isa`: `PX` pixels ×
+/// `CH` channels, `CH` as wide as the channel count divides, and the
+/// `gather_image::<PX, CH>` that runs it — a function of the problem
+/// shape and the instruction set, like `row_block`. `PX × CH` is 32
+/// accumulators (eight 128-bit registers) except for 8 channels under
+/// AVX2, where 8 × 8 fills eight 256-bit ones; 64 at `CH` 32 read
+/// slower on the 32-channel layers.
+fn gather_kernel(isa: Isa, c_in: usize) -> (usize, usize, Gather) {
+    match (isa, c_in) {
+        (_, c) if c % 32 == 0 => (1, 32, gather_image::<1, 32>),
+        (_, c) if c % 16 == 0 => (2, 16, gather_image::<2, 16>),
+        (Isa::Baseline, _) => (4, 8, gather_image::<4, 8>),
+        (Isa::Avx2, _) => (8, 8, gather_image::<8, 8>),
+    }
+}
+
 /// The stride-1 input gradient as a gather, one image per chunk of
-/// `plan`; see [`conv_backward_input`] for the order it keeps.
-///
-/// The weight is re-laid once per call as `[tap][oc][c]` so the vector
-/// axis is the input channel, and the tile is [`GATHER_TILE`]
-/// accumulators, as wide in channels as the channel count divides — a
-/// function of the problem shape only, like `ROW_BLOCK`.
+/// `plan`; see [`conv_backward_input`] for the order it keeps. The
+/// weight is re-laid once per call by [`gather_weight`] for the tile
+/// [`gather_kernel`] picks.
 fn gather_input(
     plan: hadfl_par::Plan,
     (gv, wv): (&[f32], &[f32]),
     geom: &Conv2dGeometry,
     dx: &mut [f32],
 ) {
-    type Gather = fn(Isa, &[f32], &[f32], &Conv2dGeometry, &mut [f32]);
     let (c_in, taps) = (geom.in_channels, geom.kernel * geom.kernel);
-    let (ch, gather): (usize, Gather) = match c_in {
-        c if c % 32 == 0 => (32, gather_image::<{ GATHER_TILE / 32 }, 32>),
-        c if c % 16 == 0 => (16, gather_image::<{ GATHER_TILE / 16 }, 16>),
-        _ => (8, gather_image::<{ GATHER_TILE / 8 }, 8>),
-    };
+    let isa = Isa::best();
+    let (_, ch, gather) = gather_kernel(isa, c_in);
     let wt = gather_weight(wv, geom, ch);
     let g_stride = wv.len() / (c_in * taps) * geom.patches_per_image();
-    let (dx_stride, isa) = (c_in * geom.in_h * geom.in_w, Isa::best());
+    let dx_stride = c_in * geom.in_h * geom.in_w;
     plan.chunks_mut(dx, dx_stride, |img, dimg| {
         gather(
             isa,
@@ -629,16 +664,17 @@ fn gather_input(
     });
 }
 
-/// The `oc × C·k·k` weight `wv` re-laid as `[tap][oc][c_pad]`, `c_pad`
-/// the channel count rounded up to `ch`, the padding zero.
+/// The `oc × C·k·k` weight `wv` re-laid as `[channel group][tap][oc][ch]`
+/// so that the vector axis is the input channel and one tap's rows for
+/// one group are consecutive; a ragged last group is zero-filled.
 fn gather_weight(wv: &[f32], geom: &Conv2dGeometry, ch: usize) -> Vec<f32> {
     let (c_in, taps) = (geom.in_channels, geom.kernel * geom.kernel);
-    let (oc, c_pad) = (wv.len() / (c_in * taps), c_in.div_ceil(ch) * ch);
-    let mut wt = vec![0.0f32; taps * oc * c_pad];
+    let oc = wv.len() / (c_in * taps);
+    let mut wt = vec![0.0f32; c_in.div_ceil(ch) * taps * oc * ch];
     for (o, wrow) in wv.chunks(c_in * taps).enumerate() {
         for (c, wtaps) in wrow.chunks(taps).enumerate() {
             for (tap, &w) in wtaps.iter().enumerate() {
-                wt[(tap * oc + o) * c_pad + c] = w;
+                wt[((c / ch * taps + tap) * oc + o) * ch + c % ch] = w;
             }
         }
     }
@@ -646,8 +682,8 @@ fn gather_weight(wv: &[f32], geom: &Conv2dGeometry, ch: usize) -> Vec<f32> {
 }
 
 /// The input gradient at any stride as product-then-scatter, one image
-/// per chunk of `plan`: `ROW_BLOCK` patch rows of `gp · weight` at a
-/// time into a small tile (ascending `oc`, `g == 0.0` skipped),
+/// per chunk of `plan`: a register block of patch rows of `gp · weight`
+/// at a time into a small tile (ascending `oc`, `g == 0.0` skipped),
 /// scatter-added immediately, patch by patch in ascending order.
 fn scatter_input(
     plan: hadfl_par::Plan,
@@ -659,13 +695,14 @@ fn scatter_input(
     let oc = wv.len() / width;
     let (dx_stride, isa) = (geom.in_channels * geom.in_h * geom.in_w, Isa::best());
     plan.chunks_mut(dx, dx_stride, |img, dimg| {
-        scatter_image(isa, &gv[img * oc * ppi..][..oc * ppi], wv, geom, dimg);
+        let g = &gv[img * oc * ppi..][..oc * ppi];
+        with_row_block!(scatter_image(isa, g, wv, geom, dimg));
     });
 }
 
 dispatch! {
-    /// [`scatter_image_body`] on `isa`.
-    fn scatter_image(
+    /// [`scatter_image_body`] on `isa`, in blocks of `RB` patch rows.
+    fn scatter_image<const RB: usize>(
         g: &[f32],
         wv: &[f32],
         geom: &Conv2dGeometry,
@@ -677,14 +714,19 @@ dispatch! {
 /// `oc × ppi` output gradient, `wv` the `oc × patch_len` weight, `dimg`
 /// the image's `C × H × W` gradient, scatter-added into.
 #[inline(always)]
-fn scatter_image_body(g: &[f32], wv: &[f32], geom: &Conv2dGeometry, dimg: &mut [f32]) {
+fn scatter_image_body<const RB: usize>(
+    g: &[f32],
+    wv: &[f32],
+    geom: &Conv2dGeometry,
+    dimg: &mut [f32],
+) {
     let (ppi, width, ow) = (geom.patches_per_image(), geom.patch_len(), geom.out_w);
     let oc = wv.len() / width;
-    let mut tile = vec![0.0f32; ROW_BLOCK * width];
-    for p0 in (0..ppi).step_by(ROW_BLOCK) {
-        let rows = (ppi - p0).min(ROW_BLOCK);
+    let mut tile = vec![0.0f32; RB * width];
+    for p0 in (0..ppi).step_by(RB) {
+        let rows = (ppi - p0).min(RB);
         let lhs = Strided::new(g, 1, ppi, oc).skip_rows(p0);
-        block_product(lhs, wv, width, rows, |r, jt, vals| {
+        block_product::<RB>(lhs, wv, width, rows, |r, jt, vals| {
             tile[r * width + jt..r * width + jt + vals.len()].copy_from_slice(vals);
         });
         for (r, trow) in tile.chunks(width).take(rows).enumerate() {
@@ -881,11 +923,11 @@ mod tests {
     }
 
     /// One conv layer's operands for the A/B tests: a batch of two
-    /// 5×7 images (ragged pixel tiles) and `OC` output channels (a
-    /// ragged band of filter rows), with signed zeros in the gradient.
-    /// Two rows are non-finite under a zero: output channel 0's weight,
-    /// whose gradient is all zero, and the first patch row of `cols`,
-    /// whose gradient is zero in every even output channel.
+    /// `h × w` images (5×7 for ragged pixel tiles) and `OC` output
+    /// channels (a ragged band of filter rows), with signed zeros in the
+    /// gradient. Two rows are non-finite under a zero: output channel
+    /// 0's weight, whose gradient is all zero, and the first patch row
+    /// of `cols`, whose gradient is zero in every even output channel.
     struct Layer {
         geom: Conv2dGeometry,
         gy: Tensor,
@@ -897,7 +939,11 @@ mod tests {
     const CHANNELS: [usize; 5] = [3, 5, 8, 16, 32];
 
     fn layer(c: usize, stride: usize, seed: u64) -> Layer {
-        let geom = Conv2dGeometry::new(c, 5, 7, 3, stride, 1).unwrap();
+        layer_of(c, (5, 7), stride, seed)
+    }
+
+    fn layer_of(c: usize, (h, w): (usize, usize), stride: usize, seed: u64) -> Layer {
+        let geom = Conv2dGeometry::new(c, h, w, 3, stride, 1).unwrap();
         let (ppi, width) = (geom.patches_per_image(), geom.patch_len());
         let mut rng = crate::init::SeedStream::new(seed);
         let mut gy = random(&[2, OC, geom.out_h, geom.out_w], &mut rng);
@@ -907,12 +953,17 @@ mod tests {
                 *v = if i % 2 == 0 { 0.0 } else { -0.0 };
             }
         }
-        let mut w = random(&[OC, width], &mut rng);
-        w.as_mut_slice()[..width].fill([f32::INFINITY, f32::NAN][c % 2]);
-        let x = random(&[2, c, 5, 7], &mut rng);
+        let mut wt = random(&[OC, width], &mut rng);
+        wt.as_mut_slice()[..width].fill([f32::INFINITY, f32::NAN][c % 2]);
+        let x = random(&[2, c, h, w], &mut rng);
         let mut cols = im2col(&x, &geom).unwrap();
         cols.as_mut_slice()[..width].fill([f32::NEG_INFINITY, f32::NAN][c % 2]);
-        Layer { geom, gy, w, cols }
+        Layer {
+            geom,
+            gy,
+            w: wt,
+            cols,
+        }
     }
 
     /// Both compilations of `weight_band`, band by band as
@@ -929,16 +980,8 @@ mod tests {
                 let got = on_every_isa(&format!("c={c} stride={stride}"), |isa| {
                     let mut gw = vec![0.0f32; OC * width];
                     for (band, gband) in gw.chunks_mut(ROW_BAND * width).enumerate() {
-                        let gp = Strided {
-                            a: gy.as_slice(),
-                            row_stride: ppi,
-                            k_stride: 1,
-                            depth: ppi,
-                            seg_stride: OC * ppi,
-                            segments: 2,
-                        };
-                        let gp = gp.skip_rows(band * ROW_BAND);
-                        weight_band(isa, gp, cols.as_slice(), width, gband);
+                        let (g, cv, row0) = (gy.as_slice(), cols.as_slice(), band * ROW_BAND);
+                        with_row_block!(weight_band(isa, g, (2, OC, ppi), row0, cv, width, gband));
                     }
                     gw
                 });
@@ -948,32 +991,46 @@ mod tests {
         }
     }
 
-    /// All three `gather_image` instantiations, each on both
-    /// compilations, against each other and against
-    /// [`conv_backward_input`] (stride 1, where it gathers).
+    /// Every `gather_image` instantiation [`gather_kernel`] can pick,
+    /// each on both compilations, against each other and against
+    /// [`conv_backward_input`] (stride 1, where it gathers): on 5×7
+    /// planes, whose rows end in ragged tiles, and on the 8×8, 4×4 and
+    /// 2×2 planes of `resnet18_lite`, where every tile fills its row or
+    /// divides it.
     #[test]
     fn gather_image_agrees_on_every_isa_and_tile() {
-        type Gather = fn(Isa, &[f32], &[f32], &Conv2dGeometry, &mut [f32]);
-        let tiles: [(usize, Gather); 3] = [
-            (8, gather_image::<{ GATHER_TILE / 8 }, 8>),
-            (16, gather_image::<{ GATHER_TILE / 16 }, 16>),
-            (32, gather_image::<{ GATHER_TILE / 32 }, 32>),
+        let tiles: [(usize, usize, Gather); 4] = [
+            (4, 8, gather_image::<4, 8>),
+            (8, 8, gather_image::<8, 8>),
+            (2, 16, gather_image::<2, 16>),
+            (1, 32, gather_image::<1, 32>),
         ];
-        for c in CHANNELS {
-            let Layer { geom, gy, w, .. } = layer(c, 1, 43);
-            let want = conv_backward_input(&gy, &w, &geom).unwrap();
-            let img = OC * geom.patches_per_image();
-            for (ch, gather) in tiles {
-                let wt = gather_weight(w.as_slice(), &geom, ch);
-                let got = on_every_isa(&format!("c={c} ch={ch}"), |isa| {
-                    let mut dx = vec![f32::NAN; want.len()];
-                    for (g, dimg) in gy.as_slice().chunks(img).zip(dx.chunks_mut(want.len() / 2)) {
-                        gather(isa, g, &wt, &geom, dimg);
-                    }
-                    dx
-                });
-                assert_eq!(bits(&got), bits(want.as_slice()), "c={c} ch={ch}");
-                assert!(got.iter().all(|v| v.is_finite()), "c={c} ch={ch}");
+        for isa in [Isa::Baseline, Isa::Avx2] {
+            for c in [3, 8, 16, 32] {
+                let (px, ch, _) = gather_kernel(isa, c);
+                let listed = tiles.iter().any(|&(p, t, _)| (p, t) == (px, ch));
+                assert!(listed, "{isa:?} c={c}: a tile the test does not run");
+            }
+        }
+        for plane in [(5, 7), (8, 8), (4, 4), (2, 2)] {
+            for c in CHANNELS {
+                let Layer { geom, gy, w, .. } = layer_of(c, plane, 1, 43);
+                let want = conv_backward_input(&gy, &w, &geom).unwrap();
+                let img = OC * geom.patches_per_image();
+                for (px, ch, gather) in tiles {
+                    let what = format!("{plane:?} c={c} px={px} ch={ch}");
+                    let wt = gather_weight(w.as_slice(), &geom, ch);
+                    let got = on_every_isa(&what, |isa| {
+                        let mut dx = vec![f32::NAN; want.len()];
+                        let dimgs = dx.chunks_mut(want.len() / 2);
+                        for (g, dimg) in gy.as_slice().chunks(img).zip(dimgs) {
+                            gather(isa, g, &wt, &geom, dimg);
+                        }
+                        dx
+                    });
+                    assert_eq!(bits(&got), bits(want.as_slice()), "{what}");
+                    assert!(got.iter().all(|v| v.is_finite()), "{what}");
+                }
             }
         }
     }
@@ -991,7 +1048,7 @@ mod tests {
                 let got = on_every_isa(&format!("c={c} stride={stride}"), |isa| {
                     let mut dx = vec![0.0f32; want.len()];
                     for (g, dimg) in gy.as_slice().chunks(img).zip(dx.chunks_mut(want.len() / 2)) {
-                        scatter_image(isa, g, w.as_slice(), &geom, dimg);
+                        with_row_block!(scatter_image(isa, g, w.as_slice(), &geom, dimg));
                     }
                     dx
                 });
@@ -1017,6 +1074,14 @@ mod tests {
         assert!(conv_backward_input(&gy, &w, &g).is_ok());
         assert!(conv_backward_input(&Tensor::zeros(&[1, 2, 3, 4]), &w, &g).is_err());
         assert!(conv_backward_input(&gy, &Tensor::zeros(&[3, 9]), &g).is_err());
+        // No output channels: a zero gradient, at either stride.
+        let none = Tensor::zeros(&[0, 9]);
+        for stride in [1, 2] {
+            let g = Conv2dGeometry::new(1, 4, 4, 3, stride, 1).unwrap();
+            let gy = Tensor::zeros(&[1, 0, g.out_h, g.out_w]);
+            let dx = conv_backward_input(&gy, &none, &g).unwrap();
+            assert_eq!(dx, Tensor::zeros(&[1, 1, 4, 4]), "stride {stride}");
+        }
         let mut gw = Tensor::zeros(&[2, 9]);
         assert!(conv_backward_weight(&gy, &cols, &g, &mut gw).is_ok());
         assert!(conv_backward_weight(&gy, &Tensor::zeros(&[8, 9]), &g, &mut gw).is_err());

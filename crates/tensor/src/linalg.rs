@@ -4,8 +4,9 @@
 //! split into fixed [`ROW_BAND`]-row bands dispatched through
 //! `hadfl-par` (sized with the measured [`OpClass::Matmul`] cutoff).
 //! Within a band, [`matmul`] and [`matmul_at_b`] share one micro-kernel
-//! ([`block_product`]) that holds a [`ROW_BLOCK`]×[`COL_TILE`]
-//! accumulator block in registers across all of `k`, so each loaded
+//! ([`block_product`]) that holds an `RB`×[`COL_TILE`] accumulator
+//! block in registers across all of `k` (`RB` is the [`row_block`] of
+//! the instruction set the kernel was compiled for), so each loaded
 //! `b` tile feeds every row of the block and no output element touches
 //! memory before it is final. Per output element the additions still
 //! occur in strictly increasing `k` order with the `a == 0.0` skip —
@@ -14,8 +15,8 @@
 //! per loaded chunk of a row, each with the fixed eight-lane association
 //! of [`crate::simd::dot8`]. Both associations are pure functions of the
 //! problem shape, so results are bit-identical to the scalar reference
-//! at any thread count and any blocking (the determinism contract of
-//! DESIGN.md §10).
+//! at any thread count, any blocking and on either compilation (the
+//! determinism contract of DESIGN.md §10).
 
 use hadfl_par::OpClass;
 
@@ -32,8 +33,32 @@ pub(crate) const ROW_BAND: usize = 8;
 /// time.
 pub(crate) const COL_TILE: usize = 16;
 
-/// Register-tile height: output rows that share each loaded `b` tile.
-pub(crate) const ROW_BLOCK: usize = 2;
+/// Register-block height of each compilation: the output rows that
+/// share each loaded `b` tile. Under SSE2 a 2 × 16 block is eight of
+/// the sixteen 128-bit registers (4 × 16 would be all sixteen and spill
+/// every `k`); under AVX2 a 4 × 16 block is eight of the sixteen 256-bit
+/// ones. The height decides which outputs are computed together, never
+/// the order of one output's terms, so the bits do not depend on it.
+pub(crate) const fn row_block(isa: Isa) -> usize {
+    match isa {
+        Isa::Baseline => 2,
+        Isa::Avx2 => 4,
+    }
+}
+
+/// `kernel::<RB>(isa, args..)` with `RB` the [`row_block`] of `isa`:
+/// how a caller of a block-product kernel picks its instantiation.
+macro_rules! with_row_block {
+    ($kernel:ident($isa:expr $(, $arg:expr)* $(,)?)) => {{
+        use $crate::linalg::row_block;
+        use $crate::simd::Isa;
+        match $isa {
+            Isa::Baseline => $kernel::<{ row_block(Isa::Baseline) }>(Isa::Baseline $(, $arg)*),
+            Isa::Avx2 => $kernel::<{ row_block(Isa::Avx2) }>(Isa::Avx2 $(, $arg)*),
+        }
+    }};
+}
+pub(crate) use with_row_block;
 
 /// A strided view of a left operand's rows: element `(r, k)` of the
 /// block is `a[r * row_stride + k * k_stride]`, for `k < depth`.
@@ -79,40 +104,63 @@ impl<'a> Strided<'a> {
     }
 }
 
-/// One register block of accumulators.
-type Block = [[f32; COL_TILE]; ROW_BLOCK];
+/// One register block of accumulators, `RB` rows.
+type Block<const RB: usize> = [[f32; COL_TILE]; RB];
 
-/// `acc[r][j] = Σ_k a(r,k)·b[k, jt + j]` over the leading `rows × tile`
-/// corner of a block. For every element the additions run in ascending
-/// `k`, and a row whose `a(r,k)` is exactly zero skips that `k` — so a
-/// non-finite `b[k, ·]` under a zero stays masked, row by row.
+/// `acc[r][j] = Σ_k a(r,k)·b[k, jt + j]` over the leading `tile`
+/// columns of a block. For every element the additions run in
+/// ascending `k`, and a row whose `a(r,k)` is exactly zero skips that
+/// `k` — so a non-finite `b[k, ·]` under a zero stays masked, row by
+/// row. A ragged block of `rows < RB` rows computes its missing rows as
+/// copies of its last one, so that every block runs the same `RB`-row
+/// code; its caller emits only the real rows, whose bits the copies do
+/// not touch.
 ///
-/// `rows` and `tile` are plain arguments so that ragged edges take the
-/// same code; the caller passes the constants for a full block, which
-/// the forced inlining propagates into fixed trip counts. The block is
-/// a local returned by value: behind a `&mut` parameter it is not
-/// promoted to registers (measured 3× slower).
+/// `tile` is a plain argument so that `n < 4` takes the same code; the
+/// caller passes a constant for every other width, which the forced
+/// inlining propagates into fixed trip counts. The block is a local
+/// returned by value: behind a `&mut` parameter it is not promoted to
+/// registers (measured 3× slower).
+///
+/// The `k` loop makes no check on `b`: a segment's `b` rows are
+/// `chunks_exact(n)`, so the tile's column range is the same check at
+/// every `k`, and the compiler makes it once, before the loop. The
+/// assertion keeps a short `b` from dropping a segment unnoticed. Each
+/// lhs row is cut once per segment to the span its `depth` elements
+/// cover, so an lhs element costs one compare against that span and no
+/// address arithmetic beyond `k · k_stride`. The rows are set by a
+/// loop rather than `array::from_fn`, whose array kept each row's
+/// length in its own stack slot.
 #[inline(always)]
-fn tile_product(
+fn tile_product<const RB: usize>(
     lhs: Strided<'_>,
     b: &[f32],
     n: usize,
     jt: usize,
     rows: usize,
     tile: usize,
-) -> Block {
-    let mut acc = [[0.0f32; COL_TILE]; ROW_BLOCK];
-    for s in 0..lhs.segments {
+) -> Block<RB> {
+    let mut acc = [[0.0f32; COL_TILE]; RB];
+    let (depth, ks) = (lhs.depth, lhs.k_stride);
+    if depth == 0 {
+        return acc;
+    }
+    assert!((1..=RB).contains(&rows) && lhs.segments * depth * n <= b.len());
+    let span = (depth - 1) * ks + 1;
+    for (s, bseg) in b.chunks_exact(depth * n).take(lhs.segments).enumerate() {
         let a = &lhs.a[s * lhs.seg_stride..];
-        for k in 0..lhs.depth {
-            let at = (s * lhs.depth + k) * n + jt;
-            let brow = &b[at..at + tile];
-            for (r, arow) in acc[..rows].iter_mut().enumerate() {
-                let v = a[r * lhs.row_stride + k * lhs.k_stride];
+        let mut arows: [&[f32]; RB] = [&[]; RB];
+        for (r, arow) in arows.iter_mut().enumerate() {
+            *arow = &a[r.min(rows - 1) * lhs.row_stride..][..span];
+        }
+        for (k, brow) in (0..depth).zip(bseg.chunks_exact(n)) {
+            let brow = &brow[jt..][..tile];
+            for (arow, accr) in arows.iter().zip(&mut acc) {
+                let v = arow[k * ks];
                 if v == 0.0 {
                     continue;
                 }
-                for (x, &bkj) in arow[..tile].iter_mut().zip(brow) {
+                for (x, &bkj) in accr[..tile].iter_mut().zip(brow) {
                     *x += v * bkj;
                 }
             }
@@ -122,42 +170,40 @@ fn tile_product(
 }
 
 /// The shared micro-kernel driver: computes the `rows × n` block
-/// `A · B` (`rows ≤ ROW_BLOCK`) one column tile at a time and hands each
+/// `A · B` (`rows ≤ RB`) one column tile at a time and hands each
 /// finished tile row to `emit(r, jt, values)`, columns `jt..` in
 /// ascending order, each exactly once. `b` is row-major with `n` columns
 /// and one row per `k` of `lhs`.
 ///
-/// A full row block only runs tiles of a fixed width — 16, 8 or 4
-/// columns — so its accumulators stay in registers at every `n`. A
-/// ragged remainder takes the narrowest of those widths that covers it
-/// and still fits in `n`, shifted left to end at column `n`: the columns
-/// it shares with the previous tile are computed again, with the same
-/// bits, and not emitted. Only `n < 4` and a ragged row block run the
-/// runtime-width tile.
+/// Every tile has a fixed width — 16, 8 or 4 columns — so its
+/// accumulators stay in registers at every `n`. A ragged remainder
+/// takes the narrowest of those widths that covers it and still fits in
+/// `n`, shifted left to end at column `n`: the columns it shares with
+/// the previous tile are computed again, with the same bits, and not
+/// emitted. Only `n < 4` runs the runtime-width tile.
 ///
 /// Forced inline, like [`tile_product`]: it is part of the body of
 /// every kernel that calls it, and so compiled for each [`Isa`] the
-/// kernel is.
+/// kernel is, with that compilation's `RB`.
 #[inline(always)]
-pub(crate) fn block_product(
+pub(crate) fn block_product<const RB: usize>(
     lhs: Strided<'_>,
     b: &[f32],
     n: usize,
     rows: usize,
     mut emit: impl FnMut(usize, usize, &[f32]),
 ) {
-    debug_assert!(rows <= ROW_BLOCK);
+    debug_assert!(rows <= RB);
     let mut jt = 0;
     while jt < n {
         let left = n - jt;
-        let (j0, tile, acc) = if rows < ROW_BLOCK || n < 4 {
-            let tile = left.min(COL_TILE);
-            (jt, tile, tile_product(lhs, b, n, jt, rows, tile))
+        let (j0, tile, acc) = if n < 4 {
+            (jt, n, tile_product::<RB>(lhs, b, n, jt, rows, n))
         } else if left >= COL_TILE {
             // Apart from the ragged arms: folded into their `match`, the
             // whole tiles of the `n` = 144 and 288 layers ran 3–12 %
             // slower.
-            let acc = tile_product(lhs, b, n, jt, ROW_BLOCK, COL_TILE);
+            let acc = tile_product::<RB>(lhs, b, n, jt, rows, COL_TILE);
             (jt, COL_TILE, acc)
         } else {
             let width = match (left, n) {
@@ -167,9 +213,9 @@ pub(crate) fn block_product(
             };
             let j0 = jt.min(n - width);
             let acc = match width {
-                4 => tile_product(lhs, b, n, j0, ROW_BLOCK, 4),
-                8 => tile_product(lhs, b, n, j0, ROW_BLOCK, 8),
-                _ => tile_product(lhs, b, n, j0, ROW_BLOCK, COL_TILE),
+                4 => tile_product::<RB>(lhs, b, n, j0, rows, 4),
+                8 => tile_product::<RB>(lhs, b, n, j0, rows, 8),
+                _ => tile_product::<RB>(lhs, b, n, j0, rows, COL_TILE),
             };
             (j0, width, acc)
         };
@@ -182,15 +228,21 @@ pub(crate) fn block_product(
 
 dispatch! {
     /// Fills one output band (`oband`, row-major with `n` columns) with
-    /// `A · B`, where `lhs` views the band's rows of `A`.
-    fn band_product(lhs: Strided<'_>, b: &[f32], n: usize, oband: &mut [f32]) = band_product_body;
+    /// `A · B`, where `lhs` views the band's rows of `A`, in blocks of
+    /// `RB` rows (see [`with_row_block`]).
+    fn band_product<const RB: usize>(
+        lhs: Strided<'_>,
+        b: &[f32],
+        n: usize,
+        oband: &mut [f32],
+    ) = band_product_body;
 }
 
 #[inline(always)]
-fn band_product_body(lhs: Strided<'_>, b: &[f32], n: usize, oband: &mut [f32]) {
-    for (blk, oblock) in oband.chunks_mut(ROW_BLOCK * n).enumerate() {
-        let view = lhs.skip_rows(blk * ROW_BLOCK);
-        block_product(view, b, n, oblock.len() / n, |r, jt, vals| {
+fn band_product_body<const RB: usize>(lhs: Strided<'_>, b: &[f32], n: usize, oband: &mut [f32]) {
+    for (blk, oblock) in oband.chunks_mut(RB * n).enumerate() {
+        let view = lhs.skip_rows(blk * RB);
+        block_product::<RB>(view, b, n, oblock.len() / n, |r, jt, vals| {
             oblock[r * n + jt..r * n + jt + vals.len()].copy_from_slice(vals);
         });
     }
@@ -246,7 +298,7 @@ pub fn matmul(a: &Tensor, b: &Tensor) -> Result<Tensor, TensorError> {
         ROW_BAND * n.max(1),
         |band, oband| {
             let lhs = Strided::new(av, ka, 1, ka).skip_rows(band * ROW_BAND);
-            band_product(isa, lhs, bv, n, oband);
+            with_row_block!(band_product(isa, lhs, bv, n, oband));
         },
     );
     Ok(out)
@@ -278,7 +330,7 @@ pub fn matmul_at_b(a: &Tensor, b: &Tensor) -> Result<Tensor, TensorError> {
     let plan = hadfl_par::plan_for(OpClass::Matmul, work);
     plan.chunks_mut(out.as_mut_slice(), ROW_BAND * n.max(1), |band, oband| {
         let lhs = Strided::new(av, 1, m, ka).skip_rows(band * ROW_BAND);
-        band_product(isa, lhs, bv, n, oband);
+        with_row_block!(band_product(isa, lhs, bv, n, oband));
     });
     Ok(out)
 }
@@ -614,6 +666,49 @@ mod tests {
         out
     }
 
+    /// Rows in [`block_product_tails_keep_the_ikj_bits_and_the_zero_skip`]'s
+    /// fixture: a whole number of blocks on every compilation.
+    const FIXTURE_ROWS: usize = 4;
+
+    dispatch! {
+        /// [`block_product`] over `a`'s rows in blocks of `RB`, the
+        /// first block cut to `first` rows: every emitted value and how
+        /// many times each output was emitted (0 where none was).
+        fn emitted<const RB: usize>(
+            a: &[f32],
+            b: &[f32],
+            dims: (usize, usize),
+            first: usize,
+        ) -> (Vec<f32>, Vec<u32>) = emitted_body;
+    }
+
+    #[inline(always)]
+    fn emitted_body<const RB: usize>(
+        a: &[f32],
+        b: &[f32],
+        (ka, n): (usize, usize),
+        first: usize,
+    ) -> (Vec<f32>, Vec<u32>) {
+        let m = a.len() / ka;
+        let mut out = vec![0.0f32; m * n];
+        let mut hits = vec![0u32; m * n];
+        for r0 in (0..m).step_by(RB) {
+            let rows = if r0 == 0 { first } else { (m - r0).min(RB) };
+            let lhs = Strided::new(a, ka, 1, ka).skip_rows(r0);
+            block_product::<RB>(lhs, b, n, rows, |r, jt, vals| {
+                for (j, &v) in (jt..).zip(vals) {
+                    out[(r0 + r) * n + j] = v;
+                    hits[(r0 + r) * n + j] += 1;
+                }
+            });
+        }
+        (out, hits)
+    }
+
+    /// The fixed-width column tails of [`block_product`] on every
+    /// compilation, each in its own block height: every column emitted
+    /// once, the ikj bits, and a non-finite `b` row that the even rows
+    /// of every block skip under a zero and the odd rows multiply.
     #[test]
     fn block_product_tails_keep_the_ikj_bits_and_the_zero_skip() {
         let ka = 13;
@@ -622,29 +717,46 @@ mod tests {
                 .into_iter()
                 .enumerate()
             {
-                let mut a = noisy(ROW_BLOCK * ka, 4 + bad as u64);
+                let mut a = noisy(FIXTURE_ROWS * ka, 4 + bad as u64);
                 let mut b = noisy(ka * n, 7);
-                // Row 0 has a zero under the poisoned `b` row, row 1 does not.
                 let k0 = (n + bad) % ka;
                 b[k0 * n..(k0 + 1) * n].fill(poison);
-                a[k0] = 0.0;
-                a[ka + k0] = 1.5;
-                let want = ikj(&a, &b, ROW_BLOCK, ka, n);
-                for rows in [ROW_BLOCK, 1] {
-                    let mut out = vec![0.0f32; rows * n];
-                    let mut hits = vec![0u32; rows * n];
-                    let lhs = Strided::new(&a, ka, 1, ka);
-                    block_product(lhs, &b, n, rows, |r, jt, vals| {
-                        for (j, &v) in (jt..).zip(vals) {
-                            out[r * n + j] = v;
-                            hits[r * n + j] += 1;
-                        }
-                    });
-                    assert!(hits.iter().all(|&h| h == 1), "n={n} rows={rows}: {hits:?}");
-                    assert!(same_bits(&out, &want[..rows * n]), "n={n} rows={rows}");
-                    assert!(out[..n].iter().all(|v| v.is_finite()), "n={n} rows={rows}");
+                for (r, row) in a.chunks_mut(ka).enumerate() {
+                    row[k0] = if r % 2 == 0 { 0.0 } else { 1.5 };
                 }
-                assert!(want[n..].iter().all(|v| !v.is_finite()), "n={n}");
+                let want = ikj(&a, &b, FIXTURE_ROWS, ka, n);
+                for (r, row) in want.chunks(n).enumerate() {
+                    let finite = row.iter().all(|v| v.is_finite());
+                    assert_eq!(finite, r % 2 == 0, "n={n} row {r} of the reference");
+                }
+                on_every_isa(&format!("n={n} poison={poison}"), |isa| {
+                    let rb = row_block(isa);
+                    assert_eq!(FIXTURE_ROWS % rb, 0, "the fixture is whole blocks");
+                    // A full first block, then every ragged height.
+                    let mut full = Vec::new();
+                    for first in (1..=rb).rev() {
+                        let (out, hits) = with_row_block!(emitted(isa, &a, &b, (ka, n), first));
+                        let what = format!("{isa:?} n={n} first block {first} rows");
+                        // Rows `first..rb` of the first block are not computed.
+                        let skipped = |i: usize| (first..rb).contains(&(i / n));
+                        for (i, (&h, (&o, &w))) in
+                            hits.iter().zip(out.iter().zip(&want)).enumerate()
+                        {
+                            assert_eq!(
+                                h,
+                                u32::from(!skipped(i)),
+                                "{what}: output {i} emitted {h} times"
+                            );
+                            if !skipped(i) {
+                                assert!(same_bits(&[o], &[w]), "{what}: output {i}");
+                            }
+                        }
+                        if first == rb {
+                            full = out;
+                        }
+                    }
+                    full
+                });
             }
         }
     }
@@ -671,7 +783,7 @@ mod tests {
                         let mut out = vec![f32::NAN; m * n];
                         for (band, oband) in out.chunks_mut(ROW_BAND * n).enumerate() {
                             let lhs = Strided::new(&a, ka, 1, ka).skip_rows(band * ROW_BAND);
-                            band_product(isa, lhs, &b, n, oband);
+                            with_row_block!(band_product(isa, lhs, &b, n, oband));
                         }
                         out
                     });

@@ -33,6 +33,13 @@
 //! the same order, so the bits do not depend on which one ran; the
 //! unit tests run every kernel on both and compare bits.
 //!
+//! The compilations may differ in tile shape: a shape is a const
+//! generic of the body, and the caller picks the instantiation from the
+//! `Isa` it dispatches to (`linalg::row_block`, `conv::gather_kernel`),
+//! sized for that instruction set's registers. A tile decides which
+//! outputs are computed together, never the order of one output's
+//! terms, so it does not move a bit either.
+//!
 //! The AVX2 compilation enables `avx2` and nothing else: with `fma`
 //! LLVM still would not contract `a + x * y`, so FMA would buy nothing
 //! the bit contract allows. The body is a named function the `avx2`

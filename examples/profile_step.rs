@@ -4,7 +4,11 @@
 //! the `hadfl_op_*` metrics report; this is the same ledger without a
 //! cluster around it — the before/after table of a kernel change. The
 //! header names the instruction set the conv and matmul kernels ran on
-//! (`avx2` or `baseline`), so a table says what it measured.
+//! (`avx2` or `baseline`), so a table says what it measured. Its last
+//! line is the conv ruler: the three conv products' self time over the
+//! same run's `im2col` + BatchNorm time, undispatched work that moves
+//! with the host's speed and not with a kernel change — so two runs
+//! taken minutes apart compare by that ratio, not by microseconds.
 //!
 //! Run: `cargo run --release --example profile_step -- [model] [steps]`
 //! (default `resnet18_lite 1000`)
@@ -68,5 +72,24 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         per_step(total_ns) / 1e3,
         wall_us / steps as f64
     );
+    let self_ns = |names: &[&str]| -> u64 {
+        rows.iter()
+            .filter(|(name, _)| names.contains(name))
+            .map(|(_, (self_ns, _))| self_ns)
+            .sum()
+    };
+    let conv = self_ns(&[
+        "conv_forward",
+        "conv_backward_weight",
+        "conv_backward_input",
+    ]);
+    let reference = self_ns(&["im2col", "bn_fwd", "bn_bwd"]);
+    if reference > 0 {
+        println!(
+            "conv ruler {:.3} (conv_forward + conv_backward_weight + conv_backward_input \
+             over im2col + bn_fwd + bn_bwd)",
+            conv as f64 / reference as f64
+        );
+    }
     Ok(())
 }
