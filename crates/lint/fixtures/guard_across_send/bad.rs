@@ -41,3 +41,10 @@ pub fn expected_guard(port: &mut TcpPort, m: &std::sync::RwLock<State>) {
     let view = m.read().expect("poisoned");
     port.send(3, wrap(&view)); //~ guard-across-send
 }
+
+/// `unwrap_or_else` preserves the guard too: the poison-ignoring
+/// `std::sync::Mutex` idiom still binds a live guard.
+pub fn poison_ignored_guard(port: &mut TcpPort, m: &std::sync::Mutex<State>) {
+    let guard = m.lock().unwrap_or_else(PoisonError::into_inner);
+    port.send(4, wrap(&guard)); //~ guard-across-send
+}

@@ -39,3 +39,10 @@ pub fn scoped(port: &mut TcpPort, m: &Mutex<State>) {
     }
     port.send(1, msg());
 }
+
+/// A poison-ignoring lock reduced to a value in its own statement:
+/// the temporary guard is gone at the `;`.
+pub fn poison_ignored_value(port: &mut TcpPort, m: &std::sync::Mutex<State>) {
+    let snapshot = m.lock().unwrap_or_else(PoisonError::into_inner).clone();
+    port.send(1, wrap(snapshot));
+}

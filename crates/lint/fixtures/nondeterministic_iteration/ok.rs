@@ -23,6 +23,13 @@ pub fn ordered_digest(m: &BTreeMap<u32, u64>) -> u64 {
     acc
 }
 
+/// A point lookup through a poison-ignoring guard never observes
+/// hash order.
+pub fn lookup_poison_ignored(conns: &std::sync::Mutex<HashMap<u32, u64>>, k: u32) -> u64 {
+    let live = conns.lock().unwrap_or_else(PoisonError::into_inner);
+    live.get(&k).copied().unwrap_or(0)
+}
+
 #[cfg(test)]
 mod tests {
     use std::collections::HashMap;

@@ -10,9 +10,10 @@
 //! fixtures:
 //!
 //! - **method-chain guards** (false negative): `let g =
-//!   m.lock().unwrap();` still binds a guard — `unwrap`/`expect` are
-//!   guard-preserving, unlike `len()`/`clone()` which reduce the
-//!   statement to a value and drop the temporary guard at the `;`.
+//!   m.lock().unwrap();` still binds a guard — `unwrap`, `expect` and
+//!   `unwrap_or_else` are guard-preserving, unlike `len()`/`clone()`
+//!   which reduce the statement to a value and drop the temporary
+//!   guard at the `;`.
 //! - **`drop()` before send** (false positive): `drop(g)` ends the
 //!   guard; a later send is fine.
 //! - **shadowed guards** (false negative): `let g = compute();` in an
@@ -25,7 +26,7 @@ use crate::report::Finding;
 /// Zero-argument methods that acquire a guard.
 const ACQUIRE: [&str; 3] = ["lock", "read", "write"];
 /// Chain methods that pass a guard through (Result/option shells).
-const PRESERVE: [&str; 2] = ["unwrap", "expect"];
+const PRESERVE: [&str; 3] = ["unwrap", "expect", "unwrap_or_else"];
 
 struct Guard {
     name: String,

@@ -13,7 +13,7 @@
 //! Detection is a per-file symbol table: names whose declared type or
 //! constructor mentions `HashMap`/`HashSet` (fields, params, lets),
 //! propagated through guard-shaped bindings (`let g = map.lock();`)
-//! and passthrough chains (`lock/read/write/unwrap/expect/clone/…`),
+//! and passthrough chains (`lock/read/write/unwrap/unwrap_or_else/…`),
 //! then flagged at iteration sites outside test code.
 
 use super::{finding, let_statements, FileCx};
@@ -33,12 +33,13 @@ const ITER_METHODS: [&str; 10] = [
     "retain",
 ];
 /// Methods that yield the same (or a guarding/cloned) collection.
-const PASSTHROUGH: [&str; 10] = [
+const PASSTHROUGH: [&str; 11] = [
     "lock",
     "read",
     "write",
     "unwrap",
     "expect",
+    "unwrap_or_else",
     "clone",
     "borrow",
     "borrow_mut",

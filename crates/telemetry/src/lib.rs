@@ -178,7 +178,7 @@ impl Telemetry {
             lam,
             kind,
         };
-        // lint:allow(blocking-in-emit): uncontended parking_lot fan-out lock; sinks themselves must not block
+        // lint:allow(blocking-in-emit): uncontended fan-out lock; sinks themselves must not block
         let mut sinks = inner.sinks.lock();
         for sink in sinks.iter_mut() {
             sink.record(&event);

@@ -69,7 +69,7 @@ impl RingBufferSink {
 
 impl Sink for RingBufferSink {
     fn record(&mut self, event: &Event) {
-        // lint:allow(blocking-in-emit): in-memory ring shared only with snapshot readers; parking_lot, uncontended, no I/O under the guard
+        // lint:allow(blocking-in-emit): in-memory ring shared only with snapshot readers; uncontended, no I/O under the guard
         let mut buf = self.buf.lock();
         if buf.len() == self.capacity {
             buf.pop_front();
