@@ -1,4 +1,4 @@
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 use std::thread;
 use std::time::Duration;
 
@@ -777,12 +777,15 @@ impl TrainState for SlowingGhost {
 /// The paper's strategy generator, logging the versions it is handed.
 struct RecordingPlanner {
     inner: StrategyGenerator,
-    log: Arc<parking_lot::Mutex<Vec<Vec<f64>>>>,
+    log: Arc<Mutex<Vec<Vec<f64>>>>,
 }
 
 impl Planner for RecordingPlanner {
     fn plan(&mut self, available: &[DeviceId], versions: &[f64]) -> Result<RoundPlan, HadflError> {
-        self.log.lock().push(versions.to_vec());
+        self.log
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .push(versions.to_vec());
         self.inner.plan_round(available, versions)
     }
 }
@@ -818,7 +821,7 @@ fn coordinator_plans_from_eq7_forecasts() {
         timing: ProtocolTiming::quick(),
     };
     let planned = |telemetry: &[Telemetry]| {
-        let log = Arc::new(parking_lot::Mutex::new(Vec::new()));
+        let log = Arc::new(Mutex::new(Vec::new()));
         let planner = RecordingPlanner {
             inner: StrategyGenerator::new(&config),
             log: Arc::clone(&log),
@@ -839,7 +842,7 @@ fn coordinator_plans_from_eq7_forecasts() {
             [[10, 10], [20, 20], [30, 30], [40, 35], [50, 40]],
             "the ghosts' reports"
         );
-        Arc::try_unwrap(log).unwrap().into_inner()
+        Arc::try_unwrap(log).unwrap().into_inner().unwrap()
     };
     let expected = [
         [10.0, 10.0],
@@ -1637,7 +1640,7 @@ enum Step {
     Sent(usize, usize, &'static str),
 }
 
-type StepLog = Arc<parking_lot::Mutex<Vec<Step>>>;
+type StepLog = Arc<Mutex<Vec<Step>>>;
 
 /// A [`StubTrain`] that logs every parameter copy out and in.
 struct LoggedTrain {
@@ -1648,11 +1651,17 @@ struct LoggedTrain {
 
 impl TrainState for LoggedTrain {
     fn params(&self) -> Vec<f32> {
-        self.log.lock().push(Step::Params(self.me));
+        self.log
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .push(Step::Params(self.me));
         self.inner.params()
     }
     fn set_params(&mut self, params: &[f32]) -> Result<(), HadflError> {
-        self.log.lock().push(Step::SetParams(self.me));
+        self.log
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .push(Step::SetParams(self.me));
         self.inner.set_params(params)
     }
     fn train_step(&mut self) -> Result<(), HadflError> {
@@ -1679,6 +1688,7 @@ impl Port for LoggedPort {
     fn send(&mut self, to: usize, msg: &Message) -> Result<(), HadflError> {
         self.log
             .lock()
+            .unwrap_or_else(PoisonError::into_inner)
             .push(Step::Sent(self.inner.id(), to, msg.kind()));
         self.inner.send(to, msg)
     }
@@ -1742,7 +1752,9 @@ fn ring_members_snapshot_on_the_plan_and_install_after_forwarding() {
             let mut delivered = false;
             for &me in ring.iter().rev() {
                 if let Some(msg) = ports[me].try_recv().unwrap() {
-                    log.lock().push(Step::Delivered(me, msg.kind()));
+                    log.lock()
+                        .unwrap_or_else(PoisonError::into_inner)
+                        .push(Step::Delivered(me, msg.kind()));
                     actors[me].on_message(&mut ports[me], msg, t).unwrap();
                     delivered = true;
                 }
@@ -1751,7 +1763,7 @@ fn ring_members_snapshot_on_the_plan_and_install_after_forwarding() {
                 break;
             }
         }
-        let log = log.lock().clone();
+        let log = log.lock().unwrap_or_else(PoisonError::into_inner).clone();
         let at = |step: &Step| {
             let mut found = log.iter().enumerate().filter(|(_, s)| *s == step);
             let first = found.next().map(|(i, _)| i);

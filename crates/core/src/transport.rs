@@ -5,7 +5,7 @@
 //! participant id. Devices occupy ids `0..k`; the coordinator is id `k`
 //! ([`coordinator_id`]). Two fabrics implement it:
 //!
-//! * [`ChannelTransport`] — in-process crossbeam channels, used by
+//! * [`ChannelTransport`] — in-process `std::sync::mpsc` channels, used by
 //!   [`crate::exec::run_threaded`] and the tests;
 //! * `hadfl-net`'s `TcpTransport` — real sockets for multi-process
 //!   clusters.
@@ -16,13 +16,12 @@
 //! identical across fabrics and comparable with the analytical driver's
 //! ledger.
 
-use std::sync::Arc;
+use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender, TryRecvError};
+use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Duration;
 
-use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender, TryRecvError};
 use hadfl_simnet::{DeviceId, Endpoint, NetStats};
 use hadfl_telemetry::{EventKind, LamportClock, Telemetry};
-use parking_lot::Mutex;
 
 use crate::clock::{Clock, WallClock};
 use crate::error::HadflError;
@@ -116,7 +115,7 @@ pub trait Port: Send {
 /// would build, before encoding.
 type Stamped = (CausalStamp, Message);
 
-/// In-process fabric: one unbounded crossbeam channel per participant,
+/// In-process fabric: one unbounded `std::sync::mpsc` channel per participant,
 /// queueing stamped [`Message`]s as they are — sender and receiver share
 /// an address space, so nothing is encoded: a send clones the message
 /// (the queue must own what it holds) and a receive moves it out.
@@ -151,7 +150,7 @@ impl ChannelTransport {
         let mut txs = Vec::with_capacity(participants);
         let mut rxs = Vec::with_capacity(participants);
         for _ in 0..participants {
-            let (tx, rx) = unbounded();
+            let (tx, rx) = channel();
             txs.push(tx);
             rxs.push(Some(rx));
         }
@@ -210,7 +209,10 @@ impl ChannelTransport {
 
     /// The fabric-wide byte ledger (all ports combined).
     pub fn net_stats(&self) -> NetStats {
-        self.stats.lock().clone()
+        self.stats
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .clone()
     }
 }
 
@@ -276,6 +278,7 @@ impl Port for ChannelPort {
         let k = self.txs.len() - 1;
         self.stats
             .lock()
+            .unwrap_or_else(PoisonError::into_inner)
             .record(endpoint_of(self.id, k), endpoint_of(to, k), payload);
         if self.tel.enabled() {
             self.tel.emit(
@@ -314,7 +317,10 @@ impl Port for ChannelPort {
     }
 
     fn stats(&self) -> NetStats {
-        self.stats.lock().clone()
+        self.stats
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .clone()
     }
 
     fn clock(&self) -> Arc<dyn Clock> {

@@ -29,8 +29,6 @@
 //! message's `Vec<f32>` without an intermediate frame buffer. Every
 //! other variant is all head.
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
-
 use crate::error::HadflError;
 
 /// Byte length of the causal envelope header [`seal`] prepends.
@@ -54,11 +52,11 @@ pub struct CausalStamp {
 /// Seals `msg` into a transport frame: a [`STAMP_LEN`]-byte stamp
 /// header (origin u32 LE, lamport u64 LE) followed by the message
 /// encoding. The inverse is [`open`].
-pub fn seal(stamp: CausalStamp, msg: &Message) -> Bytes {
-    let mut buf = BytesMut::with_capacity(STAMP_LEN + msg.encoded_len());
+pub fn seal(stamp: CausalStamp, msg: &Message) -> Vec<u8> {
+    let mut buf = Vec::with_capacity(STAMP_LEN + msg.encoded_len());
     let body = seal_split(stamp, msg, &mut buf);
     buf.extend_from_slice(body);
-    buf.freeze()
+    buf
 }
 
 /// [`seal`], split at the payload boundary: appends the frame's head
@@ -67,9 +65,9 @@ pub fn seal(stamp: CausalStamp, msg: &Message) -> Bytes {
 /// The body is empty for every variant without parameters — and, on
 /// big-endian targets, always: there the in-memory floats are not the
 /// wire bytes, so the whole frame is converted into `head`.
-pub fn seal_split<'m>(stamp: CausalStamp, msg: &'m Message, head: &mut BytesMut) -> &'m [u8] {
-    head.put_u32_le(stamp.origin);
-    head.put_u64_le(stamp.lamport);
+pub fn seal_split<'m>(stamp: CausalStamp, msg: &'m Message, head: &mut Vec<u8>) -> &'m [u8] {
+    head.extend_from_slice(&stamp.origin.to_le_bytes());
+    head.extend_from_slice(&stamp.lamport.to_le_bytes());
     let params = msg.encode_head(head);
     #[cfg(target_endian = "little")]
     {
@@ -89,12 +87,37 @@ fn split_stamp(frame: &[u8]) -> Result<(CausalStamp, &[u8]), HadflError> {
             frame.len()
         )));
     }
-    let (mut head, rest) = frame.split_at(STAMP_LEN);
+    let mut rest = frame;
     let stamp = CausalStamp {
-        origin: head.get_u32_le(),
-        lamport: head.get_u64_le(),
+        origin: u32::from_le_bytes(take(&mut rest)?),
+        lamport: u64::from_le_bytes(take(&mut rest)?),
     };
     Ok((stamp, rest))
+}
+
+/// The error for a frame cut short: the next field needs `n` bytes
+/// and only `have` remain.
+fn truncated(n: usize, have: usize) -> HadflError {
+    HadflError::InvalidConfig(format!("truncated frame: need {n} more bytes, have {have}"))
+}
+
+/// Fails with [`truncated`] unless `frame` holds at least `n` bytes.
+fn need(frame: &[u8], n: usize) -> Result<(), HadflError> {
+    if frame.len() < n {
+        return Err(truncated(n, frame.len()));
+    }
+    Ok(())
+}
+
+/// Takes the next `N` bytes off the front of `frame`, failing with
+/// [`truncated`] when fewer remain. Every fixed-width field is read
+/// through here: `u32::from_le_bytes(take(&mut frame)?)`.
+fn take<const N: usize>(frame: &mut &[u8]) -> Result<[u8; N], HadflError> {
+    let Some((head, rest)) = frame.split_first_chunk::<N>() else {
+        return Err(truncated(N, frame.len()));
+    };
+    *frame = rest;
+    Ok(*head)
 }
 
 /// Opens a frame produced by [`seal`], returning the stamp and the
@@ -123,8 +146,8 @@ pub struct ParamFrame {
     stamp: CausalStamp,
     tag: u8,
     /// The head's fixed fields, between tag and element count (the
-    /// first 4 or 8 bytes are used, by `tag`).
-    fields: [u8; 8],
+    /// second is 0 for the one-field variants).
+    fields: [u32; 2],
     params: Vec<f32>,
     /// Payload bytes already in `params`: those that came with the head.
     filled: usize,
@@ -159,7 +182,7 @@ impl ParamFrame {
         for p in &mut params {
             *p = f32::from_bits(u32::from_le(p.to_bits()));
         }
-        (self.stamp, param_message(self.tag, &self.fields, params))
+        (self.stamp, param_message(self.tag, self.fields, params))
     }
 }
 
@@ -202,17 +225,13 @@ pub fn split_frame(
             first.len()
         )));
     }
-    let (stamp, _) = split_stamp(first)?;
-    let (head, surplus) = first.split_at(head_len);
-    let (fixed, mut count) = head[STAMP_LEN + 1..].split_at(head_len - STAMP_LEN - 5);
-    let count = count.get_u32_le() as usize;
+    let (stamp, rest) = split_stamp(first)?;
+    let (fields, count, surplus) = param_head(tag, &rest[1..])?;
     if head_len as u64 + 4 * count as u64 != frame_len as u64 {
         return Err(HadflError::InvalidConfig(format!(
             "frame of {frame_len} bytes does not hold a {head_len}-byte head and {count} parameters"
         )));
     }
-    let mut fields = [0u8; 8];
-    fields[..fixed.len()].copy_from_slice(fixed);
     let mut params = alloc(count);
     params.resize(count, 0.0);
     let mut frame = ParamFrame {
@@ -373,11 +392,22 @@ fn param_head_len(tag: u8) -> Option<usize> {
     }
 }
 
+/// Reads the head of the parameter variant `tag` names from `frame`,
+/// which starts after the tag: its fixed fields (the second is 0 for
+/// the one-field variants), its element count, and the bytes after.
+fn param_head(tag: u8, mut frame: &[u8]) -> Result<([u32; 2], usize, &[u8]), HadflError> {
+    let first = u32::from_le_bytes(take(&mut frame)?);
+    let second = match tag {
+        TAG_PARAM_ACCUM | TAG_MERGED_PARAMS => u32::from_le_bytes(take(&mut frame)?),
+        _ => 0,
+    };
+    let count = u32::from_le_bytes(take(&mut frame)?) as usize;
+    Ok(([first, second], count, frame))
+}
+
 /// Builds the parameter variant `tag` names from its fixed `fields`
-/// (the head bytes between tag and element count) and its payload.
-/// Callers pass only tags [`param_head_len`] knows.
-fn param_message(tag: u8, mut fields: &[u8], params: Vec<f32>) -> Message {
-    let first = fields.get_u32_le();
+/// and its payload. Callers pass only tags [`param_head_len`] knows.
+fn param_message(tag: u8, [first, second]: [u32; 2], params: Vec<f32>) -> Message {
     match tag {
         TAG_PARAM_SYNC => Message::ParamSync {
             round: first,
@@ -389,12 +419,12 @@ fn param_message(tag: u8, mut fields: &[u8], params: Vec<f32>) -> Message {
         },
         TAG_PARAM_ACCUM => Message::ParamAccum {
             round: first,
-            hops: fields.get_u32_le(),
+            hops: second,
             params,
         },
         _ => Message::MergedParams {
             round: first,
-            ttl: fields.get_u32_le(),
+            ttl: second,
             params,
         },
     }
@@ -402,8 +432,8 @@ fn param_message(tag: u8, mut fields: &[u8], params: Vec<f32>) -> Message {
 
 /// Ends a parameter head with the element count, handing the slice
 /// back as the body still to be written.
-fn put_count<'m>(buf: &mut BytesMut, params: &'m [f32]) -> &'m [f32] {
-    buf.put_u32_le(params.len() as u32);
+fn put_count<'m>(buf: &mut Vec<u8>, params: &'m [f32]) -> &'m [f32] {
+    buf.extend_from_slice(&(params.len() as u32).to_le_bytes());
     params
 }
 
@@ -413,13 +443,13 @@ fn put_count<'m>(buf: &mut BytesMut, params: &'m [f32]) -> &'m [f32] {
 /// elsewhere it falls back to per-float conversion. The byte layout is
 /// identical either way — and identical to the per-float loop this
 /// replaced, which the wire proptests pin down.
-fn put_f32s(buf: &mut BytesMut, params: &[f32]) {
+fn put_f32s(buf: &mut Vec<u8>, params: &[f32]) {
     buf.reserve(4 * params.len());
     #[cfg(target_endian = "little")]
     buf.extend_from_slice(f32_bytes(params));
     #[cfg(not(target_endian = "little"))]
     for &p in params {
-        buf.put_f32_le(p);
+        buf.extend_from_slice(&p.to_le_bytes());
     }
 }
 
@@ -427,7 +457,8 @@ fn put_f32s(buf: &mut BytesMut, params: &[f32]) {
 /// little-endian `f32`s in one bulk copy (the caller has already
 /// bounds-checked). Inverse of [`put_f32s`].
 fn get_f32s(frame: &mut &[u8], len: usize) -> Vec<f32> {
-    let raw = frame.take_bytes(4 * len);
+    let (raw, rest) = frame.split_at(4 * len);
+    *frame = rest;
     let mut params: Vec<f32> = Vec::with_capacity(len);
     #[cfg(target_endian = "little")]
     // SAFETY: `params` owns capacity for `len` f32s; `raw` holds
@@ -446,10 +477,10 @@ fn get_f32s(frame: &mut &[u8], len: usize) -> Vec<f32> {
     params
 }
 
-fn put_ids(buf: &mut BytesMut, ids: &[u32]) {
-    buf.put_u32_le(ids.len() as u32);
+fn put_ids(buf: &mut Vec<u8>, ids: &[u32]) {
+    buf.extend_from_slice(&(ids.len() as u32).to_le_bytes());
     for &d in ids {
-        buf.put_u32_le(d);
+        buf.extend_from_slice(&d.to_le_bytes());
     }
 }
 
@@ -489,16 +520,16 @@ impl Message {
     /// # Ok(())
     /// # }
     /// ```
-    pub fn encode(&self) -> Bytes {
+    pub fn encode(&self) -> Vec<u8> {
         let len = self.encoded_len();
         let _prof = hadfl_prof::scope_bytes("wire_encode", len as u64);
-        let mut buf = BytesMut::with_capacity(len);
+        let mut buf = Vec::with_capacity(len);
         self.encode_into(&mut buf);
-        buf.freeze()
+        buf
     }
 
     /// Appends the message encoding to `buf`: head, then body.
-    fn encode_into(&self, buf: &mut BytesMut) {
+    fn encode_into(&self, buf: &mut Vec<u8>) {
         let params = self.encode_head(buf);
         put_f32s(buf, params);
     }
@@ -507,11 +538,11 @@ impl Message {
     /// fields and, for the parameter variants, the element count — and
     /// returns the parameter slice whose little-endian bytes complete
     /// it. Every other variant is written whole and returns `&[]`.
-    fn encode_head(&self, buf: &mut BytesMut) -> &[f32] {
+    fn encode_head(&self, buf: &mut Vec<u8>) -> &[f32] {
         match self {
             Message::ParamSync { round, params } => {
-                buf.put_u8(TAG_PARAM_SYNC);
-                buf.put_u32_le(*round);
+                buf.push(TAG_PARAM_SYNC);
+                buf.extend_from_slice(&round.to_le_bytes());
                 return put_count(buf, params);
             }
             Message::VersionReport {
@@ -519,37 +550,37 @@ impl Message {
                 round,
                 version,
             } => {
-                buf.put_u8(TAG_VERSION_REPORT);
-                buf.put_u32_le(*device);
-                buf.put_u32_le(*round);
-                buf.put_f64_le(*version);
+                buf.push(TAG_VERSION_REPORT);
+                buf.extend_from_slice(&device.to_le_bytes());
+                buf.extend_from_slice(&round.to_le_bytes());
+                buf.extend_from_slice(&version.to_le_bytes());
             }
             Message::Handshake { from } => {
-                buf.put_u8(TAG_HANDSHAKE);
-                buf.put_u32_le(*from);
+                buf.push(TAG_HANDSHAKE);
+                buf.extend_from_slice(&from.to_le_bytes());
             }
             Message::HandshakeAck { from } => {
-                buf.put_u8(TAG_HANDSHAKE_ACK);
-                buf.put_u32_le(*from);
+                buf.push(TAG_HANDSHAKE_ACK);
+                buf.extend_from_slice(&from.to_le_bytes());
             }
             Message::BypassWarning { dead } => {
-                buf.put_u8(TAG_BYPASS_WARNING);
-                buf.put_u32_le(*dead);
+                buf.push(TAG_BYPASS_WARNING);
+                buf.extend_from_slice(&dead.to_le_bytes());
             }
             Message::ParamAccum {
                 round,
                 hops,
                 params,
             } => {
-                buf.put_u8(TAG_PARAM_ACCUM);
-                buf.put_u32_le(*round);
-                buf.put_u32_le(*hops);
+                buf.push(TAG_PARAM_ACCUM);
+                buf.extend_from_slice(&round.to_le_bytes());
+                buf.extend_from_slice(&hops.to_le_bytes());
                 return put_count(buf, params);
             }
             Message::MergedParams { round, ttl, params } => {
-                buf.put_u8(TAG_MERGED_PARAMS);
-                buf.put_u32_le(*round);
-                buf.put_u32_le(*ttl);
+                buf.push(TAG_MERGED_PARAMS);
+                buf.extend_from_slice(&round.to_le_bytes());
+                buf.extend_from_slice(&ttl.to_le_bytes());
                 return put_count(buf, params);
             }
             Message::RoundPlan {
@@ -558,26 +589,26 @@ impl Message {
                 broadcaster,
                 unselected,
             } => {
-                buf.put_u8(TAG_ROUND_PLAN);
-                buf.put_u32_le(*round);
+                buf.push(TAG_ROUND_PLAN);
+                buf.extend_from_slice(&round.to_le_bytes());
                 put_ids(buf, ring);
-                buf.put_u32_le(*broadcaster);
+                buf.extend_from_slice(&broadcaster.to_le_bytes());
                 put_ids(buf, unselected);
             }
             Message::ReportRequest { round } => {
-                buf.put_u8(TAG_REPORT_REQUEST);
-                buf.put_u32_le(*round);
+                buf.push(TAG_REPORT_REQUEST);
+                buf.extend_from_slice(&round.to_le_bytes());
             }
             Message::Shutdown => {
-                buf.put_u8(TAG_SHUTDOWN);
+                buf.push(TAG_SHUTDOWN);
             }
             Message::Hello { from } => {
-                buf.put_u8(TAG_HELLO);
-                buf.put_u32_le(*from);
+                buf.push(TAG_HELLO);
+                buf.extend_from_slice(&from.to_le_bytes());
             }
             Message::FinalParams { device, params } => {
-                buf.put_u8(TAG_FINAL_PARAMS);
-                buf.put_u32_le(*device);
+                buf.push(TAG_FINAL_PARAMS);
+                buf.extend_from_slice(&device.to_le_bytes());
                 return put_count(buf, params);
             }
             Message::TelemetryBatch {
@@ -585,11 +616,11 @@ impl Message {
                 dropped,
                 payload,
             } => {
-                buf.put_u8(TAG_TELEMETRY_BATCH);
-                buf.put_u32_le(*node);
-                buf.put_u32_le(*dropped);
-                buf.put_u32_le(payload.len() as u32);
-                buf.put_slice(payload);
+                buf.push(TAG_TELEMETRY_BATCH);
+                buf.extend_from_slice(&node.to_le_bytes());
+                buf.extend_from_slice(&dropped.to_le_bytes());
+                buf.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+                buf.extend_from_slice(payload);
             }
         }
         &[]
@@ -650,105 +681,66 @@ impl Message {
         // spill on the small control messages (round-plan decode is a
         // 230ns op), while the bulk param payloads it exists to
         // attribute dwarf it.
-        fn need(frame: &[u8], n: usize) -> Result<(), HadflError> {
-            if frame.remaining() < n {
-                return Err(HadflError::InvalidConfig(format!(
-                    "truncated frame: need {n} more bytes, have {}",
-                    frame.remaining()
-                )));
-            }
-            Ok(())
-        }
-        need(frame, 1)?;
-        let tag = frame.get_u8();
+        let [tag] = take(&mut frame)?;
         let msg = match tag {
             TAG_PARAM_SYNC | TAG_FINAL_PARAMS | TAG_PARAM_ACCUM | TAG_MERGED_PARAMS => {
                 // Head, then body — the same split a `ParamFrame`
                 // receives in two parts.
-                let fixed = if matches!(tag, TAG_PARAM_SYNC | TAG_FINAL_PARAMS) {
-                    4
-                } else {
-                    8
-                };
-                need(frame, fixed + 4)?;
-                let (fields, rest) = frame.split_at(fixed);
+                let (fields, len, rest) = param_head(tag, frame)?;
                 frame = rest;
-                let len = frame.get_u32_le() as usize;
                 need(frame, 4 * len)?;
                 let _prof = hadfl_prof::scope_bytes("wire_decode", (4 * len) as u64);
                 let params = get_f32s(&mut frame, len);
                 param_message(tag, fields, params)
             }
-            TAG_VERSION_REPORT => {
-                need(frame, 16)?;
-                Message::VersionReport {
-                    device: frame.get_u32_le(),
-                    round: frame.get_u32_le(),
-                    version: frame.get_f64_le(),
-                }
-            }
-            TAG_HANDSHAKE => {
-                need(frame, 4)?;
-                Message::Handshake {
-                    from: frame.get_u32_le(),
-                }
-            }
-            TAG_HANDSHAKE_ACK => {
-                need(frame, 4)?;
-                Message::HandshakeAck {
-                    from: frame.get_u32_le(),
-                }
-            }
-            TAG_BYPASS_WARNING => {
-                need(frame, 4)?;
-                Message::BypassWarning {
-                    dead: frame.get_u32_le(),
-                }
-            }
+            TAG_VERSION_REPORT => Message::VersionReport {
+                device: u32::from_le_bytes(take(&mut frame)?),
+                round: u32::from_le_bytes(take(&mut frame)?),
+                version: f64::from_le_bytes(take(&mut frame)?),
+            },
+            TAG_HANDSHAKE => Message::Handshake {
+                from: u32::from_le_bytes(take(&mut frame)?),
+            },
+            TAG_HANDSHAKE_ACK => Message::HandshakeAck {
+                from: u32::from_le_bytes(take(&mut frame)?),
+            },
+            TAG_BYPASS_WARNING => Message::BypassWarning {
+                dead: u32::from_le_bytes(take(&mut frame)?),
+            },
             TAG_ROUND_PLAN => {
                 fn get_ids(frame: &mut &[u8]) -> Result<Vec<u32>, HadflError> {
-                    need(frame, 4)?;
-                    let len = frame.get_u32_le() as usize;
+                    let len = u32::from_le_bytes(take(frame)?) as usize;
                     need(frame, 4 * len)?;
-                    Ok((0..len).map(|_| frame.get_u32_le()).collect())
+                    let (ids, rest) = frame.split_at(4 * len);
+                    *frame = rest;
+                    let (ids, _) = ids.as_chunks::<4>();
+                    Ok(ids.iter().map(|&id| u32::from_le_bytes(id)).collect())
                 }
-                need(frame, 4)?;
-                let round = frame.get_u32_le();
-                let ring = get_ids(&mut frame)?;
-                need(frame, 4)?;
-                let broadcaster = frame.get_u32_le();
-                let unselected = get_ids(&mut frame)?;
                 Message::RoundPlan {
-                    round,
-                    ring,
-                    broadcaster,
-                    unselected,
+                    round: u32::from_le_bytes(take(&mut frame)?),
+                    ring: get_ids(&mut frame)?,
+                    broadcaster: u32::from_le_bytes(take(&mut frame)?),
+                    unselected: get_ids(&mut frame)?,
                 }
             }
-            TAG_REPORT_REQUEST => {
-                need(frame, 4)?;
-                Message::ReportRequest {
-                    round: frame.get_u32_le(),
-                }
-            }
+            TAG_REPORT_REQUEST => Message::ReportRequest {
+                round: u32::from_le_bytes(take(&mut frame)?),
+            },
             TAG_SHUTDOWN => Message::Shutdown,
-            TAG_HELLO => {
-                need(frame, 4)?;
-                Message::Hello {
-                    from: frame.get_u32_le(),
-                }
-            }
+            TAG_HELLO => Message::Hello {
+                from: u32::from_le_bytes(take(&mut frame)?),
+            },
             TAG_TELEMETRY_BATCH => {
-                need(frame, 12)?;
-                let node = frame.get_u32_le();
-                let dropped = frame.get_u32_le();
-                let len = frame.get_u32_le() as usize;
+                let node = u32::from_le_bytes(take(&mut frame)?);
+                let dropped = u32::from_le_bytes(take(&mut frame)?);
+                let len = u32::from_le_bytes(take(&mut frame)?) as usize;
                 need(frame, len)?;
-                let payload = frame.take_bytes(len).to_vec();
+                let (payload, rest) = frame.split_at(len);
+                frame = rest;
                 Message::TelemetryBatch {
                     node,
                     dropped,
-                    payload,
+                    payload: payload.to_vec(),
                 }
             }
             other => {
@@ -757,10 +749,10 @@ impl Message {
                 )))
             }
         };
-        if frame.has_remaining() {
+        if !frame.is_empty() {
             return Err(HadflError::InvalidConfig(format!(
                 "{} trailing bytes after message",
-                frame.remaining()
+                frame.len()
             )));
         }
         Ok(msg)

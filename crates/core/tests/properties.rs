@@ -263,7 +263,7 @@ proptest! {
         ids in proptest::collection::vec(0u32..64, 0..6),
         extra in proptest::collection::vec(0u8..=255, 1..16),
     ) {
-        let mut frame = arb_message(variant, a, b, v, params, ids).encode().to_vec();
+        let mut frame = arb_message(variant, a, b, v, params, ids).encode();
         frame.extend_from_slice(&extra);
         prop_assert!(Message::decode(&frame).is_err());
     }

@@ -2,11 +2,10 @@
 //! and the parallel aggregation helpers to their serial references.
 //!
 //! The zero-copy encode/decode in `wire.rs` must be **byte-for-byte**
-//! identical to the per-float `put_f32_le` loop it replaced — the
+//! identical to the per-float `to_le_bytes` loop it replaced — the
 //! payload ledger, telemetry byte counts, and cross-version
 //! interoperability all assume the layout never moved.
 
-use bytes::{BufMut, BytesMut};
 use hadfl::aggregate::{
     accumulate_params, accumulate_scaled_params, average_params, blend_params, scale_params,
     weighted_average_params,
@@ -22,17 +21,17 @@ use proptest::prelude::*;
 /// The pre-bulk-codec reference encoding: one tag byte, the fixed
 /// header fields, then `len` + each f32 written individually.
 fn reference_encode(msg: &Message) -> Vec<u8> {
-    let mut buf = BytesMut::new();
-    fn put_params_ref(buf: &mut BytesMut, params: &[f32]) {
-        buf.put_u32_le(params.len() as u32);
+    let mut buf = Vec::new();
+    fn put_params_ref(buf: &mut Vec<u8>, params: &[f32]) {
+        buf.extend_from_slice(&(params.len() as u32).to_le_bytes());
         for &p in params {
-            buf.put_f32_le(p);
+            buf.extend_from_slice(&p.to_le_bytes());
         }
     }
     match msg {
         Message::ParamSync { round, params } => {
-            buf.put_u8(1);
-            buf.put_u32_le(*round);
+            buf.push(1);
+            buf.extend_from_slice(&round.to_le_bytes());
             put_params_ref(&mut buf, params);
         }
         Message::ParamAccum {
@@ -40,25 +39,25 @@ fn reference_encode(msg: &Message) -> Vec<u8> {
             hops,
             params,
         } => {
-            buf.put_u8(7);
-            buf.put_u32_le(*round);
-            buf.put_u32_le(*hops);
+            buf.push(7);
+            buf.extend_from_slice(&round.to_le_bytes());
+            buf.extend_from_slice(&hops.to_le_bytes());
             put_params_ref(&mut buf, params);
         }
         Message::MergedParams { round, ttl, params } => {
-            buf.put_u8(8);
-            buf.put_u32_le(*round);
-            buf.put_u32_le(*ttl);
+            buf.push(8);
+            buf.extend_from_slice(&round.to_le_bytes());
+            buf.extend_from_slice(&ttl.to_le_bytes());
             put_params_ref(&mut buf, params);
         }
         Message::FinalParams { device, params } => {
-            buf.put_u8(14);
-            buf.put_u32_le(*device);
+            buf.push(14);
+            buf.extend_from_slice(&device.to_le_bytes());
             put_params_ref(&mut buf, params);
         }
         other => panic!("reference encoder only covers param-carrying variants, got {other:?}"),
     }
-    buf.freeze().to_vec()
+    buf
 }
 
 fn param_strategy() -> impl Strategy<Value = Vec<f32>> {
@@ -152,7 +151,7 @@ fn streamed(frame: &[u8], first: usize) -> Result<Vec<u8>, hadfl::HadflError> {
         }
         None => open(frame)?,
     };
-    Ok(seal(stamp, &msg).to_vec())
+    Ok(seal(stamp, &msg))
 }
 
 fn assert_param_bits_eq(a: &[f32], b: &[f32]) {
@@ -224,7 +223,7 @@ proptest! {
                 prop_assert_eq!(sealed.len(), STAMP_LEN + msg.encoded_len());
 
                 // Sending: head, then the parameter slice's own bytes.
-                let mut head = bytes::BytesMut::new();
+                let mut head = Vec::new();
                 let body = seal_split(stamp, &msg, &mut head);
                 prop_assert_eq!(&[&head[..], body].concat()[..], &sealed[..], "{:?}", msg);
                 if cfg!(target_endian = "little") {
@@ -254,7 +253,7 @@ proptest! {
     ) {
         let stamp = CausalStamp { origin: 1, lamport: 2 };
         for msg in every_variant(a, b, &with_specials(params), &[3, 1, 2], b"{}\n") {
-            let sealed = seal(stamp, &msg).to_vec();
+            let sealed = seal(stamp, &msg);
 
             // Trailing garbage: the frame is longer than its message.
             let mut long = sealed.clone();
@@ -408,7 +407,7 @@ fn reserved_tag_6_is_rejected_as_unknown() {
         lamport: 2,
     };
     for tag in [6u8, 12] {
-        let mut sealed = seal(stamp, &Message::Handshake { from: 0 }).to_vec();
+        let mut sealed = seal(stamp, &Message::Handshake { from: 0 });
         sealed[STAMP_LEN] = tag;
         let err = Message::decode(&sealed[STAMP_LEN..]).unwrap_err();
         assert!(

@@ -15,14 +15,13 @@
 //! ```
 
 use std::process::ExitCode;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Duration;
 
 use hadfl::clock::WallClock;
 use hadfl_net::collector::{Collector, CollectorOptions, CollectorServer};
 use hadfl_telemetry::health::HealthOptions;
 use hadfl_telemetry::MetricsRegistry;
-use parking_lot::Mutex;
 
 const USAGE: &str = "usage: hadfl-collector [--listen <host:port>] [--http <host:port>] \
 [--spool <file.jsonl>] [--tick-ms 250] [--round-deadline-ms 30000] \
@@ -133,7 +132,10 @@ fn run(args: &Args) -> Result<(), String> {
     }
     let collector = server.collector();
     server.shutdown();
-    let status = collector.lock().status();
+    let status = collector
+        .lock()
+        .unwrap_or_else(PoisonError::into_inner)
+        .status();
     eprintln!(
         "hadfl-collector: {} nodes, {} events, {} alerts, {} telemetry bytes",
         status.nodes.len(),

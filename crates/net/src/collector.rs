@@ -32,11 +32,10 @@ use std::io::{BufWriter, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use parking_lot::Mutex;
 use serde::Serialize;
 
 use hadfl::clock::Clock;
@@ -332,7 +331,10 @@ impl CollectorServer {
             let stop = Arc::clone(&stop);
             std::thread::spawn(move || {
                 while !stop.load(Ordering::SeqCst) {
-                    collector.lock().tick();
+                    collector
+                        .lock()
+                        .unwrap_or_else(PoisonError::into_inner)
+                        .tick();
                     std::thread::sleep(tick_interval);
                 }
             })
@@ -382,7 +384,10 @@ impl CollectorServer {
         stop_accept(&self.stop, self.ingest_addr, ingest);
         stop_accept(&self.stop, self.http_addr, http);
         let _ = tick.join();
-        self.collector.lock().tick();
+        self.collector
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .tick();
     }
 }
 
@@ -406,6 +411,7 @@ fn ingest_conn(mut stream: &TcpStream, collector: &Mutex<Collector>, max_frame_b
         {
             collector
                 .lock()
+                .unwrap_or_else(PoisonError::into_inner)
                 .ingest_batch(stamp.origin, node, dropped, &payload);
         }
     }
@@ -414,10 +420,21 @@ fn ingest_conn(mut stream: &TcpStream, collector: &Mutex<Collector>, max_frame_b
 fn http_loop(listener: TcpListener, collector: Arc<Mutex<Collector>>, stop: Arc<AtomicBool>) {
     serve_http(&listener, &stop, |path| match path {
         "/metrics" => {
-            let body = collector.lock().registry().render();
+            let body = collector
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner)
+                .registry()
+                .render();
             ("200 OK", "text/plain; version=0.0.4", body)
         }
-        "/health" => ("200 OK", "application/json", collector.lock().status_json()),
+        "/health" => (
+            "200 OK",
+            "application/json",
+            collector
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner)
+                .status_json(),
+        ),
         _ => (
             "404 Not Found",
             "text/plain; charset=utf-8",

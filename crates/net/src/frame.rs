@@ -17,12 +17,11 @@
 use std::io::{ErrorKind, IoSlice, Read, Write};
 use std::net::{Shutdown, TcpListener, TcpStream};
 use std::sync::atomic::AtomicBool;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 use std::thread::{self, JoinHandle};
 
 use hadfl::wire::{self, CausalStamp, Message};
 use hadfl_telemetry::accept_until;
-use parking_lot::Mutex;
 
 /// One receive buffer, passed from the thread that keeps parameter
 /// frames to the readers that fill them.
@@ -42,7 +41,7 @@ impl RecvSlot {
     /// when its capacity fits, else a fresh zeroed vector, leaving the
     /// slot as it was.
     pub(crate) fn take(&self, count: usize) -> Vec<f32> {
-        let mut slot = self.0.lock();
+        let mut slot = self.0.lock().unwrap_or_else(PoisonError::into_inner);
         if count > 0 && slot.capacity() >= count {
             std::mem::take(&mut *slot)
         } else {
@@ -54,7 +53,7 @@ impl RecvSlot {
     /// the slot a buffer that fits the next one, allocated on the
     /// calling thread, unless it still holds one.
     pub(crate) fn refill(&self, count: usize) {
-        let mut slot = self.0.lock();
+        let mut slot = self.0.lock().unwrap_or_else(PoisonError::into_inner);
         if slot.capacity() < count {
             *slot = Vec::with_capacity(count);
         }
@@ -131,10 +130,10 @@ pub(crate) fn read_frame(
 /// Seals `msg` for a socket: the length prefix and the frame's head in
 /// one small buffer, and the body — a parameter payload, borrowed from
 /// the message — to be written after it.
-pub(crate) fn seal_frame(stamp: CausalStamp, msg: &Message) -> (bytes::BytesMut, &[u8]) {
-    use bytes::BufMut;
-    let mut head = bytes::BytesMut::with_capacity(4 + wire::MAX_PARAM_HEAD);
-    head.put_u32_le((wire::STAMP_LEN + msg.encoded_len()) as u32);
+pub(crate) fn seal_frame(stamp: CausalStamp, msg: &Message) -> (Vec<u8>, &[u8]) {
+    let mut head = Vec::with_capacity(4 + wire::MAX_PARAM_HEAD);
+    let len = (wire::STAMP_LEN + msg.encoded_len()) as u32;
+    head.extend_from_slice(&len.to_le_bytes());
     let body = wire::seal_split(stamp, msg, &mut head);
     (head, body)
 }
@@ -294,7 +293,11 @@ mod tests {
     fn slot_holding(count: usize) -> (RecvSlot, *const f32) {
         let slot = RecvSlot::default();
         slot.refill(count);
-        let ptr = slot.0.lock().as_ptr();
+        let ptr = slot
+            .0
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .as_ptr();
         (slot, ptr)
     }
 
@@ -310,7 +313,14 @@ mod tests {
             let (stamp, got, len) = read_frame(&mut stream, 1 << 20, |n| slot.take(n)).unwrap();
             assert_eq!(len, bytes.len() - 4);
             assert_eq!(params_of(&got).as_ptr(), ptr, "{}", msg.kind());
-            assert_eq!(slot.0.lock().capacity(), 0, "the slot was used");
+            assert_eq!(
+                slot.0
+                    .lock()
+                    .unwrap_or_else(PoisonError::into_inner)
+                    .capacity(),
+                0,
+                "the slot was used"
+            );
             // Re-sealed bytes compare where NaN payloads would not.
             let (open_stamp, opened) = wire::open(&bytes[4..]).unwrap();
             assert_eq!(stamp, open_stamp);
@@ -332,7 +342,10 @@ mod tests {
             let mut stream = dribbled(lying, 4 + wire::MAX_PARAM_HEAD);
             assert!(read_frame(&mut stream, 1 << 20, |n| slot.take(n)).is_none());
             assert_eq!(
-                slot.0.lock().as_ptr(),
+                slot.0
+                    .lock()
+                    .unwrap_or_else(PoisonError::into_inner)
+                    .as_ptr(),
                 ptr,
                 "a count of {lie} emptied the slot"
             );
@@ -343,7 +356,10 @@ mod tests {
         let short_bound = honest.len() - 5;
         assert!(read_frame(&mut stream, short_bound, |n| slot.take(n)).is_none());
         assert_eq!(
-            slot.0.lock().as_ptr(),
+            slot.0
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner)
+                .as_ptr(),
             ptr,
             "an over-long prefix emptied the slot"
         );
@@ -353,7 +369,10 @@ mod tests {
         let (_, got, _) = read_frame(&mut stream, 1 << 20, |n| slot.take(n)).unwrap();
         assert_ne!(params_of(&got).as_ptr(), ptr);
         assert_eq!(
-            slot.0.lock().as_ptr(),
+            slot.0
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner)
+                .as_ptr(),
             ptr,
             "an unfitting buffer left the slot"
         );
@@ -365,12 +384,30 @@ mod tests {
         let (slot, ptr) = slot_holding(16);
         slot.refill(16);
         slot.refill(8);
-        assert_eq!(slot.0.lock().as_ptr(), ptr);
+        assert_eq!(
+            slot.0
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner)
+                .as_ptr(),
+            ptr
+        );
         slot.refill(17);
-        assert!(slot.0.lock().capacity() >= 17);
+        assert!(
+            slot.0
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner)
+                .capacity()
+                >= 17
+        );
         // A frame with no parameters never takes the buffer.
         assert!(slot.take(0).is_empty());
-        assert!(slot.0.lock().capacity() >= 17);
+        assert!(
+            slot.0
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner)
+                .capacity()
+                >= 17
+        );
     }
 
     #[test]

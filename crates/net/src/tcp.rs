@@ -54,18 +54,17 @@ use std::collections::BTreeMap;
 use std::io::ErrorKind;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender, TryRecvError};
+use std::sync::{Arc, Mutex, PoisonError};
 use std::thread::{self, JoinHandle};
 use std::time::Duration;
 
-use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender, TryRecvError};
 use hadfl::clock::{Clock, WallClock};
 use hadfl::transport::{endpoint_of, Port};
 use hadfl::wire::{self, CausalStamp, Message};
 use hadfl::HadflError;
 use hadfl_simnet::NetStats;
 use hadfl_telemetry::{stop_accept, EventKind, LamportClock, Telemetry};
-use parking_lot::Mutex;
 
 use crate::cluster::ClusterConfig;
 use crate::frame::{accept_readers, read_frame, seal_frame, write_frame, RecvSlot};
@@ -191,6 +190,7 @@ impl Shared {
         let endpoint = |id| endpoint_of(id, self.devices);
         self.stats
             .lock()
+            .unwrap_or_else(PoisonError::into_inner)
             .record(endpoint(src), endpoint(dst), bytes);
         if self.tel.enabled() {
             let (src, dst, kind) = (src as u32, dst as u32, msg.kind().to_string());
@@ -284,7 +284,7 @@ impl BoundNode {
     ) -> Result<TcpPort, HadflError> {
         cluster.validate()?;
         cluster.node(self.id)?;
-        let (inbound_tx, inbound_rx) = unbounded();
+        let (inbound_tx, inbound_rx) = channel();
         let lamport = tel.lamport_clock();
         let shared = Arc::new(Shared {
             me: self.id,
@@ -432,7 +432,11 @@ impl StatsHandle {
     /// Snapshot of the protocol-payload ledger (same accounting as
     /// [`Port::stats`]).
     pub fn stats(&self) -> NetStats {
-        self.0.stats.lock().clone()
+        self.0
+            .stats
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .clone()
     }
 
     /// Raw wire bytes including length prefixes, stamps and hellos.
@@ -447,7 +451,12 @@ impl StatsHandle {
         if !self.0.tel.enabled() {
             return;
         }
-        let stats = self.0.stats.lock().clone();
+        let stats = self
+            .0
+            .stats
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .clone();
         let me = endpoint_of(self.0.me, self.0.devices);
         self.0.tel.emit(
             self.0.clock.now(),
@@ -513,7 +522,11 @@ impl Port for TcpPort {
     }
 
     fn stats(&self) -> NetStats {
-        self.shared.stats.lock().clone()
+        self.shared
+            .stats
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .clone()
     }
 
     fn clock(&self) -> Arc<dyn Clock> {
@@ -657,7 +670,12 @@ mod tests {
         }
 
         fn sleep(&self, d: Duration) {
-            if let Some(on_sleep) = self.on_sleep.lock().take() {
+            if let Some(on_sleep) = self
+                .on_sleep
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner)
+                .take()
+            {
                 on_sleep();
             }
             self.time.sleep(d);
@@ -805,7 +823,7 @@ mod tests {
         let (slot, late_cluster) = (Arc::clone(&late_port), cluster.clone());
         let rebind = move || {
             let node = BoundNode::bind(late_id, &late_addr).unwrap();
-            *slot.lock() = Some(
+            *slot.lock().unwrap_or_else(PoisonError::into_inner) = Some(
                 node.into_port(&late_cluster, TcpOptions::default())
                     .unwrap(),
             );
@@ -827,7 +845,11 @@ mod tests {
             .send(late_id, &Message::Handshake { from: 0 })
             .unwrap();
         assert_eq!(clock.now(), ms(25), "one refusal, one backoff");
-        let mut late = late_port.lock().take().expect("rebound in the backoff");
+        let mut late = late_port
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .take()
+            .expect("rebound in the backoff");
         assert_eq!(
             late.recv_timeout(Duration::from_secs(5)).unwrap(),
             Some(Message::Handshake { from: 0 })

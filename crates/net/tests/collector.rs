@@ -6,10 +6,8 @@
 use std::collections::{HashMap, HashSet};
 use std::io::{Read as _, Write as _};
 use std::net::TcpStream;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
-
-use parking_lot::Mutex;
 
 use hadfl::clock::{Clock, ManualClock, WallClock};
 use hadfl::coordinator::StrategyGenerator;
@@ -163,7 +161,12 @@ fn thousand_device_fleet_ships_through_a_live_collector() {
     // Wait for the collector to apply every event.
     let deadline = Instant::now() + Duration::from_secs(30);
     loop {
-        let applied = server.collector().lock().status().events_applied;
+        let applied = server
+            .collector()
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .status()
+            .events_applied;
         if applied >= events_emitted {
             break;
         }
@@ -175,7 +178,11 @@ fn thousand_device_fleet_ships_through_a_live_collector() {
         std::thread::sleep(Duration::from_millis(50));
     }
 
-    let status = server.collector().lock().status();
+    let status = server
+        .collector()
+        .lock()
+        .unwrap_or_else(PoisonError::into_inner)
+        .status();
     assert_eq!(status.events_applied, events_emitted);
     assert_eq!(status.garbage_lines, 0);
     assert_eq!(status.events_dropped, 0, "capacity was above event count");
@@ -342,7 +349,13 @@ fn shutdown_applies_every_batch_shipped_before_it() {
     // The first batch is staged once its connection was accepted.
     shipper.ship(&batch(1)).expect("ship");
     let deadline = Instant::now() + Duration::from_secs(10);
-    while collector.lock().status().nodes.is_empty() {
+    while collector
+        .lock()
+        .unwrap_or_else(PoisonError::into_inner)
+        .status()
+        .nodes
+        .is_empty()
+    {
         assert!(Instant::now() < deadline, "the first batch never arrived");
         std::thread::sleep(Duration::from_millis(5));
     }
@@ -350,14 +363,17 @@ fn shutdown_applies_every_batch_shipped_before_it() {
     // the collector is held, and the server stops the moment it is not.
     // They are small enough to sit in the collector's socket buffer:
     // bytes still in the shipper's send buffer at stop are not read.
-    let held = collector.lock();
+    let held = collector.lock().unwrap_or_else(PoisonError::into_inner);
     for seq in 2..=BATCHES {
         shipper.ship(&batch(seq)).expect("ship");
     }
     drop(held);
     server.shutdown();
 
-    let status = collector.lock().status();
+    let status = collector
+        .lock()
+        .unwrap_or_else(PoisonError::into_inner)
+        .status();
     assert_eq!(status.nodes[0].batches, BATCHES);
     assert_eq!(status.events_applied, BATCHES);
     let spooled = std::fs::read_to_string(&spool).expect("read spool");

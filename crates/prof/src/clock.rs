@@ -3,10 +3,8 @@
 //! it (with the seam's documentation) for the protocol loops and the
 //! TCP transport.
 
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
-
-use parking_lot::Mutex;
 
 /// A monotone time source plus the ability to wait.
 ///
@@ -102,7 +100,7 @@ impl ManualClock {
 
     /// Advances the clock by `d`.
     pub fn advance(&self, d: Duration) {
-        let mut now = self.now.lock();
+        let mut now = self.now.lock().unwrap_or_else(PoisonError::into_inner);
         *now += d;
     }
 
@@ -113,7 +111,7 @@ impl ManualClock {
     /// Panics if `t` would move the clock backwards — the trait
     /// promises monotonicity.
     pub fn set(&self, t: Duration) {
-        let mut now = self.now.lock();
+        let mut now = self.now.lock().unwrap_or_else(PoisonError::into_inner);
         assert!(t >= *now, "ManualClock must not move backwards");
         *now = t;
     }
@@ -121,7 +119,7 @@ impl ManualClock {
 
 impl Clock for ManualClock {
     fn now(&self) -> Duration {
-        *self.now.lock()
+        *self.now.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     fn sleep(&self, d: Duration) {

@@ -67,10 +67,8 @@
 use std::cell::{Cell, RefCell};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Duration;
-
-use parking_lot::Mutex;
 
 mod clock;
 mod report;
@@ -331,7 +329,7 @@ impl Profiler {
         let Some(inner) = &self.0 else {
             return ProfileDump::empty(0);
         };
-        let merged = inner.merged.lock();
+        let merged = inner.merged.lock().unwrap_or_else(PoisonError::into_inner);
         let stacks = merged
             .stacks
             .iter()
@@ -394,7 +392,13 @@ impl Drop for InstallGuard {
             ctx
         });
         if let Some(mut ctx) = ctx {
-            ctx.lane.commit(&mut ctx.prof.merged.lock());
+            ctx.lane.commit(
+                &mut ctx
+                    .prof
+                    .merged
+                    .lock()
+                    .unwrap_or_else(PoisonError::into_inner),
+            );
         }
     }
 }
@@ -595,7 +599,7 @@ impl PoolRegion {
         let wall = ns(r.prof.time.now()).saturating_sub(r.start_ns);
         let busy = r.busy_ns.load(Ordering::Relaxed);
         let worker = r.worker_ns.load(Ordering::Relaxed);
-        let mut merged = r.prof.merged.lock();
+        let mut merged = r.prof.merged.lock().unwrap_or_else(PoisonError::into_inner);
         let agg = merged.pools.entry(r.key.clone()).or_insert(PoolAgg {
             min_chunk_ns: u64::MAX,
             ..PoolAgg::default()

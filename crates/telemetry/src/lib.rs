@@ -56,10 +56,8 @@ pub use ship::{BatchShipper, ShipBatch, ShipOptions, ShipSink, ShipStats, VecShi
 pub use sink::{JsonlSink, RingBufferSink, SharedBuffer, Sink};
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Duration;
-
-use parking_lot::Mutex;
 
 struct Inner {
     node: u32,
@@ -144,7 +142,11 @@ impl Telemetry {
     /// once the handle does. No-op on a disabled handle.
     pub fn attach_sink(&self, sink: Box<dyn Sink>) {
         if let Some(inner) = &self.0 {
-            inner.sinks.lock().push(sink);
+            inner
+                .sinks
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner)
+                .push(sink);
         }
     }
 
@@ -179,7 +181,7 @@ impl Telemetry {
             kind,
         };
         // lint:allow(blocking-in-emit): uncontended fan-out lock; sinks themselves must not block
-        let mut sinks = inner.sinks.lock();
+        let mut sinks = inner.sinks.lock().unwrap_or_else(PoisonError::into_inner);
         for sink in sinks.iter_mut() {
             sink.record(&event);
         }
@@ -244,7 +246,7 @@ impl Telemetry {
     /// reach disk).
     pub fn flush(&self) {
         if let Some(inner) = &self.0 {
-            let mut sinks = inner.sinks.lock();
+            let mut sinks = inner.sinks.lock().unwrap_or_else(PoisonError::into_inner);
             for sink in sinks.iter_mut() {
                 sink.flush();
             }

@@ -12,11 +12,9 @@ use std::collections::BTreeMap;
 use std::io::{Read, Write};
 use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::Duration;
-
-use parking_lot::Mutex;
 
 use crate::event::{Event, EventKind};
 use crate::sink::Sink;
@@ -133,7 +131,7 @@ impl MetricsRegistry {
 
     /// Adds `by` to a counter series.
     pub fn inc_counter(&self, name: &str, labels: &[(&str, String)], by: f64) {
-        let mut inner = self.inner.lock();
+        let mut inner = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
         *inner
             .counters
             .entry(name.to_string())
@@ -144,7 +142,7 @@ impl MetricsRegistry {
 
     /// Sets a gauge series to `value`.
     pub fn set_gauge(&self, name: &str, labels: &[(&str, String)], value: f64) {
-        let mut inner = self.inner.lock();
+        let mut inner = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
         inner
             .gauges
             .entry(name.to_string())
@@ -160,7 +158,7 @@ impl MetricsRegistry {
         value: f64,
         bounds: &'static [f64],
     ) {
-        let mut inner = self.inner.lock();
+        let mut inner = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
         inner
             .histograms
             .entry(name.to_string())
@@ -173,13 +171,13 @@ impl MetricsRegistry {
     /// Registers help text for a family (collector-specific families
     /// that the built-in table cannot know about).
     pub fn describe(&self, name: &str, help: &str) {
-        let mut inner = self.inner.lock();
+        let mut inner = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
         inner.help.insert(name.to_string(), help.to_string());
     }
 
     /// Current value of a counter series (tests / reports).
     pub fn counter(&self, name: &str, labels: &[(&str, String)]) -> f64 {
-        let inner = self.inner.lock();
+        let inner = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
         inner
             .counters
             .get(name)
@@ -190,7 +188,7 @@ impl MetricsRegistry {
 
     /// Current value of a gauge series (tests / reports).
     pub fn gauge(&self, name: &str, labels: &[(&str, String)]) -> f64 {
-        let inner = self.inner.lock();
+        let inner = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
         inner
             .gauges
             .get(name)
@@ -203,7 +201,7 @@ impl MetricsRegistry {
     /// (version 0.0.4): every family gets `# HELP` and `# TYPE` lines
     /// before its series.
     pub fn render(&self) -> String {
-        let inner = self.inner.lock();
+        let inner = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
         let help_line = |name: &str| -> String {
             let text = inner
                 .help

@@ -28,10 +28,9 @@
 //! is visible, never silent.
 
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
+use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Duration;
-
-use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 
 use crate::event::{Event, EventKind};
 use crate::sink::Sink;
@@ -98,7 +97,7 @@ pub trait BatchShipper: Send {
 /// in a shared vector. Clones share the store.
 #[derive(Debug, Clone, Default)]
 pub struct VecShipper {
-    batches: Arc<parking_lot::Mutex<Vec<ShipBatch>>>,
+    batches: Arc<Mutex<Vec<ShipBatch>>>,
 }
 
 impl VecShipper {
@@ -109,13 +108,19 @@ impl VecShipper {
 
     /// Copies out everything shipped so far.
     pub fn batches(&self) -> Vec<ShipBatch> {
-        self.batches.lock().clone()
+        self.batches
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .clone()
     }
 }
 
 impl BatchShipper for VecShipper {
     fn ship(&mut self, batch: &ShipBatch) -> Result<(), String> {
-        self.batches.lock().push(batch.clone());
+        self.batches
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .push(batch.clone());
         Ok(())
     }
 }
@@ -212,7 +217,7 @@ impl ShipQueueConsumer {
 impl ShipQueue {
     /// A fresh queue and its consumer.
     pub fn new(opts: ShipOptions) -> (ShipQueue, ShipQueueConsumer) {
-        let (tx, rx) = unbounded();
+        let (tx, rx) = channel();
         let depth = Arc::new(AtomicUsize::new(0));
         let queue = ShipQueue {
             tx,
@@ -227,7 +232,10 @@ impl ShipQueue {
 
     /// Offers one event. Critical events always enqueue; droppable
     /// events pass the two-stage gate. Returns whether the event was
-    /// enqueued. Never blocks, never locks, never touches I/O.
+    /// enqueued. Never blocks and never touches I/O: the unbounded
+    /// `std::sync::mpsc` send is a lock-free list push, and takes the
+    /// channel's internal waker lock only to wake a shipper parked in
+    /// [`ShipQueueConsumer::recv_timeout`].
     pub fn offer(&self, event: &Event) -> bool {
         if is_critical(&event.kind) {
             return self.tx.send(event.clone()).is_ok();

@@ -10,9 +10,7 @@ use std::collections::VecDeque;
 use std::fs::File;
 use std::io::{BufWriter, Write};
 use std::path::Path;
-use std::sync::Arc;
-
-use parking_lot::Mutex;
+use std::sync::{Arc, Mutex, PoisonError};
 
 use crate::event::Event;
 
@@ -48,33 +46,44 @@ impl RingBufferSink {
 
     /// Copies out the buffered events, oldest first.
     pub fn snapshot(&self) -> Vec<Event> {
-        self.buf.lock().iter().cloned().collect()
+        self.buf
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .iter()
+            .cloned()
+            .collect()
     }
 
     /// Events evicted because the buffer was full.
     pub fn dropped(&self) -> u64 {
-        *self.dropped.lock()
+        *self.dropped.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Number of buffered events.
     pub fn len(&self) -> usize {
-        self.buf.lock().len()
+        self.buf
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .len()
     }
 
     /// True when nothing is buffered.
     pub fn is_empty(&self) -> bool {
-        self.buf.lock().is_empty()
+        self.buf
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .is_empty()
     }
 }
 
 impl Sink for RingBufferSink {
     fn record(&mut self, event: &Event) {
         // lint:allow(blocking-in-emit): in-memory ring shared only with snapshot readers; uncontended, no I/O under the guard
-        let mut buf = self.buf.lock();
+        let mut buf = self.buf.lock().unwrap_or_else(PoisonError::into_inner);
         if buf.len() == self.capacity {
             buf.pop_front();
             // lint:allow(blocking-in-emit): same in-memory ring bookkeeping
-            *self.dropped.lock() += 1;
+            *self.dropped.lock().unwrap_or_else(PoisonError::into_inner) += 1;
         }
         buf.push_back(event.clone());
     }
@@ -141,13 +150,19 @@ impl SharedBuffer {
 
     /// Copies out everything written so far.
     pub fn contents(&self) -> Vec<u8> {
-        self.0.lock().clone()
+        self.0
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .clone()
     }
 }
 
 impl Write for SharedBuffer {
     fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-        self.0.lock().extend_from_slice(buf);
+        self.0
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .extend_from_slice(buf);
         Ok(buf.len())
     }
 
