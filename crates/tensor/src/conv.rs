@@ -16,7 +16,7 @@ use hadfl_par::OpClass;
 use serde::{Deserialize, Serialize};
 
 use crate::error::TensorError;
-use crate::linalg::{block_product, rows_a_bt, with_row_block, PackedRows, Strided, ROW_BAND};
+use crate::linalg::{block_product, row_block, rows_a_bt, PackedRows, Strided, ROW_BAND};
 use crate::simd::{dispatch, Isa};
 use crate::tensor::Tensor;
 
@@ -410,15 +410,7 @@ pub fn conv_backward_weight(
         ROW_BAND * width,
         |band, gband| {
             let row0 = band * ROW_BAND;
-            with_row_block!(weight_band(
-                isa,
-                gv,
-                (batch, oc, ppi),
-                row0,
-                cv,
-                width,
-                gband
-            ));
+            weight_band(isa, gv, (batch, oc, ppi), row0, cv, width, gband);
         },
     );
     Ok(())
@@ -427,17 +419,17 @@ pub fn conv_backward_weight(
 dispatch! {
     /// One band of [`conv_backward_weight`]: `gband += gp · cols` for
     /// the band's filter rows, which start at row `row0` of `gp`, in
-    /// blocks of `RB` rows; `g` is the NCHW `grad_out` of `(batch, oc,
+    /// blocks of [`row_block`] rows; `g` is the NCHW `grad_out` of `(batch, oc,
     /// ppi)` images, channels and patches per image, and `cols` has
     /// `width` columns.
-    fn weight_band<const RB: usize>(
+    fn weight_band(
         g: &[f32],
         shape: (usize, usize, usize),
         row0: usize,
         cols: &[f32],
         width: usize,
         gband: &mut [f32],
-    ) = weight_band_body;
+    ) = weight_band_body::<{ row_block(ISA) }>;
 }
 
 #[inline(always)]
@@ -537,13 +529,33 @@ fn gather_tile<const PX: usize, const CH: usize>(
 }
 
 dispatch! {
-    /// [`gather_image_body`] on `isa`.
-    fn gather_image<const PX: usize, const CH: usize>(
+    /// [`gather_image_body`] on `isa` at 32 channels per tile.
+    fn gather32(
         g: &[f32],
         wt: &[f32],
         geom: &Conv2dGeometry,
         dimg: &mut [f32],
-    ) = gather_image_body;
+    ) = gather_image_body::<{ gather_px(ISA, 32) }, 32>;
+}
+
+dispatch! {
+    /// [`gather_image_body`] on `isa` at 16 channels per tile.
+    fn gather16(
+        g: &[f32],
+        wt: &[f32],
+        geom: &Conv2dGeometry,
+        dimg: &mut [f32],
+    ) = gather_image_body::<{ gather_px(ISA, 16) }, 16>;
+}
+
+dispatch! {
+    /// [`gather_image_body`] on `isa` at 8 channels per tile.
+    fn gather8(
+        g: &[f32],
+        wt: &[f32],
+        geom: &Conv2dGeometry,
+        dimg: &mut [f32],
+    ) = gather_image_body::<{ gather_px(ISA, 8) }, 8>;
 }
 
 /// The stride-1 input gradient of one image, as a gather: every pixel
@@ -618,22 +630,31 @@ fn gather_image_body<const PX: usize, const CH: usize>(
     }
 }
 
-/// A `gather_image` instantiation, as [`gather_input`] calls it.
+/// A gather dispatcher, as [`gather_input`] calls it.
 type Gather = fn(Isa, &[f32], &[f32], &Conv2dGeometry, &mut [f32]);
 
-/// The gather tile for `c_in` input channels on `isa`: `PX` pixels ×
-/// `CH` channels, `CH` as wide as the channel count divides, and the
-/// `gather_image::<PX, CH>` that runs it — a function of the problem
-/// shape and the instruction set, like `row_block`. `PX × CH` is 32
-/// accumulators (eight 128-bit registers) except for 8 channels under
-/// AVX2, where 8 × 8 fills eight 256-bit ones; 64 at `CH` 32 read
-/// slower on the 32-channel layers.
-fn gather_kernel(isa: Isa, c_in: usize) -> (usize, usize, Gather) {
-    match (isa, c_in) {
-        (_, c) if c % 32 == 0 => (1, 32, gather_image::<1, 32>),
-        (_, c) if c % 16 == 0 => (2, 16, gather_image::<2, 16>),
-        (Isa::Baseline, _) => (4, 8, gather_image::<4, 8>),
-        (Isa::Avx2, _) => (8, 8, gather_image::<8, 8>),
+/// The pixels of a gather tile at `ch` channels on `isa` — a function
+/// of the problem shape and the instruction set, like [`row_block`].
+/// `PX × CH` is 32 accumulators (eight 128-bit registers) except for 8
+/// channels under AVX2, where 8 × 8 fills eight 256-bit ones; 64 at
+/// `CH` 32 read slower on the 32-channel layers.
+const fn gather_px(isa: Isa, ch: usize) -> usize {
+    match (isa, ch) {
+        (_, 32) => 1,
+        (_, 16) => 2,
+        (Isa::Baseline, _) => 4,
+        (Isa::Avx2, _) => 8,
+    }
+}
+
+/// The gather for `c_in` input channels: `CH`, as wide as the channel
+/// count divides, and the dispatcher whose tiles hold that many
+/// channels.
+fn gather_kernel(c_in: usize) -> (usize, Gather) {
+    match c_in {
+        c if c % 32 == 0 => (32, gather32),
+        c if c % 16 == 0 => (16, gather16),
+        _ => (8, gather8),
     }
 }
 
@@ -649,7 +670,7 @@ fn gather_input(
 ) {
     let (c_in, taps) = (geom.in_channels, geom.kernel * geom.kernel);
     let isa = Isa::best();
-    let (_, ch, gather) = gather_kernel(isa, c_in);
+    let (ch, gather) = gather_kernel(c_in);
     let wt = gather_weight(wv, geom, ch);
     let g_stride = wv.len() / (c_in * taps) * geom.patches_per_image();
     let dx_stride = c_in * geom.in_h * geom.in_w;
@@ -696,18 +717,19 @@ fn scatter_input(
     let (dx_stride, isa) = (geom.in_channels * geom.in_h * geom.in_w, Isa::best());
     plan.chunks_mut(dx, dx_stride, |img, dimg| {
         let g = &gv[img * oc * ppi..][..oc * ppi];
-        with_row_block!(scatter_image(isa, g, wv, geom, dimg));
+        scatter_image(isa, g, wv, geom, dimg);
     });
 }
 
 dispatch! {
-    /// [`scatter_image_body`] on `isa`, in blocks of `RB` patch rows.
-    fn scatter_image<const RB: usize>(
+    /// [`scatter_image_body`] on `isa`, in blocks of [`row_block`]
+    /// patch rows.
+    fn scatter_image(
         g: &[f32],
         wv: &[f32],
         geom: &Conv2dGeometry,
         dimg: &mut [f32],
-    ) = scatter_image_body;
+    ) = scatter_image_body::<{ row_block(ISA) }>;
 }
 
 /// The input gradient of one image at any stride: `g` is the image's
@@ -981,7 +1003,7 @@ mod tests {
                     let mut gw = vec![0.0f32; OC * width];
                     for (band, gband) in gw.chunks_mut(ROW_BAND * width).enumerate() {
                         let (g, cv, row0) = (gy.as_slice(), cols.as_slice(), band * ROW_BAND);
-                        with_row_block!(weight_band(isa, g, (2, OC, ppi), row0, cv, width, gband));
+                        weight_band(isa, g, (2, OC, ppi), row0, cv, width, gband);
                     }
                     gw
                 });
@@ -991,34 +1013,27 @@ mod tests {
         }
     }
 
-    /// Every `gather_image` instantiation [`gather_kernel`] can pick,
-    /// each on both compilations, against each other and against
+    /// Every gather dispatcher [`gather_kernel`] can pick, each on both
+    /// compilations at their own tile shapes, against each other and against
     /// [`conv_backward_input`] (stride 1, where it gathers): on 5×7
     /// planes, whose rows end in ragged tiles, and on the 8×8, 4×4 and
     /// 2×2 planes of `resnet18_lite`, where every tile fills its row or
     /// divides it.
     #[test]
     fn gather_image_agrees_on_every_isa_and_tile() {
-        let tiles: [(usize, usize, Gather); 4] = [
-            (4, 8, gather_image::<4, 8>),
-            (8, 8, gather_image::<8, 8>),
-            (2, 16, gather_image::<2, 16>),
-            (1, 32, gather_image::<1, 32>),
-        ];
-        for isa in [Isa::Baseline, Isa::Avx2] {
-            for c in [3, 8, 16, 32] {
-                let (px, ch, _) = gather_kernel(isa, c);
-                let listed = tiles.iter().any(|&(p, t, _)| (p, t) == (px, ch));
-                assert!(listed, "{isa:?} c={c}: a tile the test does not run");
-            }
+        let tiles: [(usize, Gather); 3] = [(8, gather8), (16, gather16), (32, gather32)];
+        for c in [3, 8, 16, 32] {
+            let (ch, _) = gather_kernel(c);
+            let listed = tiles.iter().any(|&(t, _)| t == ch);
+            assert!(listed, "c={c}: a tile the test does not run");
         }
         for plane in [(5, 7), (8, 8), (4, 4), (2, 2)] {
             for c in CHANNELS {
                 let Layer { geom, gy, w, .. } = layer_of(c, plane, 1, 43);
                 let want = conv_backward_input(&gy, &w, &geom).unwrap();
                 let img = OC * geom.patches_per_image();
-                for (px, ch, gather) in tiles {
-                    let what = format!("{plane:?} c={c} px={px} ch={ch}");
+                for (ch, gather) in tiles {
+                    let what = format!("{plane:?} c={c} ch={ch}");
                     let wt = gather_weight(w.as_slice(), &geom, ch);
                     let got = on_every_isa(&what, |isa| {
                         let mut dx = vec![f32::NAN; want.len()];
@@ -1048,7 +1063,7 @@ mod tests {
                 let got = on_every_isa(&format!("c={c} stride={stride}"), |isa| {
                     let mut dx = vec![0.0f32; want.len()];
                     for (g, dimg) in gy.as_slice().chunks(img).zip(dx.chunks_mut(want.len() / 2)) {
-                        with_row_block!(scatter_image(isa, g, w.as_slice(), &geom, dimg));
+                        scatter_image(isa, g, w.as_slice(), &geom, dimg);
                     }
                     dx
                 });

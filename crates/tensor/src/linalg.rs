@@ -46,20 +46,6 @@ pub(crate) const fn row_block(isa: Isa) -> usize {
     }
 }
 
-/// `kernel::<RB>(isa, args..)` with `RB` the [`row_block`] of `isa`:
-/// how a caller of a block-product kernel picks its instantiation.
-macro_rules! with_row_block {
-    ($kernel:ident($isa:expr $(, $arg:expr)* $(,)?)) => {{
-        use $crate::linalg::row_block;
-        use $crate::simd::Isa;
-        match $isa {
-            Isa::Baseline => $kernel::<{ row_block(Isa::Baseline) }>(Isa::Baseline $(, $arg)*),
-            Isa::Avx2 => $kernel::<{ row_block(Isa::Avx2) }>(Isa::Avx2 $(, $arg)*),
-        }
-    }};
-}
-pub(crate) use with_row_block;
-
 /// A strided view of a left operand's rows: element `(r, k)` of the
 /// block is `a[r * row_stride + k * k_stride]`, for `k < depth`.
 /// Row-major `a` has `k_stride == 1`; a transposed or channel-major
@@ -229,13 +215,13 @@ pub(crate) fn block_product<const RB: usize>(
 dispatch! {
     /// Fills one output band (`oband`, row-major with `n` columns) with
     /// `A · B`, where `lhs` views the band's rows of `A`, in blocks of
-    /// `RB` rows (see [`with_row_block`]).
-    fn band_product<const RB: usize>(
+    /// [`row_block`] rows.
+    fn band_product(
         lhs: Strided<'_>,
         b: &[f32],
         n: usize,
         oband: &mut [f32],
-    ) = band_product_body;
+    ) = band_product_body::<{ row_block(ISA) }>;
 }
 
 #[inline(always)]
@@ -298,7 +284,7 @@ pub fn matmul(a: &Tensor, b: &Tensor) -> Result<Tensor, TensorError> {
         ROW_BAND * n.max(1),
         |band, oband| {
             let lhs = Strided::new(av, ka, 1, ka).skip_rows(band * ROW_BAND);
-            with_row_block!(band_product(isa, lhs, bv, n, oband));
+            band_product(isa, lhs, bv, n, oband);
         },
     );
     Ok(out)
@@ -330,7 +316,7 @@ pub fn matmul_at_b(a: &Tensor, b: &Tensor) -> Result<Tensor, TensorError> {
     let plan = hadfl_par::plan_for(OpClass::Matmul, work);
     plan.chunks_mut(out.as_mut_slice(), ROW_BAND * n.max(1), |band, oband| {
         let lhs = Strided::new(av, 1, m, ka).skip_rows(band * ROW_BAND);
-        with_row_block!(band_product(isa, lhs, bv, n, oband));
+        band_product(isa, lhs, bv, n, oband);
     });
     Ok(out)
 }
@@ -671,15 +657,16 @@ mod tests {
     const FIXTURE_ROWS: usize = 4;
 
     dispatch! {
-        /// [`block_product`] over `a`'s rows in blocks of `RB`, the
-        /// first block cut to `first` rows: every emitted value and how
-        /// many times each output was emitted (0 where none was).
-        fn emitted<const RB: usize>(
+        /// [`block_product`] over `a`'s rows in blocks of
+        /// [`row_block`], the first block cut to `first` rows: every
+        /// emitted value and how many times each output was emitted (0
+        /// where none was).
+        fn emitted(
             a: &[f32],
             b: &[f32],
             dims: (usize, usize),
             first: usize,
-        ) -> (Vec<f32>, Vec<u32>) = emitted_body;
+        ) -> (Vec<f32>, Vec<u32>) = emitted_body::<{ row_block(ISA) }>;
     }
 
     #[inline(always)]
@@ -735,7 +722,7 @@ mod tests {
                     // A full first block, then every ragged height.
                     let mut full = Vec::new();
                     for first in (1..=rb).rev() {
-                        let (out, hits) = with_row_block!(emitted(isa, &a, &b, (ka, n), first));
+                        let (out, hits) = emitted(isa, &a, &b, (ka, n), first);
                         let what = format!("{isa:?} n={n} first block {first} rows");
                         // Rows `first..rb` of the first block are not computed.
                         let skipped = |i: usize| (first..rb).contains(&(i / n));
@@ -783,7 +770,7 @@ mod tests {
                         let mut out = vec![f32::NAN; m * n];
                         for (band, oband) in out.chunks_mut(ROW_BAND * n).enumerate() {
                             let lhs = Strided::new(&a, ka, 1, ka).skip_rows(band * ROW_BAND);
-                            with_row_block!(band_product(isa, lhs, &b, n, oband));
+                            band_product(isa, lhs, &b, n, oband);
                         }
                         out
                     });

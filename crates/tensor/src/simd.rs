@@ -34,11 +34,11 @@
 //! unit tests run every kernel on both and compare bits.
 //!
 //! The compilations may differ in tile shape: a shape is a const
-//! generic of the body, and the caller picks the instantiation from the
-//! `Isa` it dispatches to (`linalg::row_block`, `conv::gather_kernel`),
-//! sized for that instruction set's registers. A tile decides which
-//! outputs are computed together, never the order of one output's
-//! terms, so it does not move a bit either.
+//! generic of the body, and `dispatch!` instantiates each compilation
+//! at its own instruction set's shape (`linalg::row_block`,
+//! `conv::gather_px`), sized for that set's registers. A tile decides
+//! which outputs are computed together, never the order of one
+//! output's terms, so it does not move a bit either.
 //!
 //! The AVX2 compilation enables `avx2` and nothing else: with `fma`
 //! LLVM still would not contract `a + x * y`, so FMA would buy nothing
@@ -122,15 +122,19 @@ pub fn sum_sq8(v: &[f32]) -> f32 {
 /// ```text
 /// dispatch! {
 ///     /// docs
-///     pub(crate) fn rows_a_bt(a: &[f32], ..) = rows_a_bt_body;
+///     fn band_product(lhs: Strided<'_>, ..) = band_product_body::<{ row_block(ISA) }>;
 /// }
 /// ```
 ///
-/// Const generic parameters go after the name, as in a `fn`, and are
-/// passed on to the body. The dispatcher itself holds the baseline
-/// compilation; attributes written above it (`#[inline(never)]`) apply
-/// to that one. `Isa::Avx2` on a CPU without AVX2 runs the baseline.
-/// `dispatch!(@has_avx2)` is the CPU check.
+/// A body with a tile shape takes it as const generic arguments after
+/// its name, written in terms of `ISA`: each compilation evaluates
+/// them with `ISA` naming its own instruction set, so the baseline
+/// compilation is instantiated at the baseline's shape and the AVX2
+/// one at AVX2's, and no other shape is compiled. The dispatcher
+/// itself holds the baseline compilation; attributes written above it
+/// (`#[inline(never)]`) apply to that one. `Isa::Avx2` on a CPU
+/// without AVX2 runs the baseline. `dispatch!(@has_avx2)` is the CPU
+/// check.
 macro_rules! dispatch {
     (@has_avx2) => {{
         #[cfg(target_arch = "x86_64")]
@@ -139,27 +143,33 @@ macro_rules! dispatch {
         let has = false;
         has
     }};
+    (@call $isa:ident, $body:ident, [], ($($arg:ident),*)) => {
+        $body($($arg),*)
+    };
+    (@call $isa:ident, $body:ident, [$($shape:tt),+], ($($arg:ident),*)) => {{
+        const ISA: $crate::simd::Isa = $crate::simd::Isa::$isa;
+        $body::<$($shape),+>($($arg),*)
+    }};
     (
         $(#[$attr:meta])*
-        $vis:vis fn $name:ident $(<$(const $c:ident: $ct:ty),*>)?
-            ($($arg:ident: $ty:ty),* $(,)?) $(-> $ret:ty)? = $body:ident;
+        $vis:vis fn $name:ident ($($arg:ident: $ty:ty),* $(,)?) $(-> $ret:ty)?
+            = $body:ident $(::<$($shape:tt),+>)?;
     ) => {
         $(#[$attr])*
-        $vis fn $name $(<$(const $c: $ct),*>)?
-            (isa: $crate::simd::Isa, $($arg: $ty),*) $(-> $ret)? {
+        $vis fn $name(isa: $crate::simd::Isa, $($arg: $ty),*) $(-> $ret)? {
             #[cfg(target_arch = "x86_64")]
             if isa == $crate::simd::Isa::Avx2 && $crate::simd::dispatch!(@has_avx2) {
                 #[target_feature(enable = "avx2")]
-                fn avx2 $(<$(const $c: $ct),*>)? ($($arg: $ty),*) $(-> $ret)? {
-                    $body $(::<$($c),*>)? ($($arg),*)
+                fn avx2($($arg: $ty),*) $(-> $ret)? {
+                    $crate::simd::dispatch!(@call Avx2, $body, [$($($shape),+)?], ($($arg),*))
                 }
                 // SAFETY: `avx2` is safe code whose only requirement is
                 // a CPU that runs AVX2, and this one has just said so.
-                return unsafe { avx2 $(::<$($c),*>)? ($($arg),*) };
+                return unsafe { avx2($($arg),*) };
             }
             #[cfg(not(target_arch = "x86_64"))]
             let _ = isa;
-            $body $(::<$($c),*>)? ($($arg),*)
+            $crate::simd::dispatch!(@call Baseline, $body, [$($($shape),+)?], ($($arg),*))
         }
     };
 }
