@@ -8,7 +8,7 @@
 //! and [`hadfl::exec::CoordinatorActor`] state machines — the same code
 //! the TCP cluster runs — through a controlled scheduler and explores
 //! *every* reachable interleaving of message deliveries, timer firings,
-//! and peer deaths for small clusters (2–4 devices), breadth-first with
+//! and peer deaths for small clusters (2–6 devices), breadth-first with
 //! state-hash deduplication.
 //!
 //! Time is virtual: the actors take `now` as a parameter (see
@@ -57,7 +57,9 @@ pub use model::{Action, CheckConfig, Violation, World};
 /// The standard battery `cargo run -p hadfl-check` (and CI) explores:
 /// every topology shape the protocol distinguishes at small scale —
 /// minimal ring, multi-round, full ring, ring + broadcast audience, a
-/// mid-round death, and deadline/report races.
+/// mid-round death, and deadline/report races — then the paper's four
+/// devices: a full ring, one death with and without a broadcast
+/// audience, and two deaths in one ring.
 pub fn standard_battery() -> Vec<(&'static str, CheckConfig)> {
     vec![
         (
@@ -116,6 +118,48 @@ pub fn standard_battery() -> Vec<(&'static str, CheckConfig)> {
                 select: 2,
                 rounds: 1,
                 aggressive_deadline: true,
+                allow_cluster_dead: true,
+                ..CheckConfig::default()
+            },
+        ),
+        (
+            "4 devices, full ring, 2 rounds",
+            CheckConfig {
+                devices: 4,
+                select: 4,
+                rounds: 2,
+                ..CheckConfig::default()
+            },
+        ),
+        (
+            "4 devices, ring of 3 + broadcast, one crash",
+            CheckConfig {
+                devices: 4,
+                select: 3,
+                rounds: 2,
+                crashes: 1,
+                ..CheckConfig::default()
+            },
+        ),
+        (
+            "4 devices, full ring, one crash",
+            CheckConfig {
+                devices: 4,
+                select: 4,
+                rounds: 2,
+                crashes: 1,
+                ..CheckConfig::default()
+            },
+        ),
+        (
+            "4 devices, full ring, two crashes",
+            // Two deaths in one ring, adjacent ones included; with
+            // both gone mid-round too few may be left to go on.
+            CheckConfig {
+                devices: 4,
+                select: 4,
+                rounds: 2,
+                crashes: 2,
                 allow_cluster_dead: true,
                 ..CheckConfig::default()
             },

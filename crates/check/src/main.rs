@@ -23,7 +23,7 @@ USAGE:
 With no options, runs the standard battery of configurations.
 
 OPTIONS:
-    --devices <N>         cluster size, 2-4 (single-config run)
+    --devices <N>         cluster size, 2-6 (single-config run)
     --rounds <N>          synchronization rounds          [default: 1]
     --select <N>          ring size per round             [default: devices]
     --crashes <N>         max crash events to inject      [default: 0]

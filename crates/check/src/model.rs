@@ -66,12 +66,12 @@ impl CheckConfig {
     ///
     /// # Errors
     ///
-    /// Returns [`HadflError::InvalidConfig`] outside 2–4 devices or
+    /// Returns [`HadflError::InvalidConfig`] outside 2–6 devices or
     /// with a ring smaller than two members.
     pub fn validate(&self) -> Result<(), HadflError> {
-        if !(2..=4).contains(&self.devices) {
+        if !(2..=6).contains(&self.devices) {
             return Err(HadflError::InvalidConfig(format!(
-                "hadfl-check models 2-4 devices, got {}",
+                "hadfl-check models 2-6 devices, got {}",
                 self.devices
             )));
         }
@@ -850,5 +850,23 @@ pub fn describe_message(msg: &Message) -> String {
         Message::TelemetryBatch { node, dropped, .. } => {
             format!("TelemetryBatch(node {node}, dropped {dropped})")
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::CheckConfig;
+
+    #[test]
+    fn validate_accepts_up_to_six_devices() {
+        let with = |devices| CheckConfig {
+            devices,
+            select: devices,
+            ..CheckConfig::default()
+        };
+        for devices in [5, 6] {
+            assert!(with(devices).validate().is_ok(), "{devices} devices");
+        }
+        assert!(with(7).validate().is_err(), "7 devices");
     }
 }

@@ -40,6 +40,10 @@ fn exploration_is_deterministic() {
         (219, 531),
         (2384, 6443),
         (1226, 3398),
+        (3777, 13434),
+        (9691, 29679),
+        (23231, 83195),
+        (50607, 190053),
     ];
     let battery = standard_battery();
     assert_eq!(battery.len(), pinned.len());
@@ -81,6 +85,6 @@ fn invalid_configs_are_rejected() {
     cfg.select = 1;
     assert!(explore(&cfg).is_err(), "ring of 1 is not a ring");
     let (_, mut cfg) = standard_battery().remove(0);
-    cfg.devices = 5;
-    assert!(explore(&cfg).is_err(), "beyond the modeled 2-4 devices");
+    cfg.devices = 7;
+    assert!(explore(&cfg).is_err(), "beyond the modeled 2-6 devices");
 }
