@@ -115,10 +115,11 @@ pub trait Port: Send {
 /// would build, before encoding.
 type Stamped = (CausalStamp, Message);
 
-/// In-process fabric: one unbounded `std::sync::mpsc` channel per participant,
-/// queueing stamped [`Message`]s as they are — sender and receiver share
-/// an address space, so nothing is encoded: a send clones the message
-/// (the queue must own what it holds) and a receive moves it out.
+/// In-process fabric: one unbounded `std::sync::mpsc` channel per
+/// participant, queueing stamped [`Message`]s as they are — sender and
+/// receiver share an address space, so nothing is encoded: a send
+/// clones the message (the queue must own what it holds) and a receive
+/// moves it out.
 ///
 /// Construct with [`ChannelTransport::hub`], then [`claim`] each
 /// participant's [`Port`] and move it into its thread.
