@@ -419,9 +419,9 @@ pub fn conv_backward_weight(
 dispatch! {
     /// One band of [`conv_backward_weight`]: `gband += gp · cols` for
     /// the band's filter rows, which start at row `row0` of `gp`, in
-    /// blocks of [`row_block`] rows; `g` is the NCHW `grad_out` of `(batch, oc,
-    /// ppi)` images, channels and patches per image, and `cols` has
-    /// `width` columns.
+    /// blocks of [`row_block`] rows; `g` is the NCHW `grad_out` of
+    /// `(batch, oc, ppi)` images, channels and patches per image, and
+    /// `cols` has `width` columns.
     fn weight_band(
         g: &[f32],
         shape: (usize, usize, usize),
