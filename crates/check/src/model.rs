@@ -13,7 +13,7 @@ use std::time::Duration;
 
 use hadfl::coordinator::{RoundPlan, RuntimeSupervisor};
 use hadfl::exec::{
-    Actor, CoordPhaseKind, CoordinatorActor, DeviceActor, Planner, ProtocolTiming, TrainState,
+    Actor, CoordPhase, CoordinatorActor, DeviceActor, Planner, ProtocolTiming, TrainState, Wake,
 };
 use hadfl::topology::Ring;
 use hadfl::transport::{coordinator_id, Port};
@@ -401,6 +401,18 @@ impl World {
         coordinator_id(self.cfg.devices)
     }
 
+    /// The round the coordinator is windowing or collecting, if any:
+    /// its round tags must be monotone.
+    fn coord_round(&self) -> Option<usize> {
+        let CoordNode::Up(coord) = &self.coord else {
+            return None;
+        };
+        match coord.script().phase() {
+            CoordPhase::Window { round, .. } | CoordPhase::Collect { round, .. } => Some(*round),
+            CoordPhase::Final { .. } | CoordPhase::Done => None,
+        }
+    }
+
     fn device_crashed(&self, d: usize) -> bool {
         matches!(self.devices.get(d), Some(DeviceNode::Crashed))
     }
@@ -419,7 +431,7 @@ impl World {
             DeviceNode::Crashed => true,
         });
         let coord_done = match &self.coord {
-            CoordNode::Up(c) => c.phase_kind() == CoordPhaseKind::Done,
+            CoordNode::Up(c) => c.wake() == Wake::Done,
             CoordNode::Dead => self.cfg.allow_cluster_dead,
         };
         devices_done && coord_done
@@ -457,7 +469,7 @@ impl World {
             }
             let deliverable = if to == coord_id {
                 match &self.coord {
-                    CoordNode::Up(c) => c.phase_kind() != CoordPhaseKind::Window,
+                    CoordNode::Up(c) => !matches!(c.wake(), Wake::Sleep(_)),
                     CoordNode::Dead => true, // drains to nowhere
                 }
             } else {
@@ -482,24 +494,22 @@ impl World {
         }
 
         if let CoordNode::Up(coord) = &self.coord {
-            let enabled = match coord.phase_kind() {
-                CoordPhaseKind::Window => {
+            let script = coord.script();
+            let enabled = match coord.wake() {
+                Wake::Sleep(_) => {
                     (0..self.cfg.devices).all(|d| self.inbound_empty(d))
                         && self.devices.iter().all(|d| match d {
                             DeviceNode::Up(a) => a.ring_round().is_none(),
                             DeviceNode::Crashed => true,
                         })
                 }
-                CoordPhaseKind::Collect => {
-                    self.cfg.aggressive_deadline
+                Wake::Recv(_) => {
+                    (self.cfg.aggressive_deadline
+                        && matches!(script.phase(), CoordPhase::Collect { .. }))
                         || (self.inbound_empty(coord_id)
-                            && coord.awaiting().iter().all(|&d| self.device_crashed(d)))
+                            && script.awaiting().all(|d| self.device_crashed(d)))
                 }
-                CoordPhaseKind::Final => {
-                    self.inbound_empty(coord_id)
-                        && coord.awaiting().iter().all(|&d| self.device_crashed(d))
-                }
-                CoordPhaseKind::Done => false,
+                Wake::Done => false,
             };
             if enabled {
                 actions.push(Action::CoordTimer);
@@ -533,10 +543,7 @@ impl World {
                 DeviceNode::Crashed => None,
             })
             .collect();
-        let pre_coord_round = match &self.coord {
-            CoordNode::Up(c) => c.current_round(),
-            CoordNode::Dead => None,
-        };
+        let pre_coord_round = self.coord_round();
 
         match action {
             Action::Deliver { from, to } => self.deliver(*from, *to)?,
@@ -700,13 +707,11 @@ impl World {
                 }
             }
         }
-        if let (Some(pre), CoordNode::Up(coord)) = (pre_coord_round, &self.coord) {
-            if let Some(now) = coord.current_round() {
-                if now < pre {
-                    return Err(Violation::RoundRegression(format!(
-                        "coordinator round fell {pre} -> {now}"
-                    )));
-                }
+        if let (Some(pre), Some(now)) = (pre_coord_round, self.coord_round()) {
+            if now < pre {
+                return Err(Violation::RoundRegression(format!(
+                    "coordinator round fell {pre} -> {now}"
+                )));
             }
         }
         Ok(())

@@ -29,9 +29,17 @@
 //! ack, a warning) and returns the actions it implies (send,
 //! accumulate, install, probe, warn, bypass, exit). It is pure — no
 //! port, clock, model or telemetry — and [`DeviceActor`] is the shell
-//! that maps each action onto those. `hadfl-check` schedules these very
-//! actors exhaustively through every message ordering, in virtual
-//! zero-time.
+//! that maps each action onto those. The coordinator is split the same
+//! way: `script.rs`'s [`CoordScript`] takes an input (a version report,
+//! a final upload, a ring's death warning, a wake) and returns the
+//! outputs it implies (request reports, drop, forecast, plan, round
+//! complete, shutdown to a set, fail). It owns every decision and state
+//! of the coordinator — the phase ([`CoordPhase`]), the alive and
+//! dropped sets, the Eq. (7) supervisor, the Eq. (8) planner, the round
+//! log and the final models — and [`CoordinatorActor`] is the shell
+//! that maps its outputs onto sends and telemetry events. `hadfl-check`
+//! schedules these very actors exhaustively through every message
+//! ordering, in virtual zero-time.
 //!
 //! The executors (`run.rs`) pump a port into an actor and read nothing
 //! of it but its [`Wake`]. The blocking one sleeps out a
@@ -93,15 +101,17 @@ mod coordinator;
 mod device;
 mod ring;
 mod run;
+mod script;
 #[cfg(test)]
 #[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests;
 
-pub use coordinator::{CoordPhaseKind, CoordinatorActor};
+pub use coordinator::CoordinatorActor;
 pub use device::{DeviceActor, DeviceHint};
 pub use run::{
     run_cluster, run_coordinator, run_device, run_threaded, run_virtual, run_virtual_cluster,
 };
+pub use script::{CoordPhase, CoordScript};
 
 /// An actor's one answer to an executor: when it next needs the clock,
 /// and whether mail may reach it before then. Instants are absolute, on

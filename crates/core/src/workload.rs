@@ -129,7 +129,7 @@ impl Workload {
         // built from the same seed, and each later one is set to it.
         let mut init = Vec::new();
         let mut runtimes = Vec::with_capacity(k);
-        for (i, shard) in shards.iter().enumerate() {
+        for (i, shard) in shards.into_iter().enumerate() {
             let mut model = self.model()?;
             if i == 0 {
                 init = model.param_vector();
@@ -138,7 +138,7 @@ impl Workload {
             }
             runtimes.push(DeviceRuntime::new(
                 model,
-                shard.clone(),
+                shard,
                 self.device_batch,
                 self.seed ^ (0xD0 + i as u64),
             )?);
