@@ -354,8 +354,8 @@ impl<Pl: Planner> CoordScript<Pl> {
     /// being dropped from planning does not stop a device's training
     /// loop, so without a Shutdown it would train forever (and a
     /// threaded harness would never join its thread). `alive_only`,
-    /// the seeded PR-1 bug, narrows the set to the alive devices,
-    /// stranding exactly the others.
+    /// the seeded missing-shutdown bug, narrows the set to the alive
+    /// devices, stranding exactly the others.
     fn shutdown(&self, round: usize, alive_only: bool, out: &mut Vec<Output>) {
         let to = if alive_only {
             self.alive.iter().copied().collect()
@@ -602,7 +602,8 @@ mod tests {
         assert_eq!(s.wake(), Wake::Done);
     }
 
-    /// The seeded PR-1 bug narrows the shutdown to the alive devices.
+    /// The seeded missing-shutdown bug narrows the shutdown to the alive
+    /// devices.
     #[test]
     fn the_seeded_bug_shuts_down_only_the_alive() {
         let mut s = script(3, 2);
