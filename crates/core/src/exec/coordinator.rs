@@ -204,6 +204,7 @@ impl<Pl: Planner> Actor for CoordinatorActor<Pl> {
                 params,
             },
             Message::BypassWarning { dead } => Input::Dead(dead as usize),
+            // No other frame carries anything the script decides on.
             _ => return Ok(()),
         };
         self.step(port, input, now)
