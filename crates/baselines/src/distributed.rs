@@ -2,7 +2,7 @@
 //! training scheme" baseline (decentralized ring all-reduce of gradients
 //! on every iteration, à la Horovod / DDP).
 
-use hadfl::aggregate::{average_params, record_gossip_traffic};
+use hadfl::aggregate::average_params;
 use hadfl::driver::SimOptions;
 use hadfl::trace::Trace;
 use hadfl::{HadflError, Workload};
@@ -28,7 +28,7 @@ use crate::Cluster;
 ///
 /// See the crate-level example.
 pub fn run_distributed(workload: &Workload, opts: &SimOptions) -> Result<Trace, HadflError> {
-    let mut cluster = Cluster::new("distributed_training", 0xD157_0001, workload, opts)?;
+    let mut cluster = Cluster::new(0xD157_0001, workload, opts)?;
     let k = cluster.devices.len();
 
     // Iterations per epoch: the max across shards (devices with smaller
@@ -59,12 +59,7 @@ pub fn run_distributed(workload: &Workload, opts: &SimOptions) -> Result<Trace, 
             // Ring all-reduce of gradients.
             let refs: Vec<&[f32]> = grads.iter().map(Vec::as_slice).collect();
             let avg = average_params(&refs)?;
-            let cost = record_gossip_traffic(
-                &cluster.devices,
-                cluster.wire_bytes,
-                &opts.link,
-                &mut cluster.stats,
-            )?;
+            let cost = cluster.all_reduce(now + slowest, &opts.link)?;
             for rt in &mut cluster.built.runtimes {
                 rt.model.set_grad_vector(&avg)?;
                 rt.apply_step()?;
@@ -75,7 +70,7 @@ pub fn run_distributed(workload: &Workload, opts: &SimOptions) -> Result<Trace, 
         let train_loss = (epoch_loss / iters_per_epoch as f64) as f32;
         cluster.record(epoch, now, epoch as f64, train_loss, &params)?;
     }
-    Ok(cluster.finish())
+    Ok(cluster.finish("distributed_training"))
 }
 
 #[cfg(test)]

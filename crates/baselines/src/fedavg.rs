@@ -7,11 +7,11 @@
 //! FedAvg (McMahan et al., the system of §II-B's server-load analysis)
 //! at a parameter server that moves `2·M·K` bytes per round.
 
-use hadfl::aggregate::{average_params, record_gossip_traffic};
+use hadfl::aggregate::average_params;
 use hadfl::driver::SimOptions;
 use hadfl::trace::Trace;
 use hadfl::{HadflError, Workload};
-use hadfl_simnet::{DeviceId, Endpoint};
+use hadfl_simnet::DeviceId;
 
 use crate::Cluster;
 
@@ -62,7 +62,7 @@ fn fedavg(workload: &Workload, opts: &SimOptions, merge: Merge) -> Result<Trace,
         Merge::Ring => ("decentralized_fedavg", 0xFEDA_0001),
         Merge::Server => ("centralized_fedavg", 0xCE27_0001),
     };
-    let mut cluster = Cluster::new(scheme, salt, workload, opts)?;
+    let mut cluster = Cluster::new(salt, workload, opts)?;
     let k = cluster.devices.len();
     let batches = cluster.built.batches_per_epoch();
     let mut now = 0.0f64;
@@ -88,13 +88,14 @@ fn fedavg(workload: &Workload, opts: &SimOptions, merge: Merge) -> Result<Trace,
             .collect();
         let refs: Vec<&[f32]> = params.iter().map(Vec::as_slice).collect();
         let merged = average_params(&refs)?;
-        let (stats, wire) = (&mut cluster.stats, cluster.wire_bytes);
+        let at = now + slowest;
         let comm = match merge {
-            Merge::Ring => record_gossip_traffic(&cluster.devices, wire, &opts.link, stats)?.secs,
+            Merge::Ring => cluster.all_reduce(at, &opts.link)?.secs,
             Merge::Server => {
+                let (server, wire) = (DeviceId(k), cluster.wire_bytes);
                 for &d in &cluster.devices {
-                    stats.record(Endpoint::Device(d), Endpoint::Server, wire);
-                    stats.record(Endpoint::Server, Endpoint::Device(d), wire);
+                    cluster.send(at, d, server, wire, "param_upload");
+                    cluster.send(at, server, d, wire, "param_download");
                 }
                 // One transfer after another, summed one by one: a
                 // product would round differently.
@@ -118,7 +119,7 @@ fn fedavg(workload: &Workload, opts: &SimOptions, merge: Merge) -> Result<Trace,
             break;
         }
     }
-    Ok(cluster.finish())
+    Ok(cluster.finish(scheme))
 }
 
 #[cfg(test)]

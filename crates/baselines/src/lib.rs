@@ -2,8 +2,9 @@
 //!
 //! Three schemes, all running on the same substrates (the `hadfl-nn`
 //! training stack and the `hadfl-simnet` virtual-time cluster) and
-//! emitting the same [`hadfl::trace::Trace`], so the bench harness can
-//! put them side by side:
+//! recording the same telemetry events, folded into the same
+//! [`hadfl::trace::Trace`], so the bench harness can put them side by
+//! side:
 //!
 //! - [`run_distributed`] — *Distributed training* (the paper's PyTorch
 //!   DDP / Horovod comparison): a synchronous ring all-reduce of
@@ -45,11 +46,15 @@ mod fedavg;
 pub use distributed::run_distributed;
 pub use fedavg::{run_centralized_fedavg, run_decentralized_fedavg};
 
+use std::time::Duration;
+
+use hadfl::aggregate::{record_gossip_traffic, GossipCost};
 use hadfl::driver::SimOptions;
-use hadfl::trace::{RoundRecord, Trace};
+use hadfl::trace::Trace;
 use hadfl::workload::BuiltWorkload;
 use hadfl::{HadflError, Workload};
-use hadfl_simnet::{ComputeModel, DeviceId, NetStats};
+use hadfl_simnet::{ComputeModel, DeviceId, LinkModel};
+use hadfl_telemetry::{EventKind, RingBufferSink, Telemetry};
 use hadfl_tensor::SeedStream;
 
 /// Learning rate of every baseline (the paper uses 0.01 everywhere).
@@ -58,8 +63,8 @@ const LR: f32 = 0.01;
 const MOMENTUM: f32 = 0.9;
 
 /// What every scheme sets up alike: the built workload, its compute and
-/// byte models, one step-time stream per device, the byte ledger and the
-/// trace the run's records go into.
+/// byte models, one step-time stream per device, and the event stream
+/// the run's transfers and evaluations go into.
 struct Cluster {
     built: BuiltWorkload,
     /// Every device, in id order: the ring the gossip merges run over.
@@ -67,19 +72,15 @@ struct Cluster {
     wire_bytes: u64,
     compute: ComputeModel,
     device_rngs: Vec<SeedStream>,
-    stats: NetStats,
-    trace: Trace,
+    /// Events on the server's node `k`, stamped at virtual time.
+    tel: Telemetry,
+    events: RingBufferSink,
 }
 
 impl Cluster {
     /// Validates `opts`, builds `workload` over its devices and seeds
     /// device `i`'s step-time stream from `workload.seed ^ salt`, fork `i`.
-    fn new(
-        scheme: &str,
-        salt: u64,
-        workload: &Workload,
-        opts: &SimOptions,
-    ) -> Result<Cluster, HadflError> {
+    fn new(salt: u64, workload: &Workload, opts: &SimOptions) -> Result<Cluster, HadflError> {
         opts.validate()?;
         let k = opts.powers.len();
         let mut built = workload.build(k)?;
@@ -90,19 +91,40 @@ impl Cluster {
         for rt in &mut built.runtimes {
             rt.set_optimizer(hadfl_nn::LrSchedule::constant(LR), MOMENTUM);
         }
+        let events = RingBufferSink::new(usize::MAX);
         Ok(Cluster {
             built,
             devices: (0..k).map(DeviceId).collect(),
             wire_bytes,
             compute,
             device_rngs: (0..k).map(|i| master_rng.fork(i as u64)).collect(),
-            stats: NetStats::new(),
-            trace: Trace::new(scheme, k, wire_bytes),
+            tel: Telemetry::new(k as u32, vec![Box::new(events.clone())]),
+            events,
         })
     }
 
-    /// Evaluates `params` and appends round `round`'s record, with every
-    /// device's step count as its version.
+    /// Records one transfer at virtual time `at` seconds; device `k`
+    /// stands for the server.
+    fn send(&self, at: f64, from: DeviceId, to: DeviceId, bytes: u64, kind: &str) {
+        let sent = EventKind::FrameSent {
+            src: from.index() as u32,
+            dst: to.index() as u32,
+            bytes,
+            kind: kind.to_string(),
+            lamport: 0,
+        };
+        self.tel.emit(Duration::from_secs_f64(at), sent);
+    }
+
+    /// Records a ring all-reduce over every device, at virtual time `at`
+    /// seconds, and returns its cost.
+    fn all_reduce(&self, at: f64, link: &LinkModel) -> Result<GossipCost, HadflError> {
+        let send = |from, to, bytes| self.send(at, from, to, bytes, "ring_allreduce");
+        record_gossip_traffic(&self.devices, self.wire_bytes, link, send)
+    }
+
+    /// Evaluates `params` and records round `round`'s evaluation, with
+    /// every device's step count as its version.
     fn record(
         &mut self,
         round: usize,
@@ -118,21 +140,21 @@ impl Cluster {
             .iter()
             .map(|rt| rt.steps_done as f64)
             .collect();
-        self.trace.push(RoundRecord {
-            round,
+        let evaluated = EventKind::Evaluated {
+            round: round as u32,
             time_secs,
             epoch_equiv,
             train_loss,
             test_accuracy: metrics.accuracy,
-            selected: Vec::new(),
             versions,
-        });
+        };
+        self.tel.emit(Duration::from_secs_f64(time_secs), evaluated);
         Ok(())
     }
 
-    /// The trace, with the run's byte ledger.
-    fn finish(mut self) -> Trace {
-        self.trace.set_comm(&self.stats);
-        self.trace
+    /// The run's trace under `scheme`: the fold of its events.
+    fn finish(self, scheme: &str) -> Trace {
+        let k = self.devices.len();
+        Trace::from_events(scheme, k, self.wire_bytes, &self.events.snapshot())
     }
 }

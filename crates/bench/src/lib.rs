@@ -320,22 +320,24 @@ pub fn write_csv(name: &str, header: &str, rows: &[String]) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hadfl::trace::RoundRecord;
+    use hadfl_telemetry::{EventKind, RingBufferSink, Telemetry};
+    use std::time::Duration;
 
     fn trace_with(acc_times: &[(f32, f64)]) -> Trace {
-        let mut t = Trace::new("x", 2, 10);
-        for (i, &(acc, time)) in acc_times.iter().enumerate() {
-            t.push(RoundRecord {
-                round: i + 1,
+        let events = RingBufferSink::new(16);
+        let tel = Telemetry::new(2, vec![Box::new(events.clone())]);
+        for (round, &(acc, time)) in (1..).zip(acc_times) {
+            let evaluated = EventKind::Evaluated {
+                round,
                 time_secs: time,
-                epoch_equiv: i as f64,
+                epoch_equiv: f64::from(round),
                 train_loss: 1.0,
                 test_accuracy: acc,
-                selected: vec![],
                 versions: vec![],
-            });
+            };
+            tel.emit(Duration::from_secs_f64(time), evaluated);
         }
-        t
+        Trace::from_events("x", 2, 10, &events.snapshot())
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! redistributed. The merged model is the *average* of the members'
 //! models (Eq. 5 over the selected set).
 
-use hadfl_simnet::{BandwidthMatrix, DeviceId, Endpoint, LinkModel, NetStats};
+use hadfl_simnet::{BandwidthMatrix, DeviceId, LinkModel};
 use serde::{Deserialize, Serialize};
 
 use crate::error::HadflError;
@@ -291,9 +291,9 @@ pub fn ring_token_pass_cost(
     })
 }
 
-/// Records the gossip traffic of one partial synchronization in
-/// `stats`: each ring member sends its chunks to its downstream
-/// neighbour.
+/// Hands the gossip traffic of one partial synchronization to `send`,
+/// one `(from, to, bytes)` transfer per ring member: each member sends
+/// its chunks to its downstream neighbour.
 ///
 /// `ring_order` is the members in ring order; traffic is
 /// device-to-device only — no server is involved, which is the
@@ -306,17 +306,13 @@ pub fn record_gossip_traffic(
     ring_order: &[DeviceId],
     model_bytes: u64,
     link: &LinkModel,
-    stats: &mut NetStats,
+    mut send: impl FnMut(DeviceId, DeviceId, u64),
 ) -> Result<GossipCost, HadflError> {
     let cost = ring_allreduce_cost(ring_order.len(), model_bytes, link)?;
     if ring_order.len() >= 2 {
         for (i, &from) in ring_order.iter().enumerate() {
             let to = ring_order[(i + 1) % ring_order.len()];
-            stats.record(
-                Endpoint::Device(from),
-                Endpoint::Device(to),
-                cost.bytes_per_member,
-            );
+            send(from, to, cost.bytes_per_member);
         }
     }
     Ok(cost)
@@ -431,17 +427,22 @@ mod tests {
     #[test]
     fn gossip_traffic_is_device_to_device_only() {
         let link = LinkModel::default();
-        let mut stats = NetStats::new();
+        let mut sent = Vec::new();
         let ring = [DeviceId(0), DeviceId(2), DeviceId(3)];
-        record_gossip_traffic(&ring, 3000, &link, &mut stats).unwrap();
-        assert_eq!(stats.server_bytes(), 0, "gossip must not touch the server");
-        // every member sends and receives the same volume
-        for d in ring {
-            assert_eq!(
-                stats.sent_by(Endpoint::Device(d)),
-                stats.received_by(Endpoint::Device(d))
-            );
-            assert!(stats.device_bytes(d) > 0);
-        }
+        let cost = record_gossip_traffic(&ring, 3000, &link, |from, to, bytes| {
+            sent.push((from, to, bytes))
+        })
+        .unwrap();
+        // every member sends its downstream neighbour the same volume
+        let each = cost.bytes_per_member;
+        assert!(each > 0);
+        assert_eq!(
+            sent,
+            vec![
+                (DeviceId(0), DeviceId(2), each),
+                (DeviceId(2), DeviceId(3), each),
+                (DeviceId(3), DeviceId(0), each),
+            ]
+        );
     }
 }

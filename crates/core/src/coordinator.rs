@@ -10,6 +10,7 @@
 //! which the paper describes and which are accounted separately.
 
 use hadfl_simnet::{DeviceId, FaultPlan, VirtualTime};
+use hadfl_telemetry::EventKind;
 use hadfl_tensor::SeedStream;
 use serde::{Deserialize, Serialize};
 
@@ -105,6 +106,33 @@ pub struct RoundPlan {
     pub unselected: Vec<DeviceId>,
     /// The selected device that broadcasts to the unselected set.
     pub broadcaster: DeviceId,
+}
+
+impl RoundPlan {
+    /// The plan as both stacks log it: round `round`, drawn over
+    /// `available` at `versions` with the Eq. (8) `probabilities`.
+    pub(crate) fn event(
+        &self,
+        round: usize,
+        available: &[DeviceId],
+        versions: Vec<f64>,
+        probabilities: Vec<f64>,
+    ) -> EventKind {
+        EventKind::RoundPlanned {
+            round: round as u32,
+            available: ids(available),
+            versions,
+            probabilities,
+            selected: ids(&self.selected),
+            unselected: ids(&self.unselected),
+            broadcaster: self.broadcaster.index() as u32,
+        }
+    }
+}
+
+/// Device ids as they ride in frames and events.
+pub(crate) fn ids(devices: &[DeviceId]) -> Vec<u32> {
+    devices.iter().map(|d| d.index() as u32).collect()
 }
 
 /// The *strategy generator*: turns predicted versions into a

@@ -1,14 +1,17 @@
 //! The HADFL virtual-time simulation driver: wires the coordinator
 //! components, the gossip ring, the fault plan, and the training
-//! substrate into the paper's full workflow (§III-A steps 1–9) and emits
-//! a [`Trace`].
+//! substrate into the paper's full workflow (§III-A steps 1–9). Its
+//! training phase is recorded as telemetry events stamped at virtual
+//! time, and the run's [`Trace`] is their fold.
 
 use std::collections::BTreeMap;
+use std::time::Duration;
 
 use hadfl_nn::LrSchedule;
 use hadfl_simnet::{
     ComputeModel, DeviceId, Endpoint, FaultPlan, Jitter, LinkModel, NetStats, VirtualTime,
 };
+use hadfl_telemetry::{EventKind, RingBufferSink, Telemetry};
 use hadfl_tensor::SeedStream;
 use serde::{Deserialize, Serialize};
 
@@ -20,7 +23,7 @@ use crate::gossip::{run_partial_sync, SyncOutcome};
 use crate::group::partition_groups;
 use crate::strategy::Strategy;
 use crate::topology::Ring;
-use crate::trace::{CommSummary, RoundRecord, Trace};
+use crate::trace::{CommSummary, Trace};
 use crate::workload::Workload;
 
 /// Size of a control-plane message (liveness ping, version report,
@@ -133,7 +136,8 @@ impl SimOptions {
 /// claim can be checked on `trace.comm` alone.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct HadflRun {
-    /// The per-round trace (training-phase communication only).
+    /// The per-round trace (training-phase communication only), folded
+    /// from the run's events.
     pub trace: Trace,
     /// Setup-phase communication: initial model dispatch and warm-up
     /// timing reports.
@@ -214,8 +218,23 @@ pub fn run_hadfl(
     let mut rep_ring_rng = master_rng.fork(u64::MAX);
 
     let mut setup_stats = NetStats::new();
-    let mut train_stats = NetStats::new();
     let mut backup_stats = NetStats::new();
+    // The training phase's record: events on the coordinator's node `k`
+    // (the `server` of a transfer), stamped at virtual time.
+    let server = DeviceId(k);
+    let events = RingBufferSink::new(usize::MAX);
+    let tel = Telemetry::new(k as u32, vec![Box::new(events.clone())]);
+    let emit = |at: VirtualTime, event| tel.emit(Duration::from_secs_f64(at.as_secs()), event);
+    let frame = |at: VirtualTime, from: DeviceId, to: DeviceId, bytes: u64, kind: &str| {
+        let sent = EventKind::FrameSent {
+            src: from.index() as u32,
+            dst: to.index() as u32,
+            bytes,
+            kind: kind.to_string(),
+            lamport: 0,
+        };
+        emit(at, sent);
+    };
 
     // --- Setup: initial model dispatch (coordinator → devices). ---
     for i in 0..k {
@@ -266,7 +285,6 @@ pub fn run_hadfl(
         rt.set_optimizer(LrSchedule::constant(config.lr), config.momentum);
     }
 
-    let mut trace = Trace::new("hadfl", k, wire_bytes);
     let mut bypass_log = Vec::new();
     let mut inter_sync_rounds = Vec::new();
     let mut backups_taken = 0usize;
@@ -339,9 +357,12 @@ pub fn run_hadfl(
             let plan = generators[gi].plan_round(&live, &predicted_live)?;
             for d in &live {
                 // version report up, training configuration down
-                train_stats.record(Endpoint::Device(*d), Endpoint::Server, CONTROL_MSG_BYTES);
-                train_stats.record(Endpoint::Server, Endpoint::Device(*d), CONTROL_MSG_BYTES);
+                frame(window_end, *d, server, CONTROL_MSG_BYTES, "version_report");
+                frame(window_end, server, *d, CONTROL_MSG_BYTES, "round_plan");
             }
+            let probabilities = generators[gi].last_probabilities().unwrap_or_default();
+            let planned = plan.event(round, &live, predicted_live, probabilities.to_vec());
+            emit(window_end, planned);
             plans.push((gi, plan));
         }
 
@@ -368,7 +389,7 @@ pub fn run_hadfl(
                 config.handshake_timeout_secs,
                 built.model_bytes,
                 wire_bytes,
-                &mut train_stats,
+                |from, to, bytes| frame(at, from, to, bytes, "ring_allreduce"),
             ) {
                 Ok(outcome) => outcome,
                 // Every member died inside the window. That is fatal only
@@ -401,7 +422,7 @@ pub fn run_hadfl(
                     if !opts.faults.is_up(*u, at) {
                         continue;
                     }
-                    train_stats.record(Endpoint::Device(from), Endpoint::Device(*u), wire_bytes);
+                    frame(done, from, *u, wire_bytes, "param_sync");
                     let mut local = built.runtimes[u.index()].model.param_vector();
                     blend_params(&mut local, &outcome.merged, config.blend_beta)?;
                     built.runtimes[u.index()].model.set_param_vector(&local)?;
@@ -414,9 +435,7 @@ pub fn run_hadfl(
 
         // --- Intra-group: every planned ring runs as the window closes. ---
         let mut sync_end = window_end;
-        let mut selected_indices: Vec<usize> = Vec::new();
         for (gi, plan) in plans {
-            selected_indices.extend(plan.selected.iter().map(|d| d.index()));
             let weights = config.weight_by_samples.then(|| {
                 let members = plan.ring.members().iter();
                 members.map(|&d| (d, shard_samples[d.index()])).collect()
@@ -483,24 +502,23 @@ pub fn run_hadfl(
         } else {
             live_losses.iter().sum::<f32>() / live_losses.len() as f32
         };
-        trace.push(RoundRecord {
-            round,
+        let evaluated = EventKind::Evaluated {
+            round: round as u32,
             time_secs: sync_end.as_secs(),
             epoch_equiv,
             train_loss,
             test_accuracy: metrics.accuracy,
-            selected: selected_indices,
             versions,
-        });
+        };
+        emit(sync_end, evaluated);
         if done {
             break;
         }
         window_start = window_end;
     }
 
-    trace.set_comm(&train_stats);
     Ok(HadflRun {
-        trace,
+        trace: Trace::from_events("hadfl", k, wire_bytes, &events.snapshot()),
         setup_comm: CommSummary::from_stats(&setup_stats, k),
         backup_comm: CommSummary::from_stats(&backup_stats, k),
         backups_taken,

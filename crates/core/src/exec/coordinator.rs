@@ -1,11 +1,10 @@
 use std::time::Duration;
 
-use hadfl_simnet::DeviceId;
 use hadfl_telemetry::{EventKind, Telemetry};
 
 use super::script::{CoordScript, Input, Output};
 use super::{Actor, CoordinatorRun, Planner, ProtocolTiming, Wake};
-use crate::coordinator::RuntimeSupervisor;
+use crate::coordinator::{ids, RuntimeSupervisor};
 use crate::error::HadflError;
 use crate::transport::Port;
 use crate::wire::Message;
@@ -118,24 +117,13 @@ impl<Pl: Planner> CoordinatorActor<Pl> {
                     probabilities,
                     plan,
                 } => {
-                    let unselected: Vec<u32> = ids(&plan.unselected);
-                    let broadcaster = plan.broadcaster.index() as u32;
                     // The decision is logged before its frames go out:
                     // RoundPlanned is the causal source of the round's
                     // critical path, so it must happen-before every
                     // RoundPlan send in the merged timeline.
-                    tel.emit(
-                        now,
-                        EventKind::RoundPlanned {
-                            round: round as u32,
-                            available: ids(&available),
-                            versions,
-                            probabilities,
-                            selected: ids(&plan.selected),
-                            unselected: unselected.clone(),
-                            broadcaster,
-                        },
-                    );
+                    tel.emit(now, plan.event(round, &available, versions, probabilities));
+                    let unselected = ids(&plan.unselected);
+                    let broadcaster = plan.broadcaster.index() as u32;
                     let ring = ids(plan.ring.members());
                     let frame = Message::round_plan(round as u32, ring, broadcaster, unselected);
                     for member in plan.ring.members() {
@@ -221,9 +209,4 @@ impl<Pl: Planner> Actor for CoordinatorActor<Pl> {
     fn on_wake<P: Port>(&mut self, port: &mut P, now: Duration) -> Result<(), HadflError> {
         self.step(port, Input::Wake, now)
     }
-}
-
-/// Device ids as they ride in frames and events.
-fn ids(devices: &[DeviceId]) -> Vec<u32> {
-    devices.iter().map(|d| d.index() as u32).collect()
 }

@@ -242,13 +242,10 @@ impl<Pl: Planner> CoordScript<Pl> {
             // mailbox.
             _ => {}
         }
+        let complete = self.awaiting().next().is_none();
         match &self.phase {
-            CoordPhase::Collect { versions, .. } if versions.len() >= self.alive.len() => {
-                self.finish_collect(now, &mut out);
-            }
-            CoordPhase::Final { .. } if self.final_models.len() >= self.alive.len() => {
-                self.phase = CoordPhase::Done;
-            }
+            CoordPhase::Collect { .. } if complete => self.finish_collect(now, &mut out),
+            CoordPhase::Final { .. } if complete => self.phase = CoordPhase::Done,
             _ => {}
         }
         out
@@ -664,6 +661,30 @@ mod tests {
         assert_eq!(
             run.final_models.keys().copied().collect::<Vec<_>>(),
             vec![1]
+        );
+    }
+
+    /// An upload from a device dropped after it uploaded stays in the
+    /// run but does not stand in for a live device's: the collection
+    /// still awaits device 2.
+    #[test]
+    fn a_dropped_uploader_does_not_end_the_final_collection() {
+        let mut s = script(3, 1);
+        run_round(&mut s, WINDOW, &[(0, 1.0), (1, 1.0), (2, 1.0)]);
+        s.step(upload(0), WINDOW);
+        s.step(Input::Dead(0), WINDOW);
+        s.step(upload(1), WINDOW);
+        assert_eq!(s.awaiting().collect::<Vec<_>>(), vec![2]);
+        assert_eq!(s.wake(), Wake::Recv(WINDOW + UPLOADS));
+        s.step(upload(2), WINDOW);
+        assert_eq!(s.wake(), Wake::Done);
+        assert_eq!(
+            s.into_run()
+                .final_models
+                .keys()
+                .copied()
+                .collect::<Vec<_>>(),
+            vec![0, 1, 2]
         );
     }
 

@@ -8,7 +8,7 @@
 
 use std::collections::BTreeMap;
 
-use hadfl_simnet::{DeviceId, FaultPlan, LinkModel, NetStats, VirtualTime};
+use hadfl_simnet::{DeviceId, FaultPlan, LinkModel, VirtualTime};
 use serde::{Deserialize, Serialize};
 
 use crate::aggregate::{
@@ -37,7 +37,8 @@ pub struct SyncOutcome {
 /// Executes one partial synchronization over `ring` at time `at`.
 ///
 /// `model_bytes` sets the transfer time of the synchronization while
-/// `wire_bytes` sets the volume charged to `stats`; they are equal
+/// `wire_bytes` sets the volume of the transfers handed to `send` (see
+/// [`record_gossip_traffic`]); they are equal
 /// unless an experiment overrides the reported wire size
 /// (`SimOptions::wire_model_bytes`), which must not alter timing.
 ///
@@ -68,7 +69,7 @@ pub fn run_partial_sync(
     handshake_timeout_secs: f64,
     model_bytes: u64,
     wire_bytes: u64,
-    stats: &mut NetStats,
+    send: impl FnMut(DeviceId, DeviceId, u64),
 ) -> Result<SyncOutcome, HadflError> {
     for member in ring.members() {
         if !params.contains_key(member) {
@@ -118,7 +119,7 @@ pub fn run_partial_sync(
     // ledger is driven by `wire_bytes`, which experiments may override to
     // paper-scale model sizes without perturbing the learning dynamics.
     let secs = ring_allreduce_cost(live.members().len(), model_bytes, link)?.secs;
-    record_gossip_traffic(live.members(), wire_bytes, link, stats)?;
+    record_gossip_traffic(live.members(), wire_bytes, link, send)?;
     let vectors: Vec<&[f32]> = live
         .members()
         .iter()
@@ -171,7 +172,7 @@ mod tests {
         let mut params = BTreeMap::new();
         params.insert(DeviceId(0), vec![0.0; 3]);
         params.insert(DeviceId(1), vec![2.0; 3]);
-        let mut stats = NetStats::new();
+        let mut sent = Vec::new();
         let out = run_partial_sync(
             &ring,
             &params,
@@ -182,7 +183,7 @@ mod tests {
             0.05,
             12,
             12,
-            &mut stats,
+            |from, to, bytes| sent.push((from, to, bytes)),
         )
         .unwrap();
         assert_eq!(out.merged, vec![1.0; 3]);
@@ -190,7 +191,13 @@ mod tests {
         assert!(out.bypassed.is_empty());
         assert!(!out.dissolved);
         assert!(out.comm_secs > 0.0);
-        assert_eq!(stats.server_bytes(), 0);
+        assert_eq!(
+            sent,
+            vec![
+                (DeviceId(0), DeviceId(1), 12),
+                (DeviceId(1), DeviceId(0), 12)
+            ]
+        );
     }
 
     #[test]
@@ -202,7 +209,6 @@ mod tests {
         let mut weights = BTreeMap::new();
         weights.insert(DeviceId(0), 3.0);
         weights.insert(DeviceId(1), 1.0);
-        let mut stats = NetStats::new();
         let out = run_partial_sync(
             &ring,
             &params,
@@ -213,7 +219,7 @@ mod tests {
             0.05,
             8,
             8,
-            &mut stats,
+            |_, _, _| {},
         )
         .unwrap();
         // 0.75·0 + 0.25·4 = 1
@@ -227,7 +233,7 @@ mod tests {
         let params = params_for(&[1, 2, 3], 1.0);
         let faults = FaultPlan::new(vec![Outage::crash(DeviceId(2), t(0.5))]).unwrap();
         let link = LinkModel::new(0.001, 1e9).unwrap();
-        let mut stats = NetStats::new();
+        let mut sent = Vec::new();
         let out = run_partial_sync(
             &ring,
             &params,
@@ -238,7 +244,7 @@ mod tests {
             0.05,
             100,
             100,
-            &mut stats,
+            |from, to, bytes| sent.push((from, to, bytes)),
         )
         .unwrap();
         assert_eq!(out.bypassed, vec![DeviceId(2)]);
@@ -248,7 +254,9 @@ mod tests {
         // penalty: timeout + 2 latency = 0.052, plus the 2-ring gossip
         assert!(out.comm_secs > 0.052, "penalty missing: {}", out.comm_secs);
         // the dead device moved no bytes
-        assert_eq!(stats.device_bytes(DeviceId(2)), 0);
+        assert!(sent
+            .iter()
+            .all(|&(from, to, _)| from != DeviceId(2) && to != DeviceId(2)));
     }
 
     #[test]
@@ -256,7 +264,7 @@ mod tests {
         let ring = ring_of(&[0, 1]);
         let params = params_for(&[0, 1], 1.0);
         let faults = FaultPlan::new(vec![Outage::crash(DeviceId(1), t(0.0))]).unwrap();
-        let mut stats = NetStats::new();
+        let mut sent = Vec::new();
         let out = run_partial_sync(
             &ring,
             &params,
@@ -267,13 +275,13 @@ mod tests {
             0.05,
             100,
             100,
-            &mut stats,
+            |from, to, bytes| sent.push((from, to, bytes)),
         )
         .unwrap();
         assert!(out.dissolved);
         assert_eq!(out.participants, vec![DeviceId(0)]);
         assert_eq!(out.merged, params[&DeviceId(0)]);
-        assert_eq!(stats.total_bytes(), 0, "no exchange when dissolved");
+        assert!(sent.is_empty(), "no exchange when dissolved");
     }
 
     #[test]
@@ -285,7 +293,6 @@ mod tests {
             Outage::crash(DeviceId(1), t(0.0)),
         ])
         .unwrap();
-        let mut stats = NetStats::new();
         let err = run_partial_sync(
             &ring,
             &params,
@@ -296,7 +303,7 @@ mod tests {
             0.05,
             100,
             100,
-            &mut stats,
+            |_, _, _| {},
         )
         .unwrap_err();
         assert!(matches!(err, HadflError::ClusterDead { .. }));
@@ -306,7 +313,6 @@ mod tests {
     fn missing_params_are_rejected() {
         let ring = ring_of(&[0, 1]);
         let params = params_for(&[0], 1.0);
-        let mut stats = NetStats::new();
         assert!(run_partial_sync(
             &ring,
             &params,
@@ -317,7 +323,7 @@ mod tests {
             0.05,
             100,
             100,
-            &mut stats,
+            |_, _, _| {},
         )
         .is_err());
     }
@@ -332,7 +338,6 @@ mod tests {
         ])
         .unwrap();
         let link = LinkModel::new(0.001, 1e9).unwrap();
-        let mut stats = NetStats::new();
         let out = run_partial_sync(
             &ring,
             &params,
@@ -343,7 +348,7 @@ mod tests {
             0.05,
             100,
             100,
-            &mut stats,
+            |_, _, _| {},
         )
         .unwrap();
         assert_eq!(out.bypassed.len(), 2);

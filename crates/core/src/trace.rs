@@ -1,5 +1,8 @@
-//! Experiment traces: the per-round records every training scheme emits,
-//! from which all of the paper's tables and figures are regenerated.
+//! Experiment traces: the per-round records every training scheme's
+//! event stream folds into, from which all of the paper's tables and
+//! figures are regenerated.
+
+use std::collections::BTreeMap;
 
 use hadfl_simnet::{DeviceId, NetStats};
 use hadfl_telemetry::{Event, EventKind};
@@ -93,22 +96,30 @@ impl CommSummary {
 
 /// A complete training run: scheme name, per-round records, and
 /// communication accounting — the unit the bench harness serializes.
+/// It is a fold over the run's event stream ([`Trace::from_events`]).
 ///
 /// # Example
 ///
 /// ```
-/// use hadfl::trace::{RoundRecord, Trace};
+/// use std::time::Duration;
 ///
-/// let mut trace = Trace::new("hadfl", 4, 1000);
-/// trace.push(RoundRecord {
-///     round: 1,
-///     time_secs: 2.0,
-///     epoch_equiv: 1.0,
-///     train_loss: 2.3,
-///     test_accuracy: 0.4,
-///     selected: vec![0, 2],
-///     versions: vec![10.0, 5.0, 5.0, 2.0],
-/// });
+/// use hadfl::trace::Trace;
+/// use hadfl_telemetry::{EventKind, RingBufferSink, Telemetry};
+///
+/// let events = RingBufferSink::new(16);
+/// let tel = Telemetry::new(4, vec![Box::new(events.clone())]);
+/// tel.emit(
+///     Duration::from_secs(2),
+///     EventKind::Evaluated {
+///         round: 1,
+///         time_secs: 2.0,
+///         epoch_equiv: 1.0,
+///         train_loss: 2.3,
+///         test_accuracy: 0.4,
+///         versions: vec![10.0, 5.0, 5.0, 2.0],
+///     },
+/// );
+/// let trace = Trace::from_events("hadfl", 4, 1000, &events.snapshot());
 /// assert_eq!(trace.max_accuracy(), 0.4);
 /// assert_eq!(trace.time_to_accuracy(0.4), Some(2.0));
 /// assert_eq!(trace.time_to_accuracy(0.9), None);
@@ -129,25 +140,48 @@ pub struct Trace {
 }
 
 impl Trace {
-    /// Creates an empty trace.
-    pub fn new(scheme: &str, devices: usize, model_bytes: u64) -> Self {
+    /// Folds a `devices`-device run's events into its trace: one
+    /// [`RoundRecord`] per [`EventKind::Evaluated`], in stream order,
+    /// whose `selected` is the concatenation of that round's
+    /// [`EventKind::RoundPlanned`] selections (empty when nothing was
+    /// planned), and `comm` from [`CommSummary::from_events`].
+    pub fn from_events(scheme: &str, devices: usize, model_bytes: u64, events: &[Event]) -> Self {
+        let mut plans: BTreeMap<u32, Vec<usize>> = BTreeMap::new();
+        let mut records = Vec::new();
+        for event in events {
+            match &event.kind {
+                EventKind::RoundPlanned {
+                    round, selected, ..
+                } => {
+                    let ids = selected.iter().map(|&d| d as usize);
+                    plans.entry(*round).or_default().extend(ids);
+                }
+                EventKind::Evaluated {
+                    round,
+                    time_secs,
+                    epoch_equiv,
+                    train_loss,
+                    test_accuracy,
+                    versions,
+                } => records.push(RoundRecord {
+                    round: *round as usize,
+                    time_secs: *time_secs,
+                    epoch_equiv: *epoch_equiv,
+                    train_loss: *train_loss,
+                    test_accuracy: *test_accuracy,
+                    selected: plans.remove(round).unwrap_or_default(),
+                    versions: versions.clone(),
+                }),
+                _ => {}
+            }
+        }
         Trace {
             scheme: scheme.to_string(),
             devices,
             model_bytes,
-            records: Vec::new(),
-            comm: CommSummary::default(),
+            records,
+            comm: CommSummary::from_events(events, devices),
         }
-    }
-
-    /// Appends a round record.
-    pub fn push(&mut self, record: RoundRecord) {
-        self.records.push(record);
-    }
-
-    /// Stores the run's final communication summary.
-    pub fn set_comm(&mut self, stats: &NetStats) {
-        self.comm = CommSummary::from_stats(stats, self.devices);
     }
 
     /// The maximum test accuracy reached (0 for an empty trace).
@@ -194,44 +228,155 @@ impl Trace {
 mod tests {
     use super::*;
     use hadfl_simnet::Endpoint;
+    use hadfl_telemetry::SCHEMA_VERSION;
 
-    fn record(round: usize, time: f64, acc: f32) -> RoundRecord {
-        RoundRecord {
+    /// Stamps `kinds` as one node's stream, in order.
+    fn stream(kinds: Vec<EventKind>) -> Vec<Event> {
+        let event = |(seq, kind)| Event {
+            v: SCHEMA_VERSION,
+            seq: seq as u64,
+            node: 0,
+            t_us: 0,
+            lam: 0,
+            kind,
+        };
+        kinds.into_iter().enumerate().map(event).collect()
+    }
+
+    fn evaluated(round: u32, time: f64, acc: f32) -> EventKind {
+        EventKind::Evaluated {
             round,
             time_secs: time,
-            epoch_equiv: round as f64,
+            epoch_equiv: f64::from(round),
             train_loss: 1.0 / round as f32,
             test_accuracy: acc,
-            selected: vec![],
             versions: vec![],
         }
     }
 
+    fn trace(points: &[(f64, f32)]) -> Trace {
+        let rounds = (1..).zip(points);
+        let kinds = rounds.map(|(r, &(time, acc))| evaluated(r, time, acc));
+        Trace::from_events("x", 4, 100, &stream(kinds.collect()))
+    }
+
     #[test]
     fn empty_trace_has_no_milestones() {
-        let t = Trace::new("x", 4, 100);
+        let t = trace(&[]);
         assert_eq!(t.max_accuracy(), 0.0);
         assert_eq!(t.time_to_accuracy(0.1), None);
         assert_eq!(t.time_to_max_accuracy(), None);
         assert!(t.last().is_none());
+        assert_eq!(t.comm, CommSummary::from_stats(&NetStats::new(), 4));
     }
 
     #[test]
     fn time_to_max_accuracy_finds_first_hit() {
-        let mut t = Trace::new("x", 4, 100);
-        t.push(record(1, 1.0, 0.5));
-        t.push(record(2, 2.0, 0.9));
-        t.push(record(3, 3.0, 0.7));
-        t.push(record(4, 4.0, 0.9));
+        let t = trace(&[(1.0, 0.5), (2.0, 0.9), (3.0, 0.7), (4.0, 0.9)]);
         assert_eq!(t.time_to_max_accuracy(), Some((0.9, 2.0)));
     }
 
     #[test]
     fn series_extract_expected_axes() {
-        let mut t = Trace::new("x", 2, 100);
-        t.push(record(1, 1.5, 0.3));
-        t.push(record(2, 3.0, 0.6));
+        let t = trace(&[(1.5, 0.3), (3.0, 0.6)]);
         assert_eq!(t.accuracy_vs_time(), vec![(1.5, 0.3), (3.0, 0.6)]);
+    }
+
+    /// Two rounds of a 3-device run whose device 2 is down in round 2:
+    /// each `Evaluated` is one record, its selection is its round's
+    /// plan, and the ledger counts every `FrameSent` — to and from the
+    /// server (node 3) and between devices — and nothing else.
+    #[test]
+    fn from_events_folds_records_and_the_ledger() {
+        let planned = |round, available: &[u32], selected: &[u32]| EventKind::RoundPlanned {
+            round,
+            available: available.to_vec(),
+            versions: vec![1.0; available.len()],
+            probabilities: vec![],
+            selected: selected.to_vec(),
+            unselected: vec![],
+            broadcaster: selected[0],
+        };
+        let frames = [
+            vec![
+                (0, 3, 16),
+                (3, 0, 16),
+                (0, 2, 100),
+                (2, 0, 100),
+                (0, 1, 200),
+            ],
+            vec![(1, 3, 16), (3, 1, 16), (0, 1, 100), (1, 0, 100)],
+        ];
+        let sent = |&(src, dst, bytes)| EventKind::FrameSent {
+            src,
+            dst,
+            bytes,
+            kind: "x".into(),
+            lamport: 0,
+        };
+        let mut kinds = vec![planned(1, &[0, 1, 2], &[0, 2])];
+        kinds.extend(frames[0].iter().map(sent));
+        kinds.push(EventKind::FrameReceived {
+            src: 0,
+            dst: 2,
+            bytes: 100,
+            kind: "x".into(),
+            lamport: 0,
+        });
+        kinds.push(EventKind::Evaluated {
+            round: 1,
+            time_secs: 0.1 + 0.2,
+            epoch_equiv: 1.0,
+            train_loss: 2.0,
+            test_accuracy: 0.25,
+            versions: vec![8.0, 4.0, 2.0],
+        });
+        kinds.push(planned(2, &[0, 1], &[1, 0]));
+        kinds.extend(frames[1].iter().map(sent));
+        kinds.push(EventKind::Evaluated {
+            round: 2,
+            time_secs: 1.25,
+            epoch_equiv: 2.0,
+            train_loss: f32::NAN,
+            test_accuracy: 0.5,
+            versions: vec![16.0, 8.0, 2.0],
+        });
+        let t = Trace::from_events("hadfl", 3, 100, &stream(kinds));
+
+        assert_eq!(
+            (t.scheme.as_str(), t.devices, t.model_bytes),
+            ("hadfl", 3, 100)
+        );
+        assert_eq!(t.records.len(), 2);
+        let (r1, r2) = (&t.records[0], &t.records[1]);
+        assert_eq!(
+            (r1.round, r1.time_secs, r1.epoch_equiv),
+            (1, 0.1 + 0.2, 1.0)
+        );
+        assert_eq!((r1.train_loss, r1.test_accuracy), (2.0, 0.25));
+        assert_eq!(r1.selected, vec![0, 2]);
+        assert_eq!(r1.versions, vec![8.0, 4.0, 2.0]);
+        assert_eq!((r2.round, r2.time_secs, r2.test_accuracy), (2, 1.25, 0.5));
+        assert!(r2.train_loss.is_nan());
+        assert_eq!(r2.selected, vec![1, 0]);
+        assert_eq!(r2.versions, vec![16.0, 8.0, 2.0]);
+
+        let expected = CommSummary {
+            server_bytes: 64,
+            device_bytes: vec![632, 432, 200],
+            total_bytes: 664,
+            messages: 9,
+        };
+        assert_eq!(t.comm, expected);
+        let mut stats = NetStats::new();
+        let end = |id| match id {
+            3 => Endpoint::Server,
+            d => Endpoint::Device(DeviceId(d as usize)),
+        };
+        for &(src, dst, bytes) in frames.iter().flatten() {
+            stats.record(end(src), end(dst), bytes);
+        }
+        assert_eq!(CommSummary::from_stats(&stats, 3), expected);
     }
 
     #[test]
@@ -252,8 +397,7 @@ mod tests {
 
     #[test]
     fn trace_serializes_roundtrip() {
-        let mut t = Trace::new("hadfl", 1, 10);
-        t.push(record(1, 1.0, 0.2));
+        let t = trace(&[(1.0, 0.2)]);
         let json = serde_json::to_string(&t).unwrap();
         let back: Trace = serde_json::from_str(&json).unwrap();
         assert_eq!(t, back);

@@ -8,7 +8,7 @@ use hadfl::select::{select_devices, selection_weights, third_quartile, Selection
 use hadfl::strategy::hyperperiod;
 use hadfl::topology::Ring;
 use hadfl::wire::Message;
-use hadfl_simnet::{DeviceId, FaultPlan, LinkModel, NetStats, VirtualTime};
+use hadfl_simnet::{DeviceId, FaultPlan, LinkModel, VirtualTime};
 use hadfl_tensor::SeedStream;
 use proptest::prelude::*;
 
@@ -163,7 +163,6 @@ proptest! {
             .iter()
             .map(|&d| (d, vec![d.index() as f32; 3]))
             .collect();
-        let mut stats = NetStats::new();
         let out = hadfl::gossip::run_partial_sync(
             &ring,
             &params,
@@ -174,7 +173,7 @@ proptest! {
             0.05,
             100,
             100,
-            &mut stats,
+            |_, _, _| {},
         )
         .unwrap();
         let expected = (0..n).map(|i| i as f32).sum::<f32>() / n as f32;

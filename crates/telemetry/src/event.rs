@@ -164,6 +164,26 @@ pub enum EventKind {
         /// Window + collect duration, microseconds.
         duration_us: u64,
     },
+    /// A round's reference model was evaluated: the record a figure
+    /// reads. `time_secs` and `versions` are carried as computed, since
+    /// `t_us` would round the time and a device that was down emits no
+    /// `LocalSteps`; the round's selection is its `RoundPlanned`s'.
+    /// `train_loss` is NaN when no device trained, so a stream holding
+    /// such a round stays in memory (the JSON schema forbids NaN).
+    Evaluated {
+        /// Synchronization round (epoch, for per-iteration schemes).
+        round: u32,
+        /// Virtual time at the end of the round, seconds.
+        time_secs: f64,
+        /// Epochs-equivalent of data processed so far across devices.
+        epoch_equiv: f64,
+        /// Mean training loss across the devices that trained.
+        train_loss: f32,
+        /// Test accuracy of the reference model, in `[0, 1]`.
+        test_accuracy: f32,
+        /// Every device's cumulative version (local step count).
+        versions: Vec<f64>,
+    },
     /// The coordinator broadcast Shutdown after the final round.
     ShutdownSent {
         /// The last completed round.
@@ -319,6 +339,7 @@ impl Event {
             EventKind::Prediction { .. } => "prediction",
             EventKind::DeviceDropped { .. } => "device_dropped",
             EventKind::RoundComplete { .. } => "round_complete",
+            EventKind::Evaluated { .. } => "evaluated",
             EventKind::ShutdownSent { .. } => "shutdown_sent",
             EventKind::SpanStart { .. } => "span_start",
             EventKind::SpanEnd { .. } => "span_end",
@@ -385,6 +406,14 @@ mod tests {
             EventKind::RoundComplete {
                 round: 6,
                 duration_us: 120_000,
+            },
+            EventKind::Evaluated {
+                round: 6,
+                time_secs: 0.1 + 0.2,
+                epoch_equiv: 1.5,
+                train_loss: 2.25,
+                test_accuracy: 0.1,
+                versions: vec![8.0, 4.0, 0.0],
             },
             EventKind::ShutdownSent { round: 6 },
             EventKind::SpanStart {

@@ -4,8 +4,10 @@
 //! (`hadfl::exec`) and the ports under them (`hadfl::transport`,
 //! `hadfl-net`): every participant that moves frames holds a cheap
 //! [`Telemetry`] handle and emits typed [`Event`]s at protocol
-//! milestones; the closed-form simulation driver moves none and emits
-//! none. The
+//! milestones. The closed-form simulation driver and the baselines
+//! move no frame; they emit what their closed form charges, plus an
+//! [`EventKind::Evaluated`] per round, and `hadfl::trace::Trace` is
+//! the fold of that stream. The
 //! handle is **zero-cost when disabled** — [`Telemetry::disabled`] is
 //! a `None` and `emit` returns immediately — so the hot training and
 //! ring loops pay nothing in production-default builds (measured by

@@ -786,7 +786,10 @@ fn scatter_image_body<const RB: usize>(
 /// at `+0.0` and a sum that cancels to zero rounds to `+0.0`, so it is
 /// never `−0.0`, and `x + (+0.0)` has the bits of every other `x`.
 /// At any other stride the product is computed a few patch rows at a
-/// time and scatter-added in that order.
+/// time and scatter-added in that order. A gather over the gradient
+/// plane dilated by the stride gives the same bits, but ran 2.2× and
+/// 1.8× slower than this scatter on the two ↓2 layers of
+/// `resnet18_lite`, so the scatter stays.
 ///
 /// # Errors
 ///
