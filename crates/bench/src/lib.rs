@@ -385,6 +385,29 @@ mod tests {
     }
 
     #[test]
+    fn experiment_opts_scale_the_fastest_device_to_the_paper() {
+        let powers = [4.0, 2.0, 2.0, 1.0];
+        for (model, step, wire, paper_epochs) in [
+            ("resnet18_lite", 0.025, 44_600_000, 24.0),
+            ("vgg16_lite", 0.045, 60_000_000, 32.0),
+        ] {
+            for (profile, epochs) in [(Profile::Quick, 6.0), (Profile::Paper, paper_epochs)] {
+                let expected = SimOptions {
+                    base_step_secs: step * 4.0,
+                    epochs_total: epochs,
+                    wire_model_bytes: Some(wire),
+                    ..SimOptions::quick(&powers)
+                };
+                assert_eq!(
+                    experiment_opts(model, &powers, profile),
+                    expected,
+                    "{model} {profile:?}"
+                );
+            }
+        }
+    }
+
+    #[test]
     fn quick_scheme_runs_end_to_end() {
         for scheme in [Scheme::Hadfl, Scheme::DecentralizedFedAvg] {
             let trace = run_scheme(scheme, "mlp", &[2.0, 1.0], Profile::Quick, 1).unwrap();

@@ -4,12 +4,14 @@
 use hadfl::driver::{run_hadfl, HadflRun, SimOptions};
 use hadfl::workload::ShardKind;
 use hadfl::{HadflConfig, Workload};
-use hadfl_simnet::{DeviceId, FaultPlan, Outage, VirtualTime};
+use hadfl_simnet::{DeviceId, FaultPlan, Jitter, Outage, VirtualTime};
 
 const GOLDEN_PLAIN: u64 = 0x8dba_5cee_9181_3e7f;
 const GOLDEN_FAULTED: u64 = 0xe046_fbb8_c0ae_8560;
 const GOLDEN_WEIGHTED: u64 = 0x2217_a70a_879b_8b5a;
 const GOLDEN_BACKUP: u64 = 0xebc9_ba16_0faa_e2f2;
+const GOLDEN_GROUPED: u64 = 0xeca0_d743_9843_844f;
+const GOLDEN_SPIKED: u64 = 0xb5af_ffc5_1f16_e181;
 
 fn quick_opts(powers: &[f64], epochs: f64) -> SimOptions {
     let mut opts = SimOptions::quick(powers);
@@ -148,6 +150,9 @@ fn fingerprint(run: &HadflRun) -> u64 {
 /// and flat HADFL shared one driver: four configurations covering the
 /// plain path, bypass + rejoin, the weighted merge, and backup with an
 /// overridden wire size, pinned to fingerprints taken at that commit.
+/// Two later pins ride along: a grouped run with inter-group rings, and
+/// a run whose step times spike, which draws on every device's
+/// step-time stream.
 #[test]
 fn flat_runs_match_pre_fold_fingerprints() {
     let seeded = |seed| HadflConfig::builder().seed(seed);
@@ -212,4 +217,34 @@ fn flat_runs_match_pre_fold_fingerprints() {
     .unwrap();
     assert!(backed_up.backups_taken >= 1);
     assert_eq!(fingerprint(&backed_up), GOLDEN_BACKUP, "backup + wire size");
+
+    let grouped = run_hadfl(
+        &Workload::quick("mlp", 35),
+        &seeded(35)
+            .group_size(Some(2))
+            .inter_group_every(2)
+            .build()
+            .unwrap(),
+        &quick_opts(&[2.0, 1.0, 2.0, 1.0], 6.0),
+    )
+    .unwrap();
+    assert!(!grouped.inter_sync_rounds.is_empty());
+    assert_eq!(
+        fingerprint(&grouped),
+        GOLDEN_GROUPED,
+        "grouped, inter-group"
+    );
+
+    let mut opts = quick_opts(&[3.0, 3.0, 1.0, 1.0], 6.0);
+    opts.jitter = Jitter::Spike {
+        prob: 0.15,
+        slow_factor: 3.0,
+    };
+    let spiked = run_hadfl(
+        &Workload::quick("mlp", 36),
+        &seeded(36).build().unwrap(),
+        &opts,
+    )
+    .unwrap();
+    assert_eq!(fingerprint(&spiked), GOLDEN_SPIKED, "spike jitter");
 }
