@@ -8,7 +8,7 @@ use hadfl::trace::Trace;
 use hadfl::{HadflError, Workload};
 use hadfl_simnet::DeviceId;
 
-use crate::Cluster;
+use crate::cluster;
 
 /// Runs synchronous data-parallel training with a per-iteration ring
 /// all-reduce and returns its trace (one record per epoch).
@@ -28,7 +28,7 @@ use crate::Cluster;
 ///
 /// See the crate-level example.
 pub fn run_distributed(workload: &Workload, opts: &SimOptions) -> Result<Trace, HadflError> {
-    let mut cluster = Cluster::new(0xD157_0001, workload, opts)?;
+    let mut cluster = cluster(0xD157_0001, workload, opts)?;
     let k = cluster.devices.len();
 
     // Iterations per epoch: the max across shards (devices with smaller

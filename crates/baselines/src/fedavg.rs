@@ -13,7 +13,7 @@ use hadfl::trace::Trace;
 use hadfl::{HadflError, Workload};
 use hadfl_simnet::DeviceId;
 
-use crate::Cluster;
+use crate::cluster;
 
 /// Where a FedAvg round's average is taken.
 #[derive(Debug, Clone, Copy)]
@@ -62,7 +62,7 @@ fn fedavg(workload: &Workload, opts: &SimOptions, merge: Merge) -> Result<Trace,
         Merge::Ring => ("decentralized_fedavg", 0xFEDA_0001),
         Merge::Server => ("centralized_fedavg", 0xCE27_0001),
     };
-    let mut cluster = Cluster::new(salt, workload, opts)?;
+    let mut cluster = cluster(salt, workload, opts)?;
     let k = cluster.devices.len();
     let batches = cluster.built.batches_per_epoch();
     let mut now = 0.0f64;
@@ -107,13 +107,7 @@ fn fedavg(workload: &Workload, opts: &SimOptions, merge: Merge) -> Result<Trace,
         }
         now += slowest + comm;
 
-        let samples: u64 = cluster
-            .built
-            .runtimes
-            .iter()
-            .map(|rt| rt.samples_seen)
-            .sum();
-        let epoch_equiv = samples as f64 / cluster.built.train_size as f64;
+        let epoch_equiv = cluster.epoch_equiv();
         cluster.record(round, now, epoch_equiv, round_loss as f32, &merged)?;
         if epoch_equiv >= opts.epochs_total || round >= opts.max_rounds {
             break;

@@ -1,10 +1,9 @@
 //! Baseline training schemes the HADFL paper compares against.
 //!
-//! Three schemes, all running on the same substrates (the `hadfl-nn`
-//! training stack and the `hadfl-simnet` virtual-time cluster) and
-//! recording the same telemetry events, folded into the same
-//! [`hadfl::trace::Trace`], so the bench harness can put them side by
-//! side:
+//! Three schemes, each a loop over the closed-form set-up HADFL's own
+//! driver runs on ([`hadfl::driver::Cluster`]): the same substrates, the
+//! same telemetry events, folded into the same [`hadfl::trace::Trace`],
+//! so the bench harness can put them side by side:
 //!
 //! - [`run_distributed`] — *Distributed training* (the paper's PyTorch
 //!   DDP / Horovod comparison): a synchronous ring all-reduce of
@@ -46,115 +45,22 @@ mod fedavg;
 pub use distributed::run_distributed;
 pub use fedavg::{run_centralized_fedavg, run_decentralized_fedavg};
 
-use std::time::Duration;
-
-use hadfl::aggregate::{record_gossip_traffic, GossipCost};
-use hadfl::driver::SimOptions;
-use hadfl::trace::Trace;
-use hadfl::workload::BuiltWorkload;
+use hadfl::driver::{Cluster, SimOptions};
 use hadfl::{HadflError, Workload};
-use hadfl_simnet::{ComputeModel, DeviceId, LinkModel};
-use hadfl_telemetry::{EventKind, RingBufferSink, Telemetry};
-use hadfl_tensor::SeedStream;
+use hadfl_nn::LrSchedule;
 
 /// Learning rate of every baseline (the paper uses 0.01 everywhere).
 const LR: f32 = 0.01;
 /// SGD momentum of every baseline.
 const MOMENTUM: f32 = 0.9;
 
-/// What every scheme sets up alike: the built workload, its compute and
-/// byte models, one step-time stream per device, and the event stream
-/// the run's transfers and evaluations go into.
-struct Cluster {
-    built: BuiltWorkload,
-    /// Every device, in id order: the ring the gossip merges run over.
-    devices: Vec<DeviceId>,
-    wire_bytes: u64,
-    compute: ComputeModel,
-    device_rngs: Vec<SeedStream>,
-    /// Events on the server's node `k`, stamped at virtual time.
-    tel: Telemetry,
-    events: RingBufferSink,
-}
-
-impl Cluster {
-    /// Validates `opts`, builds `workload` over its devices and seeds
-    /// device `i`'s step-time stream from `workload.seed ^ salt`, fork `i`.
-    fn new(salt: u64, workload: &Workload, opts: &SimOptions) -> Result<Cluster, HadflError> {
-        opts.validate()?;
-        let k = opts.powers.len();
-        let mut built = workload.build(k)?;
-        let wire_bytes = opts.wire_model_bytes.unwrap_or(built.model_bytes);
-        let compute =
-            ComputeModel::new(opts.base_step_secs, &opts.powers)?.with_jitter(opts.jitter);
-        let master_rng = SeedStream::new(workload.seed ^ salt);
-        for rt in &mut built.runtimes {
-            rt.set_optimizer(hadfl_nn::LrSchedule::constant(LR), MOMENTUM);
-        }
-        let events = RingBufferSink::new(usize::MAX);
-        Ok(Cluster {
-            built,
-            devices: (0..k).map(DeviceId).collect(),
-            wire_bytes,
-            compute,
-            device_rngs: (0..k).map(|i| master_rng.fork(i as u64)).collect(),
-            tel: Telemetry::new(k as u32, vec![Box::new(events.clone())]),
-            events,
-        })
+/// The shared closed-form set-up with every device's optimizer at the
+/// baselines' lr and momentum; device `i`'s step-time stream is fork `i`
+/// of `workload.seed ^ salt`.
+fn cluster(salt: u64, workload: &Workload, opts: &SimOptions) -> Result<Cluster, HadflError> {
+    let mut cluster = Cluster::new(workload.seed ^ salt, workload, opts)?;
+    for rt in &mut cluster.built.runtimes {
+        rt.set_optimizer(LrSchedule::constant(LR), MOMENTUM);
     }
-
-    /// Records one transfer at virtual time `at` seconds; device `k`
-    /// stands for the server.
-    fn send(&self, at: f64, from: DeviceId, to: DeviceId, bytes: u64, kind: &str) {
-        let sent = EventKind::FrameSent {
-            src: from.index() as u32,
-            dst: to.index() as u32,
-            bytes,
-            kind: kind.to_string(),
-            lamport: 0,
-        };
-        self.tel.emit(Duration::from_secs_f64(at), sent);
-    }
-
-    /// Records a ring all-reduce over every device, at virtual time `at`
-    /// seconds, and returns its cost.
-    fn all_reduce(&self, at: f64, link: &LinkModel) -> Result<GossipCost, HadflError> {
-        let send = |from, to, bytes| self.send(at, from, to, bytes, "ring_allreduce");
-        record_gossip_traffic(&self.devices, self.wire_bytes, link, send)
-    }
-
-    /// Evaluates `params` and records round `round`'s evaluation, with
-    /// every device's step count as its version.
-    fn record(
-        &mut self,
-        round: usize,
-        time_secs: f64,
-        epoch_equiv: f64,
-        train_loss: f32,
-        params: &[f32],
-    ) -> Result<(), HadflError> {
-        let metrics = self.built.evaluate_params(params)?;
-        let versions = self
-            .built
-            .runtimes
-            .iter()
-            .map(|rt| rt.steps_done as f64)
-            .collect();
-        let evaluated = EventKind::Evaluated {
-            round: round as u32,
-            time_secs,
-            epoch_equiv,
-            train_loss,
-            test_accuracy: metrics.accuracy,
-            versions,
-        };
-        self.tel.emit(Duration::from_secs_f64(time_secs), evaluated);
-        Ok(())
-    }
-
-    /// The run's trace under `scheme`: the fold of its events.
-    fn finish(self, scheme: &str) -> Trace {
-        let k = self.devices.len();
-        Trace::from_events(scheme, k, self.wire_bytes, &self.events.snapshot())
-    }
+    Ok(cluster)
 }

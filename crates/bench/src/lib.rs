@@ -17,7 +17,7 @@ use std::path::{Path, PathBuf};
 use hadfl::driver::{run_hadfl, SimOptions};
 use hadfl::trace::Trace;
 use hadfl::{HadflConfig, HadflError, Workload};
-use hadfl_baselines::{run_centralized_fedavg, run_decentralized_fedavg, run_distributed};
+use hadfl_baselines::{run_decentralized_fedavg, run_distributed};
 
 /// The training schemes under comparison.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -28,8 +28,6 @@ pub enum Scheme {
     DecentralizedFedAvg,
     /// Per-iteration ring all-reduce (PyTorch DDP style).
     DistributedTraining,
-    /// Server-based FedAvg (communication-volume analysis only).
-    CentralizedFedAvg,
 }
 
 impl Scheme {
@@ -39,7 +37,6 @@ impl Scheme {
             Scheme::Hadfl => "hadfl",
             Scheme::DecentralizedFedAvg => "decentralized_fedavg",
             Scheme::DistributedTraining => "distributed_training",
-            Scheme::CentralizedFedAvg => "centralized_fedavg",
         }
     }
 
@@ -132,39 +129,31 @@ impl Profile {
     }
 }
 
-/// Per-iteration compute time of the *fastest* device for a model, in
-/// virtual seconds — calibrated to a V100 at batch 64 on CIFAR-scale
-/// inputs (ResNet-18 ≈ 25 ms, VGG-16 ≈ 45 ms).
-pub fn paper_step_secs(model: &str) -> f64 {
-    if model.starts_with("vgg") {
-        0.045
-    } else {
-        0.025
-    }
-}
-
-/// The wire size of a model transfer, bytes — the paper's real model
-/// sizes (ResNet-18 ≈ 44.6 MB, VGG-16 for CIFAR ≈ 60 MB), so simulated
-/// communication costs keep the paper's comm-to-compute ratio even
-/// though the lite models' actual parameter vectors are tiny.
-pub fn paper_model_bytes(model: &str) -> u64 {
-    if model.starts_with("vgg") {
-        60_000_000
-    } else {
-        44_600_000
-    }
-}
-
-/// Builds the simulation options the experiments share: the paper's
-/// convention fixes the *fastest* device at native speed and slows the
-/// others by the power ratio (`sleep()`-based heterogeneity), so the
-/// base step is scaled by `max(powers)`.
+/// Builds the simulation options the experiments share, at the paper's
+/// calibration:
+///
+/// - the base step is the *fastest* device's per-iteration compute time
+///   on a V100 at batch 64 on CIFAR-scale inputs (ResNet-18 ≈ 25 ms,
+///   VGG-16 ≈ 45 ms) scaled by `max(powers)`: the paper's convention
+///   fixes the fastest device at native speed and slows the others by
+///   the power ratio (`sleep()`-based heterogeneity);
+/// - a model transfer costs the paper's real model size on the wire
+///   (ResNet-18 ≈ 44.6 MB, VGG-16 for CIFAR ≈ 60 MB), so simulated
+///   communication keeps the paper's comm-to-compute ratio though the
+///   lite models' actual parameter vectors are tiny.
 pub fn experiment_opts(model: &str, powers: &[f64], profile: Profile) -> SimOptions {
-    let mut opts = SimOptions::experiment(powers, profile.epochs(model));
+    let (step_secs, model_bytes) = if model.starts_with("vgg") {
+        (0.045, 60_000_000)
+    } else {
+        (0.025, 44_600_000)
+    };
     let max_power = powers.iter().copied().fold(1.0, f64::max);
-    opts.base_step_secs = paper_step_secs(model) * max_power;
-    opts.wire_model_bytes = Some(paper_model_bytes(model));
-    opts
+    SimOptions {
+        base_step_secs: step_secs * max_power,
+        epochs_total: profile.epochs(model),
+        wire_model_bytes: Some(model_bytes),
+        ..SimOptions::quick(powers)
+    }
 }
 
 /// Runs one scheme on one heterogeneity distribution and returns its
@@ -189,7 +178,6 @@ pub fn run_scheme(
         }
         Scheme::DecentralizedFedAvg => run_decentralized_fedavg(&workload, &opts),
         Scheme::DistributedTraining => run_distributed(&workload, &opts),
-        Scheme::CentralizedFedAvg => run_centralized_fedavg(&workload, &opts),
     }
 }
 

@@ -1,15 +1,30 @@
-//! The cloud coordinator and its four components (paper §III-A, Fig. 2a):
-//! *liveness monitor*, *runtime supervisor*, *strategy generator*, and
-//! *model manager*.
+//! The cloud coordinator (paper §III-A, Fig. 2a). Of its four
+//! components, two are types here and two live where the stack keeps
+//! its ground truth:
+//!
+//! - the *runtime supervisor* ([`RuntimeSupervisor`]) and the *strategy
+//!   generator* ([`StrategyGenerator`]) serve both stacks: the
+//!   closed-form [`run_hadfl`](crate::driver::run_hadfl) and the actors
+//!   of [`exec`](crate::exec);
+//! - the *liveness monitor* is, in the closed form, the simulator's
+//!   [`FaultPlan`](hadfl_simnet::FaultPlan), which `run_hadfl` asks
+//!   directly; in the actors it is §III-D's timeouts: a device that
+//!   misses the report deadline, or that a ring declares dead, is
+//!   dropped;
+//! - the *model manager* is, in the closed form, the
+//!   [`backup_every`](crate::driver::SimOptions::backup_every)
+//!   accounting: every that many rounds one device uploads the merged
+//!   model, counted in [`HadflRun::backup_comm`](crate::driver::HadflRun::backup_comm).
+//!   The actors take no backups.
 //!
 //! The coordinator is control-plane only: it receives tiny runtime
 //! reports (versions, liveness) and sends tiny configuration messages.
 //! Model parameters never flow through it during training — the
 //! decentralization property the communication-volume experiment
-//! verifies — except for the model manager's periodic *backup* fetches,
+//! verifies — except for the model manager's periodic *backup* uploads,
 //! which the paper describes and which are accounted separately.
 
-use hadfl_simnet::{DeviceId, FaultPlan, VirtualTime};
+use hadfl_simnet::DeviceId;
 use hadfl_telemetry::EventKind;
 use hadfl_tensor::SeedStream;
 use serde::{Deserialize, Serialize};
@@ -19,33 +34,6 @@ use crate::error::HadflError;
 use crate::predict::VersionPredictor;
 use crate::select::{select_devices, selection_weights, SelectionPolicy};
 use crate::topology::Ring;
-
-/// The *liveness monitor*: tracks which devices are reachable.
-///
-/// In this reproduction, ground-truth availability comes from the
-/// simulator's [`FaultPlan`]; the actors over a real transport find a
-/// dead device by the §III-D timeout and handshake instead.
-#[derive(Debug, Clone, Default)]
-pub struct LivenessMonitor {
-    plan: FaultPlan,
-}
-
-impl LivenessMonitor {
-    /// Creates a monitor over a fault schedule.
-    pub fn new(plan: FaultPlan) -> Self {
-        LivenessMonitor { plan }
-    }
-
-    /// Devices of `0..n` reachable at `t`.
-    pub fn available(&self, n: usize, t: VirtualTime) -> Vec<DeviceId> {
-        self.plan.available(n, t)
-    }
-
-    /// Is one device reachable at `t`?
-    pub fn is_up(&self, device: DeviceId, t: VirtualTime) -> bool {
-        self.plan.is_up(device, t)
-    }
-}
 
 /// The *runtime supervisor*: collects each device's parameter versions
 /// as they are reported and forecasts its next one with the Eq. (7)
@@ -210,86 +198,9 @@ impl StrategyGenerator {
     }
 }
 
-/// One stored model backup.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ModelBackup {
-    /// Synchronization round at which the backup was taken.
-    pub round: usize,
-    /// Virtual time of the backup.
-    pub time: VirtualTime,
-    /// The backed-up parameter vector.
-    pub params: Vec<f32>,
-}
-
-/// The *model manager*: periodically fetches the latest merged model into
-/// the coordinator's database (paper workflow step 9).
-#[derive(Debug, Clone)]
-pub struct ModelManager {
-    every_rounds: usize,
-    backups: Vec<ModelBackup>,
-}
-
-impl ModelManager {
-    /// Creates a manager that backs up every `every_rounds` rounds.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `every_rounds` is zero.
-    pub fn new(every_rounds: usize) -> Self {
-        assert!(every_rounds > 0, "backup period must be positive");
-        ModelManager {
-            every_rounds,
-            backups: Vec::new(),
-        }
-    }
-
-    /// Offers the round's merged model; stores it when the period elapses.
-    /// Returns `true` if a backup was taken (the driver then accounts the
-    /// device→server transfer).
-    pub fn maybe_backup(&mut self, round: usize, time: VirtualTime, params: &[f32]) -> bool {
-        if round.is_multiple_of(self.every_rounds) {
-            self.backups.push(ModelBackup {
-                round,
-                time,
-                params: to_owned(params),
-            });
-            true
-        } else {
-            false
-        }
-    }
-
-    /// The most recent backup, if any.
-    pub fn latest(&self) -> Option<&ModelBackup> {
-        self.backups.last()
-    }
-
-    /// All backups, oldest first.
-    pub fn backups(&self) -> &[ModelBackup] {
-        &self.backups
-    }
-}
-
-fn to_owned(params: &[f32]) -> Vec<f32> {
-    params.to_vec()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hadfl_simnet::Outage;
-
-    fn t(s: f64) -> VirtualTime {
-        VirtualTime::from_secs(s)
-    }
-
-    #[test]
-    fn liveness_monitor_reflects_fault_plan() {
-        let plan = FaultPlan::new(vec![Outage::window(DeviceId(1), t(1.0), t(2.0))]).unwrap();
-        let monitor = LivenessMonitor::new(plan);
-        assert_eq!(monitor.available(3, t(1.5)), vec![DeviceId(0), DeviceId(2)]);
-        assert!(monitor.is_up(DeviceId(1), t(2.5)));
-    }
 
     #[test]
     fn supervisor_tracks_and_predicts() {
@@ -349,22 +260,5 @@ mod tests {
         let cfg = HadflConfig::builder().build().unwrap();
         let mut gen = StrategyGenerator::new(&cfg);
         assert!(gen.plan_round(&[DeviceId(0)], &[1.0]).is_err());
-    }
-
-    #[test]
-    fn model_manager_backs_up_on_period() {
-        let mut mgr = ModelManager::new(3);
-        assert!(mgr.maybe_backup(0, t(0.0), &[1.0]));
-        assert!(!mgr.maybe_backup(1, t(1.0), &[2.0]));
-        assert!(!mgr.maybe_backup(2, t(2.0), &[3.0]));
-        assert!(mgr.maybe_backup(3, t(3.0), &[4.0]));
-        assert_eq!(mgr.backups().len(), 2);
-        assert_eq!(mgr.latest().map(|b| b.round), Some(3));
-    }
-
-    #[test]
-    #[should_panic(expected = "backup period")]
-    fn model_manager_rejects_zero_period() {
-        let _ = ModelManager::new(0);
     }
 }

@@ -2,7 +2,8 @@
 //! components, the gossip ring, the fault plan, and the training
 //! substrate into the paper's full workflow (§III-A steps 1–9). Its
 //! training phase is recorded as telemetry events stamped at virtual
-//! time, and the run's [`Trace`] is their fold.
+//! time, and the run's [`Trace`] is their fold. [`Cluster`] is the
+//! set-up and the record it shares with the baseline schemes.
 
 use std::collections::BTreeMap;
 use std::time::Duration;
@@ -15,16 +16,16 @@ use hadfl_telemetry::{EventKind, RingBufferSink, Telemetry};
 use hadfl_tensor::SeedStream;
 use serde::{Deserialize, Serialize};
 
-use crate::aggregate::blend_params;
+use crate::aggregate::{blend_params, record_gossip_traffic, GossipCost};
 use crate::config::HadflConfig;
-use crate::coordinator::{LivenessMonitor, ModelManager, RuntimeSupervisor, StrategyGenerator};
+use crate::coordinator::{RuntimeSupervisor, StrategyGenerator};
 use crate::error::HadflError;
 use crate::gossip::{run_partial_sync, SyncOutcome};
 use crate::group::partition_groups;
 use crate::strategy::Strategy;
 use crate::topology::Ring;
 use crate::trace::{CommSummary, Trace};
-use crate::workload::Workload;
+use crate::workload::{BuiltWorkload, Workload};
 
 /// Size of a control-plane message (liveness ping, version report,
 /// training configuration), bytes. Tiny next to the model.
@@ -87,14 +88,6 @@ impl SimOptions {
         }
     }
 
-    /// Experiment-scale options used by the table/figure harnesses.
-    pub fn experiment(powers: &[f64], epochs_total: f64) -> Self {
-        SimOptions {
-            epochs_total,
-            ..SimOptions::quick(powers)
-        }
-    }
-
     /// Checks the options every simulated scheme relies on: at least two
     /// devices, a positive finite epoch budget, a positive round cap and
     /// a positive backup period.
@@ -130,6 +123,125 @@ impl SimOptions {
     }
 }
 
+/// What every closed-form scheme sets up alike: the built workload, its
+/// compute and byte models, one step-time stream per device, and the
+/// run's record, events on node `k` (the coordinator or the server)
+/// stamped at virtual time, which [`finish`](Cluster::finish) folds into
+/// the [`Trace`]. HADFL and the baselines differ only in their loops.
+pub struct Cluster {
+    /// The workload, built over every device.
+    pub built: BuiltWorkload,
+    /// Every device, in id order.
+    pub devices: Vec<DeviceId>,
+    /// Bytes a model transfer costs on the wire.
+    pub wire_bytes: u64,
+    /// Step times per device, jittered as the options say.
+    pub compute: ComputeModel,
+    /// Device `i`'s step-time stream.
+    pub device_rngs: Vec<SeedStream>,
+    tel: Telemetry,
+    events: RingBufferSink,
+}
+
+impl Cluster {
+    /// Validates `opts`, builds `workload` over its devices and forks
+    /// device `i`'s step-time stream from `seed` with salt `i`.
+    ///
+    /// # Errors
+    ///
+    /// Returns what [`SimOptions::validate`], the workload build and
+    /// [`ComputeModel::new`] reject.
+    pub fn new(seed: u64, workload: &Workload, opts: &SimOptions) -> Result<Cluster, HadflError> {
+        opts.validate()?;
+        let k = opts.powers.len();
+        let built = workload.build(k)?;
+        let wire_bytes = opts.wire_model_bytes.unwrap_or(built.model_bytes);
+        let compute =
+            ComputeModel::new(opts.base_step_secs, &opts.powers)?.with_jitter(opts.jitter);
+        let master_rng = SeedStream::new(seed);
+        let events = RingBufferSink::new(usize::MAX);
+        Ok(Cluster {
+            built,
+            devices: (0..k).map(DeviceId).collect(),
+            wire_bytes,
+            compute,
+            device_rngs: (0..k).map(|i| master_rng.fork(i as u64)).collect(),
+            tel: Telemetry::new(k as u32, vec![Box::new(events.clone())]),
+            events,
+        })
+    }
+
+    /// Records `event` at virtual time `at` seconds.
+    pub fn emit(&self, at: f64, event: EventKind) {
+        self.tel.emit(Duration::from_secs_f64(at), event);
+    }
+
+    /// Records one transfer at virtual time `at` seconds; device `k`
+    /// stands for the coordinator or the server.
+    pub fn send(&self, at: f64, from: DeviceId, to: DeviceId, bytes: u64, kind: &str) {
+        let sent = EventKind::FrameSent {
+            src: from.index() as u32,
+            dst: to.index() as u32,
+            bytes,
+            kind: kind.to_string(),
+            lamport: 0,
+        };
+        self.emit(at, sent);
+    }
+
+    /// Records a ring all-reduce over every device, at virtual time `at`
+    /// seconds, and returns its cost.
+    ///
+    /// # Errors
+    ///
+    /// Returns what [`record_gossip_traffic`] rejects.
+    pub fn all_reduce(&self, at: f64, link: &LinkModel) -> Result<GossipCost, HadflError> {
+        let send = |from, to, bytes| self.send(at, from, to, bytes, "ring_allreduce");
+        record_gossip_traffic(&self.devices, self.wire_bytes, link, send)
+    }
+
+    /// Epochs-equivalent of training data processed so far, summed over
+    /// every device.
+    pub fn epoch_equiv(&self) -> f64 {
+        let samples: u64 = self.built.runtimes.iter().map(|rt| rt.samples_seen).sum();
+        samples as f64 / self.built.train_size as f64
+    }
+
+    /// Evaluates `params` and records round `round`'s evaluation at
+    /// `time_secs`, with every device's step count as its version.
+    ///
+    /// # Errors
+    ///
+    /// Propagates substrate errors from the evaluation.
+    pub fn record(
+        &mut self,
+        round: usize,
+        time_secs: f64,
+        epoch_equiv: f64,
+        train_loss: f32,
+        params: &[f32],
+    ) -> Result<(), HadflError> {
+        let metrics = self.built.evaluate_params(params)?;
+        let runtimes = self.built.runtimes.iter();
+        let evaluated = EventKind::Evaluated {
+            round: round as u32,
+            time_secs,
+            epoch_equiv,
+            train_loss,
+            test_accuracy: metrics.accuracy,
+            versions: runtimes.map(|rt| rt.steps_done as f64).collect(),
+        };
+        self.emit(time_secs, evaluated);
+        Ok(())
+    }
+
+    /// The run's trace under `scheme`: the fold of its events.
+    pub fn finish(self, scheme: &str) -> Trace {
+        let k = self.devices.len();
+        Trace::from_events(scheme, k, self.wire_bytes, &self.events.snapshot())
+    }
+}
+
 /// Extended trace for HADFL runs: the base [`Trace`] plus setup-phase
 /// communication (initial model dispatch) and model-manager backups,
 /// which are accounted separately so the steady-state decentralization
@@ -142,7 +254,8 @@ pub struct HadflRun {
     /// Setup-phase communication: initial model dispatch and warm-up
     /// timing reports.
     pub setup_comm: CommSummary,
-    /// Backup-phase communication: the model manager's periodic fetches.
+    /// Backup-phase communication: one merged model uploaded every
+    /// `backup_every` rounds.
     pub backup_comm: CommSummary,
     /// Number of backups taken.
     pub backups_taken: usize,
@@ -201,6 +314,7 @@ pub fn run_hadfl(
     config: &HadflConfig,
     opts: &SimOptions,
 ) -> Result<HadflRun, HadflError> {
+    // Validated before the groups, so a bad option is named first.
     opts.validate()?;
     let k = opts.powers.len();
     let groups = partition_groups(k, config.group_size.unwrap_or(k))?;
@@ -209,32 +323,12 @@ pub fn run_hadfl(
             "every group needs at least 2 devices (adjust group_size)".into(),
         ));
     }
-    let mut built = workload.build(k)?;
-    let wire_bytes = opts.wire_model_bytes.unwrap_or(built.model_bytes);
-    let compute = ComputeModel::new(opts.base_step_secs, &opts.powers)?.with_jitter(opts.jitter);
-    let monitor = LivenessMonitor::new(opts.faults.clone());
-    let master_rng = SeedStream::new(config.seed ^ 0xD21E_2E00);
-    let mut device_rngs: Vec<SeedStream> = (0..k).map(|i| master_rng.fork(i as u64)).collect();
-    let mut rep_ring_rng = master_rng.fork(u64::MAX);
-
+    let seed = config.seed ^ 0xD21E_2E00;
+    let mut cluster = Cluster::new(seed, workload, opts)?;
+    let mut rep_ring_rng = SeedStream::new(seed).fork(u64::MAX);
+    let (server, wire_bytes) = (DeviceId(k), cluster.wire_bytes);
     let mut setup_stats = NetStats::new();
     let mut backup_stats = NetStats::new();
-    // The training phase's record: events on the coordinator's node `k`
-    // (the `server` of a transfer), stamped at virtual time.
-    let server = DeviceId(k);
-    let events = RingBufferSink::new(usize::MAX);
-    let tel = Telemetry::new(k as u32, vec![Box::new(events.clone())]);
-    let emit = |at: VirtualTime, event| tel.emit(Duration::from_secs_f64(at.as_secs()), event);
-    let frame = |at: VirtualTime, from: DeviceId, to: DeviceId, bytes: u64, kind: &str| {
-        let sent = EventKind::FrameSent {
-            src: from.index() as u32,
-            dst: to.index() as u32,
-            bytes,
-            kind: kind.to_string(),
-            lamport: 0,
-        };
-        emit(at, sent);
-    };
 
     // --- Setup: initial model dispatch (coordinator → devices). ---
     for i in 0..k {
@@ -242,6 +336,12 @@ pub fn run_hadfl(
     }
 
     // --- Mutual negotiation: warm-up training + timing reports. ---
+    let Cluster {
+        built,
+        compute,
+        device_rngs,
+        ..
+    } = &mut cluster;
     let batches = built.batches_per_epoch();
     let mut warmup_end = VirtualTime::ZERO;
     for (i, rt) in built.runtimes.iter_mut().enumerate() {
@@ -258,7 +358,7 @@ pub fn run_hadfl(
     }
 
     // --- Strategy generation. ---
-    let strategy = Strategy::derive(&compute, &batches, config.t_sync)?;
+    let strategy = Strategy::derive(compute, &batches, config.t_sync)?;
     let window = strategy.window_secs;
     // Versions are cumulative update counts; the Eq. (6) prior for round 1
     // is "warm-up steps plus one window's worth of steps".
@@ -280,7 +380,6 @@ pub fn run_hadfl(
         .iter()
         .map(|rt| rt.shard_len() as f64)
         .collect();
-    let mut manager = opts.backup_every.map(ModelManager::new);
     for rt in &mut built.runtimes {
         rt.set_optimizer(LrSchedule::constant(config.lr), config.momentum);
     }
@@ -296,12 +395,18 @@ pub fn run_hadfl(
         let window_end = window_start.after(window);
 
         // --- Heterogeneity-aware local training within the window. ---
+        let Cluster {
+            built,
+            compute,
+            device_rngs,
+            ..
+        } = &mut cluster;
         let mut round_losses = Vec::with_capacity(k);
         for i in 0..k {
             let dev = DeviceId(i);
             // A device trains only while connected (coarse model: it must
             // be up for the whole window; see DESIGN.md §6).
-            let up = monitor.is_up(dev, window_start) && monitor.is_up(dev, window_end);
+            let up = opts.faults.is_up(dev, window_start) && opts.faults.is_up(dev, window_end);
             if !up {
                 round_losses.push(None);
                 device_free[i] = device_free[i].max(window_end);
@@ -329,7 +434,7 @@ pub fn run_hadfl(
 
         // --- Coordinator: liveness at round start, one plan per group,
         // control traffic. ---
-        let available = monitor.available(k, window_start);
+        let available = opts.faults.available(k, window_start);
         if available.is_empty() {
             return Err(HadflError::ClusterDead { round });
         }
@@ -345,7 +450,7 @@ pub fn run_hadfl(
             let live: Vec<DeviceId> = group
                 .iter()
                 .copied()
-                .filter(|&d| monitor.is_up(d, window_start))
+                .filter(|&d| opts.faults.is_up(d, window_start))
                 .collect();
             if live.len() < 2 {
                 if let Some(&only) = live.first() {
@@ -355,14 +460,15 @@ pub fn run_hadfl(
             }
             let predicted_live: Vec<f64> = live.iter().map(|d| predicted[d.index()]).collect();
             let plan = generators[gi].plan_round(&live, &predicted_live)?;
+            let at = window_end.as_secs();
             for d in &live {
                 // version report up, training configuration down
-                frame(window_end, *d, server, CONTROL_MSG_BYTES, "version_report");
-                frame(window_end, server, *d, CONTROL_MSG_BYTES, "round_plan");
+                cluster.send(at, *d, server, CONTROL_MSG_BYTES, "version_report");
+                cluster.send(at, server, *d, CONTROL_MSG_BYTES, "round_plan");
             }
             let probabilities = generators[gi].last_probabilities().unwrap_or_default();
             let planned = plan.event(round, &live, predicted_live, probabilities.to_vec());
-            emit(window_end, planned);
+            cluster.emit(at, planned);
             plans.push((gi, plan));
         }
 
@@ -374,10 +480,11 @@ pub fn run_hadfl(
                         at: VirtualTime,
                         audiences: &[(DeviceId, Vec<DeviceId>)]|
          -> Result<Option<SyncOutcome>, HadflError> {
+            let runtimes = &cluster.built.runtimes;
             let params: BTreeMap<DeviceId, Vec<f32>> = ring
                 .members()
                 .iter()
-                .map(|&d| (d, built.runtimes[d.index()].model.param_vector()))
+                .map(|&d| (d, runtimes[d.index()].model.param_vector()))
                 .collect();
             let outcome = match run_partial_sync(
                 ring,
@@ -387,16 +494,16 @@ pub fn run_hadfl(
                 at,
                 &opts.link,
                 config.handshake_timeout_secs,
-                built.model_bytes,
+                cluster.built.model_bytes,
                 wire_bytes,
-                |from, to, bytes| frame(at, from, to, bytes, "ring_allreduce"),
+                |from, to, bytes| cluster.send(at.as_secs(), from, to, bytes, "ring_allreduce"),
             ) {
                 Ok(outcome) => outcome,
                 // Every member died inside the window. That is fatal only
                 // if nobody else is left; otherwise the ring's devices
                 // sit this synchronization out.
                 Err(HadflError::ClusterDead { .. }) => {
-                    if monitor.available(k, at).is_empty() {
+                    if opts.faults.available(k, at).is_empty() {
                         return Err(HadflError::ClusterDead { round });
                     }
                     bypass_log.push((round, ring.members().iter().map(|d| d.index()).collect()));
@@ -409,9 +516,8 @@ pub fn run_hadfl(
             }
             let done = at.after(outcome.comm_secs);
             for d in &outcome.participants {
-                built.runtimes[d.index()]
-                    .model
-                    .set_param_vector(&outcome.merged)?;
+                let model = &mut cluster.built.runtimes[d.index()].model;
+                model.set_param_vector(&outcome.merged)?;
                 device_free[d.index()] = done;
             }
 
@@ -422,10 +528,11 @@ pub fn run_hadfl(
                     if !opts.faults.is_up(*u, at) {
                         continue;
                     }
-                    frame(done, from, *u, wire_bytes, "param_sync");
-                    let mut local = built.runtimes[u.index()].model.param_vector();
+                    cluster.send(done.as_secs(), from, *u, wire_bytes, "param_sync");
+                    let model = &mut cluster.built.runtimes[u.index()].model;
+                    let mut local = model.param_vector();
                     blend_params(&mut local, &outcome.merged, config.blend_beta)?;
-                    built.runtimes[u.index()].model.set_param_vector(&local)?;
+                    model.set_param_vector(&local)?;
                     // Non-blocking: the receiver keeps training; the sender
                     // does not wait either.
                 }
@@ -481,44 +588,39 @@ pub fn run_hadfl(
             supervisor.observe(i, version);
         }
 
-        // --- Model backup. ---
-        if let Some(mgr) = manager.as_mut() {
-            if mgr.maybe_backup(round, sync_end, &last_merged) {
-                backups_taken += 1;
-                // A random live device uploads the latest model.
-                let uploader = available[0];
-                backup_stats.record(Endpoint::Device(uploader), Endpoint::Server, wire_bytes);
-            }
+        // --- Model backup: the lowest-numbered device up at the window's
+        // start uploads the latest merged model. ---
+        if opts
+            .backup_every
+            .is_some_and(|every| round.is_multiple_of(every))
+        {
+            backups_taken += 1;
+            backup_stats.record(Endpoint::Device(available[0]), Endpoint::Server, wire_bytes);
         }
 
         // --- Metrics. ---
-        let samples: u64 = built.runtimes.iter().map(|rt| rt.samples_seen).sum();
-        let epoch_equiv = samples as f64 / built.train_size as f64;
-        let done = epoch_equiv >= opts.epochs_total || round == opts.max_rounds;
-        let metrics = built.evaluate_params(&last_merged)?;
+        let epoch_equiv = cluster.epoch_equiv();
         let live_losses: Vec<f32> = round_losses.iter().flatten().copied().collect();
         let train_loss = if live_losses.is_empty() {
             f32::NAN
         } else {
             live_losses.iter().sum::<f32>() / live_losses.len() as f32
         };
-        let evaluated = EventKind::Evaluated {
-            round: round as u32,
-            time_secs: sync_end.as_secs(),
+        cluster.record(
+            round,
+            sync_end.as_secs(),
             epoch_equiv,
             train_loss,
-            test_accuracy: metrics.accuracy,
-            versions,
-        };
-        emit(sync_end, evaluated);
-        if done {
+            &last_merged,
+        )?;
+        if epoch_equiv >= opts.epochs_total || round == opts.max_rounds {
             break;
         }
         window_start = window_end;
     }
 
     Ok(HadflRun {
-        trace: Trace::from_events("hadfl", k, wire_bytes, &events.snapshot()),
+        trace: cluster.finish("hadfl"),
         setup_comm: CommSummary::from_stats(&setup_stats, k),
         backup_comm: CommSummary::from_stats(&backup_stats, k),
         backups_taken,

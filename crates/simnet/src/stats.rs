@@ -95,18 +95,6 @@ impl NetStats {
     pub fn messages(&self) -> u64 {
         self.messages
     }
-
-    /// Merges another stats object into this one (e.g. per-group runs).
-    pub fn merge(&mut self, other: &NetStats) {
-        for (&e, &b) in &other.sent {
-            *self.sent.entry(e).or_insert(0) += b;
-        }
-        for (&e, &b) in &other.received {
-            *self.received.entry(e).or_insert(0) += b;
-        }
-        self.messages += other.messages;
-        self.total_bytes += other.total_bytes;
-    }
 }
 
 #[cfg(test)]
@@ -133,18 +121,6 @@ mod tests {
         let s = NetStats::new();
         assert_eq!(s.sent_by(Endpoint::Server), 0);
         assert_eq!(s.device_bytes(DeviceId(9)), 0);
-    }
-
-    #[test]
-    fn merge_adds_counters() {
-        let mut a = NetStats::new();
-        a.record(Endpoint::Server, Endpoint::Device(DeviceId(0)), 5);
-        let mut b = NetStats::new();
-        b.record(Endpoint::Device(DeviceId(0)), Endpoint::Server, 7);
-        a.merge(&b);
-        assert_eq!(a.server_bytes(), 12);
-        assert_eq!(a.messages(), 2);
-        assert_eq!(a.total_bytes(), 12);
     }
 
     #[test]
