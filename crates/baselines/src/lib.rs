@@ -47,7 +47,6 @@ pub use fedavg::{run_centralized_fedavg, run_decentralized_fedavg};
 
 use hadfl::driver::{Cluster, SimOptions};
 use hadfl::{HadflError, Workload};
-use hadfl_nn::LrSchedule;
 
 /// Learning rate of every baseline (the paper uses 0.01 everywhere).
 const LR: f32 = 0.01;
@@ -60,7 +59,7 @@ const MOMENTUM: f32 = 0.9;
 fn cluster(salt: u64, workload: &Workload, opts: &SimOptions) -> Result<Cluster, HadflError> {
     let mut cluster = Cluster::new(workload.seed ^ salt, workload, opts)?;
     for rt in &mut cluster.built.runtimes {
-        rt.set_optimizer(LrSchedule::constant(LR), MOMENTUM);
+        rt.set_optimizer(LR, MOMENTUM);
     }
     Ok(cluster)
 }

@@ -52,13 +52,13 @@ fn main() {
         let vs = series(kind, rounds, &mut rng);
         let prior = vs[0];
 
-        let mut dexp = VersionPredictor::new(0.5, prior).expect("valid alpha");
+        let mut dexp = VersionPredictor::new(0.5).expect("valid alpha");
         let (mut err_dexp, mut err_last, mut err_static) = (0.0, 0.0, 0.0);
         let mut last = prior;
         let mut n = 0.0;
         for (j, &v) in vs.iter().enumerate() {
             if j >= 2 {
-                err_dexp += (dexp.forecast(1) - v).abs();
+                err_dexp += (dexp.forecast(1).expect("observed") - v).abs();
                 // last-value forecast of a cumulative series: repeat the
                 // last increment.
                 let last_inc = last - vs[j - 2];

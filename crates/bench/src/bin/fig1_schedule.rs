@@ -5,13 +5,15 @@
 //!
 //! Run: `cargo run --release -p hadfl-bench --bin fig1_schedule`
 
-use hadfl::schedule::{distributed_timeline, fedavg_timeline, hadfl_timeline, Activity, Timeline};
+use hadfl::schedule::{hadfl_timeline, synchronous_timeline, Activity, Timeline};
+use hadfl::strategy::Strategy;
 use hadfl_bench::write_csv;
+use hadfl_simnet::ComputeModel;
 
-fn print_timeline(tl: &Timeline, step_times: &[f64]) {
+fn print_timeline(tl: &Timeline, compute: &ComputeModel) {
     println!("\n=== {} ===", tl.scheme);
     let util = tl.utilization();
-    let steps = tl.steps_per_device(step_times);
+    let steps = tl.steps_per_device(compute);
     for (i, segs) in tl.devices.iter().enumerate() {
         let bar: String = segs
             .iter()
@@ -41,20 +43,21 @@ fn main() {
     let base_step = 0.010 * 4.0; // fastest at native speed
     let sync = 0.002;
     let batches = [8usize, 8, 8];
-    let step_times: Vec<f64> = powers.iter().map(|p| base_step / p).collect();
+    let compute = ComputeModel::new(base_step, &powers).expect("valid");
+    let strategy = Strategy::derive(&compute, &batches, 1).expect("valid");
 
-    let dist = distributed_timeline(&powers, base_step, sync, 8).expect("valid");
-    let fedavg = fedavg_timeline(&powers, base_step, sync, 8, 1).expect("valid");
-    let hadfl = hadfl_timeline(&powers, base_step, sync, &batches, 1, 1).expect("valid");
+    let dist = synchronous_timeline("distributed_training", &compute, 1, sync, 8);
+    let fedavg = synchronous_timeline("decentralized_fedavg", &compute, 8, sync, 1);
+    let hadfl = hadfl_timeline(&strategy, sync, 1);
 
     for tl in [&dist, &fedavg, &hadfl] {
-        print_timeline(tl, &step_times);
+        print_timeline(tl, &compute);
     }
 
     let mut rows = Vec::new();
     for tl in [&dist, &fedavg, &hadfl] {
         let util = tl.utilization();
-        let steps = tl.steps_per_device(&step_times);
+        let steps = tl.steps_per_device(&compute);
         for i in 0..tl.devices.len() {
             rows.push(format!("{},{i},{:.4},{}", tl.scheme, util[i], steps[i]));
         }

@@ -51,11 +51,8 @@ impl RuntimeSupervisor {
     ///
     /// Returns [`HadflError::InvalidConfig`] for an α outside (0, 1).
     pub fn new(alpha: f64, devices: usize) -> Result<Self, HadflError> {
-        // The prior is never read: `forecast` answers only once a device
-        // has been observed, and the caller owns the fallback before.
-        let unobserved = VersionPredictor::new(alpha, 0.0)?;
         Ok(RuntimeSupervisor {
-            predictors: vec![unobserved; devices],
+            predictors: vec![VersionPredictor::new(alpha)?; devices],
         })
     }
 
@@ -76,8 +73,7 @@ impl RuntimeSupervisor {
     ///
     /// Panics if `device` is not below the tracked count.
     pub fn forecast(&self, device: usize) -> Option<f64> {
-        let p = &self.predictors[device];
-        (p.observations() > 0).then(|| p.forecast(1))
+        self.predictors[device].forecast(1)
     }
 }
 

@@ -8,7 +8,6 @@
 use std::collections::BTreeMap;
 use std::time::Duration;
 
-use hadfl_nn::LrSchedule;
 use hadfl_simnet::{
     ComputeModel, DeviceId, Endpoint, FaultPlan, Jitter, LinkModel, NetStats, VirtualTime,
 };
@@ -345,7 +344,7 @@ pub fn run_hadfl(
     let batches = built.batches_per_epoch();
     let mut warmup_end = VirtualTime::ZERO;
     for (i, rt) in built.runtimes.iter_mut().enumerate() {
-        rt.set_optimizer(LrSchedule::constant(config.warmup_lr), config.momentum);
+        rt.set_optimizer(config.warmup_lr, config.momentum);
         let steps = config.warmup_epochs as usize * batches[i];
         rt.train_steps(steps)?;
         let secs = compute.steps_time(DeviceId(i), steps, Some(&mut device_rngs[i]))?;
@@ -381,7 +380,7 @@ pub fn run_hadfl(
         .map(|rt| rt.shard_len() as f64)
         .collect();
     for rt in &mut built.runtimes {
-        rt.set_optimizer(LrSchedule::constant(config.lr), config.momentum);
+        rt.set_optimizer(config.lr, config.momentum);
     }
 
     let mut bypass_log = Vec::new();
@@ -588,14 +587,17 @@ pub fn run_hadfl(
             supervisor.observe(i, version);
         }
 
-        // --- Model backup: the lowest-numbered device up at the window's
-        // start uploads the latest merged model. ---
+        // --- Model backup: the lowest-numbered device up at the round's
+        // sync end uploads the latest merged model; with nobody up then,
+        // the round takes no backup. ---
         if opts
             .backup_every
             .is_some_and(|every| round.is_multiple_of(every))
         {
-            backups_taken += 1;
-            backup_stats.record(Endpoint::Device(available[0]), Endpoint::Server, wire_bytes);
+            if let Some(&uploader) = opts.faults.available(k, sync_end).first() {
+                backups_taken += 1;
+                backup_stats.record(Endpoint::Device(uploader), Endpoint::Server, wire_bytes);
+            }
         }
 
         // --- Metrics. ---
@@ -752,14 +754,26 @@ mod tests {
 
     #[test]
     fn backups_are_taken_on_schedule() {
-        let mut opts = SimOptions::quick(&[2.0, 1.0]);
-        opts.backup_every = Some(2);
-        let run = run_hadfl(&Workload::quick("mlp", 4), &quick_config(4), &opts).unwrap();
-        assert!(run.backups_taken >= 1);
-        assert_eq!(
-            run.backup_comm.server_bytes,
-            run.backups_taken as u64 * run.trace.model_bytes
-        );
+        // Three equal devices: 80 ms windows from 0.08 s, so device 0's
+        // crash at 0.20 s falls inside round 2's window; the backup at
+        // that round's sync end must go to a device still up.
+        for (powers, crash_at) in [(&[2.0, 1.0][..], None), (&[1.0; 3][..], Some(0.20))] {
+            let mut opts = SimOptions::quick(powers);
+            opts.backup_every = Some(2);
+            if let Some(at) = crash_at {
+                let crash = Outage::crash(DeviceId(0), VirtualTime::from_secs(at));
+                opts.faults = FaultPlan::new(vec![crash]).unwrap();
+            }
+            let run = run_hadfl(&Workload::quick("mlp", 4), &quick_config(4), &opts).unwrap();
+            assert!(run.backups_taken >= 1);
+            assert_eq!(
+                run.backup_comm.server_bytes,
+                run.backups_taken as u64 * run.trace.model_bytes
+            );
+            if crash_at.is_some() {
+                assert_eq!(run.backup_comm.device_bytes[0], 0, "{powers:?}");
+            }
+        }
     }
 
     #[test]

@@ -2,7 +2,7 @@ use std::sync::Arc;
 use std::thread;
 use std::time::Duration;
 
-use hadfl_nn::{Dataset, LrSchedule};
+use hadfl_nn::Dataset;
 use hadfl_simnet::NetStats;
 use hadfl_telemetry::{EventKind, Telemetry};
 
@@ -74,7 +74,7 @@ pub fn run_device<P: Port>(
     step_sleep: Duration,
     timing: &ProtocolTiming,
 ) -> Result<(), HadflError> {
-    rt.set_optimizer(LrSchedule::constant(config.lr), config.momentum);
+    rt.set_optimizer(config.lr, config.momentum);
     let mut actor = start_device(&port, rt, config, step_sleep, timing);
     drive(&mut actor, &mut port)
 }
@@ -297,7 +297,7 @@ pub fn run_virtual(
     let k = opts.powers.len();
     let mut built = workload.build(k)?;
     for rt in &mut built.runtimes {
-        rt.set_optimizer(LrSchedule::constant(config.lr), config.momentum);
+        rt.set_optimizer(config.lr, config.momentum);
     }
     let (outcome, stats, elapsed) = run_virtual_cluster(
         built.runtimes,

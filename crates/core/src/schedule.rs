@@ -6,11 +6,14 @@
 //! `fig1_schedule` harness to regenerate the comparison picture: under a
 //! 4:2:1 power ratio, synchronous schemes leave the fast devices idle
 //! while HADFL keeps everyone busy with heterogeneity-aware local steps.
+//! Step times come from the [`ComputeModel`] and HADFL's window from
+//! [`Strategy::derive`]; every scheme has one round shape: compute, idle
+//! until the slowest device is done, sync.
 
+use hadfl_simnet::{ComputeModel, DeviceId};
 use serde::{Deserialize, Serialize};
 
-use crate::error::HadflError;
-use crate::strategy::hyperperiod;
+use crate::strategy::Strategy;
 
 /// What a device is doing during one timeline segment.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -86,67 +89,37 @@ impl Timeline {
             .fold(0.0, f64::max)
     }
 
-    /// Total local steps computed, per device, given each device's step
-    /// time.
-    pub fn steps_per_device(&self, step_times: &[f64]) -> Vec<usize> {
+    /// Total local steps computed, per device, at `compute`'s nominal
+    /// step times (devices `compute` does not model are left out).
+    pub fn steps_per_device(&self, compute: &ComputeModel) -> Vec<usize> {
         self.devices
             .iter()
-            .zip(step_times)
-            .map(|(segs, &st)| {
-                let compute: f64 = segs
+            .enumerate()
+            .map_while(|(i, segs)| {
+                let step = compute.nominal_step_time(DeviceId(i)).ok()?;
+                let busy: f64 = segs
                     .iter()
                     .filter(|s| s.activity == Activity::Compute)
                     .map(Segment::duration)
                     .sum();
-                (compute / st).round() as usize
+                Some((busy / step).round() as usize)
             })
             .collect()
     }
 }
 
-fn validate(powers: &[f64], base_step_secs: f64) -> Result<Vec<f64>, HadflError> {
-    if powers.len() < 2 {
-        return Err(HadflError::InvalidConfig("need at least 2 devices".into()));
-    }
-    if !(base_step_secs > 0.0) || !base_step_secs.is_finite() {
-        return Err(HadflError::InvalidConfig(format!(
-            "bad base step {base_step_secs}"
-        )));
-    }
-    powers
-        .iter()
-        .map(|&p| {
-            if p > 0.0 && p.is_finite() {
-                Ok(base_step_secs / p)
-            } else {
-                Err(HadflError::InvalidConfig(format!("bad power {p}")))
-            }
-        })
-        .collect()
-}
-
-/// Synchronous distributed training (ring all-reduce every iteration):
-/// every device computes one step, waits for the slowest, synchronizes,
-/// repeats for `iterations`.
-///
-/// # Errors
-///
-/// Returns [`HadflError::InvalidConfig`] for degenerate powers/steps.
-pub fn distributed_timeline(
-    powers: &[f64],
-    base_step_secs: f64,
-    sync_secs: f64,
-    iterations: usize,
-) -> Result<Timeline, HadflError> {
-    let step_times = validate(powers, base_step_secs)?;
-    let slowest = step_times.iter().copied().fold(0.0, f64::max);
-    let mut devices = vec![Vec::new(); powers.len()];
+/// `rounds` rounds of one shape: device `i` computes for `busy[i]`
+/// seconds, idles until the slowest device is done, then syncs for
+/// `sync_secs`.
+fn timeline(scheme: &str, busy: &[f64], sync_secs: f64, rounds: usize) -> Timeline {
+    let slowest = busy.iter().copied().fold(0.0, f64::max);
+    let mut devices = vec![Vec::new(); busy.len()];
     let mut t = 0.0;
-    for _ in 0..iterations {
-        for (i, segs) in devices.iter_mut().enumerate() {
-            segs.push(Segment::new(t, t + step_times[i], Activity::Compute));
-            if step_times[i] < slowest {
-                segs.push(Segment::new(t + step_times[i], t + slowest, Activity::Idle));
+    for _ in 0..rounds {
+        for (segs, &b) in devices.iter_mut().zip(busy) {
+            segs.push(Segment::new(t, t + b, Activity::Compute));
+            if b < slowest {
+                segs.push(Segment::new(t + b, t + slowest, Activity::Idle));
             }
             segs.push(Segment::new(
                 t + slowest,
@@ -156,112 +129,56 @@ pub fn distributed_timeline(
         }
         t += slowest + sync_secs;
     }
-    Ok(Timeline {
-        scheme: "distributed_training".into(),
+    Timeline {
+        scheme: scheme.into(),
         devices,
-    })
+    }
 }
 
-/// Synchronous FedAvg: every device computes `local_steps` steps, waits
-/// for the slowest, aggregates, repeats for `rounds`.
-///
-/// # Errors
-///
-/// Returns [`HadflError::InvalidConfig`] for degenerate inputs.
-pub fn fedavg_timeline(
-    powers: &[f64],
-    base_step_secs: f64,
-    sync_secs: f64,
+/// A synchronous scheme on `compute`'s devices: every round each device
+/// computes `local_steps` steps, waits for the slowest, and syncs.
+/// Distributed training (a ring all-reduce every step) is
+/// `local_steps = 1`; FedAvg aggregates every `local_steps` steps.
+pub fn synchronous_timeline(
+    scheme: &str,
+    compute: &ComputeModel,
     local_steps: usize,
+    sync_secs: f64,
     rounds: usize,
-) -> Result<Timeline, HadflError> {
-    let step_times = validate(powers, base_step_secs)?;
-    if local_steps == 0 {
-        return Err(HadflError::InvalidConfig(
-            "local_steps must be positive".into(),
-        ));
-    }
-    let slowest = step_times.iter().copied().fold(0.0, f64::max) * local_steps as f64;
-    let mut devices = vec![Vec::new(); powers.len()];
-    let mut t = 0.0;
-    for _ in 0..rounds {
-        for (i, segs) in devices.iter_mut().enumerate() {
-            let compute = step_times[i] * local_steps as f64;
-            segs.push(Segment::new(t, t + compute, Activity::Compute));
-            if compute < slowest {
-                segs.push(Segment::new(t + compute, t + slowest, Activity::Idle));
-            }
-            segs.push(Segment::new(
-                t + slowest,
-                t + slowest + sync_secs,
-                Activity::Sync,
-            ));
-        }
-        t += slowest + sync_secs;
-    }
-    Ok(Timeline {
-        scheme: "decentralized_fedavg".into(),
-        devices,
-    })
+) -> Timeline {
+    let busy: Vec<f64> = (0..compute.devices())
+        .map(|i| {
+            let step = compute.nominal_step_time(DeviceId(i));
+            step.expect("modelled device") * local_steps as f64
+        })
+        .collect();
+    timeline(scheme, &busy, sync_secs, rounds)
 }
 
-/// HADFL: every device computes continuously for the whole sync window
-/// (one hyperperiod × `t_sync`), then synchronizes — no idle segments.
-///
-/// `steps_per_epoch[i]` is device `i`'s batches per epoch (the
-/// hyperperiod is the LCM of per-epoch times).
-///
-/// # Errors
-///
-/// Returns [`HadflError::InvalidConfig`] for degenerate inputs.
-pub fn hadfl_timeline(
-    powers: &[f64],
-    base_step_secs: f64,
-    sync_secs: f64,
-    steps_per_epoch: &[usize],
-    t_sync: u32,
-    rounds: usize,
-) -> Result<Timeline, HadflError> {
-    let step_times = validate(powers, base_step_secs)?;
-    if steps_per_epoch.len() != powers.len() {
-        return Err(HadflError::InvalidConfig(
-            "steps_per_epoch length mismatch".into(),
-        ));
-    }
-    let epoch_times: Vec<f64> = step_times
-        .iter()
-        .zip(steps_per_epoch)
-        .map(|(&st, &n)| st * n as f64)
-        .collect();
-    let window = hyperperiod(&epoch_times)? * f64::from(t_sync.max(1));
-    let mut devices = vec![Vec::new(); powers.len()];
-    let mut t = 0.0;
-    for _ in 0..rounds {
-        for segs in &mut devices {
-            segs.push(Segment::new(t, t + window, Activity::Compute));
-            segs.push(Segment::new(
-                t + window,
-                t + window + sync_secs,
-                Activity::Sync,
-            ));
-        }
-        t += window + sync_secs;
-    }
-    Ok(Timeline {
-        scheme: "hadfl".into(),
-        devices,
-    })
+/// HADFL: every device computes for the whole sync window
+/// ([`Strategy::window_secs`]), then synchronizes — no idle segments.
+pub fn hadfl_timeline(strategy: &Strategy, sync_secs: f64, rounds: usize) -> Timeline {
+    let busy = vec![strategy.window_secs; strategy.devices()];
+    timeline("hadfl", &busy, sync_secs, rounds)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    const POWERS: [f64; 3] = [4.0, 2.0, 1.0];
+    /// Fig. 1's 4:2:1 cluster with a 40 ms power-1 step.
+    fn fig1() -> ComputeModel {
+        ComputeModel::new(0.04, &[4.0, 2.0, 1.0]).unwrap()
+    }
+
+    fn hadfl(sync_secs: f64, rounds: usize) -> Timeline {
+        let strategy = Strategy::derive(&fig1(), &[10, 10, 10], 1).unwrap();
+        hadfl_timeline(&strategy, sync_secs, rounds)
+    }
 
     #[test]
     fn distributed_fast_devices_idle_most() {
-        let tl = distributed_timeline(&POWERS, 0.04, 0.001, 5).unwrap();
+        let tl = synchronous_timeline("distributed_training", &fig1(), 1, 0.001, 5);
         let util = tl.utilization();
         // device 2 (power 1) nearly fully busy; device 0 (power 4) ~1/4
         assert!(util[2] > util[0] * 3.0, "{util:?}");
@@ -269,7 +186,7 @@ mod tests {
 
     #[test]
     fn hadfl_has_no_idle_segments() {
-        let tl = hadfl_timeline(&POWERS, 0.04, 0.001, &[10, 10, 10], 1, 3).unwrap();
+        let tl = hadfl(0.001, 3);
         for segs in &tl.devices {
             assert!(segs.iter().all(|s| s.activity != Activity::Idle));
         }
@@ -279,9 +196,7 @@ mod tests {
 
     #[test]
     fn hadfl_steps_scale_with_power() {
-        let tl = hadfl_timeline(&POWERS, 0.04, 0.0, &[10, 10, 10], 1, 1).unwrap();
-        let step_times: Vec<f64> = POWERS.iter().map(|p| 0.04 / p).collect();
-        let steps = tl.steps_per_device(&step_times);
+        let steps = hadfl(0.0, 1).steps_per_device(&fig1());
         // 4:2:1 power ratio ⇒ 4:2:1 steps in the same window (Fig. 1)
         assert_eq!(steps[0], 4 * steps[2]);
         assert_eq!(steps[1], 2 * steps[2]);
@@ -291,8 +206,8 @@ mod tests {
     fn fedavg_idles_less_than_distributed_per_sync() {
         // Same wall budget: FedAvg syncs once per E steps, distributed every
         // step, so distributed pays sync more often.
-        let dist = distributed_timeline(&POWERS, 0.04, 0.002, 10).unwrap();
-        let fed = fedavg_timeline(&POWERS, 0.04, 0.002, 10, 1).unwrap();
+        let dist = synchronous_timeline("distributed_training", &fig1(), 1, 0.002, 10);
+        let fed = synchronous_timeline("decentralized_fedavg", &fig1(), 10, 0.002, 1);
         let sync_time = |tl: &Timeline| -> f64 {
             tl.devices[0]
                 .iter()
@@ -304,17 +219,8 @@ mod tests {
     }
 
     #[test]
-    fn timelines_validate_inputs() {
-        assert!(distributed_timeline(&[1.0], 0.01, 0.0, 1).is_err());
-        assert!(distributed_timeline(&POWERS, 0.0, 0.0, 1).is_err());
-        assert!(fedavg_timeline(&POWERS, 0.01, 0.0, 0, 1).is_err());
-        assert!(hadfl_timeline(&POWERS, 0.01, 0.0, &[1, 1], 1, 1).is_err());
-        assert!(distributed_timeline(&[1.0, -2.0], 0.01, 0.0, 1).is_err());
-    }
-
-    #[test]
     fn makespan_matches_last_segment() {
-        let tl = distributed_timeline(&POWERS, 0.04, 0.001, 2).unwrap();
+        let tl = synchronous_timeline("distributed_training", &fig1(), 1, 0.001, 2);
         assert!((tl.makespan() - 2.0 * (0.04 + 0.001)).abs() < 1e-12);
     }
 }

@@ -1,10 +1,12 @@
 //! Heterogeneity-aware training-strategy generation (paper §III-C).
 //!
-//! From the warm-up measurements the strategy generator derives the
+//! From the devices' step times the strategy generator derives the
 //! *hyperperiod* `H_E` — the least common multiple of the devices'
 //! per-epoch times — and schedules partial aggregation every `T_sync`
 //! hyperperiods. Within one sync window each device runs as many local
 //! steps as its speed allows (`E_i`), so no device ever waits.
+//! [`Strategy::derive`] is the one place `H_E`, the window and `E_i` are
+//! computed.
 
 use hadfl_simnet::{ComputeModel, DeviceId, VirtualTime};
 use serde::{Deserialize, Serialize};
@@ -89,16 +91,24 @@ pub struct Strategy {
     pub hyperperiod_secs: f64,
     /// The sync window `T_sync · H_E`, seconds.
     pub window_secs: f64,
-    /// `E_i`: nominal local steps each device fits into one window.
+    /// `E_i`: nominal local steps each device fits into one window,
+    /// `⌊T_sync · H_E / t_step_i⌋` and at least 1. This is also the
+    /// paper's Eq. 6 expected version per window. Eq. 6 prints
+    /// `v̂ = T_sync · T_i / E_warm_up`, which would give *slower* devices
+    /// larger versions; the physically meaningful reading is the number
+    /// of local steps device `i` fits into one sync window (DESIGN.md
+    /// §6). `t_step_i` is the compute model's nominal step time.
     pub local_steps: Vec<usize>,
 }
 
 impl Strategy {
-    /// Derives the strategy from warm-up measurements.
+    /// Derives the strategy from the compute model's nominal step times.
     ///
     /// `batches_per_epoch[i]` is the number of mini-batches device `i`'s
     /// shard holds; with the compute model it yields per-epoch times, the
-    /// hyperperiod, and the nominal per-window step budgets.
+    /// hyperperiod, and the nominal per-window step budgets. The warm-up
+    /// phase's jittered step times are charged to the clock but do not
+    /// feed the plan.
     ///
     /// # Errors
     ///
@@ -238,9 +248,13 @@ mod tests {
     fn every_device_gets_at_least_one_step() {
         // Even a 10x straggler gets a step budget of ≥ 1 (the window is
         // the LCM of epoch times, so this holds by construction; the
-        // max(1) clamp guards rounding).
-        let compute = ComputeModel::new(0.010, &[10.0, 1.0]).unwrap();
-        let s = Strategy::derive(&compute, &[1, 1], 1).unwrap();
-        assert_eq!(s.local_steps, vec![10, 1]);
+        // max(1) clamp guards rounding). Eq. 6 floors: power 1.5 makes a
+        // 6.67 ms step whose epoch quantizes to 7 ticks, so the window is
+        // LCM(7, 10) = 70 ms and device 0 fits 10.5 steps, floored to 10.
+        for (powers, expected) in [([10.0, 1.0], [10, 1]), ([1.5, 1.0], [10, 7])] {
+            let compute = ComputeModel::new(0.010, &powers).unwrap();
+            let s = Strategy::derive(&compute, &[1, 1], 1).unwrap();
+            assert_eq!(s.local_steps, expected, "powers {powers:?}");
+        }
     }
 }

@@ -2,9 +2,7 @@
 //! synthetic task, per-device data shards, identically initialized model
 //! replicas, and the [`DeviceRuntime`] each scheme trains through.
 
-use hadfl_nn::{
-    models, Dataset, Loader, LrSchedule, Metrics, Model, Sgd, ShardSpec, SyntheticSpec,
-};
+use hadfl_nn::{models, Dataset, Loader, Metrics, Model, Sgd, ShardSpec, SyntheticSpec};
 use serde::{Deserialize, Serialize};
 
 use crate::error::HadflError;
@@ -242,7 +240,7 @@ impl DeviceRuntime {
         let loader = Loader::new(shard.len(), batch.min(shard.len()).max(1), seed);
         Ok(DeviceRuntime {
             model,
-            opt: Sgd::new(LrSchedule::constant(0.01), 0.9),
+            opt: Sgd::new(0.01, 0.9),
             loader,
             shard,
             queue: Vec::new(),
@@ -251,9 +249,10 @@ impl DeviceRuntime {
         })
     }
 
-    /// Replaces the optimizer's schedule and momentum (keeps step count).
-    pub fn set_optimizer(&mut self, schedule: LrSchedule, momentum: f32) {
-        self.opt = Sgd::new(schedule, momentum);
+    /// Replaces the optimizer with a fresh one at learning rate `lr` and
+    /// `momentum` (its velocity starts at zero; `steps_done` is kept).
+    pub fn set_optimizer(&mut self, lr: f32, momentum: f32) {
+        self.opt = Sgd::new(lr, momentum);
     }
 
     /// Mini-batches per epoch on this shard.

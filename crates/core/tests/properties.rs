@@ -140,13 +140,13 @@ proptest! {
         // Double exponential smoothing reproduces a perfect linear trend
         // asymptotically; after enough rounds the 1-ahead error is small
         // relative to the slope.
-        let mut p = VersionPredictor::new(alpha, start).unwrap();
+        let mut p = VersionPredictor::new(alpha).unwrap();
         let mut v = start;
         for _ in 0..60 {
             v += slope;
             p.observe(v);
         }
-        let forecast = p.forecast(1);
+        let forecast = p.forecast(1).unwrap();
         prop_assert!((forecast - (v + slope)).abs() < 0.35 * slope,
             "forecast {forecast} vs {v} + {slope}");
     }

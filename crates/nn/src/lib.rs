@@ -10,8 +10,7 @@
 //!   [`Relu`], [`MaxPool2d`], [`GlobalAvgPool2d`], [`BatchNorm2d`],
 //!   [`Residual`], [`Flatten`]), composed by [`Sequential`];
 //! - softmax cross-entropy ([`softmax_cross_entropy`]);
-//! - [`Sgd`] with momentum and warm-up learning-rate schedules
-//!   ([`LrSchedule`]);
+//! - [`Sgd`] with momentum;
 //! - a model zoo ([`models`]) with `resnet18_lite` / `vgg16_lite` /
 //!   `mlp`, CPU-feasible stand-ins for the paper's ResNet-18 / VGG-16
 //!   (see DESIGN.md §2 for the substitution argument);
@@ -23,14 +22,14 @@
 //! # Example
 //!
 //! ```
-//! use hadfl_nn::{models, Dataset, Loader, LrSchedule, Sgd, SyntheticSpec};
+//! use hadfl_nn::{models, Dataset, Loader, Sgd, SyntheticSpec};
 //!
 //! # fn main() -> Result<(), hadfl_nn::NnError> {
 //! let spec = SyntheticSpec::tiny();
 //! let train = Dataset::synthetic_cifar(64, &spec, 1)?;
 //! let test = Dataset::synthetic_cifar(32, &spec, 2)?;
 //! let mut model = models::mlp(&spec.sample_dims(), &[16], spec.classes, 7)?;
-//! let mut opt = Sgd::new(LrSchedule::constant(0.05), 0.0);
+//! let mut opt = Sgd::new(0.05, 0.0);
 //! let mut loader = Loader::new(train.len(), 16, 3);
 //! for _epoch in 0..2 {
 //!     for batch in loader.epoch() {
@@ -73,7 +72,7 @@ pub use layer::{Flatten, Layer};
 pub use loader::Loader;
 pub use loss::softmax_cross_entropy;
 pub use model::{Metrics, Model};
-pub use optim::{LrSchedule, Sgd};
+pub use optim::Sgd;
 pub use pool::{GlobalAvgPool2d, MaxPool2d};
 pub use residual::Residual;
 pub use sequential::Sequential;

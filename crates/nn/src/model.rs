@@ -265,7 +265,6 @@ mod tests {
     use crate::data::SyntheticSpec;
     use crate::loader::Loader;
     use crate::models;
-    use crate::optim::LrSchedule;
 
     fn tiny_model(seed: u64) -> Model {
         let spec = SyntheticSpec::tiny();
@@ -297,7 +296,7 @@ mod tests {
         let spec = SyntheticSpec::tiny();
         let train = Dataset::synthetic_cifar(120, &spec, 10).unwrap();
         let mut m = tiny_model(2);
-        let mut opt = Sgd::new(LrSchedule::constant(0.05), 0.9);
+        let mut opt = Sgd::new(0.05, 0.9);
         let mut loader = Loader::new(train.len(), 20, 0);
         let before = m.evaluate(&train, 32).unwrap();
         for _ in 0..8 {

@@ -259,7 +259,7 @@ mod tests {
     use super::*;
     use crate::data::{Dataset, SyntheticSpec};
     use crate::loader::Loader;
-    use crate::optim::{LrSchedule, Sgd};
+    use crate::optim::Sgd;
 
     #[test]
     fn all_models_forward_on_16x16() {
@@ -268,7 +268,7 @@ mod tests {
         let (x, y) = ds.batch(&[0, 1, 2, 3]).unwrap();
         for name in ["mlp", "resnet18_lite", "vgg16_lite"] {
             let mut m = by_name(name, &spec.sample_dims(), spec.classes, 0).unwrap();
-            let mut opt = Sgd::new(LrSchedule::constant(0.01), 0.0);
+            let mut opt = Sgd::new(0.01, 0.0);
             let loss = m.train_step(&x, &y, &mut opt).unwrap();
             assert!(loss.is_finite(), "{name} produced non-finite loss");
         }
@@ -279,7 +279,7 @@ mod tests {
         let spec = SyntheticSpec::tiny();
         let train = Dataset::synthetic_cifar(80, &spec, 10).unwrap();
         let mut m = resnet18_lite(&spec.sample_dims(), spec.classes, 1).unwrap();
-        let mut opt = Sgd::new(LrSchedule::constant(0.05), 0.9);
+        let mut opt = Sgd::new(0.05, 0.9);
         let mut loader = Loader::new(train.len(), 16, 0);
         let before = m.evaluate(&train, 40).unwrap();
         for _ in 0..4 {
@@ -302,7 +302,7 @@ mod tests {
         let spec = SyntheticSpec::tiny();
         let train = Dataset::synthetic_cifar(80, &spec, 11).unwrap();
         let mut m = vgg16_lite(&spec.sample_dims(), spec.classes, 1).unwrap();
-        let mut opt = Sgd::new(LrSchedule::constant(0.05), 0.9);
+        let mut opt = Sgd::new(0.05, 0.9);
         let mut loader = Loader::new(train.len(), 16, 0);
         let before = m.evaluate(&train, 40).unwrap();
         for _ in 0..4 {

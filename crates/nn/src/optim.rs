@@ -3,45 +3,12 @@ use hadfl_tensor::{Tensor, TensorError};
 use crate::error::NnError;
 use crate::layer::Layer;
 
-/// Learning-rate schedule.
+/// Stochastic gradient descent with classical momentum at a constant
+/// learning rate.
 ///
 /// The paper trains the *mutual-negotiation* warm-up phase with a small
-/// learning rate and the main phase at `0.01`: two constant schedules,
-/// the second installed with [`Sgd::set_schedule`] when warm-up ends.
-///
-/// # Example
-///
-/// ```
-/// use hadfl_nn::LrSchedule;
-///
-/// let s = LrSchedule::constant(0.01);
-/// assert_eq!(s.lr_at(0), 0.01);
-/// assert_eq!(s.lr_at(100), 0.01);
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum LrSchedule {
-    /// The same learning rate at every step.
-    Constant {
-        /// The learning rate.
-        lr: f32,
-    },
-}
-
-impl LrSchedule {
-    /// A constant schedule.
-    pub fn constant(lr: f32) -> Self {
-        LrSchedule::Constant { lr }
-    }
-
-    /// The learning rate at step `step` (0-based).
-    pub fn lr_at(&self, _step: u64) -> f32 {
-        match *self {
-            LrSchedule::Constant { lr } => lr,
-        }
-    }
-}
-
-/// Stochastic gradient descent with classical momentum.
+/// learning rate and the main phase at `0.01`: each phase gets its own
+/// optimizer.
 ///
 /// Velocity buffers are allocated lazily on the first [`step`](Sgd::step)
 /// and keyed by traversal order, which is deterministic (see
@@ -50,12 +17,12 @@ impl LrSchedule {
 /// # Example
 ///
 /// ```
-/// use hadfl_nn::{Dense, Layer, LrSchedule, Sgd};
+/// use hadfl_nn::{Dense, Layer, Sgd};
 /// use hadfl_tensor::{SeedStream, Tensor};
 ///
 /// # fn main() -> Result<(), hadfl_nn::NnError> {
 /// let mut layer = Dense::new(2, 1, &mut SeedStream::new(0));
-/// let mut opt = Sgd::new(LrSchedule::constant(0.1), 0.9);
+/// let mut opt = Sgd::new(0.1, 0.9);
 /// layer.forward(&Tensor::ones(&[1, 2]), true)?;
 /// layer.backward(&Tensor::ones(&[1, 1]))?;
 /// opt.step(&mut layer)?;
@@ -65,18 +32,18 @@ impl LrSchedule {
 /// ```
 #[derive(Debug)]
 pub struct Sgd {
-    schedule: LrSchedule,
+    lr: f32,
     momentum: f32,
     velocity: Vec<Tensor>,
     step: u64,
 }
 
 impl Sgd {
-    /// Creates an optimizer with the given schedule and momentum
+    /// Creates an optimizer with learning rate `lr` and momentum
     /// (`momentum = 0.0` disables the velocity term).
-    pub fn new(schedule: LrSchedule, momentum: f32) -> Self {
+    pub fn new(lr: f32, momentum: f32) -> Self {
         Sgd {
-            schedule,
+            lr,
             momentum,
             velocity: Vec::new(),
             step: 0,
@@ -86,12 +53,6 @@ impl Sgd {
     /// Number of steps applied so far.
     pub fn steps_taken(&self) -> u64 {
         self.step
-    }
-
-    /// Replaces the schedule (e.g. when leaving the warm-up phase under
-    /// external control) without resetting momentum or the step counter.
-    pub fn set_schedule(&mut self, schedule: LrSchedule) {
-        self.schedule = schedule;
     }
 
     /// Applies one update to every parameter of `layer` from its
@@ -110,7 +71,7 @@ impl Sgd {
     /// if the model's parameter structure changed between steps.
     pub fn step<L: Layer + ?Sized>(&mut self, layer: &mut L) -> Result<(), NnError> {
         let _prof = hadfl_prof::scope("sgd_step");
-        let neg_lr = -self.schedule.lr_at(self.step);
+        let neg_lr = -self.lr;
         let momentum = self.momentum;
         let first = self.velocity.is_empty();
         let velocity = &mut self.velocity;
@@ -243,7 +204,7 @@ mod tests {
     #[test]
     fn plain_sgd_moves_against_gradient() {
         let mut d = unit_dense();
-        let mut opt = Sgd::new(LrSchedule::constant(0.5), 0.0);
+        let mut opt = Sgd::new(0.5, 0.0);
         run_step(&mut d, &mut opt);
         // w grad = x*gy = 1, b grad = 1 ⇒ both become 0.5
         let mut params = Vec::new();
@@ -255,8 +216,8 @@ mod tests {
     fn momentum_accelerates_repeated_gradients() {
         let mut plain = unit_dense();
         let mut with_mom = unit_dense();
-        let mut o1 = Sgd::new(LrSchedule::constant(0.1), 0.0);
-        let mut o2 = Sgd::new(LrSchedule::constant(0.1), 0.9);
+        let mut o1 = Sgd::new(0.1, 0.0);
+        let mut o2 = Sgd::new(0.1, 0.9);
         for _ in 0..3 {
             run_step(&mut plain, &mut o1);
             run_step(&mut with_mom, &mut o2);
@@ -270,26 +231,11 @@ mod tests {
     #[test]
     fn step_zeroes_gradients() {
         let mut d = unit_dense();
-        let mut opt = Sgd::new(LrSchedule::constant(0.1), 0.0);
+        let mut opt = Sgd::new(0.1, 0.0);
         run_step(&mut d, &mut opt);
         let mut gnorm = 0.0;
         d.visit_params_grads_mut(&mut |_, g| gnorm += g.norm_l2());
         assert_eq!(gnorm, 0.0);
-    }
-
-    #[test]
-    fn replaced_schedule_applies_from_the_next_step() {
-        let mut d = unit_dense();
-        let mut opt = Sgd::new(LrSchedule::constant(0.0), 0.0);
-        run_step(&mut d, &mut opt); // lr 0: no movement
-        let mut w0 = 0.0;
-        d.visit_params(&mut |p| w0 += p.as_slice()[0]);
-        assert_eq!(w0, 2.0);
-        opt.set_schedule(LrSchedule::constant(1.0));
-        run_step(&mut d, &mut opt); // lr 1: moves
-        let mut w1 = 0.0;
-        d.visit_params(&mut |p| w1 += p.as_slice()[0]);
-        assert!(w1 < w0);
     }
 
     #[test]
@@ -298,7 +244,7 @@ mod tests {
         // Poison the gradient with an inf by a giant forward value.
         d.forward(&Tensor::full(&[1, 1], f32::MAX), true).unwrap();
         d.backward(&Tensor::full(&[1, 1], f32::MAX)).unwrap();
-        let mut opt = Sgd::new(LrSchedule::constant(1.0), 0.0);
+        let mut opt = Sgd::new(1.0, 0.0);
         assert!(matches!(opt.step(&mut d), Err(NnError::NonFinite(_))));
     }
 }

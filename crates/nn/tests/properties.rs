@@ -1,8 +1,8 @@
 //! Property-based tests for the training substrate.
 
 use hadfl_nn::{
-    models, softmax_cross_entropy, BatchNorm2d, Dataset, Layer, LrSchedule, NnError, Relu, Sgd,
-    ShardSpec, SyntheticSpec,
+    models, softmax_cross_entropy, BatchNorm2d, Dataset, Layer, NnError, Relu, Sgd, ShardSpec,
+    SyntheticSpec,
 };
 use hadfl_tensor::{SeedStream, Tensor, TensorError};
 use proptest::prelude::*;
@@ -391,7 +391,7 @@ fn sgd_matches_its_spec_bit_for_bit() {
                         .map(|i| (shapes[i], want[i].0.as_slice(), zeros[i].as_slice()))
                         .collect::<Vec<_>>(),
                 );
-                let mut opt = Sgd::new(LrSchedule::constant(lr), momentum);
+                let mut opt = Sgd::new(lr, momentum);
                 for step in 0..3 {
                     for ((p, v), (_, g)) in want.iter_mut().zip(&mut layer.0) {
                         let mut grad = random(p.len(), &mut rng);
@@ -418,7 +418,7 @@ fn sgd_reports_a_nan_gradient_as_non_finite() {
             (&[3], &[1.0, 2.0, 3.0], &[0.5, f32::NAN, 0.5]),
             (&[1], &[4.0], &[0.5]),
         ]);
-        let mut opt = Sgd::new(LrSchedule::constant(0.1), momentum);
+        let mut opt = Sgd::new(0.1, momentum);
         assert_eq!(
             opt.step(&mut layer),
             Err(NnError::NonFinite("sgd parameter update"))
@@ -436,7 +436,7 @@ fn sgd_rejects_a_tensor_whose_shape_changed_between_steps() {
     let reshaped = || Params::new(&[(&[3], &[1.0, 1.0, 1.0], &[1.0, 1.0, 1.0])]);
 
     let mut layer = Params::new(&[(&[2], &[1.0, 1.0], &[1.0, 1.0])]);
-    let mut opt = Sgd::new(LrSchedule::constant(0.5), 0.9);
+    let mut opt = Sgd::new(0.5, 0.9);
     opt.step(&mut layer).unwrap();
     // The velocity still has the old shape: the mismatch is an error,
     // not an update of the first two elements.
@@ -454,7 +454,7 @@ fn sgd_rejects_a_tensor_whose_shape_changed_between_steps() {
     // Without momentum the velocity is never read, so its stale shape
     // is not an error — and must not shorten the update either.
     let mut layer = Params::new(&[(&[2], &[1.0, 1.0], &[1.0, 1.0])]);
-    let mut opt = Sgd::new(LrSchedule::constant(0.5), 0.0);
+    let mut opt = Sgd::new(0.5, 0.0);
     opt.step(&mut layer).unwrap();
     let mut layer = reshaped();
     opt.step(&mut layer).unwrap();
@@ -464,7 +464,7 @@ fn sgd_rejects_a_tensor_whose_shape_changed_between_steps() {
     let mut layer = reshaped();
     layer.0[0].1 = Tensor::zeros(&[2]);
     assert_eq!(
-        Sgd::new(LrSchedule::constant(0.5), 0.0).step(&mut layer),
+        Sgd::new(0.5, 0.0).step(&mut layer),
         Err(NnError::Tensor(TensorError::ShapeMismatch {
             op: "axpy",
             lhs: vec![3],

@@ -12,14 +12,15 @@ use hadfl_simnet::Jitter;
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Part 1: the predictor in isolation, on a device that abruptly
     // halves its speed (background load arrives).
-    let mut predictor = VersionPredictor::new(0.5, 100.0)?;
+    let mut predictor = VersionPredictor::new(0.5)?;
     println!("round  actual  forecast(next)");
     let mut actual = 0.0;
     for round in 1..=12 {
         let rate = if round <= 6 { 100.0 } else { 50.0 };
         actual += rate;
         predictor.observe(actual);
-        println!("{round:>5}  {actual:>6.0}  {:>8.0}", predictor.forecast(1));
+        let forecast = predictor.forecast(1).expect("observed");
+        println!("{round:>5}  {actual:>6.0}  {forecast:>8.0}");
     }
     println!("(the forecast bends to the new 50-steps/round rate within a few rounds)\n");
 
