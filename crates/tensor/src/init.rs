@@ -248,4 +248,166 @@ mod tests {
         sorted.sort_unstable();
         assert_eq!(sorted, (0..50).collect::<Vec<_>>());
     }
+
+    /// The draws one stream yields, in the order [`check_known`] takes them.
+    struct Known {
+        words: [u64; 16],
+        uniform: [u32; 8],
+        normal: [u32; 8],
+        index: [usize; 8],
+        shuffled: [usize; 16],
+    }
+
+    /// Draws 16 `next_u64`, 8 `uniform(-1, 1)`, 8 `normal`, 8 `index(97)`
+    /// and one shuffle of `0..16` from `s`, and compares them bit for bit.
+    fn check_known(mut s: SeedStream, known: &Known) {
+        let words: Vec<u64> = (0..16).map(|_| s.next_u64()).collect();
+        assert_eq!(words, known.words);
+        let uniform: Vec<u32> = (0..8).map(|_| s.uniform(-1.0, 1.0).to_bits()).collect();
+        assert_eq!(uniform, known.uniform);
+        let normal: Vec<u32> = (0..8).map(|_| s.normal().to_bits()).collect();
+        assert_eq!(normal, known.normal);
+        let index: Vec<usize> = (0..8).map(|_| s.index(97)).collect();
+        assert_eq!(index, known.index);
+        let mut xs: Vec<usize> = (0..16).collect();
+        s.shuffle(&mut xs);
+        assert_eq!(xs, known.shuffled);
+    }
+
+    #[test]
+    fn draws_match_known_answers() {
+        check_known(
+            SeedStream::new(0),
+            &Known {
+                words: [
+                    0xbf94d1332d8ee5e8,
+                    0x3a738775a6da5a01,
+                    0x3d46ff10c143ee06,
+                    0x17c6ab23e9f6424f,
+                    0x5ce2479b2fb6898b,
+                    0x0ae8099f86bff662,
+                    0x5f2f09fdc72f90bd,
+                    0x95d53efa28e5a01f,
+                    0x1131e62b94efaf48,
+                    0x9eec7e5517d7a4e4,
+                    0xe553e127cd4c18d1,
+                    0xb9d551f13505e613,
+                    0x0a1ffcc2d28d82a2,
+                    0xfc9216baf64a441d,
+                    0xb3c61fd54b017931,
+                    0xe857b19d23eb502b,
+                ],
+                uniform: [
+                    0xbf480654, 0xbe96bb50, 0xbeee265c, 0xbf7ac392, 0xbf06e93e, 0x3f14c820,
+                    0x3eff7020, 0x3e8b050c,
+                ],
+                normal: [
+                    0x3f7678cf, 0xbe848824, 0xbf8666b1, 0x3f5e296e, 0x3f595dfe, 0x3ffb511c,
+                    0x3febf06a, 0x3f0446af,
+                ],
+                index: [18, 0, 18, 24, 50, 19, 66, 28],
+                shuffled: [7, 12, 14, 1, 4, 10, 0, 11, 8, 2, 3, 9, 13, 6, 5, 15],
+            },
+        );
+        check_known(
+            SeedStream::new(u64::MAX),
+            &Known {
+                words: [
+                    0x167fca9c60ef8644,
+                    0xf792fa24f2f83696,
+                    0x71e8f282dbcbe0b1,
+                    0xebaa0dca9492a6e7,
+                    0x438b9759ff25b8bb,
+                    0x3d92cea85dd8c0cf,
+                    0xe533584b2f5b3043,
+                    0x62a4544fe79afbc9,
+                    0x3691a39c3c8465a9,
+                    0x0b89def38277c5fc,
+                    0x61938162e9acb0a3,
+                    0x874658cbe7495616,
+                    0xc6735925133857ef,
+                    0x74fbf0a076eb6256,
+                    0x626f49c18fcdd7f3,
+                    0x8324ecf5e21e2c38,
+                ],
+                uniform: [
+                    0xbf4b37ce, 0xbef9f034, 0xbe6695d8, 0x3ef3b318, 0x3f1b96d8, 0x3f599f7a,
+                    0x3e562a98, 0xbf24b682,
+                ],
+                normal: [
+                    0x3d6a164e, 0xbe81c33a, 0x3fa0253f, 0x3d219f6e, 0x400e8b57, 0xbf685a7e,
+                    0xbd931e96, 0x3ec65ce9,
+                ],
+                index: [73, 48, 4, 69, 50, 75, 62, 54],
+                shuffled: [7, 10, 9, 2, 6, 12, 8, 14, 13, 3, 1, 11, 15, 5, 4, 0],
+            },
+        );
+        check_known(
+            SeedStream::new(42).fork(7),
+            &Known {
+                words: [
+                    0xfab5ec9464080004,
+                    0x5fe81059f4889ab8,
+                    0x5f32fa8395227aea,
+                    0x44ef5ba5b8fd6e2a,
+                    0x8d969b9ac08a9dc1,
+                    0x5a14bd7c699a4ca1,
+                    0x1f5421a70f16744b,
+                    0xfe79e69b8a75bebc,
+                    0xd656b3626b8c39f3,
+                    0x1fd34db2d5be3a8e,
+                    0xf7a47107433ed74e,
+                    0x9da3f0f18039060d,
+                    0xf8443736342c0301,
+                    0xd8dc36a476bfcb33,
+                    0x7dfd19ee4022f158,
+                    0xd0ced7e85eddb175,
+                ],
+                uniform: [
+                    0xbf7e1a94, 0x3ed4d350, 0x3f15c784, 0xbe992ad0, 0x3e32ebc8, 0x3f241186,
+                    0xbe5c5308, 0xbea531f4,
+                ],
+                normal: [
+                    0xbf706553, 0x3e193342, 0x3f28aab2, 0xbf04640f, 0xbe2f18be, 0x3efc570c,
+                    0xbf28d9d5, 0xbeb1b646,
+                ],
+                index: [91, 7, 70, 67, 28, 33, 13, 49],
+                shuffled: [7, 3, 13, 0, 12, 9, 6, 4, 10, 8, 11, 15, 1, 2, 14, 5],
+            },
+        );
+    }
+
+    #[test]
+    fn keystream_is_balanced() {
+        // Crude sanity check on the keystream: ones-density near 50%.
+        let mut rng = SeedStream::new(3);
+        let ones: u32 = (0..500).map(|_| rng.next_u64().count_ones()).sum();
+        let density = ones as f64 / (500.0 * 64.0);
+        assert!((density - 0.5).abs() < 0.02, "density {density}");
+    }
+
+    #[test]
+    fn clone_continues_at_the_same_position() {
+        let mut a = SeedStream::new(5);
+        for _ in 0..7 {
+            a.next_u64();
+        }
+        a.uniform(0.0, 1.0); // leaves the block at an odd word
+        let mut b = a.clone();
+        for _ in 0..50 {
+            assert_eq!(a.next_u64(), b.next_u64());
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "non-empty")]
+    fn empty_index_range_panics() {
+        SeedStream::new(1).index(0);
+    }
+
+    #[test]
+    #[should_panic(expected = "empty range")]
+    fn reversed_uniform_range_panics() {
+        SeedStream::new(1).uniform(1.0, 0.0);
+    }
 }
