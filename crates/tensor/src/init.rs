@@ -1,11 +1,8 @@
 //! Seeded random initialization for model parameters.
 //!
 //! Experiments in this repo must be exactly reproducible, so all randomness
-//! flows from a [`SeedStream`] backed by ChaCha8 — a stable algorithm whose
-//! output will not change across `rand` releases the way `StdRng`'s may.
-
-use rand::{Rng, SeedableRng};
-use rand_chacha::ChaCha8Rng;
+//! flows from a [`SeedStream`]: a ChaCha8 keystream implemented here, whose
+//! output is this workspace's own contract rather than a dependency's.
 
 use crate::tensor::Tensor;
 
@@ -80,19 +77,71 @@ impl Initializer {
 
 /// A deterministic, forkable random-number stream.
 ///
-/// `SeedStream` wraps a ChaCha8 generator and adds [`fork`](Self::fork),
-/// which derives an independent child stream — this is how per-device RNGs
-/// are split from a single experiment seed without correlation.
+/// `SeedStream` is a ChaCha8 generator (8 rounds, 64-bit block counter,
+/// stream id 0) with [`fork`](Self::fork), which derives an independent
+/// child stream — this is how per-device RNGs are split from a single
+/// experiment seed without correlation. A 64-bit seed is expanded to the
+/// 256-bit key with splitmix64, and the samplers consume the keystream one
+/// 32-bit word at a time: [`next_u64`](Self::next_u64) takes two (low word
+/// first), [`uniform`](Self::uniform) one (24 bits of it), and
+/// [`index`](Self::index) a `u64` reduced by Lemire's multiply-shift.
+///
+/// Every draw is pinned: the known-answer test in this module fixes the
+/// stream bit for bit, and the goldens built on it move with any change to
+/// it — `cnn_golden` and `baseline_golden`, the `end_to_end.rs` and `exec`
+/// event-stream fingerprints, and the round benchmark's golden
+/// `final_accuracy`.
 #[derive(Debug, Clone)]
 pub struct SeedStream {
-    rng: ChaCha8Rng,
+    seed: [u8; 32],
+    /// Block counter (words 12–13 of the ChaCha state).
+    counter: u64,
+    /// Current keystream block.
+    block: [u32; WORDS],
+    /// Next unconsumed word in `block`; `WORDS` forces a refill.
+    index: usize,
+}
+
+const WORDS: usize = 16;
+const GOLDEN_GAMMA: u64 = 0x9E37_79B9_7F4A_7C15;
+
+/// splitmix64's output finalizer.
+fn mix64(mut z: u64) -> u64 {
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
+#[inline(always)]
+fn quarter_round(state: &mut [u32; WORDS], a: usize, b: usize, c: usize, d: usize) {
+    state[a] = state[a].wrapping_add(state[b]);
+    state[d] = (state[d] ^ state[a]).rotate_left(16);
+    state[c] = state[c].wrapping_add(state[d]);
+    state[b] = (state[b] ^ state[c]).rotate_left(12);
+    state[a] = state[a].wrapping_add(state[b]);
+    state[d] = (state[d] ^ state[a]).rotate_left(8);
+    state[c] = state[c].wrapping_add(state[d]);
+    state[b] = (state[b] ^ state[c]).rotate_left(7);
 }
 
 impl SeedStream {
     /// Creates a stream from a 64-bit seed.
     pub fn new(seed: u64) -> Self {
+        let mut key = [0u8; 32];
+        let mut z = seed;
+        for chunk in key.chunks_mut(8) {
+            z = z.wrapping_add(GOLDEN_GAMMA);
+            chunk.copy_from_slice(&mix64(z).to_le_bytes());
+        }
+        Self::from_key(key)
+    }
+
+    fn from_key(seed: [u8; 32]) -> Self {
         SeedStream {
-            rng: ChaCha8Rng::seed_from_u64(seed),
+            seed,
+            counter: 0,
+            block: [0; WORDS],
+            index: WORDS,
         }
     }
 
@@ -101,34 +150,41 @@ impl SeedStream {
     /// Two forks of the same parent with different salts produce
     /// uncorrelated sequences; the parent stream is not advanced.
     pub fn fork(&self, salt: u64) -> Self {
-        let mut seed = self.rng.get_seed();
+        let mut seed = self.seed;
         // Mix the salt into the seed words with splitmix-style finalization
         // so adjacent salts produce unrelated child seeds.
-        let mut z = salt.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^= z >> 31;
+        let z = mix64(salt.wrapping_add(GOLDEN_GAMMA));
         for (i, b) in z.to_le_bytes().iter().enumerate() {
             seed[i] ^= b;
             seed[i + 8] ^= b.rotate_left(3);
         }
-        SeedStream {
-            rng: ChaCha8Rng::from_seed(seed),
-        }
+        Self::from_key(seed)
     }
 
     /// Uniform sample in `[lo, hi)` (or exactly `lo` when `lo == hi`).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `lo > hi` or either bound is NaN.
     pub fn uniform(&mut self, lo: f32, hi: f32) -> f32 {
         if lo == hi {
             return lo;
         }
-        self.rng.gen_range(lo..hi)
+        assert!(lo < hi, "uniform: empty range [{lo}, {hi})");
+        let u = (self.next_u32() >> 8) as f32 * (1.0 / (1u32 << 24) as f32);
+        let v = lo + (hi - lo) * u;
+        // Guard against rounding up to the excluded endpoint.
+        if v >= hi {
+            hi - (hi - lo) * f32::EPSILON
+        } else {
+            v
+        }
     }
 
     /// Standard normal sample (Box–Muller).
     pub fn normal(&mut self) -> f32 {
-        let u1: f32 = self.rng.gen_range(f32::EPSILON..1.0);
-        let u2: f32 = self.rng.gen_range(0.0..1.0);
+        let u1 = self.uniform(f32::EPSILON, 1.0);
+        let u2 = self.uniform(0.0, 1.0);
         (-2.0 * u1.ln()).sqrt() * (std::f32::consts::TAU * u2).cos()
     }
 
@@ -139,12 +195,14 @@ impl SeedStream {
     /// Panics if `n == 0`.
     pub fn index(&mut self, n: usize) -> usize {
         assert!(n > 0, "index range must be non-empty");
-        self.rng.gen_range(0..n)
+        ((self.next_u64() as u128 * n as u128) >> 64) as usize
     }
 
     /// Uniform `u64` (for deriving sub-seeds).
     pub fn next_u64(&mut self) -> u64 {
-        self.rng.gen()
+        let lo = self.next_u32() as u64;
+        let hi = self.next_u32() as u64;
+        (hi << 32) | lo
     }
 
     /// Fisher–Yates shuffle of a slice.
@@ -153,6 +211,46 @@ impl SeedStream {
             let j = self.index(i + 1);
             xs.swap(i, j);
         }
+    }
+
+    fn next_u32(&mut self) -> u32 {
+        if self.index >= WORDS {
+            self.refill();
+        }
+        let word = self.block[self.index];
+        self.index += 1;
+        word
+    }
+
+    /// Computes the keystream block at `counter` and advances the counter.
+    fn refill(&mut self) {
+        let mut state = [0u32; WORDS];
+        // "expand 32-byte k" constants.
+        state[..4].copy_from_slice(&[0x6170_7865, 0x3320_646E, 0x7962_2D32, 0x6B20_6574]);
+        for (word, bytes) in state[4..12].iter_mut().zip(self.seed.chunks_exact(4)) {
+            *word = u32::from_le_bytes(bytes.try_into().expect("4 bytes"));
+        }
+        state[12] = self.counter as u32;
+        state[13] = (self.counter >> 32) as u32;
+        // Words 14–15: stream id, fixed to zero.
+        let initial = state;
+        for _ in 0..4 {
+            // Column round, then diagonal round.
+            quarter_round(&mut state, 0, 4, 8, 12);
+            quarter_round(&mut state, 1, 5, 9, 13);
+            quarter_round(&mut state, 2, 6, 10, 14);
+            quarter_round(&mut state, 3, 7, 11, 15);
+            quarter_round(&mut state, 0, 5, 10, 15);
+            quarter_round(&mut state, 1, 6, 11, 12);
+            quarter_round(&mut state, 2, 7, 8, 13);
+            quarter_round(&mut state, 3, 4, 9, 14);
+        }
+        for (word, init) in state.iter_mut().zip(initial) {
+            *word = word.wrapping_add(init);
+        }
+        self.block = state;
+        self.counter = self.counter.wrapping_add(1);
+        self.index = 0;
     }
 }
 
