@@ -261,7 +261,12 @@ fn close_cluster(
     outcome: CoordinatorRun,
     wall: Duration,
 ) -> Result<ThreadedReport, HadflError> {
-    let metrics = evaluate_with(&mut workload.model()?, test, &outcome.consensus()?)?;
+    let metrics = evaluate_with(
+        &mut workload.model()?,
+        test,
+        &outcome.consensus()?,
+        workload.device_batch,
+    )?;
     Ok(ThreadedReport {
         rounds: outcome.rounds,
         final_accuracy: metrics.accuracy,

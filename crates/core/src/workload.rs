@@ -182,7 +182,8 @@ impl BuiltWorkload {
     }
 
     /// Evaluates a parameter vector on the test set using device 0's
-    /// model as scratch (its parameters are restored afterwards).
+    /// model as scratch (its parameters are restored afterwards), in
+    /// batches of the device batch.
     ///
     /// # Errors
     ///
@@ -192,20 +193,26 @@ impl BuiltWorkload {
             .runtimes
             .first_mut()
             .ok_or_else(|| HadflError::InvalidConfig("workload has no devices".into()))?;
-        evaluate_with(&mut rt.model, &self.test, params)
+        evaluate_with(&mut rt.model, &self.test, params, self.device_batch)
     }
 }
 
-/// Evaluates a parameter vector on `test` using `model` as scratch (its
-/// parameters are restored afterwards).
+/// Evaluates a parameter vector on `test` in batches of `batch`, using
+/// `model` as scratch (its parameters are restored afterwards).
+///
+/// Callers pass the device batch: evaluation then forwards the shapes
+/// training does and reuses the convolutions' patch matrices, where a
+/// larger batch would allocate a set of its own. Accuracy does not
+/// depend on the batch (each row's logits are computed alone).
 pub(crate) fn evaluate_with(
     model: &mut Model,
     test: &Dataset,
     params: &[f32],
+    batch: usize,
 ) -> Result<Metrics, HadflError> {
     let saved = model.param_vector();
     model.set_param_vector(params)?;
-    let metrics = model.evaluate(test, 64)?;
+    let metrics = model.evaluate(test, batch)?;
     model.set_param_vector(&saved)?;
     Ok(metrics)
 }
@@ -386,6 +393,24 @@ mod tests {
         let metrics = built.evaluate_params(&zeros).unwrap();
         assert!(metrics.accuracy >= 0.0);
         assert_eq!(built.runtimes[0].model.param_vector(), original);
+    }
+
+    #[test]
+    fn accuracy_is_the_same_at_the_device_batch_and_at_64() {
+        for name in ["mlp", "resnet18_lite", "vgg16_lite"] {
+            let workload = Workload::quick(name, 0);
+            let mut built = workload.build(2).unwrap();
+            built.runtimes[0].train_steps(6).unwrap();
+            let params = built.runtimes[0].model.param_vector();
+            let mut model = workload.model().unwrap();
+            let at = |model: &mut Model, batch| {
+                evaluate_with(model, &built.test, &params, batch)
+                    .unwrap()
+                    .accuracy
+            };
+            let device = at(&mut model, workload.device_batch);
+            assert_eq!(device.to_bits(), at(&mut model, 64).to_bits(), "{name}");
+        }
     }
 
     #[test]

@@ -40,8 +40,8 @@ use serde::Serialize;
 
 use hadfl::clock::Clock;
 use hadfl::wire::Message;
+use hadfl_telemetry::analyze;
 use hadfl_telemetry::health::{Alert, HealthEngine, HealthOptions, HealthReport};
-use hadfl_telemetry::ship::ShipBatch;
 use hadfl_telemetry::sink::Sink;
 use hadfl_telemetry::{serve_http, stop_accept, Event, MetricsRegistry, MetricsSink};
 
@@ -173,10 +173,10 @@ impl Collector {
         entry.dropped += dropped as u64;
         entry.telemetry_bytes += (payload.len() + telemetry_frame_overhead()) as u64;
         let _ = node;
-        let (events, garbage) = ShipBatch::parse_jsonl(payload);
-        entry.events += events.len() as u64;
-        self.garbage_lines += garbage as u64;
-        self.staged.extend(events);
+        let log = analyze::parse_jsonl(&String::from_utf8_lossy(payload));
+        entry.events += log.events.len() as u64;
+        self.garbage_lines += log.garbage_lines as u64;
+        self.staged.extend(log.events);
     }
 
     /// Stages a bare event (scripted tests ship pre-parsed events

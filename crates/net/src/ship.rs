@@ -207,9 +207,9 @@ mod tests {
         };
         assert_eq!(node, 3);
         assert_eq!(dropped, 5);
-        let (events, garbage) = ShipBatch::parse_jsonl(&payload);
-        assert_eq!(garbage, 0);
-        assert_eq!(events, batch.events);
+        let log = hadfl_telemetry::analyze::parse_jsonl(std::str::from_utf8(&payload).unwrap());
+        assert_eq!(log.garbage_lines, 0);
+        assert_eq!(log.events, batch.events);
         assert_eq!(
             ledger.payload_bytes(),
             (frame.len() - wire::STAMP_LEN) as u64

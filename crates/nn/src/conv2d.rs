@@ -1,3 +1,5 @@
+use std::cell::RefCell;
+
 use hadfl_tensor::{
     conv_backward_input, conv_backward_weight, conv_forward, im2col_into, Conv2dGeometry,
     Initializer, SeedStream, Tensor,
@@ -6,13 +8,51 @@ use hadfl_tensor::{
 use crate::error::NnError;
 use crate::layer::Layer;
 
+/// The most patch matrices one thread keeps for reuse: above the 9
+/// convolutions of the largest zoo model, so a step's whole working set
+/// stays warm beside a few other shapes.
+const SPARE_CAP: usize = 16;
+
+thread_local! {
+    /// Patch matrices no layer holds, in the order they were returned.
+    /// Every convolution on the thread leases its scratch from here, so
+    /// replicas that take turns on one thread share one set of buffers.
+    static SPARE: RefCell<Vec<Tensor>> = const { RefCell::new(Vec::new()) };
+}
+
+/// Takes the thread's most recently returned `rows × width` matrix, or
+/// an empty tensor (which [`im2col_into`] sizes) if it has none.
+fn lease(dims: [usize; 2]) -> Tensor {
+    SPARE.with_borrow_mut(|spare| match spare.iter().rposition(|t| t.dims() == dims) {
+        Some(i) => spare.remove(i),
+        None => Tensor::default(),
+    })
+}
+
+/// Returns a leased matrix to the thread's spares; past [`SPARE_CAP`]
+/// the one returned longest ago is dropped.
+fn give_back(cols: Tensor) {
+    if cols.is_empty() {
+        return;
+    }
+    SPARE.with_borrow_mut(|spare| {
+        if spare.len() == SPARE_CAP {
+            spare.remove(0);
+        }
+        spare.push(cols);
+    });
+}
+
 /// A 2-D convolution over NCHW batches, lowered to a matrix product via
 /// [`im2col_into`].
 ///
 /// The filter bank is stored as a `(out_channels, C·kh·kw)` matrix; forward
 /// computes `patches · Wᵀ + b` straight into `(N, out_channels, out_h,
-/// out_w)`. The patch matrix lives in one buffer the layer keeps for its
-/// whole life, so a training step allocates nothing of that size.
+/// out_w)`. The patch matrix is leased from a thread-local spare list:
+/// an evaluation forward returns it at once, a training forward holds it
+/// until backward has used it for `dW`. Once warm, a training step
+/// allocates nothing of that size, and replicas stepped in turn on one
+/// thread share one set of patch buffers.
 ///
 /// # Example
 ///
@@ -35,11 +75,9 @@ pub struct Conv2d {
     bias: Tensor,
     grad_weight: Tensor,
     grad_bias: Tensor,
-    /// The patch matrix of the latest forward pass (any mode).
-    cols: Tensor,
-    /// Whether `cols` came from a training-mode forward, i.e. whether
-    /// `backward` may use it.
-    cols_for_backward: bool,
+    /// The patch matrix of the latest training forward, leased until
+    /// backward has used it.
+    held: Option<Tensor>,
 }
 
 impl Conv2d {
@@ -75,8 +113,7 @@ impl Conv2d {
             bias: Tensor::zeros(&[out_channels]),
             grad_weight: Tensor::zeros(&[out_channels, fan_in]),
             grad_bias: Tensor::zeros(&[out_channels]),
-            cols: Tensor::default(),
-            cols_for_backward: false,
+            held: None,
         })
     }
 
@@ -90,13 +127,21 @@ impl Conv2d {
         self.out_channels
     }
 
-    /// Accumulates `dW` and `db` from the cached patch matrix.
-    fn accumulate_param_grads(&mut self, grad_out: &Tensor) -> Result<(), NnError> {
-        if !self.cols_for_backward {
-            return Err(NnError::BackwardBeforeForward("Conv2d"));
+    /// Returns the held patch matrix, if any, to the thread's spares.
+    fn release(&mut self) {
+        if let Some(cols) = self.held.take() {
+            give_back(cols);
         }
+    }
+
+    /// Accumulates `dW` and `db` from the held patch matrix, which then
+    /// goes back to the thread's spares.
+    fn accumulate_param_grads(&mut self, grad_out: &Tensor) -> Result<(), NnError> {
+        let Some(cols) = &self.held else {
+            return Err(NnError::BackwardBeforeForward("Conv2d"));
+        };
         let ppi = self.geom.patches_per_image();
-        let batch = self.cols.dims()[0] / ppi;
+        let batch = cols.dims()[0] / ppi;
         let want = [batch, self.out_channels, self.geom.out_h, self.geom.out_w];
         if grad_out.dims() != want {
             return Err(NnError::BatchMismatch(format!(
@@ -106,7 +151,8 @@ impl Conv2d {
             )));
         }
         // dW += gpᵀ · cols  : (oc, patch_len)
-        conv_backward_weight(grad_out, &self.cols, &self.geom, &mut self.grad_weight)?;
+        conv_backward_weight(grad_out, cols, &self.geom, &mut self.grad_weight)?;
+        self.release();
         // db += per-channel sums of grad_out
         let gov = grad_out.as_slice();
         let gb = self.grad_bias.as_mut_slice();
@@ -123,16 +169,25 @@ impl Conv2d {
 impl Layer for Conv2d {
     fn forward(&mut self, input: &Tensor, train: bool) -> Result<Tensor, NnError> {
         let _prof = hadfl_prof::scope("conv2d_fwd");
-        // A rejected input leaves `cols` (and so the flag) as they were.
-        im2col_into(input, &self.geom, &mut self.cols)?;
-        self.cols_for_backward = train;
+        let rows = input
+            .dims()
+            .first()
+            .map_or(0, |n| n * self.geom.patches_per_image());
+        let mut cols = lease([rows, self.geom.patch_len()]);
+        if let Err(e) = im2col_into(input, &self.geom, &mut cols) {
+            // A rejected input returns its lease and keeps the held one.
+            give_back(cols);
+            return Err(e.into());
+        }
         // (rows, patch_len) · (oc, patch_len)ᵀ + b -> NCHW
-        Ok(conv_forward(
-            &self.cols,
-            &self.weight,
-            &self.bias,
-            &self.geom,
-        )?)
+        let out = conv_forward(&cols, &self.weight, &self.bias, &self.geom);
+        self.release();
+        if train {
+            self.held = Some(cols);
+        } else {
+            give_back(cols);
+        }
+        Ok(out?)
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Result<Tensor, NnError> {
@@ -326,6 +381,85 @@ mod tests {
             conv.backward(&Tensor::zeros(&[2, 1, 3, 3])),
             Err(NnError::BackwardBeforeForward("Conv2d"))
         ));
+    }
+
+    fn spares() -> Vec<Vec<usize>> {
+        SPARE.with_borrow(|spare| spare.iter().map(|t| t.dims().to_vec()).collect())
+    }
+
+    #[test]
+    fn interleaved_replicas_match_replicas_run_in_turn() {
+        let mut rng = SeedStream::new(7);
+        let mut input = || {
+            let mut x = Tensor::zeros(&[2, 2, 5, 5]);
+            x.as_mut_slice().iter_mut().for_each(|v| *v = rng.normal());
+            x
+        };
+        let (xa, xb, gy) = (input(), input(), input());
+        let replica = |seed| Conv2d::new(2, 2, 5, 5, 3, 1, 1, &mut SeedStream::new(seed)).unwrap();
+        let (mut a, mut b) = (replica(1), replica(2));
+        a.forward(&xa, true).unwrap();
+        a.backward(&gy).unwrap();
+        b.forward(&xb, true).unwrap();
+        b.backward(&gy).unwrap();
+        // Both replicas hold a lease of the same shape at once.
+        let (mut a2, mut b2) = (replica(1), replica(2));
+        a2.forward(&xa, true).unwrap();
+        b2.forward(&xb, true).unwrap();
+        b2.backward(&gy).unwrap();
+        a2.backward(&gy).unwrap();
+        assert_eq!(grads(&mut a), grads(&mut a2));
+        assert_eq!(grads(&mut b), grads(&mut b2));
+    }
+
+    #[test]
+    fn one_forward_serves_one_backward() {
+        let mut conv = Conv2d::new(1, 1, 3, 3, 3, 1, 1, &mut SeedStream::new(0)).unwrap();
+        conv.forward(&Tensor::ones(&[2, 1, 3, 3]), true).unwrap();
+        let gy = Tensor::zeros(&[2, 1, 3, 3]);
+        conv.backward(&gy).unwrap();
+        assert!(matches!(
+            conv.backward(&gy),
+            Err(NnError::BackwardBeforeForward("Conv2d"))
+        ));
+        assert_eq!(spares(), [[18, 9]], "the lease went back after backward");
+    }
+
+    #[test]
+    fn rejected_input_returns_its_lease() {
+        let conv = || Conv2d::new(1, 1, 3, 3, 3, 1, 1, &mut SeedStream::new(0)).unwrap();
+        let (mut conv, mut other) = (conv(), conv());
+        let x = Tensor::ones(&[2, 1, 3, 3]);
+        other.forward(&x, false).unwrap();
+        conv.forward(&x, true).unwrap();
+        assert_eq!(
+            spares(),
+            Vec::<Vec<usize>>::new(),
+            "the training lease is held"
+        );
+        other.forward(&x, false).unwrap();
+        // Wrong channel count at the same batch: the spare matrix leased
+        // for it comes back, and the held one still serves backward.
+        let bad = Tensor::ones(&[2, 2, 3, 3]);
+        assert!(conv.forward(&bad, true).is_err());
+        assert!(conv.forward(&bad, false).is_err());
+        assert_eq!(spares(), [[18, 9]]);
+        conv.backward(&Tensor::zeros(&[2, 1, 3, 3])).unwrap();
+        assert_eq!(spares(), [[18, 9], [18, 9]]);
+    }
+
+    #[test]
+    fn spare_list_drops_the_oldest_past_its_cap() {
+        let mut conv = Conv2d::new(1, 1, 3, 3, 3, 1, 1, &mut SeedStream::new(0)).unwrap();
+        for batch in 1..=SPARE_CAP + 2 {
+            conv.forward(&Tensor::ones(&[batch, 1, 3, 3]), false)
+                .unwrap();
+        }
+        let want: Vec<Vec<usize>> = (3..=SPARE_CAP + 2).map(|n| vec![9 * n, 9]).collect();
+        assert_eq!(spares(), want);
+        // A shape already spare is reused, not added.
+        conv.forward(&Tensor::ones(&[5, 1, 3, 3]), false).unwrap();
+        assert_eq!(spares().len(), SPARE_CAP);
     }
 
     #[test]

@@ -39,11 +39,17 @@ pub trait Layer: Send {
     /// accumulating parameter gradients and returning the gradient w.r.t.
     /// the layer's input.
     ///
+    /// One training-mode [`forward`](Layer::forward) serves one backward:
+    /// a layer may give up its cache there ([`crate::Conv2d`] returns its
+    /// leased patch matrix), so a second backward after the same forward
+    /// can fail with [`NnError::BackwardBeforeForward`].
+    ///
     /// # Errors
     ///
     /// Returns [`NnError::BackwardBeforeForward`] if called without a prior
-    /// training-mode [`forward`](Layer::forward), or a shape error when
-    /// `grad_out` does not match the cached output shape.
+    /// training-mode [`forward`](Layer::forward) whose cache is still held,
+    /// or a shape error when `grad_out` does not match the cached output
+    /// shape.
     fn backward(&mut self, grad_out: &Tensor) -> Result<Tensor, NnError>;
 
     /// [`backward`](Layer::backward) for a caller with no use for the

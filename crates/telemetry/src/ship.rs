@@ -48,9 +48,10 @@ pub struct ShipBatch {
 
 impl ShipBatch {
     /// Serializes the batch's events to the JSONL wire payload (one
-    /// event per line, same schema as the JSONL sink). Events that
-    /// fail to serialize are skipped — the schema forbids them and the
-    /// emitter is the bug, not the wire.
+    /// event per line, same schema as the JSONL sink), which
+    /// [`crate::analyze::parse_jsonl`] reads back. Events that fail to
+    /// serialize are skipped — the schema forbids them and the emitter
+    /// is the bug, not the wire.
     pub fn to_jsonl(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(self.events.len() * 96);
         for event in &self.events {
@@ -60,24 +61,6 @@ impl ShipBatch {
             }
         }
         out
-    }
-
-    /// Parses a payload produced by [`ShipBatch::to_jsonl`], returning
-    /// the events and the number of malformed lines.
-    pub fn parse_jsonl(payload: &[u8]) -> (Vec<Event>, usize) {
-        let text = String::from_utf8_lossy(payload);
-        let mut events = Vec::new();
-        let mut garbage = 0usize;
-        for line in text.lines() {
-            if line.trim().is_empty() {
-                continue;
-            }
-            match Event::from_json(line) {
-                Ok(event) => events.push(event),
-                Err(_) => garbage += 1,
-            }
-        }
-        (events, garbage)
     }
 }
 
@@ -612,8 +595,8 @@ mod tests {
             events: vec![ledger(0), span(1)],
         };
         let payload = batch.to_jsonl();
-        let (events, garbage) = ShipBatch::parse_jsonl(&payload);
-        assert_eq!(garbage, 0);
-        assert_eq!(events, batch.events);
+        let log = crate::analyze::parse_jsonl(std::str::from_utf8(&payload).unwrap());
+        assert_eq!(log.garbage_lines, 0);
+        assert_eq!(log.events, batch.events);
     }
 }
