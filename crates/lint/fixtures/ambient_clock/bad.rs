@@ -15,3 +15,13 @@ pub fn stamp() -> SystemTime {
 pub fn fully_qualified() -> Instant {
     std::time::Instant::now() //~ ambient-clock
 }
+
+#[cfg(test)]
+mod tests {
+    // Test code is not exempt: a test that reads the wall clock is as
+    // invisible to the hadfl-check scheduler as protocol code.
+    #[test]
+    fn timed() {
+        let _ = std::time::Instant::now(); //~ ambient-clock
+    }
+}

@@ -16,3 +16,12 @@ pub fn partial(x: u32) {
 pub fn debugging(state: &[u32]) -> usize {
     dbg!(state.len()) //~ print-in-protocol
 }
+
+#[cfg(test)]
+mod tests {
+    // Test code is not exempt.
+    #[test]
+    fn chatty_test() {
+        println!("round 1"); //~ print-in-protocol
+    }
+}

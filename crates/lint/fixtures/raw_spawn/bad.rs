@@ -10,3 +10,12 @@ pub fn named_worker() {
     let builder = std::thread::Builder::new().name("kernel".into());
     let _ = builder.spawn(|| {}); //~ raw-spawn
 }
+
+#[cfg(test)]
+mod tests {
+    // Test code is not exempt.
+    #[test]
+    fn spawns() {
+        let _ = std::thread::spawn(|| 1).join(); //~ raw-spawn
+    }
+}

@@ -30,3 +30,18 @@ pub fn asserted(flag: bool) {
         panic!("flag must be set"); //~ unwrap-in-protocol
     }
 }
+
+pub fn locked(m: &std::sync::Mutex<u32>) -> u32 {
+    // A poisoned mutex panics here too: no exemption for guards.
+    *m.lock().unwrap() //~ unwrap-in-protocol
+}
+
+#[cfg(test)]
+mod tests {
+    // Test code is exempt; the markers above are the whole finding set.
+    #[test]
+    fn tests_may_unwrap() {
+        let v: Option<u32> = Some(1);
+        assert_eq!(v.unwrap(), 1);
+    }
+}
