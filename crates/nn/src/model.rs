@@ -121,12 +121,15 @@ impl Model {
         Ok(())
     }
 
-    /// Runs one SGD step on a batch, returning the batch loss.
+    /// Runs one SGD step on a batch, returning the batch loss:
+    /// [`accumulate_grads`](Model::accumulate_grads) then
+    /// [`apply_step`](Model::apply_step).
     ///
     /// # Errors
     ///
-    /// Propagates shape errors from the forward/backward pass and
-    /// [`NnError::NonFinite`] if the update diverges.
+    /// Those of the two steps: shape errors, a logits width other than
+    /// `num_classes`, and [`NnError::NonFinite`] if the loss or the
+    /// update diverges.
     pub fn train_step(
         &mut self,
         x: &Tensor,
@@ -134,6 +137,23 @@ impl Model {
         opt: &mut Sgd,
     ) -> Result<f32, NnError> {
         let _prof = hadfl_prof::scope("train_step");
+        let loss = self.accumulate_grads(x, labels)?;
+        self.apply_step(opt)?;
+        Ok(loss)
+    }
+
+    /// Computes loss and accumulates gradients *without* applying an
+    /// update — the first half of [`train_step`](Model::train_step), and
+    /// what the synchronous distributed-training baseline runs on each
+    /// device before it all-reduces the gradients and steps.
+    ///
+    /// # Errors
+    ///
+    /// Propagates shape errors from the forward/backward pass, returns
+    /// [`NnError::InvalidConfig`] if the logits are not `(batch,
+    /// num_classes)` and [`NnError::NonFinite`] if the loss is not finite
+    /// (before any gradient is accumulated).
+    pub fn accumulate_grads(&mut self, x: &Tensor, labels: &[usize]) -> Result<f32, NnError> {
         let logits = self.net.forward(x, true)?;
         if logits.dims().len() != 2 || logits.dims()[1] != self.num_classes {
             return Err(NnError::InvalidConfig(format!(
@@ -146,21 +166,6 @@ impl Model {
         if !loss.is_finite() {
             return Err(NnError::NonFinite("training loss"));
         }
-        self.net.backward_params(&grad)?;
-        opt.step(&mut self.net)?;
-        Ok(loss)
-    }
-
-    /// Computes loss and accumulates gradients *without* applying an
-    /// update — used by the synchronous distributed-training baseline,
-    /// which all-reduces gradients before stepping.
-    ///
-    /// # Errors
-    ///
-    /// Propagates shape errors from the forward/backward pass.
-    pub fn accumulate_grads(&mut self, x: &Tensor, labels: &[usize]) -> Result<f32, NnError> {
-        let logits = self.net.forward(x, true)?;
-        let (loss, grad) = softmax_cross_entropy(&logits, labels)?;
         self.net.backward_params(&grad)?;
         Ok(loss)
     }
@@ -313,6 +318,32 @@ mod tests {
             after.loss
         );
         assert!(after.accuracy > before.accuracy);
+    }
+
+    #[test]
+    fn accumulate_grads_rejects_logits_of_the_wrong_width() {
+        // A network that emits `classes` logits, wrapped as if it had one
+        // more class: the gradient half of a step must refuse it, as the
+        // whole step does.
+        let spec = SyntheticSpec::tiny();
+        let ds = Dataset::synthetic_cifar(4, &spec, 3).unwrap();
+        let (x, y) = ds.batch(&[0, 1]).unwrap();
+        let mut net = Sequential::new();
+        net.push(crate::layer::Flatten::new());
+        let input_len: usize = spec.sample_dims().iter().product();
+        let mut rng = hadfl_tensor::SeedStream::new(1);
+        net.push(crate::dense::Dense::new(input_len, spec.classes, &mut rng));
+        let mut m = Model::new(net, spec.classes + 1, "mismatched").unwrap();
+        assert!(matches!(
+            m.accumulate_grads(&x, &y),
+            Err(NnError::InvalidConfig(_))
+        ));
+        assert!(m.grad_vector().iter().all(|&v| v == 0.0));
+        let mut opt = Sgd::new(0.05, 0.9);
+        assert!(matches!(
+            m.train_step(&x, &y, &mut opt),
+            Err(NnError::InvalidConfig(_))
+        ));
     }
 
     #[test]
