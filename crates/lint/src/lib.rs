@@ -6,28 +6,20 @@
 //! exhaustive exploration, the DESIGN.md §10 determinism contract,
 //! the no-guard-across-`Port::send` deadlock rule, and
 //! `wire::seal`/`open` causal stamping. This crate reimplements those
-//! gates — plus three new rules — as a real analyzer: its own lexer
+//! gates — plus new rules — as a real analyzer: its own lexer
 //! (strings, raw strings, char literals, nested comments, generics),
 //! a brace/scope tracker, and a per-file symbol table, with no
 //! external dependencies.
 //!
-//! Rules (see [`rules::all`]):
-//!
-//! 1. `ambient-clock` — no `Instant::now()`/`SystemTime::now()` in
-//!    protocol paths.
-//! 2. `guard-across-send` — no lock guard held across a blocking
-//!    `Port::send`.
-//! 3. `print-in-protocol` — no stdout/stderr macros where telemetry
-//!    events belong.
-//! 4. `raw-frame` — no `Message::encode`/`decode` outside
-//!    `wire::seal`/`open`.
-//! 5. `raw-spawn` — no raw thread spawns in the compute kernels.
-//! 6. `nondeterministic-iteration` — no `HashMap`/`HashSet` iteration
-//!    in order-sensitive paths.
-//! 7. `unwrap-in-protocol` — no `unwrap`/`expect`/`panic!` in
-//!    non-test protocol code.
-//! 8. `float-reduce-order` — no free-association float accumulation
-//!    outside `chunked_sum`/`par_reduce`.
+//! Rules (see [`rules::all`], and `--list-rules`): six hand-written
+//! analyses (`guard-across-send`, `nondeterministic-iteration`,
+//! `float-reduce-order`, `blocking-in-emit`, `prof-in-inner-loop`,
+//! `park-loop-spin`) and one banned-token table
+//! ([`rules::banned`]) whose rows are `ambient-clock`,
+//! `print-in-protocol`, `raw-frame`, `raw-spawn`, `unwrap-in-protocol`,
+//! `nonblocking-listener`, and the `layering` and `retired` rows that
+//! replaced the CI job's greps. A `--workspace` run also reports every
+//! path a scope names that does not exist (`missing-path`).
 //!
 //! Findings carry `file:line:col` spans in human and `--json` form.
 //! Inline waivers — `// lint:allow(rule): reason` — are honored only
@@ -45,7 +37,7 @@ pub mod waiver;
 pub mod workspace;
 
 use report::Finding;
-use rules::FileCx;
+use rules::{FileCx, Rule};
 use scope::{ScopeMap, SourceFile};
 
 /// Analysis result for one file.
@@ -58,25 +50,36 @@ pub struct FileResult {
 }
 
 /// Runs the named rules over one source text. `path` labels findings
-/// and is *not* re-checked against rule scopes — callers pick the
-/// rule set (the workspace driver picks by scope; fixture tests force
-/// rules on).
+/// and is *not* re-checked against rule scopes — fixture tests force
+/// rules on by id (every row of an id shared by several table rows).
 ///
 /// Unknown rule ids are ignored; waiver grammar violations and unused
 /// waivers surface as `invalid-waiver` / `unused-waiver` findings.
 pub fn analyze_source(path: &str, text: &str, rule_ids: &[&str]) -> FileResult {
+    analyze_rules(
+        path,
+        text,
+        rules::all().filter(|r| rule_ids.contains(&r.id)),
+    )
+}
+
+/// Runs the `selected` rules over one source text (the workspace
+/// driver selects by scope), then applies the file's waivers.
+pub(crate) fn analyze_rules<'r>(
+    path: &str,
+    text: &str,
+    selected: impl IntoIterator<Item = &'r Rule>,
+) -> FileResult {
     let src = SourceFile::new(path, text);
     let scopes = ScopeMap::build(&src);
     let cx = FileCx {
         src: &src,
         scopes: &scopes,
     };
-    let mut raw = Vec::new();
-    for id in rule_ids {
-        if let Some(rule) = rules::by_id(id) {
-            raw.extend((rule.run)(&cx));
-        }
-    }
+    let raw: Vec<Finding> = selected
+        .into_iter()
+        .flat_map(|rule| rule.run(&cx))
+        .collect();
     let mut findings = Vec::new();
     let waivers = waiver::collect(&src, &rules::ids(), &mut findings);
     let waived = waiver::apply(&src, waivers, raw, &mut findings);

@@ -18,13 +18,14 @@
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Finding {
     /// Rule identifier (kebab-case), or the meta rules
-    /// `invalid-waiver` / `unused-waiver`.
+    /// `invalid-waiver` / `unused-waiver` / `missing-path`.
     pub rule: String,
     /// Workspace-relative path with `/` separators.
     pub file: String,
-    /// 1-based line.
+    /// 1-based line; 0 for a finding about the path itself
+    /// (`missing-path`).
     pub line: u32,
-    /// 1-based byte column.
+    /// 1-based byte column; 0 with line 0.
     pub col: u32,
     pub message: String,
 }

@@ -1,27 +1,27 @@
 //! Rule registry and the helpers shared by rules.
 //!
-//! Every rule is a pure function over one file's token/scope model,
-//! paired with a *path scope*: the workspace-relative prefixes it
-//! applies to and an explicit allowlist of exclusions, each carrying
-//! a reason. The scopes are directory-shaped (new modules are covered
-//! the day they are added) — the opposite of the hand-listed files of
-//! the old `tools/lint.sh` gates.
+//! Every rule is paired with a *path scope*: the workspace-relative
+//! paths it applies to and an explicit allowlist of exclusions, each
+//! carrying a reason. The scopes are directory-shaped where they can be
+//! (new modules are covered the day they are added), and a path a scope
+//! names that does not exist is a finding of its own (`missing-path`,
+//! reported by a `--workspace` run), so a rename cannot switch a rule
+//! off without a word.
+//!
+//! A rule either bans code-token sequences — one row of the
+//! [`banned`] table, one matcher for all of them — or is a hand-written
+//! analysis over the file's token/scope model ([`Check::Custom`]).
 
 use crate::report::Finding;
 use crate::scope::{ScopeMap, SourceFile};
 
-pub mod ambient_clock;
+pub mod banned;
 pub mod blocking_in_emit;
 pub mod float_reduce_order;
 pub mod guard_across_send;
-pub mod nonblocking_listener;
 pub mod nondet_iteration;
 pub mod park_loop_spin;
-pub mod print_in_protocol;
 pub mod prof_in_inner_loop;
-pub mod raw_frame;
-pub mod raw_spawn;
-pub mod unwrap_in_protocol;
 
 /// Per-file analysis context handed to each rule.
 pub struct FileCx<'a> {
@@ -29,213 +29,140 @@ pub struct FileCx<'a> {
     pub scopes: &'a ScopeMap,
 }
 
-/// Where a rule applies, with explicit reasoned exclusions.
+/// Where a rule applies, with explicit reasoned exclusions. A path
+/// ending in `/` is a directory and covers everything under it; any
+/// other path is a file. A `*` segment matches any one name.
 pub struct Scope {
-    /// Directory prefixes (trailing `/`).
-    pub dirs: &'static [&'static str],
-    /// Individual files.
-    pub files: &'static [&'static str],
-    /// `(prefix, reason)` carve-outs within the included set.
-    pub excludes: &'static [(&'static str, &'static str)],
+    pub include: &'static [&'static str],
+    /// `(path, reason)` carve-outs within the included set.
+    pub exclude: &'static [(&'static str, &'static str)],
 }
 
 impl Scope {
-    pub fn matches(&self, path: &str) -> bool {
-        let included = self.dirs.iter().any(|d| path.starts_with(d)) || self.files.contains(&path);
-        included && !self.excludes.iter().any(|(p, _)| path.starts_with(p))
+    /// A scope with no carve-outs.
+    pub const fn of(include: &'static [&'static str]) -> Scope {
+        Scope {
+            include,
+            exclude: &[],
+        }
     }
+
+    pub fn matches(&self, path: &str) -> bool {
+        self.include.iter().any(|p| covers(p, path))
+            && !self.exclude.iter().any(|(p, _)| covers(p, path))
+    }
+
+    /// Every path the scope names, included or excluded.
+    pub(crate) fn paths(&self) -> impl Iterator<Item = &'static str> {
+        let excluded = self.exclude.iter().map(|(p, _)| *p);
+        self.include.iter().copied().chain(excluded)
+    }
+}
+
+/// Whether `path` is the scope path `pat` or lies under it.
+pub(crate) fn covers(pat: &str, path: &str) -> bool {
+    let mut names = path.split('/');
+    pat.split_terminator('/')
+        .all(|want| names.next().is_some_and(|name| want == "*" || want == name))
 }
 
 /// A registered rule.
 pub struct Rule {
     pub id: &'static str,
-    /// One-line description for `--list-rules`.
+    /// One-line description for `--list-rules`, with the reason.
     pub summary: &'static str,
     pub scope: Scope,
-    pub run: fn(&FileCx) -> Vec<Finding>,
+    pub check: Check,
 }
 
-/// The registry, in gate order (1–5 are the old `tools/lint.sh`
-/// gates, now scope-aware; 6–8 are new).
-pub fn all() -> &'static [Rule] {
-    &RULES
+/// How a rule finds its violations.
+pub enum Check {
+    /// Bans code-token sequences: a row of [`banned::TABLE`].
+    Banned(banned::Ban),
+    /// A hand-written analysis over the file's token/scope model.
+    Custom(fn(&FileCx) -> Vec<Finding>),
 }
 
-/// Looks up rules by id; unknown ids yield `None`.
-pub fn by_id(id: &str) -> Option<&'static Rule> {
-    RULES.iter().find(|r| r.id == id)
+impl Rule {
+    pub(crate) fn run(&self, cx: &FileCx) -> Vec<Finding> {
+        match &self.check {
+            Check::Banned(ban) => banned::run(cx, self, ban),
+            Check::Custom(run) => run(cx),
+        }
+    }
 }
 
-/// All registered rule ids (waiver validation).
+/// The registry: the hand-written rules, then the banned-token table.
+/// Rows of the table may share an id (`layering`, `retired`).
+pub fn all() -> impl Iterator<Item = &'static Rule> {
+    RULES.iter().chain(&banned::TABLE)
+}
+
+/// All registered rule ids, sorted, once each (waiver validation).
 pub fn ids() -> Vec<&'static str> {
-    RULES.iter().map(|r| r.id).collect()
+    let mut ids: Vec<&'static str> = all().map(|r| r.id).collect();
+    ids.sort_unstable();
+    ids.dedup();
+    ids
 }
 
-static RULES: [Rule; 12] = [
-    Rule {
-        id: "ambient-clock",
-        summary: "no Instant::now()/SystemTime::now() in protocol paths — time goes \
-                  through the hadfl::clock::Clock seam so hadfl-check stays sound",
-        scope: Scope {
-            dirs: &["crates/core/src/", "crates/net/src/"],
-            files: &[],
-            excludes: &[],
-        },
-        run: ambient_clock::run,
-    },
+static RULES: [Rule; 6] = [
     Rule {
         id: "guard-across-send",
         summary: "no lock guard held across a blocking two-argument Port::send — a \
                   stalled peer must not wedge the reader threads",
-        scope: Scope {
-            dirs: &["crates/core/src/", "crates/net/src/"],
-            files: &[],
-            excludes: &[],
-        },
-        run: guard_across_send::run,
-    },
-    Rule {
-        id: "print-in-protocol",
-        summary: "no print!/println!/eprint!/eprintln!/dbg! in protocol paths — \
-                  observability goes through hadfl-telemetry events",
-        scope: Scope {
-            dirs: &["crates/core/src/", "crates/net/src/"],
-            files: &[],
-            excludes: &[(
-                "crates/net/src/bin/",
-                "a CLI binary's stdout/stderr is its user interface",
-            )],
-        },
-        run: print_in_protocol::run,
-    },
-    Rule {
-        id: "raw-frame",
-        summary: "no Message::encode()/decode() (or their encode_head/encode_into halves) \
-                  outside wire::seal/wire::open and the split forms seal_split/split_frame \
-                  — every on-wire frame must carry a causal stamp",
-        scope: Scope {
-            dirs: &["crates/core/src/", "crates/net/src/"],
-            files: &[],
-            excludes: &[(
-                "crates/core/src/wire.rs",
-                "the defining module: seal/open and their split forms are built from \
-                 encode/decode here",
-            )],
-        },
-        run: raw_frame::run,
-    },
-    Rule {
-        id: "raw-spawn",
-        summary: "no raw thread spawns in the compute kernels — parallelism flows \
-                  through hadfl-par's fixed chunk boundaries (crates/par itself is \
-                  the one sanctioned spawner and is outside this scope)",
-        scope: Scope {
-            dirs: &["crates/tensor/src/", "crates/nn/src/"],
-            files: &["crates/core/src/aggregate.rs"],
-            excludes: &[],
-        },
-        run: raw_spawn::run,
+        scope: Scope::of(&["crates/core/src/", "crates/net/src/"]),
+        check: Check::Custom(guard_across_send::run),
     },
     Rule {
         id: "nondeterministic-iteration",
         summary: "no iteration over HashMap/HashSet in digest, aggregation, \
                   coordinator-selection, or trace-merge paths — iteration order \
                   escapes into wire traffic and telemetry; use BTreeMap or sort",
-        scope: Scope {
-            dirs: &[
-                "crates/core/src/",
-                "crates/net/src/",
-                "crates/telemetry/src/",
-            ],
-            files: &[],
-            excludes: &[],
-        },
-        run: nondet_iteration::run,
-    },
-    Rule {
-        id: "unwrap-in-protocol",
-        summary: "no unwrap/expect/panic!/unreachable! in non-test protocol code — a \
-                  panic kills a reader or driver thread silently and wedges the node",
-        scope: Scope {
-            dirs: &["crates/net/src/", "crates/core/src/exec/"],
-            files: &[
-                "crates/core/src/transport.rs",
-                "crates/core/src/wire.rs",
-                "crates/core/src/coordinator.rs",
-                "crates/core/src/gossip.rs",
-                "crates/core/src/driver.rs",
-            ],
-            excludes: &[(
-                "crates/core/src/exec/tests.rs",
-                "the body of exec's `#[cfg(test)] mod tests;` — test code, but the \
-                 attribute that says so sits in mod.rs, out of a per-file analysis' sight",
-            )],
-        },
-        run: unwrap_in_protocol::run,
+        scope: Scope::of(&[
+            "crates/core/src/",
+            "crates/net/src/",
+            "crates/telemetry/src/",
+        ]),
+        check: Check::Custom(nondet_iteration::run),
     },
     Rule {
         id: "float-reduce-order",
         summary: "no naive f32/f64 sum or float fold outside the fixed-association \
                   chunked_sum/par_reduce helpers — free-order accumulation breaks \
                   bit-identity across HADFL_THREADS",
-        scope: Scope {
-            dirs: &["crates/tensor/src/"],
-            files: &["crates/core/src/aggregate.rs"],
-            excludes: &[],
-        },
-        run: float_reduce_order::run,
+        scope: Scope::of(&["crates/tensor/src/", "crates/core/src/aggregate.rs"]),
+        check: Check::Custom(float_reduce_order::run),
     },
     Rule {
         id: "blocking-in-emit",
         summary: "no .lock() or file/socket construction in Telemetry::emit / \
                   Sink::record bodies — the telemetry hot path runs inline in \
                   protocol threads; blocking work goes to a shipper thread",
-        scope: Scope {
-            dirs: &["crates/telemetry/src/"],
-            files: &[],
-            excludes: &[],
-        },
-        run: blocking_in_emit::run,
+        scope: Scope::of(&["crates/telemetry/src/"]),
+        check: Check::Custom(blocking_in_emit::run),
     },
     Rule {
         id: "prof-in-inner-loop",
         summary: "no hadfl_prof::scope/scope_bytes inside for/while/loop bodies in \
                   kernel code — the guard and its call-tree row are per-invocation \
                   costs; hoist one scope above the loop to cover the whole op",
-        scope: Scope {
-            dirs: &["crates/tensor/src/", "crates/nn/src/", "crates/par/src/"],
-            files: &["crates/core/src/aggregate.rs", "crates/core/src/wire.rs"],
-            excludes: &[],
-        },
-        run: prof_in_inner_loop::run,
+        scope: Scope::of(&[
+            "crates/tensor/src/",
+            "crates/nn/src/",
+            "crates/par/src/",
+            "crates/core/src/aggregate.rs",
+            "crates/core/src/wire.rs",
+        ]),
+        check: Check::Custom(prof_in_inner_loop::run),
     },
     Rule {
         id: "park-loop-spin",
         summary: "no `.load(...)` polling loops without park/park_timeout/sleep/\
                   yield_now in the worker pool — idle waiting must park the thread, \
                   not burn a core spinning on an atomic",
-        scope: Scope {
-            dirs: &["crates/par/src/"],
-            files: &[],
-            excludes: &[],
-        },
-        run: park_loop_spin::run,
-    },
-    Rule {
-        id: "nonblocking-listener",
-        summary: "no set_nonblocking(true) outside tests — with std alone and no \
-                  readiness API a nonblocking socket is a sleep-poll; block in \
-                  accept_until and wake it with stop_accept",
-        scope: Scope {
-            dirs: &[
-                "crates/core/src/",
-                "crates/net/src/",
-                "crates/telemetry/src/",
-            ],
-            files: &[],
-            excludes: &[],
-        },
-        run: nonblocking_listener::run,
+        scope: Scope::of(&["crates/par/src/"]),
+        check: Check::Custom(park_loop_spin::run),
     },
 ];
 
@@ -381,4 +308,30 @@ pub fn split_args(cx: &FileCx, open: usize, close: usize) -> Vec<(usize, usize)>
         out.push((start, close));
     }
     out
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn scope_paths_cover_directories_files_and_star_segments() {
+        assert!(covers("crates/net/src/", "crates/net/src/bin/tool.rs"));
+        assert!(covers("crates/core/src/wire.rs", "crates/core/src/wire.rs"));
+        assert!(covers("crates/*/tests/", "crates/lint/tests/fixtures.rs"));
+        assert!(!covers("crates/*/tests/", "crates/lint/fixtures/ok.rs"));
+        // Whole names only: `exec/` is not `exec.rs`, `bin/` not `binx/`.
+        assert!(!covers("crates/core/src/exec/", "crates/core/src/exec.rs"));
+        assert!(!covers("crates/net/src/bin/", "crates/net/src/binx/a.rs"));
+        let scope = Scope {
+            include: &["crates/core/src/"],
+            exclude: &[("crates/core/src/wire.rs", "reason")],
+        };
+        assert!(scope.matches("crates/core/src/exec/ring.rs"));
+        assert!(!scope.matches("crates/core/src/wire.rs"));
+        assert_eq!(
+            scope.paths().collect::<Vec<_>>(),
+            ["crates/core/src/", "crates/core/src/wire.rs"]
+        );
+    }
 }

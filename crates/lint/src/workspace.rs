@@ -1,12 +1,13 @@
 //! Workspace driver: file discovery, scope matching, and the
-//! аnalyze-everything entry point used by the CLI and CI.
+//! analyze-everything entry point used by the CLI and CI.
 
+use std::collections::BTreeMap;
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
 
-use crate::report::Report;
-use crate::rules;
+use crate::report::{Finding, Report};
+use crate::rules::{self, Rule};
 
 /// Locates the workspace root by walking up from `start` to the
 /// first `Cargo.toml` containing a `[workspace]` table.
@@ -25,34 +26,32 @@ pub fn find_root(start: &Path) -> Option<PathBuf> {
     }
 }
 
-/// Directories never descended into: build output, the offline
-/// dependency stand-ins (not first-party code), VCS metadata, and the
-/// analyzer's own seeded-violation corpus.
-const SKIP_DIRS: [&str; 4] = ["target", "vendor", ".git", "fixtures"];
+/// Directories never descended into: build output, VCS metadata, and
+/// the analyzer's own seeded-violation corpus. `vendor/` is walked:
+/// its stand-ins are not first-party code, and only what a scope names
+/// there (`vendor/proptest/src/`) is analyzed.
+const SKIP_DIRS: [&str; 3] = ["target", ".git", "fixtures"];
 
-/// All `.rs` files under `root` (workspace-relative, `/`-separated)
-/// that at least one rule's scope covers.
+/// All `.rs` files under `root` (workspace-relative, `/`-separated),
+/// in scope or not.
 pub fn discover(root: &Path) -> io::Result<Vec<String>> {
     let mut out = Vec::new();
-    let mut stack = vec![root.to_path_buf()];
-    while let Some(dir) = stack.pop() {
-        for entry in fs::read_dir(&dir)? {
+    let mut stack = vec![String::new()];
+    while let Some(rel) = stack.pop() {
+        for entry in fs::read_dir(root.join(&rel))? {
             let entry = entry?;
-            let path = entry.path();
-            let name = entry.file_name();
-            let name = name.to_string_lossy();
-            if path.is_dir() {
-                if !SKIP_DIRS.contains(&name.as_ref()) {
+            let name = entry.file_name().to_string_lossy().into_owned();
+            let path = if rel.is_empty() {
+                name.clone()
+            } else {
+                format!("{rel}/{name}")
+            };
+            if entry.path().is_dir() {
+                if !SKIP_DIRS.contains(&name.as_str()) {
                     stack.push(path);
                 }
-                continue;
-            }
-            if !name.ends_with(".rs") {
-                continue;
-            }
-            let rel = relative_to(root, &path);
-            if rules::all().iter().any(|r| r.scope.matches(&rel)) {
-                out.push(rel);
+            } else if name.ends_with(".rs") {
+                out.push(path);
             }
         }
     }
@@ -60,10 +59,44 @@ pub fn discover(root: &Path) -> io::Result<Vec<String>> {
     Ok(out)
 }
 
-/// Analyzes every in-scope file under `root`.
+/// One unwaivable `missing-path` finding per path a rule's scope names,
+/// included or excluded, that covers none of `files` — a renamed file
+/// or directory would otherwise drop out of its rules silently.
+fn missing_paths(files: &[String]) -> Vec<Finding> {
+    let mut missing: BTreeMap<&str, Vec<&str>> = BTreeMap::new();
+    for rule in rules::all() {
+        for pat in rule.scope.paths() {
+            if !files.iter().any(|file| rules::covers(pat, file)) {
+                let ids = missing.entry(pat).or_default();
+                if !ids.contains(&rule.id) {
+                    ids.push(rule.id);
+                }
+            }
+        }
+    }
+    missing
+        .into_iter()
+        .map(|(path, ids)| Finding {
+            rule: "missing-path".into(),
+            file: path.into(),
+            line: 0,
+            col: 0,
+            message: format!(
+                "no such path, but the scope of {} names it — update the scope",
+                ids.join(", ")
+            ),
+        })
+        .collect()
+}
+
+/// Analyzes every in-scope file under `root`, and reports every scope
+/// path that does not exist.
 pub fn analyze_workspace(root: &Path) -> io::Result<Report> {
     let files = discover(root)?;
-    analyze_files(root, &files)
+    let mut report = analyze_files(root, &files)?;
+    report.findings.extend(missing_paths(&files));
+    report.sort();
+    Ok(report)
 }
 
 /// Analyzes the given workspace-relative files, each under the rules
@@ -72,29 +105,16 @@ pub fn analyze_workspace(root: &Path) -> io::Result<Report> {
 pub fn analyze_files(root: &Path, files: &[String]) -> io::Result<Report> {
     let mut report = Report::default();
     for rel in files {
-        let applicable: Vec<&str> = rules::all()
-            .iter()
-            .filter(|r| r.scope.matches(rel))
-            .map(|r| r.id)
-            .collect();
+        let applicable: Vec<&Rule> = rules::all().filter(|r| r.scope.matches(rel)).collect();
         if applicable.is_empty() {
             continue;
         }
         let text = fs::read_to_string(root.join(rel))?;
-        let result = crate::analyze_source(rel, &text, &applicable);
+        let result = crate::analyze_rules(rel, &text, applicable);
         report.findings.extend(result.findings);
         report.waived += result.waived;
         report.files_scanned += 1;
     }
     report.sort();
     Ok(report)
-}
-
-/// `path` relative to `root`, `/`-separated.
-fn relative_to(root: &Path, path: &Path) -> String {
-    let rel = path.strip_prefix(root).unwrap_or(path);
-    rel.components()
-        .map(|c| c.as_os_str().to_string_lossy().into_owned())
-        .collect::<Vec<_>>()
-        .join("/")
 }

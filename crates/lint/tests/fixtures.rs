@@ -122,15 +122,30 @@ fn nonblocking_listener() {
 }
 
 #[test]
+fn layering() {
+    check_dir("layering", &["layering"]);
+}
+
+#[test]
+fn retired() {
+    check_dir("retired", &["retired"]);
+}
+
+#[test]
 fn waiver_corpus() {
     check_dir("waivers", &["ambient-clock"]);
 }
 
 /// Zero false positives across rules: every known-clean fixture stays
-/// clean even with ALL rules forced on, not just its own.
+/// clean even with ALL rules forced on, not just its own — except
+/// `layering`, whose bans are names that are legal everywhere but in
+/// the one file or crate each row scopes (a kernel's `use hadfl_prof`
+/// is right there and wrong in `exec/ring.rs`); its own `ok.rs` holds
+/// it to zero false positives.
 #[test]
 fn clean_fixtures_survive_every_rule() {
-    let all: Vec<&str> = hadfl_lint::rules::ids();
+    let mut all: Vec<&str> = hadfl_lint::rules::ids();
+    all.retain(|id| *id != "layering");
     for entry in fs::read_dir(fixtures_root()).unwrap() {
         let dir = entry.unwrap().path();
         if !dir.is_dir() || dir.file_name().unwrap() == "mini_workspace" {

@@ -114,3 +114,54 @@ fn cli_exit_codes_and_json() {
         assert!(listing.contains(id), "--list-rules is missing {id}");
     }
 }
+
+/// Copies the directory tree at `from` to `to`.
+fn copy_tree(from: &Path, to: &Path) {
+    std::fs::create_dir_all(to).unwrap();
+    for entry in std::fs::read_dir(from).unwrap() {
+        let entry = entry.unwrap();
+        let dest = to.join(entry.file_name());
+        if entry.path().is_dir() {
+            copy_tree(&entry.path(), &dest);
+        } else {
+            std::fs::copy(entry.path(), dest).unwrap();
+        }
+    }
+}
+
+#[test]
+fn a_scope_path_that_does_not_exist_is_a_finding() {
+    // The mini workspace with the §III-D ring renamed away: the
+    // `layering` row that names `exec/ring.rs` would check nothing.
+    let root = Path::new(env!("CARGO_TARGET_TMPDIR")).join("lint_missing_ring");
+    let _ = std::fs::remove_dir_all(&root);
+    copy_tree(&mini_root(), &root);
+    std::fs::rename(
+        root.join("crates/core/src/exec/ring.rs"),
+        root.join("crates/core/src/exec/ring_v2.rs"),
+    )
+    .unwrap();
+
+    let out = Command::new(env!("CARGO_BIN_EXE_hadfl-lint"))
+        .args(["--workspace", "--root"])
+        .arg(&root)
+        .output()
+        .unwrap();
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert_eq!(out.status.code(), Some(1), "stdout: {stdout}");
+    assert!(
+        stdout.contains("crates/core/src/exec/ring.rs:0:0: [missing-path]")
+            && stdout.contains("layering"),
+        "stdout: {stdout}"
+    );
+
+    let report = hadfl_lint::workspace::analyze_workspace(&root).unwrap();
+    let missing: Vec<&str> = report
+        .findings
+        .iter()
+        .filter(|f| f.rule == "missing-path")
+        .map(|f| f.file.as_str())
+        .collect();
+    assert_eq!(missing, ["crates/core/src/exec/ring.rs"]);
+    let _ = std::fs::remove_dir_all(&root);
+}
