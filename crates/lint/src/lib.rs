@@ -16,8 +16,8 @@
 //! `float-reduce-order`, `blocking-in-emit`, `prof-in-inner-loop`,
 //! `park-loop-spin`) and one banned-token table
 //! ([`rules::banned`]) whose rows are `ambient-clock`,
-//! `print-in-protocol`, `raw-frame`, `raw-spawn`, `unwrap-in-protocol`,
-//! `nonblocking-listener`, and the `layering` and `retired` rows that
+//! `print-in-protocol`, `raw-frame`, `raw-spawn`, `thread-scratch`,
+//! `unwrap-in-protocol`, `nonblocking-listener`, and the `layering` and `retired` rows that
 //! replaced the CI job's greps. A `--workspace` run also reports every
 //! path a scope names that does not exist (`missing-path`).
 //!

@@ -78,7 +78,7 @@ pub(crate) fn run(cx: &FileCx, rule: &Rule, ban: &Ban) -> Vec<Finding> {
 }
 
 /// The rows, grouped by id.
-pub static TABLE: [Rule; 16] = [
+pub static TABLE: [Rule; 17] = [
     Rule {
         id: "ambient-clock",
         summary: "no Instant::now()/SystemTime::now() in protocol paths — time goes \
@@ -130,6 +130,20 @@ pub static TABLE: [Rule; 16] = [
             "crates/core/src/aggregate.rs",
         ]),
         check: Ban::of("thread::spawn | .spawn("),
+    },
+    Rule {
+        id: "thread-scratch",
+        summary: "no thread_local! in crates/nn outside scratch.rs — every cache a layer \
+                  keeps from forward to backward is leased from the one per-thread \
+                  training scratch (DESIGN §10)",
+        scope: Scope {
+            include: &["crates/nn/src/"],
+            exclude: &[(
+                "crates/nn/src/scratch.rs",
+                "the defining module: the spare lists and the miss counter live here",
+            )],
+        },
+        check: Ban::of("thread_local!"),
     },
     Rule {
         id: "unwrap-in-protocol",

@@ -92,6 +92,11 @@ fn nondeterministic_iteration() {
 }
 
 #[test]
+fn thread_scratch() {
+    check_dir("thread_scratch", &["thread-scratch"]);
+}
+
+#[test]
 fn unwrap_in_protocol() {
     check_dir("unwrap_in_protocol", &["unwrap-in-protocol"]);
 }

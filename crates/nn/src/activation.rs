@@ -2,6 +2,7 @@ use hadfl_tensor::Tensor;
 
 use crate::error::NnError;
 use crate::layer::Layer;
+use crate::scratch::{lease_vec, release};
 
 /// Rectified linear unit: `y = max(x, 0)` elementwise.
 ///
@@ -22,11 +23,9 @@ use crate::layer::Layer;
 /// ```
 #[derive(Debug, Default)]
 pub struct Relu {
-    /// `input > 0` per element of the last training batch. The
-    /// allocation is kept from step to step; `valid` says whether it
-    /// describes a batch `backward` may differentiate against.
-    mask: Vec<bool>,
-    valid: bool,
+    /// `input > 0` per element of the latest training batch, leased
+    /// from the thread's training scratch until backward has used it.
+    mask: Option<Vec<bool>>,
 }
 
 impl Relu {
@@ -40,33 +39,34 @@ impl Layer for Relu {
     fn forward(&mut self, input: &Tensor, train: bool) -> Result<Tensor, NnError> {
         let _prof = hadfl_prof::scope("relu_fwd");
         let src = input.as_slice();
-        self.valid = train;
+        release(&mut self.mask);
         if !train {
             return Ok(input.map(|v| v.max(0.0)));
         }
         // Output and mask in one pass over the input.
-        self.mask.resize(src.len(), false);
+        let mut mask = lease_vec(src.len());
         let out = src
             .iter()
-            .zip(&mut self.mask)
+            .zip(&mut mask)
             .map(|(&v, m)| {
                 *m = v > 0.0;
                 v.max(0.0)
             })
             .collect();
+        self.mask = Some(mask);
         Ok(Tensor::from_vec(out, input.dims())?)
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Result<Tensor, NnError> {
         let _prof = hadfl_prof::scope("relu_bwd");
-        if !self.valid {
+        let Some(mask) = &self.mask else {
             return Err(NnError::BackwardBeforeForward("Relu"));
-        }
-        if self.mask.len() != grad_out.len() {
+        };
+        if mask.len() != grad_out.len() {
             return Err(NnError::BatchMismatch(format!(
                 "relu backward length {} does not match cached mask {}",
                 grad_out.len(),
-                self.mask.len()
+                mask.len()
             )));
         }
         // A select, not a branch: the mask is about half set and in no
@@ -76,9 +76,10 @@ impl Layer for Relu {
         let gx = grad_out
             .as_slice()
             .iter()
-            .zip(&self.mask)
+            .zip(mask)
             .map(|(&g, &m)| f32::from_bits(g.to_bits() & u32::from(m).wrapping_neg()))
             .collect();
+        release(&mut self.mask);
         Ok(Tensor::from_vec(gx, grad_out.dims())?)
     }
 

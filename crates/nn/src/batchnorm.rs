@@ -2,6 +2,7 @@ use hadfl_tensor::Tensor;
 
 use crate::error::NnError;
 use crate::layer::Layer;
+use crate::scratch::{lease_vec, release};
 
 /// Per-channel batch normalization over NCHW batches.
 ///
@@ -36,18 +37,12 @@ pub struct BatchNorm2d {
     grad_beta: Tensor,
     running_mean: Vec<f32>,
     running_var: Vec<f32>,
-    cache: BnCache,
-}
-
-/// What `backward` needs from the last training batch. The buffers keep
-/// their allocation from step to step; `valid` says whether they hold a
-/// batch `backward` may differentiate against.
-#[derive(Debug, Default)]
-struct BnCache {
-    xhat: Vec<f32>,
+    /// The normalised activations of the latest training batch, leased
+    /// from the thread's training scratch until backward has used them.
+    xhat: Option<Vec<f32>>,
+    /// That batch's per-channel `1/σ` and its input dims.
     inv_std: Vec<f32>,
     dims: Vec<usize>,
-    valid: bool,
 }
 
 /// Channels whose sums advance together in [`channel_sums`].
@@ -155,7 +150,9 @@ impl BatchNorm2d {
             grad_beta: Tensor::zeros(&[channels]),
             running_mean: vec![0.0; channels],
             running_var: vec![1.0; channels],
-            cache: BnCache::default(),
+            xhat: None,
+            inv_std: Vec::new(),
+            dims: Vec::new(),
         })
     }
 
@@ -171,10 +168,11 @@ impl BatchNorm2d {
     }
 
     /// The normalized activations of the last training batch, in the
-    /// input's layout — `None` before the first training-mode forward
-    /// and after an evaluation-mode one.
+    /// input's layout — `None` before the first training-mode forward,
+    /// after an evaluation-mode one and after the backward that used
+    /// them.
     pub fn xhat(&self) -> Option<&[f32]> {
-        self.cache.valid.then_some(self.cache.xhat.as_slice())
+        self.xhat.as_deref()
     }
 
     fn check_input(&self, input: &Tensor) -> Result<(usize, usize), NnError> {
@@ -201,7 +199,7 @@ impl Layer for BatchNorm2d {
         // the output is built by appending — no fill to overwrite.
         let mut out = Vec::with_capacity(src.len());
         // Whatever the last training batch left is stale from here on.
-        self.cache.valid = false;
+        release(&mut self.xhat);
 
         if train {
             if n * plane < 2 {
@@ -217,7 +215,7 @@ impl Layer for BatchNorm2d {
             let vars = channel_sums(dims, Chain::PerPlane, (src, src), |ch, x, _| {
                 [(x - means[ch]).powi(2)]
             });
-            let inv_std = &mut self.cache.inv_std;
+            let inv_std = &mut self.inv_std;
             inv_std.clear();
             for (ch, (&mean, &[var])) in means.iter().zip(&vars).enumerate() {
                 let var = var / m;
@@ -230,8 +228,7 @@ impl Layer for BatchNorm2d {
             // Normalize and apply the affine map in one pass: each
             // `xhat` is stored for `backward` and used while it is
             // still in a register.
-            let xhat = &mut self.cache.xhat;
-            xhat.resize(src.len(), 0.0);
+            let mut xhat = lease_vec(src.len());
             for (i, (xs, hs)) in src.chunks(plane).zip(xhat.chunks_mut(plane)).enumerate() {
                 let ch = i % c;
                 let (mean, istd) = (means[ch], inv_std[ch]);
@@ -241,9 +238,9 @@ impl Layer for BatchNorm2d {
                     gamma * *h + beta
                 }));
             }
-            self.cache.dims.clear();
-            self.cache.dims.extend_from_slice(input.dims());
-            self.cache.valid = true;
+            self.xhat = Some(xhat);
+            self.dims.clear();
+            self.dims.extend_from_slice(input.dims());
         } else {
             // `max(1)`: an empty plane means an empty `src`, not a panic.
             for (i, xs) in src.chunks(plane.max(1)).enumerate() {
@@ -258,23 +255,21 @@ impl Layer for BatchNorm2d {
 
     fn backward(&mut self, grad_out: &Tensor) -> Result<Tensor, NnError> {
         let _prof = hadfl_prof::scope("bn_bwd");
-        let cache = &self.cache;
-        if !cache.valid {
+        let Some(xh) = self.xhat.as_deref() else {
             return Err(NnError::BackwardBeforeForward("BatchNorm2d"));
-        }
-        if grad_out.dims() != cache.dims.as_slice() {
+        };
+        if grad_out.dims() != self.dims.as_slice() {
             return Err(NnError::BatchMismatch(format!(
                 "batchnorm backward got {:?}, expected {:?}",
                 grad_out.dims(),
-                cache.dims
+                self.dims
             )));
         }
         let c = self.channels;
-        let n = cache.dims[0];
-        let plane = cache.dims[2] * cache.dims[3];
+        let n = self.dims[0];
+        let plane = self.dims[2] * self.dims[3];
         let m = (n * plane) as f32;
         let gy = grad_out.as_slice();
-        let xh = cache.xhat.as_slice();
         let gamma = self.gamma.as_slice();
         let (gg, gb) = (
             self.grad_gamma.as_mut_slice(),
@@ -290,7 +285,7 @@ impl Layer for BatchNorm2d {
         for (ch, &[sum_gy, sum_gy_xh]) in sums.iter().enumerate() {
             gg[ch] += sum_gy_xh;
             gb[ch] += sum_gy;
-            coeffs.push((gamma[ch] * cache.inv_std[ch], sum_gy / m, sum_gy_xh / m));
+            coeffs.push((gamma[ch] * self.inv_std[ch], sum_gy / m, sum_gy_xh / m));
         }
         let mut gx = Vec::with_capacity(gy.len());
         for (i, (gs, hs)) in gy.chunks(plane).zip(xh.chunks(plane)).enumerate() {
@@ -301,7 +296,8 @@ impl Layer for BatchNorm2d {
                     .map(|(&g, &h)| k * (g - mean_gy - h * mean_gy_xh)),
             );
         }
-        Ok(Tensor::from_vec(gx, &cache.dims)?)
+        release(&mut self.xhat);
+        Ok(Tensor::from_vec(gx, &self.dims)?)
     }
 
     fn visit_params(&self, f: &mut dyn FnMut(&Tensor)) {

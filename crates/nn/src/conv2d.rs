@@ -1,5 +1,3 @@
-use std::cell::RefCell;
-
 use hadfl_tensor::{
     conv_backward_input, conv_backward_weight, conv_forward, im2col_into, Conv2dGeometry,
     Initializer, SeedStream, Tensor,
@@ -7,50 +5,16 @@ use hadfl_tensor::{
 
 use crate::error::NnError;
 use crate::layer::Layer;
-
-/// The most patch matrices one thread keeps for reuse: above the 9
-/// convolutions of the largest zoo model, so a step's whole working set
-/// stays warm beside a few other shapes.
-const SPARE_CAP: usize = 16;
-
-thread_local! {
-    /// Patch matrices no layer holds, in the order they were returned.
-    /// Every convolution on the thread leases its scratch from here, so
-    /// replicas that take turns on one thread share one set of buffers.
-    static SPARE: RefCell<Vec<Tensor>> = const { RefCell::new(Vec::new()) };
-}
-
-/// Takes the thread's most recently returned `rows × width` matrix, or
-/// an empty tensor (which [`im2col_into`] sizes) if it has none.
-fn lease(dims: [usize; 2]) -> Tensor {
-    SPARE.with_borrow_mut(|spare| match spare.iter().rposition(|t| t.dims() == dims) {
-        Some(i) => spare.remove(i),
-        None => Tensor::default(),
-    })
-}
-
-/// Returns a leased matrix to the thread's spares; past [`SPARE_CAP`]
-/// the one returned longest ago is dropped.
-fn give_back(cols: Tensor) {
-    if cols.is_empty() {
-        return;
-    }
-    SPARE.with_borrow_mut(|spare| {
-        if spare.len() == SPARE_CAP {
-            spare.remove(0);
-        }
-        spare.push(cols);
-    });
-}
+use crate::scratch::{give_back, lease, release};
 
 /// A 2-D convolution over NCHW batches, lowered to a matrix product via
 /// [`im2col_into`].
 ///
 /// The filter bank is stored as a `(out_channels, C·kh·kw)` matrix; forward
 /// computes `patches · Wᵀ + b` straight into `(N, out_channels, out_h,
-/// out_w)`. The patch matrix is leased from a thread-local spare list:
-/// an evaluation forward returns it at once, a training forward holds it
-/// until backward has used it for `dW`. Once warm, a training step
+/// out_w)`. The patch matrix is leased from the thread's training
+/// scratch: an evaluation forward returns it at once, a training forward
+/// holds it until backward has used it for `dW`. Once warm, a training step
 /// allocates nothing of that size, and replicas stepped in turn on one
 /// thread share one set of patch buffers.
 ///
@@ -127,13 +91,6 @@ impl Conv2d {
         self.out_channels
     }
 
-    /// Returns the held patch matrix, if any, to the thread's spares.
-    fn release(&mut self) {
-        if let Some(cols) = self.held.take() {
-            give_back(cols);
-        }
-    }
-
     /// Accumulates `dW` and `db` from the held patch matrix, which then
     /// goes back to the thread's spares.
     fn accumulate_param_grads(&mut self, grad_out: &Tensor) -> Result<(), NnError> {
@@ -152,7 +109,7 @@ impl Conv2d {
         }
         // dW += gpᵀ · cols  : (oc, patch_len)
         conv_backward_weight(grad_out, cols, &self.geom, &mut self.grad_weight)?;
-        self.release();
+        release(&mut self.held);
         // db += per-channel sums of grad_out
         let gov = grad_out.as_slice();
         let gb = self.grad_bias.as_mut_slice();
@@ -173,7 +130,9 @@ impl Layer for Conv2d {
             .dims()
             .first()
             .map_or(0, |n| n * self.geom.patches_per_image());
-        let mut cols = lease([rows, self.geom.patch_len()]);
+        let dims = [rows, self.geom.patch_len()];
+        // A miss leaves an empty tensor, which `im2col_into` sizes.
+        let mut cols = lease(|t: &Tensor| t.dims() == dims).unwrap_or_default();
         if let Err(e) = im2col_into(input, &self.geom, &mut cols) {
             // A rejected input returns its lease and keeps the held one.
             give_back(cols);
@@ -181,7 +140,7 @@ impl Layer for Conv2d {
         }
         // (rows, patch_len) · (oc, patch_len)ᵀ + b -> NCHW
         let out = conv_forward(&cols, &self.weight, &self.bias, &self.geom);
-        self.release();
+        release(&mut self.held);
         if train {
             self.held = Some(cols);
         } else {
@@ -230,6 +189,7 @@ impl Layer for Conv2d {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scratch::spare_dims as spares;
 
     fn set_params(conv: &mut Conv2d, w: &[f32], b: &[f32]) {
         conv.visit_params_mut(&mut |p| {
@@ -373,21 +333,6 @@ mod tests {
     }
 
     #[test]
-    fn eval_forward_invalidates_the_training_cache() {
-        let mut conv = Conv2d::new(1, 1, 3, 3, 3, 1, 1, &mut SeedStream::new(0)).unwrap();
-        conv.forward(&Tensor::ones(&[2, 1, 3, 3]), true).unwrap();
-        conv.forward(&Tensor::ones(&[4, 1, 3, 3]), false).unwrap();
-        assert!(matches!(
-            conv.backward(&Tensor::zeros(&[2, 1, 3, 3])),
-            Err(NnError::BackwardBeforeForward("Conv2d"))
-        ));
-    }
-
-    fn spares() -> Vec<Vec<usize>> {
-        SPARE.with_borrow(|spare| spare.iter().map(|t| t.dims().to_vec()).collect())
-    }
-
-    #[test]
     fn interleaved_replicas_match_replicas_run_in_turn() {
         let mut rng = SeedStream::new(7);
         let mut input = || {
@@ -446,20 +391,6 @@ mod tests {
         assert_eq!(spares(), [[18, 9]]);
         conv.backward(&Tensor::zeros(&[2, 1, 3, 3])).unwrap();
         assert_eq!(spares(), [[18, 9], [18, 9]]);
-    }
-
-    #[test]
-    fn spare_list_drops_the_oldest_past_its_cap() {
-        let mut conv = Conv2d::new(1, 1, 3, 3, 3, 1, 1, &mut SeedStream::new(0)).unwrap();
-        for batch in 1..=SPARE_CAP + 2 {
-            conv.forward(&Tensor::ones(&[batch, 1, 3, 3]), false)
-                .unwrap();
-        }
-        let want: Vec<Vec<usize>> = (3..=SPARE_CAP + 2).map(|n| vec![9 * n, 9]).collect();
-        assert_eq!(spares(), want);
-        // A shape already spare is reused, not added.
-        conv.forward(&Tensor::ones(&[5, 1, 3, 3]), false).unwrap();
-        assert_eq!(spares().len(), SPARE_CAP);
     }
 
     #[test]

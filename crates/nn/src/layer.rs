@@ -4,8 +4,11 @@ use crate::error::NnError;
 
 /// A differentiable network layer.
 ///
-/// Layers own their parameters, their parameter gradients, and whatever
-/// forward-pass activations the backward pass needs. The visitor-style
+/// Layers own their parameters and their parameter gradients. What the
+/// backward pass needs from a training forward — a patch matrix, an
+/// input copy, a mask — is a buffer leased from the thread's training
+/// scratch, held from that forward to its backward; replicas stepped in
+/// turn on one thread share one set of these caches. The visitor-style
 /// parameter accessors ([`visit_params`](Layer::visit_params) and friends)
 /// traverse parameters in a fixed, deterministic order — the same order on
 /// every device — which is what lets the federated-learning crates treat a
@@ -28,7 +31,10 @@ pub trait Layer: Send {
     /// Computes the layer output for a batch.
     ///
     /// `train` selects training-mode behaviour (e.g. batch statistics in
-    /// [`crate::BatchNorm2d`]); evaluation passes `false`.
+    /// [`crate::BatchNorm2d`]); evaluation passes `false`. Either way the
+    /// cache of an earlier training forward is given up: a training
+    /// forward holds its own in its place, an evaluation forward none.
+    /// A rejected input may leave the earlier cache held.
     ///
     /// # Errors
     ///
@@ -40,16 +46,19 @@ pub trait Layer: Send {
     /// the layer's input.
     ///
     /// One training-mode [`forward`](Layer::forward) serves one backward:
-    /// a layer may give up its cache there ([`crate::Conv2d`] returns its
-    /// leased patch matrix), so a second backward after the same forward
-    /// can fail with [`NnError::BackwardBeforeForward`].
+    /// a caching layer gives its cache up there (a leased buffer goes
+    /// back to the thread's scratch), so a second backward after the
+    /// same forward fails with
+    /// [`NnError::BackwardBeforeForward`], as does a backward after an
+    /// evaluation-mode forward. Validity is a held lease, never a
+    /// gradient against an earlier batch.
     ///
     /// # Errors
     ///
     /// Returns [`NnError::BackwardBeforeForward`] if called without a prior
     /// training-mode [`forward`](Layer::forward) whose cache is still held,
-    /// or a shape error when `grad_out` does not match the cached output
-    /// shape.
+    /// or a shape error (which leaves the cache held) when `grad_out` does
+    /// not match the cached output shape.
     fn backward(&mut self, grad_out: &Tensor) -> Result<Tensor, NnError>;
 
     /// [`backward`](Layer::backward) for a caller with no use for the
@@ -113,9 +122,7 @@ impl Layer for Flatten {
                 "flatten input must have a batch axis".into(),
             ));
         }
-        if train {
-            self.cached_dims = Some(dims.to_vec());
-        }
+        self.cached_dims = train.then(|| dims.to_vec());
         let batch = dims[0];
         let rest: usize = dims[1..].iter().product();
         Ok(input.reshape(&[batch, rest])?)
@@ -126,7 +133,9 @@ impl Layer for Flatten {
             .cached_dims
             .as_ref()
             .ok_or(NnError::BackwardBeforeForward("Flatten"))?;
-        Ok(grad_out.reshape(dims)?)
+        let gx = grad_out.reshape(dims)?;
+        self.cached_dims = None;
+        Ok(gx)
     }
 
     fn visit_params(&self, _f: &mut dyn FnMut(&Tensor)) {}
@@ -167,6 +176,72 @@ mod tests {
             f.backward(&Tensor::zeros(&[2, 4])),
             Err(NnError::BackwardBeforeForward("Flatten"))
         ));
+    }
+
+    /// Every layer that keeps a cache from a training forward, with an
+    /// input and an output gradient of the shapes it takes.
+    fn caching_layers() -> Vec<(Box<dyn Layer>, Tensor, Tensor)> {
+        use crate::{BatchNorm2d, Conv2d, Dense, GlobalAvgPool2d, MaxPool2d, Relu};
+        use hadfl_tensor::SeedStream;
+        let ramp = |dims: &[usize]| {
+            let n = dims.iter().product::<usize>();
+            Tensor::from_vec((0..n).map(|i| i as f32 - 1.5).collect(), dims).unwrap()
+        };
+        let image = ramp(&[2, 1, 2, 2]);
+        let conv = Conv2d::new(1, 1, 2, 2, 3, 1, 1, &mut SeedStream::new(0)).unwrap();
+        vec![
+            (Box::new(conv), image.clone(), ramp(&[2, 1, 2, 2])),
+            (
+                Box::new(BatchNorm2d::new(1).unwrap()),
+                image.clone(),
+                ramp(&[2, 1, 2, 2]),
+            ),
+            (Box::new(Relu::new()), image.clone(), ramp(&[2, 1, 2, 2])),
+            (
+                Box::new(Dense::new(2, 3, &mut SeedStream::new(0))),
+                ramp(&[4, 2]),
+                ramp(&[4, 3]),
+            ),
+            (
+                Box::new(MaxPool2d::new(2, 2).unwrap()),
+                image.clone(),
+                ramp(&[2, 1, 1, 1]),
+            ),
+            (
+                Box::new(GlobalAvgPool2d::new()),
+                image.clone(),
+                ramp(&[2, 1]),
+            ),
+            (Box::new(Flatten::new()), image, ramp(&[2, 4])),
+        ]
+    }
+
+    #[test]
+    fn an_eval_forward_gives_back_the_training_cache() {
+        for (mut layer, x, gy) in caching_layers() {
+            let name = layer.name();
+            layer.forward(&x, true).unwrap();
+            layer.forward(&x, false).unwrap();
+            assert_eq!(
+                layer.backward(&gy),
+                Err(NnError::BackwardBeforeForward(name)),
+                "{name}: train, eval, backward"
+            );
+        }
+    }
+
+    #[test]
+    fn one_training_forward_serves_one_backward() {
+        for (mut layer, x, gy) in caching_layers() {
+            let name = layer.name();
+            layer.forward(&x, true).unwrap();
+            assert!(layer.backward(&gy).is_ok(), "{name}: first backward");
+            assert_eq!(
+                layer.backward(&gy),
+                Err(NnError::BackwardBeforeForward(name)),
+                "{name}: train, backward, backward"
+            );
+        }
     }
 
     #[test]

@@ -60,6 +60,7 @@ pub mod models;
 mod optim;
 mod pool;
 mod residual;
+mod scratch;
 mod sequential;
 
 pub use activation::Relu;

@@ -382,6 +382,58 @@ mod tests {
         assert!(m.evaluate(&empty, 4).is_err());
     }
 
+    fn resnet_replica(seed: u64) -> Model {
+        let spec = SyntheticSpec::tiny();
+        models::resnet18_lite(&spec.sample_dims(), spec.classes, seed).unwrap()
+    }
+
+    /// Two batches of four from the tiny task.
+    fn two_batches() -> [(Tensor, Vec<usize>); 2] {
+        let ds = Dataset::synthetic_cifar(8, &SyntheticSpec::tiny(), 3).unwrap();
+        [[0, 1, 2, 3], [4, 5, 6, 7]].map(|rows| ds.batch(&rows).unwrap())
+    }
+
+    fn grad_bits(m: &mut Model) -> Vec<u32> {
+        m.grad_vector().iter().map(|v| v.to_bits()).collect()
+    }
+
+    #[test]
+    fn interleaved_replicas_match_replicas_run_in_turn() {
+        let [(xa, ya), (xb, yb)] = two_batches();
+        let (mut a, mut b) = (resnet_replica(1), resnet_replica(2));
+        a.accumulate_grads(&xa, &ya).unwrap();
+        b.accumulate_grads(&xb, &yb).unwrap();
+        // Forward A, forward B, backward B, backward A: both replicas
+        // hold every cache at once, and B gives its leases back first.
+        let (mut a2, mut b2) = (resnet_replica(1), resnet_replica(2));
+        let forward = |m: &mut Model, x, y| {
+            let logits = m.net.forward(x, true).unwrap();
+            softmax_cross_entropy(&logits, y).unwrap().1
+        };
+        let ga = forward(&mut a2, &xa, &ya);
+        let gb = forward(&mut b2, &xb, &yb);
+        b2.net.backward_params(&gb).unwrap();
+        a2.net.backward_params(&ga).unwrap();
+        assert_eq!(grad_bits(&mut a), grad_bits(&mut a2));
+        assert_eq!(grad_bits(&mut b), grad_bits(&mut b2));
+    }
+
+    #[test]
+    fn a_warm_thread_steps_another_replica_from_its_spares() {
+        let [(xa, ya), (xb, yb)] = two_batches();
+        let (mut a, mut b) = (resnet_replica(1), resnet_replica(2));
+        let cold = crate::scratch::misses();
+        a.accumulate_grads(&xa, &ya).unwrap();
+        let warm = crate::scratch::misses();
+        assert!(warm > cold, "a cold thread's step leases fresh buffers");
+        b.accumulate_grads(&xb, &yb).unwrap();
+        assert_eq!(
+            crate::scratch::misses(),
+            warm,
+            "replica B's step took a cache the thread had no spare for"
+        );
+    }
+
     #[test]
     fn model_rejects_empty_net_or_zero_classes() {
         assert!(Model::new(Sequential::new(), 10, "x").is_err());

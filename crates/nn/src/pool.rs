@@ -2,11 +2,14 @@ use hadfl_tensor::Tensor;
 
 use crate::error::NnError;
 use crate::layer::Layer;
+use crate::scratch::{give_back, lease_vec, release};
 
 /// 2-D max pooling over NCHW batches with a square window.
 ///
 /// Backward routes each output gradient to the argmax position of its
-/// window (ties to the first scanned position).
+/// window (ties to the first scanned position). The argmax offsets are
+/// leased from the thread's training scratch; a training forward holds
+/// them until backward has used them.
 ///
 /// # Example
 ///
@@ -25,7 +28,9 @@ use crate::layer::Layer;
 pub struct MaxPool2d {
     window: usize,
     stride: usize,
-    cached_argmax: Option<Vec<usize>>,
+    /// The argmax offsets of the latest training forward, leased until
+    /// backward has used them, and that forward's input dims.
+    held: Option<Vec<usize>>,
     cached_in_dims: Vec<usize>,
 }
 
@@ -44,7 +49,7 @@ impl MaxPool2d {
         Ok(MaxPool2d {
             window,
             stride,
-            cached_argmax: None,
+            held: None,
             cached_in_dims: Vec::new(),
         })
     }
@@ -74,7 +79,7 @@ impl Layer for MaxPool2d {
         let (n, c, h, w) = (dims[0], dims[1], dims[2], dims[3]);
         let (oh, ow) = self.out_hw(h, w)?;
         let mut out = Tensor::zeros(&[n, c, oh, ow]);
-        let mut argmax = vec![0usize; n * c * oh * ow];
+        let mut argmax = lease_vec(n * c * oh * ow);
         let src = input.as_slice();
         let dst = out.as_mut_slice();
         let mut oidx = 0;
@@ -102,16 +107,19 @@ impl Layer for MaxPool2d {
                 }
             }
         }
+        release(&mut self.held);
         if train {
-            self.cached_argmax = Some(argmax);
+            self.held = Some(argmax);
             self.cached_in_dims = dims.to_vec();
+        } else {
+            give_back(argmax);
         }
         Ok(out)
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Result<Tensor, NnError> {
         let argmax = self
-            .cached_argmax
+            .held
             .as_ref()
             .ok_or(NnError::BackwardBeforeForward("MaxPool2d"))?;
         if grad_out.len() != argmax.len() {
@@ -126,6 +134,7 @@ impl Layer for MaxPool2d {
         for (&src_off, &g) in argmax.iter().zip(grad_out.as_slice()) {
             gv[src_off] += g;
         }
+        release(&mut self.held);
         Ok(gx)
     }
 
@@ -145,7 +154,9 @@ impl Layer for MaxPool2d {
 /// Used as the head of `resnet18_lite` in place of ResNet's final pooling.
 #[derive(Debug, Default)]
 pub struct GlobalAvgPool2d {
-    cached_in_dims: Vec<usize>,
+    /// The input dims of the latest training forward, until backward
+    /// has used them.
+    in_dims: Option<[usize; 4]>,
 }
 
 impl GlobalAvgPool2d {
@@ -179,22 +190,14 @@ impl Layer for GlobalAvgPool2d {
                 dst[img * c + ch] = src[base..base + plane].iter().sum::<f32>() / plane as f32;
             }
         }
-        if train {
-            self.cached_in_dims = dims.to_vec();
-        }
+        self.in_dims = train.then_some([n, c, h, w]);
         Ok(out)
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Result<Tensor, NnError> {
-        if self.cached_in_dims.is_empty() {
+        let Some(in_dims @ [n, c, h, w]) = self.in_dims else {
             return Err(NnError::BackwardBeforeForward("GlobalAvgPool2d"));
-        }
-        let (n, c, h, w) = (
-            self.cached_in_dims[0],
-            self.cached_in_dims[1],
-            self.cached_in_dims[2],
-            self.cached_in_dims[3],
-        );
+        };
         if grad_out.dims() != [n, c] {
             return Err(NnError::BatchMismatch(format!(
                 "global avg pool backward got {:?}, expected [{n}, {c}]",
@@ -203,7 +206,7 @@ impl Layer for GlobalAvgPool2d {
         }
         let plane = h * w;
         let scale = 1.0 / plane as f32;
-        let mut gx = Tensor::zeros(&self.cached_in_dims);
+        let mut gx = Tensor::zeros(&in_dims);
         let gv = gx.as_mut_slice();
         for img in 0..n {
             for ch in 0..c {
@@ -214,6 +217,7 @@ impl Layer for GlobalAvgPool2d {
                 }
             }
         }
+        self.in_dims = None;
         Ok(gx)
     }
 
