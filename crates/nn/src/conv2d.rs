@@ -189,7 +189,7 @@ impl Layer for Conv2d {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scratch::spare_dims as spares;
+    use crate::scratch::{spare_dims as spares, SPARE_CAP};
 
     fn set_params(conv: &mut Conv2d, w: &[f32], b: &[f32]) {
         conv.visit_params_mut(&mut |p| {
@@ -333,6 +333,17 @@ mod tests {
     }
 
     #[test]
+    fn eval_forward_invalidates_the_training_cache() {
+        let mut conv = Conv2d::new(1, 1, 3, 3, 3, 1, 1, &mut SeedStream::new(0)).unwrap();
+        conv.forward(&Tensor::ones(&[2, 1, 3, 3]), true).unwrap();
+        conv.forward(&Tensor::ones(&[4, 1, 3, 3]), false).unwrap();
+        assert!(matches!(
+            conv.backward(&Tensor::zeros(&[2, 1, 3, 3])),
+            Err(NnError::BackwardBeforeForward("Conv2d"))
+        ));
+    }
+
+    #[test]
     fn interleaved_replicas_match_replicas_run_in_turn() {
         let mut rng = SeedStream::new(7);
         let mut input = || {
@@ -391,6 +402,20 @@ mod tests {
         assert_eq!(spares(), [[18, 9]]);
         conv.backward(&Tensor::zeros(&[2, 1, 3, 3])).unwrap();
         assert_eq!(spares(), [[18, 9], [18, 9]]);
+    }
+
+    #[test]
+    fn spare_list_drops_the_oldest_past_its_cap() {
+        let mut conv = Conv2d::new(1, 1, 3, 3, 3, 1, 1, &mut SeedStream::new(0)).unwrap();
+        for batch in 1..=SPARE_CAP + 2 {
+            conv.forward(&Tensor::ones(&[batch, 1, 3, 3]), false)
+                .unwrap();
+        }
+        let want: Vec<Vec<usize>> = (3..=SPARE_CAP + 2).map(|n| vec![9 * n, 9]).collect();
+        assert_eq!(spares(), want);
+        // A shape already spare is reused, not added.
+        conv.forward(&Tensor::ones(&[5, 1, 3, 3]), false).unwrap();
+        assert_eq!(spares().len(), SPARE_CAP);
     }
 
     #[test]

@@ -207,6 +207,13 @@ mod tests {
     }
 
     #[test]
+    fn eval_forward_does_not_cache() {
+        let mut d = Dense::new(2, 2, &mut SeedStream::new(0));
+        d.forward(&Tensor::zeros(&[1, 2]), false).unwrap();
+        assert!(d.backward(&Tensor::zeros(&[1, 2])).is_err());
+    }
+
+    #[test]
     fn numeric_gradient_check() {
         // Finite-difference check of dW on a scalar loss L = sum(y).
         let mut rng = SeedStream::new(42);

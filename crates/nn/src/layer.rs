@@ -220,8 +220,12 @@ mod tests {
     fn an_eval_forward_gives_back_the_training_cache() {
         for (mut layer, x, gy) in caching_layers() {
             let name = layer.name();
+            // The evaluation batch is twice the training batch.
+            let mut eval_dims = x.dims().to_vec();
+            eval_dims[0] *= 2;
+            let eval_x = Tensor::from_vec(x.as_slice().repeat(2), &eval_dims).unwrap();
             layer.forward(&x, true).unwrap();
-            layer.forward(&x, false).unwrap();
+            layer.forward(&eval_x, false).unwrap();
             assert_eq!(
                 layer.backward(&gy),
                 Err(NnError::BackwardBeforeForward(name)),

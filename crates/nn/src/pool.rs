@@ -2,7 +2,7 @@ use hadfl_tensor::Tensor;
 
 use crate::error::NnError;
 use crate::layer::Layer;
-use crate::scratch::{give_back, lease_vec, release};
+use crate::scratch::{lease_vec, release};
 
 /// 2-D max pooling over NCHW batches with a square window.
 ///
@@ -29,8 +29,9 @@ pub struct MaxPool2d {
     window: usize,
     stride: usize,
     /// The argmax offsets of the latest training forward, leased until
-    /// backward has used them, and that forward's input dims.
+    /// backward has used them.
     held: Option<Vec<usize>>,
+    /// The input dims of the latest training forward.
     cached_in_dims: Vec<usize>,
 }
 
@@ -79,7 +80,8 @@ impl Layer for MaxPool2d {
         let (n, c, h, w) = (dims[0], dims[1], dims[2], dims[3]);
         let (oh, ow) = self.out_hw(h, w)?;
         let mut out = Tensor::zeros(&[n, c, oh, ow]);
-        let mut argmax = lease_vec(n * c * oh * ow);
+        // An evaluation forward records no argmax.
+        let mut argmax = train.then(|| lease_vec(n * c * oh * ow));
         let src = input.as_slice();
         let dst = out.as_mut_slice();
         let mut oidx = 0;
@@ -101,18 +103,18 @@ impl Layer for MaxPool2d {
                             }
                         }
                         dst[oidx] = best;
-                        argmax[oidx] = best_at;
+                        if let Some(argmax) = argmax.as_mut() {
+                            argmax[oidx] = best_at;
+                        }
                         oidx += 1;
                     }
                 }
             }
         }
         release(&mut self.held);
+        self.held = argmax;
         if train {
-            self.held = Some(argmax);
             self.cached_in_dims = dims.to_vec();
-        } else {
-            give_back(argmax);
         }
         Ok(out)
     }

@@ -22,7 +22,7 @@ use hadfl_tensor::Tensor;
 /// convolutions, nine batch norms and nine ReLUs of the largest zoo
 /// model, so a step's whole working set stays warm beside a few other
 /// shapes. Past it the spare returned longest ago is dropped.
-const SPARE_CAP: usize = 16;
+pub(crate) const SPARE_CAP: usize = 16;
 
 thread_local! {
     /// Conv2d patch matrices and Dense inputs.
