@@ -93,7 +93,7 @@ fn a_warm_cnn_step_requests_no_large_allocation() {
         let before = REQUESTED.load(Ordering::Relaxed);
         round_robin(&mut built, 2);
         // The close's evaluation: a fresh model at the device batch.
-        let mut fresh = workload.model().expect("model builds");
+        let fresh = workload.model().expect("model builds");
         fresh
             .evaluate(&built.test, built.device_batch)
             .expect("evaluates");

@@ -73,3 +73,8 @@ use rand::Rng; //~ retired
 pub fn seeded(seed: u64) -> rand_chacha::ChaCha8Rng { //~ retired //~ retired
     SeedableRng::seed_from_u64(seed)
 }
+
+// A backward without a forward does not compile.
+pub fn misuse(err: &NnError) -> bool {
+    matches!(err, NnError::BackwardBeforeForward(_)) //~ retired
+}

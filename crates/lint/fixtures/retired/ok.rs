@@ -3,9 +3,9 @@
 //! LrSchedule, set_schedule, Message::Heartbeat, heartbeat_interval,
 //! fn is_live, TimeSource, ManualTime, WallTime, profiler_time,
 //! VersionScale, version_scale, read_timeout:, backoff_base,
-//! backoff_cap, max_dial_attempts, fn read_full, rand::, rand_chacha
-//! and ChaCha8Rng — in a comment, in a string, in a doc example and as
-//! the prefix of a longer identifier.
+//! backoff_cap, max_dial_attempts, fn read_full, rand::, rand_chacha,
+//! ChaCha8Rng and BackwardBeforeForward — in a comment, in a string, in
+//! a doc example and as the prefix of a longer identifier.
 
 /// The retired surface, for the record:
 ///
@@ -23,6 +23,7 @@
 /// let o = TcpOptions { read_timeout: 1, backoff_base: 2, backoff_cap: 3, max_dial_attempts: 4 };
 /// fn read_full() {}
 /// let rng = rand_chacha::ChaCha8Rng::seed_from_u64(rand::random());
+/// let e = NnError::BackwardBeforeForward("Relu");
 /// ```
 pub fn named_in_text() -> &'static str {
     // Trace::new, set_comm, expected_version, distributed_timeline,
@@ -30,12 +31,13 @@ pub fn named_in_text() -> &'static str {
     // heartbeat_interval, fn is_live, TimeSource, ManualTime, WallTime,
     // profiler_time, VersionScale, version_scale, read_timeout:,
     // backoff_base, backoff_cap, max_dial_attempts, fn read_full,
-    // rand::, rand_chacha and ChaCha8Rng, in a comment.
+    // rand::, rand_chacha, ChaCha8Rng and BackwardBeforeForward, in a
+    // comment.
     "Trace::new set_comm expected_version distributed_timeline fedavg_timeline \
      LrSchedule set_schedule Message::Heartbeat heartbeat_interval fn is_live \
      TimeSource ManualTime WallTime profiler_time VersionScale version_scale \
      read_timeout: backoff_base backoff_cap max_dial_attempts fn read_full \
-     rand:: rand_chacha ChaCha8Rng"
+     rand:: rand_chacha ChaCha8Rng BackwardBeforeForward"
 }
 
 /* A block comment naming Trace::new, rand::Rng and ChaCha8Rng. */
@@ -57,6 +59,7 @@ pub struct Lookalikes {
     pub backoff_cap_ms: u64,
     pub max_dial_attempts_total: u32,
     pub rng: ChaCha8Rngs,
+    pub misuse: BackwardBeforeForwardCount,
 }
 
 pub fn longer_names(trace: &Trace, message: &Message) -> bool {

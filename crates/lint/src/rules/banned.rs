@@ -78,7 +78,7 @@ pub(crate) fn run(cx: &FileCx, rule: &Rule, ban: &Ban) -> Vec<Finding> {
 }
 
 /// The rows, grouped by id.
-pub static TABLE: [Rule; 17] = [
+pub static TABLE: [Rule; 18] = [
     Rule {
         id: "ambient-clock",
         summary: "no Instant::now()/SystemTime::now() in protocol paths — time goes \
@@ -133,9 +133,9 @@ pub static TABLE: [Rule; 17] = [
     },
     Rule {
         id: "thread-scratch",
-        summary: "no thread_local! in crates/nn outside scratch.rs — every cache a layer \
-                  keeps from forward to backward is leased from the one per-thread \
-                  training scratch (DESIGN §10)",
+        summary: "no thread_local! in crates/nn outside scratch.rs — every cache a \
+                  training forward leaves for its backward is a lease on its tape, \
+                  taken from the one per-thread training scratch (DESIGN §10)",
         scope: Scope {
             include: &["crates/nn/src/"],
             exclude: &[(
@@ -273,6 +273,20 @@ pub static TABLE: [Rule; 17] = [
             "vendor/proptest/src/",
         ]),
         check: Ban::of("rand:: | rand_chacha | ChaCha8Rng"),
+    },
+    Rule {
+        id: "retired",
+        summary: "a backward takes the tape its training forward returned, so a \
+                  backward without a forward does not compile and has no run-time \
+                  error (DESIGN §10)",
+        scope: Scope::of(&[
+            "crates/*/src/",
+            "crates/*/tests/",
+            "src/",
+            "tests/",
+            "examples/",
+        ]),
+        check: Ban::of("BackwardBeforeForward"),
     },
 ];
 

@@ -1,8 +1,8 @@
 use hadfl_tensor::Tensor;
 
 use crate::error::NnError;
-use crate::layer::Layer;
-use crate::scratch::{lease_vec, release};
+use crate::layer::{foreign_tape, Kept, Layer, Tape};
+use crate::scratch::lease_vec;
 
 /// Per-channel batch normalization over NCHW batches.
 ///
@@ -11,7 +11,9 @@ use crate::scratch::{lease_vec, release};
 /// statistics. The learnable scale `gamma` and shift `beta` are the layer's
 /// parameters — and therefore part of the flat parameter vector the
 /// federated-learning schemes exchange, exactly as PyTorch's BN affine
-/// parameters are in the paper's setup.
+/// parameters are in the paper's setup. A training forward puts the
+/// normalised activations (leased from the thread's training scratch)
+/// and the batch's `1/σ` on its tape; [`Tape::xhat`] reads them.
 ///
 /// # Example
 ///
@@ -21,8 +23,10 @@ use crate::scratch::{lease_vec, release};
 ///
 /// # fn main() -> Result<(), hadfl_nn::NnError> {
 /// let mut bn = BatchNorm2d::new(3)?;
-/// let y = bn.forward(&Tensor::ones(&[2, 3, 4, 4]), true)?;
+/// let (y, tape) = bn.forward_train(&Tensor::ones(&[2, 3, 4, 4]))?;
 /// assert_eq!(y.dims(), &[2, 3, 4, 4]);
+/// assert_eq!(tape.xhat().map(<[f32]>::len), Some(2 * 3 * 4 * 4));
+/// bn.backward(tape, &Tensor::ones(y.dims()))?;
 /// # Ok(())
 /// # }
 /// ```
@@ -37,12 +41,6 @@ pub struct BatchNorm2d {
     grad_beta: Tensor,
     running_mean: Vec<f32>,
     running_var: Vec<f32>,
-    /// The normalised activations of the latest training batch, leased
-    /// from the thread's training scratch until backward has used them.
-    xhat: Option<Vec<f32>>,
-    /// That batch's per-channel `1/σ` and its input dims.
-    inv_std: Vec<f32>,
-    dims: Vec<usize>,
 }
 
 /// Channels whose sums advance together in [`channel_sums`].
@@ -150,9 +148,6 @@ impl BatchNorm2d {
             grad_beta: Tensor::zeros(&[channels]),
             running_mean: vec![0.0; channels],
             running_var: vec![1.0; channels],
-            xhat: None,
-            inv_std: Vec::new(),
-            dims: Vec::new(),
         })
     }
 
@@ -167,107 +162,94 @@ impl BatchNorm2d {
         &self.running_var
     }
 
-    /// The normalized activations of the last training batch, in the
-    /// input's layout — `None` before the first training-mode forward,
-    /// after an evaluation-mode one and after the backward that used
-    /// them.
-    pub fn xhat(&self) -> Option<&[f32]> {
-        self.xhat.as_deref()
-    }
-
-    fn check_input(&self, input: &Tensor) -> Result<(usize, usize), NnError> {
-        let dims = input.dims();
-        if dims.len() != 4 || dims[1] != self.channels {
-            return Err(NnError::BatchMismatch(format!(
+    fn check_input(&self, input: &Tensor) -> Result<[usize; 4], NnError> {
+        match *input.dims() {
+            [n, c, h, w] if c == self.channels => Ok([n, c, h, w]),
+            ref dims => Err(NnError::BatchMismatch(format!(
                 "batchnorm expects (N, {}, H, W), got {dims:?}",
                 self.channels
-            )));
+            ))),
         }
-        Ok((dims[0], dims[2] * dims[3]))
     }
 }
 
 impl Layer for BatchNorm2d {
-    fn forward(&mut self, input: &Tensor, train: bool) -> Result<Tensor, NnError> {
+    fn forward(&self, input: &Tensor) -> Result<Tensor, NnError> {
         let _prof = hadfl_prof::scope("bn_fwd");
-        let (n, plane) = self.check_input(input)?;
-        let m = (n * plane) as f32;
-        let c = self.channels;
-        let src = input.as_slice();
+        let [_, c, h, w] = self.check_input(input)?;
         let (gamma, beta) = (self.gamma.as_slice(), self.beta.as_slice());
-        // Every element is written exactly once, in storage order, so
-        // the output is built by appending — no fill to overwrite.
-        let mut out = Vec::with_capacity(src.len());
-        // Whatever the last training batch left is stale from here on.
-        release(&mut self.xhat);
-
-        if train {
-            if n * plane < 2 {
-                return Err(NnError::BatchMismatch(
-                    "batchnorm training needs at least 2 values per channel".into(),
-                ));
-            }
-            let dims = (n, c, plane);
-            let means: Vec<f32> = channel_sums(dims, Chain::PerPlane, (src, src), |_, x, _| [x])
-                .iter()
-                .map(|&[sum]| sum / m)
-                .collect();
-            let vars = channel_sums(dims, Chain::PerPlane, (src, src), |ch, x, _| {
-                [(x - means[ch]).powi(2)]
-            });
-            let inv_std = &mut self.inv_std;
-            inv_std.clear();
-            for (ch, (&mean, &[var])) in means.iter().zip(&vars).enumerate() {
-                let var = var / m;
-                inv_std.push(1.0 / (var + self.eps).sqrt());
-                self.running_mean[ch] =
-                    (1.0 - self.momentum) * self.running_mean[ch] + self.momentum * mean;
-                self.running_var[ch] =
-                    (1.0 - self.momentum) * self.running_var[ch] + self.momentum * var;
-            }
-            // Normalize and apply the affine map in one pass: each
-            // `xhat` is stored for `backward` and used while it is
-            // still in a register.
-            let mut xhat = lease_vec(src.len());
-            for (i, (xs, hs)) in src.chunks(plane).zip(xhat.chunks_mut(plane)).enumerate() {
-                let ch = i % c;
-                let (mean, istd) = (means[ch], inv_std[ch]);
-                let (gamma, beta) = (gamma[ch], beta[ch]);
-                out.extend(xs.iter().zip(hs).map(|(&x, h)| {
-                    *h = (x - mean) * istd;
-                    gamma * *h + beta
-                }));
-            }
-            self.xhat = Some(xhat);
-            self.dims.clear();
-            self.dims.extend_from_slice(input.dims());
-        } else {
-            // `max(1)`: an empty plane means an empty `src`, not a panic.
-            for (i, xs) in src.chunks(plane.max(1)).enumerate() {
-                let ch = i % c;
-                let istd = 1.0 / (self.running_var[ch] + self.eps).sqrt();
-                let mean = self.running_mean[ch];
-                out.extend(xs.iter().map(|&x| gamma[ch] * (x - mean) * istd + beta[ch]));
-            }
+        let mut out = Vec::with_capacity(input.len());
+        // `max(1)`: an empty plane means an empty input, not a panic.
+        for (i, xs) in input.as_slice().chunks((h * w).max(1)).enumerate() {
+            let ch = i % c;
+            let istd = 1.0 / (self.running_var[ch] + self.eps).sqrt();
+            let mean = self.running_mean[ch];
+            out.extend(xs.iter().map(|&x| gamma[ch] * (x - mean) * istd + beta[ch]));
         }
         Ok(Tensor::from_vec(out, input.dims())?)
     }
 
-    fn backward(&mut self, grad_out: &Tensor) -> Result<Tensor, NnError> {
+    fn forward_train(&mut self, input: &Tensor) -> Result<(Tensor, Tape), NnError> {
+        let _prof = hadfl_prof::scope("bn_fwd");
+        let dims @ [n, c, h, w] = self.check_input(input)?;
+        let plane = h * w;
+        if n * plane < 2 {
+            return Err(NnError::BatchMismatch(
+                "batchnorm training needs at least 2 values per channel".into(),
+            ));
+        }
+        let m = (n * plane) as f32;
+        let src = input.as_slice();
+        let (gamma, beta) = (self.gamma.as_slice(), self.beta.as_slice());
+        let means: Vec<f32> =
+            channel_sums((n, c, plane), Chain::PerPlane, (src, src), |_, x, _| [x])
+                .iter()
+                .map(|&[sum]| sum / m)
+                .collect();
+        let vars = channel_sums((n, c, plane), Chain::PerPlane, (src, src), |ch, x, _| {
+            [(x - means[ch]).powi(2)]
+        });
+        let mut inv_std = Vec::with_capacity(c);
+        for (ch, (&mean, &[var])) in means.iter().zip(&vars).enumerate() {
+            let var = var / m;
+            inv_std.push(1.0 / (var + self.eps).sqrt());
+            self.running_mean[ch] =
+                (1.0 - self.momentum) * self.running_mean[ch] + self.momentum * mean;
+            self.running_var[ch] =
+                (1.0 - self.momentum) * self.running_var[ch] + self.momentum * var;
+        }
+        // Normalize and apply the affine map in one pass: each `xhat` is
+        // stored for `backward` and used while it is still in a register.
+        // Every element is written exactly once, in storage order, so the
+        // output is built by appending — no fill to overwrite.
+        let mut out = Vec::with_capacity(src.len());
+        let mut xhat = lease_vec(src.len());
+        for (i, (xs, hs)) in src.chunks(plane).zip(xhat.chunks_mut(plane)).enumerate() {
+            let ch = i % c;
+            let (mean, istd) = (means[ch], inv_std[ch]);
+            let (gamma, beta) = (gamma[ch], beta[ch]);
+            out.extend(xs.iter().zip(hs).map(|(&x, h)| {
+                *h = (x - mean) * istd;
+                gamma * *h + beta
+            }));
+        }
+        let out = Tensor::from_vec(out, &dims)?;
+        Ok((out, Tape(Kept::Norm(xhat, inv_std, dims))))
+    }
+
+    fn backward(&mut self, tape: Tape, grad_out: &Tensor) -> Result<Tensor, NnError> {
         let _prof = hadfl_prof::scope("bn_bwd");
-        let Some(xh) = self.xhat.as_deref() else {
-            return Err(NnError::BackwardBeforeForward("BatchNorm2d"));
+        let Kept::Norm(xhat, inv_std, dims) = tape.0 else {
+            return Err(foreign_tape("BatchNorm2d"));
         };
-        if grad_out.dims() != self.dims.as_slice() {
+        if grad_out.dims() != dims {
             return Err(NnError::BatchMismatch(format!(
-                "batchnorm backward got {:?}, expected {:?}",
-                grad_out.dims(),
-                self.dims
+                "batchnorm backward got {:?}, expected {dims:?}",
+                grad_out.dims()
             )));
         }
-        let c = self.channels;
-        let n = self.dims[0];
-        let plane = self.dims[2] * self.dims[3];
+        let [n, c, h, w] = dims;
+        let plane = h * w;
         let m = (n * plane) as f32;
         let gy = grad_out.as_slice();
         let gamma = self.gamma.as_slice();
@@ -278,17 +260,17 @@ impl Layer for BatchNorm2d {
 
         // Per channel: (sum_gy, sum_gy_xh), then (k, mean_gy,
         // mean_gy_xh), the three scalars of the input gradient.
-        let sums = channel_sums((n, c, plane), Chain::Running, (gy, xh), |_, g, h| {
+        let sums = channel_sums((n, c, plane), Chain::Running, (gy, &xhat), |_, g, h| {
             [g, g * h]
         });
         let mut coeffs = Vec::with_capacity(c);
         for (ch, &[sum_gy, sum_gy_xh]) in sums.iter().enumerate() {
             gg[ch] += sum_gy_xh;
             gb[ch] += sum_gy;
-            coeffs.push((gamma[ch] * self.inv_std[ch], sum_gy / m, sum_gy_xh / m));
+            coeffs.push((gamma[ch] * inv_std[ch], sum_gy / m, sum_gy_xh / m));
         }
         let mut gx = Vec::with_capacity(gy.len());
-        for (i, (gs, hs)) in gy.chunks(plane).zip(xh.chunks(plane)).enumerate() {
+        for (i, (gs, hs)) in gy.chunks(plane).zip(xhat.chunks(plane)).enumerate() {
             let (k, mean_gy, mean_gy_xh) = coeffs[i % c];
             gx.extend(
                 gs.iter()
@@ -296,8 +278,7 @@ impl Layer for BatchNorm2d {
                     .map(|(&g, &h)| k * (g - mean_gy - h * mean_gy_xh)),
             );
         }
-        release(&mut self.xhat);
-        Ok(Tensor::from_vec(gx, &self.dims)?)
+        Ok(Tensor::from_vec(gx, &dims)?)
     }
 
     fn visit_params(&self, f: &mut dyn FnMut(&Tensor)) {
@@ -338,7 +319,7 @@ mod tests {
         for v in x.as_mut_slice() {
             *v = rng.normal() * 5.0 + 3.0;
         }
-        let y = bn.forward(&x, true).unwrap();
+        let (y, _) = bn.forward_train(&x).unwrap();
         // per-channel mean ~0, var ~1
         let plane = 9;
         for ch in 0..2 {
@@ -360,12 +341,10 @@ mod tests {
         // Run several training batches with mean 10 so the running mean moves.
         let x = Tensor::from_vec(vec![9.0, 10.0, 10.0, 11.0], &[1, 1, 2, 2]).unwrap();
         for _ in 0..50 {
-            bn.forward(&x, true).unwrap();
+            bn.forward_train(&x).unwrap();
         }
         // In eval, an input at the running mean maps near beta = 0.
-        let y = bn
-            .forward(&Tensor::full(&[1, 1, 2, 2], 10.0), false)
-            .unwrap();
+        let y = bn.forward(&Tensor::full(&[1, 1, 2, 2], 10.0)).unwrap();
         for &v in y.as_slice() {
             assert!(v.abs() < 0.2, "eval output {v} should be near 0");
         }
@@ -383,7 +362,7 @@ mod tests {
             }
         });
         let x = Tensor::from_vec(vec![-1.0, 1.0], &[2, 1, 1, 1]).unwrap();
-        let y = bn.forward(&x, true).unwrap();
+        let (y, _) = bn.forward_train(&x).unwrap();
         // xhat = [-1, 1] (unit variance), y = 2*xhat + 7
         assert!((y.as_slice()[0] - 5.0).abs() < 1e-2);
         assert!((y.as_slice()[1] - 9.0).abs() < 1e-2);
@@ -402,8 +381,8 @@ mod tests {
         for v in wts.as_mut_slice() {
             *v = rng.normal();
         }
-        bn.forward(&x, true).unwrap();
-        let gx = bn.backward(&wts).unwrap();
+        let (_, tape) = bn.forward_train(&x).unwrap();
+        let gx = bn.backward(tape, &wts).unwrap();
         let eps = 1e-2;
         for &i in &[0usize, 3, 9, 15] {
             let mut xp = x.clone();
@@ -413,8 +392,8 @@ mod tests {
             // Fresh layers so running stats don't drift between evals.
             let mut bn_p = BatchNorm2d::new(2).unwrap();
             let mut bn_m = BatchNorm2d::new(2).unwrap();
-            let yp = bn_p.forward(&xp, true).unwrap().dot(&wts).unwrap();
-            let ym = bn_m.forward(&xm, true).unwrap().dot(&wts).unwrap();
+            let yp = bn_p.forward_train(&xp).unwrap().0.dot(&wts).unwrap();
+            let ym = bn_m.forward_train(&xm).unwrap().0.dot(&wts).unwrap();
             let num = (yp - ym) / (2.0 * eps);
             let ana = gx.as_slice()[i];
             assert!(
@@ -427,33 +406,16 @@ mod tests {
     #[test]
     fn rejects_wrong_channel_count() {
         let mut bn = BatchNorm2d::new(3).unwrap();
-        assert!(bn.forward(&Tensor::zeros(&[1, 2, 2, 2]), true).is_err());
+        assert!(bn.forward_train(&Tensor::zeros(&[1, 2, 2, 2])).is_err());
+        assert!(bn.forward(&Tensor::zeros(&[1, 2, 2, 2])).is_err());
     }
 
     #[test]
     fn rejects_degenerate_batch_in_train() {
         let mut bn = BatchNorm2d::new(1).unwrap();
-        assert!(bn.forward(&Tensor::zeros(&[1, 1, 1, 1]), true).is_err());
+        assert!(bn.forward_train(&Tensor::zeros(&[1, 1, 1, 1])).is_err());
         // but eval mode is fine
-        assert!(bn.forward(&Tensor::zeros(&[1, 1, 1, 1]), false).is_ok());
-    }
-
-    #[test]
-    fn eval_forward_invalidates_the_training_cache() {
-        let mut bn = BatchNorm2d::new(1).unwrap();
-        let train = Tensor::from_vec(vec![1.0, 2.0, 3.0, 6.0], &[1, 1, 2, 2]).unwrap();
-        bn.forward(&train, true).unwrap();
-        assert!(bn.xhat().is_some());
-        // Same shape, other values: the stale cache would "work".
-        bn.forward(&Tensor::full(&[1, 1, 2, 2], 9.0), false)
-            .unwrap();
-        assert!(bn.xhat().is_none());
-        assert_eq!(
-            bn.backward(&Tensor::ones(&[1, 1, 2, 2])),
-            Err(NnError::BackwardBeforeForward("BatchNorm2d"))
-        );
-        bn.forward(&train, true).unwrap();
-        assert!(bn.backward(&Tensor::ones(&[1, 1, 2, 2])).is_ok());
+        assert!(bn.forward(&Tensor::zeros(&[1, 1, 1, 1])).is_ok());
     }
 
     #[test]

@@ -4,8 +4,8 @@ use hadfl_tensor::{
 };
 
 use crate::error::NnError;
-use crate::layer::Layer;
-use crate::scratch::{give_back, lease, release};
+use crate::layer::{foreign_tape, Kept, Layer, Tape};
+use crate::scratch::{lease, Lease};
 
 /// A 2-D convolution over NCHW batches, lowered to a matrix product via
 /// [`im2col_into`].
@@ -14,9 +14,9 @@ use crate::scratch::{give_back, lease, release};
 /// computes `patches · Wᵀ + b` straight into `(N, out_channels, out_h,
 /// out_w)`. The patch matrix is leased from the thread's training
 /// scratch: an evaluation forward returns it at once, a training forward
-/// holds it until backward has used it for `dW`. Once warm, a training step
-/// allocates nothing of that size, and replicas stepped in turn on one
-/// thread share one set of patch buffers.
+/// puts it on its tape, and backward returns it once it has used it for
+/// `dW`. Once warm, a training step allocates nothing of that size, and
+/// replicas stepped in turn on one thread share one set of patch buffers.
 ///
 /// # Example
 ///
@@ -26,8 +26,9 @@ use crate::scratch::{give_back, lease, release};
 ///
 /// # fn main() -> Result<(), hadfl_nn::NnError> {
 /// let mut conv = Conv2d::new(3, 8, 4, 4, 3, 1, 1, &mut SeedStream::new(0))?;
-/// let y = conv.forward(&Tensor::zeros(&[2, 3, 4, 4]), true)?;
+/// let (y, tape) = conv.forward_train(&Tensor::zeros(&[2, 3, 4, 4]))?;
 /// assert_eq!(y.dims(), &[2, 8, 4, 4]);
+/// conv.backward(tape, &Tensor::ones(y.dims()))?;
 /// # Ok(())
 /// # }
 /// ```
@@ -39,9 +40,6 @@ pub struct Conv2d {
     bias: Tensor,
     grad_weight: Tensor,
     grad_bias: Tensor,
-    /// The patch matrix of the latest training forward, leased until
-    /// backward has used it.
-    held: Option<Tensor>,
 }
 
 impl Conv2d {
@@ -77,25 +75,27 @@ impl Conv2d {
             bias: Tensor::zeros(&[out_channels]),
             grad_weight: Tensor::zeros(&[out_channels, fan_in]),
             grad_bias: Tensor::zeros(&[out_channels]),
-            held: None,
         })
     }
 
-    /// The convolution geometry (kernel, stride, padding, output extents).
-    pub fn geometry(&self) -> &Conv2dGeometry {
-        &self.geom
+    /// Leases a patch matrix and fills it from `input`.
+    fn patches(&self, input: &Tensor) -> Result<Lease<Tensor>, NnError> {
+        let rows = input
+            .dims()
+            .first()
+            .map_or(0, |n| n * self.geom.patches_per_image());
+        let dims = [rows, self.geom.patch_len()];
+        // A miss leaves an empty tensor, which `im2col_into` sizes.
+        let mut cols = lease(|t: &Tensor| t.dims() == dims, Tensor::default);
+        im2col_into(input, &self.geom, &mut cols)?;
+        Ok(cols)
     }
 
-    /// Number of output channels.
-    pub fn out_channels(&self) -> usize {
-        self.out_channels
-    }
-
-    /// Accumulates `dW` and `db` from the held patch matrix, which then
-    /// goes back to the thread's spares.
-    fn accumulate_param_grads(&mut self, grad_out: &Tensor) -> Result<(), NnError> {
-        let Some(cols) = &self.held else {
-            return Err(NnError::BackwardBeforeForward("Conv2d"));
+    /// Accumulates `dW` and `db` from the tape's patch matrix, which
+    /// then goes back to the thread's spares.
+    fn accumulate_param_grads(&mut self, tape: Tape, grad_out: &Tensor) -> Result<(), NnError> {
+        let Kept::Patches(cols) = tape.0 else {
+            return Err(foreign_tape("Conv2d"));
         };
         let ppi = self.geom.patches_per_image();
         let batch = cols.dims()[0] / ppi;
@@ -108,8 +108,9 @@ impl Conv2d {
             )));
         }
         // dW += gpᵀ · cols  : (oc, patch_len)
-        conv_backward_weight(grad_out, cols, &self.geom, &mut self.grad_weight)?;
-        release(&mut self.held);
+        conv_backward_weight(grad_out, &cols, &self.geom, &mut self.grad_weight)?;
+        // Spare again before the input gradient is allocated.
+        drop(cols);
         // db += per-channel sums of grad_out
         let gov = grad_out.as_slice();
         let gb = self.grad_bias.as_mut_slice();
@@ -124,41 +125,30 @@ impl Conv2d {
 }
 
 impl Layer for Conv2d {
-    fn forward(&mut self, input: &Tensor, train: bool) -> Result<Tensor, NnError> {
+    fn forward(&self, input: &Tensor) -> Result<Tensor, NnError> {
         let _prof = hadfl_prof::scope("conv2d_fwd");
-        let rows = input
-            .dims()
-            .first()
-            .map_or(0, |n| n * self.geom.patches_per_image());
-        let dims = [rows, self.geom.patch_len()];
-        // A miss leaves an empty tensor, which `im2col_into` sizes.
-        let mut cols = lease(|t: &Tensor| t.dims() == dims).unwrap_or_default();
-        if let Err(e) = im2col_into(input, &self.geom, &mut cols) {
-            // A rejected input returns its lease and keeps the held one.
-            give_back(cols);
-            return Err(e.into());
-        }
+        let cols = self.patches(input)?;
         // (rows, patch_len) · (oc, patch_len)ᵀ + b -> NCHW
-        let out = conv_forward(&cols, &self.weight, &self.bias, &self.geom);
-        release(&mut self.held);
-        if train {
-            self.held = Some(cols);
-        } else {
-            give_back(cols);
-        }
-        Ok(out?)
+        Ok(conv_forward(&cols, &self.weight, &self.bias, &self.geom)?)
     }
 
-    fn backward(&mut self, grad_out: &Tensor) -> Result<Tensor, NnError> {
+    fn forward_train(&mut self, input: &Tensor) -> Result<(Tensor, Tape), NnError> {
+        let _prof = hadfl_prof::scope("conv2d_fwd");
+        let cols = self.patches(input)?;
+        let out = conv_forward(&cols, &self.weight, &self.bias, &self.geom)?;
+        Ok((out, Tape(Kept::Patches(cols))))
+    }
+
+    fn backward(&mut self, tape: Tape, grad_out: &Tensor) -> Result<Tensor, NnError> {
         let _prof = hadfl_prof::scope("conv2d_bwd");
-        self.accumulate_param_grads(grad_out)?;
+        self.accumulate_param_grads(tape, grad_out)?;
         // dx = im2col*(gp · W)
         Ok(conv_backward_input(grad_out, &self.weight, &self.geom)?)
     }
 
-    fn backward_params(&mut self, grad_out: &Tensor) -> Result<(), NnError> {
+    fn backward_params(&mut self, tape: Tape, grad_out: &Tensor) -> Result<(), NnError> {
         let _prof = hadfl_prof::scope("conv2d_bwd");
-        self.accumulate_param_grads(grad_out)
+        self.accumulate_param_grads(tape, grad_out)
     }
 
     fn visit_params(&self, f: &mut dyn FnMut(&Tensor)) {
@@ -207,7 +197,7 @@ mod tests {
         let mut conv = Conv2d::new(1, 1, 3, 3, 1, 1, 0, &mut rng).unwrap();
         set_params(&mut conv, &[1.0], &[0.0]);
         let x = Tensor::from_vec((0..9).map(|i| i as f32).collect(), &[1, 1, 3, 3]).unwrap();
-        let y = conv.forward(&x, false).unwrap();
+        let y = conv.forward(&x).unwrap();
         assert_eq!(y.as_slice(), x.as_slice());
     }
 
@@ -216,7 +206,7 @@ mod tests {
         let mut rng = SeedStream::new(0);
         let mut conv = Conv2d::new(1, 2, 2, 2, 1, 1, 0, &mut rng).unwrap();
         set_params(&mut conv, &[0.0, 0.0], &[1.0, -1.0]);
-        let y = conv.forward(&Tensor::zeros(&[1, 1, 2, 2]), false).unwrap();
+        let y = conv.forward(&Tensor::zeros(&[1, 1, 2, 2])).unwrap();
         assert_eq!(&y.as_slice()[..4], &[1.0; 4]);
         assert_eq!(&y.as_slice()[4..], &[-1.0; 4]);
     }
@@ -227,7 +217,7 @@ mod tests {
         let mut conv = Conv2d::new(1, 1, 3, 3, 3, 1, 1, &mut rng).unwrap();
         set_params(&mut conv, &[1.0; 9], &[0.0]);
         let x = Tensor::ones(&[1, 1, 3, 3]);
-        let y = conv.forward(&x, false).unwrap();
+        let y = conv.forward(&x).unwrap();
         // centre pixel sees all 9 ones; corners see 4
         assert_eq!(y.at(&[0, 0, 1, 1]), 9.0);
         assert_eq!(y.at(&[0, 0, 0, 0]), 4.0);
@@ -237,15 +227,8 @@ mod tests {
     fn output_dims_follow_geometry() {
         let mut rng = SeedStream::new(0);
         let conv = Conv2d::new(3, 8, 8, 8, 3, 2, 1, &mut rng).unwrap();
-        let geom = conv.geometry();
-        assert_eq!([conv.out_channels(), geom.out_h, geom.out_w], [8, 4, 4]);
-    }
-
-    #[test]
-    fn backward_without_forward_errors() {
-        let mut rng = SeedStream::new(0);
-        let mut conv = Conv2d::new(1, 1, 3, 3, 3, 1, 1, &mut rng).unwrap();
-        assert!(conv.backward(&Tensor::zeros(&[1, 1, 3, 3])).is_err());
+        let y = conv.forward(&Tensor::zeros(&[2, 3, 8, 8])).unwrap();
+        assert_eq!(y.dims(), [2, 8, 4, 4]);
     }
 
     #[test]
@@ -257,9 +240,9 @@ mod tests {
         for v in x.as_mut_slice() {
             *v = rng.normal();
         }
-        conv.forward(&x, true).unwrap();
+        let (_, tape) = conv.forward_train(&x).unwrap();
         let gy = Tensor::ones(&[1, 2, 4, 4]);
-        let gx = conv.backward(&gy).unwrap();
+        let gx = conv.backward(tape, &gy).unwrap();
         let mut analytic_w = Tensor::default();
         conv.visit_params_grads_mut(&mut |p, g| {
             if p.dims().len() == 2 {
@@ -276,9 +259,9 @@ mod tests {
             wminus.as_mut_slice()[i] -= eps;
             let orig = conv.weight.clone();
             conv.weight = wplus;
-            let yp: f32 = conv.forward(&x, false).unwrap().as_slice().iter().sum();
+            let yp: f32 = conv.forward(&x).unwrap().as_slice().iter().sum();
             conv.weight = wminus;
-            let ym: f32 = conv.forward(&x, false).unwrap().as_slice().iter().sum();
+            let ym: f32 = conv.forward(&x).unwrap().as_slice().iter().sum();
             conv.weight = orig;
             let num = (yp - ym) / (2.0 * eps);
             let ana = analytic_w.as_slice()[i];
@@ -293,8 +276,8 @@ mod tests {
             xp.as_mut_slice()[i] += eps;
             let mut xm = x.clone();
             xm.as_mut_slice()[i] -= eps;
-            let yp: f32 = conv.forward(&xp, false).unwrap().as_slice().iter().sum();
-            let ym: f32 = conv.forward(&xm, false).unwrap().as_slice().iter().sum();
+            let yp: f32 = conv.forward(&xp).unwrap().as_slice().iter().sum();
+            let ym: f32 = conv.forward(&xm).unwrap().as_slice().iter().sum();
             let num = (yp - ym) / (2.0 * eps);
             let ana = gx.as_slice()[i];
             assert!(
@@ -324,23 +307,12 @@ mod tests {
         let mut params_only = Conv2d::new(2, 4, 5, 4, 3, 2, 1, &mut SeedStream::new(5)).unwrap();
         for _ in 0..2 {
             // Twice: the second pass accumulates onto non-zero gradients.
-            full.forward(&x, true).unwrap();
-            full.backward(&gy).unwrap();
-            params_only.forward(&x, true).unwrap();
-            params_only.backward_params(&gy).unwrap();
+            let (_, tape) = full.forward_train(&x).unwrap();
+            full.backward(tape, &gy).unwrap();
+            let (_, tape) = params_only.forward_train(&x).unwrap();
+            params_only.backward_params(tape, &gy).unwrap();
         }
         assert_eq!(grads(&mut full), grads(&mut params_only));
-    }
-
-    #[test]
-    fn eval_forward_invalidates_the_training_cache() {
-        let mut conv = Conv2d::new(1, 1, 3, 3, 3, 1, 1, &mut SeedStream::new(0)).unwrap();
-        conv.forward(&Tensor::ones(&[2, 1, 3, 3]), true).unwrap();
-        conv.forward(&Tensor::ones(&[4, 1, 3, 3]), false).unwrap();
-        assert!(matches!(
-            conv.backward(&Tensor::zeros(&[2, 1, 3, 3])),
-            Err(NnError::BackwardBeforeForward("Conv2d"))
-        ));
     }
 
     #[test]
@@ -354,67 +326,61 @@ mod tests {
         let (xa, xb, gy) = (input(), input(), input());
         let replica = |seed| Conv2d::new(2, 2, 5, 5, 3, 1, 1, &mut SeedStream::new(seed)).unwrap();
         let (mut a, mut b) = (replica(1), replica(2));
-        a.forward(&xa, true).unwrap();
-        a.backward(&gy).unwrap();
-        b.forward(&xb, true).unwrap();
-        b.backward(&gy).unwrap();
-        // Both replicas hold a lease of the same shape at once.
+        let (_, tape) = a.forward_train(&xa).unwrap();
+        a.backward(tape, &gy).unwrap();
+        let (_, tape) = b.forward_train(&xb).unwrap();
+        b.backward(tape, &gy).unwrap();
+        // Both replicas' tapes hold a lease of the same shape at once.
         let (mut a2, mut b2) = (replica(1), replica(2));
-        a2.forward(&xa, true).unwrap();
-        b2.forward(&xb, true).unwrap();
-        b2.backward(&gy).unwrap();
-        a2.backward(&gy).unwrap();
+        let (_, tape_a) = a2.forward_train(&xa).unwrap();
+        let (_, tape_b) = b2.forward_train(&xb).unwrap();
+        b2.backward(tape_b, &gy).unwrap();
+        a2.backward(tape_a, &gy).unwrap();
         assert_eq!(grads(&mut a), grads(&mut a2));
         assert_eq!(grads(&mut b), grads(&mut b2));
     }
 
     #[test]
-    fn one_forward_serves_one_backward() {
+    fn backward_gives_the_tapes_lease_back() {
         let mut conv = Conv2d::new(1, 1, 3, 3, 3, 1, 1, &mut SeedStream::new(0)).unwrap();
-        conv.forward(&Tensor::ones(&[2, 1, 3, 3]), true).unwrap();
-        let gy = Tensor::zeros(&[2, 1, 3, 3]);
-        conv.backward(&gy).unwrap();
-        assert!(matches!(
-            conv.backward(&gy),
-            Err(NnError::BackwardBeforeForward("Conv2d"))
-        ));
+        let (_, tape) = conv.forward_train(&Tensor::ones(&[2, 1, 3, 3])).unwrap();
+        assert!(spares().is_empty(), "the tape holds the lease");
+        conv.backward(tape, &Tensor::zeros(&[2, 1, 3, 3])).unwrap();
         assert_eq!(spares(), [[18, 9]], "the lease went back after backward");
     }
 
     #[test]
     fn rejected_input_returns_its_lease() {
-        let conv = || Conv2d::new(1, 1, 3, 3, 3, 1, 1, &mut SeedStream::new(0)).unwrap();
-        let (mut conv, mut other) = (conv(), conv());
+        let mut conv = Conv2d::new(1, 1, 3, 3, 3, 1, 1, &mut SeedStream::new(0)).unwrap();
         let x = Tensor::ones(&[2, 1, 3, 3]);
-        other.forward(&x, false).unwrap();
-        conv.forward(&x, true).unwrap();
+        conv.forward(&x).unwrap();
+        let (_, tape) = conv.forward_train(&x).unwrap();
         assert_eq!(
             spares(),
             Vec::<Vec<usize>>::new(),
-            "the training lease is held"
+            "the training lease is on the tape"
         );
-        other.forward(&x, false).unwrap();
+        conv.forward(&x).unwrap();
         // Wrong channel count at the same batch: the spare matrix leased
-        // for it comes back, and the held one still serves backward.
+        // for it comes back, and the tape's still serves backward.
         let bad = Tensor::ones(&[2, 2, 3, 3]);
-        assert!(conv.forward(&bad, true).is_err());
-        assert!(conv.forward(&bad, false).is_err());
+        assert!(conv.forward_train(&bad).is_err());
+        assert!(conv.forward(&bad).is_err());
         assert_eq!(spares(), [[18, 9]]);
-        conv.backward(&Tensor::zeros(&[2, 1, 3, 3])).unwrap();
+        conv.backward(tape, &Tensor::zeros(&[2, 1, 3, 3])).unwrap();
         assert_eq!(spares(), [[18, 9], [18, 9]]);
     }
 
     #[test]
     fn spare_list_drops_the_oldest_past_its_cap() {
-        let mut conv = Conv2d::new(1, 1, 3, 3, 3, 1, 1, &mut SeedStream::new(0)).unwrap();
+        let conv = Conv2d::new(1, 1, 3, 3, 3, 1, 1, &mut SeedStream::new(0)).unwrap();
         for batch in 1..=SPARE_CAP + 2 {
-            conv.forward(&Tensor::ones(&[batch, 1, 3, 3]), false)
-                .unwrap();
+            conv.forward(&Tensor::ones(&[batch, 1, 3, 3])).unwrap();
         }
         let want: Vec<Vec<usize>> = (3..=SPARE_CAP + 2).map(|n| vec![9 * n, 9]).collect();
         assert_eq!(spares(), want);
         // A shape already spare is reused, not added.
-        conv.forward(&Tensor::ones(&[5, 1, 3, 3]), false).unwrap();
+        conv.forward(&Tensor::ones(&[5, 1, 3, 3])).unwrap();
         assert_eq!(spares().len(), SPARE_CAP);
     }
 

@@ -157,32 +157,6 @@ pub struct Dataset {
 }
 
 impl Dataset {
-    /// Creates a dataset from raw parts.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NnError::BatchMismatch`] if `images.len()` is not
-    /// `labels.len() × product(sample_dims)`.
-    pub fn from_parts(
-        images: Vec<f32>,
-        labels: Vec<usize>,
-        sample_dims: &[usize],
-    ) -> Result<Self, NnError> {
-        let sample_len: usize = sample_dims.iter().product();
-        if sample_len == 0 || images.len() != labels.len() * sample_len {
-            return Err(NnError::BatchMismatch(format!(
-                "{} pixels for {} labels of sample length {sample_len}",
-                images.len(),
-                labels.len()
-            )));
-        }
-        Ok(Dataset {
-            sample_dims: sample_dims.to_vec(),
-            images,
-            labels,
-        })
-    }
-
     /// Generates `n` samples of the synthetic CIFAR-like task.
     ///
     /// `sample_seed` controls the random draws of *this* set only; use
@@ -524,13 +498,6 @@ mod tests {
         assert!(ds
             .shard(2, ShardSpec::Dirichlet { alpha: f32::NAN }, 1)
             .is_err());
-    }
-
-    #[test]
-    fn from_parts_validates_length() {
-        assert!(Dataset::from_parts(vec![0.0; 10], vec![0, 1], &[5]).is_ok());
-        assert!(Dataset::from_parts(vec![0.0; 9], vec![0, 1], &[5]).is_err());
-        assert!(Dataset::from_parts(vec![], vec![], &[0]).is_err());
     }
 
     #[test]

@@ -1,15 +1,15 @@
 use hadfl_tensor::{matmul, matmul_a_bt, matmul_at_b, Initializer, SeedStream, Tensor};
 
 use crate::error::NnError;
-use crate::layer::Layer;
-use crate::scratch::{lease, release};
+use crate::layer::{foreign_tape, Kept, Layer, Tape};
+use crate::scratch::lease;
 
 /// A fully-connected layer: `y = x·W + b` with `x: (batch, in)`,
 /// `W: (in, out)`, `b: (out)`.
 ///
 /// A training forward copies its input into a buffer leased from the
-/// thread's training scratch and holds it until backward has used it
-/// for `dW`.
+/// thread's training scratch and puts it on its tape, for backward's
+/// `dW`.
 ///
 /// # Example
 ///
@@ -19,8 +19,10 @@ use crate::scratch::{lease, release};
 ///
 /// # fn main() -> Result<(), hadfl_nn::NnError> {
 /// let mut layer = Dense::new(4, 2, &mut SeedStream::new(0));
-/// let y = layer.forward(&Tensor::ones(&[3, 4]), true)?;
+/// let (y, tape) = layer.forward_train(&Tensor::ones(&[3, 4]))?;
 /// assert_eq!(y.dims(), &[3, 2]);
+/// let gx = layer.backward(tape, &Tensor::ones(&[3, 2]))?;
+/// assert_eq!(gx.dims(), &[3, 4]);
 /// assert_eq!(layer.param_count(), 4 * 2 + 2);
 /// # Ok(())
 /// # }
@@ -31,9 +33,6 @@ pub struct Dense {
     bias: Tensor,
     grad_weight: Tensor,
     grad_bias: Tensor,
-    /// The input of the latest training forward, leased until backward
-    /// has used it.
-    held: Option<Tensor>,
 }
 
 impl Dense {
@@ -49,24 +48,10 @@ impl Dense {
             bias: Tensor::zeros(&[out_features]),
             grad_weight: Tensor::zeros(&[in_features, out_features]),
             grad_bias: Tensor::zeros(&[out_features]),
-            held: None,
         }
     }
 
-    /// Input width.
-    pub fn in_features(&self) -> usize {
-        self.weight.dims()[0]
-    }
-
-    /// Output width.
-    pub fn out_features(&self) -> usize {
-        self.weight.dims()[1]
-    }
-}
-
-impl Layer for Dense {
-    fn forward(&mut self, input: &Tensor, train: bool) -> Result<Tensor, NnError> {
-        let _prof = hadfl_prof::scope("dense_fwd");
+    fn affine(&self, input: &Tensor) -> Result<Tensor, NnError> {
         let mut out = matmul(input, &self.weight)?;
         let (batch, width) = (out.dims()[0], out.dims()[1]);
         let bias = self.bias.as_slice();
@@ -79,30 +64,37 @@ impl Layer for Dense {
                 *v += b;
             }
         });
-        release(&mut self.held);
-        if train {
-            let copy = match lease(|t: &Tensor| t.dims() == input.dims()) {
-                Some(mut spare) => {
-                    spare.as_mut_slice().copy_from_slice(input.as_slice());
-                    spare
-                }
-                None => input.clone(),
-            };
-            self.held = Some(copy);
-        }
         Ok(out)
     }
+}
 
-    fn backward(&mut self, grad_out: &Tensor) -> Result<Tensor, NnError> {
+impl Layer for Dense {
+    fn forward(&self, input: &Tensor) -> Result<Tensor, NnError> {
+        let _prof = hadfl_prof::scope("dense_fwd");
+        self.affine(input)
+    }
+
+    fn forward_train(&mut self, input: &Tensor) -> Result<(Tensor, Tape), NnError> {
+        let _prof = hadfl_prof::scope("dense_fwd");
+        let out = self.affine(input)?;
+        let mut copy = lease(
+            |t: &Tensor| t.dims() == input.dims(),
+            || Tensor::zeros(input.dims()),
+        );
+        copy.as_mut_slice().copy_from_slice(input.as_slice());
+        Ok((out, Tape(Kept::Input(copy))))
+    }
+
+    fn backward(&mut self, tape: Tape, grad_out: &Tensor) -> Result<Tensor, NnError> {
         let _prof = hadfl_prof::scope("dense_bwd");
-        let input = self
-            .held
-            .as_ref()
-            .ok_or(NnError::BackwardBeforeForward("Dense"))?;
+        let Kept::Input(input) = tape.0 else {
+            return Err(foreign_tape("Dense"));
+        };
         // dW += xᵀ · dy ; db += column sums of dy ; dx = dy · Wᵀ
-        let gw = matmul_at_b(input, grad_out)?;
+        let gw = matmul_at_b(&input, grad_out)?;
         self.grad_weight.add_assign_t(&gw)?;
-        release(&mut self.held);
+        // Spare again before the input gradient is allocated.
+        drop(input);
         let (batch, width) = (grad_out.dims()[0], grad_out.dims()[1]);
         let gov = grad_out.as_slice();
         let gb = self.grad_bias.as_mut_slice();
@@ -157,9 +149,9 @@ mod tests {
 
     #[test]
     fn forward_matches_manual_affine() {
-        let mut d = layer_2x2(&[1.0, 2.0, 3.0, 4.0], &[10.0, 20.0]);
+        let d = layer_2x2(&[1.0, 2.0, 3.0, 4.0], &[10.0, 20.0]);
         let x = Tensor::from_vec(vec![1.0, 1.0], &[1, 2]).unwrap();
-        let y = d.forward(&x, false).unwrap();
+        let y = d.forward(&x).unwrap();
         assert_eq!(y.as_slice(), &[14.0, 26.0]);
     }
 
@@ -167,9 +159,9 @@ mod tests {
     fn backward_produces_expected_gradients() {
         let mut d = layer_2x2(&[1.0, 2.0, 3.0, 4.0], &[0.0, 0.0]);
         let x = Tensor::from_vec(vec![1.0, 2.0], &[1, 2]).unwrap();
-        d.forward(&x, true).unwrap();
+        let (_, tape) = d.forward_train(&x).unwrap();
         let gy = Tensor::from_vec(vec![1.0, 1.0], &[1, 2]).unwrap();
-        let gx = d.backward(&gy).unwrap();
+        let gx = d.backward(tape, &gy).unwrap();
         // dx = gy · Wᵀ = [1+2, 3+4] = [3, 7]
         assert_eq!(gx.as_slice(), &[3.0, 7.0]);
         let mut grads = Vec::new();
@@ -183,10 +175,10 @@ mod tests {
         let mut d = layer_2x2(&[1.0, 0.0, 0.0, 1.0], &[0.0, 0.0]);
         let x = Tensor::ones(&[1, 2]);
         let gy = Tensor::ones(&[1, 2]);
-        d.forward(&x, true).unwrap();
-        d.backward(&gy).unwrap();
-        d.forward(&x, true).unwrap();
-        d.backward(&gy).unwrap();
+        for _ in 0..2 {
+            let (_, tape) = d.forward_train(&x).unwrap();
+            d.backward(tape, &gy).unwrap();
+        }
         let mut total = 0.0;
         d.visit_params_grads_mut(&mut |_, g| total += g.as_slice().iter().sum::<f32>());
         // per pass: sum(gw) = 4, sum(gb) = 2; two passes accumulate to 12
@@ -198,30 +190,14 @@ mod tests {
     }
 
     #[test]
-    fn backward_without_forward_errors() {
-        let mut d = Dense::new(2, 2, &mut SeedStream::new(0));
-        assert!(matches!(
-            d.backward(&Tensor::zeros(&[1, 2])),
-            Err(NnError::BackwardBeforeForward("Dense"))
-        ));
-    }
-
-    #[test]
-    fn eval_forward_does_not_cache() {
-        let mut d = Dense::new(2, 2, &mut SeedStream::new(0));
-        d.forward(&Tensor::zeros(&[1, 2]), false).unwrap();
-        assert!(d.backward(&Tensor::zeros(&[1, 2])).is_err());
-    }
-
-    #[test]
     fn numeric_gradient_check() {
         // Finite-difference check of dW on a scalar loss L = sum(y).
         let mut rng = SeedStream::new(42);
         let mut d = Dense::new(3, 2, &mut rng);
         let x = Tensor::from_vec(vec![0.5, -1.0, 2.0, 1.5, 0.0, -0.5], &[2, 3]).unwrap();
-        d.forward(&x, true).unwrap();
+        let (_, tape) = d.forward_train(&x).unwrap();
         let gy = Tensor::ones(&[2, 2]);
-        d.backward(&gy).unwrap();
+        d.backward(tape, &gy).unwrap();
         let mut analytic = Vec::new();
         d.visit_params_grads_mut(&mut |_, g| analytic.push(g.clone()));
 
@@ -241,9 +217,9 @@ mod tests {
                     });
                 };
                 bump(eps, &mut d);
-                let yp = d.forward(&x, false).unwrap();
+                let yp = d.forward(&x).unwrap();
                 bump(-2.0 * eps, &mut d);
-                let ym = d.forward(&x, false).unwrap();
+                let ym = d.forward(&x).unwrap();
                 bump(eps, &mut d);
                 let num = (yp.as_slice().iter().sum::<f32>() - ym.as_slice().iter().sum::<f32>())
                     / (2.0 * eps);

@@ -29,8 +29,6 @@ pub enum NnError {
         /// Length that was supplied.
         actual: usize,
     },
-    /// `backward` was called before `forward` (no cached activations).
-    BackwardBeforeForward(&'static str),
     /// Training produced NaN/inf parameters or loss.
     NonFinite(&'static str),
 }
@@ -46,9 +44,6 @@ impl fmt::Display for NnError {
                     f,
                     "parameter vector length {actual} does not match model size {expected}"
                 )
-            }
-            NnError::BackwardBeforeForward(layer) => {
-                write!(f, "backward called before forward in {layer}")
             }
             NnError::NonFinite(what) => write!(f, "non-finite value produced in {what}"),
         }

@@ -69,7 +69,7 @@ pub use conv2d::Conv2d;
 pub use data::{Dataset, ShardSpec, SyntheticSpec};
 pub use dense::Dense;
 pub use error::NnError;
-pub use layer::{Flatten, Layer};
+pub use layer::{Flatten, Layer, Tape};
 pub use loader::Loader;
 pub use loss::softmax_cross_entropy;
 pub use model::{Metrics, Model};

@@ -83,11 +83,6 @@ impl Model {
         self.net.param_count()
     }
 
-    /// The underlying network (diagnostics).
-    pub fn net(&self) -> &Sequential {
-        &self.net
-    }
-
     /// Copies all parameters into one flat vector, in deterministic
     /// traversal order.
     pub fn param_vector(&self) -> Vec<f32> {
@@ -152,9 +147,11 @@ impl Model {
     /// Propagates shape errors from the forward/backward pass, returns
     /// [`NnError::InvalidConfig`] if the logits are not `(batch,
     /// num_classes)` and [`NnError::NonFinite`] if the loss is not finite
-    /// (before any gradient is accumulated).
+    /// (before any gradient is accumulated). On every error the training
+    /// forward's tape is dropped, so its leases are back in the thread's
+    /// scratch.
     pub fn accumulate_grads(&mut self, x: &Tensor, labels: &[usize]) -> Result<f32, NnError> {
-        let logits = self.net.forward(x, true)?;
+        let (logits, tape) = self.net.forward_train(x)?;
         if logits.dims().len() != 2 || logits.dims()[1] != self.num_classes {
             return Err(NnError::InvalidConfig(format!(
                 "network produced {:?} logits for {} classes",
@@ -166,7 +163,7 @@ impl Model {
         if !loss.is_finite() {
             return Err(NnError::NonFinite("training loss"));
         }
-        self.net.backward_params(&grad)?;
+        self.net.backward_params(tape, &grad)?;
         Ok(loss)
     }
 
@@ -219,8 +216,8 @@ impl Model {
     /// # Errors
     ///
     /// Propagates shape errors from the forward pass.
-    pub fn predict(&mut self, x: &Tensor) -> Result<Vec<usize>, NnError> {
-        let logits = self.net.forward(x, false)?;
+    pub fn predict(&self, x: &Tensor) -> Result<Vec<usize>, NnError> {
+        let logits = self.net.forward(x)?;
         let (batch, classes) = (logits.dims()[0], logits.dims()[1]);
         let mut out = Vec::with_capacity(batch);
         for r in 0..batch {
@@ -235,7 +232,7 @@ impl Model {
     ///
     /// Returns [`NnError::BatchMismatch`] for an empty dataset, and
     /// propagates forward-pass errors.
-    pub fn evaluate(&mut self, ds: &Dataset, batch_size: usize) -> Result<Metrics, NnError> {
+    pub fn evaluate(&self, ds: &Dataset, batch_size: usize) -> Result<Metrics, NnError> {
         if ds.is_empty() {
             return Err(NnError::BatchMismatch(
                 "cannot evaluate on an empty dataset".into(),
@@ -246,7 +243,7 @@ impl Model {
         let mut correct = 0usize;
         for chunk in indices.chunks(batch_size.max(1)) {
             let (x, y) = ds.batch(chunk)?;
-            let logits = self.net.forward(&x, false)?;
+            let logits = self.net.forward(&x)?;
             let (loss, _) = softmax_cross_entropy(&logits, &y)?;
             total_loss += loss as f64 * chunk.len() as f64;
             let classes = logits.dims()[1];
@@ -366,7 +363,7 @@ mod tests {
     fn predict_shapes() {
         let spec = SyntheticSpec::tiny();
         let ds = Dataset::synthetic_cifar(6, &spec, 3).unwrap();
-        let mut m = tiny_model(4);
+        let m = tiny_model(4);
         let (x, _) = ds.batch(&[0, 1, 2]).unwrap();
         let preds = m.predict(&x).unwrap();
         assert_eq!(preds.len(), 3);
@@ -378,7 +375,7 @@ mod tests {
         let spec = SyntheticSpec::tiny();
         let ds = Dataset::synthetic_cifar(4, &spec, 3).unwrap();
         let empty = ds.subset(&[]).unwrap();
-        let mut m = tiny_model(4);
+        let m = tiny_model(4);
         assert!(m.evaluate(&empty, 4).is_err());
     }
 
@@ -403,17 +400,18 @@ mod tests {
         let (mut a, mut b) = (resnet_replica(1), resnet_replica(2));
         a.accumulate_grads(&xa, &ya).unwrap();
         b.accumulate_grads(&xb, &yb).unwrap();
-        // Forward A, forward B, backward B, backward A: both replicas
-        // hold every cache at once, and B gives its leases back first.
+        // Forward A, forward B, backward B, backward A: both replicas'
+        // tapes hold every cache at once, and B gives its leases back
+        // first.
         let (mut a2, mut b2) = (resnet_replica(1), resnet_replica(2));
         let forward = |m: &mut Model, x, y| {
-            let logits = m.net.forward(x, true).unwrap();
-            softmax_cross_entropy(&logits, y).unwrap().1
+            let (logits, tape) = m.net.forward_train(x).unwrap();
+            (tape, softmax_cross_entropy(&logits, y).unwrap().1)
         };
-        let ga = forward(&mut a2, &xa, &ya);
-        let gb = forward(&mut b2, &xb, &yb);
-        b2.net.backward_params(&gb).unwrap();
-        a2.net.backward_params(&ga).unwrap();
+        let (tape_a, ga) = forward(&mut a2, &xa, &ya);
+        let (tape_b, gb) = forward(&mut b2, &xb, &yb);
+        b2.net.backward_params(tape_b, &gb).unwrap();
+        a2.net.backward_params(tape_a, &ga).unwrap();
         assert_eq!(grad_bits(&mut a), grad_bits(&mut a2));
         assert_eq!(grad_bits(&mut b), grad_bits(&mut b2));
     }
@@ -431,6 +429,27 @@ mod tests {
             crate::scratch::misses(),
             warm,
             "replica B's step took a cache the thread had no spare for"
+        );
+    }
+
+    #[test]
+    fn a_failed_step_gives_its_leases_back() {
+        let [(xa, ya), (xb, yb)] = two_batches();
+        resnet_replica(1).accumulate_grads(&xa, &ya).unwrap();
+        // A whole training forward, then a logits width the model
+        // refuses: the step fails with every lease on its tape.
+        let Model { net, .. } = resnet_replica(3);
+        let mut wrong = Model::new(net, SyntheticSpec::tiny().classes + 1, "mismatched").unwrap();
+        assert!(matches!(
+            wrong.accumulate_grads(&xa, &ya),
+            Err(NnError::InvalidConfig(_))
+        ));
+        let warm = crate::scratch::misses();
+        resnet_replica(2).accumulate_grads(&xb, &yb).unwrap();
+        assert_eq!(
+            crate::scratch::misses(),
+            warm,
+            "the failed step kept a cache the next replica's step needed"
         );
     }
 

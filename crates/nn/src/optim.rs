@@ -23,8 +23,8 @@ use crate::layer::Layer;
 /// # fn main() -> Result<(), hadfl_nn::NnError> {
 /// let mut layer = Dense::new(2, 1, &mut SeedStream::new(0));
 /// let mut opt = Sgd::new(0.1, 0.9);
-/// layer.forward(&Tensor::ones(&[1, 2]), true)?;
-/// layer.backward(&Tensor::ones(&[1, 1]))?;
+/// let (_, tape) = layer.forward_train(&Tensor::ones(&[1, 2]))?;
+/// layer.backward(tape, &Tensor::ones(&[1, 1]))?;
 /// opt.step(&mut layer)?;
 /// assert_eq!(opt.steps_taken(), 1);
 /// # Ok(())
@@ -196,8 +196,8 @@ mod tests {
     }
 
     fn run_step(d: &mut Dense, opt: &mut Sgd) {
-        d.forward(&Tensor::ones(&[1, 1]), true).unwrap();
-        d.backward(&Tensor::ones(&[1, 1])).unwrap();
+        let (_, tape) = d.forward_train(&Tensor::ones(&[1, 1])).unwrap();
+        d.backward(tape, &Tensor::ones(&[1, 1])).unwrap();
         opt.step(d).unwrap();
     }
 
@@ -242,8 +242,8 @@ mod tests {
     fn non_finite_update_is_reported() {
         let mut d = unit_dense();
         // Poison the gradient with an inf by a giant forward value.
-        d.forward(&Tensor::full(&[1, 1], f32::MAX), true).unwrap();
-        d.backward(&Tensor::full(&[1, 1], f32::MAX)).unwrap();
+        let (_, tape) = d.forward_train(&Tensor::full(&[1, 1], f32::MAX)).unwrap();
+        d.backward(tape, &Tensor::full(&[1, 1], f32::MAX)).unwrap();
         let mut opt = Sgd::new(1.0, 0.0);
         assert!(matches!(opt.step(&mut d), Err(NnError::NonFinite(_))));
     }

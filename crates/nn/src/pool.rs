@@ -1,15 +1,25 @@
 use hadfl_tensor::Tensor;
 
 use crate::error::NnError;
-use crate::layer::Layer;
-use crate::scratch::{lease_vec, release};
+use crate::layer::{foreign_tape, Kept, Layer, Tape};
+use crate::scratch::lease_vec;
+
+/// The `[n, c, h, w]` of an NCHW input to `layer`.
+fn nchw(input: &Tensor, layer: &str) -> Result<[usize; 4], NnError> {
+    match *input.dims() {
+        [n, c, h, w] => Ok([n, c, h, w]),
+        ref dims => Err(NnError::BatchMismatch(format!(
+            "{layer} expects NCHW input, got {dims:?}"
+        ))),
+    }
+}
 
 /// 2-D max pooling over NCHW batches with a square window.
 ///
 /// Backward routes each output gradient to the argmax position of its
-/// window (ties to the first scanned position). The argmax offsets are
-/// leased from the thread's training scratch; a training forward holds
-/// them until backward has used them.
+/// window (ties to the first scanned position). A training forward
+/// leases the argmax offsets from the thread's training scratch and
+/// puts them on its tape; an evaluation forward records none.
 ///
 /// # Example
 ///
@@ -19,8 +29,10 @@ use crate::scratch::{lease_vec, release};
 ///
 /// # fn main() -> Result<(), hadfl_nn::NnError> {
 /// let mut pool = MaxPool2d::new(2, 2)?;
-/// let y = pool.forward(&Tensor::ones(&[1, 3, 4, 4]), true)?;
+/// let (y, tape) = pool.forward_train(&Tensor::ones(&[1, 3, 4, 4]))?;
 /// assert_eq!(y.dims(), &[1, 3, 2, 2]);
+/// let gx = pool.backward(tape, &Tensor::ones(y.dims()))?;
+/// assert_eq!(gx.dims(), &[1, 3, 4, 4]);
 /// # Ok(())
 /// # }
 /// ```
@@ -28,11 +40,6 @@ use crate::scratch::{lease_vec, release};
 pub struct MaxPool2d {
     window: usize,
     stride: usize,
-    /// The argmax offsets of the latest training forward, leased until
-    /// backward has used them.
-    held: Option<Vec<usize>>,
-    /// The input dims of the latest training forward.
-    cached_in_dims: Vec<usize>,
 }
 
 impl MaxPool2d {
@@ -47,12 +54,7 @@ impl MaxPool2d {
                 "maxpool window {window} and stride {stride} must be positive"
             )));
         }
-        Ok(MaxPool2d {
-            window,
-            stride,
-            held: None,
-            cached_in_dims: Vec::new(),
-        })
+        Ok(MaxPool2d { window, stride })
     }
 
     fn out_hw(&self, h: usize, w: usize) -> Result<(usize, usize), NnError> {
@@ -67,20 +69,12 @@ impl MaxPool2d {
             (w - self.window) / self.stride + 1,
         ))
     }
-}
 
-impl Layer for MaxPool2d {
-    fn forward(&mut self, input: &Tensor, train: bool) -> Result<Tensor, NnError> {
-        let dims = input.dims();
-        if dims.len() != 4 {
-            return Err(NnError::BatchMismatch(format!(
-                "maxpool expects NCHW input, got {dims:?}"
-            )));
-        }
-        let (n, c, h, w) = (dims[0], dims[1], dims[2], dims[3]);
+    /// Pools `input`; in training, the tape keeps each output's argmax.
+    fn pool(&self, input: &Tensor, train: bool) -> Result<(Tensor, Tape), NnError> {
+        let in_dims @ [n, c, h, w] = nchw(input, "maxpool")?;
         let (oh, ow) = self.out_hw(h, w)?;
         let mut out = Tensor::zeros(&[n, c, oh, ow]);
-        // An evaluation forward records no argmax.
         let mut argmax = train.then(|| lease_vec(n * c * oh * ow));
         let src = input.as_slice();
         let dst = out.as_mut_slice();
@@ -111,32 +105,36 @@ impl Layer for MaxPool2d {
                 }
             }
         }
-        release(&mut self.held);
-        self.held = argmax;
-        if train {
-            self.cached_in_dims = dims.to_vec();
-        }
-        Ok(out)
+        let kept = argmax.map_or(Kept::Nothing, |argmax| Kept::Argmax(argmax, in_dims));
+        Ok((out, Tape(kept)))
+    }
+}
+
+impl Layer for MaxPool2d {
+    fn forward(&self, input: &Tensor) -> Result<Tensor, NnError> {
+        Ok(self.pool(input, false)?.0)
     }
 
-    fn backward(&mut self, grad_out: &Tensor) -> Result<Tensor, NnError> {
-        let argmax = self
-            .held
-            .as_ref()
-            .ok_or(NnError::BackwardBeforeForward("MaxPool2d"))?;
+    fn forward_train(&mut self, input: &Tensor) -> Result<(Tensor, Tape), NnError> {
+        self.pool(input, true)
+    }
+
+    fn backward(&mut self, tape: Tape, grad_out: &Tensor) -> Result<Tensor, NnError> {
+        let Kept::Argmax(argmax, in_dims) = tape.0 else {
+            return Err(foreign_tape("MaxPool2d"));
+        };
         if grad_out.len() != argmax.len() {
             return Err(NnError::BatchMismatch(format!(
-                "maxpool backward length {} does not match cached {}",
+                "maxpool backward length {} does not match the tape's {}",
                 grad_out.len(),
                 argmax.len()
             )));
         }
-        let mut gx = Tensor::zeros(&self.cached_in_dims);
+        let mut gx = Tensor::zeros(&in_dims);
         let gv = gx.as_mut_slice();
         for (&src_off, &g) in argmax.iter().zip(grad_out.as_slice()) {
             gv[src_off] += g;
         }
-        release(&mut self.held);
         Ok(gx)
     }
 
@@ -155,28 +153,18 @@ impl Layer for MaxPool2d {
 ///
 /// Used as the head of `resnet18_lite` in place of ResNet's final pooling.
 #[derive(Debug, Default)]
-pub struct GlobalAvgPool2d {
-    /// The input dims of the latest training forward, until backward
-    /// has used them.
-    in_dims: Option<[usize; 4]>,
-}
+pub struct GlobalAvgPool2d;
 
 impl GlobalAvgPool2d {
     /// Creates a global average-pool layer.
     pub fn new() -> Self {
-        GlobalAvgPool2d::default()
+        GlobalAvgPool2d
     }
 }
 
 impl Layer for GlobalAvgPool2d {
-    fn forward(&mut self, input: &Tensor, train: bool) -> Result<Tensor, NnError> {
-        let dims = input.dims();
-        if dims.len() != 4 {
-            return Err(NnError::BatchMismatch(format!(
-                "global avg pool expects NCHW input, got {dims:?}"
-            )));
-        }
-        let (n, c, h, w) = (dims[0], dims[1], dims[2], dims[3]);
+    fn forward(&self, input: &Tensor) -> Result<Tensor, NnError> {
+        let [n, c, h, w] = nchw(input, "global avg pool")?;
         let plane = h * w;
         if plane == 0 {
             return Err(NnError::BatchMismatch(
@@ -192,13 +180,17 @@ impl Layer for GlobalAvgPool2d {
                 dst[img * c + ch] = src[base..base + plane].iter().sum::<f32>() / plane as f32;
             }
         }
-        self.in_dims = train.then_some([n, c, h, w]);
         Ok(out)
     }
 
-    fn backward(&mut self, grad_out: &Tensor) -> Result<Tensor, NnError> {
-        let Some(in_dims @ [n, c, h, w]) = self.in_dims else {
-            return Err(NnError::BackwardBeforeForward("GlobalAvgPool2d"));
+    fn forward_train(&mut self, input: &Tensor) -> Result<(Tensor, Tape), NnError> {
+        let out = self.forward(input)?;
+        Ok((out, Tape(Kept::Planes(nchw(input, "global avg pool")?))))
+    }
+
+    fn backward(&mut self, tape: Tape, grad_out: &Tensor) -> Result<Tensor, NnError> {
+        let Kept::Planes(in_dims @ [n, c, h, w]) = tape.0 else {
+            return Err(foreign_tape("GlobalAvgPool2d"));
         };
         if grad_out.dims() != [n, c] {
             return Err(NnError::BatchMismatch(format!(
@@ -219,7 +211,6 @@ impl Layer for GlobalAvgPool2d {
                 }
             }
         }
-        self.in_dims = None;
         Ok(gx)
     }
 
@@ -239,7 +230,7 @@ mod tests {
 
     #[test]
     fn maxpool_picks_window_max() {
-        let mut p = MaxPool2d::new(2, 2).unwrap();
+        let p = MaxPool2d::new(2, 2).unwrap();
         let x = Tensor::from_vec(
             vec![
                 1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0, 9.0, 10.0, 11.0, 12.0, 13.0, 14.0, 15.0,
@@ -248,7 +239,7 @@ mod tests {
             &[1, 1, 4, 4],
         )
         .unwrap();
-        let y = p.forward(&x, false).unwrap();
+        let y = p.forward(&x).unwrap();
         assert_eq!(y.as_slice(), &[6.0, 8.0, 14.0, 16.0]);
     }
 
@@ -256,17 +247,17 @@ mod tests {
     fn maxpool_backward_routes_to_argmax() {
         let mut p = MaxPool2d::new(2, 2).unwrap();
         let x = Tensor::from_vec(vec![1.0, 9.0, 2.0, 3.0], &[1, 1, 2, 2]).unwrap();
-        p.forward(&x, true).unwrap();
+        let (_, tape) = p.forward_train(&x).unwrap();
         let gx = p
-            .backward(&Tensor::from_vec(vec![7.0], &[1, 1, 1, 1]).unwrap())
+            .backward(tape, &Tensor::from_vec(vec![7.0], &[1, 1, 1, 1]).unwrap())
             .unwrap();
         assert_eq!(gx.as_slice(), &[0.0, 7.0, 0.0, 0.0]);
     }
 
     #[test]
     fn maxpool_rejects_window_larger_than_input() {
-        let mut p = MaxPool2d::new(4, 4).unwrap();
-        assert!(p.forward(&Tensor::zeros(&[1, 1, 2, 2]), false).is_err());
+        let p = MaxPool2d::new(4, 4).unwrap();
+        assert!(p.forward(&Tensor::zeros(&[1, 1, 2, 2])).is_err());
     }
 
     #[test]
@@ -277,22 +268,22 @@ mod tests {
 
     #[test]
     fn global_avg_pool_means_planes() {
-        let mut p = GlobalAvgPool2d::new();
+        let p = GlobalAvgPool2d::new();
         let x = Tensor::from_vec(
             vec![1.0, 2.0, 3.0, 4.0, 10.0, 10.0, 10.0, 10.0],
             &[1, 2, 2, 2],
         )
         .unwrap();
-        let y = p.forward(&x, false).unwrap();
+        let y = p.forward(&x).unwrap();
         assert_eq!(y.as_slice(), &[2.5, 10.0]);
     }
 
     #[test]
     fn global_avg_pool_backward_spreads_evenly() {
         let mut p = GlobalAvgPool2d::new();
-        p.forward(&Tensor::zeros(&[1, 1, 2, 2]), true).unwrap();
+        let (_, tape) = p.forward_train(&Tensor::zeros(&[1, 1, 2, 2])).unwrap();
         let gx = p
-            .backward(&Tensor::from_vec(vec![8.0], &[1, 1]).unwrap())
+            .backward(tape, &Tensor::from_vec(vec![8.0], &[1, 1]).unwrap())
             .unwrap();
         assert_eq!(gx.as_slice(), &[2.0, 2.0, 2.0, 2.0]);
     }
@@ -301,13 +292,5 @@ mod tests {
     fn pools_have_no_params() {
         assert_eq!(MaxPool2d::new(2, 2).unwrap().param_count(), 0);
         assert_eq!(GlobalAvgPool2d::new().param_count(), 0);
-    }
-
-    #[test]
-    fn backward_without_forward_errors() {
-        let mut mp = MaxPool2d::new(2, 2).unwrap();
-        assert!(mp.backward(&Tensor::zeros(&[1, 1, 1, 1])).is_err());
-        let mut gp = GlobalAvgPool2d::new();
-        assert!(gp.backward(&Tensor::zeros(&[1, 1])).is_err());
     }
 }

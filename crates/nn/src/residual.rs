@@ -1,7 +1,7 @@
 use hadfl_tensor::Tensor;
 
 use crate::error::NnError;
-use crate::layer::Layer;
+use crate::layer::{Layer, Tape};
 use crate::sequential::Sequential;
 
 /// A residual (skip) connection: `y = body(x) + x`.
@@ -9,7 +9,7 @@ use crate::sequential::Sequential;
 /// The body must preserve the input shape. Backward sends the output
 /// gradient both through the body and directly along the skip path — the
 /// structural ingredient that lets `resnet18_lite` stand in for ResNet-18
-/// (see DESIGN.md §2).
+/// (see DESIGN.md §2). A training forward's tape is the body's.
 ///
 /// # Example
 ///
@@ -20,8 +20,10 @@ use crate::sequential::Sequential;
 /// # fn main() -> Result<(), hadfl_nn::NnError> {
 /// // An empty body makes the residual compute y = x + x.
 /// let mut res = Residual::new(Sequential::new());
-/// let y = res.forward(&Tensor::ones(&[1, 2]), true)?;
+/// let (y, tape) = res.forward_train(&Tensor::ones(&[1, 2]))?;
 /// assert_eq!(y.as_slice(), &[2.0, 2.0]);
+/// // ... and the gradient comes back along both paths.
+/// assert_eq!(res.backward(tape, &y)?.as_slice(), &[4.0, 4.0]);
 /// # Ok(())
 /// # }
 /// ```
@@ -35,28 +37,32 @@ impl Residual {
     pub fn new(body: Sequential) -> Self {
         Residual { body }
     }
+}
 
-    /// The wrapped body (diagnostics).
-    pub fn body(&self) -> &Sequential {
-        &self.body
+/// `branch + input`, once the body has kept the shape.
+fn skip(branch: Tensor, input: &Tensor) -> Result<Tensor, NnError> {
+    if branch.dims() != input.dims() {
+        return Err(NnError::InvalidConfig(format!(
+            "residual body changed shape: {:?} -> {:?}",
+            input.dims(),
+            branch.dims()
+        )));
     }
+    Ok(branch.add(input)?)
 }
 
 impl Layer for Residual {
-    fn forward(&mut self, input: &Tensor, train: bool) -> Result<Tensor, NnError> {
-        let branch = self.body.forward(input, train)?;
-        if branch.dims() != input.dims() {
-            return Err(NnError::InvalidConfig(format!(
-                "residual body changed shape: {:?} -> {:?}",
-                input.dims(),
-                branch.dims()
-            )));
-        }
-        Ok(branch.add(input)?)
+    fn forward(&self, input: &Tensor) -> Result<Tensor, NnError> {
+        skip(self.body.forward(input)?, input)
     }
 
-    fn backward(&mut self, grad_out: &Tensor) -> Result<Tensor, NnError> {
-        let through_body = self.body.backward(grad_out)?;
+    fn forward_train(&mut self, input: &Tensor) -> Result<(Tensor, Tape), NnError> {
+        let (branch, tape) = self.body.forward_train(input)?;
+        Ok((skip(branch, input)?, tape))
+    }
+
+    fn backward(&mut self, tape: Tape, grad_out: &Tensor) -> Result<Tensor, NnError> {
+        let through_body = self.body.backward(tape, grad_out)?;
         Ok(through_body.add(grad_out)?)
     }
 
@@ -89,18 +95,18 @@ mod tests {
 
     #[test]
     fn empty_body_doubles_input() {
-        let mut r = Residual::new(Sequential::new());
+        let r = Residual::new(Sequential::new());
         let x = Tensor::from_vec(vec![1.0, -2.0], &[1, 2]).unwrap();
-        assert_eq!(r.forward(&x, true).unwrap().as_slice(), &[2.0, -4.0]);
+        assert_eq!(r.forward(&x).unwrap().as_slice(), &[2.0, -4.0]);
     }
 
     #[test]
     fn empty_body_backward_doubles_gradient() {
         let mut r = Residual::new(Sequential::new());
         let x = Tensor::ones(&[1, 2]);
-        r.forward(&x, true).unwrap();
+        let (_, tape) = r.forward_train(&x).unwrap();
         let g = r
-            .backward(&Tensor::from_vec(vec![3.0, 5.0], &[1, 2]).unwrap())
+            .backward(tape, &Tensor::from_vec(vec![3.0, 5.0], &[1, 2]).unwrap())
             .unwrap();
         assert_eq!(g.as_slice(), &[6.0, 10.0]);
     }
@@ -112,7 +118,11 @@ mod tests {
         body.push(Dense::new(2, 3, &mut rng));
         let mut r = Residual::new(body);
         assert!(matches!(
-            r.forward(&Tensor::ones(&[1, 2]), true),
+            r.forward_train(&Tensor::ones(&[1, 2])),
+            Err(NnError::InvalidConfig(_))
+        ));
+        assert!(matches!(
+            r.forward(&Tensor::ones(&[1, 2])),
             Err(NnError::InvalidConfig(_))
         ));
     }
@@ -125,8 +135,8 @@ mod tests {
         body.push(Dense::new(2, 2, &mut rng));
         let mut r = Residual::new(body);
         let x = Tensor::from_vec(vec![0.3, -0.8], &[1, 2]).unwrap();
-        r.forward(&x, true).unwrap();
-        let gx = r.backward(&Tensor::ones(&[1, 2])).unwrap();
+        let (_, tape) = r.forward_train(&x).unwrap();
+        let gx = r.backward(tape, &Tensor::ones(&[1, 2])).unwrap();
 
         let eps = 1e-3;
         for i in 0..2 {
@@ -134,8 +144,8 @@ mod tests {
             xp.as_mut_slice()[i] += eps;
             let mut xm = x.clone();
             xm.as_mut_slice()[i] -= eps;
-            let yp: f32 = r.forward(&xp, false).unwrap().as_slice().iter().sum();
-            let ym: f32 = r.forward(&xm, false).unwrap().as_slice().iter().sum();
+            let yp: f32 = r.forward(&xp).unwrap().as_slice().iter().sum();
+            let ym: f32 = r.forward(&xm).unwrap().as_slice().iter().sum();
             let num = (yp - ym) / (2.0 * eps);
             assert!((num - gx.as_slice()[i]).abs() < 1e-2, "x[{i}]");
         }
@@ -148,6 +158,5 @@ mod tests {
         body.push(Dense::new(3, 3, &mut rng));
         let r = Residual::new(body);
         assert_eq!(r.param_count(), 12);
-        assert_eq!(r.body().len(), 1);
     }
 }

@@ -1,11 +1,14 @@
-//! The thread's training scratch: every buffer a layer keeps from a
-//! training forward to its backward is leased from here, not owned.
+//! The thread's training scratch: every buffer a training forward
+//! leaves for its backward is leased from here, not owned.
 //!
-//! A training forward takes a buffer and holds it until backward has
-//! used it, then gives it back; an evaluation forward gives back
-//! whatever the layer held. So replicas that take turns on one thread
-//! (`run_virtual` steps all of its devices that way) share one set of
-//! caches, and a held lease is what makes a backward legal.
+//! A lease is a guard: the layer's forward takes a buffer, the
+//! [`Tape`](crate::Tape) it returns carries it, and the buffer goes
+//! back to the thread's spares when the lease drops — at the end of
+//! the backward that consumed the tape, at the end of an evaluation
+//! forward, or wherever a tape is dropped unused. So replicas that take
+//! turns on one thread (`run_virtual` steps all of its devices that
+//! way) share one set of caches, and no layer parks a buffer between
+//! steps.
 //!
 //! Each buffer type has its own list of spares, kept in the order they
 //! were returned. A lease takes the most recently returned spare that
@@ -14,6 +17,7 @@
 //! every element, so a reused buffer needs no zeroing.
 
 use std::cell::{Cell, RefCell};
+use std::ops::{Deref, DerefMut};
 use std::thread::LocalKey;
 
 use hadfl_tensor::Tensor;
@@ -38,7 +42,7 @@ thread_local! {
 }
 
 /// A buffer type with a spare list of its own.
-pub(crate) trait Scratch: Sized + 'static {
+pub(crate) trait Scratch: Default + 'static {
     /// The thread's spares of this type.
     fn spares() -> &'static LocalKey<RefCell<Vec<Self>>>;
 
@@ -72,30 +76,55 @@ macro_rules! vec_scratch {
 
 vec_scratch!(f32 => FLOATS, bool => FLAGS, usize => INDICES);
 
-/// Takes the thread's most recently returned spare that `fits`, or
-/// `None` (a miss) if it has none.
-pub(crate) fn lease<T: Scratch>(fits: impl Fn(&T) -> bool) -> Option<T> {
+/// A buffer leased from the thread's spares; dropping it gives the
+/// buffer back.
+#[derive(Debug)]
+pub(crate) struct Lease<T: Scratch>(T);
+
+impl<T: Scratch> Deref for Lease<T> {
+    type Target = T;
+
+    fn deref(&self) -> &T {
+        &self.0
+    }
+}
+
+impl<T: Scratch> DerefMut for Lease<T> {
+    fn deref_mut(&mut self) -> &mut T {
+        &mut self.0
+    }
+}
+
+impl<T: Scratch> Drop for Lease<T> {
+    fn drop(&mut self) {
+        give_back(std::mem::take(&mut self.0));
+    }
+}
+
+/// Leases the thread's most recently returned spare that `fits`, or,
+/// when it has none (a miss), the buffer `fresh` makes.
+pub(crate) fn lease<T: Scratch>(fits: impl Fn(&T) -> bool, fresh: impl FnOnce() -> T) -> Lease<T> {
     let hit =
         T::spares().with_borrow_mut(|spare| spare.iter().rposition(fits).map(|i| spare.remove(i)));
-    if hit.is_none() {
+    Lease(hit.unwrap_or_else(|| {
         MISSES.set(MISSES.get() + 1);
-    }
-    hit
+        fresh()
+    }))
 }
 
 /// Leases a vector of exactly `len` elements: a spare of that length,
 /// or a fresh one of default values. The caller overwrites every
 /// element.
-pub(crate) fn lease_vec<E: Clone + Default>(len: usize) -> Vec<E>
+pub(crate) fn lease_vec<E: Clone + Default>(len: usize) -> Lease<Vec<E>>
 where
     Vec<E>: Scratch,
 {
-    lease(|v: &Vec<E>| v.len() == len).unwrap_or_else(|| vec![E::default(); len])
+    lease(|v: &Vec<E>| v.len() == len, || vec![E::default(); len])
 }
 
 /// Returns a buffer to the thread's spares; past [`SPARE_CAP`] the one
 /// returned longest ago is dropped. An empty buffer is not kept.
-pub(crate) fn give_back<T: Scratch>(buf: T) {
+fn give_back<T: Scratch>(buf: T) {
     if buf.is_empty() {
         return;
     }
@@ -105,13 +134,6 @@ pub(crate) fn give_back<T: Scratch>(buf: T) {
         }
         spare.push(buf);
     });
-}
-
-/// Gives back the lease `held` holds, if any.
-pub(crate) fn release<T: Scratch>(held: &mut Option<T>) {
-    if let Some(buf) = held.take() {
-        give_back(buf);
-    }
 }
 
 /// How many leases on this thread have missed so far.
@@ -140,21 +162,27 @@ mod tests {
         give_back(vec![2.0f32; 4]);
         give_back(vec![3.0f32; 3]);
         let before = misses();
-        assert_eq!(lease_vec::<f32>(3), [3.0; 3]);
+        let hit = lease_vec::<f32>(3);
+        assert_eq!(*hit, [3.0; 3]);
         assert_eq!(spare_lens(), [3, 4]);
         assert_eq!(misses(), before);
         // No spare of length 5: a fresh vector, and a miss.
-        assert_eq!(lease_vec::<f32>(5), [0.0; 5]);
+        assert_eq!(*lease_vec::<f32>(5), [0.0; 5]);
         assert_eq!(misses(), before + 1);
+        // Each lease goes back when it drops: the miss at once, the hit
+        // here.
+        assert_eq!(spare_lens(), [3, 4, 5]);
+        drop(hit);
+        assert_eq!(spare_lens(), [3, 4, 5, 3]);
     }
 
     #[test]
     fn the_lists_are_per_type() {
         give_back(vec![true; 2]);
         let before = misses();
-        assert_eq!(lease_vec::<usize>(2), [0; 2]);
+        assert_eq!(*lease_vec::<usize>(2), [0; 2]);
         assert_eq!(misses(), before + 1);
-        assert_eq!(lease_vec::<bool>(2), [true; 2]);
+        assert_eq!(*lease_vec::<bool>(2), [true; 2]);
         assert_eq!(misses(), before + 1);
     }
 
@@ -173,15 +201,5 @@ mod tests {
         }
         let want: Vec<usize> = (3..=SPARE_CAP + 2).collect();
         assert_eq!(spare_lens(), want);
-    }
-
-    #[test]
-    fn release_empties_the_holder() {
-        let mut held = Some(vec![0.5f32; 2]);
-        release(&mut held);
-        assert!(held.is_none());
-        assert_eq!(spare_lens(), [2]);
-        release(&mut held);
-        assert_eq!(spare_lens(), [2]);
     }
 }

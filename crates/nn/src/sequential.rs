@@ -1,13 +1,14 @@
 use hadfl_tensor::Tensor;
 
 use crate::error::NnError;
-use crate::layer::Layer;
+use crate::layer::{foreign_tape, Kept, Layer, Tape};
 
 /// An ordered chain of layers, itself a [`Layer`].
 ///
 /// `Sequential` is the composition primitive of the model zoo: plain
 /// feed-forward stacks are `Sequential`s, and residual blocks wrap a
-/// `Sequential` body (see [`crate::Residual`]).
+/// `Sequential` body (see [`crate::Residual`]). A training forward's
+/// tape is its layers' tapes; its `Debug` form names the layers.
 ///
 /// # Example
 ///
@@ -21,8 +22,11 @@ use crate::layer::Layer;
 /// net.push(Dense::new(4, 8, &mut rng));
 /// net.push(Relu::new());
 /// net.push(Dense::new(8, 2, &mut rng));
-/// let y = net.forward(&Tensor::ones(&[1, 4]), true)?;
+/// let (y, tape) = net.forward_train(&Tensor::ones(&[1, 4]))?;
 /// assert_eq!(y.dims(), &[1, 2]);
+/// let gx = net.backward(tape, &Tensor::ones(&[1, 2]))?;
+/// assert_eq!(gx.dims(), &[1, 4]);
+/// assert_eq!(format!("{net:?}"), r#"Sequential { layers: ["Dense", "Relu", "Dense"] }"#);
 /// # Ok(())
 /// # }
 /// ```
@@ -63,38 +67,58 @@ impl Sequential {
         self.layers.is_empty()
     }
 
-    /// Names of the layers, in order (diagnostics).
-    pub fn layer_names(&self) -> Vec<&'static str> {
-        self.layers.iter().map(|l| l.name()).collect()
+    /// The layers' tapes, one per layer, out of this chain's tape.
+    fn tapes(&self, tape: Tape) -> Result<Vec<Tape>, NnError> {
+        match tape.0 {
+            Kept::Chain(tapes) if tapes.len() == self.layers.len() => Ok(tapes),
+            _ => Err(foreign_tape("Sequential")),
+        }
     }
 }
 
+// Each pass reads the chain's input (or output gradient) by reference
+// into its first layer; only an empty chain, the identity, copies it.
 impl Layer for Sequential {
-    fn forward(&mut self, input: &Tensor, train: bool) -> Result<Tensor, NnError> {
-        let mut x = input.clone();
+    fn forward(&self, input: &Tensor) -> Result<Tensor, NnError> {
+        let mut x: Option<Tensor> = None;
+        for layer in &self.layers {
+            x = Some(layer.forward(x.as_ref().unwrap_or(input))?);
+        }
+        Ok(x.unwrap_or_else(|| input.clone()))
+    }
+
+    fn forward_train(&mut self, input: &Tensor) -> Result<(Tensor, Tape), NnError> {
+        let mut tapes = Vec::with_capacity(self.layers.len());
+        let mut x: Option<Tensor> = None;
         for layer in &mut self.layers {
-            x = layer.forward(&x, train)?;
+            let (y, tape) = layer.forward_train(x.as_ref().unwrap_or(input))?;
+            tapes.push(tape);
+            x = Some(y);
         }
-        Ok(x)
+        let out = x.unwrap_or_else(|| input.clone());
+        Ok((out, Tape(Kept::Chain(tapes))))
     }
 
-    fn backward(&mut self, grad_out: &Tensor) -> Result<Tensor, NnError> {
-        let mut g = grad_out.clone();
-        for layer in self.layers.iter_mut().rev() {
-            g = layer.backward(&g)?;
+    fn backward(&mut self, tape: Tape, grad_out: &Tensor) -> Result<Tensor, NnError> {
+        let tapes = self.tapes(tape)?;
+        let mut g: Option<Tensor> = None;
+        for (layer, tape) in self.layers.iter_mut().zip(tapes).rev() {
+            g = Some(layer.backward(tape, g.as_ref().unwrap_or(grad_out))?);
         }
-        Ok(g)
+        Ok(g.unwrap_or_else(|| grad_out.clone()))
     }
 
-    fn backward_params(&mut self, grad_out: &Tensor) -> Result<(), NnError> {
-        let Some((first, rest)) = self.layers.split_first_mut() else {
-            return Ok(());
-        };
-        let mut g = grad_out.clone();
-        for layer in rest.iter_mut().rev() {
-            g = layer.backward(&g)?;
+    fn backward_params(&mut self, tape: Tape, grad_out: &Tensor) -> Result<(), NnError> {
+        let tapes = self.tapes(tape)?;
+        let mut g: Option<Tensor> = None;
+        for (i, (layer, tape)) in self.layers.iter_mut().zip(tapes).enumerate().rev() {
+            let g_out = g.as_ref().unwrap_or(grad_out);
+            if i == 0 {
+                return layer.backward_params(tape, g_out);
+            }
+            g = Some(layer.backward(tape, g_out)?);
         }
-        first.backward_params(&g)
+        Ok(())
     }
 
     fn visit_params(&self, f: &mut dyn FnMut(&Tensor)) {
@@ -137,8 +161,10 @@ mod tests {
     fn empty_sequential_is_identity() {
         let mut s = Sequential::new();
         let x = Tensor::from_vec(vec![1.0, 2.0], &[1, 2]).unwrap();
-        assert_eq!(s.forward(&x, true).unwrap(), x);
-        assert_eq!(s.backward(&x).unwrap(), x);
+        assert_eq!(s.forward(&x).unwrap(), x);
+        let (y, tape) = s.forward_train(&x).unwrap();
+        assert_eq!(y, x);
+        assert_eq!(s.backward(tape, &x).unwrap(), x);
     }
 
     #[test]
@@ -147,9 +173,12 @@ mod tests {
         let mut s = Sequential::new();
         s.push(Flatten::new());
         s.push(Dense::new(4, 3, &mut rng));
-        let y = s.forward(&Tensor::ones(&[2, 1, 2, 2]), true).unwrap();
+        let y = s.forward(&Tensor::ones(&[2, 1, 2, 2])).unwrap();
         assert_eq!(y.dims(), &[2, 3]);
-        assert_eq!(s.layer_names(), vec!["Flatten", "Dense"]);
+        assert_eq!(
+            format!("{s:?}"),
+            r#"Sequential { layers: ["Flatten", "Dense"] }"#
+        );
     }
 
     #[test]
@@ -168,8 +197,8 @@ mod tests {
         s.push(Dense::new(2, 2, &mut rng));
         s.push(Dense::new(2, 2, &mut rng));
         let x = Tensor::ones(&[1, 2]);
-        s.forward(&x, true).unwrap();
-        s.backward(&Tensor::ones(&[1, 2])).unwrap();
+        let (_, tape) = s.forward_train(&x).unwrap();
+        s.backward(tape, &Tensor::ones(&[1, 2])).unwrap();
         s.zero_grads();
         let mut total = 0.0;
         s.visit_params_grads_mut(&mut |_, g| total += g.norm_l2());
@@ -188,17 +217,19 @@ mod tests {
         let (mut full, mut params_only) = (build(), build());
         let x = Tensor::from_vec((0..8).map(|i| i as f32 * 0.25 - 1.0).collect(), &[2, 4]).unwrap();
         let gy = Tensor::from_vec(vec![0.5, -1.0, 2.0, 0.25], &[2, 2]).unwrap();
-        full.forward(&x, true).unwrap();
-        full.backward(&gy).unwrap();
-        params_only.forward(&x, true).unwrap();
-        params_only.backward_params(&gy).unwrap();
+        let (_, tape) = full.forward_train(&x).unwrap();
+        full.backward(tape, &gy).unwrap();
+        let (_, tape) = params_only.forward_train(&x).unwrap();
+        params_only.backward_params(tape, &gy).unwrap();
         let grads = |s: &mut Sequential| {
             let mut out = Vec::new();
             s.visit_params_grads_mut(&mut |_, g| out.extend_from_slice(g.as_slice()));
             out
         };
         assert_eq!(grads(&mut full), grads(&mut params_only));
-        Sequential::new().backward_params(&gy).unwrap();
+        let mut empty = Sequential::new();
+        let (_, tape) = empty.forward_train(&gy).unwrap();
+        empty.backward_params(tape, &gy).unwrap();
     }
 
     #[test]

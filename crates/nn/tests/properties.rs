@@ -2,7 +2,7 @@
 
 use hadfl_nn::{
     models, softmax_cross_entropy, BatchNorm2d, Dataset, Layer, NnError, Relu, Sgd, ShardSpec,
-    SyntheticSpec,
+    SyntheticSpec, Tape,
 };
 use hadfl_tensor::{SeedStream, Tensor, TensorError};
 use proptest::prelude::*;
@@ -202,7 +202,7 @@ fn batchnorm_matches_its_spec_bit_for_bit() {
                     || Tensor::from_vec(random(n * c * plane, &mut rng), &dims).unwrap();
                 if n * plane < 2 {
                     assert!(
-                        matches!(bn.forward(&batch(), true), Err(NnError::BatchMismatch(_))),
+                        matches!(bn.forward_train(&batch()), Err(NnError::BatchMismatch(_))),
                         "{case}"
                     );
                     continue;
@@ -218,16 +218,16 @@ fn batchnorm_matches_its_spec_bit_for_bit() {
                         (&gamma, &beta),
                         (&mut mean, &mut var),
                     );
-                    let out = bn.forward(&x, true).unwrap();
+                    let (out, tape) = bn.forward_train(&x).unwrap();
                     assert_eq!(bits(out.as_slice()), bits(&want.out), "out, {case}");
-                    assert_eq!(bits(bn.xhat().unwrap()), bits(&want.xhat), "xhat, {case}");
+                    assert_eq!(bits(tape.xhat().unwrap()), bits(&want.xhat), "xhat, {case}");
                     assert_eq!(bits(bn.running_mean()), bits(&mean), "running mean, {case}");
                     assert_eq!(bits(bn.running_var()), bits(&var), "running var, {case}");
 
                     let (want_gx, want_gg, want_gb) =
                         bn_backward_spec(gy.as_slice(), &want, (n, c, plane), &gamma);
                     bn.zero_grads();
-                    let gx = bn.backward(&gy).unwrap();
+                    let gx = bn.backward(tape, &gy).unwrap();
                     assert_eq!(bits(gx.as_slice()), bits(&want_gx), "gx, {case}");
                     let mut grads = Vec::new();
                     bn.visit_params_grads_mut(&mut |_, g| grads.push(bits(g.as_slice())));
@@ -284,8 +284,8 @@ fn relu_backward_matches_its_spec_bit_for_bit() {
     let dims = [1, input.len()];
 
     let mut relu = Relu::new();
-    let out = relu
-        .forward(&Tensor::from_vec(input.clone(), &dims).unwrap(), true)
+    let (out, tape) = relu
+        .forward_train(&Tensor::from_vec(input.clone(), &dims).unwrap())
         .unwrap();
     for (&x, &y) in input.iter().zip(out.as_slice()) {
         // `f32::max` leaves the sign of a zero result open.
@@ -296,7 +296,7 @@ fn relu_backward_matches_its_spec_bit_for_bit() {
         );
     }
     let gx = relu
-        .backward(&Tensor::from_vec(grad.clone(), &dims).unwrap())
+        .backward(tape, &Tensor::from_vec(grad.clone(), &dims).unwrap())
         .unwrap();
     assert_eq!(gx.dims(), &dims);
     assert_eq!(
@@ -329,10 +329,13 @@ impl Params {
 }
 
 impl Layer for Params {
-    fn forward(&mut self, input: &Tensor, _train: bool) -> Result<Tensor, NnError> {
+    fn forward(&self, input: &Tensor) -> Result<Tensor, NnError> {
         Ok(input.clone())
     }
-    fn backward(&mut self, grad_out: &Tensor) -> Result<Tensor, NnError> {
+    fn forward_train(&mut self, input: &Tensor) -> Result<(Tensor, Tape), NnError> {
+        Ok((input.clone(), Tape::default()))
+    }
+    fn backward(&mut self, _tape: Tape, grad_out: &Tensor) -> Result<Tensor, NnError> {
         Ok(grad_out.clone())
     }
     fn visit_params(&self, f: &mut dyn FnMut(&Tensor)) {
