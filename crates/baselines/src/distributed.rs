@@ -16,8 +16,10 @@ use crate::cluster;
 /// Every device computes gradients on its local mini-batch; the
 /// iteration completes only when the *slowest* device finishes
 /// (`max_i step_time_i`), then the gradient all-reduce runs and every
-/// device applies the identical averaged update — so all replicas stay
-/// bit-identical, as in DDP.
+/// device applies the identical averaged update — so all replicas'
+/// parameters stay bit-identical, as in DDP. Each replica's BatchNorm
+/// statistics follow its own batches; an epoch's record evaluates device
+/// 0's state, the buffers DDP broadcasts from rank 0.
 ///
 /// # Errors
 ///
@@ -66,9 +68,9 @@ pub fn run_distributed(workload: &Workload, opts: &SimOptions) -> Result<Trace, 
             }
             now += slowest + cost.secs;
         }
-        let params = cluster.built.runtimes[0].model.param_vector();
+        let state = cluster.built.runtimes[0].model.state_vector();
         let train_loss = (epoch_loss / iters_per_epoch as f64) as f32;
-        cluster.record(epoch, now, epoch as f64, train_loss, &params)?;
+        cluster.record(epoch, now, epoch as f64, train_loss, &state)?;
     }
     Ok(cluster.finish("distributed_training"))
 }

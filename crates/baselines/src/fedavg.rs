@@ -79,12 +79,12 @@ fn fedavg(workload: &Workload, opts: &SimOptions, merge: Merge) -> Result<Trace,
             let secs = cluster.compute.steps_time(DeviceId(i), steps, Some(rng))?;
             slowest = slowest.max(secs);
         }
-        // Synchronous merge of parameters across all devices.
+        // Synchronous merge of the models' states across all devices.
         let params: Vec<Vec<f32>> = cluster
             .built
             .runtimes
             .iter()
-            .map(|rt| rt.model.param_vector())
+            .map(|rt| rt.model.state_vector())
             .collect();
         let refs: Vec<&[f32]> = params.iter().map(Vec::as_slice).collect();
         let merged = average_params(&refs)?;
@@ -103,7 +103,7 @@ fn fedavg(workload: &Workload, opts: &SimOptions, merge: Merge) -> Result<Trace,
             }
         };
         for rt in &mut cluster.built.runtimes {
-            rt.model.set_param_vector(&merged)?;
+            rt.model.set_state_vector(&merged)?;
         }
         now += slowest + comm;
 

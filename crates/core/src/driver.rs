@@ -206,8 +206,10 @@ impl Cluster {
         samples as f64 / self.built.train_size as f64
     }
 
-    /// Evaluates `params` and records round `round`'s evaluation at
-    /// `time_secs`, with every device's step count as its version.
+    /// Evaluates the model state `state` through
+    /// [`BuiltWorkload::evaluate_params`](crate::workload::BuiltWorkload::evaluate_params)
+    /// and records round `round`'s evaluation at `time_secs`, with every
+    /// device's step count as its version.
     ///
     /// # Errors
     ///
@@ -218,9 +220,9 @@ impl Cluster {
         time_secs: f64,
         epoch_equiv: f64,
         train_loss: f32,
-        params: &[f32],
+        state: &[f32],
     ) -> Result<(), HadflError> {
-        let metrics = self.built.evaluate_params(params)?;
+        let metrics = self.built.evaluate_params(state)?;
         let runtimes = self.built.runtimes.iter();
         let evaluated = EventKind::Evaluated {
             round: round as u32,
@@ -388,7 +390,7 @@ pub fn run_hadfl(
     let mut backups_taken = 0usize;
     let mut device_free: Vec<VirtualTime> = vec![warmup_end; k];
     let mut window_start = warmup_end;
-    let mut last_merged: Vec<f32> = built.runtimes[0].model.param_vector();
+    let mut last_merged: Vec<f32> = built.runtimes[0].model.state_vector();
 
     for round in 1..=opts.max_rounds {
         let window_end = window_start.after(window);
@@ -483,7 +485,7 @@ pub fn run_hadfl(
             let params: BTreeMap<DeviceId, Vec<f32>> = ring
                 .members()
                 .iter()
-                .map(|&d| (d, runtimes[d.index()].model.param_vector()))
+                .map(|&d| (d, runtimes[d.index()].model.state_vector()))
                 .collect();
             let outcome = match run_partial_sync(
                 ring,
@@ -516,7 +518,7 @@ pub fn run_hadfl(
             let done = at.after(outcome.comm_secs);
             for d in &outcome.participants {
                 let model = &mut cluster.built.runtimes[d.index()].model;
-                model.set_param_vector(&outcome.merged)?;
+                model.set_state_vector(&outcome.merged)?;
                 device_free[d.index()] = done;
             }
 
@@ -529,9 +531,9 @@ pub fn run_hadfl(
                     }
                     cluster.send(done.as_secs(), from, *u, wire_bytes, "param_sync");
                     let model = &mut cluster.built.runtimes[u.index()].model;
-                    let mut local = model.param_vector();
+                    let mut local = model.state_vector();
                     blend_params(&mut local, &outcome.merged, config.blend_beta)?;
-                    model.set_param_vector(&local)?;
+                    model.set_state_vector(&local)?;
                     // Non-blocking: the receiver keeps training; the sender
                     // does not wait either.
                 }

@@ -444,7 +444,9 @@ impl CoordinatorRun {
 /// whose parameters are chosen to make the ring arithmetic
 /// machine-checkable.
 pub trait TrainState {
-    /// Current parameter vector (what rides in ring frames).
+    /// Current parameter vector (what rides in ring frames): a
+    /// replica's whole [`Model::state_vector`](hadfl_nn::Model::state_vector),
+    /// BatchNorm running statistics included.
     fn params(&self) -> Vec<f32>;
 
     /// Installs a parameter vector (merged model or blended broadcast).
@@ -475,11 +477,11 @@ pub trait TrainState {
 
 impl TrainState for DeviceRuntime {
     fn params(&self) -> Vec<f32> {
-        self.model.param_vector()
+        self.model.state_vector()
     }
 
     fn set_params(&mut self, params: &[f32]) -> Result<(), HadflError> {
-        self.model.set_param_vector(params)?;
+        self.model.set_state_vector(params)?;
         Ok(())
     }
 

@@ -2,7 +2,6 @@ use std::sync::Arc;
 use std::thread;
 use std::time::Duration;
 
-use hadfl_nn::Dataset;
 use hadfl_simnet::NetStats;
 use hadfl_telemetry::{EventKind, Telemetry};
 
@@ -16,7 +15,7 @@ use crate::coordinator::{RuntimeSupervisor, StrategyGenerator};
 use crate::error::HadflError;
 use crate::trace::CommSummary;
 use crate::transport::{coordinator_id, ChannelTransport, Port};
-use crate::workload::{evaluate_with, DeviceRuntime, Workload};
+use crate::workload::{BuiltWorkload, DeviceRuntime, Workload};
 
 /// The blocking executor: drives `actor` over `port`, on the port's
 /// clock, until it is done. A [`Wake::Sleep`] sleeps and then wakes the
@@ -218,14 +217,15 @@ pub fn run_threaded(
     opts: &ThreadedOptions,
 ) -> Result<ThreadedReport, HadflError> {
     let k = opts.powers.len();
-    let built = workload.build(k)?;
+    let mut built = workload.build(k)?;
     let mut hub = ChannelTransport::hub(k + 1);
     let coordinator_port = hub.claim(coordinator_id(k))?;
     let device_ports = (0..k).map(|i| hub.claim(i)).collect::<Result<_, _>>()?;
     let wall_clock = WallClock::new();
-    let outcome = run_cluster(device_ports, coordinator_port, built.runtimes, config, opts)?;
+    let runtimes = std::mem::take(&mut built.runtimes);
+    let outcome = run_cluster(device_ports, coordinator_port, runtimes, config, opts)?;
     let wall = wall_clock.now();
-    close_cluster(workload, &built.test, &hub.net_stats(), k, outcome, wall)
+    close_cluster(&mut built, &hub.net_stats(), k, outcome, wall)
 }
 
 /// The option checks [`run_cluster`] and [`run_virtual_cluster`]
@@ -249,24 +249,17 @@ fn check_cluster(k: usize, opts: &ThreadedOptions) -> Result<Vec<Duration>, Hadf
 }
 
 /// The close [`run_threaded`] and [`run_virtual`] share: averages the
-/// collected final models, tests the mean on a freshly initialised
-/// model — not on a trained replica, whose BatchNorm running statistics
-/// are not part of the parameter vector and differ from device to
-/// device — and reads the byte ledger off the hub's `stats`.
+/// collected final states, evaluates the mean through
+/// [`BuiltWorkload::evaluate_params`] and reads the byte ledger off the
+/// hub's `stats`.
 fn close_cluster(
-    workload: &Workload,
-    test: &Dataset,
+    built: &mut BuiltWorkload,
     stats: &NetStats,
     k: usize,
     outcome: CoordinatorRun,
     wall: Duration,
 ) -> Result<ThreadedReport, HadflError> {
-    let metrics = evaluate_with(
-        &mut workload.model()?,
-        test,
-        &outcome.consensus()?,
-        workload.device_batch,
-    )?;
+    let metrics = built.evaluate_params(&outcome.consensus()?)?;
     Ok(ThreadedReport {
         rounds: outcome.rounds,
         final_accuracy: metrics.accuracy,
@@ -305,14 +298,14 @@ pub fn run_virtual(
         rt.set_optimizer(config.lr, config.momentum);
     }
     let (outcome, stats, elapsed) = run_virtual_cluster(
-        built.runtimes,
+        std::mem::take(&mut built.runtimes),
         StrategyGenerator::new(config),
         config,
         opts,
         &[],
         &[],
     )?;
-    close_cluster(workload, &built.test, &stats, k, outcome, elapsed)
+    close_cluster(&mut built, &stats, k, outcome, elapsed)
 }
 
 /// The virtual-time driver behind [`run_virtual`], over any training

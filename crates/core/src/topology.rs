@@ -144,12 +144,6 @@ impl Ring {
         Some(self.order[(i + 1) % self.order.len()])
     }
 
-    /// The device `device` receives from.
-    pub fn upstream_of(&self, device: DeviceId) -> Option<DeviceId> {
-        let i = self.order.iter().position(|&d| d == device)?;
-        Some(self.order[(i + self.order.len() - 1) % self.order.len()])
-    }
-
     /// Removes a dead member, reconnecting its upstream directly to its
     /// downstream — the paper's §III-D bypass. Returns the shrunken ring,
     /// or `None` if fewer than 2 members would remain (the ring dissolves
@@ -191,8 +185,7 @@ mod tests {
         let ring = Ring::from_order(ids(&[3, 1, 4])).unwrap();
         assert_eq!(ring.downstream_of(DeviceId(3)), Some(DeviceId(1)));
         assert_eq!(ring.downstream_of(DeviceId(4)), Some(DeviceId(3)));
-        assert_eq!(ring.upstream_of(DeviceId(3)), Some(DeviceId(4)));
-        assert_eq!(ring.upstream_of(DeviceId(9)), None);
+        assert_eq!(ring.downstream_of(DeviceId(9)), None);
     }
 
     #[test]

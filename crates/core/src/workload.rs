@@ -94,8 +94,7 @@ impl Workload {
     }
 
     /// A freshly initialised model of this workload's architecture: the
-    /// `w₀` every device starts from, with untouched BatchNorm running
-    /// statistics.
+    /// `w₀` every device starts from.
     ///
     /// # Errors
     ///
@@ -123,17 +122,14 @@ impl Workload {
         let test =
             Dataset::synthetic_cifar(self.test_size, &self.data_spec, self.seed ^ 0x7E57_0000)?;
         let shards = train.shard(k, self.shard.into(), self.seed ^ 0x5A)?;
-        // `w₀` is the first replica's initialisation: every replica is
-        // built from the same seed, and each later one is set to it.
-        let mut init = Vec::new();
+        // `w₀` is one initialisation, installed in every replica; the
+        // evaluator is one more model of it, which no device trains.
+        let evaluator = self.model()?;
+        let init = evaluator.state_vector();
         let mut runtimes = Vec::with_capacity(k);
         for (i, shard) in shards.into_iter().enumerate() {
             let mut model = self.model()?;
-            if i == 0 {
-                init = model.param_vector();
-            } else {
-                model.set_param_vector(&init)?;
-            }
+            model.set_state_vector(&init)?;
             runtimes.push(DeviceRuntime::new(
                 model,
                 shard,
@@ -147,6 +143,7 @@ impl Workload {
             train_size: self.train_size,
             model_bytes: (init.len() * std::mem::size_of::<f32>()) as u64,
             device_batch: self.device_batch,
+            evaluator,
         })
     }
 }
@@ -161,10 +158,15 @@ pub struct BuiltWorkload {
     pub test: Dataset,
     /// Global training-set size (for epoch-equivalent accounting).
     pub train_size: usize,
-    /// Model size in bytes (`M`).
+    /// Model size in bytes (`M`): the bytes of the model's state vector,
+    /// the parameters and the BatchNorm running statistics the schemes
+    /// exchange.
     pub model_bytes: u64,
     /// Per-device batch size.
     pub device_batch: usize,
+    /// The model [`evaluate_params`](Self::evaluate_params) installs a
+    /// state into; it belongs to no device.
+    evaluator: Model,
 }
 
 impl BuiltWorkload {
@@ -181,40 +183,32 @@ impl BuiltWorkload {
             .collect()
     }
 
-    /// Evaluates a parameter vector on the test set using device 0's
-    /// model as scratch (its parameters are restored afterwards), in
-    /// batches of the device batch.
+    /// Evaluates a model state ([`Model::state_vector`]) on the test set:
+    /// the one evaluation every scheme's records, the actors' close and
+    /// the TCP coordinator share. The state goes into a model of the
+    /// evaluation's own, never into a device's replica, so the network
+    /// normalises with the statistics `state` carries. A vector of
+    /// parameter length is accepted too and keeps the statistics the
+    /// evaluation model last held.
+    ///
+    /// Evaluation runs in batches of the device batch: it then forwards
+    /// the shapes training does and leases the buffers training leaves
+    /// spare, where a larger batch would allocate a set of its own.
+    /// Accuracy does not depend on the batch (each row's logits are
+    /// computed alone).
     ///
     /// # Errors
     ///
-    /// Propagates substrate errors.
-    pub fn evaluate_params(&mut self, params: &[f32]) -> Result<Metrics, HadflError> {
-        let rt = self
-            .runtimes
-            .first_mut()
-            .ok_or_else(|| HadflError::InvalidConfig("workload has no devices".into()))?;
-        evaluate_with(&mut rt.model, &self.test, params, self.device_batch)
+    /// Returns [`HadflError::Nn`] for a vector of neither length, and
+    /// substrate errors from the evaluation.
+    pub fn evaluate_params(&mut self, state: &[f32]) -> Result<Metrics, HadflError> {
+        if state.len() == self.evaluator.num_params() {
+            self.evaluator.set_param_vector(state)?;
+        } else {
+            self.evaluator.set_state_vector(state)?;
+        }
+        Ok(self.evaluator.evaluate(&self.test, self.device_batch)?)
     }
-}
-
-/// Evaluates a parameter vector on `test` in batches of `batch`, using
-/// `model` as scratch (its parameters are restored afterwards).
-///
-/// Callers pass the device batch: evaluation then forwards the shapes
-/// training does and reuses the convolutions' patch matrices, where a
-/// larger batch would allocate a set of its own. Accuracy does not
-/// depend on the batch (each row's logits are computed alone).
-pub(crate) fn evaluate_with(
-    model: &mut Model,
-    test: &Dataset,
-    params: &[f32],
-    batch: usize,
-) -> Result<Metrics, HadflError> {
-    let saved = model.param_vector();
-    model.set_param_vector(params)?;
-    let metrics = model.evaluate(test, batch)?;
-    model.set_param_vector(&saved)?;
-    Ok(metrics)
 }
 
 /// One device's training state: model replica, optimizer, and a shard
@@ -386,13 +380,23 @@ mod tests {
     }
 
     #[test]
-    fn evaluate_params_restores_scratch_model() {
-        let mut built = Workload::quick("mlp", 0).build(2).unwrap();
-        let original = built.runtimes[0].model.param_vector();
-        let zeros = vec![0.0f32; original.len()];
-        let metrics = built.evaluate_params(&zeros).unwrap();
-        assert!(metrics.accuracy >= 0.0);
-        assert_eq!(built.runtimes[0].model.param_vector(), original);
+    fn evaluate_params_leaves_every_replica_untouched() {
+        let mut built = Workload::quick("resnet18_lite", 0).build(2).unwrap();
+        for rt in &mut built.runtimes {
+            rt.train_steps(2).unwrap();
+        }
+        let bits = |built: &BuiltWorkload| -> Vec<Vec<u32>> {
+            let states = built.runtimes.iter().map(|rt| rt.model.state_vector());
+            states
+                .map(|s| s.iter().map(|v| v.to_bits()).collect())
+                .collect()
+        };
+        let before = bits(&built);
+        let zeros = vec![0.0f32; built.runtimes[0].model.state_len()];
+        assert!(built.evaluate_params(&zeros).unwrap().accuracy >= 0.0);
+        let state = built.runtimes[1].model.state_vector();
+        built.evaluate_params(&state).unwrap();
+        assert_eq!(bits(&built), before);
     }
 
     #[test]
@@ -401,15 +405,13 @@ mod tests {
             let workload = Workload::quick(name, 0);
             let mut built = workload.build(2).unwrap();
             built.runtimes[0].train_steps(6).unwrap();
-            let params = built.runtimes[0].model.param_vector();
             let mut model = workload.model().unwrap();
-            let at = |model: &mut Model, batch| {
-                evaluate_with(model, &built.test, &params, batch)
-                    .unwrap()
-                    .accuracy
-            };
-            let device = at(&mut model, workload.device_batch);
-            assert_eq!(device.to_bits(), at(&mut model, 64).to_bits(), "{name}");
+            model
+                .set_state_vector(&built.runtimes[0].model.state_vector())
+                .unwrap();
+            let at = |batch| model.evaluate(&built.test, batch).unwrap().accuracy;
+            let device = at(workload.device_batch);
+            assert_eq!(device.to_bits(), at(64).to_bits(), "{name}");
         }
     }
 

@@ -78,3 +78,8 @@ pub fn seeded(seed: u64) -> rand_chacha::ChaCha8Rng { //~ retired //~ retired
 pub fn misuse(err: &NnError) -> bool {
     matches!(err, NnError::BackwardBeforeForward(_)) //~ retired
 }
+
+// One evaluation path, on a model of the evaluation's own.
+pub fn scratch(model: &mut Model, test: &Dataset, params: &[f32]) -> Metrics {
+    evaluate_with(model, test, params, 16) //~ retired
+}

@@ -4,8 +4,9 @@
 //! fn is_live, TimeSource, ManualTime, WallTime, profiler_time,
 //! VersionScale, version_scale, read_timeout:, backoff_base,
 //! backoff_cap, max_dial_attempts, fn read_full, rand::, rand_chacha,
-//! ChaCha8Rng and BackwardBeforeForward — in a comment, in a string, in
-//! a doc example and as the prefix of a longer identifier.
+//! ChaCha8Rng, BackwardBeforeForward and evaluate_with — in a comment,
+//! in a string, in a doc example and as the prefix of a longer
+//! identifier.
 
 /// The retired surface, for the record:
 ///
@@ -24,6 +25,7 @@
 /// fn read_full() {}
 /// let rng = rand_chacha::ChaCha8Rng::seed_from_u64(rand::random());
 /// let e = NnError::BackwardBeforeForward("Relu");
+/// let m = evaluate_with(&mut model, &test, &params, 16);
 /// ```
 pub fn named_in_text() -> &'static str {
     // Trace::new, set_comm, expected_version, distributed_timeline,
@@ -31,13 +33,13 @@ pub fn named_in_text() -> &'static str {
     // heartbeat_interval, fn is_live, TimeSource, ManualTime, WallTime,
     // profiler_time, VersionScale, version_scale, read_timeout:,
     // backoff_base, backoff_cap, max_dial_attempts, fn read_full,
-    // rand::, rand_chacha, ChaCha8Rng and BackwardBeforeForward, in a
-    // comment.
+    // rand::, rand_chacha, ChaCha8Rng, BackwardBeforeForward and
+    // evaluate_with, in a comment.
     "Trace::new set_comm expected_version distributed_timeline fedavg_timeline \
      LrSchedule set_schedule Message::Heartbeat heartbeat_interval fn is_live \
      TimeSource ManualTime WallTime profiler_time VersionScale version_scale \
      read_timeout: backoff_base backoff_cap max_dial_attempts fn read_full \
-     rand:: rand_chacha ChaCha8Rng BackwardBeforeForward"
+     rand:: rand_chacha ChaCha8Rng BackwardBeforeForward evaluate_with"
 }
 
 /* A block comment naming Trace::new, rand::Rng and ChaCha8Rng. */
@@ -60,6 +62,7 @@ pub struct Lookalikes {
     pub max_dial_attempts_total: u32,
     pub rng: ChaCha8Rngs,
     pub misuse: BackwardBeforeForwardCount,
+    pub evaluate_with_scratch: bool,
 }
 
 pub fn longer_names(trace: &Trace, message: &Message) -> bool {

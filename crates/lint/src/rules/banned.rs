@@ -78,7 +78,7 @@ pub(crate) fn run(cx: &FileCx, rule: &Rule, ban: &Ban) -> Vec<Finding> {
 }
 
 /// The rows, grouped by id.
-pub static TABLE: [Rule; 18] = [
+pub static TABLE: [Rule; 19] = [
     Rule {
         id: "ambient-clock",
         summary: "no Instant::now()/SystemTime::now() in protocol paths — time goes \
@@ -287,6 +287,14 @@ pub static TABLE: [Rule; 18] = [
             "examples/",
         ]),
         check: Ban::of("BackwardBeforeForward"),
+    },
+    Rule {
+        id: "retired",
+        summary: "one evaluation path: a model state goes into a model of the \
+                  evaluation's own (BuiltWorkload::evaluate_params), never into a \
+                  device's replica saved and restored around it (DESIGN §10)",
+        scope: Scope::of(&ALL_RUST),
+        check: Ban::of("evaluate_with"),
     },
 ];
 

@@ -11,7 +11,10 @@ use crate::scratch::lease_vec;
 /// statistics. The learnable scale `gamma` and shift `beta` are the layer's
 /// parameters — and therefore part of the flat parameter vector the
 /// federated-learning schemes exchange, exactly as PyTorch's BN affine
-/// parameters are in the paper's setup. A training forward puts the
+/// parameters are in the paper's setup. The running statistics are
+/// state, not parameters ([`Layer::visit_state`]): they ride in
+/// [`crate::Model::state_vector`] after the parameters, as a PyTorch
+/// `state_dict` holds the BN buffers. A training forward puts the
 /// normalised activations (leased from the thread's training scratch)
 /// and the batch's `1/σ` on its tape; [`Tape::xhat`] reads them.
 ///
@@ -294,6 +297,16 @@ impl Layer for BatchNorm2d {
     fn visit_params_grads_mut(&mut self, f: &mut dyn FnMut(&mut Tensor, &mut Tensor)) {
         f(&mut self.gamma, &mut self.grad_gamma);
         f(&mut self.beta, &mut self.grad_beta);
+    }
+
+    fn visit_state(&self, f: &mut dyn FnMut(&[f32])) {
+        f(&self.running_mean);
+        f(&self.running_var);
+    }
+
+    fn visit_state_mut(&mut self, f: &mut dyn FnMut(&mut [f32])) {
+        f(&mut self.running_mean);
+        f(&mut self.running_var);
     }
 
     fn zero_grads(&mut self) {

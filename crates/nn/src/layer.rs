@@ -89,6 +89,16 @@ pub trait Layer: Send {
     /// as [`visit_params`](Layer::visit_params). Optimizers use this.
     fn visit_params_grads_mut(&mut self, f: &mut dyn FnMut(&mut Tensor, &mut Tensor));
 
+    /// Visits each buffer of state that is not trained but is part of
+    /// the model — [`crate::BatchNorm2d`]'s running mean and variance —
+    /// in deterministic order. A layer without such state visits
+    /// nothing.
+    fn visit_state(&self, _f: &mut dyn FnMut(&[f32])) {}
+
+    /// Visits each buffer of [`visit_state`](Layer::visit_state)
+    /// mutably, in the same order.
+    fn visit_state_mut(&mut self, _f: &mut dyn FnMut(&mut [f32])) {}
+
     /// Resets all accumulated gradients to zero.
     fn zero_grads(&mut self);
 

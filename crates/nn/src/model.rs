@@ -20,8 +20,10 @@ pub struct Metrics {
 
 /// A classification network packaged with the operations the
 /// federated-learning schemes need: train steps, evaluation, and — most
-/// importantly — *flat parameter vector* access, the unit of communication
-/// in HADFL, FedAvg, and all-reduce alike.
+/// importantly — *flat vector* access to its parameters and to its whole
+/// state ([`state_vector`](Model::state_vector): the parameters and the
+/// BatchNorm running statistics), the unit of communication in HADFL,
+/// FedAvg, and all-reduce alike.
 ///
 /// # Example
 ///
@@ -111,6 +113,53 @@ impl Model {
             let n = p.len();
             p.as_mut_slice()
                 .copy_from_slice(&params[offset..offset + n]);
+            offset += n;
+        });
+        Ok(())
+    }
+
+    /// Length of [`state_vector`](Model::state_vector): the parameters
+    /// and the state beside them (two floats per BatchNorm channel).
+    pub fn state_len(&self) -> usize {
+        let mut n = self.num_params();
+        self.net.visit_state(&mut |s| n += s.len());
+        n
+    }
+
+    /// The model's whole state in one flat vector: the
+    /// [`param_vector`](Model::param_vector), then every BatchNorm's
+    /// running mean and variance in traversal order — what a PyTorch
+    /// `state_dict` holds, and what the schemes exchange and evaluate.
+    /// A model without BatchNorm has no such state, so its state vector
+    /// is its parameter vector.
+    pub fn state_vector(&self) -> Vec<f32> {
+        let mut out = Vec::with_capacity(self.state_len());
+        self.net
+            .visit_params(&mut |p| out.extend_from_slice(p.as_slice()));
+        self.net.visit_state(&mut |s| out.extend_from_slice(s));
+        out
+    }
+
+    /// Overwrites the parameters and the running statistics from a flat
+    /// vector produced by [`state_vector`](Model::state_vector) (on this
+    /// or an identically shaped model).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`NnError::ParamLengthMismatch`] if the length differs.
+    pub fn set_state_vector(&mut self, state: &[f32]) -> Result<(), NnError> {
+        if state.len() != self.state_len() {
+            return Err(NnError::ParamLengthMismatch {
+                expected: self.state_len(),
+                actual: state.len(),
+            });
+        }
+        let (params, stats) = state.split_at(self.num_params());
+        self.set_param_vector(params)?;
+        let mut offset = 0;
+        self.net.visit_state_mut(&mut |s| {
+            let n = s.len();
+            s.copy_from_slice(&stats[offset..offset + n]);
             offset += n;
         });
         Ok(())
@@ -282,6 +331,58 @@ mod tests {
         m.set_param_vector(&doubled).unwrap();
         assert_eq!(m.param_vector(), doubled);
         assert!(m.set_param_vector(&doubled[1..]).is_err());
+    }
+
+    #[test]
+    fn a_fresh_model_given_a_trained_state_evaluates_to_the_same_bits() {
+        let spec = SyntheticSpec::tiny();
+        let ds = Dataset::synthetic_cifar(32, &spec, 3).unwrap();
+        let mut trained = resnet_replica(1);
+        let mut opt = Sgd::new(0.05, 0.9);
+        for rows in [[0, 1, 2, 3], [4, 5, 6, 7], [8, 9, 10, 11]] {
+            let (x, y) = ds.batch(&rows).unwrap();
+            trained.train_step(&x, &y, &mut opt).unwrap();
+        }
+        let state = trained.state_vector();
+        assert_eq!(state.len(), trained.num_params() + 336);
+        assert_eq!(state[..trained.num_params()], trained.param_vector());
+        let mut fresh = resnet_replica(2);
+        let before = fresh.evaluate(&ds, 8).unwrap();
+        fresh.set_state_vector(&state).unwrap();
+        assert_eq!(fresh.state_vector(), state);
+        let (want, got) = (
+            trained.evaluate(&ds, 8).unwrap(),
+            fresh.evaluate(&ds, 8).unwrap(),
+        );
+        assert_eq!(got.loss.to_bits(), want.loss.to_bits());
+        assert_eq!(got.accuracy.to_bits(), want.accuracy.to_bits());
+        assert_ne!(before.loss.to_bits(), want.loss.to_bits());
+    }
+
+    #[test]
+    fn a_model_without_batchnorm_has_its_parameters_for_state() {
+        let dims = SyntheticSpec::tiny().sample_dims();
+        for m in [tiny_model(1), models::vgg16_lite(&dims, 10, 1).unwrap()] {
+            assert_eq!(m.state_len(), m.num_params(), "{}", m.arch());
+            assert_eq!(m.state_vector(), m.param_vector(), "{}", m.arch());
+        }
+    }
+
+    #[test]
+    fn a_state_of_the_wrong_length_is_refused() {
+        let mut m = resnet_replica(1);
+        let state = m.state_vector();
+        let (expected, params) = (state.len(), m.param_vector());
+        for bad in [&state[1..], &params[..]] {
+            assert_eq!(
+                m.set_state_vector(bad),
+                Err(NnError::ParamLengthMismatch {
+                    expected,
+                    actual: bad.len()
+                })
+            );
+        }
+        assert_eq!(m.state_vector(), state, "a refused state changed the model");
     }
 
     #[test]

@@ -78,6 +78,14 @@ impl Layer for Residual {
         self.body.visit_params_grads_mut(f);
     }
 
+    fn visit_state(&self, f: &mut dyn FnMut(&[f32])) {
+        self.body.visit_state(f);
+    }
+
+    fn visit_state_mut(&mut self, f: &mut dyn FnMut(&mut [f32])) {
+        self.body.visit_state_mut(f);
+    }
+
     fn zero_grads(&mut self) {
         self.body.zero_grads();
     }

@@ -139,6 +139,18 @@ impl Layer for Sequential {
         }
     }
 
+    fn visit_state(&self, f: &mut dyn FnMut(&[f32])) {
+        for layer in &self.layers {
+            layer.visit_state(f);
+        }
+    }
+
+    fn visit_state_mut(&mut self, f: &mut dyn FnMut(&mut [f32])) {
+        for layer in &mut self.layers {
+            layer.visit_state_mut(f);
+        }
+    }
+
     fn zero_grads(&mut self) {
         for layer in &mut self.layers {
             layer.zero_grads();

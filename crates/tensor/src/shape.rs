@@ -51,15 +51,6 @@ impl Shape {
         &self.0
     }
 
-    /// Extent of dimension `axis`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `axis >= self.rank()`.
-    pub fn dim(&self, axis: usize) -> usize {
-        self.0[axis]
-    }
-
     /// Row-major strides, in elements.
     pub fn strides(&self) -> Vec<usize> {
         let mut strides = vec![1; self.rank()];
