@@ -11,7 +11,7 @@ use std::time::Duration;
 use hadfl_simnet::{
     ComputeModel, DeviceId, Endpoint, FaultPlan, Jitter, LinkModel, NetStats, VirtualTime,
 };
-use hadfl_telemetry::{EventKind, RingBufferSink, Telemetry};
+use hadfl_telemetry::{Event, EventKind, RingBufferSink, Telemetry};
 use hadfl_tensor::SeedStream;
 use serde::{Deserialize, Serialize};
 
@@ -21,7 +21,7 @@ use crate::coordinator::{RuntimeSupervisor, StrategyGenerator};
 use crate::error::HadflError;
 use crate::gossip::{run_partial_sync, SyncOutcome};
 use crate::group::partition_groups;
-use crate::strategy::Strategy;
+use crate::strategy::{step_fits, Strategy};
 use crate::topology::Ring;
 use crate::trace::{CommSummary, Trace};
 use crate::workload::{BuiltWorkload, Workload};
@@ -250,8 +250,12 @@ impl Cluster {
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct HadflRun {
     /// The per-round trace (training-phase communication only), folded
-    /// from the run's events.
+    /// from [`events`](Self::events).
     pub trace: Trace,
+    /// The training phase's event stream on node `k`, the coordinator,
+    /// stamped at virtual time: the `FrameSent`, `RoundPlanned` and
+    /// `Evaluated` events that `trace` folds.
+    pub events: Vec<Event>,
     /// Setup-phase communication: initial model dispatch and warm-up
     /// timing reports.
     pub setup_comm: CommSummary,
@@ -413,16 +417,9 @@ pub fn run_hadfl(
                 device_free[i] = device_free[i].max(window_end);
                 continue;
             }
-            let mut budget = window_end.elapsed_since(device_free[i]);
-            let mut steps = 0usize;
-            while budget > 0.0 {
-                let dt = compute.step_time(dev, Some(&mut device_rngs[i]))?;
-                if dt > budget {
-                    break;
-                }
-                budget -= dt;
-                steps += 1;
-            }
+            let budget = window_end.elapsed_since(device_free[i]);
+            let rng = &mut device_rngs[i];
+            let steps = steps_within(budget, || Ok(compute.step_time(dev, Some(&mut *rng))?))?;
             let loss = built.runtimes[i].train_steps(steps)?;
             round_losses.push(if steps > 0 { Some(loss) } else { None });
             device_free[i] = window_end;
@@ -623,8 +620,10 @@ pub fn run_hadfl(
         window_start = window_end;
     }
 
+    let events = cluster.events.snapshot();
     Ok(HadflRun {
         trace: cluster.finish("hadfl"),
+        events,
         setup_comm: CommSummary::from_stats(&setup_stats, k),
         backup_comm: CommSummary::from_stats(&backup_stats, k),
         backups_taken,
@@ -636,6 +635,26 @@ pub fn run_hadfl(
             .collect(),
         inter_sync_rounds,
     })
+}
+
+/// How many steps fit in `budget` seconds, each as long as the next
+/// `step_time` draw: steps are taken while they fit what is left
+/// ([`step_fits`]). A step that does not fit is drawn and not taken; an
+/// empty budget draws none.
+fn steps_within(
+    mut budget: f64,
+    mut step_time: impl FnMut() -> Result<f64, HadflError>,
+) -> Result<usize, HadflError> {
+    let mut steps = 0;
+    while budget > 0.0 {
+        let dt = step_time()?;
+        if !step_fits(dt, budget) {
+            break;
+        }
+        budget -= dt;
+        steps += 1;
+    }
+    Ok(steps)
 }
 
 /// Who tells an audience the merged model: the planned device if it
@@ -656,6 +675,19 @@ mod tests {
 
     fn quick_config(seed: u64) -> HadflConfig {
         HadflConfig::builder().seed(seed).build().unwrap()
+    }
+
+    #[test]
+    fn a_window_takes_the_steps_that_end_in_it_and_no_more() {
+        let steps = |budget: f64, dt: f64| steps_within(budget, || Ok(dt)).unwrap();
+        // Summed, 31 steps of 2.5 ms leave 2.5 ms less 3.6e-17 of 80 ms.
+        assert_eq!(steps(0.08, 0.0025), 32);
+        assert_eq!(steps(0.06, 0.01 / 3.0), 18);
+        // A step ending past the budget by more than float noise is not
+        // taken: the rule never rounds up.
+        assert_eq!(steps(0.08, 0.0025 * (1.0 + 1e-7)), 31);
+        assert_eq!(steps(0.0025 * (1.0 - 1e-7), 0.0025), 0);
+        assert_eq!(steps(0.0, 0.0025), 0);
     }
 
     #[test]

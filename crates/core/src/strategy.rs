@@ -6,7 +6,8 @@
 //! hyperperiods. Within one sync window each device runs as many local
 //! steps as its speed allows (`E_i`), so no device ever waits.
 //! [`Strategy::derive`] is the one place `H_E`, the window and `E_i` are
-//! computed.
+//! computed, and `step_fits` is the one rule for whether steps fit a
+//! budget.
 
 use hadfl_simnet::{ComputeModel, DeviceId, VirtualTime};
 use serde::{Deserialize, Serialize};
@@ -19,6 +20,22 @@ use crate::error::HadflError;
 /// slowest device's epoch time, which preserves the "every device
 /// completes ≥ T_sync epochs" intent.
 const MAX_HYPERPERIOD_TICKS: u64 = 1_000_000;
+
+/// Relative slack of [`step_fits`]: float noise, far below any step.
+const FIT_TOLERANCE: f64 = 1e-9;
+
+/// Whether `work` seconds of steps fit a budget of `budget` seconds:
+/// they do when they end within float noise of the budget's end. Eq. (6)
+/// makes a window a whole multiple of each step time whenever epoch
+/// times are whole milliseconds, so a window's last step ends exactly at
+/// its end, which floats miss by an ulp: `0.06 / (0.01 / 3)` is
+/// 17.999999999999996, and 31 steps of 0.0025 leave
+/// 0.0024999999999999645 of 0.08. Work that ends later than the noise
+/// never fits. [`Strategy::derive`] counts `E_i` with this rule, and the
+/// closed-form window loop takes each jittered step under it.
+pub(crate) fn step_fits(work: f64, budget: f64) -> bool {
+    work <= budget * (1.0 + FIT_TOLERANCE)
+}
 
 fn gcd(a: u64, b: u64) -> u64 {
     if b == 0 {
@@ -92,7 +109,9 @@ pub struct Strategy {
     /// The sync window `T_sync · H_E`, seconds.
     pub window_secs: f64,
     /// `E_i`: nominal local steps each device fits into one window,
-    /// `⌊T_sync · H_E / t_step_i⌋` and at least 1. This is also the
+    /// `⌊T_sync · H_E / t_step_i⌋` and at least 1, the floor counted to
+    /// float noise: a step that ends at the window's end fits. A device that spent part of a window in a ring fits fewer
+    /// steps into the next, by the ring's time. This is also the
     /// paper's Eq. 6 expected version per window. Eq. 6 prints
     /// `v̂ = T_sync · T_i / E_warm_up`, which would give *slower* devices
     /// larger versions; the physically meaningful reading is the number
@@ -149,7 +168,15 @@ impl Strategy {
                 let step = compute
                     .nominal_step_time(DeviceId(i))
                     .expect("checked above");
-                (window / step).floor().max(1.0) as usize
+                // The next step may end on the window's end, an ulp past
+                // it in floats.
+                let whole = (window / step).floor();
+                let whole = if step_fits((whole + 1.0) * step, window) {
+                    whole + 1.0
+                } else {
+                    whole
+                };
+                whole.max(1.0) as usize
             })
             .collect();
         Ok(Strategy {
@@ -242,6 +269,27 @@ mod tests {
         assert!(Strategy::derive(&compute, &[5], 1).is_err());
         assert!(Strategy::derive(&compute, &[5, 0], 1).is_err());
         assert!(Strategy::derive(&compute, &[5, 5], 0).is_err());
+    }
+
+    #[test]
+    fn a_step_ending_at_the_window_fits() {
+        // (base step, powers, equal shards) → E_i. Each window is a whole
+        // multiple of the step times, which floats miss by an ulp.
+        let cases: [(f64, &[f64], usize, &[usize]); 3] = [
+            // 0.06 / (0.01/3) = 17.999999999999996 in floats.
+            (0.010, &[3.0, 1.0], 6, &[18, 6]),
+            // 0.6 / 0.025 = 23.999999999999996.
+            (0.025, &[1.0, 1.0], 24, &[24, 24]),
+            // 0.08 / 0.0025 = 32 exactly, as before the rule.
+            (0.010, &[4.0, 2.0, 1.0], 8, &[32, 16, 8]),
+        ];
+        for (base, powers, batches, expected) in cases {
+            let compute = ComputeModel::new(base, powers).unwrap();
+            let s = Strategy::derive(&compute, &vec![batches; powers.len()], 1).unwrap();
+            assert_eq!(s.local_steps, expected, "powers {powers:?}");
+        }
+        assert!(step_fits(0.0025, 0.0024999999999999645));
+        assert!(!step_fits(0.0025 * (1.0 + 1e-6), 0.0025));
     }
 
     #[test]

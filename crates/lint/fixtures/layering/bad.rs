@@ -3,7 +3,8 @@
 //! that several rows ban is found once per row: `hadfl_telemetry` by the
 //! cost model, the closed-form ring and grouping, and both pure state
 //! machines; `Telemetry` by the last three; the other pure-core names
-//! by the ring and the round script.
+//! by the ring and the round script; the contract suite's wall-clock
+//! names by its own row.
 
 // The cost model (crates/simnet) names no telemetry crate.
 use hadfl_telemetry::Event; //~ layering //~ layering //~ layering //~ layering
@@ -37,4 +38,13 @@ pub fn paced(actor: &DeviceActor) -> Option<DeviceHint> { //~ layering
 
 pub fn due(actor: &DeviceActor) -> u64 {
     actor.next_step_due //~ layering
+}
+
+// The two-stacks contract suite runs in virtual time.
+pub fn wall(workload: &Workload) -> Report {
+    let clock = WallClock::new(); //~ layering
+    let started = Instant::now(); //~ layering
+    let _ = SystemTime::now(); //~ layering
+    std::thread::sleep(clock.tick()); //~ layering
+    run_threaded(workload, started) //~ layering
 }

@@ -1,7 +1,8 @@
 //! Known-clean for `layering`: every banned name — Port, Telemetry,
 //! TrainState, Clock, hadfl_prof, hadfl_telemetry, DeviceHint,
-//! `.hint(` and next_step_due — in a comment, in a string, in a doc
-//! example and as the prefix of a longer identifier.
+//! `.hint(`, next_step_due, WallClock, run_threaded, thread::sleep,
+//! Instant::now() and SystemTime::now() — in a comment, in a string, in
+//! a doc example and as the prefix of a longer identifier.
 
 /// The pure core hands these to its shell:
 ///
@@ -32,4 +33,19 @@ pub struct Lookalikes {
 
 pub fn longer_names(actor: &Actor) -> bool {
     actor.hinted() && hadfl_profile::enabled() && hadfl_telemetry_off()
+}
+
+/// The contract suite's virtual-time look-alikes:
+///
+/// ```
+/// let clock = WallClock::new();
+/// run_threaded(&workload, &config, &opts);
+/// std::thread::sleep(step);
+/// ```
+pub fn virtual_time(clock: &ManualClock, at: Instant) -> Report {
+    // WallClock, run_threaded, thread::sleep and Instant::now() in a comment.
+    let _ = "WallClock run_threaded thread::sleep Instant::now() SystemTime::now()";
+    let wall = WallClockless::default();
+    let start = at.now_or(clock.now());
+    run_threaded_report(run_virtual_cluster(wall, start))
 }

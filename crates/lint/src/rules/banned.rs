@@ -78,7 +78,7 @@ pub(crate) fn run(cx: &FileCx, rule: &Rule, ban: &Ban) -> Vec<Finding> {
 }
 
 /// The rows, grouped by id.
-pub static TABLE: [Rule; 19] = [
+pub static TABLE: [Rule; 20] = [
     Rule {
         id: "ambient-clock",
         summary: "no Instant::now()/SystemTime::now() in protocol paths — time goes \
@@ -222,6 +222,16 @@ pub static TABLE: [Rule; 19] = [
         summary: "the executors read only each actor's `wake` — no hints, no pacing",
         scope: Scope::of(&["crates/core/src/exec/run.rs"]),
         check: Ban::of("DeviceHint | .hint( | next_step_due"),
+    },
+    Rule {
+        id: "layering",
+        summary: "the two-stacks contract suite runs both stacks in virtual time — no \
+                  wall clock, no threaded executor, no sleeps — so a failure is a \
+                  replayable schedule (DESIGN §7)",
+        scope: Scope::of(&["tests/two_stacks.rs"]),
+        check: Ban::of(
+            "WallClock | run_threaded | thread::sleep | Instant::now() | SystemTime::now()",
+        ),
     },
     Rule {
         id: "retired",

@@ -152,9 +152,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let handles: Vec<StatsHandle> = ports.iter().map(TcpPort::stats_handle).collect();
     let coordinator_port = ports.remove(k);
     let stats = coordinator_port.stats_handle();
-    let built = workload.build(k)?;
+    // One build: the devices train its runtimes, and the consensus is
+    // evaluated on the evaluation model it keeps.
+    let mut built = workload.build(k)?;
+    let runtimes = std::mem::take(&mut built.runtimes);
 
-    let run = run_cluster(ports, coordinator_port, built.runtimes, &config, &threaded)?;
+    let run = run_cluster(ports, coordinator_port, runtimes, &config, &threaded)?;
 
     // Stamp each node's ground-truth ledger into its event log, then
     // flush: `hadfl-trace --check` verifies the per-frame events sum to
@@ -170,8 +173,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             r.round, r.versions, r.selected
         );
     }
-    let mut evaluator = workload.build(k)?;
-    let metrics = evaluator.evaluate_params(&run.consensus()?)?;
+    let metrics = built.evaluate_params(&run.consensus()?)?;
     println!("consensus test accuracy: {:.1}%", metrics.accuracy * 100.0);
 
     // The coordinator's ledger counts exactly the encoded protocol

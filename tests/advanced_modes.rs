@@ -1,11 +1,8 @@
 //! Integration tests of the advanced execution modes: hierarchical
-//! grouping, the threaded executor, non-IID weighted aggregation, and
-//! the heterogeneous-bandwidth ring.
-
-use std::time::Duration;
+//! grouping, non-IID weighted aggregation, and the
+//! heterogeneous-bandwidth ring.
 
 use hadfl::driver::{run_hadfl, HadflRun, SimOptions};
-use hadfl::exec::{run_threaded, ThreadedOptions};
 use hadfl::topology::Ring;
 use hadfl::workload::ShardKind;
 use hadfl::{HadflConfig, Workload};
@@ -123,41 +120,6 @@ fn dead_group_stays_out_of_the_inter_group_consensus() {
 
     let again = group_outage_run(1.0, 6);
     assert_eq!(run, again);
-}
-
-#[test]
-fn threaded_executor_matches_virtual_time_protocol() {
-    // Same workload through both executors: both must select 2-device
-    // rings, accumulate versions, and produce a finite consensus.
-    let workload = Workload::quick("mlp", 73);
-    let config = HadflConfig::builder()
-        .num_selected(2)
-        .seed(73)
-        .build()
-        .unwrap();
-
-    let virtual_run = run_hadfl(&workload, &config, &SimOptions::quick(&[2.0, 1.0, 1.0])).unwrap();
-    let threaded = run_threaded(
-        &workload,
-        &config,
-        &ThreadedOptions {
-            powers: vec![2.0, 1.0, 1.0],
-            step_sleep: Duration::from_millis(4),
-            window: Duration::from_millis(50),
-            rounds: 3,
-            timing: hadfl::exec::ProtocolTiming::quick(),
-        },
-    )
-    .unwrap();
-
-    for r in &virtual_run.trace.records {
-        assert_eq!(r.selected.len(), 2);
-    }
-    for r in &threaded.rounds {
-        assert_eq!(r.selected.len(), 2);
-    }
-    assert!(threaded.final_accuracy.is_finite());
-    assert!(threaded.peer_bytes > 0);
 }
 
 #[test]

@@ -12,7 +12,7 @@ const GOLDEN_FEDAVG: (u64, usize) = (0x4844_bf64_ec4f_490c, 3);
 const GOLDEN_CENTRALIZED: (u64, usize) = (0x8283_118c_2a7f_0377, 3);
 const GOLDEN_DISTRIBUTED: (u64, usize) = (0xf151_5e8d_75d6_7dcb, 3);
 const GOLDEN_DISTRIBUTED_JITTER: (u64, usize) = (0xe0be_d550_9dd7_e00c, 3);
-const GOLDEN_HADFL: (u64, usize) = (0x6c5d_76ea_fd2a_a733, 2);
+const GOLDEN_HADFL: (u64, usize) = (0x4321_ecd4_d75b_743d, 1);
 const GOLDEN_HADFL_SETUP: u64 = 0xdedc_6a21_873f_2d58;
 const GOLDEN_HADFL_BACKUP: u64 = 0x6390_395d_6973_a9f8;
 

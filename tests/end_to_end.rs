@@ -6,12 +6,12 @@ use hadfl::workload::ShardKind;
 use hadfl::{HadflConfig, Workload};
 use hadfl_simnet::{DeviceId, FaultPlan, Jitter, Outage, VirtualTime};
 
-const GOLDEN_PLAIN: u64 = 0x8dba_5cee_9181_3e7f;
-const GOLDEN_FAULTED: u64 = 0xe046_fbb8_c0ae_8560;
-const GOLDEN_WEIGHTED: u64 = 0x2217_a70a_879b_8b5a;
-const GOLDEN_BACKUP: u64 = 0xebc9_ba16_0faa_e2f2;
-const GOLDEN_GROUPED: u64 = 0xeca0_d743_9843_844f;
-const GOLDEN_SPIKED: u64 = 0xb5af_ffc5_1f16_e181;
+const GOLDEN_PLAIN: u64 = 0x6a2b_fe1b_0a03_1569;
+const GOLDEN_FAULTED: u64 = 0xe7fa_9513_7dd1_9714;
+const GOLDEN_WEIGHTED: u64 = 0x053e_74f5_5e4f_b4fe;
+const GOLDEN_BACKUP: u64 = 0xab8a_116c_4a31_5f0c;
+const GOLDEN_GROUPED: u64 = 0xff59_631f_bcc9_08ba;
+const GOLDEN_SPIKED: u64 = 0x1768_353a_7f28_1fdc;
 
 fn quick_opts(powers: &[f64], epochs: f64) -> SimOptions {
     let mut opts = SimOptions::quick(powers);
@@ -133,8 +133,8 @@ fn umbrella_crate_reexports_compile() {
 }
 
 /// FNV-1a over the JSON of the `HadflRun` fields that predate grouping
-/// folding into `run_hadfl`; `groups` and `inter_sync_rounds` are left
-/// out, so the constants below are the parent commit's.
+/// folding into `run_hadfl`; `groups`, `inter_sync_rounds` and `events`
+/// are left out.
 fn fingerprint(run: &HadflRun) -> u64 {
     let json = serde_json::to_string(&(
         (&run.trace, &run.setup_comm, &run.backup_comm),
@@ -146,13 +146,14 @@ fn fingerprint(run: &HadflRun) -> u64 {
     })
 }
 
-/// Flat runs are bit-identical to the loop that existed before grouped
-/// and flat HADFL shared one driver: four configurations covering the
+/// Flat runs are pinned bit for bit: four configurations covering the
 /// plain path, bypass + rejoin, the weighted merge, and backup with an
-/// overridden wire size, pinned to fingerprints taken at that commit.
-/// Two later pins ride along: a grouped run with inter-group rings, and
+/// overridden wire size, plus a grouped run with inter-group rings and
 /// a run whose step times spike, which draws on every device's
-/// step-time stream.
+/// step-time stream. All six were last re-taken when a step ending at
+/// its window's end, to float noise, began to count (Eq. 6's step
+/// rule); the four flat ones had held since before grouped and flat
+/// HADFL shared one driver.
 #[test]
 fn flat_runs_match_pre_fold_fingerprints() {
     let seeded = |seed| HadflConfig::builder().seed(seed);
